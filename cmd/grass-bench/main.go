@@ -45,7 +45,6 @@ import (
 
 	"github.com/approx-analytics/grass/internal/exp"
 	"github.com/approx-analytics/grass/internal/fault"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/trace"
 	"github.com/approx-analytics/grass/internal/traceio"
 )
@@ -65,7 +64,7 @@ func run() int {
 		profile = flag.String("profile", "", "write <prefix>.cpu.prof and <prefix>.mem.prof covering the runs (bare prefixes go to a temp dir)")
 
 		jobs        = flag.Int("jobs", 0, "streaming replay: replay this many jobs instead of running experiments")
-		policy      = flag.String("policy", "gs", "replay policy (see grass-sim for names)")
+		policy      = flag.String("policy", "gs", "replay policy: grass | grass-strawman | grass-best1 | grass-best2util | grass-best2acc | gs | ras | late | mantri | nospec | oracle")
 		workload    = flag.String("workload", "facebook", "replay workload: facebook | bing")
 		bound       = flag.String("bound", "mixed", "replay bound mode: mixed | deadline | error | exact")
 		seed        = flag.Int64("seed", 1, "replay seed")
@@ -73,7 +72,6 @@ func run() int {
 		traceFormat = flag.String("trace-format", "swim", "imported trace format: swim | google")
 		shards      = flag.Int("shards", 1, "replay worker goroutines executing partitions; with -partitions set explicitly this never changes results, but when -partitions is 0 it also sets the partition count, which IS model-visible")
 		parts       = flag.Int("partitions", 0, "replay partition count — the sharded model: cluster and trace split with a deterministic merge; results are comparable only at equal partition counts (0 = same as -shards; 1 = the plain engine)")
-		queue       = flag.String("queue", "calendar", "event-queue implementation: calendar | heap; byte-identical results, calendar is faster")
 		learner     = flag.String("learner", "ring", "GRASS learner: ring (per-partition ring buffer) | sketch (mergeable sketch store — partition-invariant learning at -partitions > 1)")
 		learnEpochs = flag.Int("learn-epochs", 1, "replay the trace this many times, carrying merged learned state into each next epoch (needs -learner sketch when > 1); stats report the final epoch")
 		scenario    = flag.String("scenario", "", "replay fault scenario: "+strings.Join(fault.Scenarios(), " | ")+" (empty or none = benign cluster)")
@@ -166,7 +164,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "grass-bench: -trace-file: %v (give a readable SWIM or Google task_events file, optionally .gz)\n", err)
 			return 1
 		}
-		return runReplay(0, *traceFile, *traceFormat, *policy, *workload, *bound, *queue, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		return runReplay(0, *traceFile, *traceFormat, *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
 	}
 	if *jobs > 0 {
 		if *fig != "" || *full {
@@ -177,7 +175,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d is fewer than -partitions %d: every partition needs at least one job\n", *jobs, *parts)
 			return 1
 		}
-		return runReplay(*jobs, "", "", *policy, *workload, *bound, *queue, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		return runReplay(*jobs, "", "", *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
 	}
 
 	cfg := exp.Quick()
@@ -209,7 +207,7 @@ func run() int {
 
 // runReplay executes one streaming replay — synthetic (jobs > 0) or an
 // imported real trace (traceFile != "") — and renders its aggregates.
-func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, queue, learner, scenario string, seed, faultSeed int64, shards, partitions, learnEpochs int) int {
+func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, learner, scenario string, seed, faultSeed int64, shards, partitions, learnEpochs int) int {
 	rc := exp.DefaultReplayConfig(jobs)
 	rc.Policy = policy
 	rc.Seed = seed
@@ -235,10 +233,6 @@ func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, queue,
 			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
 			return 1
 		}
-	}
-	if rc.Queue, err = simevent.ParseQueueKind(queue); err != nil {
-		fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-		return 1
 	}
 	rs, err := exp.Replay(rc)
 	if err != nil {

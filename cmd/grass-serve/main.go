@@ -48,7 +48,7 @@ func main() {
 func run() int {
 	var (
 		jobs     = flag.Int("jobs", 50_000, "serve this many jobs then close admission (0 = unbounded, requires -for)")
-		policy   = flag.String("policy", "gs", "speculation policy (see grass-sim for names)")
+		policy   = flag.String("policy", "gs", "speculation policy: grass | grass-strawman | grass-best1 | grass-best2util | grass-best2acc | gs | ras | late | mantri | nospec | oracle")
 		workload = flag.String("workload", "facebook", "workload: facebook | bing")
 		bound    = flag.String("bound", "mixed", "bound mode: mixed | deadline | error | exact")
 		seed     = flag.Int64("seed", 1, "simulator + trace seed")
@@ -60,7 +60,6 @@ func run() int {
 		forDur   = flag.Duration("for", 0, "close admission after this much wall-clock time (0 = unbounded)")
 		stats    = flag.Duration("stats", 0, "print a live stats line at this interval (0 = off)")
 		queueCap = flag.Int("queue-cap", 0, "per-partition admission queue capacity (0 = default 1024)")
-		queue    = flag.String("queue", "calendar", "event-queue implementation: calendar | heap; byte-identical results, calendar is faster")
 		scenario = flag.String("scenario", "", "fault scenario: "+strings.Join(grass.FaultScenarios(), " | ")+" (empty or none = benign cluster)")
 		fltSeed  = flag.Int64("fault-seed", 0, "pin the fault timeline independently of -seed (0 = derive it from -seed)")
 	)
@@ -104,10 +103,6 @@ func run() int {
 
 	sc := grass.DefaultSimConfig()
 	sc.Seed = *seed
-	if sc.EventQueue, err = grass.ParseQueueKind(*queue); err != nil {
-		fmt.Fprintf(os.Stderr, "grass-serve: %v\n", err)
-		return 1
-	}
 	if sc.Faults, err = grass.FaultScenario(*scenario); err != nil {
 		fmt.Fprintf(os.Stderr, "grass-serve: -scenario: %v\n", err)
 		return 1

@@ -6,9 +6,9 @@ import (
 	grass "github.com/approx-analytics/grass"
 )
 
-// ExampleSimulate runs a tiny hand-built error-bound job under RAS and
+// ExampleSimulateJobs runs a tiny hand-built error-bound job under RAS and
 // prints its accuracy: with ε = 0.2 the job stops after 80% of its tasks.
-func ExampleSimulate() {
+func ExampleSimulateJobs() {
 	work := make([]float64, 20)
 	for i := range work {
 		work[i] = 1
@@ -19,7 +19,7 @@ func ExampleSimulate() {
 	cfg.Cluster.Machines = 10
 	cfg.Seed = 7
 
-	stats, err := grass.Simulate(cfg, "ras", jobs)
+	stats, err := grass.SimulateJobs(cfg, "ras", jobs)
 	if err != nil {
 		panic(err)
 	}

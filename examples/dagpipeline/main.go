@@ -30,11 +30,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		late, err := grass.Simulate(sim, "late", jobs)
+		late, err := grass.SimulateJobs(sim, "late", jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gr, err := grass.Simulate(sim, "grass", jobs)
+		gr, err := grass.SimulateJobs(sim, "grass", jobs)
 		if err != nil {
 			log.Fatal(err)
 		}

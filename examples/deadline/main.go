@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("%-16s %10s %12s %8s\n", "policy", "accuracy", "improvement", "spec")
 	var base float64
 	for _, p := range []string{"late", "mantri", "gs", "ras", "grass", "oracle"} {
-		stats, err := grass.Simulate(sim, p, jobs)
+		stats, err := grass.SimulateJobs(sim, p, jobs)
 		if err != nil {
 			log.Fatal(err)
 		}

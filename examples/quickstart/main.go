@@ -25,11 +25,11 @@ func main() {
 	sim.Cluster.Machines = 50
 	sim.Seed = 42
 
-	late, err := grass.Simulate(sim, "late", jobs)
+	late, err := grass.SimulateJobs(sim, "late", jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gr, err := grass.Simulate(sim, "grass", jobs)
+	gr, err := grass.SimulateJobs(sim, "grass", jobs)
 	if err != nil {
 		log.Fatal(err)
 	}

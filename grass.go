@@ -18,10 +18,10 @@
 //
 //	jobs, _ := grass.GenerateTrace(grass.DefaultTraceConfig(
 //	    grass.Facebook, grass.Hadoop, grass.DeadlineBound))
-//	stats, _ := grass.Simulate(grass.DefaultSimConfig(), "grass", jobs)
+//	stats, _ := grass.SimulateJobs(grass.DefaultSimConfig(), "grass", jobs)
 //	fmt.Println(grass.MeanAccuracy(stats.Results))
 //
-// Policy names accepted by Simulate and NewPolicy: "grass",
+// Policy names accepted by SimulateJobs and NewPolicy: "grass",
 // "grass-strawman", "grass-best1", "grass-best2util", "grass-best2acc",
 // "gs", "ras", "late", "mantri", "nospec", "oracle".
 package grass
@@ -38,7 +38,6 @@ import (
 	"github.com/approx-analytics/grass/internal/metrics"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/serve"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -94,11 +93,6 @@ type (
 	// cluster logs. Sources that also implement sched.Releaser get finished
 	// jobs handed back for reuse.
 	JobSource = sched.Source
-	// QueueKind selects the event engine's pending-event queue
-	// (SimConfig.EventQueue). Both kinds simulate byte-identically; the
-	// calendar queue (the zero value) is the fast default, the heap the
-	// reference implementation.
-	QueueKind = simevent.QueueKind
 )
 
 // Workload, framework and bound-mode constants.
@@ -113,13 +107,7 @@ const (
 	ErrorBound    = trace.ErrorBound
 	ExactBound    = trace.ExactBound
 	MixedBound    = trace.MixedBound
-
-	CalendarQueue = simevent.Calendar
-	HeapQueue     = simevent.Heap
 )
-
-// ParseQueueKind maps a flag value ("calendar" | "heap") to a QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) { return simevent.ParseQueueKind(s) }
 
 // Job-size bins (paper §6.1).
 const (
@@ -168,7 +156,7 @@ func WithFaults(fc FaultConfig) SimOption { return func(o *simOptions) { o.fault
 
 // NewPolicy resolves a policy name to a factory. The boolean result
 // reports whether the policy needs oracle mode (ground-truth task views);
-// set SimConfig.Oracle accordingly (Simulate does this for you).
+// set SimConfig.Oracle accordingly (SimulateJobs does this for you).
 func NewPolicy(name string, seed int64) (PolicyFactory, bool, error) {
 	return exp.NewFactory(name, seed)
 }
@@ -189,7 +177,7 @@ func GenerateTrace(cfg TraceConfig) ([]*Job, error) {
 
 // StreamTrace returns a lazy generator of the same workload GenerateTrace
 // materializes: byte-identical jobs for the same config, emitted one at a
-// time. Pass the stream to SimulateStream to replay traces at the paper's
+// time. Pass the stream to SimulateSource to replay traces at the paper's
 // sizes (575K/500K jobs and beyond) in bounded memory.
 func StreamTrace(cfg TraceConfig) (*TraceStream, error) {
 	return trace.NewStream(cfg)
@@ -255,7 +243,7 @@ func WithFactory(f PolicyFactory) SimOption { return func(o *simOptions) { o.fac
 
 // SimulateTrace generates cfg's synthetic workload lazily and simulates
 // it under the named policy — the sharding-capable, options-pattern entry
-// point. With no options it is SimulateStream over StreamTrace(tc):
+// point. With no options it is SimulateSource over StreamTrace(tc):
 // one partition, one worker, results accumulated. WithPartitions /
 // WithShards partition the run across cores with a deterministic merge;
 // the trace is consumed as per-partition shard streams, so no
@@ -306,10 +294,9 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 }
 
 // SimulateJobs runs a materialized trace through the cluster simulator
-// under the named policy — the options-pattern successor of Simulate and
-// SimulateWith. Oracle mode is enabled automatically for the "oracle"
-// policy (unless WithFactory overrides the policy). Supports WithFold,
-// WithContext and WithFactory; sharded execution (WithShards /
+// under the named policy. Oracle mode is enabled automatically for the
+// "oracle" policy (unless WithFactory overrides the policy). Supports
+// WithFold, WithContext and WithFactory; sharded execution (WithShards /
 // WithPartitions) requires SimulateTrace, whose partitioner splits the
 // trace by construction.
 func SimulateJobs(cfg SimConfig, policy string, jobs []*Job, opts ...SimOption) (*RunStats, error) {
@@ -321,8 +308,7 @@ func SimulateJobs(cfg SimConfig, policy string, jobs []*Job, opts ...SimOption) 
 }
 
 // SimulateSource runs a streamed trace through the cluster simulator under
-// the named policy — the options-pattern successor of SimulateStream and
-// SimulateStreamFold. Results are identical to materializing the same
+// the named policy. Results are identical to materializing the same
 // trace and calling SimulateJobs; memory differs — the simulator holds
 // only in-flight jobs (finished jobs are recycled when src implements
 // sched.Releaser, as TraceStream does). Accepts the same options as
@@ -350,13 +336,11 @@ func collectUnshardedOptions(entry string, opts []SimOption) (simOptions, error)
 	return o, nil
 }
 
-// runSim is the single execution core behind every non-partitioned entry
-// point — Simulate, SimulateWith, SimulateStream, SimulateStreamFold,
-// SimulateJobs and SimulateSource all land here, so the materialized and
-// streamed paths cannot drift. Exactly one of jobs and src must be set.
-// With o.factory nil the policy name is resolved (enabling oracle mode
-// when the policy needs ground truth); otherwise the factory is used as
-// given.
+// runSim is the single execution core behind SimulateJobs and
+// SimulateSource, so the materialized and streamed paths cannot drift.
+// Exactly one of jobs and src must be set. With o.factory nil the policy
+// name is resolved (enabling oracle mode when the policy needs ground
+// truth); otherwise the factory is used as given.
 func runSim(cfg SimConfig, policy string, jobs []*Job, src JobSource, o simOptions) (*RunStats, error) {
 	if o.faults != nil {
 		cfg.Faults = *o.faults
@@ -384,47 +368,6 @@ func runSim(cfg SimConfig, policy string, jobs []*Job, src JobSource, o simOptio
 		return sim.RunSource(src)
 	}
 	return sim.Run(jobs)
-}
-
-// Simulate runs jobs through the cluster simulator under the named policy.
-// Oracle mode is enabled automatically for the "oracle" policy.
-//
-// Deprecated: use SimulateJobs, which takes options (WithFold,
-// WithContext, WithFactory). Results are byte-identical.
-func Simulate(cfg SimConfig, policy string, jobs []*Job) (*RunStats, error) {
-	return SimulateJobs(cfg, policy, jobs)
-}
-
-// SimulateWith runs jobs under a custom policy factory.
-//
-// Deprecated: use SimulateJobs with WithFactory. Results are
-// byte-identical.
-func SimulateWith(cfg SimConfig, factory PolicyFactory, jobs []*Job) (*RunStats, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("sched: nil policy factory")
-	}
-	return SimulateJobs(cfg, "", jobs, WithFactory(factory))
-}
-
-// SimulateStream runs a streamed trace through the cluster simulator under
-// the named policy.
-//
-// Deprecated: use SimulateSource, which takes options. Results are
-// byte-identical.
-func SimulateStream(cfg SimConfig, policy string, src JobSource) (*RunStats, error) {
-	return SimulateSource(cfg, policy, src)
-}
-
-// SimulateStreamFold is the bounded-memory variant of SimulateStream: each
-// job's result is passed to fold as the job finishes (in completion order)
-// instead of accumulating in RunStats.Results.
-//
-// Deprecated: use SimulateSource with WithFold. Results are byte-identical.
-func SimulateStreamFold(cfg SimConfig, policy string, src JobSource, fold func(JobResult)) (*RunStats, error) {
-	if fold == nil {
-		return nil, fmt.Errorf("grass: nil fold func")
-	}
-	return SimulateSource(cfg, policy, src, WithFold(fold))
 }
 
 // Service-mode types (see internal/serve for the full contract).

@@ -28,7 +28,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := grass.Simulate(smallSim(1), "grass", jobs)
+	stats, err := grass.SimulateJobs(smallSim(1), "grass", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHandBuiltJobs(t *testing.T) {
 			Phases: []grass.Phase{{NumTasks: 4, WorkScale: 1}}},
 		{ID: 2, Arrival: 2, InputWork: work[:10], Bound: grass.NewDeadline(5)},
 	}
-	stats, err := grass.Simulate(smallSim(2), "ras", jobs)
+	stats, err := grass.SimulateJobs(smallSim(2), "ras", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +68,15 @@ func TestHandBuiltJobs(t *testing.T) {
 }
 
 // TestStreamedSimulationMatchesMaterialized pins the public streaming API:
-// StreamTrace+SimulateStream reproduce GenerateTrace+Simulate exactly, and
-// the fold variant delivers the same per-job results without accumulating.
+// StreamTrace+SimulateSource reproduce GenerateTrace+SimulateJobs exactly,
+// and WithFold delivers the same per-job results without accumulating.
 func TestStreamedSimulationMatchesMaterialized(t *testing.T) {
 	tc := smallTrace(grass.MixedBound, 4)
 	jobs, err := grass.GenerateTrace(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := grass.Simulate(smallSim(4), "grass", jobs)
+	want, err := grass.SimulateJobs(smallSim(4), "grass", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStreamedSimulationMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := grass.SimulateStream(smallSim(4), "grass", stream)
+	got, err := grass.SimulateSource(smallSim(4), "grass", stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestStreamedSimulationMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	folded := make([]grass.JobResult, len(jobs))
-	agg, err := grass.SimulateStreamFold(smallSim(4), "grass", stream2, func(r grass.JobResult) {
+	agg, err := grass.SimulateSource(smallSim(4), "grass", stream2, grass.WithFold(func(r grass.JobResult) {
 		folded[r.JobID] = r
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +110,11 @@ func TestStreamedSimulationMatchesMaterialized(t *testing.T) {
 	if !reflect.DeepEqual(folded, want.Results) {
 		t.Fatal("folded results differ from materialized results")
 	}
-	if _, err := grass.SimulateStreamFold(smallSim(4), "grass", stream2, nil); err == nil {
-		t.Fatal("nil fold func accepted")
-	}
 }
 
 func TestOraclePolicyAutoMode(t *testing.T) {
 	jobs, _ := grass.GenerateTrace(smallTrace(grass.ErrorBound, 3))
-	stats, err := grass.Simulate(smallSim(3), "oracle", jobs)
+	stats, err := grass.SimulateJobs(smallSim(3), "oracle", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,25 +133,25 @@ func TestCustomGrassPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs, _ := grass.GenerateTrace(smallTrace(grass.ErrorBound, 4))
-	if _, err := grass.SimulateWith(smallSim(4), f, jobs); err != nil {
+	if _, err := grass.SimulateJobs(smallSim(4), "", jobs, grass.WithFactory(f)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownPolicy(t *testing.T) {
 	jobs, _ := grass.GenerateTrace(smallTrace(grass.ErrorBound, 5))
-	if _, err := grass.Simulate(smallSim(5), "nope", jobs); err == nil {
+	if _, err := grass.SimulateJobs(smallSim(5), "nope", jobs); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 func TestMetricsHelpers(t *testing.T) {
 	jobs, _ := grass.GenerateTrace(smallTrace(grass.ErrorBound, 6))
-	late, err := grass.Simulate(smallSim(6), "late", jobs)
+	late, err := grass.SimulateJobs(smallSim(6), "late", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ras, err := grass.Simulate(smallSim(6), "ras", jobs)
+	ras, err := grass.SimulateJobs(smallSim(6), "ras", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func TestMetricsHelpers(t *testing.T) {
 }
 
 // TestSimulateTraceOptions pins the options-pattern entry point: with no
-// options it reproduces SimulateStream exactly; with partitions the output
+// options it reproduces SimulateSource exactly; with partitions the output
 // is invariant to the shard (worker) count; and WithFold streams results
 // in ascending JobID order without accumulating.
 func TestSimulateTraceOptions(t *testing.T) {
@@ -183,7 +180,7 @@ func TestSimulateTraceOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := grass.SimulateStream(smallSim(7), "gs", stream)
+	want, err := grass.SimulateSource(smallSim(7), "gs", stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestSimulateTraceOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SimulateTrace (no options) differs from SimulateStream:\n got: %+v\nwant: %+v", got, want)
+		t.Fatalf("SimulateTrace (no options) differs from SimulateSource:\n got: %+v\nwant: %+v", got, want)
 	}
 
 	part2, err := grass.SimulateTrace(smallSim(7), tc, "gs", grass.WithPartitions(2))

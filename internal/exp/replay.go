@@ -21,7 +21,6 @@ import (
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/sched"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -37,6 +36,8 @@ type ReplayConfig struct {
 	// Workload, Framework, Bound select the synthetic trace. The zero Bound
 	// is trace.DeadlineBound; DefaultReplayConfig picks trace.MixedBound,
 	// the mixed production workload replays are normally run with.
+	// Framework also sets the estimator noise, as in every experiment
+	// (Config.SchedConfig).
 	Workload  trace.Workload
 	Framework trace.Framework
 	Bound     trace.BoundMode
@@ -50,10 +51,6 @@ type ReplayConfig struct {
 	Seed int64
 	// MemSample sets the heap sampling interval; 0 means 20ms.
 	MemSample time.Duration
-	// Queue selects the event-queue implementation (sched.Config.EventQueue);
-	// the zero value is the calendar queue. Either kind replays the same
-	// trace byte-identically — the knob only trades throughput.
-	Queue simevent.QueueKind
 
 	// Partitions is the sharded-execution model: the cluster and trace are
 	// split into this many self-contained partitions with a deterministic
@@ -75,8 +72,8 @@ type ReplayConfig struct {
 	// record validated with positioned errors, the job count established
 	// for the sharded merge — then streamed per partition, so a multi-GB
 	// log replays in the same bounded memory as a synthetic stream. Jobs,
-	// Workload, Framework and Bound are ignored (the trace is the
-	// workload; bounds come from TraceOptions).
+	// Workload and Bound are ignored (the trace is the workload; bounds
+	// come from TraceOptions).
 	TraceFile    string
 	TraceFormat  traceio.Format
 	TraceOptions *traceio.Options
@@ -169,12 +166,22 @@ type ReplayStats struct {
 	MeanInputDur     float64
 	BinCounts        [3]int // jobs per paper size bin
 	Launched, Killed int64  // copies launched / killed cluster-wide
+	// Bins breaks the class aggregates down by paper size bin, in
+	// BinCounts order.
+	Bins [3]BinStats
 
 	// HeapHighWater is the peak sampled heap in use during the replay;
 	// HeapSysHighWater the peak heap claimed from the OS. Bounded-memory
 	// replays keep these flat as Jobs grows.
 	HeapHighWater    uint64
 	HeapSysHighWater uint64
+}
+
+// BinStats aggregates one paper size bin of a replay.
+type BinStats struct {
+	DeadlineJobs, ErrorJobs    int
+	MeanAccuracy, MeanInputDur float64
+	Speculative, Killed        int64 // copies
 }
 
 // Render writes the replay summary as plain text.
@@ -201,6 +208,10 @@ func (r *ReplayStats) Render(w io.Writer) {
 			"grass learning", r.Learner, max(r.LearnEpochs, 1))
 	}
 	fmt.Fprintf(w, "%-24s %12d %12d %12d\n", "jobs per bin (<50/51-500/>500)", r.BinCounts[0], r.BinCounts[1], r.BinCounts[2])
+	for i, b := range r.Bins {
+		fmt.Fprintf(w, "  %-22s deadline %8d acc %6.4f   error/exact %8d dur %8.2f   speculative %d killed %d\n",
+			"bin "+task.SizeBin(i).String(), b.DeadlineJobs, b.MeanAccuracy, b.ErrorJobs, b.MeanInputDur, b.Speculative, b.Killed)
+	}
 	fmt.Fprintf(w, "%-24s %12d   mean accuracy  %8.4f\n", "deadline jobs", r.DeadlineJobs, r.MeanAccuracy)
 	fmt.Fprintf(w, "%-24s %12d   mean input dur %8.2f\n", "error/exact jobs", r.ErrorJobs, r.MeanInputDur)
 	fmt.Fprintf(w, "%-24s %12d   killed %d\n", "copies launched", r.Launched, r.Killed)
@@ -359,12 +370,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.FaultSeed != 0 {
 		fc.Seed = cfg.FaultSeed
 	}
-	scfg := sched.DefaultConfig()
-	scfg.Cluster.Machines = cfg.Machines
-	scfg.Cluster.SlotsPerMachine = cfg.SlotsPerMachine
-	scfg.Seed = cfg.Seed
-	scfg.Oracle = oracleMode
-	scfg.EventQueue = cfg.Queue
+	scfg := Config{Machines: cfg.Machines, SlotsPerMachine: cfg.SlotsPerMachine}.SchedConfig(cfg.Framework, cfg.Seed, oracleMode)
 	scfg.Faults = fc
 	// The default event ceiling guards tests; a million-job replay
 	// legitimately fires hundreds of millions of events.
@@ -378,18 +384,26 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		rs.Scenario = cfg.Scenario
 	}
 	var accSum, durSum float64
+	var binAcc, binDur [3]float64
 	fold := func(r sched.JobResult) {
 		rs.BinCounts[int(r.Bin)]++
+		b := &rs.Bins[r.Bin]
 		if r.Kind == task.DeadlineBound {
 			rs.DeadlineJobs++
 			accSum += r.Accuracy
+			b.DeadlineJobs++
+			binAcc[r.Bin] += r.Accuracy
 		} else {
 			rs.ErrorJobs++
 			durSum += r.InputDuration
+			b.ErrorJobs++
+			binDur[r.Bin] += r.InputDuration
 		}
 		rs.Launched += int64(r.Launched)
 		rs.Killed += int64(r.Killed)
 		rs.Lost += int64(r.Lost)
+		b.Speculative += int64(r.Speculative)
+		b.Killed += int64(r.Killed)
 	}
 
 	// The partitioned runner: Partitions is the model, Shards the worker
@@ -426,6 +440,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		rs.BinCounts, rs.DeadlineJobs, rs.ErrorJobs = [3]int{}, 0, 0
 		rs.Launched, rs.Killed = 0, 0
 		accSum, durSum = 0, 0
+		rs.Bins, binAcc, binDur = [3]BinStats{}, [3]float64{}, [3]float64{}
 		run.Learned = cum
 		var delta spec.LearnedState
 		if epochs > 1 {
@@ -467,6 +482,15 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	}
 	if rs.ErrorJobs > 0 {
 		rs.MeanInputDur = durSum / float64(rs.ErrorJobs)
+	}
+	for i := range rs.Bins {
+		b := &rs.Bins[i]
+		if b.DeadlineJobs > 0 {
+			b.MeanAccuracy = binAcc[i] / float64(b.DeadlineJobs)
+		}
+		if b.ErrorJobs > 0 {
+			b.MeanInputDur = binDur[i] / float64(b.ErrorJobs)
+		}
 	}
 	return rs, nil
 }

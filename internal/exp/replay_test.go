@@ -3,12 +3,13 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/approx-analytics/grass/internal/simevent"
+	"github.com/approx-analytics/grass/internal/trace"
 )
 
 // replayTestConfig is a small but real mixed replay: all three job classes,
@@ -51,8 +52,10 @@ func TestReplayAggregates(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	rs.Render(&buf)
-	if !strings.Contains(buf.String(), "memory high-water") {
-		t.Fatalf("render missing memory line:\n%s", buf.String())
+	for _, line := range []string{"memory high-water", "bin <50 ", "bin 51-500 ", "bin >500 "} {
+		if !strings.Contains(buf.String(), line) {
+			t.Fatalf("render missing %q line:\n%s", line, buf.String())
+		}
 	}
 }
 
@@ -79,29 +82,29 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplayQueueKindInvariance: the event-queue implementation is pure
-// mechanism — a heap replay and a calendar replay of the same trace agree
-// on every simulation-derived number. This is the end-to-end leg of the
-// heap-vs-calendar differential evidence (simevent's fuzz harness is the
-// per-operation leg).
-func TestReplayQueueKindInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full streaming replay")
+// TestReplaySparkEstimatorNoise: a Spark replay runs under the harness's
+// Spark estimator noise (§6.3.2), so it launches and kills exactly the
+// copies the experiment harness's Spark run of the same trace does.
+func TestReplaySparkEstimatorNoise(t *testing.T) {
+	rc := replayTestConfig(60)
+	rc.Framework = trace.Spark
+	got, err := Replay(rc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(q simevent.QueueKind) *ReplayStats {
-		rc := replayTestConfig(150)
-		rc.Queue = q
-		rs, err := Replay(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.Wall, rs.ShardWalls, rs.Shards = 0, nil, 0
-		rs.HeapHighWater, rs.HeapSysHighWater = 0, 0
-		return rs
+	c := Config{Jobs: rc.Jobs, Machines: rc.Machines, SlotsPerMachine: rc.SlotsPerMachine, ErrorLoad: rc.Load}
+	res, err := c.Run(rc.Workload, trace.Spark, rc.Bound, rc.Policy, rc.Seed, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cal, heap := run(simevent.Calendar), run(simevent.Heap)
-	if !reflect.DeepEqual(cal, heap) {
-		t.Fatalf("queue kind changed the replay:\n calendar: %+v\n heap:     %+v", cal, heap)
+	var launched, killed int64
+	for _, r := range res {
+		launched += int64(r.Launched)
+		killed += int64(r.Killed)
+	}
+	if got.Launched != launched || got.Killed != killed {
+		t.Fatalf("Spark replay launched/killed %d/%d copies, the harness's Spark run %d/%d",
+			got.Launched, got.Killed, launched, killed)
 	}
 }
 
@@ -210,6 +213,28 @@ func TestReplayLearnEpochs(t *testing.T) {
 	}
 	if a.Learner != "sketch" || a.LearnEpochs != 2 {
 		t.Fatalf("learning config not echoed: %q/%d", a.Learner, a.LearnEpochs)
+	}
+	// The per-bin breakdown resets with the other aggregates each epoch, so
+	// it sums to the final epoch's class totals.
+	var sum BinStats
+	var accSum, durSum float64
+	for i, b := range a.Bins {
+		if b.DeadlineJobs+b.ErrorJobs != a.BinCounts[i] {
+			t.Fatalf("bin %d holds %d+%d jobs, BinCounts says %d", i, b.DeadlineJobs, b.ErrorJobs, a.BinCounts[i])
+		}
+		sum.DeadlineJobs += b.DeadlineJobs
+		sum.ErrorJobs += b.ErrorJobs
+		sum.Killed += b.Killed
+		accSum += b.MeanAccuracy * float64(b.DeadlineJobs)
+		durSum += b.MeanInputDur * float64(b.ErrorJobs)
+	}
+	if sum.DeadlineJobs != a.DeadlineJobs || sum.ErrorJobs != a.ErrorJobs || sum.Killed != a.Killed {
+		t.Fatalf("bins sum to %d deadline / %d error jobs / %d killed, totals are %d / %d / %d",
+			sum.DeadlineJobs, sum.ErrorJobs, sum.Killed, a.DeadlineJobs, a.ErrorJobs, a.Killed)
+	}
+	if math.Abs(accSum-a.MeanAccuracy*float64(a.DeadlineJobs)) > 1e-9 || math.Abs(durSum-a.MeanInputDur*float64(a.ErrorJobs)) > 1e-6 {
+		t.Fatalf("bin means weight to accuracy sum %v, duration sum %v; totals %v, %v",
+			accSum, durSum, a.MeanAccuracy*float64(a.DeadlineJobs), a.MeanInputDur*float64(a.ErrorJobs))
 	}
 	var buf bytes.Buffer
 	a.Render(&buf)

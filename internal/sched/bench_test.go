@@ -10,7 +10,6 @@ import (
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/estimate"
 	"github.com/approx-analytics/grass/internal/fault"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -72,7 +71,7 @@ func (s *benchStream) Next() (*task.Job, bool) {
 // task-view touches per launch attempt — the numbers BENCH_sim.json tracks
 // across PRs. With stream set, jobs are injected through RunSource instead
 // of the materializing Run.
-func runSimBench(b *testing.B, stream, forceInc bool, q simevent.QueueKind, factory func() spec.Factory) {
+func runSimBench(b *testing.B, stream, forceInc bool, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
 	var events, allocs, touches, attempts uint64
@@ -80,9 +79,7 @@ func runSimBench(b *testing.B, stream, forceInc bool, q simevent.QueueKind, fact
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := benchConfig(1)
-		cfg.EventQueue = q
-		s, err := New(cfg, factory())
+		s, err := New(benchConfig(1), factory())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,33 +131,27 @@ func runSimBench(b *testing.B, stream, forceInc bool, q simevent.QueueKind, fact
 // magnitude).
 func BenchmarkSimulatorQuick(b *testing.B) {
 	b.Run("gs", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("ras", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
+		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
 	})
 	b.Run("late", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
+		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
 	})
 	// The streaming admission path (RunSource) on the same workload: one
 	// reusable arrival closure instead of one closure per job.
 	b.Run("gs-stream", func(b *testing.B) {
-		runSimBench(b, true, false, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, true, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("gs-inc", func(b *testing.B) {
-		runSimBench(b, false, true, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("ras-inc", func(b *testing.B) {
-		runSimBench(b, false, true, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
+		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
 	})
 	b.Run("late-inc", func(b *testing.B) {
-		runSimBench(b, false, true, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
-	})
-	// The heap reference queue on the gs workload: the same simulation
-	// byte for byte (TestReplayQueueKindInvariance), so the ns/event gap
-	// against "gs" is purely the queue implementation.
-	b.Run("gs-heap", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Heap, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
 	})
 	// The learning policy itself, under both learner stores. Record and
 	// Aggregate ride the job lifecycle (sample completions, switch-point
@@ -168,10 +159,10 @@ func BenchmarkSimulatorQuick(b *testing.B) {
 	// track the stateless baselines; the gap between them is the price of
 	// mergeable (partition-invariant) learning.
 	b.Run("grass", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Calendar, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
+		runSimBench(b, false, false, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
 	})
 	b.Run("grass-sketch", func(b *testing.B) {
-		runSimBench(b, false, false, simevent.Calendar, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
+		runSimBench(b, false, false, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
 	})
 }
 
@@ -302,15 +293,13 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 			uniformJob(3, 2000, task.Exact(), 15),
 		}
 	}
-	run := func(b *testing.B, q simevent.QueueKind, factory func() spec.Factory) {
+	run := func(b *testing.B, factory func() spec.Factory) {
 		b.Helper()
 		var touches, rescales, attempts, events uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cfg := benchConfig(1)
-			cfg.EventQueue = q
-			s, err := New(cfg, factory())
+			s, err := New(benchConfig(1), factory())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -337,16 +326,10 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 		}
 	}
 	b.Run("incremental", func(b *testing.B) {
-		run(b, simevent.Calendar, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		run(b, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		run(b, simevent.Calendar, func() spec.Factory { return rebuildOnly{spec.Stateless(spec.NewGS())} })
-	})
-	// The same replay on the heap reference queue: large jobs keep
-	// thousands of pending events queued, the regime the calendar queue's
-	// O(1) amortized operations target.
-	b.Run("incremental-heap", func(b *testing.B) {
-		run(b, simevent.Heap, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		run(b, func() spec.Factory { return rebuildOnly{spec.Stateless(spec.NewGS())} })
 	})
 }
 

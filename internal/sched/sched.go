@@ -18,7 +18,6 @@ import (
 	"github.com/approx-analytics/grass/internal/dist"
 	"github.com/approx-analytics/grass/internal/estimate"
 	"github.com/approx-analytics/grass/internal/fault"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/task"
 )
 
@@ -56,11 +55,6 @@ type Config struct {
 	Seed int64
 	// MaxEvents guards against runaway simulations (default 50M).
 	MaxEvents uint64
-	// EventQueue selects the engine's pending-event queue implementation.
-	// The zero value is simevent.Calendar, the default; simevent.Heap is
-	// the reference implementation kept for differential testing. Both
-	// produce byte-identical runs — only throughput differs.
-	EventQueue simevent.QueueKind
 	// Faults is the deterministic fault schedule (machine crash/restart,
 	// rack slowdown storms, background-load interference). The zero value
 	// injects nothing and costs nothing: fault randomness lives in its own

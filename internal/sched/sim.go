@@ -425,7 +425,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	s := &Simulator{
 		cfg:         cfg,
 		factory:     factory,
-		eng:         simevent.NewKind(cfg.EventQueue),
+		eng:         simevent.New(),
 		rngPlace:    root.Split(),
 		rngDur:      root.Split(),
 		rngEst:      root.Split(),

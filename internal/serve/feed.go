@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -137,8 +138,13 @@ func (s *Server) drive() {
 			}
 		}
 		if err := s.Submit(s.ctx, j); err != nil {
-			// Cancellation and engine exits surface through Wait; the job
-			// that never entered goes back to the pool like a rejected one.
+			// A closed server is a normal stop, and Wait reports cancellation
+			// and engine exits first; anything else is a job the service
+			// rejected, which must fail the run rather than truncate it.
+			if !errors.Is(err, ErrClosed) {
+				s.driveErr = fmt.Errorf("serve: source job %d: %w", j.ID, err)
+			}
+			// The job that never entered goes back to the pool.
 			s.recyclePut(j)
 			break
 		}

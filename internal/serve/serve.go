@@ -110,6 +110,7 @@ type Server struct {
 	waitOnce  sync.Once
 	summary   *Summary
 	waitErr   error
+	driveErr  error // the driver's rejected-job error; written before wg.Done
 	start     time.Time
 }
 
@@ -347,8 +348,9 @@ func (s *Server) Close() {
 // has exited, then returns the merged run summary. Submit-driven servers
 // must Close first — without it the engines wait for more jobs forever.
 // If the server's context was cancelled, Wait returns ctx.Err(); a
-// partition failure returns the lowest-index partition's error. Wait is
-// idempotent.
+// partition failure returns the lowest-index partition's error; a
+// Config.Source job that Submit rejected returns that error with the job's
+// ID. Wait is idempotent.
 func (s *Server) Wait() (*Summary, error) {
 	s.waitOnce.Do(func() {
 		s.wg.Wait()
@@ -361,6 +363,10 @@ func (s *Server) Wait() (*Summary, error) {
 				s.waitErr = fmt.Errorf("serve: partition %d: %w", p.idx, p.err)
 				return
 			}
+		}
+		if s.driveErr != nil {
+			s.waitErr = s.driveErr
+			return
 		}
 		s.summary = s.buildSummary()
 	})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -423,6 +424,56 @@ func TestServeSubmitValidation(t *testing.T) {
 	srv.Close()
 	if _, err := srv.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nanArrivalSource is a trace stream whose third job arrives at NaN.
+type nanArrivalSource struct {
+	*trace.Stream
+	n int
+}
+
+func (s *nanArrivalSource) Next() (*task.Job, bool) {
+	j, ok := s.Stream.Next()
+	if s.n++; ok && s.n == 3 {
+		j.Arrival = math.NaN()
+	}
+	return j, ok
+}
+
+// TestServeSourceRejectedJobFailsWait: a source job that Submit rejects
+// fails the run with that job's ID, as sched.RunSource fails on the same
+// jobs, instead of ending in a normal summary of the jobs before it.
+func TestServeSourceRejectedJobFailsWait(t *testing.T) {
+	tc := serveTestTrace(10, 5)
+	newSource := func() *nanArrivalSource {
+		st, err := trace.NewStream(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &nanArrivalSource{Stream: st}
+	}
+	f, err := testNewFactory("gs", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sched.New(serveTestConfig(5), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunSource(newSource()); err == nil {
+		t.Fatal("sched.RunSource accepted a NaN arrival")
+	}
+	srv, err := New(Config{Sim: serveTestConfig(5), NewFactory: serveFactory(t, "gs"), Source: newSource()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := srv.Wait()
+	if err == nil {
+		t.Fatalf("Wait succeeded after a rejected job, serving %d jobs", sum.Jobs)
+	}
+	if !strings.Contains(err.Error(), "job 2") {
+		t.Fatalf("Wait error %q does not name the rejected job 2", err)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // the two variants at the same n is exactly the queue implementation
 // (callbacks, recycling and the staging layer are shared).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []QueueKind{Calendar, Heap} {
+	for _, q := range queueKinds {
 		for _, n := range []int{64, 1024, 16384} {
-			b.Run(fmt.Sprintf("%s/pending=%d", kind, n), func(b *testing.B) {
-				eng := NewKind(kind)
+			b.Run(fmt.Sprintf("%s/pending=%d", q.name, n), func(b *testing.B) {
+				eng := q.new()
 				rng := rand.New(rand.NewSource(1))
 				var fn func(*Engine)
 				fn = func(e *Engine) {

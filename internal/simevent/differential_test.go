@@ -24,8 +24,8 @@ type qdriver struct {
 	log  []string
 }
 
-func newQdriver(k QueueKind) *qdriver {
-	return &qdriver{eng: NewKind(k), pend: make(map[int]*Event)}
+func newQdriver(eng *Engine) *qdriver {
+	return &qdriver{eng: eng, pend: make(map[int]*Event)}
 }
 
 func (d *qdriver) note(format string, args ...any) {
@@ -152,8 +152,8 @@ func (d *qdriver) applyOps(ops []byte) {
 // first observation that differs.
 func diffQueues(t *testing.T, ops []byte) {
 	t.Helper()
-	ref := newQdriver(Heap)
-	cal := newQdriver(Calendar)
+	ref := newQdriver(newHeapEngine())
+	cal := newQdriver(New())
 	ref.applyOps(ops)
 	cal.applyOps(ops)
 	if len(ref.log) != len(cal.log) {

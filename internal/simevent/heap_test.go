@@ -9,6 +9,9 @@ type heapQueue struct {
 	h eventHeap
 }
 
+// newHeapEngine returns an engine running on the reference heap.
+func newHeapEngine() *Engine { return &Engine{q: &heapQueue{}} }
+
 func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
 
 func (q *heapQueue) remove(ev *Event) { heap.Remove(&q.h, ev.index) }
@@ -49,4 +52,15 @@ func (h *eventHeap) Pop() any {
 	ev.index = -1
 	*h = old[:n-1]
 	return ev
+}
+
+// queueKinds names the two queue implementations the differential
+// harnesses and BenchmarkEngineChurn run side by side: the production
+// calendar queue and the reference heap.
+var queueKinds = []struct {
+	name string
+	new  func() *Engine
+}{
+	{"calendar", New},
+	{"heap", newHeapEngine},
 }

@@ -15,9 +15,8 @@ import (
 
 // lifetimeHarness drives one engine with a random schedule/cancel/step/
 // run-until mix while checking the shadow set after every operation.
-func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
+func lifetimeHarness(t *testing.T, kind string, eng *Engine, seed int64, nOps int) {
 	t.Helper()
-	eng := NewKind(kind)
 	rng := rand.New(rand.NewSource(seed))
 	live := make(map[*Event]int) // handle -> id, the could-still-Cancel set
 	nextID := 0
@@ -94,11 +93,11 @@ func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
 }
 
 func TestHandleLifetimeContract(t *testing.T) {
-	for _, kind := range []QueueKind{Heap, Calendar} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, q := range queueKinds {
+		q := q
+		t.Run(q.name, func(t *testing.T) {
 			for seed := int64(0); seed < 50; seed++ {
-				lifetimeHarness(t, kind, seed, 400)
+				lifetimeHarness(t, q.name, q.new(), seed, 400)
 			}
 		})
 	}
@@ -113,8 +112,8 @@ func FuzzHandleLifetime(f *testing.F) {
 		if nOps > 4000 {
 			nOps = 4000
 		}
-		for _, kind := range []QueueKind{Heap, Calendar} {
-			lifetimeHarness(t, kind, seed, int(nOps))
+		for _, q := range queueKinds {
+			lifetimeHarness(t, q.name, q.new(), seed, int(nOps))
 		}
 	})
 }

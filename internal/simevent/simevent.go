@@ -8,17 +8,16 @@
 // order (FIFO among equal timestamps), so runs are fully reproducible
 // regardless of the queue's internals.
 //
-// # Queue implementations
+// # Event queue
 //
-// Two interchangeable queues implement that order. The default is a
-// calendar queue (Brown 1988): events hash into time-width buckets, a
-// cursor walks the buckets in virtual-time order, and every event sharing
-// the earliest (Time, class) key is drained in one bucket scan — O(1)
-// amortized per event against the heap's O(log n), and a single scan where
-// quantized trace timestamps make same-time batches common. A binary heap
-// remains available as the reference implementation; the differential fuzz
-// harness drives both over random interleavings and demands identical
-// behavior. Select with NewKind; New gives the default.
+// A calendar queue (Brown 1988) implements that order: events hash into
+// time-width buckets, a cursor walks the buckets in virtual-time order, and
+// every event sharing the earliest (Time, class) key is drained in one
+// bucket scan — O(1) amortized per event against a heap's O(log n), and a
+// single scan where quantized trace timestamps make same-time batches
+// common. A binary heap lives in the tests as the reference implementation;
+// the differential fuzz harness drives both over random interleavings and
+// demands identical behavior.
 //
 // # Event recycling
 //
@@ -35,39 +34,6 @@ package simevent
 import (
 	"fmt"
 )
-
-// QueueKind selects the pending-event queue implementation.
-type QueueKind uint8
-
-const (
-	// Calendar is the bucketed calendar queue — the default engine.
-	Calendar QueueKind = iota
-	// Heap is the binary-heap reference implementation the differential
-	// harness checks the calendar queue against.
-	Heap
-)
-
-// String returns the flag-friendly name of the queue kind.
-func (k QueueKind) String() string {
-	switch k {
-	case Calendar:
-		return "calendar"
-	case Heap:
-		return "heap"
-	}
-	return fmt.Sprintf("QueueKind(%d)", uint8(k))
-}
-
-// ParseQueueKind maps a flag value to a QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "calendar":
-		return Calendar, nil
-	case "heap":
-		return Heap, nil
-	}
-	return Calendar, fmt.Errorf("simevent: unknown queue kind %q (want calendar or heap)", s)
-}
 
 // Event state sentinels carried in index/bucket. A pending event in the
 // heap has index >= 0 and bucket == -1; in the calendar queue index >= 0
@@ -91,7 +57,8 @@ type Event struct {
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == -2 }
 
-// queue is the pending-event store behind Engine. Implementations must
+// queue is the pending-event store behind Engine: the calendar queue, or
+// the reference heap the tests substitute. Implementations must
 // realize the (Time, class, seq) total order exactly: drainMin removes
 // every pending event sharing the earliest (Time, class) key and appends
 // them to dst in seq (FIFO) order.
@@ -128,31 +95,14 @@ type Engine struct {
 	batch      []*Event // staged same-(Time, class) events in seq order; nil = consumed
 	free       []*Event // recycled fired/cancelled events, see package doc
 	batchPos   int
-	batchLive  int // staged events not yet fired or cancelled
-	kind       QueueKind
+	batchLive  int   // staged events not yet fired or cancelled
 	batchClass uint8 // class of the staged batch (valid when batchLive > 0)
 }
 
-// New returns an engine with the clock at 0 and the default queue.
+// New returns an engine with the clock at 0.
 func New() *Engine {
-	return NewKind(Calendar)
+	return &Engine{q: newCalendarQueue()}
 }
-
-// NewKind returns an engine with the clock at 0 using the given queue
-// implementation.
-func NewKind(k QueueKind) *Engine {
-	e := &Engine{kind: k}
-	switch k {
-	case Heap:
-		e.q = &heapQueue{}
-	default:
-		e.q = newCalendarQueue()
-	}
-	return e
-}
-
-// Kind reports which queue implementation the engine runs on.
-func (e *Engine) Kind() QueueKind { return e.kind }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
@@ -326,28 +276,6 @@ func (e *Engine) Step() bool {
 	// the handle (but must drop it afterwards — see the package doc).
 	e.recycle(ev)
 	return true
-}
-
-// StepBatch fires every event sharing the earliest pending fire time —
-// across both classes, including events the callbacks add at that same
-// time — and returns how many fired. The queue is consulted once per
-// (Time, class) group rather than once per event; it returns 0 when the
-// queue is empty.
-func (e *Engine) StepBatch() int {
-	first := e.ensureStaged()
-	if first == nil {
-		return 0
-	}
-	t := first.Time
-	n := 0
-	for {
-		ev := e.ensureStaged()
-		if ev == nil || ev.Time != t {
-			return n
-		}
-		e.Step()
-		n++
-	}
 }
 
 // Run fires events until the queue drains or until limit events have fired

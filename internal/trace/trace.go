@@ -163,7 +163,7 @@ type Config struct {
 	// WorkInflation is the expected ratio of actual to median copy duration
 	// under the simulator's straggler model (the mean of sched's default
 	// body+tail factor distribution is ≈1.75). Arrival spacing uses it so
-	// Load reflects capacity actually consumed. 0 means 1.45.
+	// Load reflects capacity actually consumed. 0 means 1.75.
 	WorkInflation float64
 	// DAGLength forces every job's phase count (1 = input only). 0 means 1.
 	DAGLength int
@@ -199,8 +199,14 @@ func (c Config) Validate() error {
 	if c.Slots <= 0 {
 		return fmt.Errorf("trace: %d slots", c.Slots)
 	}
-	if c.Load <= 0 || c.Load > 2 {
+	// The float checks reject NaN explicitly: it fails every ordered
+	// comparison, so a plain range check would pass it on to the arrival
+	// spacing and the bound draws.
+	if math.IsNaN(c.Load) || c.Load <= 0 || c.Load > 2 {
 		return fmt.Errorf("trace: load %v out of (0, 2]", c.Load)
+	}
+	if math.IsNaN(c.WorkInflation) || math.IsInf(c.WorkInflation, 0) || c.WorkInflation < 0 {
+		return fmt.Errorf("trace: work inflation %v must be finite and non-negative (0 means the default)", c.WorkInflation)
 	}
 	if c.DAGLength < 0 {
 		return fmt.Errorf("trace: negative DAG length %d", c.DAGLength)
@@ -208,13 +214,23 @@ func (c Config) Validate() error {
 	if c.Bound < DeadlineBound || c.Bound > MixedBound {
 		return fmt.Errorf("trace: unknown bound mode %d", int(c.Bound))
 	}
-	if c.DeadlineFactorRange[0] < 0 || c.DeadlineFactorRange[1] < c.DeadlineFactorRange[0] {
+	if !finiteRange(c.DeadlineFactorRange) || c.DeadlineFactorRange[0] < 0 || c.DeadlineFactorRange[1] < c.DeadlineFactorRange[0] {
 		return fmt.Errorf("trace: bad deadline factor range %v", c.DeadlineFactorRange)
 	}
-	if c.ErrorRange[0] < 0 || c.ErrorRange[1] >= 1 || c.ErrorRange[1] < c.ErrorRange[0] {
+	if !finiteRange(c.ErrorRange) || c.ErrorRange[0] < 0 || c.ErrorRange[1] >= 1 || c.ErrorRange[1] < c.ErrorRange[0] {
 		return fmt.Errorf("trace: bad error range %v", c.ErrorRange)
 	}
 	return nil
+}
+
+// finiteRange reports whether both endpoints are finite numbers.
+func finiteRange(r [2]float64) bool {
+	for _, v := range r {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // taskScale returns the framework's mean intrinsic task work (median copy

@@ -17,6 +17,18 @@ func TestValidate(t *testing.T) {
 		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{0.2, 0.1}},
 		{Jobs: 1, Slots: 1, Load: 0.5, ErrorRange: [2]float64{0.5, 0.2}},
 		{Jobs: 1, Slots: 1, Load: 0.5, ErrorRange: [2]float64{0.5, 1.0}},
+		// Non-finite values fail every ordered comparison, so each needs
+		// its own rejection.
+		{Jobs: 1, Slots: 1, Load: math.NaN()},
+		{Jobs: 1, Slots: 1, Load: math.Inf(1)},
+		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: math.NaN()},
+		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: math.Inf(1)},
+		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: -1},
+		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{math.NaN(), 0.2}},
+		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{0.02, math.NaN()}},
+		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{0.02, math.Inf(1)}},
+		{Jobs: 1, Slots: 1, Load: 0.5, ErrorRange: [2]float64{math.NaN(), 0.3}},
+		{Jobs: 1, Slots: 1, Load: 0.5, ErrorRange: [2]float64{0.05, math.NaN()}},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

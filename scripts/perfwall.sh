@@ -101,9 +101,6 @@ check gs-stream 1.05
 check gs-inc 0.99
 check ras-inc 0.90
 check late-inc 0.76
-# The heap reference queue under the same workload: slightly cheaper in
-# allocs (no bucket-array resizes) but must not drift either.
-check gs-heap 0.80
 # The GRASS learning policy under both learner stores. Record/Aggregate
 # ride job lifecycle events, not the per-event hot path, so the mergeable
 # sketch learner (PR 9) must stay within noise of the ring store: both
