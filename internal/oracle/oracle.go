@@ -60,12 +60,19 @@ func (p *policy) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool)
 }
 
 // PickIncremental implements spec.IncrementalPolicy: the exact two-wave
-// switch test reads the ground-truth median t_new straight off the
-// maintained (TNew, index) order, and the GS/RAS selections run over the
-// incremental candidate state. The switch flag is shared with Pick.
+// switch test selects the ground-truth median t_new from the view set
+// (deadline bounds only, as in Pick — the error-bound test never reads
+// it), and the GS/RAS selections run over the incremental candidate state.
+// The switch flag is shared with Pick.
 func (p *policy) PickIncremental(ctx spec.Ctx, vs *spec.ViewSet) (spec.Decision, bool) {
-	if !p.switched && lastTwoWaves(ctx, vs.MedianTNew()) {
-		p.switched = true
+	if !p.switched {
+		var med float64
+		if ctx.Kind == task.DeadlineBound {
+			med = vs.MedianTNew()
+		}
+		if lastTwoWaves(ctx, med) {
+			p.switched = true
+		}
 	}
 	if p.switched {
 		return p.gs.PickIncremental(ctx, vs)

@@ -179,6 +179,45 @@ func TestDifferentialViews(t *testing.T) {
 	}
 }
 
+// TestDifferentialViewsWide arms the same per-attempt check on the default
+// 200x2 cluster, where one large phase holds hundreds of slots: the
+// incremental selections must match the reference with running sets an
+// order of magnitude wider than smallConfig's 20 slots allow.
+func TestDifferentialViewsWide(t *testing.T) {
+	jobs := func() []*task.Job {
+		return []*task.Job{
+			uniformJob(0, 800, task.NewError(0.1), 0),
+			uniformJob(1, 500, task.Exact(), 1),
+			dagJob(2, 600, task.NewDeadline(12), 2),
+			dagJob(3, 900, task.NewError(0.05), 3),
+		}
+	}
+	for _, p := range diffPolicies {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Seed = 5
+			cfg.Oracle = p.oracle
+			s, err := New(cfg, p.factory(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := attachDifferentialCheck(t, s)
+			check, widest := s.checkViews, 0
+			s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
+				widest = max(widest, len(vs.Running()))
+				check(js, ctx, vs, d, ok)
+			}
+			if _, err := s.Run(jobs()); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d launch attempts checked, widest running set %d", *checked, widest)
+			if *checked < 1000 || widest < 200 {
+				t.Fatalf("%d attempts checked, widest running set %d: workload too narrow for the wide-cluster check", *checked, widest)
+			}
+		})
+	}
+}
+
 // TestIncrementalMatchesRebuild runs the same workload twice per policy —
 // once on the incremental path, once with IncrementalPolicy stripped so
 // the simulator rebuilds views from scratch — and requires the complete

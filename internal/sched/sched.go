@@ -32,7 +32,7 @@ type Config struct {
 	// 1.259.
 	DurationBeta float64
 	// DurationCap truncates the duration factor at this multiple of the
-	// median factor (traces are finite; default 50).
+	// median factor (traces are finite; DefaultConfig uses 30).
 	DurationCap float64
 	// TailFrac is the probability a copy draws from the straggler tail
 	// instead of the predictable body around the median (Figure 3 shows the

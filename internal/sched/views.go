@@ -174,11 +174,11 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	// flips the relative order of near-tied keys under a median move
 	// (that is exactly why ResortByTNew exists), so a structure that is
 	// not revalidated after a rescale eventually violates the (TNew,
-	// index) invariant orderPos panics on. The loop is also already off
-	// the critical asymptotics: it runs at most once per completion (not
-	// per attempt), only when the normalized median actually moved, and
-	// its body is a two-multiply array patch — the tnewRescales counter in
-	// BENCH_sim.json tracks exactly this cost.
+	// index) invariant the ViewSet's keyed search panics on. The loop is
+	// also already off the critical asymptotics: it runs at most once per
+	// completion (not per attempt), only when the normalized median
+	// actually moved, and its body is a two-multiply array patch — the
+	// tnewRescales counter in BENCH_sim.json tracks exactly this cost.
 	tb := &js.tasks
 	if !s.cfg.Oracle {
 		if ver := s.est.Version(); ver != jv.estVer {

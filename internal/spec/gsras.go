@@ -28,7 +28,8 @@ func (g GS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 }
 
 // PickIncremental implements IncrementalPolicy: the same selections as
-// Pick, answered from the maintained orderings in O(running + log tasks).
+// Pick, answered from the maintained lists in O(running) plus logarithmic
+// terms (see ViewSet).
 func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return gsDeadlineInc(ctx, vs)
@@ -181,7 +182,7 @@ func (r RAS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 }
 
 // PickIncremental implements IncrementalPolicy: Pick's selections from the
-// maintained orderings in O(running + log tasks).
+// maintained lists in O(running) plus logarithmic terms (see ViewSet).
 func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return rasDeadlineInc(ctx, vs)
@@ -370,15 +371,19 @@ type effIdx struct {
 	idx int
 }
 
+// less orders selection keys by (eff, idx) — a total order, since task
+// indices are unique.
+func (a effIdx) less(b effIdx) bool {
+	if a.eff != b.eff {
+		return a.eff < b.eff
+	}
+	return a.idx < b.idx
+}
+
 // quickselectPairs partially orders pairs so the k smallest (by eff, ties
 // by idx — deterministic) occupy the first k+1 positions.
 func quickselectPairs(xs []effIdx, k int) {
-	less := func(a, b effIdx) bool {
-		if a.eff != b.eff {
-			return a.eff < b.eff
-		}
-		return a.idx < b.idx
-	}
+	less := effIdx.less
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
 		// Median-of-three pivot guards against sorted inputs.

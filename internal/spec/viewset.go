@@ -7,23 +7,31 @@ import (
 )
 
 // ViewSet is the incrementally maintained candidate state of one job's
-// current phase — the structure that lets a launch attempt cost
-// O(running + log tasks) instead of rebuilding and rescanning every
-// incomplete task (the pre-incremental hot path's O(tasks) per attempt).
+// current phase — the structure that lets a launch attempt work from the
+// job's running set instead of rebuilding and rescanning every incomplete
+// task (the rebuild walk's O(tasks) per attempt).
 //
 // It holds one TaskView per task of the phase (dense, indexed by task
-// index) plus three orderings the policies select from:
+// index) plus three lists the policies select from:
 //
 //   - running: indices of tasks with at least one executing copy,
 //     ascending by index — the scan order the reference Pick sees, so
 //     first-wins tie-breaks match exactly;
 //   - unsched: indices of incomplete tasks with no copy, ascending by
 //     index — FIFO launch order for the approximation-oblivious baselines;
-//   - order: every incomplete task sorted by (TNew, index) — SJF and LJF
-//     extremes, the median t_new, and the error-bound earliest set all
-//     read from it without scanning.
+//   - uorder: the same unscheduled tasks sorted by (TNew, index) — SJF's
+//     pick is its head, and the error-bound earliest set's unscheduled
+//     members are a prefix of it.
 //
-// The (TNew, index) ordering is cheap to keep alive because a job's TNew
+// Running tasks sit in no ordered list: their selection keys (remaining
+// time, effective duration) move with the clock, so every query over them
+// works from the running list. For r running and u unscheduled tasks the
+// deadline picks cost O(r) per attempt, and the error-bound earliest set
+// (EarliestCandidates) and the median TNew cost O(r) expected plus
+// O(log r · log u): a quickselect over the running keys whose probes
+// binary-search uorder.
+//
+// The (TNew, index) order is cheap to keep alive because a job's TNew
 // values only move together: in estimator mode TNew_i = median × work_i ×
 // bias_i, so an estimator update rescales every key by the same positive
 // factor and the order is (modulo float rounding, which ResortByTNew
@@ -34,21 +42,23 @@ import (
 // The scheduler owns maintenance: structural transitions (NoteLaunched /
 // NoteIdle / Complete) are applied eagerly when the event happens, and
 // view values are refreshed lazily — Update rewrites a dirtied task's view
-// just before the next launch attempt. Query methods are only valid after
-// that refresh, when every stored view is current; PickIncremental
+// just before the next launch attempt. An unscheduled task is filed in
+// uorder under its stored TNew, so between refreshes the stored key, not
+// the task's current estimate, locates it. Query methods are only valid
+// after the refresh, when every stored view is current; PickIncremental
 // implementations must not mutate the set.
 type ViewSet struct {
 	views   []TaskView
 	running []int
 	unsched []int
-	order   []int
+	uorder  []int
 	sealed  bool
 
-	// Reusable scratch for EarliestCandidates; the returned slices alias
-	// these buffers and are valid until the next call.
-	runEff []effIdx
-	runIn  []int
-	runPos []int
+	// Reusable query scratch: runKeys holds the running tasks' selection
+	// keys (permuted by each selection), runIn backs EarliestCandidates'
+	// returned slice, valid until the next call.
+	runKeys []effIdx
+	runIn   []int
 }
 
 // Reset clears the set for a fresh phase of n tasks, keeping capacity.
@@ -62,7 +72,7 @@ func (vs *ViewSet) Reset(n int) {
 	}
 	vs.running = vs.running[:0]
 	vs.unsched = vs.unsched[:0]
-	vs.order = vs.order[:0]
+	vs.uorder = vs.uorder[:0]
 	vs.sealed = false
 }
 
@@ -74,23 +84,23 @@ func (vs *ViewSet) Init(v TaskView) {
 		panic("spec: ViewSet.Init after Seal")
 	}
 	vs.views[v.Index] = v
-	vs.order = append(vs.order, v.Index)
 	if v.Running {
 		vs.running = append(vs.running, v.Index)
 	} else {
 		vs.unsched = append(vs.unsched, v.Index)
+		vs.uorder = append(vs.uorder, v.Index)
 	}
 }
 
 // Seal finishes the build: the (TNew, index) order is sorted once, after
 // which all maintenance is incremental.
 func (vs *ViewSet) Seal() {
-	vs.sortOrder()
+	vs.sortUorder()
 	vs.sealed = true
 }
 
 // Len returns the number of incomplete tasks in the set.
-func (vs *ViewSet) Len() int { return len(vs.order) }
+func (vs *ViewSet) Len() int { return len(vs.running) + len(vs.unsched) }
 
 // At returns the current view of task i. Only meaningful for incomplete
 // tasks of the phase.
@@ -110,78 +120,97 @@ func (vs *ViewSet) FirstUnsched() (int, bool) {
 }
 
 // MinTNewUnsched returns the unscheduled task with the smallest
-// (TNew, index) — SJF's pick. It walks the order head past running
-// entries, so the cost is O(running) worst case, O(1) typically.
+// (TNew, index) — SJF's pick, the head of uorder.
 func (vs *ViewSet) MinTNewUnsched() (int, bool) {
-	for _, i := range vs.order {
-		if !vs.views[i].Running {
-			return i, true
-		}
+	if len(vs.uorder) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return vs.uorder[0], true
 }
 
 // MedianTNew returns the median TNew across every incomplete task, with
 // the reference implementation's exact averaging for even counts — the
 // quantity GRASS's static switching rule and the oracle's exact two-wave
-// test need. Zero when the set is empty.
+// test need. Zero when the set is empty. It runs the earliest-set
+// selection on TNew keys: the h = n/2 smallest keys split off, the median
+// is the smallest key outside them, averaged for even n with the largest
+// key inside.
 func (vs *ViewSet) MedianTNew() float64 {
-	n := len(vs.order)
+	n := vs.Len()
 	if n == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return vs.views[vs.order[n/2]].TNew
+	h := n / 2
+	keys := vs.runKeys[:0]
+	for _, i := range vs.running {
+		keys = append(keys, vs.tnewKey(i))
 	}
-	return (vs.views[vs.order[n/2-1]].TNew + vs.views[vs.order[n/2]].TNew) / 2
+	vs.runKeys = keys
+	j, maxIn, minOut := vs.selectRunning(keys, h)
+	// h-j unscheduled tasks are inside; uorder[h-j] is the smallest
+	// unscheduled one outside.
+	above := minOut.eff
+	if u := h - j; u < len(vs.uorder) {
+		if t := vs.views[vs.uorder[u]].TNew; j == len(keys) || t < above {
+			above = t
+		}
+	}
+	if n%2 == 1 {
+		return above
+	}
+	below := maxIn.eff
+	if u := h - j; u > 0 {
+		if t := vs.views[vs.uorder[u-1]].TNew; j == 0 || t > below {
+			below = t
+		}
+	}
+	return (below + above) / 2
 }
 
-// Update rewrites task i's view after the scheduler refreshed it. If the
-// TNew key moved (an oracle redraw), the (TNew, index) order is repaired.
-// Structural membership is NOT touched here — NoteLaunched/NoteIdle/
-// Complete handle transitions when they happen.
+// Update rewrites task i's view after the scheduler refreshed it. If an
+// unscheduled task's TNew key moved (an oracle redraw), its uorder entry
+// is relocated. Structural membership is NOT touched here — NoteLaunched/
+// NoteIdle/Complete handle transitions when they happen, so v.Running
+// already says which list holds the task.
 func (vs *ViewSet) Update(v TaskView) {
-	old := vs.views[v.Index]
-	if old.TNew == v.TNew {
+	if v.Running || vs.views[v.Index].TNew == v.TNew {
 		vs.views[v.Index] = v
 		return
 	}
-	// Remove under the old key before storing the new view: the order's
-	// binary searches compare through the stored views, so the entry must
-	// still carry the key it is filed under while it is being located.
-	p := vs.orderPos(old.TNew, v.Index)
-	vs.order = append(vs.order[:p], vs.order[p+1:]...)
+	// Remove under the old key before storing the new view: the search
+	// compares through the stored views, so the entry must still carry the
+	// key it is filed under while it is being located.
+	vs.uorderRemove(v.Index)
 	vs.views[v.Index] = v
-	q := vs.orderInsertPos(v.TNew, v.Index)
-	vs.order = append(vs.order, 0)
-	copy(vs.order[q+1:], vs.order[q:])
-	vs.order[q] = v.Index
+	vs.uorderInsert(v.Index)
 }
 
-// NoteLaunched moves task i from the unscheduled to the running list —
-// call when its first copy launches. The stored view stays stale until
-// the next Update.
+// NoteLaunched moves task i from the unscheduled lists to the running
+// list — call when its first copy launches. The stored view stays stale
+// until the next Update.
 func (vs *ViewSet) NoteLaunched(i int) {
 	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
+	vs.uorderRemove(i)
 	vs.running = insertSortedInt(vs.running, i)
 }
 
-// NoteIdle moves task i back to the unscheduled list — call when
-// preemption kills its last copy.
+// NoteIdle moves task i back to the unscheduled lists — call when
+// preemption kills its last copy. It is filed in uorder under its stored
+// TNew until the next Update relocates it.
 func (vs *ViewSet) NoteIdle(i int) {
 	vs.running = removeSortedInt(vs.running, i, "running")
 	vs.unsched = insertSortedInt(vs.unsched, i)
+	vs.uorderInsert(i)
 }
 
 // Complete removes task i from the set entirely.
 func (vs *ViewSet) Complete(i int) {
 	if p := sort.SearchInts(vs.running, i); p < len(vs.running) && vs.running[p] == i {
 		vs.running = append(vs.running[:p], vs.running[p+1:]...)
-	} else {
-		vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
+		return
 	}
-	p := vs.orderPos(vs.views[i].TNew, i)
-	vs.order = append(vs.order[:p], vs.order[p+1:]...)
+	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
+	vs.uorderRemove(i)
 }
 
 // SetTNewBulk rewrites task i's TNew without repairing the order — the
@@ -191,19 +220,14 @@ func (vs *ViewSet) SetTNewBulk(i int, tnew float64) {
 	vs.views[i].TNew = tnew
 }
 
-// ResortByTNew revalidates the (TNew, index) order after a bulk TNew
-// rewrite. Uniform rescaling preserves the order except for float-rounding
-// flips, so this is an O(n) sortedness check with an O(n log n) repair
-// that in practice never runs.
+// ResortByTNew revalidates uorder after a bulk TNew rewrite. Uniform
+// rescaling preserves the order except for float-rounding flips, so this
+// is an O(u) sortedness check with an O(u log u) repair that in practice
+// never runs.
 func (vs *ViewSet) ResortByTNew() {
-	for k := 1; k < len(vs.order); k++ {
-		if vs.orderKeyLess(vs.order[k], vs.order[k-1]) {
-			slices.SortFunc(vs.order, func(a, b int) int {
-				if vs.orderKeyLess(a, b) {
-					return -1
-				}
-				return 1
-			})
+	for k := 1; k < len(vs.uorder); k++ {
+		if vs.tnewKey(vs.uorder[k]).less(vs.tnewKey(vs.uorder[k-1])) {
+			vs.sortUorder()
 			return
 		}
 	}
@@ -244,172 +268,143 @@ func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 //     to the smallest index (LJF's pick inside the set), or -1 when the
 //     set contains no unscheduled task.
 //
-// need >= Len() degenerates to the whole incomplete set. The returned
-// slice aliases ViewSet scratch and is valid until the next call. Cost is
-// O(r·(log r + log n)) for r running tasks — r is bounded by the job's
-// slot share, so this replaces the reference's O(n) quickselect over
-// every incomplete task.
+// need >= Len() degenerates to the whole incomplete set, and runIn is then
+// the live running list itself; otherwise it aliases ViewSet scratch.
+// Either way it is valid until the next call or update. Cost is O(r)
+// expected plus O(log r · log u) for r running and u unscheduled tasks
+// (see selectRunning), where the reference quickselects every incomplete
+// task.
 func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
 	if need <= 0 {
 		return vs.runIn[:0], -1
 	}
-	n := len(vs.order)
-	if need >= n {
-		return vs.running, vs.maxTNewUnschedBefore(n)
+	if need >= vs.Len() {
+		return vs.running, vs.ljfUnsched(len(vs.uorder))
 	}
-	// Running tasks sorted by (effDuration, index) — the merge order
-	// against the unscheduled tasks, whose effDuration is their TNew.
-	re := vs.runEff[:0]
+	// An unscheduled task's effDuration is its TNew, so uorder is already
+	// in selection-key order and only the running keys need selecting.
+	keys := vs.runKeys[:0]
 	for _, i := range vs.running {
-		re = append(re, effIdx{eff: effDuration(vs.views[i]), idx: i})
+		keys = append(keys, effIdx{eff: effDuration(vs.views[i]), idx: i})
 	}
-	vs.runEff = re
-	insertionSortEff(re)
-	// A running entry joins the earliest set when the unscheduled entries
-	// below it plus the running entries below it still leave room: the
-	// m-th running entry (0-based) is in iff unschedBelow + m < need.
-	// The left side grows strictly with m, so membership is a prefix of
-	// re and the boundary binary-searches.
-	j := sort.Search(len(re), func(m int) bool {
-		return m >= need || vs.countUnschedLess(re[m].eff, re[m].idx)+m >= need
-	})
+	vs.runKeys = keys
+	j, _, minOut := vs.selectRunning(keys, need)
+	// The members are the running keys below minOut; filtering the running
+	// list keeps runIn ascending by index whatever order the selection left
+	// the keys in.
 	runIn := vs.runIn[:0]
-	for _, e := range re[:j] {
-		runIn = insertSortedInt(runIn, e.idx)
+	for _, i := range vs.running {
+		if j == len(keys) || (effIdx{eff: effDuration(vs.views[i]), idx: i}).less(minOut) {
+			runIn = append(runIn, i)
+		}
 	}
 	vs.runIn = runIn
-	kU := need - j
-	if kU == 0 {
-		return runIn, -1
-	}
-	// The set's unscheduled members are the first kU entries of the
-	// unscheduled subsequence of order; locate the kU-th by offsetting
-	// past the running entries interleaved before it.
-	rp := vs.runPos[:0]
-	for _, i := range vs.running {
-		rp = append(rp, vs.orderPos(vs.views[i].TNew, i))
-	}
-	vs.runPos = rp
-	sort.Ints(rp)
-	pos := kU - 1
-	for _, p := range rp {
-		if p <= pos {
-			pos++
+	return runIn, vs.ljfUnsched(need - j)
+}
+
+// selectRunning splits the union of keys — the running tasks' selection
+// keys, in any order — and the unscheduled tasks' (TNew, index) keys, in
+// uorder, at its `need` smallest members. It returns how many of the
+// members are running keys (j), the largest running member (meaningful
+// when j > 0) and the smallest running non-member (meaningful when
+// j < len(keys)), leaving keys[:j] holding the running members.
+//
+// The m-th smallest running key (0-based) is a member iff the unscheduled
+// keys below it plus the m running keys below it leave room:
+// unschedBelow + m < need. The left side grows strictly with m, so the
+// running members are a prefix of the running keys in key order, and a
+// quickselect finds the boundary: each partition of the still-undecided
+// range lands its pivot at its rank m, one binary search of uorder says
+// which side of the boundary the pivot is on, and the other side of the
+// range is decided. That is O(r) expected partitioning and O(log r)
+// expected probes.
+func (vs *ViewSet) selectRunning(keys []effIdx, need int) (j int, maxIn, minOut effIdx) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := partitionPairs(keys, lo, hi)
+		k := keys[m]
+		if m < need && vs.uorderSearch(k)+m < need {
+			lo, maxIn = m+1, k
 		} else {
-			break
+			hi, minOut = m, k
 		}
 	}
-	return runIn, vs.maxTNewUnschedBefore(pos + 1)
+	return lo, maxIn, minOut
 }
 
-// maxTNewUnschedBefore returns the unscheduled task with the largest TNew
-// among the first lim entries of order, ties to the smallest index, or -1.
-// The last unscheduled entry in the window has the maximum TNew; the
-// backward walk over its equal-TNew block recovers the smallest index —
-// the first-wins tie-break of the reference's ascending-index scan.
-func (vs *ViewSet) maxTNewUnschedBefore(lim int) int {
-	p := lim - 1
-	for p >= 0 && vs.views[vs.order[p]].Running {
-		p--
+// partitionPairs partitions xs[lo:hi] around a median-of-three pivot and
+// returns the pivot's final position p: xs[lo:p] < xs[p] < xs[p+1:hi].
+// Unlike quickselectPairs' Hoare partition, which only splits the range,
+// it pins the pivot's rank — what selectRunning's probes need.
+func partitionPairs(xs []effIdx, lo, hi int) int {
+	mid, last := lo+(hi-lo)/2, hi-1
+	if xs[mid].less(xs[lo]) {
+		xs[mid], xs[lo] = xs[lo], xs[mid]
 	}
-	if p < 0 {
-		return -1
+	if xs[last].less(xs[lo]) {
+		xs[last], xs[lo] = xs[lo], xs[last]
 	}
-	fresh := vs.order[p]
-	maxT := vs.views[fresh].TNew
-	for q := p - 1; q >= 0; q-- {
-		i := vs.order[q]
-		if vs.views[i].TNew != maxT {
-			break
-		}
-		if !vs.views[i].Running {
-			fresh = i
+	if xs[mid].less(xs[last]) {
+		xs[mid], xs[last] = xs[last], xs[mid]
+	}
+	pivot, p := xs[last], lo
+	for k := lo; k < last; k++ {
+		if xs[k].less(pivot) {
+			xs[p], xs[k] = xs[k], xs[p]
+			p++
 		}
 	}
-	return fresh
-}
-
-// countUnschedLess counts unscheduled tasks whose (TNew, index) key is
-// strictly below (eff, idx): total incomplete tasks below the key (one
-// binary search on order) minus the running tasks below it (an O(r) scan).
-func (vs *ViewSet) countUnschedLess(eff float64, idx int) int {
-	total := vs.orderInsertPos(eff, idx)
-	for _, i := range vs.running {
-		v := vs.views[i]
-		if v.TNew < eff || (v.TNew == eff && i < idx) {
-			total--
-		}
-	}
-	return total
-}
-
-// orderKeyLess orders incomplete tasks by (TNew, index) — a total order,
-// since indices are unique.
-func (vs *ViewSet) orderKeyLess(a, b int) bool {
-	va, vb := vs.views[a].TNew, vs.views[b].TNew
-	if va != vb {
-		return va < vb
-	}
-	return a < b
-}
-
-// orderInsertPos returns the position the key (tnew, idx) sorts to.
-func (vs *ViewSet) orderInsertPos(tnew float64, idx int) int {
-	return sort.Search(len(vs.order), func(p int) bool {
-		i := vs.order[p]
-		v := vs.views[i].TNew
-		if v != tnew {
-			return v >= tnew
-		}
-		return i >= idx
-	})
-}
-
-// orderPos returns the position of task idx, whose stored TNew is tnew.
-// A miss means the order diverged from the views — every later selection
-// would be silently wrong — so it panics like the estimator's mirror.
-func (vs *ViewSet) orderPos(tnew float64, idx int) int {
-	p := vs.orderInsertPos(tnew, idx)
-	if p >= len(vs.order) || vs.order[p] != idx {
-		panic(fmt.Sprintf("spec: ViewSet order diverged: task %d (tnew %v) not at its key", idx, tnew))
-	}
+	xs[p], xs[last] = xs[last], xs[p]
 	return p
 }
 
-func (vs *ViewSet) sortOrder() {
-	slices.SortFunc(vs.order, func(a, b int) int {
-		if vs.orderKeyLess(a, b) {
+// ljfUnsched returns the unscheduled task with the largest TNew among the
+// first k entries of uorder, ties to the smallest index — the first entry
+// of the equal-TNew block ending at uorder[k-1], the winner of the
+// reference's first-wins ascending-index scan — or -1 when k is 0.
+func (vs *ViewSet) ljfUnsched(k int) int {
+	if k == 0 {
+		return -1
+	}
+	maxT := vs.views[vs.uorder[k-1]].TNew
+	return vs.uorder[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
+}
+
+// tnewKey is task i's (TNew, index) key, the order uorder keeps.
+func (vs *ViewSet) tnewKey(i int) effIdx { return effIdx{eff: vs.views[i].TNew, idx: i} }
+
+// uorderSearch returns the number of unscheduled tasks whose (TNew, index)
+// key sorts below k — the position k takes in uorder.
+func (vs *ViewSet) uorderSearch(k effIdx) int {
+	return sort.Search(len(vs.uorder), func(p int) bool {
+		return !vs.tnewKey(vs.uorder[p]).less(k)
+	})
+}
+
+// uorderRemove drops unscheduled task i from uorder, located by its stored
+// TNew. A miss means uorder diverged from the views — every later
+// selection would be silently wrong — so it panics like the estimator's
+// mirror.
+func (vs *ViewSet) uorderRemove(i int) {
+	p := vs.uorderSearch(vs.tnewKey(i))
+	if p >= len(vs.uorder) || vs.uorder[p] != i {
+		panic(fmt.Sprintf("spec: ViewSet order diverged: task %d (tnew %v) not at its key", i, vs.views[i].TNew))
+	}
+	vs.uorder = append(vs.uorder[:p], vs.uorder[p+1:]...)
+}
+
+// uorderInsert files unscheduled task i in uorder under its stored TNew.
+func (vs *ViewSet) uorderInsert(i int) {
+	vs.uorder = slices.Insert(vs.uorder, vs.uorderSearch(vs.tnewKey(i)), i)
+}
+
+func (vs *ViewSet) sortUorder() {
+	slices.SortFunc(vs.uorder, func(a, b int) int {
+		if vs.tnewKey(a).less(vs.tnewKey(b)) {
 			return -1
 		}
 		return 1
 	})
-}
-
-// insertionSortEff sorts an (eff, idx) slice ascending: insertion sort
-// with no allocation for the typical small running set, the library sort
-// once a job holds enough slots for O(r²) swaps to bite.
-func insertionSortEff(xs []effIdx) {
-	if len(xs) > 24 {
-		slices.SortFunc(xs, func(a, b effIdx) int {
-			if a.eff != b.eff {
-				if a.eff < b.eff {
-					return -1
-				}
-				return 1
-			}
-			return a.idx - b.idx
-		})
-		return
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := xs[j], xs[j-1]
-			if a.eff > b.eff || (a.eff == b.eff && a.idx > b.idx) {
-				break
-			}
-			xs[j], xs[j-1] = b, a
-		}
-	}
 }
 
 func insertSortedInt(xs []int, v int) []int {

@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/task"
@@ -17,14 +19,19 @@ import (
 // randViews builds a random consistent view slice (ascending indices,
 // possibly with completed gaps) and the equivalent sealed ViewSet. Most
 // sets are small and tie-dense; one in eight is large with a small
-// running set, the shape where EarliestCandidates' binary-search path
-// (rather than a full scan) does the pruning.
+// running set, the shape where EarliestCandidates' binary searches of the
+// unscheduled order do the pruning; one in eight is wide, about half of
+// up to ~2,000 tasks running — a large phase holding hundreds of slots,
+// where the selection over the running keys runs many probes deep.
 func randViews(rng *rand.Rand) ([]TaskView, *ViewSet) {
 	n := 1 + rng.Intn(12)
 	runDenom := 2 // half the tasks running
-	if rng.Intn(8) == 0 {
+	switch rng.Intn(8) {
+	case 0:
 		n = 50 + rng.Intn(350)
 		runDenom = 10 // a large job's running set is its small slot share
+	case 1:
+		n = 300 + rng.Intn(1700)
 	}
 	total := n + rng.Intn(4) // dense size incl. "completed" gaps
 	vs := &ViewSet{}
@@ -159,6 +166,9 @@ func TestViewSetMaintenance(t *testing.T) {
 					t.Fatalf("iter %d op %d: view %d diverged: %+v != %+v", iter, op, i, compact[i], views[i])
 				}
 			}
+			if got, want := vs.MedianTNew(), sortedMedianTNew(compact); got != want {
+				t.Fatalf("iter %d op %d: MedianTNew %v, sorted median %v", iter, op, got, want)
+			}
 			if len(views) == 0 {
 				break
 			}
@@ -173,6 +183,24 @@ func TestViewSetMaintenance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortedMedianTNew is the median TNew of views by a full sort, with the
+// reference averaging for even counts; zero when views is empty.
+func sortedMedianTNew(views []TaskView) float64 {
+	if len(views) == 0 {
+		return 0
+	}
+	vals := make([]float64, len(views))
+	for i, v := range views {
+		vals[i] = v.TNew
+	}
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // TestViewSetBulkRescale exercises the estimator-bump path: a uniform
@@ -204,6 +232,54 @@ func TestViewSetBulkRescale(t *testing.T) {
 		}
 		if vs.MedianTNew() != fresh.MedianTNew() {
 			t.Fatalf("iter %d: median %v != %v after rescale", iter, vs.MedianTNew(), fresh.MedianTNew())
+		}
+	}
+}
+
+var (
+	sinkRunIn []int
+	sinkFresh int
+)
+
+// BenchmarkEarliestCandidates times the error-bound earliest-set selection
+// on a sealed 2,000-task ViewSet as the running set widens toward a large
+// phase's share of the default 400-slot cluster, with need cutting shallow
+// (a tenth of the tasks) and deep (nine tenths). The selection works in
+// the set's reusable scratch, so once the warm-up call has grown it, a
+// call must not allocate: scripts/perfwall.sh walls allocs/op at 0.
+func BenchmarkEarliestCandidates(b *testing.B) {
+	const n = 2000
+	cuts := []struct {
+		name string
+		need int
+	}{{"shallow", n / 10}, {"deep", n * 9 / 10}}
+	for _, running := range []int{16, 128, 400} {
+		for _, cut := range cuts {
+			b.Run(fmt.Sprintf("running=%d/need=%s", running, cut.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(running)))
+				isRunning := make([]bool, n)
+				for _, i := range rng.Perm(n)[:running] {
+					isRunning[i] = true
+				}
+				vs := &ViewSet{}
+				vs.Reset(n)
+				for i := 0; i < n; i++ {
+					v := TaskView{Index: i, TNew: 0.5 + rng.Float64()}
+					if isRunning[i] {
+						v.Running, v.Copies = true, 1
+						v.Speculable = rng.Intn(4) > 0
+						v.TRem = 3 * rng.Float64() // some finish soon, some straggle
+					}
+					vs.Init(v)
+				}
+				vs.Seal()
+				vs.EarliestCandidates(cut.need)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkRunIn, sinkFresh = vs.EarliestCandidates(cut.need)
+				}
+			})
 		}
 	}
 }

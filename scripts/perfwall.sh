@@ -6,6 +6,10 @@
 #
 #   - BenchmarkDispatch must stay at 0 allocs/op: the dispatch round has
 #     been allocation-free since PR 2.
+#   - BenchmarkEarliestCandidates (internal/spec) must stay at 0 allocs/op:
+#     GS's and RAS's error-bound selection runs on every launch attempt of
+#     a large phase and works in the ViewSet's reusable scratch, so any
+#     allocation there is a per-attempt regression.
 #   - BenchmarkSimulatorQuick's allocs/event must stay below the PR-7
 #     BENCH_sim.json figures plus a small headroom. PR 7 moved the hot
 #     per-task run state into one struct-of-arrays block per job (no more
@@ -53,23 +57,37 @@ out=$(go test ./internal/sched -run '^$' \
 echo "$out"
 fail=0
 
-# Dispatch rounds must not allocate at all. An empty parse (renamed or
+# zero_allocs <benchmark> <output>: every sub-benchmark of <benchmark> in
+# <output> must report 0 allocs/op. An empty parse (renamed or
 # restructured benchmark) fails too: a wall that checks nothing is no wall.
-dispatched=0
-while read -r name allocs; do
-	dispatched=$((dispatched + 1))
-	if [ "$allocs" != "0" ]; then
-		echo "PERF WALL: $name allocated $allocs allocs/op, want 0" >&2
+zero_allocs() {
+	local bench=$1 bout=$2 name allocs n=0
+	while read -r name allocs; do
+		n=$((n + 1))
+		if [ "$allocs" != "0" ]; then
+			echo "PERF WALL: $name allocated $allocs allocs/op, want 0" >&2
+			fail=1
+		fi
+	done < <(echo "$bout" | awk -v re="^$bench/" '$1 ~ re {
+		for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $1, $(i-1) }')
+	if [ "$n" -eq 0 ]; then
+		echo "PERF WALL: no $bench allocs/op lines parsed" >&2
 		fail=1
+	else
+		echo "perf wall: $n $bench benches at 0 allocs/op ok"
 	fi
-done < <(echo "$out" | awk '/^BenchmarkDispatch\// {
-	for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $1, $(i-1) }')
-if [ "$dispatched" -eq 0 ]; then
-	echo "PERF WALL: no BenchmarkDispatch allocs/op lines parsed" >&2
-	fail=1
-else
-	echo "perf wall: $dispatched dispatch benches at 0 allocs/op ok"
-fi
+}
+
+# Dispatch rounds must not allocate at all.
+zero_allocs BenchmarkDispatch "$out"
+
+# Nor may the error-bound earliest-set selection: the benchmark makes one
+# warm-up call before timing, so the scratch is grown and allocs/op is an
+# exact count.
+spec_out=$(go test ./internal/spec -run '^$' \
+	-bench 'BenchmarkEarliestCandidates' -benchtime 200x -benchmem)
+echo "$spec_out"
+zero_allocs BenchmarkEarliestCandidates "$spec_out"
 
 # Full-simulation allocations per event, gated per policy.
 check() { # check <sub-benchmark> <wall>
