@@ -9,10 +9,10 @@
 // as a results summary; cmd/grass-bench prints the full tables.
 //
 // These are *result* benchmarks. The *performance* benchmarks of the
-// simulator's dispatch hot path (BenchmarkSimulatorQuick, BenchmarkDispatch,
-// BenchmarkBuildViews, and BenchmarkLargeJobReplay's incremental-vs-rebuild
-// candidate-view comparison) live in internal/sched; their per-event
-// numbers are tracked across PRs in BENCH_sim.json, and
+// simulator's dispatch hot path (BenchmarkSimulatorQuick on small jobs,
+// BenchmarkLargeJobReplay on 2000-task jobs, BenchmarkDispatch, and
+// BenchmarkBuildViews for the per-attempt view refresh) live in
+// internal/sched; their per-event numbers are tracked in BENCH_sim.json, and
 // `grass-bench -profile <prefix>` writes pprof profiles for digging into
 // regressions.
 package grass_test

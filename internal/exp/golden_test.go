@@ -26,9 +26,11 @@ import (
 //     results were verified hash-identical across the PR 2 dispatch-path
 //     refactor; only the LATE change shifted these values.
 //   - PR 4 (no regeneration): the incremental candidate views replaced the
-//     per-attempt buildViews rebuild as the default dispatch path, and
-//     these values stayed byte-identical — the per-attempt differential
-//     harness in internal/sched is what locks the two paths together.
+//     per-attempt rebuild of every task's view as the default dispatch
+//     path, and these values stayed byte-identical — the per-attempt
+//     differential harness in internal/sched is what locks the views to a
+//     rebuild. The rebuild walk has since been deleted, for every phase
+//     size, with these values still unchanged.
 const (
 	goldenDeadlineAccImprovementPct = 11.933948419674
 	goldenErrorSpeedupPct           = 15.873170564905

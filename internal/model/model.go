@@ -164,10 +164,9 @@ func (r Reactive) Waves() float64 { return r.T / r.S }
 // useful work delivered per slot-second under ω-threshold speculation.
 func (r Reactive) earlyEfficiency(omega float64) float64 {
 	p := r.Tau
-	pLess := 1 - survival(p, omega)
 	pMore := survival(p, omega)
+	// truncMean already folds in P(τ<ω).
 	denom := truncMean(p, omega) + (2*minResidualMean(p, omega)+omega)*pMore
-	_ = pLess // truncMean already folds in P(τ<ω)
 	if denom <= 0 {
 		return math.Inf(1)
 	}

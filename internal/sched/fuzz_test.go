@@ -9,11 +9,11 @@ import (
 // FuzzIncrementalViews replays a fuzzed sequence of simulator events —
 // copy launches and finishes (engine steps), fair-share preemptions,
 // estimator-base bumps, and extra same-timestamp dispatch rounds —
-// against both view paths: every launch attempt runs the differential
-// check (incremental ViewSet DeepEqual a from-scratch rebuild, and
-// PickIncremental's Decision identical to the reference Pick's). The op
-// stream steers which dirtying transitions interleave, which is exactly
-// the state space the incremental maintenance must cover.
+// with every launch attempt under the differential check (incremental
+// ViewSet DeepEqual a from-scratch rebuild, and PickIncremental's Decision
+// identical to the reference Pick's). The op stream steers which dirtying
+// transitions interleave, which is exactly the state space the
+// incremental maintenance must cover.
 func FuzzIncrementalViews(f *testing.F) {
 	f.Add(int64(1), byte(0), []byte{0, 0, 1, 2, 3, 0, 1, 0, 2, 0, 3, 3, 0})
 	f.Add(int64(2), byte(3), []byte{0, 1, 1, 1, 0, 0, 2, 2, 0, 3, 0, 1, 2, 3})
@@ -30,7 +30,6 @@ func FuzzIncrementalViews(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.incMinTasks = 0 // every phase incremental, whatever its size
 		attachDifferentialCheck(t, s)
 		// A small mixed active set: all three bound kinds, one DAG job, so
 		// phase transitions and deadline freezes are reachable.

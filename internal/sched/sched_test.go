@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/cluster"
@@ -491,4 +493,62 @@ func TestJobStateRecycling(t *testing.T) {
 	if js.deadlineFn == nil {
 		t.Fatal("pooled jobState lost its reusable deadline closure")
 	}
+}
+
+// TestJobStatePoolBestFit: an admission takes the pooled jobState with the
+// smallest task capacity that fits the job's largest phase — so a small
+// job does not hold a large job's task block and ViewSet arrays — and,
+// when none fits, the largest one, which has the least to grow.
+func TestJobStatePoolBestFit(t *testing.T) {
+	s, err := New(smallConfig(1), spec.Stateless(spec.NewGS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := map[int]*jobState{}
+	for _, n := range []int{400, 20, 100} {
+		js := &jobState{}
+		js.tasks.reset(n)
+		js.jv.vs.Reset(n)
+		pooled[n] = js
+		s.freeJobState(js)
+	}
+	for _, c := range []struct{ need, want int }{{20, 20}, {90, 100}, {1000, 400}} {
+		js := s.takeJobState(c.need)
+		if js != pooled[c.want] {
+			t.Fatalf("takeJobState(%d) returned the %d-task state, want the %d-task one",
+				c.need, cap(js.tasks.work), c.want)
+		}
+		if cap(js.tasks.work) != c.want {
+			t.Fatalf("takeJobState(%d) changed the pooled capacity to %d", c.need, cap(js.tasks.work))
+		}
+	}
+	if len(s.jsPool) != 0 {
+		t.Fatalf("%d jobStates left in the pool, want 0", len(s.jsPool))
+	}
+}
+
+// pickOnly hides a policy's PickIncremental, leaving only the reference
+// Pick.
+type pickOnly struct{ p spec.Policy }
+
+func (w pickOnly) Name() string { return w.p.Name() }
+func (w pickOnly) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool) {
+	return w.p.Pick(ctx, tasks)
+}
+
+// TestAdmitRequiresIncrementalPolicy: every launch decision comes from
+// PickIncremental, so admitting a job whose policy has only Pick panics,
+// and the message names the policy.
+func TestAdmitRequiresIncrementalPolicy(t *testing.T) {
+	s, err := New(smallConfig(1), spec.Stateless(pickOnly{spec.NewRAS()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "RAS") || !strings.Contains(msg, "IncrementalPolicy") {
+			t.Fatalf("admit panicked with %q, want a message naming policy RAS and spec.IncrementalPolicy", msg)
+		}
+	}()
+	s.admit(uniformJob(0, 10, task.Exact(), 0))
 }

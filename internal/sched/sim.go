@@ -60,7 +60,7 @@ func (c *copyRun) remaining(now float64) float64 {
 // out struct-of-arrays and indexed by task slot. The fields the dispatch
 // hot path touches every event — copy lists, completion flags, the cached
 // best-copy ends, the estimator bias factors — each live in their own
-// contiguous array, so the refresh and rebuild walks (and a batch of
+// contiguous array, so the view init and refresh walks (and a batch of
 // same-time completions) stream through memory instead of chasing one
 // pointer per task. Only one phase is alive at a time, so one block
 // (recycled across phases and, via the simulator's jobState pool, across
@@ -142,11 +142,7 @@ func (p *phaseRun) satisfied() bool { return p.completed >= p.target }
 // jobState is the runtime state of one job.
 type jobState struct {
 	job    *task.Job
-	policy spec.Policy
-	// inc is the policy's delta-aware fast path, when it implements
-	// spec.IncrementalPolicy (every built-in policy does); nil falls back
-	// to the from-scratch buildViews + Pick reference path.
-	inc spec.IncrementalPolicy
+	policy spec.IncrementalPolicy
 	// jv is the incrementally maintained candidate view state (views.go).
 	jv       jobViews
 	phaseIdx int
@@ -270,7 +266,6 @@ type Simulator struct {
 	utilIntegral float64
 	lastUtilT    float64
 
-	viewBuf  []spec.TaskView
 	copyPool []*copyRun
 	// jsPool recycles finished jobs' runtime state — the jobState itself,
 	// its incremental ViewSet arrays, dirty list and phase task blocks keep
@@ -279,19 +274,9 @@ type Simulator struct {
 	// cost ~0.3 allocs/event in per-job slices).
 	jsPool []*jobState
 
-	// incMinTasks is the phase size at which launch attempts switch from
-	// the from-scratch buildViews walk to the incrementally maintained
-	// ViewSet. Both paths are locked hash-identical by the differential
-	// tests, so the choice is purely a cost crossover: below it the
-	// rebuild's tight O(tasks) scan beats the ordered-index bookkeeping,
-	// above it attempts cost O(running + dirtied) instead of O(tasks).
-	// Tests force 0 to run every phase incrementally.
-	incMinTasks int
-
-	// viewTouches counts complete task views derived or visited — the unit
-	// of work the rebuild path performs for every incomplete task on every
-	// launch attempt; with launchAttempts it yields the touches-per-attempt
-	// figure BENCH_sim.json tracks (the incremental path's headline win).
+	// viewTouches counts complete task views derived or visited; with
+	// launchAttempts it yields the touches-per-attempt figure
+	// BENCH_sim.json tracks (O(running + dirtied), not O(tasks)).
 	// tnewRescales separately counts single-field TNew patches from
 	// estimator-median movements (bounded by one per incomplete task per
 	// completion, independent of the attempt rate).
@@ -299,9 +284,9 @@ type Simulator struct {
 	tnewRescales   uint64
 	launchAttempts uint64
 
-	// checkViews, when set (differential tests), observes every
-	// incremental launch attempt right after the policy decided, with the
-	// refreshed ViewSet still untouched by the launch itself.
+	// checkViews, when set (differential tests), observes every launch
+	// attempt right after the policy decided, with the refreshed ViewSet
+	// still untouched by the launch itself.
 	checkViews func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool)
 }
 
@@ -333,14 +318,23 @@ func (s *Simulator) freeCopy(c *copyRun) {
 	s.copyPool = append(s.copyPool, c)
 }
 
-// takeJobState pops a recycled jobState or mints one. The caller (admit)
-// overwrites every live field; pooled storage arrives reset by
-// freeJobState with capacity intact.
-func (s *Simulator) takeJobState() *jobState {
-	if n := len(s.jsPool); n > 0 {
-		js := s.jsPool[n-1]
-		s.jsPool[n-1] = nil
-		s.jsPool = s.jsPool[:n-1]
+// takeJobState takes the pooled jobState whose task capacity best fits a
+// job whose largest phase has n tasks, or mints one. Every phase keeps a
+// ViewSet of its task capacity, so best fit, unlike LIFO (which hands a
+// 1-task job a 256-task job's arrays), bounds the capacity that active and
+// pooled states hold. The caller (admit) overwrites every live field;
+// pooled storage arrives reset by freeJobState with capacity intact.
+func (s *Simulator) takeJobState(n int) *jobState {
+	if len(s.jsPool) > 0 {
+		bi := 0
+		for i, js := range s.jsPool {
+			if betterFit(cap(js.tasks.work), cap(s.jsPool[bi].tasks.work), n) {
+				bi = i
+			}
+		}
+		js, last := s.jsPool[bi], len(s.jsPool)-1
+		s.jsPool[bi], s.jsPool[last] = s.jsPool[last], nil
+		s.jsPool = s.jsPool[:last]
 		return js
 	}
 	js := &jobState{}
@@ -348,10 +342,21 @@ func (s *Simulator) takeJobState() *jobState {
 	return js
 }
 
+// betterFit reports whether task capacity c serves an n-task job better
+// than capacity b: a fit beats a miss, the smaller of two fits wins, and
+// the larger of two misses (the least to grow) wins.
+func betterFit(c, b, n int) bool {
+	if c >= n {
+		return b < n || c < b
+	}
+	return b < n && c > b
+}
+
 // freeJobState recycles a finished job's runtime state: references are
 // dropped and scalars zeroed, while the pooled storage — the incremental
 // ViewSet's arrays, the dirty list, the phase task blocks, the deadline
-// closure — keeps its capacity for the next admitted job.
+// closure — keeps its capacity for the best-fitting later admission
+// (takeJobState).
 func (s *Simulator) freeJobState(js *jobState) {
 	jv := js.jv
 	jv.invalidate()
@@ -423,15 +428,14 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	root := dist.NewRNG(cfg.Seed)
 	clRNG := root.Split()
 	s := &Simulator{
-		cfg:         cfg,
-		factory:     factory,
-		eng:         simevent.New(),
-		rngPlace:    root.Split(),
-		rngDur:      root.Split(),
-		rngEst:      root.Split(),
-		interObs:    make(map[int][]float64),
-		interMed:    make(map[int]float64),
-		incMinTasks: defaultIncMinTasks,
+		cfg:      cfg,
+		factory:  factory,
+		eng:      simevent.New(),
+		rngPlace: root.Split(),
+		rngDur:   root.Split(),
+		rngEst:   root.Split(),
+		interObs: make(map[int][]float64),
+		interMed: make(map[int]float64),
 	}
 	var err error
 	if s.cl, err = cluster.New(cfg.Cluster, clRNG); err != nil {
@@ -595,9 +599,18 @@ func (s *Simulator) admit(j *task.Job) {
 	if s.flt != nil {
 		s.flt.wake()
 	}
-	js := s.takeJobState()
+	maxTasks := j.NumTasks()
+	for _, p := range j.Phases {
+		maxTasks = max(maxTasks, p.NumTasks)
+	}
+	js := s.takeJobState(maxTasks)
 	js.job = j
-	js.policy = s.factory.NewPolicy(j.ID, j.NumTasks())
+	p := s.factory.NewPolicy(j.ID, j.NumTasks())
+	inc, ok := p.(spec.IncrementalPolicy)
+	if !ok {
+		panic(fmt.Sprintf("sched: policy %s does not implement spec.IncrementalPolicy", p.Name()))
+	}
+	js.policy = inc
 	js.res = JobResult{
 		JobID:          j.ID,
 		NumTasks:       j.NumTasks(),
@@ -608,7 +621,6 @@ func (s *Simulator) admit(j *task.Job) {
 		DeadlineFactor: j.DeadlineFactor,
 		DAGLength:      j.DAGLength(),
 	}
-	js.inc, _ = js.policy.(spec.IncrementalPolicy)
 	js.phase = s.newInputPhase(js, j)
 	s.active = append(s.active, js)
 	s.insertDemand(js)
@@ -856,10 +868,8 @@ func (s *Simulator) preemptYoungest(victim *jobState) bool {
 	return true
 }
 
-// tryLaunch asks the job's policy for a launch and executes it. Policies
-// implementing spec.IncrementalPolicy select from the maintained ViewSet
-// (refreshed in O(running + dirtied)); others get the from-scratch
-// buildViews reference path.
+// tryLaunch asks the job's policy for a launch from the maintained
+// ViewSet (refreshed in O(running + dirtied)) and executes it.
 func (s *Simulator) tryLaunch(js *jobState) bool {
 	phase := js.phase
 	if phase == nil || phase.satisfied() {
@@ -867,41 +877,16 @@ func (s *Simulator) tryLaunch(js *jobState) bool {
 	}
 	ctx := s.buildCtx(js)
 	s.launchAttempts++
-	var d spec.Decision
-	var ok bool
-	var estTNew float64
-	if js.inc != nil && phase.n >= s.incMinTasks {
-		vs := s.refreshViews(js)
-		if vs.Len() == 0 {
-			return false
-		}
-		d, ok = js.inc.PickIncremental(ctx, vs)
-		if s.checkViews != nil {
-			s.checkViews(js, ctx, vs, d, ok)
-		}
-		if !ok {
-			return false
-		}
-		if d.TaskIndex >= 0 && d.TaskIndex < phase.n {
-			// The estimate the policy saw, for accuracy scoring.
-			estTNew = vs.At(d.TaskIndex).TNew
-		}
-	} else {
-		views := s.buildViews(js)
-		if len(views) == 0 {
-			return false
-		}
-		d, ok = js.policy.Pick(ctx, views)
-		if !ok {
-			return false
-		}
-		// Recover the estimate the policy saw, for accuracy scoring.
-		for _, v := range views {
-			if v.Index == d.TaskIndex {
-				estTNew = v.TNew
-				break
-			}
-		}
+	vs := s.refreshViews(js)
+	if vs.Len() == 0 {
+		return false
+	}
+	d, ok := js.policy.PickIncremental(ctx, vs)
+	if s.checkViews != nil {
+		s.checkViews(js, ctx, vs, d, ok)
+	}
+	if !ok {
+		return false
 	}
 	if d.TaskIndex < 0 || d.TaskIndex >= phase.n {
 		panic(fmt.Sprintf("sched: policy %s picked invalid task %d", js.policy.Name(), d.TaskIndex))
@@ -909,7 +894,8 @@ func (s *Simulator) tryLaunch(js *jobState) bool {
 	if js.tasks.completed[d.TaskIndex] {
 		panic(fmt.Sprintf("sched: policy %s picked completed task %d", js.policy.Name(), d.TaskIndex))
 	}
-	s.launch(js, d.TaskIndex, d.Speculative, estTNew)
+	// The estimate the policy saw, for accuracy scoring.
+	s.launch(js, d.TaskIndex, d.Speculative, vs.At(d.TaskIndex).TNew)
 	return true
 }
 
@@ -992,33 +978,6 @@ func (s *Simulator) buildCtx(js *jobState) spec.Ctx {
 		ctx.Kind = task.ErrorBound
 	}
 	return ctx
-}
-
-// buildViews produces the policy's TaskViews for unfinished tasks of the
-// current phase from scratch — the reference path the incremental views
-// (views.go) are held equivalent to. In oracle mode the views carry
-// ground truth (exact remaining time, the exact duration the next copy
-// would have); otherwise they carry estimator output, and the estimates
-// are remembered for accuracy scoring.
-func (s *Simulator) buildViews(js *jobState) []spec.TaskView {
-	now := s.eng.Now()
-	tb := &js.tasks
-	s.viewBuf = s.viewBuf[:0]
-	for i := 0; i < js.phase.n; i++ {
-		if tb.completed[i] {
-			continue
-		}
-		v := s.taskView(js, i, now, true)
-		if !s.cfg.Oracle && v.Speculable {
-			if bc := tb.best[i]; bc.pendN < len(bc.pendTRem) {
-				bc.pendTRem[bc.pendN] = pend{est: v.TRem, at: now}
-				bc.pendN++
-			}
-		}
-		s.viewBuf = append(s.viewBuf, v)
-	}
-	s.viewTouches += uint64(len(s.viewBuf))
-	return s.viewBuf
 }
 
 // onCopyComplete handles a copy finishing: the task completes, sibling

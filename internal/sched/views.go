@@ -9,13 +9,15 @@
 // of running tasks. A launch attempt on an n-task job therefore touches
 // O(running + dirtied) views instead of n.
 //
-// Equivalence with the from-scratch rebuild (buildViews) is exact, not
-// approximate: the refresh replays the rebuild's side effects — estimator
-// bias draws, oracle duration-factor draws, and pending-t_rem accuracy
-// samples — at the same points in the same order, so a replay produces
-// hash-identical results on either path. The differential tests in this
-// package (TestDifferential*, FuzzIncrementalViews) hold both paths to
-// DeepEqual views and identical decisions at every launch attempt.
+// The views equal a from-scratch rebuild of every incomplete task's view
+// exactly, not approximately, and the side effects — estimator bias
+// draws, oracle duration-factor draws, and pending-t_rem accuracy samples
+// — land at the points and in the order the goldens were recorded with,
+// when every attempt rescanned every incomplete task in ascending index
+// order. The differential tests in this package (TestDifferential*,
+// FuzzIncrementalViews) hold the ViewSet to DeepEqual a rebuild and
+// PickIncremental to the reference Pick's decision at every launch
+// attempt.
 package sched
 
 import (
@@ -24,21 +26,13 @@ import (
 	"github.com/approx-analytics/grass/internal/spec"
 )
 
-// defaultIncMinTasks is the phase size where the incremental path starts
-// to beat the rebuild walk. Measured on the BenchmarkSimulatorQuick mixed
-// workload (jobs of 20–195 tasks, where the rebuild's tight scan wins by
-// its constants) against BenchmarkLargeJobReplay (2000-task jobs, where
-// the incremental path wins 4.7× wall clock per event); the crossover
-// sits between.
-const defaultIncMinTasks = 384
-
 // jobViews is the per-job incremental view state.
 type jobViews struct {
 	vs spec.ViewSet
 	// phase identifies which phaseRun vs is built for; a mismatch (new
 	// phase, or never built) triggers a full lazy init on the next launch
-	// attempt — lazy so the init's RNG draws land at the same stream
-	// positions as the rebuild path's first buildViews walk.
+	// attempt — lazy so the init's RNG draws land at the stream positions
+	// the goldens pin (a phase's first launch attempt).
 	phase *phaseRun
 	// estVer/median are the estimator state the TNew values were computed
 	// at: a version bump with an unchanged normalized median changes no
@@ -113,9 +107,9 @@ func (s *Simulator) noteComplete(js *jobState, ti int) {
 // initViews builds the phase's ViewSet from scratch — the one O(n) walk
 // per phase. It visits tasks in ascending index order so the estimator
 // bias draws (and oracle factor draws) consume the shared RNG streams at
-// exactly the positions the rebuild path's first buildViews walk would.
-// No pending-t_rem samples are recorded: a phase's first launch attempt
-// happens before any of its copies run.
+// exactly the positions the goldens pin. No pending-t_rem samples are
+// recorded: a phase's first launch attempt happens before any of its
+// copies run.
 func (s *Simulator) initViews(js *jobState, now float64) {
 	jv := &js.jv
 	tb := &js.tasks
@@ -139,11 +133,11 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 }
 
 // refreshViews brings the job's ViewSet up to date for a launch attempt
-// at the current simulation time and replays the rebuild path's
-// per-attempt estimator bookkeeping (one pending t_rem sample per
-// speculable running task). The walk covers the union of the dirty list
-// and the running set in ascending index order — the rebuild walk's order
-// restricted to the tasks whose views can have changed.
+// at the current simulation time and does the per-attempt estimator
+// bookkeeping (one pending t_rem sample per speculable running task). The
+// walk covers the union of the dirty list and the running set in
+// ascending index order — a full rescan's order restricted to the tasks
+// whose views can have changed.
 func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	jv := &js.jv
 	now := s.eng.Now()
@@ -231,11 +225,11 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 			jv.vs.Update(s.taskView(js, i, now, true))
 			tb.dirty[i] = false
 		}
-		// The rebuild path records one pending t_rem accuracy sample per
-		// speculable running task per attempt; replay that here so the
-		// estimator's measured accuracy — and everything downstream of it
-		// — is identical. The stored view is current: a best-copy change
-		// dirties the task, and a time change refreshed it above.
+		// Record one pending t_rem accuracy sample per speculable running
+		// task per attempt: the estimator's measured accuracy, and
+		// everything downstream of it, depends on this cadence. The stored
+		// view is current: a best-copy change dirties the task, and a time
+		// change refreshed it above.
 		if !s.cfg.Oracle && len(tb.copies[i]) > 0 {
 			if v := jv.vs.At(i); v.Speculable {
 				if bc := tb.best[i]; bc.pendN < len(bc.pendTRem) {
@@ -252,11 +246,11 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 }
 
 // taskView derives one task's current TaskView — the single source of
-// truth for the view float math, shared by the rebuild walk, the
-// incremental init/refresh, and the differential check. With record set
-// it may draw RNG exactly where the original buildViews did (a task's
-// first t_new bias, an oracle redraw of a consumed duration factor);
-// record=false (check mode) derives the view purely from existing state.
+// truth for the view float math, shared by the incremental init/refresh
+// and the differential check. With record set it may draw RNG (a task's
+// first t_new bias, an oracle redraw of a consumed duration factor) at
+// the points the goldens pin; record=false (check mode) derives the view
+// purely from existing state.
 func (s *Simulator) taskView(js *jobState, ti int, now float64, record bool) spec.TaskView {
 	tb := &js.tasks
 	v := spec.TaskView{Index: ti}

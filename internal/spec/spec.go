@@ -98,7 +98,10 @@ type Decision struct {
 
 // Policy picks the next copy to launch for one job. Implementations must be
 // deterministic given the same inputs. A Policy instance may be stateful and
-// is owned by a single job.
+// is owned by a single job. Pick is the executable reference: the
+// scheduler decides through IncrementalPolicy, which every policy it runs
+// must also implement, and its differential tests hold PickIncremental to
+// Pick.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -109,7 +112,8 @@ type Policy interface {
 	Pick(ctx Ctx, tasks []TaskView) (Decision, bool)
 }
 
-// IncrementalPolicy is the optional delta-aware fast path of a Policy: the
+// IncrementalPolicy is the delta-aware form of a Policy, and the form the
+// scheduler requires: admitting a job whose policy lacks it panics. The
 // scheduler keeps a ViewSet alive across events — dirtying only the tasks
 // an event touched (copy launch/finish/preemption, an estimator update
 // whose normalized median actually moved) and re-deriving only those views

@@ -9,7 +9,7 @@ import (
 // ViewSet is the incrementally maintained candidate state of one job's
 // current phase — the structure that lets a launch attempt work from the
 // job's running set instead of rebuilding and rescanning every incomplete
-// task (the rebuild walk's O(tasks) per attempt).
+// task (O(tasks) per attempt).
 //
 // It holds one TaskView per task of the phase (dense, indexed by task
 // index) plus three lists the policies select from:
