@@ -8,18 +8,17 @@
 //	grass-bench -profile perf      # also write CPU/heap profiles
 //	grass-bench -jobs 1000000      # streaming replay: a million mixed jobs
 //	                               # in bounded memory, high-water reported
-//	grass-bench -trace-file fb.tsv -trace-format swim -shards 4
+//	grass-bench -trace-file fb.tsv -trace-format swim -partitions 4
 //	                               # replay an imported real cluster trace
 //	                               # (SWIM/Facebook or Google task_events,
 //	                               # plain or .gz) through the same
 //	                               # bounded-memory pipeline
-//	grass-bench -jobs 1000000 -shards 4
-//	                               # the same trace partitioned 4 ways and
-//	                               # executed on 4 worker goroutines; the
-//	                               # merge is deterministic, so the output
-//	                               # is identical for any -shards at a
-//	                               # fixed -partitions (README "Sharded
-//	                               # execution")
+//	grass-bench -jobs 1000000 -partitions 4
+//	                               # the same trace partitioned 4 ways, one
+//	                               # goroutine per partition; the merge is
+//	                               # deterministic, and results are
+//	                               # comparable only at equal -partitions
+//	                               # (README "Sharded execution")
 //
 // Output is plain-text tables with the same rows/series the paper plots.
 // With -profile, CPU samples cover the runs and a heap profile is written
@@ -70,8 +69,7 @@ func run() int {
 		seed        = flag.Int64("seed", 1, "replay seed")
 		traceFile   = flag.String("trace-file", "", "streaming replay of an imported real cluster trace (SWIM or Google task_events, .gz ok) instead of a synthetic workload")
 		traceFormat = flag.String("trace-format", "swim", "imported trace format: swim | google")
-		shards      = flag.Int("shards", 1, "replay worker goroutines executing partitions; with -partitions set explicitly this never changes results, but when -partitions is 0 it also sets the partition count, which IS model-visible")
-		parts       = flag.Int("partitions", 0, "replay partition count — the sharded model: cluster and trace split with a deterministic merge; results are comparable only at equal partition counts (0 = same as -shards; 1 = the plain engine)")
+		parts       = flag.Int("partitions", 1, "replay partition count — the sharded model: cluster and trace split with a deterministic merge, one goroutine per partition; results are comparable only at equal partition counts (1 = the plain engine)")
 		learner     = flag.String("learner", "ring", "GRASS learner: ring (per-partition ring buffer) | sketch (mergeable sketch store — partition-invariant learning at -partitions > 1)")
 		learnEpochs = flag.Int("learn-epochs", 1, "replay the trace this many times, carrying merged learned state into each next epoch (needs -learner sketch when > 1); stats report the final epoch")
 		scenario    = flag.String("scenario", "", "replay fault scenario: "+strings.Join(fault.Scenarios(), " | ")+" (empty or none = benign cluster)")
@@ -123,12 +121,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d: a replay needs a positive job count\n", *jobs)
 		return 1
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "grass-bench: -shards %d: need at least one worker goroutine\n", *shards)
-		return 1
-	}
-	if *parts < 0 {
-		fmt.Fprintf(os.Stderr, "grass-bench: -partitions %d: want >= 1, or 0 to follow -shards\n", *parts)
+	if *parts < 1 {
+		fmt.Fprintf(os.Stderr, "grass-bench: -partitions %d: want >= 1\n", *parts)
 		return 1
 	}
 	// Fail a bad scenario name up front, and refuse fault flags outside
@@ -164,18 +158,18 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "grass-bench: -trace-file: %v (give a readable SWIM or Google task_events file, optionally .gz)\n", err)
 			return 1
 		}
-		return runReplay(0, *traceFile, *traceFormat, *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		return runReplay(0, *traceFile, *traceFormat, *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *parts, *learnEpochs)
 	}
 	if *jobs > 0 {
 		if *fig != "" || *full {
 			fmt.Fprintln(os.Stderr, "grass-bench: -jobs (streaming replay) cannot be combined with -fig or -full")
 			return 1
 		}
-		if *parts > 0 && *jobs < *parts {
+		if *jobs < *parts {
 			fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d is fewer than -partitions %d: every partition needs at least one job\n", *jobs, *parts)
 			return 1
 		}
-		return runReplay(*jobs, "", "", *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		return runReplay(*jobs, "", "", *policy, *workload, *bound, *learner, *scenario, *seed, *faultSeed, *parts, *learnEpochs)
 	}
 
 	cfg := exp.Quick()
@@ -207,11 +201,10 @@ func run() int {
 
 // runReplay executes one streaming replay — synthetic (jobs > 0) or an
 // imported real trace (traceFile != "") — and renders its aggregates.
-func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, learner, scenario string, seed, faultSeed int64, shards, partitions, learnEpochs int) int {
+func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, learner, scenario string, seed, faultSeed int64, partitions, learnEpochs int) int {
 	rc := exp.DefaultReplayConfig(jobs)
 	rc.Policy = policy
 	rc.Seed = seed
-	rc.Shards = shards
 	rc.Partitions = partitions
 	rc.Learner = learner
 	rc.LearnEpochs = learnEpochs

@@ -141,18 +141,12 @@ func DefaultGrassConfig() GrassConfig { return core.DefaultConfig() }
 
 // FaultScenario resolves a named fault preset ("crashy", "rack-storm",
 // "contended", "overload-mixed"; "" and "none" mean no faults) to a
-// FaultConfig for SimConfig.Faults or WithFaults.
+// FaultConfig for SimConfig.Faults. Under SimulateTrace's partitioned
+// model the schedule splits with the machines.
 func FaultScenario(name string) (FaultConfig, error) { return fault.Scenario(name) }
 
 // FaultScenarios lists the fault preset names in stable order.
 func FaultScenarios() []string { return fault.Scenarios() }
-
-// WithFaults attaches a deterministic fault schedule to a simulation — a
-// convenience over setting SimConfig.Faults directly, usable with every
-// options-pattern entry point. Under SimulateTrace's partitioned model the
-// schedule splits with the machines, so results stay byte-identical for
-// any shard count at a fixed partition count.
-func WithFaults(fc FaultConfig) SimOption { return func(o *simOptions) { o.faults = &fc } }
 
 // NewPolicy resolves a policy name to a factory. The boolean result
 // reports whether the policy needs oracle mode (ground-truth task views);
@@ -184,45 +178,32 @@ func StreamTrace(cfg TraceConfig) (*TraceStream, error) {
 }
 
 // SimOption configures the options-pattern entry points — SimulateTrace,
-// SimulateJobs, SimulateSource and Serve — for simulations that want more
-// than the positional defaults (sharded execution, streamed result
+// SimulateJobs and SimulateSource — for simulations that want more than
+// the positional defaults (partitioned execution, streamed result
 // folding, cancellation, a custom policy factory).
 type SimOption func(*simOptions)
 
 type simOptions struct {
-	shards     int
 	partitions int
 	fold       func(JobResult)
 	ctx        context.Context
 	factory    PolicyFactory
-	faults     *FaultConfig
 }
 
-// WithShards sets the number of worker goroutines executing the
-// simulation's partitions. At a fixed partition count the shard count is
-// pure execution parallelism: results are byte-identical for any value —
-// it only changes wall clock. BUT when WithPartitions is not given, the
-// partition count follows the shard count ("split k ways and run on k
-// cores"), and the partition count IS model-visible — pass
-// WithPartitions explicitly to vary worker counts against one model.
-// Values above the partition count are clamped; 0 (the default) means
-// one worker.
-func WithShards(k int) SimOption { return func(o *simOptions) { o.shards = k } }
-
-// WithPartitions sets the partition count — the sharded-execution MODEL:
-// the cluster's machines and the trace are split into this many
-// self-contained sub-simulations (fair sharing is scoped to a partition)
-// whose outputs are merged deterministically. 1, the default, is the
-// plain engine; 0 follows WithShards, so WithShards(4) alone means
-// "split 4 ways and run on 4 cores". Results are comparable only at
-// equal partition counts.
+// WithPartitions sets the partition count — the sharded-execution MODEL
+// and the only parallelism setting: the cluster's machines and the trace
+// are split into this many self-contained sub-simulations (fair sharing
+// is scoped to a partition), each run on its own goroutine, whose outputs
+// are merged deterministically. 1, the default, is the plain engine, and
+// 0 means 1. Results are comparable only at equal partition counts.
 func WithPartitions(p int) SimOption { return func(o *simOptions) { o.partitions = p } }
 
 // WithFold streams each job's result to fn instead of accumulating
 // RunStats.Results, so nothing retained grows with the trace length. Under
-// SimulateTrace the results arrive in ascending JobID order (the canonical
-// sharded merge); under SimulateJobs/SimulateSource they arrive in
-// completion order, exactly as the simulator finishes them.
+// SimulateTrace the results arrive in ascending JobID order, one at a time
+// from the canonical sharded merge's goroutine; under
+// SimulateJobs/SimulateSource they arrive in completion order, exactly as
+// the simulator finishes them.
 func WithFold(fn func(JobResult)) SimOption { return func(o *simOptions) { o.fold = fn } }
 
 // WithContext makes the simulation cancellable: once ctx is done the run
@@ -244,10 +225,10 @@ func WithFactory(f PolicyFactory) SimOption { return func(o *simOptions) { o.fac
 // SimulateTrace generates cfg's synthetic workload lazily and simulates
 // it under the named policy — the sharding-capable, options-pattern entry
 // point. With no options it is SimulateSource over StreamTrace(tc):
-// one partition, one worker, results accumulated. WithPartitions /
-// WithShards partition the run across cores with a deterministic merge;
-// the trace is consumed as per-partition shard streams, so no
-// materialization happens at any partition count.
+// one partition, results accumulated. WithPartitions partitions the run
+// across cores with a deterministic merge; the trace is consumed as
+// per-partition shard streams, so no materialization happens at any
+// partition count.
 func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOption) (*RunStats, error) {
 	var o simOptions
 	for _, opt := range opts {
@@ -256,14 +237,8 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 	if o.factory != nil {
 		return nil, fmt.Errorf("grass: WithFactory is not supported by SimulateTrace (partitions need seed-derived factories); use SimulateJobs or SimulateSource")
 	}
-	if o.shards <= 0 {
-		o.shards = 1
-	}
 	if o.partitions <= 0 {
-		o.partitions = o.shards
-	}
-	if o.faults != nil {
-		sc.Faults = *o.faults
+		o.partitions = 1
 	}
 	if err := tc.Validate(); err != nil {
 		return nil, err
@@ -274,9 +249,8 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 	}
 	sc.Oracle = oracleMode
 	run := sched.ShardedRun{
-		Config:  sc,
-		Parts:   o.partitions,
-		Workers: o.shards,
+		Config: sc,
+		Parts:  o.partitions,
 		NewFactory: func(seed int64) (PolicyFactory, error) {
 			f, _, err := exp.NewFactory(policy, seed)
 			return f, err
@@ -296,9 +270,9 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 // SimulateJobs runs a materialized trace through the cluster simulator
 // under the named policy. Oracle mode is enabled automatically for the
 // "oracle" policy (unless WithFactory overrides the policy). Supports
-// WithFold, WithContext and WithFactory; sharded execution (WithShards /
-// WithPartitions) requires SimulateTrace, whose partitioner splits the
-// trace by construction.
+// WithFold, WithContext and WithFactory; sharded execution
+// (WithPartitions above 1) requires SimulateTrace, whose partitioner
+// splits the trace by construction.
 func SimulateJobs(cfg SimConfig, policy string, jobs []*Job, opts ...SimOption) (*RunStats, error) {
 	o, err := collectUnshardedOptions("SimulateJobs", opts)
 	if err != nil {
@@ -330,8 +304,8 @@ func collectUnshardedOptions(entry string, opts []SimOption) (simOptions, error)
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.shards > 1 || o.partitions > 1 {
-		return o, fmt.Errorf("grass: %s runs one plain engine; sharded execution (WithShards/WithPartitions) requires SimulateTrace", entry)
+	if o.partitions > 1 {
+		return o, fmt.Errorf("grass: %s runs one plain engine; sharded execution (WithPartitions) requires SimulateTrace", entry)
 	}
 	return o, nil
 }
@@ -342,9 +316,6 @@ func collectUnshardedOptions(entry string, opts []SimOption) (simOptions, error)
 // name is resolved (enabling oracle mode when the policy needs ground
 // truth); otherwise the factory is used as given.
 func runSim(cfg SimConfig, policy string, jobs []*Job, src JobSource, o simOptions) (*RunStats, error) {
-	if o.faults != nil {
-		cfg.Faults = *o.faults
-	}
 	factory := o.factory
 	if factory == nil {
 		f, oracleMode, err := exp.NewFactory(policy, cfg.Seed)

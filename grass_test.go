@@ -1,6 +1,8 @@
 package grass_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -171,8 +173,8 @@ func TestMetricsHelpers(t *testing.T) {
 }
 
 // TestSimulateTraceOptions pins the options-pattern entry point: with no
-// options it reproduces SimulateSource exactly; with partitions the output
-// is invariant to the shard (worker) count; and WithFold streams results
+// options, and with one partition, it reproduces SimulateSource exactly;
+// and at one and two partitions WithFold streams the accumulated results
 // in ascending JobID order without accumulating.
 func TestSimulateTraceOptions(t *testing.T) {
 	tc := smallTrace(grass.MixedBound, 7)
@@ -192,44 +194,38 @@ func TestSimulateTraceOptions(t *testing.T) {
 		t.Fatalf("SimulateTrace (no options) differs from SimulateSource:\n got: %+v\nwant: %+v", got, want)
 	}
 
-	part2, err := grass.SimulateTrace(smallSim(7), tc, "gs", grass.WithPartitions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		again, err := grass.SimulateTrace(smallSim(7), tc, "gs",
-			grass.WithPartitions(2), grass.WithShards(shards))
+	for _, parts := range []int{1, 2} {
+		acc, err := grass.SimulateTrace(smallSim(7), tc, "gs", grass.WithPartitions(parts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(again, part2) {
-			t.Fatalf("WithShards(%d) changed partitioned output", shards)
+		if parts == 1 && !reflect.DeepEqual(acc, want) {
+			t.Fatalf("WithPartitions(1) differs from SimulateSource:\n got: %+v\nwant: %+v", acc, want)
 		}
-	}
-	if len(part2.Results) != tc.Jobs {
-		t.Fatalf("partitioned run returned %d results, want %d", len(part2.Results), tc.Jobs)
-	}
-
-	next := 0
-	folded, err := grass.SimulateTrace(smallSim(7), tc, "gs",
-		grass.WithPartitions(2), grass.WithShards(2),
-		grass.WithFold(func(r grass.JobResult) {
-			if r.JobID != next {
-				t.Fatalf("fold got job %d at position %d — not ascending JobID order", r.JobID, next)
-			}
-			if !reflect.DeepEqual(r, part2.Results[next]) {
-				t.Fatalf("folded job %d differs from accumulated result", r.JobID)
-			}
-			next++
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != tc.Jobs {
-		t.Fatalf("fold saw %d jobs, want %d", next, tc.Jobs)
-	}
-	if len(folded.Results) != 0 {
-		t.Fatal("WithFold still accumulated results")
+		if len(acc.Results) != tc.Jobs {
+			t.Fatalf("parts=%d: run returned %d results, want %d", parts, len(acc.Results), tc.Jobs)
+		}
+		// The fold runs on the merge goroutine, so it reports with Errorf.
+		next := 0
+		folded, err := grass.SimulateTrace(smallSim(7), tc, "gs",
+			grass.WithPartitions(parts),
+			grass.WithFold(func(r grass.JobResult) {
+				if r.JobID != next {
+					t.Errorf("parts=%d: fold got job %d at position %d — not ascending JobID order", parts, r.JobID, next)
+				} else if !reflect.DeepEqual(r, acc.Results[next]) {
+					t.Errorf("parts=%d: folded job %d differs from accumulated result", parts, r.JobID)
+				}
+				next++
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != tc.Jobs {
+			t.Fatalf("parts=%d: fold saw %d jobs, want %d", parts, next, tc.Jobs)
+		}
+		if len(folded.Results) != 0 {
+			t.Fatalf("parts=%d: WithFold still accumulated results", parts)
+		}
 	}
 
 	if _, err := grass.SimulateTrace(smallSim(7), tc, "nope"); err == nil {
@@ -239,5 +235,38 @@ func TestSimulateTraceOptions(t *testing.T) {
 	bad.Jobs = 0
 	if _, err := grass.SimulateTrace(smallSim(7), bad, "gs"); err == nil {
 		t.Fatal("invalid trace config accepted")
+	}
+}
+
+// TestWithContextCancels: a pre-cancelled WithContext makes every entry
+// point return context.Canceled before any job finishes — SimulateTrace at
+// one and two partitions, and SimulateSource, each with and without
+// WithFold.
+func TestWithContextCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tc := smallTrace(grass.MixedBound, 9)
+	for _, fold := range []bool{false, true} {
+		seen := 0
+		opts := []grass.SimOption{grass.WithContext(ctx)}
+		if fold {
+			opts = append(opts, grass.WithFold(func(grass.JobResult) { seen++ }))
+		}
+		for _, parts := range []int{1, 2} {
+			_, err := grass.SimulateTrace(smallSim(9), tc, "gs", append(opts, grass.WithPartitions(parts))...)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("SimulateTrace parts=%d fold=%v: %v, want context.Canceled", parts, fold, err)
+			}
+		}
+		stream, err := grass.StreamTrace(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := grass.SimulateSource(smallSim(9), "gs", stream, opts...); !errors.Is(err, context.Canceled) {
+			t.Errorf("SimulateSource fold=%v: %v, want context.Canceled", fold, err)
+		}
+		if seen != 0 {
+			t.Errorf("fold=%v: a pre-cancelled run folded %d results", fold, seen)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	parallel.Workers = 8
 
 	// PotentialGains exercises runScenario (policy × seed grid); the
-	// Improvement path is covered by TestImprovementWorkerInvariance.
+	// paired improvement is covered by TestImprovementWorkerInvariance.
 	a := render(t, serial, PotentialGains)
 	b := render(t, parallel, PotentialGains)
 	if !bytes.Equal(a, b) {
@@ -42,8 +42,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestImprovementWorkerInvariance pins Improvement's paired-seed fan-out to
-// the serial result.
+// TestImprovementWorkerInvariance pins the paired-seed improvement
+// (runScenario plus runSet.improvement) to the serial result.
 func TestImprovementWorkerInvariance(t *testing.T) {
 	serial := tiny()
 	serial.Workers = 1
@@ -52,16 +52,16 @@ func TestImprovementWorkerInvariance(t *testing.T) {
 	parallel.Workers = 6
 
 	get := func(c Config) float64 {
-		v, err := c.Improvement(trace.Facebook, trace.Hadoop, trace.ErrorBound,
-			"late", "grass", 1, nil, metrics.SpeedupPct)
+		rs, err := c.runScenario(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1,
+			[]policySpec{named("late"), named("grass")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return rs.improvement("late", "grass", metrics.SpeedupPct, nil)
 	}
 	a, b := get(serial), get(parallel)
 	if a != b {
-		t.Fatalf("Improvement differs across worker counts: %v (1 worker) vs %v (6 workers)", a, b)
+		t.Fatalf("improvement differs across worker counts: %v (1 worker) vs %v (6 workers)", a, b)
 	}
 }
 

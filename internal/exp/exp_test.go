@@ -77,12 +77,12 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestRunProducesResults(t *testing.T) {
-	rs, err := tiny().Run(trace.Facebook, trace.Hadoop, trace.DeadlineBound, "late", 1, 1)
+	rs, err := tiny().runScenario(trace.Facebook, trace.Hadoop, trace.DeadlineBound, 1, []policySpec{named("late")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 40 {
-		t.Fatalf("%d results", len(rs))
+	if runs := rs["late"]; len(runs) != 1 || len(runs[0]) != 40 {
+		t.Fatalf("%d runs, want one of 40 results", len(runs))
 	}
 }
 

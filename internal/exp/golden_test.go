@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/metrics"
+	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -46,17 +47,16 @@ func TestGoldenHeadlineMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Quick() simulation")
 	}
-	cfg := Quick()
-	acc, err := cfg.Improvement(trace.Facebook, trace.Hadoop, trace.DeadlineBound,
-		"late", "grass", 1, nil, metrics.AccuracyImprovementPct)
-	if err != nil {
-		t.Fatal(err)
+	improvement := func(b trace.BoundMode, metric func(base, treat []sched.JobResult) float64) float64 {
+		rs, err := Quick().runScenario(trace.Facebook, trace.Hadoop, b, 1,
+			[]policySpec{named("late"), named("grass")}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.improvement("late", "grass", metric, nil)
 	}
-	spd, err := cfg.Improvement(trace.Facebook, trace.Hadoop, trace.ErrorBound,
-		"late", "grass", 1, nil, metrics.SpeedupPct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acc := improvement(trace.DeadlineBound, metrics.AccuracyImprovementPct)
+	spd := improvement(trace.ErrorBound, metrics.SpeedupPct)
 	t.Logf("deadline accuracy improvement %% = %.12f", acc)
 	t.Logf("error-bound speedup %% = %.12f", spd)
 	if math.Abs(acc-goldenDeadlineAccImprovementPct) > goldenTolerance {

@@ -147,50 +147,6 @@ func (c Config) TraceConfig(w trace.Workload, fw trace.Framework, b trace.BoundM
 	return tc
 }
 
-// Run simulates one (workload, framework, bound, policy, seed) cell and
-// returns its results. The trace is streamed into the simulator — identical
-// results to materializing it, without holding the whole trace.
-func (c Config) Run(w trace.Workload, fw trace.Framework, b trace.BoundMode, policy string, seed int64, dagLen int) ([]sched.JobResult, error) {
-	tc := c.TraceConfig(w, fw, b, seed)
-	if dagLen > 1 {
-		tc.DAGLength = dagLen
-	}
-	stream, err := trace.NewStream(tc)
-	if err != nil {
-		return nil, err
-	}
-	factory, oracleMode, err := NewFactory(policy, seed)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := sched.New(c.SchedConfig(fw, seed, oracleMode), factory)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := sim.RunSource(stream)
-	if err != nil {
-		return nil, err
-	}
-	return stats.Results, nil
-}
-
-// Improvement runs base and treat policies over the config's seeds on
-// identical traces and returns the median improvement percentage computed by
-// metric on each paired run, optionally restricted by filter. The paired
-// simulations fan out over the config's worker pool; results land in
-// per-run slots so the median is identical for any worker count.
-func (c Config) Improvement(w trace.Workload, fw trace.Framework, b trace.BoundMode,
-	base, treat string, dagLen int,
-	filter func(sched.JobResult) bool,
-	metric func(base, treat []sched.JobResult) float64) (float64, error) {
-
-	rs, err := c.runScenario(w, fw, b, dagLen, []policySpec{named(base), named(treat)}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return rs.improvement(base, treat, metric, filter), nil
-}
-
 func filterResults(rs []sched.JobResult, keep func(sched.JobResult) bool) []sched.JobResult {
 	out := rs[:0:0]
 	for _, r := range rs {

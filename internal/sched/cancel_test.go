@@ -181,46 +181,34 @@ func TestCancelLeavesFreshRunsIntact(t *testing.T) {
 	}
 }
 
-// TestRunShardedCancel: a cancelled ShardedRun returns ctx.Err() for both
-// the plain reduction and the multi-partition path, with every worker and
-// the merge goroutine shut down (no deadlock — the test completing is the
+// TestRunShardedCancel: a cancelled ShardedRun returns ctx.Err() at one
+// and three partitions, in accumulate and fold modes (fold mode exercises
+// the merge goroutine's shutdown path too), with every worker and the
+// merge goroutine shut down (no deadlock — the test completing is the
 // assertion).
 func TestRunShardedCancel(t *testing.T) {
 	tc := sourceTestTrace(1)
 	for _, parts := range []int{1, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := RunSharded(ShardedRun{
-			Config:  sourceTestConfig(),
-			Parts:   parts,
-			Workers: 2,
-			Ctx:     ctx,
-			NewFactory: func(seed int64) (spec.Factory, error) {
-				return spec.Stateless(spec.NewGS()), nil
-			},
-			NewSource: func(p int) (Source, error) { return trace.NewShardStream(tc, p, parts) },
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parts=%d: cancelled sharded run: %v, want context.Canceled", parts, err)
+		for _, fold := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			run := ShardedRun{
+				Config:  sourceTestConfig(),
+				Parts:   parts,
+				Workers: 2,
+				Ctx:     ctx,
+				NewFactory: func(seed int64) (spec.Factory, error) {
+					return spec.Stateless(spec.NewGS()), nil
+				},
+				NewSource: func(p int) (Source, error) { return trace.NewShardStream(tc, p, parts) },
+			}
+			if fold {
+				run.OnResult = func(JobResult) {}
+				run.Jobs = tc.Jobs
+			}
+			if _, err := RunSharded(run); !errors.Is(err, context.Canceled) {
+				t.Fatalf("parts=%d fold=%v: cancelled sharded run: %v, want context.Canceled", parts, fold, err)
+			}
 		}
-	}
-
-	// Fold mode exercises the merge goroutine's shutdown path too.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunSharded(ShardedRun{
-		Config:  sourceTestConfig(),
-		Parts:   3,
-		Workers: 3,
-		Ctx:     ctx,
-		Jobs:    tc.Jobs,
-		NewFactory: func(seed int64) (spec.Factory, error) {
-			return spec.Stateless(spec.NewGS()), nil
-		},
-		NewSource: func(p int) (Source, error) { return trace.NewShardStream(tc, p, 3) },
-		OnResult:  func(JobResult) {},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fold-mode sharded run: %v, want context.Canceled", err)
 	}
 }

@@ -136,9 +136,9 @@ func TestShardedLearnedSeedEpoch(t *testing.T) {
 	}
 }
 
-// TestShardedLearnedPlainPath: Parts == 1 rides the plain-engine
-// reduction and still exports state; non-mergeable learners (the default
-// ring store) export nil.
+// TestShardedLearnedPlainPath: Parts == 1, the plain engine, still
+// exports state; non-mergeable learners (the default ring store) export
+// nil.
 func TestShardedLearnedPlainPath(t *testing.T) {
 	cfg := shardTestConfig(3, false)
 	tc := shardTestTrace(60, 13, false)

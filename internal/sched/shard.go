@@ -14,23 +14,24 @@
 // applies to main-memory analytics: shards share no state at all, so they
 // scale linearly and need no locks.
 //
-// The shard count K is pure execution parallelism over those P
-// partitions and has NO semantic effect: every partition's output is a
-// pure function of (Config, Seed, part, Parts), and the merge folds the
-// per-partition results in canonical order, so RunStats are byte-identical
-// for any K — one worker or sixteen, any GOMAXPROCS, any interleaving.
-// P = 1 IS the plain engine: ShardSeed returns the seed unchanged,
-// ShardConfig returns the config unchanged, and RunSharded runs one
-// Simulator with no goroutines, so the unsharded goldens hold exactly.
-// The differential tests hold RunSharded to DeepEqual against a
-// hand-composed sequence of plain-engine runs for every policy.
+// The partition count P is the only parallelism setting: RunSharded runs
+// one goroutine per partition by default. The worker count has NO
+// semantic effect: every partition's output is a pure function of
+// (Config, Seed, part, Parts), and the merge folds the per-partition
+// results in canonical order, so RunStats are byte-identical for any
+// worker count, any GOMAXPROCS, any interleaving. Every P takes the same
+// path, P = 1 included, and P = 1 IS the plain engine: ShardSeed returns
+// the seed unchanged, ShardConfig returns the config unchanged, and
+// MergeShardStats returns the one partition's RunStats untouched, so the
+// unsharded goldens hold exactly. The differential tests hold RunSharded
+// to DeepEqual against a hand-composed sequence of plain-engine runs for
+// every policy.
 
 package sched
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,9 +89,9 @@ type ShardedRun struct {
 	// cluster and trace are split. 1 reduces to the plain engine. It must
 	// not exceed the cluster's machine count.
 	Parts int
-	// Workers is the number of goroutines executing partitions — the
-	// execution parallelism. It never affects results; 0 means
-	// min(Parts, GOMAXPROCS).
+	// Workers is the number of goroutines executing partitions. It never
+	// affects results; 0 means one goroutine per partition, and values
+	// above Parts are clamped. Tests set fewer to check that invariance.
 	Workers int
 	// NewFactory builds the policy factory for one partition. Policy
 	// state (GRASS's learner) must not be shared across partitions, so
@@ -105,12 +106,11 @@ type ShardedRun struct {
 	//
 	// The merge never blocks a partition: out-of-order completions buffer
 	// until their IDs come up, so the buffer holds the partitions'
-	// completion SKEW. With Workers >= Parts every partition runs
-	// concurrently and the skew is the in-flight window (small); with
-	// fewer workers a partition can run to completion before the
-	// partition owning the merge frontier even starts, and the buffer
-	// grows to that partition's whole result set — run trace-scale folds
-	// with Workers == Parts.
+	// completion SKEW. With the default one worker per partition every
+	// partition runs concurrently and the skew is the in-flight window
+	// (small); with fewer workers a partition can run to completion before
+	// the partition owning the merge frontier even starts, and the buffer
+	// grows to that partition's whole result set.
 	OnResult func(JobResult)
 	// Jobs is the total job count when OnResult is set: the merge layer
 	// interleaves the partition streams by the dense ID sequence
@@ -167,15 +167,9 @@ func RunSharded(r ShardedRun) (*RunStats, error) {
 	if r.OnResult != nil && r.Jobs <= 0 {
 		return nil, fmt.Errorf("sched: sharded OnResult needs the total job count")
 	}
-	if r.Parts == 1 {
-		return r.runPlain()
-	}
 
 	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > r.Parts {
+	if workers <= 0 || workers > r.Parts {
 		workers = r.Parts
 	}
 
@@ -255,65 +249,7 @@ func RunSharded(r ShardedRun) (*RunStats, error) {
 	if r.OnLearned != nil {
 		r.OnLearned(MergeLearnedStates(learned))
 	}
-	merged := MergeShardStats(r.Config, r.Parts, stats)
-	return merged, nil
-}
-
-// runPlain is the Parts == 1 reduction: one plain-engine run, no
-// goroutines. OnResult still delivers in ascending JobID order — the
-// sharded contract — via an inline reorder bounded by the engine's
-// in-flight window (the single engine admits IDs in order, so a result
-// waits only for lower-ID jobs still running).
-func (r ShardedRun) runPlain() (*RunStats, error) {
-	factory, err := r.NewFactory(r.Config.Seed)
-	if err != nil {
-		return nil, err
-	}
-	seedLearned(factory, r.Learned)
-	sim, err := New(r.Config, factory)
-	if err != nil {
-		return nil, err
-	}
-	if r.Ctx != nil {
-		sim.SetContext(r.Ctx)
-	}
-	var pending map[int]JobResult
-	nextID := 0
-	if r.OnResult != nil {
-		pending = make(map[int]JobResult)
-		sim.OnResult(func(res JobResult) {
-			pending[res.JobID] = res
-			for {
-				q, ok := pending[nextID]
-				if !ok {
-					return
-				}
-				delete(pending, nextID)
-				nextID++
-				r.OnResult(q)
-			}
-		})
-	}
-	src, err := r.NewSource(0)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	stats, err := sim.RunSource(src)
-	if r.Walls != nil && len(r.Walls) > 0 {
-		r.Walls[0] = time.Since(t0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if r.OnResult != nil && (nextID != r.Jobs || len(pending) > 0) {
-		return nil, fmt.Errorf("sched: sharded fold saw %d of %d jobs with %d stranded (IDs must be dense from 0)",
-			nextID, r.Jobs, len(pending))
-	}
-	if r.OnLearned != nil {
-		r.OnLearned(exportLearned(factory))
-	}
-	return stats, nil
+	return MergeShardStats(r.Config, r.Parts, stats), nil
 }
 
 // seedLearned pre-loads a factory with merged learned state when both
@@ -469,7 +405,8 @@ func (m *shardMerge) run(parts, jobs int, fold func(JobResult)) error {
 // MergeShardStats folds per-partition RunStats into the partitioned run's
 // aggregate, in ascending partition order — the canonical merge, exported
 // so the differential harness can compose plain-engine runs exactly the
-// way RunSharded does:
+// way RunSharded does. With one partition, its RunStats are returned
+// untouched; with more, the fields merge as follows:
 //
 //   - Results: concatenated and sorted by JobID (the plain engine's
 //     ordering). Empty when the run streamed results through OnResult.
@@ -483,6 +420,11 @@ func (m *shardMerge) run(parts, jobs int, fold func(JobResult)) error {
 //     accuracies — a deterministic diagnostic (per-partition sample
 //     counts are not retained, so exact pooling is not reconstructable).
 func MergeShardStats(cfg Config, parts int, stats []*RunStats) *RunStats {
+	if parts == 1 {
+		// One partition is the plain engine: recomputing the utilization
+		// and accuracy means would change their low bits.
+		return stats[0]
+	}
 	merged := &RunStats{}
 	var busyIntegral, accWeighted float64
 	var totalSlots int

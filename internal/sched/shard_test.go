@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/estimate"
 	"github.com/approx-analytics/grass/internal/spec"
+	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -166,8 +168,9 @@ func TestShardConfigReduction(t *testing.T) {
 // for every one of the seven policy families: RunSharded's RunStats are
 // DeepEqual to the unsharded engine — directly on the full trace for
 // Parts=1, and composed per-partition for Parts=3 — for worker counts
-// 1, 2, 3 and 8. Identical stats across every K is exactly the "byte-
-// identical for any shard count" contract: K never touches the model.
+// 1, 2, 3 and 8. Identical stats across every worker count is exactly the
+// "byte-identical for any worker count" contract: workers never touch the
+// model.
 func TestShardedMatchesUnshardedEngine(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
@@ -189,9 +192,9 @@ func TestShardedMatchesUnshardedEngine(t *testing.T) {
 }
 
 // TestShardedFoldCanonicalOrder: with OnResult set, results arrive in
-// ascending dense JobID order for any partition count — including the
-// Parts=1 plain reduction, whose engine naturally completes jobs out of ID
-// order — and carry exactly the values of the accumulate-mode Results.
+// ascending dense JobID order for any partition count — including
+// Parts=1, whose one engine naturally completes jobs out of ID order — and
+// carry exactly the values of the accumulate-mode Results.
 func TestShardedFoldCanonicalOrder(t *testing.T) {
 	cfg := shardTestConfig(13, false)
 	tc := shardTestTrace(50, 13, false)
@@ -366,6 +369,68 @@ func TestRunShardedErrorPropagation(t *testing.T) {
 		_, err := RunSharded(run)
 		if err == nil || err.Error() != "boom part 2" {
 			t.Fatalf("fold=%v: error %v, want the failing partition's own", fold, err)
+		}
+	}
+}
+
+// skipSource drops one job ID from its inner source's stream.
+type skipSource struct {
+	Source
+	skip int
+}
+
+func (s skipSource) Next() (*task.Job, bool) {
+	for {
+		j, ok := s.Source.Next()
+		if !ok || j.ID != s.skip {
+			return j, ok
+		}
+	}
+}
+
+// TestShardedFoldRejectsNonDenseIDs: a fold needs the sources to emit the
+// dense IDs 0..Jobs-1 exactly. A gap in the IDs and an ID beyond Jobs
+// must each fail the run with the merge's diagnostic, and not hang it,
+// at one partition and at three.
+func TestShardedFoldRejectsNonDenseIDs(t *testing.T) {
+	cfg := shardTestConfig(29, false)
+	tc := shardTestTrace(30, 29, false)
+	cases := []struct {
+		name, want string
+		skip, jobs int
+	}{
+		{"gap", "without job 4's result", 4, tc.Jobs},
+		{"beyond Jobs", "beyond the", -1, tc.Jobs - 1},
+	}
+	for _, c := range cases {
+		for _, parts := range []int{1, 3} {
+			folded := 0
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunSharded(ShardedRun{
+					Config:     cfg,
+					Parts:      parts,
+					NewFactory: shardFactory("gs"),
+					NewSource: func(p int) (Source, error) {
+						src, err := trace.NewShardStream(tc, p, parts)
+						return skipSource{Source: src, skip: c.skip}, err
+					},
+					OnResult: func(JobResult) { folded++ },
+					Jobs:     c.jobs,
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s parts=%d: error %v, want one containing %q", c.name, parts, err, c.want)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatalf("%s parts=%d: fold over non-dense IDs hung", c.name, parts)
+			}
+			if c.skip >= 0 && folded != c.skip {
+				t.Errorf("%s parts=%d: folded %d results before the gap, want %d", c.name, parts, folded, c.skip)
+			}
 		}
 	}
 }

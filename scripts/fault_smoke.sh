@@ -63,19 +63,19 @@ check() { # check <name> <golden-file> ... produces stdin
 # 4 ways. Crashes kill running copies mid-flight and force respeculation,
 # so this exercises the Lost accounting and the restart slot bookkeeping at
 # trace scale, across the partition split and the deterministic merge.
-"$bin/grass-bench" -jobs 100000 -scenario crashy -shards 4 -policy gs \
+"$bin/grass-bench" -jobs 100000 -scenario crashy -partitions 4 -policy gs \
   | canon | check "crashy sharded replay" "$GOLDEN/crashy_replay_100k.txt"
 
 # Preset coverage: every other named scenario at a size CI can afford.
 for sc in rack-storm contended overload-mixed; do
-  "$bin/grass-bench" -jobs 1000 -scenario "$sc" -shards 2 -policy gs \
+  "$bin/grass-bench" -jobs 1000 -scenario "$sc" -partitions 2 -policy gs \
     | canon | check "$sc replay" "$GOLDEN/${sc}_replay_1k.txt"
 done
 
 # -fault-seed must move the fault timeline without touching anything else:
 # the same rack-storm replay under a pinned fault seed has to diverge from
 # the default-derived schedule (if it doesn't, the flag is dead).
-reseeded=$("$bin/grass-bench" -jobs 1000 -scenario rack-storm -shards 2 -policy gs -fault-seed 42 | canon)
+reseeded=$("$bin/grass-bench" -jobs 1000 -scenario rack-storm -partitions 2 -policy gs -fault-seed 42 | canon)
 if printf '%s\n' "$reseeded" | diff -q "$GOLDEN/rack-storm_replay_1k.txt" - >/dev/null 2>&1; then
   echo "FAIL: -fault-seed 42 produced the default fault timeline" >&2
   exit 1
@@ -84,8 +84,8 @@ echo "OK: -fault-seed moves the fault timeline"
 
 # "-scenario none" and no flag at all are the same benign cluster, and a
 # benign replay must render no fault-scenario line.
-plain=$("$bin/grass-bench" -jobs 1000 -shards 2 -policy gs | canon)
-none=$("$bin/grass-bench" -jobs 1000 -shards 2 -policy gs -scenario none | canon)
+plain=$("$bin/grass-bench" -jobs 1000 -partitions 2 -policy gs | canon)
+none=$("$bin/grass-bench" -jobs 1000 -partitions 2 -policy gs -scenario none | canon)
 if [ "$plain" != "$none" ]; then
   echo "FAIL: -scenario none diverged from the benign default" >&2
   exit 1

@@ -20,13 +20,13 @@
 #     accidental revert of the allocation-free dispatch, the event and
 #     copy pooling, the incremental views, the job-state recycling or the
 #     struct-of-arrays task block fails CI. These same ceilings are the
-#     "per-event ceiling at K=1" gate for the sharded engine: one
-#     partition IS the plain engine, so the walls hold for sharded K=1 by
+#     "per-event ceiling at P=1" gate for the sharded engine: one
+#     partition IS the plain engine, so the walls hold for sharded P=1 by
 #     construction. Tighten the thresholds when BENCH_sim.json advances.
 #   - BenchmarkShardedReplay's "balance" metric (Σ partition walls / max
 #     partition wall at 4 partitions) must stay ≥ 2.5: it is the
-#     machine-independent ceiling on what 4 shard workers can gain, so a
-#     partitioner change that skews load (and silently caps -shards
+#     machine-independent ceiling on what 4 partitions can gain, so a
+#     partitioner change that skews load (and silently caps -partitions
 #     speedup below the acceptance floor) fails here even on a single-core
 #     runner. Unlike the alloc gates this one is timing-derived, so the
 #     wall takes the BEST balance across the three workers= variants

@@ -69,9 +69,9 @@ check() { # check <name> <golden-file> ... produces stdin
 "$bin/grass-trace" stat -format google -in "$GOOGLE" | check "google stat" "$GOLDEN/google_stat.txt"
 
 # End-to-end sharded replays of both formats through the real simulator.
-"$bin/grass-bench" -trace-file "$SWIM" -trace-format swim -shards 4 -policy gs \
+"$bin/grass-bench" -trace-file "$SWIM" -trace-format swim -partitions 4 -policy gs \
   | canon | check "swim sharded replay" "$GOLDEN/swim_replay.txt"
-"$bin/grass-bench" -trace-file "$GOOGLE" -trace-format google -shards 4 -policy gs \
+"$bin/grass-bench" -trace-file "$GOOGLE" -trace-format google -partitions 4 -policy gs \
   | canon | check "google sharded replay" "$GOLDEN/google_replay.txt"
 
 # Converter round-trip: the JSON stream must decode and stay stable too.
