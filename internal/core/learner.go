@@ -200,21 +200,6 @@ func (l *Learner) match(bin task.SizeBin, p samplePolicy, waves, estAcc float64)
 	return all
 }
 
-// PredictFrac estimates the fraction of tasks a job of this size bin would
-// complete in t time units under pure policy p, given the current waves and
-// estimation-accuracy context. ok is false when no samples exist.
-func (l *Learner) PredictFrac(p samplePolicy, bin task.SizeBin, waves, estAcc, t float64) (frac float64, ok bool) {
-	ms := l.match(bin, p, waves, estAcc)
-	if len(ms) == 0 {
-		return 0, false
-	}
-	sum := 0.0
-	for _, s := range ms {
-		sum += s.curve.FracAt(t)
-	}
-	return sum / float64(len(ms)), true
-}
-
 // Aggregate returns the average completion curve of the matched samples: at
 // a grid of times spanning the samples, the mean completed fraction. The
 // result is cached until the next Record. ok is false with no samples.
@@ -247,26 +232,4 @@ func (l *Learner) Aggregate(p samplePolicy, bin task.SizeBin, waves, estAcc floa
 	}
 	l.aggCache[key] = aggEntry{version: l.version, curve: c}
 	return c, c != nil
-}
-
-// PredictTime estimates the time a job of this size bin needs to complete
-// fraction f of its tasks under pure policy p. ok is false when no samples
-// exist or no sample provides a finite estimate.
-func (l *Learner) PredictTime(p samplePolicy, bin task.SizeBin, waves, estAcc, f float64) (t float64, ok bool) {
-	ms := l.match(bin, p, waves, estAcc)
-	if len(ms) == 0 {
-		return 0, false
-	}
-	sum, n := 0.0, 0
-	for _, s := range ms {
-		v := s.curve.TimeToFrac(f)
-		if !math.IsInf(v, 1) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
 }

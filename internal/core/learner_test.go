@@ -16,6 +16,22 @@ func mkCurve(dur, final float64) *Curve {
 	return &c
 }
 
+// meanDuration is the mean duration of the samples match selects for a
+// query (an mkCurve sample's duration is its final time); ok is false when
+// nothing matches.
+func meanDuration(l *Learner, p samplePolicy, bin task.SizeBin, waves, estAcc float64) (float64, bool) {
+	ms := l.match(bin, p, waves, estAcc)
+	if len(ms) == 0 {
+		return 0, false
+	}
+	sum := 0.0
+	for _, s := range ms {
+		t, _ := s.curve.Final()
+		sum += t
+	}
+	return sum / float64(len(ms)), true
+}
+
 func TestBuckets(t *testing.T) {
 	if wavesBucket(0.5) != 0 || wavesBucket(1) != 0 || wavesBucket(1.5) != 1 ||
 		wavesBucket(3) != 2 || wavesBucket(10) != 3 {
@@ -28,20 +44,22 @@ func TestBuckets(t *testing.T) {
 
 func TestLearnerRecordAndPredict(t *testing.T) {
 	l := NewLearner(AllFactors())
-	if _, ok := l.PredictFrac(sampleGS, task.Small, 2, 0.7, 1); ok {
-		t.Fatal("empty learner predicted")
+	if _, ok := l.Aggregate(sampleGS, task.Small, 2, 0.7); ok {
+		t.Fatal("empty learner aggregated")
 	}
 	l.Record(sampleGS, task.Small, 2, 0.7, mkCurve(10, 1))
 	if l.Samples(task.Small, sampleGS) != 1 {
 		t.Fatal("sample not stored")
 	}
-	got, ok := l.PredictFrac(sampleGS, task.Small, 2, 0.7, 5)
-	if !ok || math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("PredictFrac = %v ok=%v, want 0.5", got, ok)
+	c, ok := l.Aggregate(sampleGS, task.Small, 2, 0.7)
+	if !ok {
+		t.Fatal("aggregate failed")
 	}
-	tt, ok := l.PredictTime(sampleGS, task.Small, 2, 0.7, 0.5)
-	if !ok || math.Abs(tt-5) > 1e-9 {
-		t.Fatalf("PredictTime = %v ok=%v, want 5", tt, ok)
+	if got := c.FracAt(5); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("FracAt(5) = %v, want 0.5", got)
+	}
+	if got := c.TimeToFrac(0.5); math.Abs(got-5) > 1e-9 {
+		t.Fatalf("TimeToFrac(0.5) = %v, want 5", got)
 	}
 }
 
@@ -49,8 +67,11 @@ func TestLearnerAverages(t *testing.T) {
 	l := NewLearner(AllFactors())
 	l.Record(sampleRAS, task.Medium, 2, 0.7, mkCurve(10, 1))
 	l.Record(sampleRAS, task.Medium, 2, 0.7, mkCurve(20, 1))
-	got, ok := l.PredictFrac(sampleRAS, task.Medium, 2, 0.7, 10)
-	if !ok || math.Abs(got-0.75) > 1e-9 { // (1.0 + 0.5)/2
+	c, ok := l.Aggregate(sampleRAS, task.Medium, 2, 0.7)
+	if !ok {
+		t.Fatal("aggregate failed")
+	}
+	if got := c.FracAt(10); math.Abs(got-0.75) > 1e-9 { // (1.0 + 0.5)/2
 		t.Fatalf("average prediction %v, want 0.75", got)
 	}
 }
@@ -79,9 +100,9 @@ func TestLearnerSeparatesPoliciesAndBins(t *testing.T) {
 	l.Record(sampleGS, task.Small, 2, 0.7, mkCurve(10, 1))
 	l.Record(sampleRAS, task.Small, 2, 0.7, mkCurve(100, 1))
 	l.Record(sampleGS, task.Large, 2, 0.7, mkCurve(1000, 1))
-	gsT, _ := l.PredictTime(sampleGS, task.Small, 2, 0.7, 1)
-	rasT, _ := l.PredictTime(sampleRAS, task.Small, 2, 0.7, 1)
-	lgT, _ := l.PredictTime(sampleGS, task.Large, 2, 0.7, 1)
+	gsT, _ := meanDuration(l, sampleGS, task.Small, 2, 0.7)
+	rasT, _ := meanDuration(l, sampleRAS, task.Small, 2, 0.7)
+	lgT, _ := meanDuration(l, sampleGS, task.Large, 2, 0.7)
 	if gsT != 10 || rasT != 100 || lgT != 1000 {
 		t.Fatalf("cross-contamination: %v %v %v", gsT, rasT, lgT)
 	}
@@ -95,11 +116,11 @@ func TestLearnerFactorMatching(t *testing.T) {
 		l.Record(sampleGS, task.Medium, 2, 0.9, mkCurve(10, 1))
 		l.Record(sampleGS, task.Medium, 10, 0.9, mkCurve(100, 1))
 	}
-	fast, ok := l.PredictTime(sampleGS, task.Medium, 2, 0.9, 1)
+	fast, ok := meanDuration(l, sampleGS, task.Medium, 2, 0.9)
 	if !ok || fast != 10 {
 		t.Fatalf("waves=2 prediction %v, want 10 (only fast samples)", fast)
 	}
-	slow, ok := l.PredictTime(sampleGS, task.Medium, 10, 0.9, 1)
+	slow, ok := meanDuration(l, sampleGS, task.Medium, 10, 0.9)
 	if !ok || slow != 100 {
 		t.Fatalf("waves=10 prediction %v, want 100 (only slow samples)", slow)
 	}
@@ -112,7 +133,7 @@ func TestLearnerFactorDisabled(t *testing.T) {
 		l.Record(sampleGS, task.Medium, 2, 0.9, mkCurve(10, 1))
 		l.Record(sampleGS, task.Medium, 10, 0.9, mkCurve(100, 1))
 	}
-	got, ok := l.PredictTime(sampleGS, task.Medium, 2, 0.9, 1)
+	got, ok := meanDuration(l, sampleGS, task.Medium, 2, 0.9)
 	if !ok || math.Abs(got-55) > 1e-9 {
 		t.Fatalf("Best-1 prediction %v, want mixed 55", got)
 	}
@@ -124,24 +145,9 @@ func TestLearnerFallbackWhenBucketSparse(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Record(sampleRAS, task.Small, 10, 0.9, mkCurve(50, 1))
 	}
-	got, ok := l.PredictTime(sampleRAS, task.Small, 1, 0.5, 1)
+	got, ok := meanDuration(l, sampleRAS, task.Small, 1, 0.5)
 	if !ok || got != 50 {
 		t.Fatalf("fallback prediction %v ok=%v, want 50", got, ok)
-	}
-}
-
-func TestPredictTimeSkipsInfinite(t *testing.T) {
-	l := NewLearner(AllFactors())
-	var dead Curve
-	dead.Add(5, 0) // job that completed nothing
-	l.Record(sampleGS, task.Small, 2, 0.7, &dead)
-	if _, ok := l.PredictTime(sampleGS, task.Small, 2, 0.7, 0.5); ok {
-		t.Fatal("prediction from all-infinite samples should fail")
-	}
-	l.Record(sampleGS, task.Small, 2, 0.7, mkCurve(10, 1))
-	got, ok := l.PredictTime(sampleGS, task.Small, 2, 0.7, 0.5)
-	if !ok || got != 5 {
-		t.Fatalf("finite sample ignored: %v ok=%v", got, ok)
 	}
 }
 
@@ -208,7 +214,7 @@ func TestBucketsRejectNaN(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Record(sampleGS, task.Small, math.NaN(), math.NaN(), mkCurve(10, 1))
 	}
-	got, ok := l.PredictTime(sampleGS, task.Small, math.NaN(), math.NaN(), 1)
+	got, ok := meanDuration(l, sampleGS, task.Small, math.NaN(), math.NaN())
 	if !ok || got != 10 {
 		t.Fatalf("NaN-factored query missed NaN-factored samples: %v ok=%v", got, ok)
 	}
@@ -226,7 +232,7 @@ func TestLearnerRingWraparound(t *testing.T) {
 		t.Fatalf("ring grew past capacity: %d", got)
 	}
 	want := (float64(l.maxPerKey-1)*10 + 100) / float64(l.maxPerKey)
-	got, ok := l.PredictTime(sampleGS, task.Large, 2, 0.9, 1)
+	got, ok := meanDuration(l, sampleGS, task.Large, 2, 0.9)
 	if !ok || math.Abs(got-want) > 1e-9 {
 		t.Fatalf("post-wraparound prediction %v, want %v", got, want)
 	}
@@ -234,7 +240,7 @@ func TestLearnerRingWraparound(t *testing.T) {
 	for i := 0; i < l.maxPerKey; i++ {
 		l.Record(sampleGS, task.Large, 2, 0.9, mkCurve(100, 1))
 	}
-	got, ok = l.PredictTime(sampleGS, task.Large, 2, 0.9, 1)
+	got, ok = meanDuration(l, sampleGS, task.Large, 2, 0.9)
 	if !ok || got != 100 {
 		t.Fatalf("full lap did not evict every old sample: %v", got)
 	}
@@ -249,22 +255,22 @@ func TestLearnerFallbackStages(t *testing.T) {
 		l.Record(sampleGS, task.Medium, 10, 0.5, mkCurve(100, 1))
 	}
 	// Stage 1 (exact): query (wb1, ab2) hits the fast samples directly.
-	if got, _ := l.PredictTime(sampleGS, task.Medium, 2, 0.9, 1); got != 10 {
+	if got, _ := meanDuration(l, sampleGS, task.Medium, 2, 0.9); got != 10 {
 		t.Errorf("exact stage: %v, want 10", got)
 	}
 	// Stage 2 (relax accuracy): (wb1, ab0) has no exact match; waves-only
 	// still isolates the fast samples.
-	if got, _ := l.PredictTime(sampleGS, task.Medium, 2, 0.5, 1); got != 10 {
+	if got, _ := meanDuration(l, sampleGS, task.Medium, 2, 0.5); got != 10 {
 		t.Errorf("relax-acc stage: %v, want 10", got)
 	}
 	// Stage 3 (relax waves): (wb2, ab2) matches nothing by waves; acc-only
 	// isolates the fast samples.
-	if got, _ := l.PredictTime(sampleGS, task.Medium, 3, 0.9, 1); got != 10 {
+	if got, _ := meanDuration(l, sampleGS, task.Medium, 3, 0.9); got != 10 {
 		t.Errorf("relax-waves stage: %v, want 10", got)
 	}
 	// Stage 4 (all): (wb2, ab1) matches nothing by either factor; the
 	// whole size bin mixes.
-	if got, _ := l.PredictTime(sampleGS, task.Medium, 3, 0.7, 1); got != 55 {
+	if got, _ := meanDuration(l, sampleGS, task.Medium, 3, 0.7); got != 55 {
 		t.Errorf("all stage: %v, want mixed 55", got)
 	}
 }
@@ -275,7 +281,7 @@ func TestLearnerEmptyFactorSetMatchesAll(t *testing.T) {
 	// match falls straight through to the whole size bin.
 	l := NewLearner(FactorSet{})
 	l.Record(sampleRAS, task.Small, 10, 0.9, mkCurve(42, 1))
-	got, ok := l.PredictTime(sampleRAS, task.Small, 1, 0.5, 1)
+	got, ok := meanDuration(l, sampleRAS, task.Small, 1, 0.5)
 	if !ok || got != 42 {
 		t.Fatalf("empty factor set: %v ok=%v, want 42", got, ok)
 	}

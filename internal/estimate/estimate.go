@@ -1,11 +1,12 @@
 // Package estimate implements the task duration estimators of §5.1:
 //
 //   - t_rem, the remaining duration of a running copy, extrapolated from
-//     progress reports (modelled as the true remaining time perturbed by
-//     configurable relative noise — real extrapolation is linear in progress
-//     and therefore noisy in exactly this way);
+//     progress reports (modelled as the true remaining time perturbed by a
+//     persistent per-copy relative error — real extrapolation is linear in
+//     progress and therefore noisy in exactly this way);
 //   - t_new, the duration of a fresh copy, sampled from the durations of
-//     completed tasks normalized by input size.
+//     completed tasks normalized by input size, with a persistent per-task
+//     relative error.
 //
 // The paper measures moderate accuracies (72% for t_rem, 76% for t_new) and
 // feeds the measured accuracy into GRASS's switching decision; Estimator
@@ -59,8 +60,8 @@ func finiteNonNegative(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// Estimator produces noisy t_rem / t_new estimates and tracks their measured
-// accuracy. Not safe for concurrent use.
+// Estimator draws the persistent errors of t_rem / t_new estimates and
+// tracks their measured accuracy. Not safe for concurrent use.
 type Estimator struct {
 	cfg Config
 	rng *dist.RNG
@@ -96,26 +97,6 @@ func New(cfg Config, rng *dist.RNG) (*Estimator, error) {
 	}, nil
 }
 
-// noisy returns v multiplied by (1 + N(0, sigma)), floored at a small
-// positive fraction of v so estimates stay positive.
-func (e *Estimator) noisy(v, sigma float64) float64 {
-	if sigma == 0 || v == 0 {
-		return v
-	}
-	f := 1 + sigma*e.rng.Norm()
-	if f < 0.05 {
-		f = 0.05
-	}
-	return v * f
-}
-
-// TRem estimates the remaining duration of a running copy whose true
-// remaining time is trueRem. The simulator owns the ground truth; the
-// estimator injects the error a progress-based extrapolation would have.
-func (e *Estimator) TRem(trueRem float64) float64 {
-	return e.noisy(trueRem, e.cfg.TRemNoise)
-}
-
 // SampleTRemBias draws a persistent multiplicative error for one copy's
 // remaining-time estimates. Extrapolation error is systematic per copy —
 // the same skewed progress reports produce the same skew on every query —
@@ -133,6 +114,8 @@ func (e *Estimator) SampleTNewBias() float64 {
 	return e.biasFactor(e.cfg.TNewNoise)
 }
 
+// biasFactor draws 1 + N(0, sigma), floored at 0.05 so estimates stay
+// positive.
 func (e *Estimator) biasFactor(sigma float64) float64 {
 	if sigma == 0 {
 		return 1
@@ -144,16 +127,10 @@ func (e *Estimator) biasFactor(sigma float64) float64 {
 	return f
 }
 
-// TNew estimates the duration of a new copy of a task with intrinsic work
-// scale workScale, using the median of completed normalized durations
-// (§5.1: "sampling from durations of completed tasks normalized to input
-// and output sizes").
-func (e *Estimator) TNew(workScale float64) float64 {
-	return e.noisy(e.NormalizedMedian()*workScale, e.cfg.TNewNoise)
-}
-
 // NormalizedMedian returns the median completed duration per unit work, or
-// the prior before any completion.
+// the prior before any completion. A task's t_new estimate is this median
+// times its work scale times its persistent bias (§5.1: "sampling from
+// durations of completed tasks normalized to input and output sizes").
 func (e *Estimator) NormalizedMedian() float64 {
 	n := len(e.sorted)
 	if n == 0 {

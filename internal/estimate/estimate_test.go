@@ -44,21 +44,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPerfectEstimates: with zero noise both bias draws are exactly 1, so
+// a t_new estimate (median × work × bias) is the median scaled by work.
 func TestPerfectEstimates(t *testing.T) {
 	e := newTest(t, Config{Prior: 1}, 1)
-	if got := e.TRem(7.5); got != 7.5 {
-		t.Fatalf("zero-noise TRem(7.5) = %v", got)
+	if got := e.SampleTRemBias(); got != 1 {
+		t.Fatalf("zero-noise t_rem bias = %v, want 1", got)
+	}
+	if got := e.SampleTNewBias(); got != 1 {
+		t.Fatalf("zero-noise t_new bias = %v, want 1", got)
 	}
 	e.ObserveCompletion(2.0)
-	if got := e.TNew(3); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("TNew(3) with median 2 = %v, want 6", got)
+	if got := e.NormalizedMedian() * 3 * e.SampleTNewBias(); math.Abs(got-6) > 1e-12 {
+		t.Fatalf("t_new of work 3 with median 2 = %v, want 6", got)
 	}
 }
 
 func TestPriorUsedBeforeCompletions(t *testing.T) {
 	e := newTest(t, Config{Prior: 4}, 2)
-	if got := e.TNew(2); math.Abs(got-8) > 1e-12 {
-		t.Fatalf("cold-start TNew(2) = %v, want 8", got)
+	if got := e.NormalizedMedian(); got != 4 {
+		t.Fatalf("cold-start median = %v, want the prior 4", got)
 	}
 }
 
@@ -140,12 +145,23 @@ func TestNonPositiveCompletionsIgnored(t *testing.T) {
 	}
 }
 
+// TestNoiseStaysPositive: absurd noise still floors every bias at 0.05,
+// and the floor is reached.
 func TestNoiseStaysPositive(t *testing.T) {
-	e := newTest(t, Config{Prior: 1, TRemNoise: 2.0}, 6) // absurd noise
+	e := newTest(t, Config{Prior: 1, TRemNoise: 2.0, TNewNoise: 2.0}, 6)
+	floored := 0
 	for i := 0; i < 10000; i++ {
-		if v := e.TRem(5); v <= 0 {
-			t.Fatalf("TRem produced non-positive %v", v)
+		for _, v := range []float64{e.SampleTRemBias(), e.SampleTNewBias()} {
+			if v < 0.05 {
+				t.Fatalf("bias %v below the 0.05 floor", v)
+			}
+			if v == 0.05 {
+				floored++
+			}
 		}
+	}
+	if floored == 0 {
+		t.Fatal("sigma 2 never hit the 0.05 floor")
 	}
 }
 
@@ -155,8 +171,7 @@ func TestNoiseMagnitude(t *testing.T) {
 	e := newTest(t, Config{Prior: 1, TRemNoise: 0.45}, 7)
 	for i := 0; i < 20000; i++ {
 		actual := 10.0
-		est := e.TRem(actual)
-		e.RecordTRem(est, actual)
+		e.RecordTRem(actual*e.SampleTRemBias(), actual)
 	}
 	acc := e.TRemAccuracy()
 	if acc < 0.6 || acc > 0.8 {
@@ -196,21 +211,35 @@ func TestCombinedAccuracy(t *testing.T) {
 	}
 }
 
+// TestTNewUsesScale: the t_new bias is drawn independently of the median
+// and the work scale, so one task's estimate is linear in its scale and
+// completions never shift the bias draws.
 func TestTNewUsesScale(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 11)
+	cold := newTest(t, Config{Prior: 1, TNewNoise: 0.15}, 11)
+	e := newTest(t, Config{Prior: 1, TNewNoise: 0.15}, 11)
 	e.ObserveCompletion(2)
-	a, b := e.TNew(1), e.TNew(10)
-	if math.Abs(b-10*a) > 1e-9 {
-		t.Fatalf("TNew not linear in scale: %v vs %v", a, b)
+	for i := 0; i < 20; i++ {
+		bias := e.SampleTNewBias()
+		if want := cold.SampleTNewBias(); bias != want {
+			t.Fatalf("draw %d: bias %v after a completion, %v without", i, bias, want)
+		}
+		a, b := e.NormalizedMedian()*1*bias, e.NormalizedMedian()*10*bias
+		if math.Abs(b-10*a) > 1e-9 {
+			t.Fatalf("t_new not linear in scale: %v vs %v", a, b)
+		}
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	mk := func() []float64 {
-		e, _ := New(Config{Prior: 1, TRemNoise: 0.3}, dist.NewRNG(42))
+		e, _ := New(Config{Prior: 1, TRemNoise: 0.3, TNewNoise: 0.15}, dist.NewRNG(42))
 		out := make([]float64, 50)
 		for i := range out {
-			out[i] = e.TRem(5)
+			if i%3 == 0 {
+				out[i] = e.SampleTNewBias()
+			} else {
+				out[i] = e.SampleTRemBias()
+			}
 		}
 		return out
 	}

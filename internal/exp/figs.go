@@ -368,26 +368,16 @@ func Fig6Bounds(cfg Config) (*Table, error) {
 	}
 	dl := sets[:2]
 	for _, db := range metrics.DeadlineBins {
-		db := db
-		f := func(r sched.JobResult) bool {
-			pct := r.DeadlineFactor * 100
-			return pct >= db.Lo-0.5 && pct < db.Hi+0.5
-		}
 		t.AddRow("deadline "+db.Label()+"%",
-			dl[0].improvement("late", "grass", metrics.AccuracyImprovementPct, f),
-			dl[1].improvement("late", "grass", metrics.AccuracyImprovementPct, f))
+			dl[0].improvement("late", "grass", metrics.AccuracyImprovementPct, db.Contains),
+			dl[1].improvement("late", "grass", metrics.AccuracyImprovementPct, db.Contains))
 	}
 	// (b) error bins.
 	er := sets[2:]
 	for _, eb := range metrics.ErrorBins {
-		eb := eb
-		f := func(r sched.JobResult) bool {
-			pct := r.Epsilon * 100
-			return pct >= eb.Lo-0.5 && pct < eb.Hi+0.5
-		}
 		t.AddRow("error "+eb.Label()+"%",
-			er[0].improvement("late", "grass", metrics.SpeedupPct, f),
-			er[1].improvement("late", "grass", metrics.SpeedupPct, f))
+			er[0].improvement("late", "grass", metrics.SpeedupPct, eb.Contains),
+			er[1].improvement("late", "grass", metrics.SpeedupPct, eb.Contains))
 	}
 	return t, nil
 }

@@ -68,15 +68,6 @@ func FilterBin(rs []sched.JobResult, b task.SizeBin) []sched.JobResult {
 	return out
 }
 
-// ByBin computes a metric per size bin over paired base/treat result sets.
-func ByBin(base, treat []sched.JobResult, metric func(b, t []sched.JobResult) float64) map[task.SizeBin]float64 {
-	out := make(map[task.SizeBin]float64, len(task.AllBins))
-	for _, b := range task.AllBins {
-		out[b] = metric(FilterBin(base, b), FilterBin(treat, b))
-	}
-	return out
-}
-
 // DeadlineBin is one of Figure 6a's deadline-factor buckets (percent over
 // the ideal duration).
 type DeadlineBin struct {
@@ -89,16 +80,12 @@ var DeadlineBins = []DeadlineBin{{2, 5}, {6, 10}, {11, 15}, {16, 20}}
 // Label renders the bin as the paper prints it.
 func (d DeadlineBin) Label() string { return fmt.Sprintf("%g-%g", d.Lo, d.Hi) }
 
-// FilterDeadlineBin keeps results whose deadline factor falls in the bin.
-func FilterDeadlineBin(rs []sched.JobResult, b DeadlineBin) []sched.JobResult {
-	var out []sched.JobResult
-	for _, r := range rs {
-		pct := r.DeadlineFactor * 100
-		if pct >= b.Lo-0.5 && pct < b.Hi+0.5 {
-			out = append(out, r)
-		}
-	}
-	return out
+// Contains reports whether r's deadline factor falls in the bin. The
+// integer-percent bounds widen by half a percent on each side, so adjacent
+// bins tile the axis.
+func (d DeadlineBin) Contains(r sched.JobResult) bool {
+	pct := r.DeadlineFactor * 100
+	return pct >= d.Lo-0.5 && pct < d.Hi+0.5
 }
 
 // ErrorBin is one of Figure 6b's error-bound buckets, in percent.
@@ -112,32 +99,11 @@ var ErrorBins = []ErrorBin{{5, 10}, {11, 15}, {16, 20}, {21, 25}, {26, 30}}
 // Label renders the bin as the paper prints it.
 func (e ErrorBin) Label() string { return fmt.Sprintf("%g-%g", e.Lo, e.Hi) }
 
-// FilterErrorBin keeps results whose error bound falls in the bin.
-func FilterErrorBin(rs []sched.JobResult, b ErrorBin) []sched.JobResult {
-	var out []sched.JobResult
-	for _, r := range rs {
-		pct := r.Epsilon * 100
-		if pct >= b.Lo-0.5 && pct < b.Hi+0.5 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// PairByJob aligns two result sets by JobID, dropping jobs missing from
-// either (paired comparisons must compare the same jobs).
-func PairByJob(a, b []sched.JobResult) (pa, pb []sched.JobResult) {
-	idx := make(map[int]sched.JobResult, len(b))
-	for _, r := range b {
-		idx[r.JobID] = r
-	}
-	for _, r := range a {
-		if m, ok := idx[r.JobID]; ok {
-			pa = append(pa, r)
-			pb = append(pb, m)
-		}
-	}
-	return pa, pb
+// Contains reports whether r's error bound falls in the bin, with the same
+// half-percent widening as DeadlineBin.Contains.
+func (e ErrorBin) Contains(r sched.JobResult) bool {
+	pct := r.Epsilon * 100
+	return pct >= e.Lo-0.5 && pct < e.Hi+0.5
 }
 
 // MedianOfRuns reduces repeated experiment measurements to their median,

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/sched"
@@ -54,7 +55,12 @@ func TestFilterAndByBin(t *testing.T) {
 	if got := len(FilterBin(base, task.Small)); got != 1 {
 		t.Fatalf("filtered %d", got)
 	}
-	m := ByBin(base, treat, AccuracyImprovementPct)
+	// A per-bin metric over paired result sets, the way grass.FilterBin's
+	// callers compute one.
+	m := make(map[task.SizeBin]float64)
+	for _, b := range task.AllBins {
+		m[b] = AccuracyImprovementPct(FilterBin(base, b), FilterBin(treat, b))
+	}
 	if math.Abs(m[task.Small]-20) > 1e-9 {
 		t.Fatalf("small bin %v, want 20", m[task.Small])
 	}
@@ -66,20 +72,33 @@ func TestFilterAndByBin(t *testing.T) {
 	}
 }
 
+// binCounts reports how many of the results each bin contains.
+func binCounts[B interface{ Contains(sched.JobResult) bool }](bins []B, rs []sched.JobResult) []int {
+	n := make([]int, len(bins))
+	for i, b := range bins {
+		for _, r := range rs {
+			if b.Contains(r) {
+				n[i]++
+			}
+		}
+	}
+	return n
+}
+
 func TestDeadlineBins(t *testing.T) {
 	rs := []sched.JobResult{
 		{JobID: 0, DeadlineFactor: 0.03},
 		{JobID: 1, DeadlineFactor: 0.12},
 		{JobID: 2, DeadlineFactor: 0.19},
 	}
-	if got := len(FilterDeadlineBin(rs, DeadlineBins[0])); got != 1 {
-		t.Fatalf("2-5%% bin has %d", got)
+	if got, want := binCounts(DeadlineBins, rs), []int{1, 0, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("deadline bin counts %v, want %v", got, want)
 	}
-	if got := len(FilterDeadlineBin(rs, DeadlineBins[2])); got != 1 {
-		t.Fatalf("11-15%% bin has %d", got)
-	}
-	if got := len(FilterDeadlineBin(rs, DeadlineBins[3])); got != 1 {
-		t.Fatalf("16-20%% bin has %d", got)
+	// Edges: each bin spans [Lo-0.5, Hi+0.5) percent, so 5.5% is the first
+	// value of 6-10, not the last of 2-5, and 1.5% opens 2-5.
+	edges := []sched.JobResult{{DeadlineFactor: 0.015}, {DeadlineFactor: 0.055}, {DeadlineFactor: 0.01}, {DeadlineFactor: 0.205}}
+	if got, want := binCounts(DeadlineBins, edges), []int{1, 1, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("deadline edge counts %v, want %v", got, want)
 	}
 	if DeadlineBins[0].Label() != "2-5" {
 		t.Fatalf("label %q", DeadlineBins[0].Label())
@@ -92,31 +111,15 @@ func TestErrorBins(t *testing.T) {
 		{JobID: 1, Epsilon: 0.22},
 		{JobID: 2, Epsilon: 0.29},
 	}
-	if got := len(FilterErrorBin(rs, ErrorBins[0])); got != 1 {
-		t.Fatalf("5-10%% bin has %d", got)
+	if got, want := binCounts(ErrorBins, rs), []int{1, 0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("error bin counts %v, want %v", got, want)
 	}
-	if got := len(FilterErrorBin(rs, ErrorBins[3])); got != 1 {
-		t.Fatalf("21-25%% bin has %d", got)
-	}
-	if got := len(FilterErrorBin(rs, ErrorBins[4])); got != 1 {
-		t.Fatalf("26-30%% bin has %d", got)
+	edges := []sched.JobResult{{Epsilon: 0.045}, {Epsilon: 0.105}, {Epsilon: 0.04}, {Epsilon: 0.305}}
+	if got, want := binCounts(ErrorBins, edges), []int{1, 1, 0, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("error edge counts %v, want %v", got, want)
 	}
 	if ErrorBins[4].Label() != "26-30" {
 		t.Fatalf("label %q", ErrorBins[4].Label())
-	}
-}
-
-func TestPairByJob(t *testing.T) {
-	a := []sched.JobResult{res(0, task.Small, 1, 1), res(1, task.Small, 1, 1), res(2, task.Small, 1, 1)}
-	b := []sched.JobResult{res(1, task.Small, 2, 2), res(2, task.Small, 2, 2), res(3, task.Small, 2, 2)}
-	pa, pb := PairByJob(a, b)
-	if len(pa) != 2 || len(pb) != 2 {
-		t.Fatalf("paired %d/%d, want 2/2", len(pa), len(pb))
-	}
-	for i := range pa {
-		if pa[i].JobID != pb[i].JobID {
-			t.Fatal("misaligned pairing")
-		}
 	}
 }
 

@@ -53,25 +53,12 @@ func benchJobs(n int) []*task.Job {
 	return jobs
 }
 
-// benchStream feeds the bench workload through the streaming admission
-// path (without pooling: the slice owns the jobs).
-type benchStream struct{ jobs []*task.Job }
-
-func (s *benchStream) Next() (*task.Job, bool) {
-	if len(s.jobs) == 0 {
-		return nil, false
-	}
-	j := s.jobs[0]
-	s.jobs = s.jobs[1:]
-	return j, true
-}
-
 // runSimBench runs full simulations of the bench workload under one policy
 // and reports per-event wall clock, per-event heap allocations and
 // task-view touches per launch attempt — the numbers BENCH_sim.json tracks
-// across PRs. With stream set, jobs are injected through RunSource instead
-// of the materializing Run.
-func runSimBench(b *testing.B, stream bool, factory func() spec.Factory) {
+// across PRs. Run replays the slice through RunSource, the streaming
+// admission path every replay takes.
+func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
 	var events, allocs, touches, attempts uint64
@@ -83,16 +70,11 @@ func runSimBench(b *testing.B, stream bool, factory func() spec.Factory) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run := func() (*RunStats, error) { return s.Run(jobs) }
-		if stream {
-			src := &benchStream{jobs: jobs}
-			run = func() (*RunStats, error) { return s.RunSource(src) }
-		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		b.StartTimer()
 		t0 := time.Now()
-		stats, err := run()
+		stats, err := s.Run(jobs)
 		nanos += time.Since(t0).Nanoseconds()
 		b.StopTimer()
 		runtime.ReadMemStats(&m1)
@@ -123,18 +105,13 @@ func runSimBench(b *testing.B, stream bool, factory func() spec.Factory) {
 // views (BenchmarkLargeJobReplay is the large-job end).
 func BenchmarkSimulatorQuick(b *testing.B) {
 	b.Run("gs", func(b *testing.B) {
-		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("ras", func(b *testing.B) {
-		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
+		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
 	})
 	b.Run("late", func(b *testing.B) {
-		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
-	})
-	// The streaming admission path (RunSource) on the same workload: one
-	// reusable arrival closure instead of one closure per job.
-	b.Run("gs-stream", func(b *testing.B) {
-		runSimBench(b, true, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
 	})
 	// The learning policy itself, under both learner stores. Record and
 	// Aggregate ride the job lifecycle (sample completions, switch-point
@@ -142,10 +119,10 @@ func BenchmarkSimulatorQuick(b *testing.B) {
 	// track the stateless baselines; the gap between them is the price of
 	// mergeable (partition-invariant) learning.
 	b.Run("grass", func(b *testing.B) {
-		runSimBench(b, false, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
+		runSimBench(b, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
 	})
 	b.Run("grass-sketch", func(b *testing.B) {
-		runSimBench(b, false, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
+		runSimBench(b, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
 	})
 }
 

@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
-	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -55,65 +53,6 @@ func TestSetContextCancelStopsRun(t *testing.T) {
 	}
 	if finished >= tc.Jobs {
 		t.Fatalf("cancel did not stop the run: all %d jobs finished", finished)
-	}
-}
-
-// TestRunUntilHonorsContext: the bounded drain observes cancellation with
-// the same cadence as Run — a pre-cancelled context stops RunUntil before
-// any event fires, and a cancel from inside an event callback stops it at
-// the next periodic check with the queue intact.
-func TestRunUntilHonorsContext(t *testing.T) {
-	mk := func() (*Simulator, context.Context, context.CancelFunc) {
-		sim, err := New(smallConfig(71), spec.Stateless(spec.NoSpec{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		sim.SetContext(ctx)
-		// Enough tasks that well over ctxCheckEvery events remain after the
-		// cancellation point, so an unchecked drain would visibly overrun.
-		sim.admit(uniformJob(0, 3*ctxCheckEvery, task.Exact(), 0))
-		return sim, ctx, cancel
-	}
-
-	sim, _, cancel := mk()
-	cancel()
-	if err := sim.RunUntil(1e9); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled RunUntil: %v, want context.Canceled", err)
-	}
-	if sim.eng.Fired() != 0 {
-		t.Fatalf("pre-cancelled RunUntil fired %d events, want 0", sim.eng.Fired())
-	}
-
-	sim, _, cancel = mk()
-	fired := false
-	sim.eng.At(1e-9, func(*simevent.Engine) {
-		fired = true
-		cancel()
-	})
-	if err := sim.RunUntil(1e9); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-drain cancel: %v, want context.Canceled", err)
-	}
-	if !fired {
-		t.Fatal("cancelling event never fired")
-	}
-	if sim.eng.Len() == 0 {
-		t.Fatal("cancelled RunUntil drained the whole queue — the periodic check never ran")
-	}
-	// An uncancelled bounded drain still works and leaves post-t events queued.
-	sim2, err := New(smallConfig(72), spec.Stateless(spec.NoSpec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2.admit(uniformJob(0, 30, task.Exact(), 0))
-	if err := sim2.RunUntil(1e-6); err != nil {
-		t.Fatalf("bounded drain: %v", err)
-	}
-	if now := sim2.eng.Now(); now != 1e-6 {
-		t.Fatalf("clock at %v after RunUntil(1e-6)", now)
-	}
-	if sim2.eng.Len() == 0 {
-		t.Fatal("RunUntil(1e-6) drained events scheduled after t")
 	}
 }
 

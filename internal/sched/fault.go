@@ -4,8 +4,9 @@
 // file owns HOW it lands in the simulation — as AtLast simulator events
 // that revoke cluster capacity, kill running copies (Lost, distinct from
 // Preempted: the scheduler chose neither the victim nor the moment), and
-// perturb launch-time slowdowns, all through the same kill/relaunch and
-// dispatch paths fair-share preemption already exercises.
+// perturb launch-time slowdowns. A lost copy leaves through endCopy, the
+// exit every copy takes, and its task respeculates through the same
+// dispatch path fair-share preemption already exercises.
 //
 // Determinism and zero cost:
 //
@@ -17,7 +18,7 @@
 //   - A disabled schedule builds no injector: the only additions to the hot
 //     path are nil checks, which the perfwall allocs/event gates double-pin.
 //   - Recurring channels go DORMANT when the simulation is idle (no active
-//     jobs, no queued arrivals): the pending occurrence fires, applies
+//     jobs, no pending arrival): the pending occurrence fires, applies
 //     nothing, and does not rearm — otherwise an infinite fault stream
 //     would keep the event queue alive forever. admit rearms on the next
 //     admission. Paired end events (restore, storm end, burst end) always
@@ -75,13 +76,11 @@ func newFaultInjector(s *Simulator, cfg fault.Config) *faultInjector {
 
 // idleForFaults reports whether a recurring channel should go dormant: no
 // job is active and no arrival is queued, so nothing can be perturbed and
-// rearming would keep the event queue alive forever. Both Run (all
-// arrivals scheduled up front) and RunSource (exactly one pending arrival
-// until the source drains) keep arrivalsQueued > 0 precisely while
-// arrivals remain, so the predicate — and therefore the fault timeline —
-// is identical across the two admission modes.
+// rearming would keep the event queue alive forever. Admission keeps
+// exactly one arrival queued until the source drains, and pendingJob is
+// non-nil exactly while it is.
 func (s *Simulator) idleForFaults() bool {
-	return len(s.active) == 0 && s.arrivalsQueued == 0
+	return len(s.active) == 0 && s.pendingJob == nil
 }
 
 // wake arms every enabled channel that is not already armed. Called on
@@ -237,12 +236,10 @@ func (f *faultInjector) onInterfereEnd(m int, n int32) {
 
 // killCopiesOn kills every running copy on machine m across all active
 // jobs, recording each as Lost. Mirrors preemptYoungest's kill sequence —
-// cancel, release (parked: the machine is down), running/speculative
-// accounting, estimator scoring, best-copy recompute, incremental-view
-// notification — but attributes the loss to the fault schedule, not the
-// fair-share policy.
+// cancel, endCopy (whose release parks the slot: the machine is down),
+// best-copy recompute, incremental-view notification — but attributes the
+// loss to the fault schedule, not the fair-share policy.
 func (s *Simulator) killCopiesOn(m int) {
-	now := s.eng.Now()
 	for _, js := range s.active {
 		if js.phase == nil {
 			continue
@@ -260,14 +257,9 @@ func (s *Simulator) killCopiesOn(m int) {
 					continue
 				}
 				s.eng.Cancel(c.ev)
-				s.cl.Release(c.machineID)
-				js.running--
-				if c.speculative {
-					js.specRun--
-				}
+				s.endCopy(c)
 				js.res.Lost++
 				s.flt.stats.LostCopies++
-				s.scoreCopy(c, now)
 				if tb.best[i] == c {
 					lostBest = true
 				}

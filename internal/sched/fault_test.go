@@ -55,10 +55,12 @@ func TestFaultScenariosShardedMatchUnsharded(t *testing.T) {
 	}
 }
 
-// TestFaultRunMatchesRunSource: the fault timeline must be identical under
-// materialized (Run) and streamed (RunSource) admission — the arrivalsQueued
-// bookkeeping both modes feed the dormancy predicate must agree at every
-// instant, or the idle checks land differently and the timelines fork.
+// TestFaultRunMatchesRunSource: the fault timeline must be identical for a
+// materialized trace (Run, which replays the slice through RunSource) and
+// the same trace streamed from a recycling trace.Stream. Job recycling
+// must not reach the dormancy predicate: the pending arrival it reads has
+// to be the same at every instant, or the idle checks land differently
+// and the timelines fork.
 func TestFaultRunMatchesRunSource(t *testing.T) {
 	for _, scenario := range []string{"crashy", "overload-mixed"} {
 		cfg := faultTestConfig(t, 29, scenario)

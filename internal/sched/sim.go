@@ -235,11 +235,11 @@ type Simulator struct {
 	interObs map[int][]float64
 	interMed map[int]float64
 
-	// Streaming admission state (RunSource): the source being drained, its
-	// optional recycler, the job whose arrival event is pending, the shared
-	// arrival closure, and the monotonicity watermark. srcErr records a
-	// mid-stream validation failure; admission stops and the error surfaces
-	// once running jobs drain.
+	// Admission state (RunSource): the source being drained, its optional
+	// recycler, the job whose arrival event is pending (nil exactly when no
+	// arrival is queued), the shared arrival closure, and the monotonicity
+	// watermark. srcErr records a mid-stream validation failure; admission
+	// stops and the error surfaces once running jobs drain.
 	src         Source
 	rel         Releaser
 	pendingJob  *task.Job
@@ -250,10 +250,6 @@ type Simulator struct {
 	// flt is the fault injector, nil without a fault schedule — the nil
 	// check is the entire hot-path cost of the feature when disabled.
 	flt *faultInjector
-	// arrivalsQueued counts arrival events scheduled but not yet fired —
-	// with the active set it defines idleForFaults, evaluated identically
-	// for Run (all arrivals up front) and RunSource (one pending arrival).
-	arrivalsQueued int
 
 	// onResult, when set, receives each finished job's result instead of
 	// s.results accumulating them.
@@ -470,28 +466,19 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 }
 
 // Run simulates a materialized trace to completion and returns aggregate
-// statistics. jobs must be sorted by arrival time; the whole trace is
-// validated up front. For traces too large to materialize, use RunSource.
+// statistics. jobs must be sorted by arrival time. The whole trace is
+// validated up front, so a bad job fails the run before anything is
+// simulated; the slice is then replayed through RunSource, the one
+// admission path.
 func (s *Simulator) Run(jobs []*task.Job) (*RunStats, error) {
 	prev := math.Inf(-1)
 	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
+		if err := checkJob(j, prev); err != nil {
 			return nil, err
 		}
-		if j.Arrival < prev {
-			return nil, fmt.Errorf("sched: jobs not sorted by arrival (job %d at %v after %v)", j.ID, j.Arrival, prev)
-		}
 		prev = j.Arrival
-		j := j
-		// AtFirst: arrivals outrank same-time simulation events, so the
-		// admission order at tied timestamps matches RunSource's exactly.
-		s.arrivalsQueued++
-		s.eng.AtFirst(j.Arrival, func(*simevent.Engine) {
-			s.arrivalsQueued--
-			s.admit(j)
-		})
 	}
-	return s.finishRun()
+	return s.RunSource(&sliceSource{jobs: jobs})
 }
 
 // ctxCheckEvery is how many events fire between context checks. Large
@@ -508,26 +495,6 @@ const ctxCheckEvery = 4096
 // called before Run/RunSource. A nil ctx (the default) disables checking.
 func (s *Simulator) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// RunUntil fires all events up to simulation time t and advances the clock
-// to exactly t, honoring the cancellation context with the same cadence as
-// Run/RunSource (every ctxCheckEvery events). A cancelled drain returns
-// ctx.Err() with the queue intact; like a cancelled Run, the simulator must
-// not be reused afterwards. Admission must already be scheduled (Run
-// arrivals or a RunSource feed) for the drain to have anything to fire.
-func (s *Simulator) RunUntil(t float64) error {
-	var check func() error
-	if s.ctx != nil {
-		check = s.ctx.Err
-	}
-	if _, err := s.eng.RunUntilEvery(t, ctxCheckEvery, check); err != nil {
-		return err
-	}
-	if s.ctx != nil {
-		return s.ctx.Err()
-	}
-	return nil
-}
-
 // Utilization reports the cluster's instantaneous slot utilization — a
 // telemetry gauge for live serving. Only safe from the simulator's own
 // goroutine (e.g. inside an OnResult handler).
@@ -537,8 +504,7 @@ func (s *Simulator) Utilization() float64 { return s.cl.Utilization() }
 // Utilization.
 func (s *Simulator) VirtualNow() float64 { return s.eng.Now() }
 
-// finishRun drains the event queue and assembles the run statistics — the
-// shared tail of Run and RunSource.
+// finishRun drains the event queue and assembles the run statistics.
 func (s *Simulator) finishRun() (*RunStats, error) {
 	limit := s.cfg.MaxEvents
 	if limit == 0 {
@@ -852,13 +818,8 @@ func (s *Simulator) preemptYoungest(victim *jobState) bool {
 	s.noteUtil()
 	c := tb.copies[ti][ci]
 	s.eng.Cancel(c.ev)
-	s.cl.Release(c.machineID)
-	victim.running--
-	if c.speculative {
-		victim.specRun--
-	}
+	s.endCopy(c)
 	victim.res.Preempted++
-	s.scoreCopy(c, s.eng.Now())
 	tb.copies[ti] = append(tb.copies[ti][:ci], tb.copies[ti][ci+1:]...)
 	if tb.best[ti] == c {
 		tb.recomputeBest(ti)
@@ -986,12 +947,7 @@ func (s *Simulator) buildCtx(js *jobState) spec.Ctx {
 func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 	s.noteUtil()
 	now := s.eng.Now()
-	s.cl.Release(c.machineID)
-	js.running--
-	if c.speculative {
-		js.specRun--
-	}
-	s.scoreCopy(c, now)
+	s.endCopy(c)
 	tb := &js.tasks
 	if tb.completed[ti] {
 		// Sibling kills cancel events, so this cannot happen; keep the
@@ -1009,13 +965,8 @@ func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 			continue
 		}
 		s.eng.Cancel(o.ev)
-		s.cl.Release(o.machineID)
-		js.running--
-		if o.speculative {
-			js.specRun--
-		}
+		s.endCopy(o)
 		js.res.Killed++
-		s.scoreCopy(o, now)
 	}
 	for _, o := range tb.copies[ti] {
 		s.freeCopy(o)
@@ -1035,8 +986,18 @@ func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 	s.dispatch()
 }
 
-// scoreCopy settles the copy's recorded estimates against ground truth.
-func (s *Simulator) scoreCopy(c *copyRun, now float64) {
+// endCopy is the one exit of every copy, whether it completed, lost to a
+// sibling, was cut off by its phase closing, was preempted or was lost to a
+// crash. It releases the copy's slot, lowers its job's running (and
+// speculative) counts and settles the copy's recorded estimates against
+// ground truth. Callers cancel a killed copy's event, count why it ended
+// (Killed, Preempted or Lost), unlink it and free it.
+func (s *Simulator) endCopy(c *copyRun) {
+	s.cl.Release(c.machineID)
+	c.js.running--
+	if c.speculative {
+		c.js.specRun--
+	}
 	if s.cfg.Oracle {
 		return
 	}
@@ -1077,13 +1038,8 @@ func (s *Simulator) finishPhase(js *jobState) {
 	for i := 0; i < js.phase.n; i++ {
 		for _, c := range tb.copies[i] {
 			s.eng.Cancel(c.ev)
-			s.cl.Release(c.machineID)
-			js.running--
-			if c.speculative {
-				js.specRun--
-			}
+			s.endCopy(c)
 			js.res.Killed++
-			s.scoreCopy(c, now)
 			s.freeCopy(c)
 		}
 		tb.copies[i] = tb.copies[i][:0]

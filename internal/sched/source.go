@@ -38,8 +38,9 @@ func (s *Simulator) OnResult(fn func(JobResult)) { s.onResult = fn }
 // RunSource simulates a streamed trace to completion: each job is injected
 // as an arrival event, and the next job is pulled from src only when the
 // previous arrival fires. If src implements Releaser, finished jobs are
-// handed back for reuse. The results are identical to materializing the
-// same trace and calling Run.
+// handed back for reuse. It is the simulator's only admission path: Run
+// validates a materialized trace and replays it through RunSource, so the
+// results are identical to materializing the same trace and calling Run.
 //
 // # Mid-stream error contract
 //
@@ -90,14 +91,7 @@ func (s *Simulator) scheduleNextArrival() error {
 	if !ok {
 		return nil
 	}
-	if err := j.Validate(); err != nil {
-		if s.rel != nil {
-			s.rel.Release(j)
-		}
-		return err
-	}
-	if j.Arrival < s.prevArrival {
-		err := fmt.Errorf("sched: jobs not sorted by arrival (job %d at %v after %v)", j.ID, j.Arrival, s.prevArrival)
+	if err := checkJob(j, s.prevArrival); err != nil {
 		if s.rel != nil {
 			s.rel.Release(j)
 		}
@@ -106,18 +100,41 @@ func (s *Simulator) scheduleNextArrival() error {
 	s.prevArrival = j.Arrival
 	s.pendingJob = j
 	// AtFirst ranks the arrival ahead of same-time simulation events that
-	// were enqueued before this job was even pulled — the order the
-	// materializing Run (which schedules all arrivals up front) produces.
-	s.arrivalsQueued++
+	// were enqueued before this job was even pulled, so a job arriving at a
+	// tied timestamp is admitted before that instant's completions and
+	// deadlines, however late it was pulled.
 	s.eng.AtFirst(j.Arrival, s.arrivalFn)
 	return nil
+}
+
+// checkJob validates j and checks that it arrives no earlier than prev.
+func checkJob(j *task.Job, prev float64) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if j.Arrival < prev {
+		return fmt.Errorf("sched: jobs not sorted by arrival (job %d at %v after %v)", j.ID, j.Arrival, prev)
+	}
+	return nil
+}
+
+// sliceSource replays a materialized trace for Run. It is not a Releaser:
+// the caller owns the jobs.
+type sliceSource struct{ jobs []*task.Job }
+
+func (s *sliceSource) Next() (*task.Job, bool) {
+	if len(s.jobs) == 0 {
+		return nil, false
+	}
+	j := s.jobs[0]
+	s.jobs = s.jobs[1:]
+	return j, true
 }
 
 // onArrival admits the pending job and pulls the next one. Pulling before
 // admission keeps the not-yet-arrived lookahead at exactly one job; the
 // tie ordering against simulation events is carried by AtFirst.
 func (s *Simulator) onArrival() {
-	s.arrivalsQueued--
 	j := s.pendingJob
 	s.pendingJob = nil
 	if err := s.scheduleNextArrival(); err != nil && s.srcErr == nil {

@@ -189,35 +189,55 @@ func (f *fakeSource) Next() (*task.Job, bool) {
 
 // TestRunSourceMatchesRunOnTiedTimestamps: real cluster logs quantize
 // timestamps, so arrivals routinely tie with each other and with earlier-
-// scheduled simulation events (here: job 0's input deadline lands exactly
-// on jobs 1 and 2's arrival). AtFirst ranks arrivals identically in both
-// paths, so the streamed replay still reproduces Run event for event.
+// scheduled simulation events. Here job 0 is too big to finish before its
+// input deadline, which fires at t=5, exactly when jobs 1 and 2 arrive.
+// Job 2 is pulled only when job 1's arrival fires, after the deadline was
+// scheduled; AtFirst still admits it ahead of the deadline, as if every
+// arrival had been queued before the first event. Run replays through
+// RunSource, so both must reproduce the golden; an arrival scheduled with
+// At would admit job 2 after the deadline freeze and move every job's
+// stats.
 func TestRunSourceMatchesRunOnTiedTimestamps(t *testing.T) {
 	mkJobs := func() []*task.Job {
 		return []*task.Job{
-			uniformJob(0, 120, task.NewDeadline(5), 0),
+			uniformJob(0, 300, task.NewDeadline(5), 0),
 			uniformJob(1, 30, task.Exact(), 5),
 			uniformJob(2, 30, task.NewError(0.1), 5),
 		}
 	}
-	simA, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
-	if err != nil {
-		t.Fatal(err)
+	want := &RunStats{
+		Results: []JobResult{
+			{JobID: 0, NumTasks: 300, Bin: task.Medium, Kind: task.DeadlineBound, Deadline: 5, DAGLength: 1,
+				Accuracy: 0.67, Duration: 5, InputDuration: 5,
+				Launched: 353, Speculative: 142, Killed: 152, StragglerRatio: 2.5115166200929275},
+			{JobID: 1, NumTasks: 30, Bin: task.Small, Kind: task.ErrorBound, DAGLength: 1,
+				Accuracy: 1, Duration: 4.379805315666781, InputDuration: 4.379805315666781,
+				Launched: 51, Speculative: 21, Killed: 21, StragglerRatio: 3.846981235535527},
+			{JobID: 2, NumTasks: 30, Bin: task.Small, Kind: task.ErrorBound, Epsilon: 0.1, DAGLength: 1,
+				Accuracy: 0.9, Duration: 1.405944912201969, InputDuration: 1.405944912201969,
+				Launched: 34, Speculative: 4, Killed: 7, StragglerRatio: 1.561079457064332},
+		},
+		Makespan:          9.37980531566678,
+		MeanUtilization:   0.5958766515266292,
+		Events:            262,
+		EstimatorAccuracy: 0.7002883635402999,
 	}
-	want, err := simA.Run(mkJobs())
-	if err != nil {
-		t.Fatal(err)
+	runs := map[string]func(*Simulator) (*RunStats, error){
+		"Run":       func(s *Simulator) (*RunStats, error) { return s.Run(mkJobs()) },
+		"RunSource": func(s *Simulator) (*RunStats, error) { return s.RunSource(&fakeSource{jobs: mkJobs()}) },
 	}
-	simB, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := simB.RunSource(&fakeSource{jobs: mkJobs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("tied-timestamp stream diverged from materialized run\n got: %+v\nwant: %+v", got, want)
+	for name, run := range runs {
+		sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: tied-timestamp stats drifted from the golden\n got: %+v\nwant: %+v", name, got, want)
+		}
 	}
 }
 

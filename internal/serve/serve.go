@@ -65,9 +65,6 @@ type Config struct {
 	// QueueCap is each partition's admission buffer; Submit blocks (applies
 	// backpressure) when a partition's queue is full. 0 means 1024.
 	QueueCap int
-	// Alpha is the latency sketch's relative-error guarantee; 0 means
-	// metrics.DefaultSketchAlpha (1%).
-	Alpha float64
 	// Ctx cancels the whole service: running partitions stop promptly
 	// (sched.Simulator.SetContext), blocked Submits unblock, and Wait
 	// returns ctx.Err(). Nil means never cancelled.
@@ -186,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 			idx:      p,
 			queue:    make(chan *task.Job, cfg.QueueCap),
 			loopDone: make(chan struct{}),
-			sketch:   metrics.NewSketch(cfg.Alpha),
+			sketch:   metrics.NewSketch(metrics.DefaultSketchAlpha),
 			slots:    sched.ShardConfig(cfg.Sim, p, cfg.Partitions).Cluster.Machines * cfg.Sim.Cluster.SlotsPerMachine,
 		}
 		s.parts = append(s.parts, part)
@@ -376,7 +373,7 @@ func (s *Server) Wait() (*Summary, error) {
 // buildSummary merges per-partition results in canonical ascending order.
 func (s *Server) buildSummary() *Summary {
 	stats := make([]*sched.RunStats, len(s.parts))
-	sketch := metrics.NewSketch(s.cfg.Alpha)
+	sketch := metrics.NewSketch(metrics.DefaultSketchAlpha)
 	sum := &Summary{Partitions: len(s.parts), Wall: time.Since(s.start)}
 	for i, p := range s.parts {
 		stats[i] = p.stats
@@ -438,7 +435,7 @@ type Snapshot struct {
 // goroutine, any time between New and after Wait.
 func (s *Server) Snapshot() Snapshot {
 	var snap Snapshot
-	sketch := metrics.NewSketch(s.cfg.Alpha)
+	sketch := metrics.NewSketch(metrics.DefaultSketchAlpha)
 	var utilWeighted float64
 	var slots int
 	for _, p := range s.parts {

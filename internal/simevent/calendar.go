@@ -34,6 +34,11 @@ const (
 	// Because vbFor is monotone in Time, a minimum in the far bucket means
 	// every pending event is there, so scanning it stays correct.
 	calMaxVB = int64(1) << 60
+	// calKeepCap caps the storage a bucket keeps across a resize. A bucket
+	// that once held a same-time burst, or every event while the width
+	// was far too wide, would otherwise pin that capacity for the rest of
+	// the run in every bucket it ever visited.
+	calKeepCap = 64
 )
 
 func newCalendarQueue() *calendarQueue {
@@ -158,11 +163,19 @@ func (cq *calendarQueue) take(best *Event, dst []*Event) []*Event {
 	return dst
 }
 
-// resize rebuilds the bucket array at the new size and recomputes the
-// bucket width from the observed time spread — 3x the mean inter-event gap,
+// resize rehashes every event into nb buckets and recomputes the bucket
+// width from the observed time spread — 3x the mean inter-event gap,
 // floored so the virtual index space stays far from the clamp. Width
 // changes remap every event, so the cursor is re-derived from the true
 // minimum; order is unaffected (see the type comment).
+//
+// The bucket storage is kept: every bucket is emptied in place and the
+// bucket array only grows, so buckets dropped by a shrink come back with
+// their capacity on the next grow. A queue whose pending count oscillates
+// across a power of two (one pending arrival plus a burst of completions
+// does, every few events) then resizes without allocating once each size
+// has been seen. Only a bucket grown past calKeepCap gives its storage
+// back.
 func (cq *calendarQueue) resize(nb int) {
 	if nb < calInitBuckets {
 		nb = calInitBuckets
@@ -189,7 +202,19 @@ func (cq *calendarQueue) resize(nb int) {
 			cq.width = w
 		}
 	}
-	cq.buckets = make([][]*Event, nb)
+	for i, b := range cq.buckets {
+		clear(b)
+		if cap(b) > calKeepCap {
+			b = nil
+		}
+		cq.buckets[i] = b[:0]
+	}
+	if nb > cap(cq.buckets) {
+		grown := make([][]*Event, nb)
+		copy(grown, cq.buckets[:cap(cq.buckets)])
+		cq.buckets = grown
+	}
+	cq.buckets = cq.buckets[:nb]
 	cq.mask = int64(nb - 1)
 	cq.vb = math.MaxInt64
 	for _, ev := range evs {

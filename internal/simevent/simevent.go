@@ -320,37 +320,10 @@ func (e *Engine) RunEvery(limit, every uint64, check func() error) (uint64, erro
 // RunUntil fires events with time <= t, then advances the clock to exactly t
 // if it has not passed it. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t float64) {
-	e.RunUntilEvery(t, 0, nil)
-}
-
-// RunUntilEvery is RunUntil with the same periodic stop check RunEvery has:
-// every `every` fired events (and once before the first) check is called; a
-// non-nil error stops the drain immediately and is returned with the queue
-// intact and the clock left at the last fired event — the bounded drain
-// equivalent of RunEvery's cancellation contract. It returns the number of
-// events fired by this call.
-func (e *Engine) RunUntilEvery(t float64, every uint64, check func() error) (uint64, error) {
-	var n uint64
-	if check != nil {
-		if err := check(); err != nil {
-			return 0, err
-		}
-	}
-	for {
-		ev := e.ensureStaged()
-		if ev == nil || ev.Time > t {
-			break
-		}
+	for ev := e.ensureStaged(); ev != nil && ev.Time <= t; ev = e.ensureStaged() {
 		e.Step()
-		n++
-		if check != nil && every > 0 && n%every == 0 {
-			if err := check(); err != nil {
-				return n, err
-			}
-		}
 	}
 	if e.now < t {
 		e.now = t
 	}
-	return n, nil
 }

@@ -237,6 +237,48 @@ func TestEventPoolingNoAllocsAfterWarmup(t *testing.T) {
 	}
 }
 
+// TestResizeKeepsBucketStorage pins the calendar queue's bucket reuse: a
+// resize rehashes into the bucket slices the queue already holds. After a
+// warm-up, a schedule-then-drain cycle whose pending count climbs past two
+// resize boundaries (32 -> 64 -> 128 buckets) and drains back down
+// allocates nothing. Making fresh buckets on every resize costs hundreds
+// of allocations per cycle. The storage a bucket keeps is capped, so a
+// burst does not pin its capacity for the rest of the run.
+func TestResizeKeepsBucketStorage(t *testing.T) {
+	e := New()
+	fn := func(*Engine) {}
+	cycle := func() {
+		now := e.Now()
+		for i := 0; i < 200; i++ {
+			e.At(now+1+float64(i%97), fn)
+		}
+		e.Run(0)
+	}
+	// Which buckets the 97 times hash to shifts with the clock, so a few
+	// buckets still grow for the first ~100 cycles; warm up well past that.
+	for i := 0; i < 400; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("schedule-then-drain cycle allocated %v objects after warm-up, want 0", allocs)
+	}
+
+	// A same-time burst fills one bucket far past calKeepCap; the shrink
+	// that follows its drain gives that storage back instead of keeping it.
+	now := e.Now()
+	for i := 0; i < 1000; i++ {
+		e.At(now+1, fn)
+	}
+	e.At(now+2, fn)
+	e.Step()
+	cq := e.q.(*calendarQueue)
+	for i, b := range cq.buckets[:cap(cq.buckets)] {
+		if cap(b) > calKeepCap {
+			t.Fatalf("bucket %d keeps capacity %d after the burst drained, want <= %d", i, cap(b), calKeepCap)
+		}
+	}
+}
+
 // TestEventPoolingReusesObjects verifies fired and cancelled events really
 // come back from the free list (identity, not just alloc counting).
 func TestEventPoolingReusesObjects(t *testing.T) {

@@ -119,22 +119,6 @@ func (s *Stream) Release(j *task.Job) {
 	s.pool = append(s.pool, j)
 }
 
-// Remaining reports how many jobs the stream will still emit — for a shard
-// stream, only the jobs of its own residue class.
-func (s *Stream) Remaining() int {
-	if s.shards <= 1 {
-		return s.cfg.Jobs - s.next
-	}
-	// Owned IDs below x: those of the form shard + k·shards with k ≥ 0.
-	below := func(x int) int {
-		if x <= s.shard {
-			return 0
-		}
-		return (x - s.shard + s.shards - 1) / s.shards
-	}
-	return below(s.cfg.Jobs) - below(s.next)
-}
-
 // take pops a pooled job or mints a fresh one.
 func (s *Stream) take() *task.Job {
 	if n := len(s.pool); n > 0 {

@@ -52,9 +52,6 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Remaining(); got != cfg.Jobs {
-			t.Fatalf("%v/%v: Remaining() = %d before first job, want %d", cfg.Workload, cfg.Bound, got, cfg.Jobs)
-		}
 		for i := 0; ; i++ {
 			j, ok := s.Next()
 			if !ok {
@@ -127,8 +124,6 @@ func checkShardPartition(t *testing.T, cfg Config, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRemaining := s.Remaining()
-		got := 0
 		prevArrival := -1.0
 		for {
 			j, ok := s.Next()
@@ -149,11 +144,7 @@ func checkShardPartition(t *testing.T, cfg Config, shards int) {
 				t.Fatalf("shard %d/%d: job %d arrives at %v after %v", shard, shards, j.ID, j.Arrival, prevArrival)
 			}
 			prevArrival = j.Arrival
-			got++
 			s.Release(j) // shard streams recycle like plain streams
-		}
-		if got != wantRemaining {
-			t.Fatalf("shard %d/%d emitted %d jobs, Remaining promised %d", shard, shards, got, wantRemaining)
 		}
 	}
 	for id, ok := range seen {

@@ -359,7 +359,7 @@ func assignBound(cfg Config, j *task.Job, rng *dist.RNG) {
 // importer satisfies: jobs one at a time, in non-decreasing arrival order.
 // It is structurally identical to sched.Source — Stream implements it, and
 // so do internal/traceio's real-trace readers — declared here too so trace
-// consumers (summaries, converters) need not depend on the scheduler.
+// consumers (converters) need not depend on the scheduler.
 type Source interface {
 	// Next returns the next job, or (nil, false) when the trace ends.
 	Next() (*task.Job, bool)
@@ -395,27 +395,6 @@ func Summarize(cfg Config, jobs []*task.Job) Stats {
 		s.fold(j)
 	}
 	return s
-}
-
-// SummarizeSource drains src and computes the same statistics Summarize
-// does, in bounded memory: each job is folded into the running aggregates
-// and — when src recycles (Releaser) — handed straight back, so a multi-GB
-// imported trace summarizes while holding one job at a time. Workload and
-// Framework are left zero; imported traces carry neither.
-func SummarizeSource(src Source) Stats {
-	s := Stats{BinCounts: make(map[task.SizeBin]int)}
-	rel, _ := src.(Releaser)
-	for {
-		j, ok := src.Next()
-		if !ok {
-			return s
-		}
-		s.Jobs++
-		s.fold(j)
-		if rel != nil {
-			rel.Release(j)
-		}
-	}
 }
 
 // fold accumulates one job into the summary.
