@@ -148,10 +148,9 @@ func FaultScenario(name string) (FaultConfig, error) { return fault.Scenario(nam
 // FaultScenarios lists the fault preset names in stable order.
 func FaultScenarios() []string { return fault.Scenarios() }
 
-// NewPolicy resolves a policy name to a factory. The boolean result
-// reports whether the policy needs oracle mode (ground-truth task views);
-// set SimConfig.Oracle accordingly (SimulateJobs does this for you).
-func NewPolicy(name string, seed int64) (PolicyFactory, bool, error) {
+// NewPolicy resolves a policy name to a factory. The "oracle" factory sees
+// ground-truth task views wherever it runs, whichever entry point runs it.
+func NewPolicy(name string, seed int64) (PolicyFactory, error) {
 	return exp.NewFactory(name, seed)
 }
 
@@ -216,10 +215,9 @@ func WithFold(fn func(JobResult)) SimOption { return func(o *simOptions) { o.fol
 func WithContext(ctx context.Context) SimOption { return func(o *simOptions) { o.ctx = ctx } }
 
 // WithFactory runs the simulation under a custom policy factory instead of
-// a named policy; the policy-name argument is ignored (pass ""). Oracle
-// mode is NOT inferred — set SimConfig.Oracle yourself if the factory
-// needs ground-truth views. Not supported by SimulateTrace, whose
-// partitioned model must re-derive per-partition factories from seeds.
+// a named policy; the policy-name argument is ignored (pass ""). Not
+// supported by SimulateTrace, whose partitioned model must re-derive
+// per-partition factories from seeds.
 func WithFactory(f PolicyFactory) SimOption { return func(o *simOptions) { o.factory = f } }
 
 // SimulateTrace generates cfg's synthetic workload lazily and simulates
@@ -243,17 +241,14 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 	if err := tc.Validate(); err != nil {
 		return nil, err
 	}
-	_, oracleMode, err := exp.NewFactory(policy, sc.Seed)
-	if err != nil {
+	if _, err := exp.NewFactory(policy, sc.Seed); err != nil {
 		return nil, err
 	}
-	sc.Oracle = oracleMode
 	run := sched.ShardedRun{
 		Config: sc,
 		Parts:  o.partitions,
 		NewFactory: func(seed int64) (PolicyFactory, error) {
-			f, _, err := exp.NewFactory(policy, seed)
-			return f, err
+			return exp.NewFactory(policy, seed)
 		},
 		NewSource: func(p int) (JobSource, error) {
 			return trace.NewShardStream(tc, p, o.partitions)
@@ -268,11 +263,9 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 }
 
 // SimulateJobs runs a materialized trace through the cluster simulator
-// under the named policy. Oracle mode is enabled automatically for the
-// "oracle" policy (unless WithFactory overrides the policy). Supports
-// WithFold, WithContext and WithFactory; sharded execution
-// (WithPartitions above 1) requires SimulateTrace, whose partitioner
-// splits the trace by construction.
+// under the named policy. Supports WithFold, WithContext and WithFactory;
+// sharded execution (WithPartitions above 1) requires SimulateTrace, whose
+// partitioner splits the trace by construction.
 func SimulateJobs(cfg SimConfig, policy string, jobs []*Job, opts ...SimOption) (*RunStats, error) {
 	o, err := collectUnshardedOptions("SimulateJobs", opts)
 	if err != nil {
@@ -313,17 +306,15 @@ func collectUnshardedOptions(entry string, opts []SimOption) (simOptions, error)
 // runSim is the single execution core behind SimulateJobs and
 // SimulateSource, so the materialized and streamed paths cannot drift.
 // Exactly one of jobs and src must be set. With o.factory nil the policy
-// name is resolved (enabling oracle mode when the policy needs ground
-// truth); otherwise the factory is used as given.
+// name is resolved; otherwise the factory is used as given.
 func runSim(cfg SimConfig, policy string, jobs []*Job, src JobSource, o simOptions) (*RunStats, error) {
 	factory := o.factory
 	if factory == nil {
-		f, oracleMode, err := exp.NewFactory(policy, cfg.Seed)
+		f, err := exp.NewFactory(policy, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		factory = f
-		cfg.Oracle = oracleMode
 	}
 	sim, err := sched.New(cfg, factory)
 	if err != nil {
@@ -381,17 +372,14 @@ var ErrServeClosed = serve.ErrClosed
 // runs. Virtual-time results are deterministic — a trace-timed serve run
 // of a trace is byte-identical to replaying it — and cfg.Ctx cancels the
 // whole service. If cfg.NewFactory is already set, the policy name is
-// ignored (set cfg.Sim.Oracle yourself in that case).
+// ignored.
 func Serve(cfg ServeConfig, policy string) (*Server, error) {
 	if cfg.NewFactory == nil {
-		_, oracleMode, err := exp.NewFactory(policy, cfg.Sim.Seed)
-		if err != nil {
+		if _, err := exp.NewFactory(policy, cfg.Sim.Seed); err != nil {
 			return nil, err
 		}
-		cfg.Sim.Oracle = oracleMode
 		cfg.NewFactory = func(seed int64) (PolicyFactory, error) {
-			f, _, err := exp.NewFactory(policy, seed)
-			return f, err
+			return exp.NewFactory(policy, seed)
 		}
 	}
 	return serve.New(cfg)

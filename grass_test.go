@@ -126,6 +126,60 @@ func TestOraclePolicyAutoMode(t *testing.T) {
 	}
 }
 
+// TestWithFactoryOracleSeesGroundTruth: the oracle declares its own views,
+// so a run that passes its factory through WithFactory is the named
+// "oracle" run, not an oracle policy fed noisy estimates.
+func TestWithFactoryOracleSeesGroundTruth(t *testing.T) {
+	jobs, err := grass.GenerateTrace(smallTrace(grass.ErrorBound, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := grass.SimulateJobs(smallSim(3), "oracle", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := grass.NewPolicy("oracle", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := grass.SimulateJobs(smallSim(3), "", jobs, grass.WithFactory(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("WithFactory(oracle) diverged from the named oracle run: estimator accuracy %v vs %v, makespan %v vs %v",
+			got.EstimatorAccuracy, want.EstimatorAccuracy, got.Makespan, want.Makespan)
+	}
+}
+
+// TestServeFactoryOracleSeesGroundTruth: the same holds for a service whose
+// ServeConfig.NewFactory builds the oracle — its virtual-time summary is
+// the named "oracle" service's.
+func TestServeFactoryOracleSeesGroundTruth(t *testing.T) {
+	serve := func(policy string, newFactory func(int64) (grass.PolicyFactory, error)) *grass.ServeSummary {
+		t.Helper()
+		src, err := grass.StreamTrace(smallTrace(grass.ErrorBound, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := grass.Serve(grass.ServeConfig{Sim: smallSim(3), NewFactory: newFactory, Source: src}, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := srv.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Wall, sum.MaxQueueDepth = 0, 0 // wall-clock observations
+		return sum
+	}
+	want := serve("oracle", nil)
+	got := serve("", func(seed int64) (grass.PolicyFactory, error) { return grass.NewPolicy("oracle", seed) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewFactory(oracle) service diverged from the named oracle service:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestCustomGrassPolicy(t *testing.T) {
 	cfg := grass.DefaultGrassConfig()
 	cfg.Xi = 0.3

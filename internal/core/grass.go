@@ -22,9 +22,6 @@ type Config struct {
 	// Strawman disables learning entirely and switches statically at the
 	// estimated final-two-waves point (§6.3.2's strawman).
 	Strawman bool
-	// Splits is the number of candidate switch points evaluated in the
-	// remaining work (default 12).
-	Splits int
 	// Seed drives the perturbation coin flips.
 	Seed int64
 	// Learner selects the sample store: the zero value is the original
@@ -36,16 +33,13 @@ type Config struct {
 
 // DefaultConfig returns the paper's configuration: ξ=15%, all three factors.
 func DefaultConfig() Config {
-	return Config{Xi: 0.15, Factors: AllFactors(), Splits: 12, Seed: 1}
+	return Config{Xi: 0.15, Factors: AllFactors(), Seed: 1}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Xi < 0 || c.Xi > 1 {
 		return fmt.Errorf("core: xi %v out of [0,1]", c.Xi)
-	}
-	if c.Splits < 0 {
-		return fmt.Errorf("core: negative splits %d", c.Splits)
 	}
 	if c.Learner > LearnerSketch {
 		return fmt.Errorf("core: unknown learner kind %d", c.Learner)
@@ -85,9 +79,6 @@ type Stats struct {
 func New(cfg Config) (*Factory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Splits == 0 {
-		cfg.Splits = 12
 	}
 	var learner LearnerStore
 	if cfg.Learner == LearnerSketch {
@@ -332,6 +323,10 @@ func continueFrom(c *Curve, phi, t float64) float64 {
 	return d
 }
 
+// splits is the number of candidate switch points the learned switch
+// evaluates across the remaining work.
+const splits = 12
+
 func (g *policy) switchDeadline(ctx spec.Ctx) bool {
 	rem := ctx.RemainingTime
 	if rem <= 0 {
@@ -349,7 +344,6 @@ func (g *policy) switchDeadline(ctx spec.Ctx) bool {
 	if ctx.TotalTasks > 0 {
 		phi = float64(ctx.CompletedTasks) / float64(ctx.TotalTasks)
 	}
-	splits := g.f.cfg.Splits
 	bestIdx, bestAcc := -1, -1.0
 	for i := 0; i <= splits; i++ {
 		s := rem * float64(i) / float64(splits)
@@ -399,7 +393,6 @@ func (g *policy) switchError(ctx spec.Ctx) bool {
 		}
 		return tb - ta
 	}
-	splits := g.f.cfg.Splits
 	bestIdx := -1
 	bestDur := math.Inf(1)
 	for i := 0; i <= splits; i++ {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{{Xi: -0.1}, {Xi: 1.5}, {Xi: 0.1, Splits: -1}}
+	bad := []Config{{Xi: -0.1}, {Xi: 1.5}}
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("case %d: invalid config accepted", i)

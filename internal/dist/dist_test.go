@@ -280,8 +280,8 @@ func TestBodyTailMixture(t *testing.T) {
 	if got := bt.Mean(); math.Abs(got-mc)/mc > 0.02 {
 		t.Fatalf("analytic mean %v, Monte Carlo %v", got, mc)
 	}
-	// The sched default's inflation constant (trace.Config.WorkInflation
-	// docs say ≈1.75) comes from exactly this mixture.
+	// The trace generator's work-inflation constant (≈1.75, the
+	// arrival-spacing factor) comes from exactly this mixture.
 	if mc < 1.6 || mc > 1.9 {
 		t.Fatalf("default mixture mean %v drifted from the documented ~1.75", mc)
 	}

@@ -35,9 +35,10 @@ type Config struct {
 	// completed (a cold-start prior, like Hadoop's default of assuming tasks
 	// take the job's configured average).
 	Prior float64
-	// Window caps how many recent completions inform t_new (0 means 512).
-	Window int
 }
+
+// window caps how many recent completions inform t_new.
+const window = 512
 
 // Validate checks the configuration. NaN and ±Inf are rejected explicitly:
 // NaN fails every ordered comparison, so range checks alone would wave a
@@ -48,9 +49,6 @@ func (c Config) Validate() error {
 	}
 	if math.IsNaN(c.Prior) || math.IsInf(c.Prior, 0) || c.Prior <= 0 {
 		return fmt.Errorf("estimate: prior %v must be finite and positive", c.Prior)
-	}
-	if c.Window < 0 {
-		return fmt.Errorf("estimate: negative window %d", c.Window)
 	}
 	return nil
 }
@@ -85,15 +83,11 @@ func New(cfg Config, rng *dist.RNG) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := cfg.Window
-	if w == 0 {
-		w = 512
-	}
 	return &Estimator{
 		cfg:    cfg,
 		rng:    rng,
-		window: make([]float64, 0, w),
-		sorted: make([]float64, 0, w),
+		window: make([]float64, 0, window),
+		sorted: make([]float64, 0, window),
 	}, nil
 }
 

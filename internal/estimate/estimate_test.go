@@ -22,7 +22,6 @@ func TestConfigValidate(t *testing.T) {
 		{TRemNoise: -1, Prior: 1},
 		{TNewNoise: -1, Prior: 1},
 		{Prior: 0},
-		{Prior: 1, Window: -1},
 		// NaN passes every ordered comparison, so each float field must
 		// reject it explicitly; ±Inf passes one-sided range checks.
 		{TRemNoise: nan, Prior: 1},
@@ -36,7 +35,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	good := []Config{{Prior: 1}, {TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1, Window: 64}}
+	good := []Config{{Prior: 1}, {TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1}}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("good case %d rejected: %v", i, err)
@@ -82,19 +81,19 @@ func TestMedianTracksCompletions(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	e := newTest(t, Config{Prior: 1, Window: 4}, 4)
+	e := newTest(t, Config{Prior: 1}, 4)
 	// Fill with large values, then push enough small ones to evict them all.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < window; i++ {
 		e.ObserveCompletion(100)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < window; i++ {
 		e.ObserveCompletion(1)
 	}
 	if got := e.NormalizedMedian(); got != 1 {
 		t.Fatalf("median after eviction %v, want 1", got)
 	}
-	if e.Completions() != 4 {
-		t.Fatalf("window holds %d, want 4", e.Completions())
+	if e.Completions() != window {
+		t.Fatalf("window holds %d, want %d", e.Completions(), window)
 	}
 }
 
@@ -103,7 +102,7 @@ func TestWindowEviction(t *testing.T) {
 // drifted apart, and every later median would be silently wrong. The old
 // code no-oped here; it must panic.
 func TestSortedRemoveMissingPanics(t *testing.T) {
-	e := newTest(t, Config{Prior: 1, Window: 4}, 11)
+	e := newTest(t, Config{Prior: 1}, 11)
 	e.ObserveCompletion(1)
 	e.ObserveCompletion(2)
 	defer func() {

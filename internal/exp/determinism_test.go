@@ -33,7 +33,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	parallel := tiny()
 	parallel.Workers = 8
 
-	// PotentialGains exercises runScenario (policy × seed grid); the
+	// PotentialGains exercises runScenarios (policy × seed grid); the
 	// paired improvement is covered by TestImprovementWorkerInvariance.
 	a := render(t, serial, PotentialGains)
 	b := render(t, parallel, PotentialGains)
@@ -43,7 +43,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestImprovementWorkerInvariance pins the paired-seed improvement
-// (runScenario plus runSet.improvement) to the serial result.
+// (runScenarios plus runSet.improvement) to the serial result.
 func TestImprovementWorkerInvariance(t *testing.T) {
 	serial := tiny()
 	serial.Workers = 1
@@ -52,12 +52,12 @@ func TestImprovementWorkerInvariance(t *testing.T) {
 	parallel.Workers = 6
 
 	get := func(c Config) float64 {
-		rs, err := c.runScenario(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1,
-			[]policySpec{named("late"), named("grass")}, nil)
+		sets, err := c.runScenarios([]scenario{
+			hadoop(trace.Facebook, trace.ErrorBound, []policySpec{named("late"), named("grass")})})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs.improvement("late", "grass", metrics.SpeedupPct, nil)
+		return sets[0].improvement("late", "grass", metrics.SpeedupPct, nil)
 	}
 	a, b := get(serial), get(parallel)
 	if a != b {
@@ -73,14 +73,14 @@ func TestForEachErrorDeterministic(t *testing.T) {
 	bogus := tiny()
 	bogus.Workers = 4
 	bogus.Seeds = []int64{1, 2, 3, 4}
-	failing := policySpec{name: "failing", make: func(seed int64) (spec.Factory, bool, error) {
-		return nil, false, fmt.Errorf("boom seed %d", seed)
+	failing := policySpec{name: "failing", make: func(seed int64) (spec.Factory, error) {
+		return nil, fmt.Errorf("boom seed %d", seed)
 	}}
 	// The failing policy is first, so grid index 0 = (failing, seed 1) must
 	// always win even when a later cell fails earlier in wall-clock time.
 	for i := 0; i < 5; i++ {
-		_, err := bogus.runScenario(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1,
-			[]policySpec{failing, named("late")}, nil)
+		_, err := bogus.runScenarios([]scenario{
+			hadoop(trace.Facebook, trace.ErrorBound, []policySpec{failing, named("late")})})
 		if err == nil {
 			t.Fatal("failing policy did not error")
 		}

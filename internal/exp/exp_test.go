@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -26,18 +27,20 @@ func TestNewFactoryNames(t *testing.T) {
 		"grass-best2acc", "gs", "ras", "late", "mantri", "nospec", "oracle",
 	}
 	for _, n := range names {
-		f, oracleMode, err := NewFactory(n, 1)
+		f, err := NewFactory(n, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
 		if f == nil {
 			t.Fatalf("%s: nil factory", n)
 		}
-		if (n == "oracle") != oracleMode {
-			t.Fatalf("%s: oracle mode %v", n, oracleMode)
+		// Only the oracle declares ground-truth views.
+		_, groundTruth, err := NewFactoryLearner(n, 1, core.LearnerRing)
+		if err != nil || (n == "oracle") != groundTruth {
+			t.Fatalf("%s: ground truth %v, err %v", n, groundTruth, err)
 		}
 	}
-	if _, _, err := NewFactory("bogus", 1); err == nil {
+	if _, err := NewFactory("bogus", 1); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
 }
@@ -49,8 +52,8 @@ func TestConfigsDiffer(t *testing.T) {
 		t.Fatal("Quick should be smaller than Default")
 	}
 	// Spark gets extra estimator noise.
-	h := c.SchedConfig(trace.Hadoop, 1, false)
-	s := c.SchedConfig(trace.Spark, 1, false)
+	h := c.SchedConfig(trace.Hadoop, 1)
+	s := c.SchedConfig(trace.Spark, 1)
 	if s.Estimator.TRemNoise <= h.Estimator.TRemNoise {
 		t.Fatal("Spark should have noisier estimates")
 	}
@@ -77,11 +80,12 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestRunProducesResults(t *testing.T) {
-	rs, err := tiny().runScenario(trace.Facebook, trace.Hadoop, trace.DeadlineBound, 1, []policySpec{named("late")}, nil)
+	sets, err := tiny().runScenarios([]scenario{
+		hadoop(trace.Facebook, trace.DeadlineBound, []policySpec{named("late")})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs := rs["late"]; len(runs) != 1 || len(runs[0]) != 40 {
+	if runs := sets[0]["late"]; len(runs) != 1 || len(runs[0]) != 40 {
 		t.Fatalf("%d runs, want one of 40 results", len(runs))
 	}
 }

@@ -50,11 +50,10 @@ func faultGoldenRun(t *testing.T, scenario, policy string) (float64, sched.Fault
 	cfg.Cluster.Machines = 50
 	cfg.Seed = 61
 	cfg.Faults = fc
-	f, oracleMode, err := NewFactory(policy, cfg.Seed)
+	f, err := NewFactory(policy, cfg.Seed)
 	if err != nil {
 		t.Fatalf("policy %q: %v", policy, err)
 	}
-	cfg.Oracle = oracleMode
 	tc := trace.DefaultConfig(trace.Facebook, trace.Hadoop, trace.MixedBound)
 	tc.Jobs = 250
 	tc.Seed = 61

@@ -17,23 +17,22 @@ import (
 // policySpec names a policy and knows how to build it per seed.
 type policySpec struct {
 	name string
-	make func(seed int64) (spec.Factory, bool, error)
+	make func(seed int64) (spec.Factory, error)
 }
 
 func named(n string) policySpec {
-	return policySpec{name: n, make: func(seed int64) (spec.Factory, bool, error) {
+	return policySpec{name: n, make: func(seed int64) (spec.Factory, error) {
 		return NewFactory(n, seed)
 	}}
 }
 
 func grassWithXi(xi float64) policySpec {
 	name := fmt.Sprintf("grass-xi%02.0f", xi*100)
-	return policySpec{name: name, make: func(seed int64) (spec.Factory, bool, error) {
+	return policySpec{name: name, make: func(seed int64) (spec.Factory, error) {
 		c := core.DefaultConfig()
 		c.Xi = xi
 		c.Seed = seed
-		f, err := core.New(c)
-		return f, false, err
+		return core.New(c)
 	}}
 }
 
@@ -42,7 +41,7 @@ type runSet map[string][][]sched.JobResult
 
 // scenario is one cell of an experiment's grid: a workload/framework/bound
 // combination simulated under a set of policies (with an optional simulator
-// config mutation) across every seed.
+// config mutation) across every seed. dag 0 and 1 both mean input-only jobs.
 type scenario struct {
 	w        trace.Workload
 	fw       trace.Framework
@@ -87,11 +86,11 @@ func (c Config) runScenarios(scs []scenario) ([]runSet, error) {
 		if err != nil {
 			return err
 		}
-		factory, oracleMode, err := p.make(seed)
+		factory, err := p.make(seed)
 		if err != nil {
 			return err
 		}
-		scfg := c.SchedConfig(sc.fw, seed, oracleMode)
+		scfg := c.SchedConfig(sc.fw, seed)
 		if sc.mutate != nil {
 			sc.mutate(&scfg)
 		}
@@ -121,17 +120,6 @@ func (c Config) runScenarios(scs []scenario) ([]runSet, error) {
 		out[si] = rs
 	}
 	return out, nil
-}
-
-// runScenario is the single-cell convenience wrapper around runScenarios.
-func (c Config) runScenario(w trace.Workload, fw trace.Framework, b trace.BoundMode, dag int,
-	policies []policySpec, mutate func(*sched.Config)) (runSet, error) {
-
-	out, err := c.runScenarios([]scenario{{w: w, fw: fw, b: b, dag: dag, policies: policies, mutate: mutate}})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // improvement reduces a runSet to the median (across seeds) improvement of
@@ -165,6 +153,86 @@ func boundMetric(b trace.BoundMode) func(base, treat []sched.JobResult) float64 
 	}
 	return metrics.SpeedupPct
 }
+
+// gain is one cell of a gain table: the median paired improvement of treat
+// over base in scenario sc, under that scenario's bound metric, restricted
+// to the jobs keep accepts (nil keeps every job).
+type gain struct {
+	sc          int
+	base, treat string
+	keep        func(sched.JobResult) bool
+}
+
+// gainRow is one labelled row of gain cells.
+type gainRow struct {
+	label string
+	gains []gain
+}
+
+// gainTable runs the scenarios on one worker pool and appends one row of
+// gains to t per entry of rows. Every comparative experiment is a
+// declaration of its scenarios and rows handed to this builder.
+func (c Config) gainTable(t *Table, scs []scenario, rows []gainRow) (*Table, error) {
+	sets, err := c.runScenarios(scs)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		vals := make([]float64, len(r.gains))
+		for i, g := range r.gains {
+			vals[i] = sets[g.sc].improvement(g.base, g.treat, boundMetric(scs[g.sc].b), g.keep)
+		}
+		t.AddRow(r.label, vals...)
+	}
+	return t, nil
+}
+
+// over lists each treatment's gain over base in the n scenarios from
+// first on, scenario-major: the column layout of every figure that
+// compares policies side by side per scenario.
+func over(base string, first, n int, treats ...string) []gain {
+	var gs []gain
+	for sc := first; sc < first+n; sc++ {
+		for _, t := range treats {
+			gs = append(gs, gain{sc: sc, base: base, treat: t})
+		}
+	}
+	return gs
+}
+
+// restrict returns a copy of gs that keeps only the jobs keep accepts.
+func restrict(gs []gain, keep func(sched.JobResult) bool) []gain {
+	out := make([]gain, len(gs))
+	for i, g := range gs {
+		g.keep = keep
+		out[i] = g
+	}
+	return out
+}
+
+// binRows gives one row per job-size bin, then "all": each row holds cols
+// restricted to its bin.
+func binRows(cols ...gain) []gainRow {
+	var rows []gainRow
+	for _, bin := range task.AllBins {
+		inBin := func(r sched.JobResult) bool { return r.Bin == bin }
+		rows = append(rows, gainRow{bin.String(), restrict(cols, inBin)})
+	}
+	return append(rows, gainRow{"all", cols})
+}
+
+// hadoop is the Hadoop scenario most figures run: input-only jobs of
+// workload w under bound b.
+func hadoop(w trace.Workload, b trace.BoundMode, pols []policySpec) scenario {
+	return scenario{w: w, fw: trace.Hadoop, b: b, policies: pols}
+}
+
+// The workload, bound and framework axes the figures sweep.
+var (
+	fbBing   = []trace.Workload{trace.Facebook, trace.Bing}
+	dlErr    = []trace.BoundMode{trace.DeadlineBound, trace.ErrorBound}
+	hadSpark = []trace.Framework{trace.Hadoop, trace.Spark}
+)
 
 // Table1 reproduces Table 1: details of the (synthetic) Facebook and Bing
 // traces.
@@ -259,79 +327,44 @@ func Fig4Reactive() (*Table, error) {
 // LATE and Mantri (paper: deadline accuracy +48%/+44% FB/Bing, error-bound
 // speedups +32%/+40%).
 func PotentialGains(cfg Config) (*Table, error) {
-	t := &Table{
-		Title:   "Sec 2.3 potential gains: Oracle vs production baselines (%)",
-		Columns: []string{"vs LATE", "vs Mantri"},
-	}
 	pols := []policySpec{named("late"), named("mantri"), named("oracle")}
 	var scs []scenario
-	for _, w := range []trace.Workload{trace.Facebook, trace.Bing} {
-		for _, b := range []trace.BoundMode{trace.DeadlineBound, trace.ErrorBound} {
-			scs = append(scs, scenario{w: w, fw: trace.Hadoop, b: b, dag: 1, policies: pols})
+	var rows []gainRow
+	for _, w := range fbBing {
+		for _, b := range dlErr {
+			sc := len(scs)
+			scs = append(scs, hadoop(w, b, pols))
+			rows = append(rows, gainRow{fmt.Sprintf("%s/%s", w, b),
+				[]gain{{sc, "late", "oracle", nil}, {sc, "mantri", "oracle", nil}}})
 		}
 	}
-	sets, err := cfg.runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range scs {
-		m := boundMetric(sc.b)
-		label := fmt.Sprintf("%s/%s", sc.w, boundName(sc.b))
-		t.AddRow(label,
-			sets[i].improvement("late", "oracle", m, nil),
-			sets[i].improvement("mantri", "oracle", m, nil))
-	}
-	return t, nil
-}
-
-func boundName(b trace.BoundMode) string {
-	switch b {
-	case trace.DeadlineBound:
-		return "deadline"
-	case trace.ErrorBound:
-		return "error"
-	default:
-		return "exact"
-	}
+	return cfg.gainTable(&Table{
+		Title:   "Sec 2.3 potential gains: Oracle vs production baselines (%)",
+		Columns: []string{"vs LATE", "vs Mantri"},
+	}, scs, rows)
 }
 
 // figBinMatrix runs GRASS against both baselines across workloads and
 // frameworks and reports per-bin improvements — the engine behind Figures 5
 // and 7.
 func figBinMatrix(cfg Config, b trace.BoundMode, title string) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("mantri"), named("grass")}
+	var scs []scenario
+	var cols []gain
+	for _, fw := range hadSpark {
+		for _, w := range fbBing {
+			sc := len(scs)
+			scs = append(scs, scenario{w: w, fw: fw, b: b, policies: pols})
+			cols = append(cols, gain{sc, "late", "grass", nil}, gain{sc, "mantri", "grass", nil})
+		}
+	}
+	return cfg.gainTable(&Table{
 		Title: title,
 		Columns: []string{
 			"FB/Had/LATE", "FB/Had/Mantri", "Bing/Had/LATE", "Bing/Had/Mantri",
 			"FB/Spk/LATE", "FB/Spk/Mantri", "Bing/Spk/LATE", "Bing/Spk/Mantri",
 		},
-	}
-	pols := []policySpec{named("late"), named("mantri"), named("grass")}
-	metric := boundMetric(b)
-	var scs []scenario
-	for _, fw := range []trace.Framework{trace.Hadoop, trace.Spark} {
-		for _, w := range []trace.Workload{trace.Facebook, trace.Bing} {
-			scs = append(scs, scenario{w: w, fw: fw, b: b, dag: 1, policies: pols})
-		}
-	}
-	cells, err := cfg.runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	addRow := func(label string, filter func(sched.JobResult) bool) {
-		vals := make([]float64, 0, 8)
-		for _, rs := range cells {
-			vals = append(vals,
-				rs.improvement("late", "grass", metric, filter),
-				rs.improvement("mantri", "grass", metric, filter))
-		}
-		t.AddRow(label, vals...)
-	}
-	for _, bin := range task.AllBins {
-		addRow(bin.String(), binFilter(bin))
-	}
-	addRow("all", nil)
-	return t, nil
+	}, scs, binRows(cols...))
 }
 
 // Fig5Deadline reproduces Figure 5: accuracy improvement of GRASS for
@@ -350,135 +383,85 @@ func Fig7Error(cfg Config) (*Table, error) {
 // Fig6Bounds reproduces Figure 6: GRASS's gains (vs LATE) binned by the
 // deadline calibration factor (a) and the error bound (b).
 func Fig6Bounds(cfg Config) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("grass")}
+	// (a) deadline factor bins over both workloads, then (b) error bins
+	// over both.
+	var scs []scenario
+	for _, b := range dlErr {
+		for _, w := range fbBing {
+			scs = append(scs, hadoop(w, b, pols))
+		}
+	}
+	var rows []gainRow
+	dl, er := over("late", 0, 2, "grass"), over("late", 2, 2, "grass")
+	for _, db := range metrics.DeadlineBins {
+		rows = append(rows, gainRow{"deadline " + db.Label() + "%", restrict(dl, db.Contains)})
+	}
+	for _, eb := range metrics.ErrorBins {
+		rows = append(rows, gainRow{"error " + eb.Label() + "%", restrict(er, eb.Contains)})
+	}
+	return cfg.gainTable(&Table{
 		Title:   "Figure 6: gains (%) binned by deadline factor / error bound (vs LATE)",
 		Columns: []string{"Facebook", "Bing"},
+	}, scs, rows)
+}
+
+// facebook lists one Facebook scenario per bound under framework fw — the
+// grid of Figures 8 and 10–14.
+func facebook(fw trace.Framework, pols []policySpec, bounds ...trace.BoundMode) []scenario {
+	var scs []scenario
+	for _, b := range bounds {
+		scs = append(scs, scenario{w: trace.Facebook, fw: fw, b: b, policies: pols})
 	}
-	pols := []policySpec{named("late"), named("grass")}
-	// One pool for all four scenarios: (a) deadline factor bins over both
-	// workloads, then (b) error bins over both.
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.DeadlineBound, dag: 1, policies: pols},
-		{w: trace.Bing, fw: trace.Hadoop, b: trace.DeadlineBound, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.ErrorBound, dag: 1, policies: pols},
-		{w: trace.Bing, fw: trace.Hadoop, b: trace.ErrorBound, dag: 1, policies: pols},
-	})
-	if err != nil {
-		return nil, err
-	}
-	dl := sets[:2]
-	for _, db := range metrics.DeadlineBins {
-		t.AddRow("deadline "+db.Label()+"%",
-			dl[0].improvement("late", "grass", metrics.AccuracyImprovementPct, db.Contains),
-			dl[1].improvement("late", "grass", metrics.AccuracyImprovementPct, db.Contains))
-	}
-	// (b) error bins.
-	er := sets[2:]
-	for _, eb := range metrics.ErrorBins {
-		t.AddRow("error "+eb.Label()+"%",
-			er[0].improvement("late", "grass", metrics.SpeedupPct, eb.Contains),
-			er[1].improvement("late", "grass", metrics.SpeedupPct, eb.Contains))
-	}
-	return t, nil
+	return scs
 }
 
 // Fig8Optimality reproduces Figure 8: GRASS against the optimal scheduler
 // (both as improvement over LATE, Facebook workload with Spark).
 func Fig8Optimality(cfg Config) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("grass"), named("oracle")}
+	return cfg.gainTable(&Table{
 		Title:   "Figure 8: GRASS vs Optimal, improvement (%) over LATE (FB, Spark)",
 		Columns: []string{"GRASS dl", "Optimal dl", "GRASS err", "Optimal err"},
-	}
-	pols := []policySpec{named("late"), named("grass"), named("oracle")}
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Spark, b: trace.DeadlineBound, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Spark, b: trace.ErrorBound, dag: 1, policies: pols},
-	})
-	if err != nil {
-		return nil, err
-	}
-	dl, er := sets[0], sets[1]
-	add := func(label string, filter func(sched.JobResult) bool) {
-		t.AddRow(label,
-			dl.improvement("late", "grass", metrics.AccuracyImprovementPct, filter),
-			dl.improvement("late", "oracle", metrics.AccuracyImprovementPct, filter),
-			er.improvement("late", "grass", metrics.SpeedupPct, filter),
-			er.improvement("late", "oracle", metrics.SpeedupPct, filter))
-	}
-	for _, bin := range task.AllBins {
-		add(bin.String(), binFilter(bin))
-	}
-	add("all", nil)
-	return t, nil
+	}, facebook(trace.Spark, pols, dlErr...), binRows(over("late", 0, 2, "grass", "oracle")...))
 }
 
 // Fig9DAG reproduces Figure 9: GRASS's gains across job DAG lengths 2–6.
 func Fig9DAG(cfg Config) (*Table, error) {
-	t := &Table{
-		Title:   "Figure 9: gains (%) vs DAG length (GRASS over LATE)",
-		Columns: []string{"FB deadline", "Bing deadline", "FB error", "Bing error"},
-	}
 	pols := []policySpec{named("late"), named("grass")}
 	var scs []scenario
+	var rows []gainRow
 	for dag := 2; dag <= 6; dag++ {
-		for _, b := range []trace.BoundMode{trace.DeadlineBound, trace.ErrorBound} {
-			for _, w := range []trace.Workload{trace.Facebook, trace.Bing} {
+		// Scenario order is (dl FB, dl Bing, err FB, err Bing) per DAG
+		// length — already the column layout.
+		rows = append(rows, gainRow{fmt.Sprintf("DAG=%d", dag), over("late", len(scs), 4, "grass")})
+		for _, b := range dlErr {
+			for _, w := range fbBing {
 				scs = append(scs, scenario{w: w, fw: trace.Hadoop, b: b, dag: dag, policies: pols})
 			}
 		}
 	}
-	sets, err := cfg.runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	for dag := 2; dag <= 6; dag++ {
-		// Scenario order is (dl FB, dl Bing, err FB, err Bing) per DAG
-		// length — already the column layout.
-		base := (dag - 2) * 4
-		row := make([]float64, 0, 4)
-		for i := 0; i < 4; i++ {
-			rs := sets[base+i]
-			row = append(row, rs.improvement("late", "grass", boundMetric(scs[base+i].b), nil))
-		}
-		t.AddRow(fmt.Sprintf("DAG=%d", dag), row[0], row[1], row[2], row[3])
-	}
-	return t, nil
+	return cfg.gainTable(&Table{
+		Title:   "Figure 9: gains (%) vs DAG length (GRASS over LATE)",
+		Columns: []string{"FB deadline", "Bing deadline", "FB error", "Bing error"},
+	}, scs, rows)
 }
 
 // figSwitching runs GS-only, RAS-only and GRASS against LATE — Figures 10
 // (deadline) and 11 (error) — across Hadoop and Spark.
 func figSwitching(cfg Config, b trace.BoundMode, title string) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("gs"), named("ras"), named("grass")}
+	var scs []scenario
+	for _, fw := range hadSpark {
+		scs = append(scs, facebook(fw, pols, b)...)
+	}
+	return cfg.gainTable(&Table{
 		Title: title,
 		Columns: []string{
 			"Had GS", "Had RAS", "Had GRASS",
 			"Spk GS", "Spk RAS", "Spk GRASS",
 		},
-	}
-	pols := []policySpec{named("late"), named("gs"), named("ras"), named("grass")}
-	metric := boundMetric(b)
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: b, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Spark, b: b, dag: 1, policies: pols},
-	})
-	if err != nil {
-		return nil, err
-	}
-	add := func(label string, filter func(sched.JobResult) bool) {
-		vals := make([]float64, 0, 6)
-		for _, rs := range sets {
-			vals = append(vals,
-				rs.improvement("late", "gs", metric, filter),
-				rs.improvement("late", "ras", metric, filter),
-				rs.improvement("late", "grass", metric, filter))
-		}
-		t.AddRow(label, vals...)
-	}
-	for _, bin := range task.AllBins {
-		add(bin.String(), binFilter(bin))
-	}
-	add("all", nil)
-	return t, nil
+	}, scs, binRows(over("late", 0, 2, "gs", "ras", "grass")...))
 }
 
 // Fig10SwitchingDeadline reproduces Figure 10.
@@ -496,71 +479,32 @@ func Fig11SwitchingError(cfg Config) (*Table, error) {
 // Fig12Strawman reproduces Figure 12: GRASS's learned switching against the
 // static two-wave strawman.
 func Fig12Strawman(cfg Config) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("grass-strawman"), named("grass")}
+	return cfg.gainTable(&Table{
 		Title:   "Figure 12: learned switching vs two-wave strawman, gains (%) over LATE (FB, Hadoop)",
 		Columns: []string{"Strawman dl", "GRASS dl", "Strawman err", "GRASS err"},
-	}
-	pols := []policySpec{named("late"), named("grass-strawman"), named("grass")}
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.DeadlineBound, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.ErrorBound, dag: 1, policies: pols},
-	})
-	if err != nil {
-		return nil, err
-	}
-	dl, er := sets[0], sets[1]
-	add := func(label string, filter func(sched.JobResult) bool) {
-		t.AddRow(label,
-			dl.improvement("late", "grass-strawman", metrics.AccuracyImprovementPct, filter),
-			dl.improvement("late", "grass", metrics.AccuracyImprovementPct, filter),
-			er.improvement("late", "grass-strawman", metrics.SpeedupPct, filter),
-			er.improvement("late", "grass", metrics.SpeedupPct, filter))
-	}
-	for _, bin := range task.AllBins {
-		add(bin.String(), binFilter(bin))
-	}
-	add("all", nil)
-	return t, nil
+	}, facebook(trace.Hadoop, pols, dlErr...), binRows(over("late", 0, 2, "grass-strawman", "grass")...))
 }
 
 // figFactors runs the factor ablation (Best-1, Best-2, full GRASS) —
 // Figures 13 (deadline) and 14 (error).
 func figFactors(cfg Config, b trace.BoundMode, title string) (*Table, error) {
-	t := &Table{
+	treats := []string{"grass-best1", "grass-best2util", "grass-best2acc", "grass"}
+	pols := []policySpec{named("late")}
+	for _, t := range treats {
+		pols = append(pols, named(t))
+	}
+	var scs []scenario
+	for _, fw := range hadSpark {
+		scs = append(scs, facebook(fw, pols, b)...)
+	}
+	return cfg.gainTable(&Table{
 		Title: title,
 		Columns: []string{
 			"Had B1", "Had B2u", "Had B2a", "Had all",
 			"Spk B1", "Spk B2u", "Spk B2a", "Spk all",
 		},
-	}
-	pols := []policySpec{
-		named("late"), named("grass-best1"),
-		named("grass-best2util"), named("grass-best2acc"), named("grass"),
-	}
-	metric := boundMetric(b)
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: b, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Spark, b: b, dag: 1, policies: pols},
-	})
-	if err != nil {
-		return nil, err
-	}
-	add := func(label string, filter func(sched.JobResult) bool) {
-		vals := make([]float64, 0, 8)
-		for _, rs := range sets {
-			vals = append(vals,
-				rs.improvement("late", "grass-best1", metric, filter),
-				rs.improvement("late", "grass-best2util", metric, filter),
-				rs.improvement("late", "grass-best2acc", metric, filter),
-				rs.improvement("late", "grass", metric, filter))
-		}
-		t.AddRow(label, vals...)
-	}
-	for _, bin := range task.AllBins {
-		add(bin.String(), binFilter(bin))
-	}
-	add("all", nil)
-	return t, nil
+	}, scs, binRows(over("late", 0, 2, treats...)...))
 }
 
 // Fig13FactorsDeadline reproduces Figure 13.
@@ -578,62 +522,40 @@ func Fig14FactorsError(cfg Config) (*Table, error) {
 // Fig15Perturbation reproduces Figure 15: GRASS's sensitivity to the
 // perturbation probability ξ.
 func Fig15Perturbation(cfg Config) (*Table, error) {
-	t := &Table{
-		Title:   "Figure 15: sensitivity to perturbation xi, gains (%) over LATE",
-		Columns: []string{"FB deadline", "Bing deadline", "FB error", "Bing error"},
-	}
-	xis := []float64{0, 0.05, 0.10, 0.15, 0.20}
 	var scs []scenario
-	grassNames := make([]string, len(xis))
-	for xi1, xi := range xis {
+	var rows []gainRow
+	for _, xi := range []float64{0, 0.05, 0.10, 0.15, 0.20} {
 		g := grassWithXi(xi)
-		grassNames[xi1] = g.name
+		rows = append(rows, gainRow{fmt.Sprintf("xi=%.0f%%", xi*100), over("late", len(scs), 4, g.name)})
 		pols := []policySpec{named("late"), g}
-		for _, b := range []trace.BoundMode{trace.DeadlineBound, trace.ErrorBound} {
-			for _, w := range []trace.Workload{trace.Facebook, trace.Bing} {
-				scs = append(scs, scenario{w: w, fw: trace.Hadoop, b: b, dag: 1, policies: pols})
+		for _, b := range dlErr {
+			for _, w := range fbBing {
+				scs = append(scs, hadoop(w, b, pols))
 			}
 		}
 	}
-	sets, err := cfg.runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	for xi1, xi := range xis {
-		base := xi1 * 4
-		row := make([]float64, 0, 4)
-		for i := 0; i < 4; i++ {
-			row = append(row, sets[base+i].improvement("late", grassNames[xi1], boundMetric(scs[base+i].b), nil))
-		}
-		t.AddRow(fmt.Sprintf("xi=%.0f%%", xi*100), row[0], row[1], row[2], row[3])
-	}
-	t.Notes = append(t.Notes, "paper: performance peaks at xi = 15%")
-	return t, nil
+	return cfg.gainTable(&Table{
+		Title:   "Figure 15: sensitivity to perturbation xi, gains (%) over LATE",
+		Columns: []string{"FB deadline", "Bing deadline", "FB error", "Bing error"},
+		Notes:   []string{"paper: performance peaks at xi = 15%"},
+	}, scs, rows)
 }
 
 // ExactJobs reproduces §6.2.2's exact-computation result: GRASS speeds up
 // zero-error jobs too (paper: 34%).
 func ExactJobs(cfg Config) (*Table, error) {
-	t := &Table{
+	pols := []policySpec{named("late"), named("mantri"), named("grass")}
+	var scs []scenario
+	var rows []gainRow
+	for _, w := range fbBing {
+		sc := len(scs)
+		scs = append(scs, hadoop(w, trace.ExactBound, pols))
+		rows = append(rows, gainRow{w.String(), []gain{{sc, "late", "grass", nil}, {sc, "mantri", "grass", nil}}})
+	}
+	return cfg.gainTable(&Table{
 		Title:   "Exact jobs (error bound = 0): speedup (%) of GRASS",
 		Columns: []string{"vs LATE", "vs Mantri"},
-	}
-	pols := []policySpec{named("late"), named("mantri"), named("grass")}
-	workloads := []trace.Workload{trace.Facebook, trace.Bing}
-	var scs []scenario
-	for _, w := range workloads {
-		scs = append(scs, scenario{w: w, fw: trace.Hadoop, b: trace.ExactBound, dag: 1, policies: pols})
-	}
-	sets, err := cfg.runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	for i, w := range workloads {
-		t.AddRow(w.String(),
-			sets[i].improvement("late", "grass", metrics.SpeedupPct, nil),
-			sets[i].improvement("mantri", "grass", metrics.SpeedupPct, nil))
-	}
-	return t, nil
+	}, scs, rows)
 }
 
 // Theorem1Table tabulates the optimal proactive copy count k(x(t)) of
@@ -658,52 +580,40 @@ func Theorem1Table() *Table {
 // duration model against a light-tailed variant — Guideline 1 says the
 // benefit should largely disappear without a heavy tail.
 func AblationTail(cfg Config) (*Table, error) {
-	t := &Table{
+	heavy := hadoop(trace.Facebook, trace.ExactBound, []policySpec{named("nospec"), named("ras")})
+	light := heavy
+	light.mutate = func(s *sched.Config) {
+		// Nearly tail-free: rare, mild stragglers.
+		s.TailFrac = 0.02
+		s.DurationBeta = 4
+		s.DurationCap = 4
+	}
+	return cfg.gainTable(&Table{
 		Title:   "Ablation: straggler tail. RAS speedup (%) over NoSpec on exact jobs (FB, Hadoop)",
 		Columns: []string{"speedup"},
-	}
-	pols := []policySpec{named("nospec"), named("ras")}
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.ExactBound, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.ExactBound, dag: 1, policies: pols,
-			mutate: func(s *sched.Config) {
-				// Nearly tail-free: rare, mild stragglers.
-				s.TailFrac = 0.02
-				s.DurationBeta = 4
-				s.DurationCap = 4
-			}},
+	}, []scenario{heavy, light}, []gainRow{
+		{"heavy tail (default)", over("nospec", 0, 1, "ras")},
+		{"light tail", over("nospec", 1, 1, "ras")},
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("heavy tail (default)", sets[0].improvement("nospec", "ras", metrics.SpeedupPct, nil))
-	t.AddRow("light tail", sets[1].improvement("nospec", "ras", metrics.SpeedupPct, nil))
-	return t, nil
 }
 
 // AblationEstimation compares GRASS's gains under the default estimator
 // noise against perfect estimates — RAS's conservatism is most valuable when
 // estimates are poor (§4.1).
 func AblationEstimation(cfg Config) (*Table, error) {
-	t := &Table{
+	noisy := hadoop(trace.Facebook, trace.DeadlineBound, []policySpec{named("late"), named("grass")})
+	perfect := noisy
+	perfect.mutate = func(s *sched.Config) {
+		s.Estimator.TRemNoise = 0
+		s.Estimator.TNewNoise = 0
+	}
+	return cfg.gainTable(&Table{
 		Title:   "Ablation: estimation noise. GRASS gains (%) over LATE, deadline-bound (FB, Hadoop)",
 		Columns: []string{"gain"},
-	}
-	pols := []policySpec{named("late"), named("grass")}
-	sets, err := cfg.runScenarios([]scenario{
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.DeadlineBound, dag: 1, policies: pols},
-		{w: trace.Facebook, fw: trace.Hadoop, b: trace.DeadlineBound, dag: 1, policies: pols,
-			mutate: func(s *sched.Config) {
-				s.Estimator.TRemNoise = 0
-				s.Estimator.TNewNoise = 0
-			}},
+	}, []scenario{noisy, perfect}, []gainRow{
+		{"default noise", over("late", 0, 1, "grass")},
+		{"perfect estimates", over("late", 1, 1, "grass")},
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("default noise", sets[0].improvement("late", "grass", metrics.AccuracyImprovementPct, nil))
-	t.AddRow("perfect estimates", sets[1].improvement("late", "grass", metrics.AccuracyImprovementPct, nil))
-	return t, nil
 }
 
 // All returns every experiment in presentation order. Keys are the IDs used

@@ -48,12 +48,12 @@ func TestGoldenHeadlineMetrics(t *testing.T) {
 		t.Skip("full Quick() simulation")
 	}
 	improvement := func(b trace.BoundMode, metric func(base, treat []sched.JobResult) float64) float64 {
-		rs, err := Quick().runScenario(trace.Facebook, trace.Hadoop, b, 1,
-			[]policySpec{named("late"), named("grass")}, nil)
+		sets, err := Quick().runScenarios([]scenario{
+			hadoop(trace.Facebook, b, []policySpec{named("late"), named("grass")})})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs.improvement("late", "grass", metric, nil)
+		return sets[0].improvement("late", "grass", metric, nil)
 	}
 	acc := improvement(trace.DeadlineBound, metrics.AccuracyImprovementPct)
 	spd := improvement(trace.ErrorBound, metrics.SpeedupPct)

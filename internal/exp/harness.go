@@ -15,7 +15,6 @@ import (
 	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/spec"
-	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -61,25 +60,36 @@ func Quick() Config {
 	return c
 }
 
-// NewFactory resolves a policy name to its factory. The boolean result
-// requests oracle mode (ground-truth task views) from the simulator.
-// Names: grass, grass-strawman, grass-best1, grass-best2util,
-// grass-best2acc, gs, ras, late, mantri, nospec, oracle.
-func NewFactory(name string, seed int64) (spec.Factory, bool, error) {
-	return NewFactoryLearner(name, seed, core.LearnerRing)
+// NewFactory resolves a policy name to its factory. Names: grass,
+// grass-strawman, grass-best1, grass-best2util, grass-best2acc, gs, ras,
+// late, mantri, nospec, oracle. The oracle's factory implements
+// spec.GroundTruth, so the simulator gives it ground-truth views wherever
+// it runs.
+func NewFactory(name string, seed int64) (spec.Factory, error) {
+	return newFactory(name, seed, core.LearnerRing)
 }
 
 // NewFactoryLearner is NewFactory with the GRASS learner implementation
 // selected: core.LearnerRing is the default per-partition ring store,
 // core.LearnerSketch the mergeable store whose state folds across
 // partitions (and is required for LearnEpochs > 1 replays). Non-GRASS
-// policy names ignore the learner.
+// policy names ignore the learner. The boolean result reports whether the
+// factory sees ground truth, read from its spec.GroundTruth method.
 func NewFactoryLearner(name string, seed int64, learner core.LearnerKind) (spec.Factory, bool, error) {
-	mk := func(cfg core.Config) (spec.Factory, bool, error) {
+	f, err := newFactory(name, seed, learner)
+	if err != nil {
+		return nil, false, err
+	}
+	gt, ok := f.(spec.GroundTruth)
+	return f, ok && gt.GroundTruth(), nil
+}
+
+// newFactory resolves a policy name with the given GRASS learner.
+func newFactory(name string, seed int64, learner core.LearnerKind) (spec.Factory, error) {
+	mk := func(cfg core.Config) (spec.Factory, error) {
 		cfg.Seed = seed
 		cfg.Learner = learner
-		f, err := core.New(cfg)
-		return f, false, err
+		return core.New(cfg)
 	}
 	switch strings.ToLower(name) {
 	case "grass":
@@ -101,31 +111,30 @@ func NewFactoryLearner(name string, seed int64, learner core.LearnerKind) (spec.
 		c.Factors = core.FactorSet{Accuracy: true}
 		return mk(c)
 	case "gs":
-		return spec.Stateless(spec.NewGS()), false, nil
+		return spec.Stateless(spec.NewGS()), nil
 	case "ras":
-		return spec.Stateless(spec.NewRAS()), false, nil
+		return spec.Stateless(spec.NewRAS()), nil
 	case "late":
-		return spec.Stateless(spec.NewLATE()), false, nil
+		return spec.Stateless(spec.NewLATE()), nil
 	case "mantri":
-		return spec.Stateless(spec.NewMantri()), false, nil
+		return spec.Stateless(spec.NewMantri()), nil
 	case "nospec":
-		return spec.Stateless(spec.NoSpec{}), false, nil
+		return spec.Stateless(spec.NoSpec{}), nil
 	case "oracle":
-		return oracle.New(), true, nil
+		return oracle.New(), nil
 	default:
-		return nil, false, fmt.Errorf("exp: unknown policy %q", name)
+		return nil, fmt.Errorf("exp: unknown policy %q", name)
 	}
 }
 
 // SchedConfig builds the simulator configuration for a framework regime.
 // Spark's much shorter tasks make them "more sensitive to estimation
 // errors" (§6.3.2), modelled as extra estimator noise.
-func (c Config) SchedConfig(fw trace.Framework, seed int64, oracleMode bool) sched.Config {
+func (c Config) SchedConfig(fw trace.Framework, seed int64) sched.Config {
 	s := sched.DefaultConfig()
 	s.Cluster.Machines = c.Machines
 	s.Cluster.SlotsPerMachine = c.SlotsPerMachine
 	s.Seed = seed
-	s.Oracle = oracleMode
 	if fw == trace.Spark {
 		s.Estimator.TRemNoise = 0.5
 		s.Estimator.TNewNoise = 0.25
@@ -155,11 +164,6 @@ func filterResults(rs []sched.JobResult, keep func(sched.JobResult) bool) []sche
 		}
 	}
 	return out
-}
-
-// binFilter keeps one job-size bin.
-func binFilter(b task.SizeBin) func(sched.JobResult) bool {
-	return func(r sched.JobResult) bool { return r.Bin == b }
 }
 
 // Table is a rendered experiment result: the rows/series a paper figure

@@ -49,8 +49,6 @@ type ReplayConfig struct {
 	Load float64
 	// Seed drives trace generation and the simulator.
 	Seed int64
-	// MemSample sets the heap sampling interval; 0 means 20ms.
-	MemSample time.Duration
 
 	// Partitions is the sharded-execution model and the only parallelism
 	// setting: the cluster and trace are split into this many
@@ -63,16 +61,15 @@ type ReplayConfig struct {
 
 	// TraceFile, when non-empty, replays an imported real cluster trace
 	// (internal/traceio) instead of a synthetic one: TraceFormat selects
-	// the decoder, TraceOptions the record→job mapping rules (nil means
-	// traceio.DefaultOptions). The file is scanned once up front — every
+	// the decoder, and the record→job mapping rules are
+	// traceio.DefaultOptions. The file is scanned once up front — every
 	// record validated with positioned errors, the job count established
 	// for the sharded merge — then streamed per partition, so a multi-GB
 	// log replays in the same bounded memory as a synthetic stream. Jobs,
 	// Workload and Bound are ignored (the trace is the workload; bounds
-	// come from TraceOptions).
-	TraceFile    string
-	TraceFormat  traceio.Format
-	TraceOptions *traceio.Options
+	// come from the mapping rules).
+	TraceFile   string
+	TraceFormat traceio.Format
 
 	// Scenario names a fault-injection preset (fault.Scenarios: "crashy",
 	// "rack-storm", "contended", "overload-mixed"); "" and "none" replay a
@@ -108,7 +105,7 @@ type ReplayConfig struct {
 
 // DefaultReplayConfig returns a mixed Facebook/Hadoop replay of n jobs —
 // the single source of the replay defaults. Replay falls back to these for
-// a zero Policy, Machines, SlotsPerMachine, Load and MemSample; Bound,
+// a zero Policy, Machines, SlotsPerMachine and Load; Bound,
 // Workload, Framework and Seed are taken as given (their zero values are
 // meaningful: a deadline-bound Facebook/Hadoop trace with seed 0).
 func DefaultReplayConfig(n int) ReplayConfig {
@@ -122,7 +119,6 @@ func DefaultReplayConfig(n int) ReplayConfig {
 		SlotsPerMachine: 2,
 		Load:            0.75,
 		Seed:            1,
-		MemSample:       20 * time.Millisecond,
 	}
 }
 
@@ -221,6 +217,9 @@ func (r *ReplayStats) Render(w io.Writer) {
 		"memory high-water", float64(r.HeapHighWater)/(1<<20), float64(r.HeapSysHighWater)/(1<<20))
 }
 
+// memSample is the replay's heap sampling interval.
+const memSample = 20 * time.Millisecond
+
 // memWatch samples the heap until stopped, keeping the maxima. Sampling
 // only observes the run — simulation results do not depend on it.
 type memWatch struct {
@@ -297,9 +296,6 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.Load == 0 {
 		cfg.Load = def.Load
 	}
-	if cfg.MemSample == 0 {
-		cfg.MemSample = def.MemSample
-	}
 	if cfg.Partitions == 0 {
 		cfg.Partitions = 1
 	}
@@ -313,9 +309,6 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	var imported *importedSources
 	if newSource == nil && cfg.TraceFile != "" {
 		opts := traceio.DefaultOptions()
-		if cfg.TraceOptions != nil {
-			opts = *cfg.TraceOptions
-		}
 		scan, err := traceio.Scan(nil, cfg.TraceFile, cfg.TraceFormat, opts)
 		if err != nil {
 			return nil, err
@@ -349,8 +342,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if epochs > 1 && learner != core.LearnerSketch {
 		return nil, fmt.Errorf("exp: %d learn epochs need the mergeable sketch learner (set Learner to \"sketch\"; the ring store cannot carry state across epochs)", epochs)
 	}
-	_, oracleMode, err := NewFactoryLearner(cfg.Policy, cfg.Seed, learner)
-	if err != nil {
+	if _, err := newFactory(cfg.Policy, cfg.Seed, learner); err != nil {
 		return nil, err
 	}
 	fc, err := fault.Scenario(cfg.Scenario)
@@ -360,7 +352,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.FaultSeed != 0 {
 		fc.Seed = cfg.FaultSeed
 	}
-	scfg := Config{Machines: cfg.Machines, SlotsPerMachine: cfg.SlotsPerMachine}.SchedConfig(cfg.Framework, cfg.Seed, oracleMode)
+	scfg := Config{Machines: cfg.Machines, SlotsPerMachine: cfg.SlotsPerMachine}.SchedConfig(cfg.Framework, cfg.Seed)
 	scfg.Faults = fc
 	// The default event ceiling guards tests; a million-job replay
 	// legitimately fires hundreds of millions of events.
@@ -409,8 +401,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		Config: scfg,
 		Parts:  cfg.Partitions,
 		NewFactory: func(seed int64) (spec.Factory, error) {
-			f, _, err := NewFactoryLearner(cfg.Policy, seed, learner)
-			return f, err
+			return newFactory(cfg.Policy, seed, learner)
 		},
 		NewSource: func(p int) (sched.Source, error) {
 			return newSource(p, cfg.Partitions)
@@ -420,7 +411,7 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		Walls:    walls,
 	}
 
-	watch := startMemWatch(cfg.MemSample)
+	watch := startMemWatch(memSample)
 	t0 := time.Now()
 	var stats *sched.RunStats
 	var cum spec.LearnedState // history accumulated across epochs

@@ -91,12 +91,6 @@ func TestReplayImportedConfigErrors(t *testing.T) {
 		t.Errorf("missing trace file error %v should name the file", err)
 	}
 
-	empty := importReplayConfig(swimSamplePath, traceio.SWIM)
-	empty.TraceOptions = &traceio.Options{} // zero options are invalid
-	if _, err := Replay(empty); err == nil || !strings.Contains(err.Error(), "BytesPerTask") {
-		t.Errorf("invalid TraceOptions error %v should name the bad rule", err)
-	}
-
 	few := importReplayConfig(swimSamplePath, traceio.SWIM)
 	few.Partitions = 4000 // more partitions than the sample's 2000 jobs
 	if _, err := Replay(few); err == nil || !strings.Contains(err.Error(), "partition") {

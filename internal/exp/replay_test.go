@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/approx-analytics/grass/internal/trace"
 )
@@ -59,22 +58,20 @@ func TestReplayAggregates(t *testing.T) {
 	}
 }
 
-// TestReplayDeterministic: the memory sampler only observes — two replays
+// TestReplayDeterministic: the memory sampler only observes — two reruns
 // of the same config agree on every simulation-derived number.
 func TestReplayDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full streaming replay")
 	}
-	run := func(sample time.Duration) *ReplayStats {
-		rc := replayTestConfig(120)
-		rc.MemSample = sample
-		rs, err := Replay(rc)
+	run := func() *ReplayStats {
+		rs, err := Replay(replayTestConfig(120))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs
 	}
-	a, b := run(5*time.Millisecond), run(40*time.Millisecond)
+	a, b := run(), run()
 	if a.Events != b.Events || a.Makespan != b.Makespan ||
 		a.MeanAccuracy != b.MeanAccuracy || a.MeanInputDur != b.MeanInputDur ||
 		a.Launched != b.Launched || a.Killed != b.Killed {
@@ -93,12 +90,13 @@ func TestReplaySparkEstimatorNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Config{Jobs: rc.Jobs, Seeds: []int64{rc.Seed}, Machines: rc.Machines, SlotsPerMachine: rc.SlotsPerMachine, ErrorLoad: rc.Load}
-	rs, err := c.runScenario(rc.Workload, trace.Spark, rc.Bound, 1, []policySpec{named(rc.Policy)}, nil)
+	sets, err := c.runScenarios([]scenario{{w: rc.Workload, fw: trace.Spark, b: rc.Bound,
+		policies: []policySpec{named(rc.Policy)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var launched, killed int64
-	for _, r := range rs[rc.Policy][0] {
+	for _, r := range sets[0][rc.Policy][0] {
 		launched += int64(r.Launched)
 		killed += int64(r.Killed)
 	}

@@ -157,9 +157,6 @@ func (r Reactive) Validate() error {
 	return nil
 }
 
-// Waves returns W = T/S.
-func (r Reactive) Waves() float64 { return r.T / r.S }
-
 // earlyEfficiency is Eq. (3)'s first line without the capacity factor: the
 // useful work delivered per slot-second under ω-threshold speculation.
 func (r Reactive) earlyEfficiency(omega float64) float64 {
@@ -173,16 +170,11 @@ func (r Reactive) earlyEfficiency(omega float64) float64 {
 	return p.Mean() / denom
 }
 
-// Mu returns the work completion rate at remaining fraction xfrac under the
+// mu returns the work completion rate at remaining fraction xfrac under the
 // reactive ω policy (Eq. 3): the early-wave branch while speculable tasks
 // can fill the cluster, the optimal proactive branch (Theorem 1) for the
-// final wave.
-func (r Reactive) Mu(xfrac, omega float64) float64 {
-	return r.mu(xfrac, omega, r.earlyEfficiency(omega))
-}
-
-// mu is Mu with the (expensive, ω-only) early-wave efficiency precomputed,
-// so the response-time integration pays for the numeric integral once.
+// final wave. earlyEff is earlyEfficiency(omega), precomputed so the
+// response-time integration pays for the numeric integral once.
 func (r Reactive) mu(xfrac, omega, earlyEff float64) float64 {
 	p := r.Tau
 	pMore := survival(p, omega)

@@ -1,14 +1,14 @@
 // Package oracle provides the "optimal" baseline of §2.3 and §6.2.3: a
 // scheduler that "knows task durations and slot availabilities in advance".
 //
-// It is meant to be paired with sched.Config.Oracle = true, which feeds
-// policies ground-truth TaskViews: the exact remaining time of every running
-// copy and the exact duration the next copy of each task would have. On top
-// of that perfect information the oracle applies the theory's optimal
-// structure (Guidelines 1–3): bound-aware ordering with resource-aware
-// speculation (RAS) through the early waves, switching to aggressive greedy
-// speculation (GS) for the final two waves — the switch point computed
-// exactly, since nothing is estimated.
+// Its Factory implements spec.GroundTruth, so wherever it runs the scheduler
+// feeds its policies ground-truth TaskViews: the exact remaining time of
+// every running copy and the exact duration the next copy of each task
+// would have. On top of that perfect information the oracle applies the
+// theory's optimal structure (Guidelines 1–3): bound-aware ordering with
+// resource-aware speculation (RAS) through the early waves, switching to
+// aggressive greedy speculation (GS) for the final two waves — the switch
+// point computed exactly, since nothing is estimated.
 package oracle
 
 import (
@@ -26,6 +26,9 @@ func New() Factory { return Factory{} }
 
 // Name returns "Oracle".
 func (Factory) Name() string { return "Oracle" }
+
+// GroundTruth implements spec.GroundTruth: the oracle sees exact durations.
+func (Factory) GroundTruth() bool { return true }
 
 // NewPolicy returns a fresh per-job oracle controller.
 func (Factory) NewPolicy(jobID, numTasks int) spec.Policy {

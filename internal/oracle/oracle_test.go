@@ -79,7 +79,6 @@ func TestOracleBeatsLATE(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		ocfg := cfg
 		ocfg.Seed = seed
-		ocfg.Oracle = true
 		s, err := sched.New(ocfg, New())
 		if err != nil {
 			t.Fatal(err)

@@ -20,25 +20,24 @@ import (
 // rebuild — for all seven policy families.
 
 // diffPolicies enumerates the seven policy families the harness covers.
-// oracle selects ground-truth views (Config.Oracle).
+// The oracle's factory declares ground-truth views (spec.GroundTruth).
 var diffPolicies = []struct {
 	name    string
-	oracle  bool
 	factory func(t testing.TB) spec.Factory
 }{
-	{"gs", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewGS()) }},
-	{"ras", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewRAS()) }},
-	{"late", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewLATE()) }},
-	{"mantri", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewMantri()) }},
-	{"nospec", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NoSpec{}) }},
-	{"grass", false, func(t testing.TB) spec.Factory {
+	{"gs", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewGS()) }},
+	{"ras", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewRAS()) }},
+	{"late", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewLATE()) }},
+	{"mantri", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewMantri()) }},
+	{"nospec", func(testing.TB) spec.Factory { return spec.Stateless(spec.NoSpec{}) }},
+	{"grass", func(t testing.TB) spec.Factory {
 		f, err := core.New(core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}},
-	{"oracle", true, func(testing.TB) spec.Factory { return oracle.New() }},
+	{"oracle", func(testing.TB) spec.Factory { return oracle.New() }},
 }
 
 // dagJob builds a job whose input tasks have per-index work variation and
@@ -141,9 +140,7 @@ func diffViews(a, b []spec.TaskView) string {
 func TestDifferentialViews(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
-			cfg := smallConfig(7)
-			cfg.Oracle = p.oracle
-			s, err := New(cfg, p.factory(t))
+			s, err := New(smallConfig(7), p.factory(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +172,6 @@ func TestDifferentialViewsWide(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Seed = 5
-			cfg.Oracle = p.oracle
 			s, err := New(cfg, p.factory(t))
 			if err != nil {
 				t.Fatal(err)

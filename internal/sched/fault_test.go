@@ -15,7 +15,7 @@ import (
 // cluster, which is exactly what a fault test wants.
 func faultTestConfig(t *testing.T, seed int64, scenario string) Config {
 	t.Helper()
-	cfg := shardTestConfig(seed, false)
+	cfg := shardTestConfig(seed)
 	fc, err := fault.Scenario(scenario)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestInterferenceAccounting(t *testing.T) {
 // fault stats. (The byte-identity of benign runs with the feature compiled
 // in is pinned by the exp goldens and the perfwall allocs/event gates.)
 func TestBenignRunBuildsNoInjector(t *testing.T) {
-	cfg := shardTestConfig(43, false)
+	cfg := shardTestConfig(43)
 	sim, err := New(cfg, policyUnderTest(t, "gs"))
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestShardConfigFaultScaling(t *testing.T) {
 	if math.Abs(sumInv-1/cfg.Faults.CrashEvery) > 1e-9 {
 		t.Fatalf("partition crash rates sum to %v, want %v", sumInv, 1/cfg.Faults.CrashEvery)
 	}
-	plain := shardTestConfig(47, false)
+	plain := shardTestConfig(47)
 	sub := ShardConfig(plain, 1, 3)
 	if sub.Faults != (fault.Config{}) {
 		t.Fatalf("disabled schedule changed under ShardConfig: %+v", sub.Faults)
@@ -273,7 +273,7 @@ func TestShardConfigFaultScaling(t *testing.T) {
 // the heterogeneity draw is identical; different partitions draw different
 // vectors (their cluster RNGs are independent substreams).
 func TestPartitionSlowdownDeterminism(t *testing.T) {
-	cfg := shardTestConfig(53, false)
+	cfg := shardTestConfig(53)
 	slowdowns := func(part, parts int) []float64 {
 		sub := ShardConfig(cfg, part, parts)
 		sim, err := New(sub, policyUnderTest(t, "nospec"))

@@ -24,9 +24,7 @@ func FuzzIncrementalViews(f *testing.F) {
 			ops = ops[:512]
 		}
 		p := diffPolicies[int(polByte)%len(diffPolicies)]
-		cfg := smallConfig(seed)
-		cfg.Oracle = p.oracle
-		s, err := New(cfg, p.factory(t))
+		s, err := New(smallConfig(seed), p.factory(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +45,7 @@ func FuzzIncrementalViews(f *testing.F) {
 			case 1:
 				// Estimator-base bump between events: the next refresh must
 				// invalidate exactly the changed fresh-copy estimates.
-				if !s.cfg.Oracle {
+				if !s.oracle {
 					s.est.ObserveCompletion(0.25 + float64(op)/64)
 				}
 				s.dispatch()

@@ -44,7 +44,7 @@ func learnedShardedRun(t *testing.T, cfg Config, tc trace.Config, parts, workers
 // merged stats, is a pure function of the model (Config, Seed, Parts) —
 // byte-identical for any worker count.
 func TestShardedLearnedWorkerInvariance(t *testing.T) {
-	cfg := shardTestConfig(11, false)
+	cfg := shardTestConfig(11)
 	tc := shardTestTrace(120, 23, false)
 	const parts = 4
 	refStats, refState := learnedShardedRun(t, cfg, tc, parts, 1, nil)
@@ -67,7 +67,7 @@ func TestShardedLearnedWorkerInvariance(t *testing.T) {
 // partition, states exported and folded by MergeLearnedStates in
 // ascending partition order.
 func TestShardedLearnedMatchesComposed(t *testing.T) {
-	cfg := shardTestConfig(7, false)
+	cfg := shardTestConfig(7)
 	tc := shardTestTrace(120, 31, false)
 	const parts = 3
 	states := make([]spec.LearnedState, parts)
@@ -102,7 +102,7 @@ func TestShardedLearnedMatchesComposed(t *testing.T) {
 // count as an unseeded run, never the seeded base re-exported (which a
 // P-way merge would otherwise fold P times).
 func TestShardedLearnedSeedEpoch(t *testing.T) {
-	cfg := shardTestConfig(5, false)
+	cfg := shardTestConfig(5)
 	tc := shardTestTrace(120, 17, false)
 	const parts = 2
 	_, epoch1 := learnedShardedRun(t, cfg, tc, parts, parts, nil)
@@ -140,7 +140,7 @@ func TestShardedLearnedSeedEpoch(t *testing.T) {
 // exports state; non-mergeable learners (the default ring store) export
 // nil.
 func TestShardedLearnedPlainPath(t *testing.T) {
-	cfg := shardTestConfig(3, false)
+	cfg := shardTestConfig(3)
 	tc := shardTestTrace(60, 13, false)
 	_, state := learnedShardedRun(t, cfg, tc, 1, 1, nil)
 	if state == nil {

@@ -25,7 +25,9 @@ import (
 type Config struct {
 	// Cluster describes machines and slots.
 	Cluster cluster.Config
-	// Estimator configures t_rem/t_new noise (ignored when Oracle is set).
+	// Estimator configures t_rem/t_new noise. A policy factory that
+	// implements spec.GroundTruth (the oracle) sees exact durations, so
+	// its runs ignore the noise and leave the estimator untouched.
 	Estimator estimate.Config
 	// DurationBeta is the Pareto shape of the straggler tail of per-copy
 	// duration factors. The paper's Hill estimate for production traces is
@@ -61,10 +63,6 @@ type Config struct {
 	// seed substream, so a fault-free run is byte-identical to a build
 	// without the feature.
 	Faults fault.Config
-	// Oracle gives policies ground-truth TaskViews: exact remaining times
-	// and the exact duration the next copy of each task would have. Used for
-	// the optimal baseline (§2.3, §6.2.3).
-	Oracle bool
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation:

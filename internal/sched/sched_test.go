@@ -9,6 +9,7 @@ import (
 	"github.com/approx-analytics/grass/internal/cluster"
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/estimate"
+	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
@@ -254,11 +255,11 @@ func TestDAGDeadlineDecomposition(t *testing.T) {
 	}
 }
 
+// TestOracleMode: a factory that declares ground truth (the oracle) runs on
+// exact views, so its run never samples or scores the estimator.
 func TestOracleMode(t *testing.T) {
-	cfg := smallConfig(11)
-	cfg.Oracle = true
 	j := uniformJob(0, 50, task.Exact(), 0)
-	stats := runOne(t, cfg, spec.Stateless(spec.RAS{}), []*task.Job{j})
+	stats := runOne(t, smallConfig(11), oracle.New(), []*task.Job{j})
 	if stats.Results[0].Accuracy != 1 {
 		t.Error("oracle run did not complete the job")
 	}

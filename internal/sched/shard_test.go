@@ -53,7 +53,7 @@ func (nopTB) Fatalf(string, ...any) { panic("unexpected factory failure") }
 
 // shardTestConfig is the simulator configuration the harness partitions:
 // 30 machines so 3 partitions split it evenly and 8 partitions unevenly.
-func shardTestConfig(seed int64, oracleMode bool) Config {
+func shardTestConfig(seed int64) Config {
 	return Config{
 		Cluster:          cluster.Config{Machines: 30, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
 		Estimator:        estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1},
@@ -63,7 +63,6 @@ func shardTestConfig(seed int64, oracleMode bool) Config {
 		TailStart:        1.5,
 		IntermediateBeta: 2.5,
 		MinSpecProgress:  0.15,
-		Oracle:           oracleMode,
 		Seed:             seed,
 	}
 }
@@ -132,7 +131,7 @@ func shardedRun(t *testing.T, cfg Config, tc trace.Config, parts, workers int, m
 // seed, untouched; several partitions split the machines exactly and give
 // every partition a distinct derived seed.
 func TestShardConfigReduction(t *testing.T) {
-	cfg := shardTestConfig(7, false)
+	cfg := shardTestConfig(7)
 	if got := ShardConfig(cfg, 0, 1); !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("ShardConfig(cfg, 0, 1) changed the config: %+v", got)
 	}
@@ -174,7 +173,7 @@ func TestShardConfigReduction(t *testing.T) {
 func TestShardedMatchesUnshardedEngine(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
-			cfg := shardTestConfig(11, p.oracle)
+			cfg := shardTestConfig(11)
 			tc := shardTestTrace(60, 11, p.name == "gs") // one DAG variant is plenty
 			mk := shardFactory(p.name)
 			for _, parts := range []int{1, 3} {
@@ -196,7 +195,7 @@ func TestShardedMatchesUnshardedEngine(t *testing.T) {
 // Parts=1, whose one engine naturally completes jobs out of ID order — and
 // carry exactly the values of the accumulate-mode Results.
 func TestShardedFoldCanonicalOrder(t *testing.T) {
-	cfg := shardTestConfig(13, false)
+	cfg := shardTestConfig(13)
 	tc := shardTestTrace(50, 13, false)
 	mk := shardFactory("gs")
 	for _, parts := range []int{1, 3} {
@@ -246,7 +245,7 @@ func TestShardedFoldCanonicalOrder(t *testing.T) {
 // never run. 900 jobs over 3 partitions puts ~300 results per partition,
 // comfortably past any such cap.
 func TestShardedFoldSequentialWorkers(t *testing.T) {
-	cfg := shardTestConfig(19, false)
+	cfg := shardTestConfig(19)
 	tc := shardTestTrace(900, 19, false)
 	next := 0
 	done := make(chan error, 1)
@@ -283,7 +282,7 @@ func TestShardedFoldSequentialWorkers(t *testing.T) {
 // TestShardedWalls: per-partition wall clocks land in the caller's slice;
 // their sum over the max bounds the speedup K workers can realize.
 func TestShardedWalls(t *testing.T) {
-	cfg := shardTestConfig(17, false)
+	cfg := shardTestConfig(17)
 	tc := shardTestTrace(40, 17, false)
 	walls := make([]time.Duration, 4)
 	_, err := RunSharded(ShardedRun{
@@ -312,7 +311,7 @@ func TestShardedWalls(t *testing.T) {
 // TestRunShardedValidation: the runner rejects malformed partitioned runs
 // up front, before any goroutine starts.
 func TestRunShardedValidation(t *testing.T) {
-	cfg := shardTestConfig(1, false)
+	cfg := shardTestConfig(1)
 	tc := shardTestTrace(10, 1, false)
 	mk := shardFactory("gs")
 	src := func(p int) (Source, error) { return trace.NewShardStream(tc, p, 1) }
@@ -343,7 +342,7 @@ func TestRunShardedValidation(t *testing.T) {
 // deterministically the lowest partition index — without deadlocking the
 // merge layer, in both accumulate and fold modes.
 func TestRunShardedErrorPropagation(t *testing.T) {
-	cfg := shardTestConfig(3, false)
+	cfg := shardTestConfig(3)
 	tc := shardTestTrace(40, 3, false)
 	mk := shardFactory("gs")
 	failingSource := func(failPart int) func(int) (Source, error) {
@@ -393,7 +392,7 @@ func (s skipSource) Next() (*task.Job, bool) {
 // must each fail the run with the merge's diagnostic, and not hang it,
 // at one partition and at three.
 func TestShardedFoldRejectsNonDenseIDs(t *testing.T) {
-	cfg := shardTestConfig(29, false)
+	cfg := shardTestConfig(29)
 	tc := shardTestTrace(30, 29, false)
 	cases := []struct {
 		name, want string

@@ -48,14 +48,6 @@ type copyRun struct {
 	speculative bool
 }
 
-func (c *copyRun) remaining(now float64) float64 {
-	r := c.start + c.duration - now
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
 // taskBlock is the hot per-task run state of a job's current phase, laid
 // out struct-of-arrays and indexed by task slot. The fields the dispatch
 // hot path touches every event — copy lists, completion flags, the cached
@@ -284,6 +276,11 @@ type Simulator struct {
 	// attempt right after the policy decided, with the refreshed ViewSet
 	// still untouched by the launch itself.
 	checkViews func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool)
+
+	// oracle is set when the factory implements spec.GroundTruth: policies
+	// then see exact durations, and the estimator is neither sampled nor
+	// scored.
+	oracle bool
 }
 
 // TouchStats reports how many complete task views the simulator derived or
@@ -432,6 +429,9 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 		rngEst:   root.Split(),
 		interObs: make(map[int][]float64),
 		interMed: make(map[int]float64),
+	}
+	if gt, ok := factory.(spec.GroundTruth); ok {
+		s.oracle = gt.GroundTruth()
 	}
 	var err error
 	if s.cl, err = cluster.New(cfg.Cluster, clRNG); err != nil {
@@ -880,7 +880,7 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 	c.duration = tb.work[ti] * factor * m.Slowdown
 	c.speculative = speculative
 	c.tremBias = 1
-	if !s.cfg.Oracle {
+	if !s.oracle {
 		c.estTNew = estTNew
 		c.tremBias = s.est.SampleTRemBias()
 	}
@@ -922,7 +922,7 @@ func (s *Simulator) buildCtx(js *jobState) spec.Ctx {
 		Utilization:       s.cl.Utilization(),
 		Now:               now,
 	}
-	if s.cfg.Oracle {
+	if s.oracle {
 		ctx.EstimationAccuracy = 1
 	} else {
 		ctx.EstimationAccuracy = s.est.Accuracy()
@@ -998,7 +998,7 @@ func (s *Simulator) endCopy(c *copyRun) {
 	if c.speculative {
 		c.js.specRun--
 	}
-	if s.cfg.Oracle {
+	if s.oracle {
 		return
 	}
 	if c.estTNew > 0 {
@@ -1118,7 +1118,7 @@ func (s *Simulator) finishJob(js *jobState) {
 			EstimationAccuracy: s.est.Accuracy(),
 			Now:                now,
 		}
-		if s.cfg.Oracle {
+		if s.oracle {
 			ctx.EstimationAccuracy = 1
 		}
 		ob.OnJobEnd(ctx, js.res.Accuracy, js.res.InputDuration)

@@ -114,7 +114,7 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 	jv := &js.jv
 	tb := &js.tasks
 	jv.vs.Reset(js.phase.n)
-	if !s.cfg.Oracle {
+	if !s.oracle {
 		jv.estVer = s.est.Version()
 		jv.median = s.est.NormalizedMedian()
 	}
@@ -174,7 +174,7 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	// actually moved, and its body is a two-multiply array patch — the
 	// tnewRescales counter in BENCH_sim.json tracks exactly this cost.
 	tb := &js.tasks
-	if !s.cfg.Oracle {
+	if !s.oracle {
 		if ver := s.est.Version(); ver != jv.estVer {
 			if med := s.est.NormalizedMedian(); med != jv.median {
 				for i := 0; i < js.phase.n; i++ {
@@ -230,7 +230,7 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 		// everything downstream of it, depends on this cadence. The stored
 		// view is current: a best-copy change dirties the task, and a time
 		// change refreshed it above.
-		if !s.cfg.Oracle && len(tb.copies[i]) > 0 {
+		if !s.oracle && len(tb.copies[i]) > 0 {
 			if v := jv.vs.At(i); v.Speculable {
 				if bc := tb.best[i]; bc.pendN < len(bc.pendTRem) {
 					bc.pendTRem[bc.pendN] = pend{est: v.TRem, at: now}
@@ -275,7 +275,7 @@ func (s *Simulator) taskView(js *jobState, ti int, now float64, record bool) spe
 			}
 			v.Progress = p
 		}
-		if s.cfg.Oracle {
+		if s.oracle {
 			v.Speculable = true
 			v.TRem = trueRem
 		} else {
@@ -286,7 +286,7 @@ func (s *Simulator) taskView(js *jobState, ti int, now float64, record bool) spe
 			v.TRem = trueRem * bias
 		}
 	}
-	if s.cfg.Oracle {
+	if s.oracle {
 		if record && tb.nextFactor[ti] <= 0 {
 			tb.nextFactor[ti] = s.drawFactor(js)
 		}

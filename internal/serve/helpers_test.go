@@ -3,18 +3,9 @@ package serve
 import (
 	"sync/atomic"
 
-	"github.com/approx-analytics/grass/internal/exp"
-	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
 )
-
-// testNewFactory resolves a policy name the way the public Serve wrapper
-// does, dropping the oracle flag (no oracle policies in these tests).
-func testNewFactory(policy string, seed int64) (spec.Factory, error) {
-	f, _, err := exp.NewFactory(policy, seed)
-	return f, err
-}
 
 // countingStream wraps trace.Stream to count how many jobs the server
 // hands back to the pool.

@@ -13,6 +13,7 @@ import (
 
 	"github.com/approx-analytics/grass/internal/cluster"
 	"github.com/approx-analytics/grass/internal/estimate"
+	"github.com/approx-analytics/grass/internal/exp"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
@@ -47,7 +48,7 @@ func serveTestTrace(jobs int, seed int64) trace.Config {
 func serveFactory(t testing.TB, policy string) func(int64) (spec.Factory, error) {
 	t.Helper()
 	return func(seed int64) (spec.Factory, error) {
-		return testNewFactory(policy, seed)
+		return exp.NewFactory(policy, seed)
 	}
 }
 
@@ -58,7 +59,7 @@ func replayReference(t *testing.T, cfg sched.Config, tc trace.Config, parts int,
 	t.Helper()
 	stats := make([]*sched.RunStats, parts)
 	for p := 0; p < parts; p++ {
-		factory, err := testNewFactory(policy, sched.ShardSeed(cfg.Seed, p, parts))
+		factory, err := exp.NewFactory(policy, sched.ShardSeed(cfg.Seed, p, parts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +454,7 @@ func TestServeSourceRejectedJobFailsWait(t *testing.T) {
 		}
 		return &nanArrivalSource{Stream: st}
 	}
-	f, err := testNewFactory("gs", 5)
+	f, err := exp.NewFactory("gs", 5)
 	if err != nil {
 		t.Fatal(err)
 	}

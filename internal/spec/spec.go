@@ -191,6 +191,17 @@ type SharedLearner interface {
 	SeedLearned(LearnedState)
 }
 
+// GroundTruth is an optional Factory interface for policies that schedule
+// on perfect information: the optimal baseline of §2.3 and §6.2.3, which
+// "knows task durations and slot availabilities in advance". When
+// GroundTruth reports true, the scheduler gives the factory's policies
+// ground-truth TaskViews (the exact remaining time of every running copy
+// and the exact duration each task's next copy will have), reports an
+// estimation accuracy of 1, and leaves its estimator untouched.
+type GroundTruth interface {
+	GroundTruth() bool
+}
+
 // Factory builds per-job policy instances. Stateless policies can be shared;
 // stateful ones (GRASS) allocate per job.
 type Factory interface {

@@ -130,6 +130,12 @@ func (s *Stream) take() *task.Job {
 	return &task.Job{}
 }
 
+// workInflation is the expected ratio of actual to median copy duration
+// under the simulator's straggler model (the mean of sched's default
+// body+tail factor distribution is ≈1.75). Arrival spacing uses it so Load
+// reflects capacity actually consumed.
+const workInflation = 1.75
+
 // fill generates one job in place. Every field is overwritten (pooled jobs
 // carry stale values) and the RNG draw order exactly matches the original
 // materializing generator, so pooling cannot change the trace.
@@ -183,10 +189,6 @@ func (s *Stream) fill(j *task.Job) {
 	s.next++
 	// Poisson arrivals: mean spacing makes the trace's real work
 	// (ideal × straggler inflation) consume cfg.Load of the cluster.
-	inflation := cfg.WorkInflation
-	if inflation == 0 {
-		inflation = 1.75
-	}
-	spacing := j.TotalWork() * inflation / (float64(cfg.Slots) * cfg.Load)
+	spacing := j.TotalWork() * workInflation / (float64(cfg.Slots) * cfg.Load)
 	s.now += dist.Exponential{Mu: spacing}.Sample(s.arrRNG)
 }

@@ -156,15 +156,10 @@ type Config struct {
 	// (§6.1) and arrival spacing.
 	Slots int
 	// Load is the offered load in (0, ~1]: the fraction of cluster capacity
-	// the trace's REAL work consumes (ideal work times WorkInflation).
-	// Around 0.75 reproduces a busy multi-tenant cluster with multi-waved
-	// jobs but stable queues.
+	// the trace's REAL work consumes (ideal work times workInflation, the
+	// straggler model's mean copy-duration factor). Around 0.75 reproduces
+	// a busy multi-tenant cluster with multi-waved jobs but stable queues.
 	Load float64
-	// WorkInflation is the expected ratio of actual to median copy duration
-	// under the simulator's straggler model (the mean of sched's default
-	// body+tail factor distribution is ≈1.75). Arrival spacing uses it so
-	// Load reflects capacity actually consumed. 0 means 1.75.
-	WorkInflation float64
 	// DAGLength forces every job's phase count (1 = input only). 0 means 1.
 	DAGLength int
 	// DeadlineFactorRange overrides the §6.1 default of [0.02, 0.20].
@@ -204,9 +199,6 @@ func (c Config) Validate() error {
 	// spacing and the bound draws.
 	if math.IsNaN(c.Load) || c.Load <= 0 || c.Load > 2 {
 		return fmt.Errorf("trace: load %v out of (0, 2]", c.Load)
-	}
-	if math.IsNaN(c.WorkInflation) || math.IsInf(c.WorkInflation, 0) || c.WorkInflation < 0 {
-		return fmt.Errorf("trace: work inflation %v must be finite and non-negative (0 means the default)", c.WorkInflation)
 	}
 	if c.DAGLength < 0 {
 		return fmt.Errorf("trace: negative DAG length %d", c.DAGLength)

@@ -21,9 +21,6 @@ func TestValidate(t *testing.T) {
 		// its own rejection.
 		{Jobs: 1, Slots: 1, Load: math.NaN()},
 		{Jobs: 1, Slots: 1, Load: math.Inf(1)},
-		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: math.NaN()},
-		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: math.Inf(1)},
-		{Jobs: 1, Slots: 1, Load: 0.5, WorkInflation: -1},
 		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{math.NaN(), 0.2}},
 		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{0.02, math.NaN()}},
 		{Jobs: 1, Slots: 1, Load: 0.5, DeadlineFactorRange: [2]float64{0.02, math.Inf(1)}},

@@ -90,7 +90,7 @@ func parseGoogleEvent(file string, line int, text string) (GoogleTaskEvent, erro
 // The table is sorted by timestamp (validated), but one job's SUBMIT events
 // interleave with other jobs'. The grouper keeps jobs "open" while their
 // submits may still arrive and closes a job once the stream has moved
-// CloseGapUS microseconds past its last event — so memory holds only the
+// closeGapUS microseconds past its last event — so memory holds only the
 // jobs open within one window, never the trace.
 //
 // Emission preserves the simulator's arrival-order contract: a closed job
@@ -210,7 +210,7 @@ func (d *googleDecoder) advance() bool {
 	}
 	// Close jobs the stream has moved a full window past.
 	for id, g := range d.open {
-		if ev.Timestamp-g.lastTS > d.o.CloseGapUS {
+		if ev.Timestamp-g.lastTS > closeGapUS {
 			heap.Push(&d.ready, g)
 			delete(d.open, id)
 		}
@@ -238,7 +238,7 @@ func (d *googleDecoder) pop() *googleJob {
 // fill maps one grouped job into the simulator model, filling j in place:
 //
 //   - tasks: one per distinct submitted task index, ordered by index;
-//   - per-task work: WorkScale × CPU request, floored at MinWorkFrac
+//   - per-task work: WorkScale × CPU request, floored at minWorkFrac
 //     (absent requests get the floor) — request-weighted task cost;
 //   - arrival: first submit timestamp × TimeScale;
 //   - bound: trace.AssignBound from a SubSeed(Seed, jobID) stream.
@@ -257,7 +257,7 @@ func (d *googleDecoder) fill(g *googleJob, j *task.Job) error {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	floor := o.WorkScale * o.MinWorkFrac
+	floor := o.WorkScale * minWorkFrac
 	for i, idx := range idxs {
 		w := o.WorkScale * g.tasks[idx]
 		if w < floor {

@@ -19,16 +19,17 @@ func row(ts float64, job string, idx, evt int, cpu string) string {
 
 func TestGoogleGroupingAndMapping(t *testing.T) {
 	o := DefaultOptions()
-	o.CloseGapUS = 10e6 // 10 s window
+	// Timestamps are spaced so the 300 s close window shuts A and B in
+	// mid-stream, when jobC arrives.
 	text := strings.Join([]string{
-		row(1e6, "jobA", 0, 0, "0.5"),
-		row(1e6, "jobA", 1, 0, "0.25"),
-		row(2e6, "jobB", 0, 0, ""),    // absent CPU -> floor work
-		row(3e6, "jobA", 1, 0, "0.9"), // resubmit: first submit wins
-		row(4e6, "jobA", 2, 0, "1.0"),
-		row(5e6, "jobA", 0, 1, "0.5"),    // SCHEDULE: ignored for task set
-		row(30e6, "jobC", 0, 0, "0.125"), // 30s: closes A and B
-		row(50e6, "jobC", 1, 0, "0.125"),
+		row(30e6, "jobA", 0, 0, "0.5"),
+		row(30e6, "jobA", 1, 0, "0.25"),
+		row(60e6, "jobB", 0, 0, ""),    // absent CPU -> floor work
+		row(90e6, "jobA", 1, 0, "0.9"), // resubmit: first submit wins
+		row(120e6, "jobA", 2, 0, "1.0"),
+		row(150e6, "jobA", 0, 1, "0.5"),   // SCHEDULE: ignored for task set
+		row(900e6, "jobC", 0, 0, "0.125"), // 900 s: closes A and B
+		row(1500e6, "jobC", 1, 0, "0.125"),
 	}, "\n") + "\n"
 
 	jobs := drain(t, googleSource(text, o))
@@ -40,8 +41,8 @@ func TestGoogleGroupingAndMapping(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 || c.ID != 2 {
 		t.Errorf("dense IDs = %d,%d,%d, want 0,1,2 in arrival order", a.ID, b.ID, c.ID)
 	}
-	if a.Arrival != 1.0 || b.Arrival != 2.0 || c.Arrival != 30.0 {
-		t.Errorf("arrivals = %v,%v,%v, want 1,2,30 (microseconds × 1e-6)", a.Arrival, b.Arrival, c.Arrival)
+	if a.Arrival != 30.0 || b.Arrival != 60.0 || c.Arrival != 900.0 {
+		t.Errorf("arrivals = %v,%v,%v, want 30,60,900 (microseconds × 1e-6)", a.Arrival, b.Arrival, c.Arrival)
 	}
 	// jobA: indexes 0,1,2 -> work 10×{0.5, 0.25 (first submit), 1.0}.
 	wantA := []float64{5, 2.5, 10}
@@ -53,7 +54,7 @@ func TestGoogleGroupingAndMapping(t *testing.T) {
 			t.Errorf("jobA task %d work = %v, want %v (index-ordered, first submit wins)", i, a.InputWork[i], w)
 		}
 	}
-	floor := o.WorkScale * o.MinWorkFrac
+	floor := o.WorkScale * minWorkFrac
 	if len(b.InputWork) != 1 || b.InputWork[0] != floor {
 		t.Errorf("jobB (absent CPU) work = %v, want one task at the %v floor", b.InputWork, floor)
 	}
@@ -71,15 +72,15 @@ func TestGoogleGroupingAndMapping(t *testing.T) {
 // by (first-submit time, first-seen order) even when close order differs.
 func TestGoogleArrivalOrder(t *testing.T) {
 	o := DefaultOptions()
-	o.CloseGapUS = 100e6
 	// jobEarly opens first but keeps gaining submits; jobLate opens later
-	// and closes first. Emission must still be jobEarly, jobLate.
+	// and closes first under the 300 s window. Emission must still be
+	// jobEarly, jobLate.
 	text := strings.Join([]string{
-		row(1e6, "jobEarly", 0, 0, "0.1"),
-		row(2e6, "jobLate", 0, 0, "0.1"),
-		row(90e6, "jobEarly", 1, 0, "0.1"),
-		row(150e6, "jobEarly", 2, 0, "0.1"), // jobLate now closed, jobEarly open
-		row(400e6, "tail", 0, 0, "0.1"),     // closes everything
+		row(3e6, "jobEarly", 0, 0, "0.1"),
+		row(6e6, "jobLate", 0, 0, "0.1"),
+		row(270e6, "jobEarly", 1, 0, "0.1"),
+		row(450e6, "jobEarly", 2, 0, "0.1"), // jobLate now closed, jobEarly open
+		row(1200e6, "tail", 0, 0, "0.1"),    // closes everything
 	}, "\n") + "\n"
 	jobs := drain(t, googleSource(text, o))
 	if len(jobs) != 3 {

@@ -131,7 +131,7 @@ func (d *swimDecoder) err() error { return d.e }
 //   - input tasks: ceil(MapInput / BytesPerTask), at least 1 — the HDFS
 //     split rule the trace was collected under. Full splits carry WorkScale
 //     intrinsic work; the final partial split carries its byte fraction,
-//     floored at MinWorkFrac (zero-input jobs become one minimal task).
+//     floored at minWorkFrac (zero-input jobs become one minimal task).
 //   - reduce phase: Shuffle > 0 adds one downstream phase with
 //     ceil(Shuffle / BytesPerTask) tasks, capped at the input task count
 //     (reduce fan-in never exceeds map fan-out in these workloads).
@@ -152,7 +152,7 @@ func swimJob(o Options, id int, rec SWIMRecord, j *task.Job) error {
 	} else {
 		j.InputWork = make([]float64, n)
 	}
-	floor := o.WorkScale * o.MinWorkFrac
+	floor := o.WorkScale * minWorkFrac
 	rem := rec.MapInput
 	for i := range j.InputWork {
 		frac := rem / o.BytesPerTask

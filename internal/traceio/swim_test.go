@@ -38,7 +38,6 @@ func TestSWIMMappingRules(t *testing.T) {
 	o := DefaultOptions()
 	o.BytesPerTask = 128 * mib
 	o.WorkScale = 10
-	o.MinWorkFrac = 0.01
 
 	text := strings.Join([]string{
 		"# a comment line",
@@ -72,8 +71,8 @@ func TestSWIMMappingRules(t *testing.T) {
 	}
 
 	j1 := jobs[1]
-	if len(j1.InputWork) != 1 || j1.InputWork[0] != o.WorkScale*o.MinWorkFrac {
-		t.Errorf("zero-input job = %v, want one task at the %v floor", j1.InputWork, o.WorkScale*o.MinWorkFrac)
+	if len(j1.InputWork) != 1 || j1.InputWork[0] != o.WorkScale*minWorkFrac {
+		t.Errorf("zero-input job = %v, want one task at the %v floor", j1.InputWork, o.WorkScale*minWorkFrac)
 	}
 	if j1.Arrival != 1.5 {
 		t.Errorf("j1 arrival = %v, want 1.5 (seconds 1:1)", j1.Arrival)

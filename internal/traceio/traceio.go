@@ -130,6 +130,17 @@ func decodeErrf(file string, line, col int, cause error, format string, args ...
 	}
 }
 
+// minWorkFrac floors a task's work at this fraction of WorkScale, so
+// empty-input jobs (common in the FB traces: metadata-only jobs) still carry
+// simulatable tasks.
+const minWorkFrac = 0.01
+
+// closeGapUS is the Google task-events grouping window in raw trace
+// microseconds (5 min): a job whose last task-submit event is older than
+// this is considered fully described and becomes emittable. Memory is
+// bounded by the jobs open within one window.
+const closeGapUS = 300e6
+
 // Options are the explicit record→job mapping rules. The zero value is NOT
 // usable — call DefaultOptions and override fields. Every rule is
 // deterministic given (Options, file contents): two readers over the same
@@ -147,10 +158,6 @@ type Options struct {
 	// 1.0 CPU request (Google). The default 10 matches the synthetic Hadoop
 	// regime, so imported and synthetic replays run on one time scale.
 	WorkScale float64
-	// MinWorkFrac floors a task's work at this fraction of WorkScale, so
-	// empty-input jobs (common in the FB traces: metadata-only jobs) still
-	// carry simulatable tasks. Default 0.01.
-	MinWorkFrac float64
 	// TimeScale converts trace time units to simulation time units:
 	// arrival = trace_time × TimeScale. Defaults: SWIM records carry
 	// seconds, scale 1; Google timestamps are microseconds, scale 1e-6.
@@ -160,11 +167,6 @@ type Options struct {
 	// guard against corrupt byte counts decoding into gigabyte task arrays.
 	// Default 100_000.
 	MaxTasks int
-	// CloseGapUS (GoogleTaskEvents only) is the grouping window in raw
-	// trace microseconds: a job whose last task-submit event is older than
-	// this is considered fully described and becomes emittable. Memory is
-	// bounded by the jobs open within one window. Default 300e6 (5 min).
-	CloseGapUS float64
 	// Bound, DeadlineFactorRange, ErrorRange and Slots assign approximation
 	// bounds exactly as synthetic generation does (trace.AssignBound):
 	// public traces carry no deadline/error bounds, so they are drawn — per
@@ -184,10 +186,8 @@ func DefaultOptions() Options {
 	return Options{
 		BytesPerTask:        128 << 20,
 		WorkScale:           10,
-		MinWorkFrac:         0.01,
 		TimeScale:           0, // format default
 		MaxTasks:            100_000,
-		CloseGapUS:          300e6,
 		Bound:               trace.MixedBound,
 		DeadlineFactorRange: [2]float64{0.02, 0.20},
 		ErrorRange:          [2]float64{0.05, 0.30},
@@ -204,17 +204,11 @@ func (o Options) Validate() error {
 	if o.WorkScale <= 0 {
 		return fmt.Errorf("traceio: WorkScale %v must be positive", o.WorkScale)
 	}
-	if o.MinWorkFrac <= 0 || o.MinWorkFrac > 1 {
-		return fmt.Errorf("traceio: MinWorkFrac %v out of (0, 1]", o.MinWorkFrac)
-	}
 	if o.TimeScale < 0 {
 		return fmt.Errorf("traceio: TimeScale %v must be >= 0 (0 = format default)", o.TimeScale)
 	}
 	if o.MaxTasks < 1 {
 		return fmt.Errorf("traceio: MaxTasks %d must be >= 1", o.MaxTasks)
-	}
-	if o.CloseGapUS <= 0 {
-		return fmt.Errorf("traceio: CloseGapUS %v must be positive", o.CloseGapUS)
 	}
 	if o.Bound < trace.DeadlineBound || o.Bound > trace.MixedBound {
 		return fmt.Errorf("traceio: unknown bound mode %d", int(o.Bound))
