@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -90,8 +91,10 @@ func diffWorkload() []*task.Job {
 
 // attachDifferentialCheck arms the simulator's per-attempt hook: the
 // incremental ViewSet and decision are compared against a from-scratch,
-// side-effect-free rebuild and the reference Pick. Returns a counter of
-// checked attempts.
+// side-effect-free rebuild and the reference Pick, the set's unscheduled
+// order must be sorted under the current keys, and the job's sampling
+// list must hold every running task whose best copy has room for a
+// pending t_rem sample, once. Returns a counter of checked attempts.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	t.Helper()
 	count := 0
@@ -104,8 +107,12 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 			if js.tasks.completed[i] {
 				continue
 			}
-			refBuf = append(refBuf, s.taskView(js, i, now, false))
+			refBuf = append(refBuf, s.rebuildView(js, i, now))
 		}
+		if err := vs.CheckOrder(); err != nil {
+			t.Fatalf("job %d at t=%v: %v", js.job.ID, now, err)
+		}
+		checkSampling(t, s, js)
 		incBuf = vs.AppendCompact(incBuf[:0])
 		if !reflect.DeepEqual(refBuf, incBuf) {
 			t.Fatalf("job %d at t=%v: incremental views diverged from rebuild\nrebuild:     %s\nincremental: %s",
@@ -118,6 +125,102 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 		}
 	}
 	return &count
+}
+
+// checkSampling asserts the sampling list's invariant after a refresh:
+// every running task whose best copy has room for a pending t_rem sample
+// and can ever be speculable has exactly one live entry, either in the
+// due tail (visited this attempt, so either sampled now or not
+// speculable) or in the ordered head (not speculable before its time,
+// which is still to come); the due tail holds live entries only.
+func checkSampling(t testing.TB, s *Simulator, js *jobState) {
+	t.Helper()
+	if s.oracle || js.jv.phase != js.phase {
+		return
+	}
+	tb := &js.tasks
+	now := s.eng.Now()
+	live := func(r sampleRef) bool {
+		return r.c.serial == r.serial && r.c.js == js && tb.best[r.c.task] == r.c
+	}
+	l := js.jv.sampling
+	due := len(l)
+	for due > 0 && math.IsInf(l[due-1].at, -1) {
+		due--
+	}
+	entries := map[*copyRun]int{}
+	for k, r := range l[:due] {
+		if !(r.at > now) || (k > 0 && l[k-1].at < r.at) {
+			t.Fatalf("job %d: waiting entry %d at %v is due at t=%v or out of order", js.job.ID, k, r.at, now)
+		}
+		if live(r) {
+			if js.jv.vs.At(int(r.c.task)).Speculable {
+				t.Fatalf("job %d: task %d is speculable before its waiting time %v", js.job.ID, r.c.task, r.at)
+			}
+			entries[r.c]++
+		}
+	}
+	for _, r := range l[due:] {
+		if !live(r) || r.c.pendN == len(r.c.pendTRem) {
+			t.Fatalf("job %d: stale or full copy of task %d left in the due tail", js.job.ID, r.c.task)
+		}
+		entries[r.c]++
+	}
+	for i := 0; i < js.phase.n; i++ {
+		if tb.completed[i] || len(tb.copies[i]) == 0 {
+			continue
+		}
+		c := tb.best[i]
+		want := 0
+		if c.pendN < len(c.pendTRem) && !math.IsInf(js.jv.vs.SpeculableFrom(i), 1) {
+			want = 1
+		}
+		if entries[c] != want {
+			t.Fatalf("job %d: task %d's best copy has %d live sampling entries, want %d", js.job.ID, i, entries[c], want)
+		}
+	}
+}
+
+// rebuildView derives task ti's view from scratch at time now — the
+// reference formula the ViewSet's evaluated views must equal bit for bit.
+// It reads the scheduler's state only: no RNG draw, no side effect.
+func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView {
+	tb := &js.tasks
+	v := spec.TaskView{Index: ti}
+	if len(tb.copies[ti]) > 0 {
+		v.Running = true
+		v.Copies = len(tb.copies[ti])
+		bestCopy := tb.best[ti]
+		trueRem := bestCopy.start + bestCopy.duration - now
+		if trueRem < 0 {
+			trueRem = 0
+		}
+		v.Elapsed = now - tb.firstStart[ti]
+		if bestCopy.duration > 0 {
+			p := (now - bestCopy.start) / bestCopy.duration
+			if p > 0.999 {
+				p = 0.999
+			}
+			if p < 0 {
+				p = 0
+			}
+			v.Progress = p
+		}
+		if s.oracle {
+			v.Speculable = true
+			v.TRem = trueRem
+		} else {
+			v.Speculable = v.Progress >= s.cfg.MinSpecProgress
+			bias := 1 + (bestCopy.tremBias-1)*(1-v.Progress)
+			v.TRem = trueRem * bias
+		}
+	}
+	if s.oracle {
+		v.TNew = tb.work[ti] * tb.nextFactor[ti]
+	} else {
+		v.TNew = s.est.NormalizedMedian() * tb.work[ti] * tb.tnewBias[ti]
+	}
+	return v
 }
 
 // diffViews formats the first differing view for a failure message.
@@ -179,7 +282,7 @@ func TestDifferentialViewsWide(t *testing.T) {
 			checked := attachDifferentialCheck(t, s)
 			check, widest := s.checkViews, 0
 			s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
-				widest = max(widest, len(vs.Running()))
+				widest = max(widest, len(vs.RunningViews()))
 				check(js, ctx, vs, d, ok)
 			}
 			if _, err := s.Run(jobs()); err != nil {

@@ -26,8 +26,8 @@ func saturatedSim(t *testing.T, seed int64, tasks int) (*Simulator, *jobState, f
 	minEnd := math.Inf(1)
 	tb := &js.tasks
 	for i := 0; i < js.phase.n; i++ {
-		if len(tb.copies[i]) > 0 && tb.bestEnd[i] < minEnd {
-			minEnd = tb.bestEnd[i]
+		if len(tb.copies[i]) > 0 && tb.best[i].end() < minEnd {
+			minEnd = tb.best[i].end()
 		}
 	}
 	return s, js, minEnd

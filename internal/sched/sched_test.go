@@ -509,7 +509,7 @@ func TestJobStatePoolBestFit(t *testing.T) {
 	for _, n := range []int{400, 20, 100} {
 		js := &jobState{}
 		js.tasks.reset(n)
-		js.jv.vs.Reset(n)
+		js.jv.vs.Reset(n, spec.Eval{})
 		pooled[n] = js
 		s.freeJobState(js)
 	}

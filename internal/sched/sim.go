@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/approx-analytics/grass/internal/cluster"
@@ -34,9 +35,12 @@ type copyRun struct {
 	tremBias  float64 // persistent estimation error of this copy's t_rem
 
 	// pendTRem holds up to 4 outstanding t_rem estimates awaiting scoring;
-	// inline storage avoids a heap slice per copy.
+	// inline storage avoids a heap slice per copy. serial is the launch
+	// number that tells this incarnation of the pooled copy from earlier
+	// ones.
 	pendTRem [4]pend
 	pendN    int
+	serial   uint64
 
 	// js/task identify the copy's owner (task is the slot into js.tasks) so
 	// fn — the completion callback handed to the event engine — can be built
@@ -46,12 +50,13 @@ type copyRun struct {
 	fn          func(*simevent.Engine)
 	task        int32
 	speculative bool
+	listed      bool // on its job's sampling list, under serial
 }
 
 // taskBlock is the hot per-task run state of a job's current phase, laid
 // out struct-of-arrays and indexed by task slot. The fields the dispatch
 // hot path touches every event — copy lists, completion flags, the cached
-// best-copy ends, the estimator bias factors — each live in their own
+// best copies, the estimator bias factors — each live in their own
 // contiguous array, so the view init and refresh walks (and a batch of
 // same-time completions) stream through memory instead of chasing one
 // pointer per task. Only one phase is alive at a time, so one block
@@ -64,9 +69,8 @@ type taskBlock struct {
 	nextFactor []float64 // predrawn duration factor for the next copy (oracle lookahead)
 	tnewBias   []float64 // persistent estimation error of each task's t_new
 
-	// View caches, maintained on copy launch/completion/preemption instead
-	// of being recomputed on every launch attempt (the dispatch hot path).
-	bestEnd   []float64  // best[i].start + best[i].duration
+	// The best copy is cached on copy launch/completion/preemption instead
+	// of being recomputed whenever a task's view record is derived.
 	best      []*copyRun // earliest-finishing copy; first appended wins ties
 	copies    [][]*copyRun
 	completed []bool
@@ -82,7 +86,6 @@ func (tb *taskBlock) reset(n int) {
 		tb.firstStart = make([]float64, n)
 		tb.nextFactor = make([]float64, n)
 		tb.tnewBias = make([]float64, n)
-		tb.bestEnd = make([]float64, n)
 		tb.best = make([]*copyRun, n)
 		tb.copies = make([][]*copyRun, n)
 		tb.completed = make([]bool, n)
@@ -94,14 +97,13 @@ func (tb *taskBlock) reset(n int) {
 	tb.firstStart = tb.firstStart[:n]
 	tb.nextFactor = tb.nextFactor[:n]
 	tb.tnewBias = tb.tnewBias[:n]
-	tb.bestEnd = tb.bestEnd[:n]
 	tb.best = tb.best[:n]
 	tb.copies = tb.copies[:n]
 	tb.completed = tb.completed[:n]
 	tb.dirty = tb.dirty[:n]
 	for i := 0; i < n; i++ {
 		tb.work[i], tb.span[i], tb.firstStart[i] = 0, 0, 0
-		tb.nextFactor[i], tb.tnewBias[i], tb.bestEnd[i] = 0, 0, 0
+		tb.nextFactor[i], tb.tnewBias[i] = 0, 0
 		tb.best[i] = nil
 		tb.copies[i] = tb.copies[i][:0]
 		tb.completed[i], tb.dirty[i] = false, false
@@ -113,10 +115,10 @@ func (tb *taskBlock) reset(n int) {
 // the view the policies have always seen).
 func (tb *taskBlock) recomputeBest(i int) {
 	tb.best[i] = nil
-	tb.bestEnd[i] = math.Inf(1)
+	bestEnd := math.Inf(1)
 	for _, c := range tb.copies[i] {
-		if end := c.start + c.duration; end < tb.bestEnd[i] {
-			tb.best[i], tb.bestEnd[i] = c, end
+		if end := c.end(); end < bestEnd {
+			tb.best[i], bestEnd = c, end
 		}
 	}
 }
@@ -220,12 +222,11 @@ type Simulator struct {
 	dheap []*jobState
 
 	// interObs records intermediate-phase spans by DAG length, the basis of
-	// §5.2's deadline decomposition for multi-phase jobs. Capped at
-	// maxInterObs samples per length so DAG replays stay bounded. interMed
-	// caches each length's median (admissions vastly outnumber appends in a
-	// long replay; an entry is dropped when its sample list grows).
+	// §5.2's deadline decomposition for multi-phase jobs, each length's
+	// spans kept sorted on insert so the median an admission needs is a
+	// read. Capped at maxInterObs samples per length so DAG replays stay
+	// bounded.
 	interObs map[int][]float64
-	interMed map[int]float64
 
 	// Admission state (RunSource): the source being drained, its optional
 	// recycler, the job whose arrival event is pending (nil exactly when no
@@ -255,6 +256,8 @@ type Simulator struct {
 	lastUtilT    float64
 
 	copyPool []*copyRun
+	// launches numbers copy launches: each copy's serial.
+	launches uint64
 	// jsPool recycles finished jobs' runtime state — the jobState itself,
 	// its incremental ViewSet arrays, dirty list and phase task blocks keep
 	// their capacity across jobs, so a long replay admits without
@@ -262,14 +265,18 @@ type Simulator struct {
 	// cost ~0.3 allocs/event in per-job slices).
 	jsPool []*jobState
 
-	// viewTouches counts complete task views derived or visited; with
-	// launchAttempts it yields the touches-per-attempt figure
-	// BENCH_sim.json tracks (O(running + dirtied), not O(tasks)).
-	// tnewRescales separately counts single-field TNew patches from
-	// estimator-median movements (bounded by one per incomplete task per
-	// completion, independent of the attempt rate).
+	// runViews is the running-view buffer every job's ViewSet shares:
+	// launch attempts never overlap, so one buffer serves them all.
+	runViews spec.RunBuf
+
+	// viewTouches counts task records derived (at a phase's init and for
+	// every dirtied task at a refresh) plus sampling-walk visits that took
+	// no sample; with launchAttempts it yields the touches-per-attempt
+	// figure BENCH_sim.json tracks (O(dirtied), not O(running)).
+	// pairRechecks counts the (TNew, index) neighbour pairs rechecked
+	// after estimator-median moves — the near-tied ones only.
 	viewTouches    uint64
-	tnewRescales   uint64
+	pairRechecks   uint64
 	launchAttempts uint64
 
 	// checkViews, when set (differential tests), observes every launch
@@ -283,13 +290,22 @@ type Simulator struct {
 	oracle bool
 }
 
-// TouchStats reports how many complete task views the simulator derived or
-// visited, how many single-field TNew rescales estimator-median movements
-// forced, and how many launch attempts ran — the per-attempt cost the
-// incremental views bound by O(running + dirtied) instead of O(tasks).
-func (s *Simulator) TouchStats() (viewTouches, tnewRescales, launchAttempts uint64) {
-	return s.viewTouches, s.tnewRescales, s.launchAttempts
+// TouchStats reports the simulator's view-maintenance work and how many
+// launch attempts ran. viewTouches counts task records re-derived (every
+// incomplete task at a phase's first attempt, then only the tasks an
+// event dirtied) plus visits of the t_rem sampling walk that took no
+// sample. Not counted: the samples themselves — one per speculable
+// running task with room per attempt, the estimator's cadence, which any
+// design records — and running views evaluated on read, once per attempt.
+// pairRechecks counts the neighbour pairs of the unscheduled (TNew, index)
+// order rechecked after estimator-median moves, which only near-tied
+// pairs need.
+func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
+	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }
+
+// end is the copy's finish time.
+func (c *copyRun) end() float64 { return c.start + c.duration }
 
 // newCopy takes a copyRun from the free list (or mints one), owned by job
 // js's task slot ti.
@@ -353,7 +369,6 @@ func betterFit(c, b, n int) bool {
 func (s *Simulator) freeJobState(js *jobState) {
 	jv := js.jv
 	jv.invalidate()
-	jv.onTNewRefresh = nil
 	tasks := js.tasks
 	deadlineFn := js.deadlineFn
 	*js = jobState{jv: jv, tasks: tasks, deadlineFn: deadlineFn}
@@ -428,7 +443,6 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 		rngDur:   root.Split(),
 		rngEst:   root.Split(),
 		interObs: make(map[int][]float64),
-		interMed: make(map[int]float64),
 	}
 	if gt, ok := factory.(spec.GroundTruth); ok {
 		s.oracle = gt.GroundTruth()
@@ -621,12 +635,7 @@ func (s *Simulator) intermediateEstimate(j *task.Job) float64 {
 		return 0
 	}
 	if obs := s.interObs[j.DAGLength()]; len(obs) >= 3 {
-		med, ok := s.interMed[j.DAGLength()]
-		if !ok {
-			med = dist.Median(obs)
-			s.interMed[j.DAGLength()] = med
-		}
-		return med
+		return sortedMedian(obs)
 	}
 	share := s.fairShare(1)
 	meanFactor := s.interDist.Mean()
@@ -875,6 +884,8 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 	tb.nextFactor[ti] = 0 // consumed
 	now := s.eng.Now()
 	c := s.newCopy(js, ti)
+	s.launches++
+	c.serial = s.launches
 	c.machineID = m.ID
 	c.start = now
 	c.duration = tb.work[ti] * factor * m.Slowdown
@@ -888,8 +899,8 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 		tb.firstStart[ti] = now
 	}
 	tb.copies[ti] = append(tb.copies[ti], c)
-	if end := c.start + c.duration; tb.best[ti] == nil || end < tb.bestEnd[ti] {
-		tb.best[ti], tb.bestEnd[ti] = c, end
+	if tb.best[ti] == nil || c.end() < tb.best[ti].end() {
+		tb.best[ti] = c
 	}
 	js.running++
 	js.res.Launched++
@@ -1073,10 +1084,11 @@ func (s *Simulator) finishPhase(js *jobState) {
 }
 
 // stragglerRatio returns max/median of work-normalized completed task spans
-// of the job's current phase.
+// of the job's current phase. It normalizes and sorts them in place in the
+// task block's span array, which nothing reads after the phase closes.
 func (s *Simulator) stragglerRatio(js *jobState) float64 {
 	tb := &js.tasks
-	spans := make([]float64, 0, js.phase.n)
+	spans := tb.span[:0]
 	for i := 0; i < js.phase.n; i++ {
 		if tb.completed[i] && tb.work[i] > 0 {
 			spans = append(spans, tb.span[i]/tb.work[i])
@@ -1085,11 +1097,22 @@ func (s *Simulator) stragglerRatio(js *jobState) float64 {
 	if len(spans) < 2 {
 		return 1
 	}
-	med := dist.Median(spans)
+	sort.Float64s(spans)
+	med := sortedMedian(spans)
 	if med <= 0 {
 		return 1
 	}
-	return dist.Max(spans) / med
+	return spans[len(spans)-1] / med
+}
+
+// sortedMedian is dist.Median of an already sorted slice: the middle
+// value, or the mean of the middle two.
+func sortedMedian(s []float64) float64 {
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // maxInterObs caps the per-DAG-length intermediate-span observations that
@@ -1106,8 +1129,8 @@ func (s *Simulator) finishJob(js *jobState) {
 	s.removeDemand(js)
 	js.res.Duration = now - js.job.Arrival
 	if dl := js.job.DAGLength(); dl > 1 && len(s.interObs[dl]) < maxInterObs {
-		s.interObs[dl] = append(s.interObs[dl], now-js.inputEnd)
-		delete(s.interMed, dl)
+		obs, span := s.interObs[dl], now-js.inputEnd
+		s.interObs[dl] = slices.Insert(obs, sort.SearchFloat64s(obs, span), span)
 	}
 	if ob, ok := js.policy.(spec.Observer); ok {
 		ctx := spec.Ctx{

@@ -1,26 +1,45 @@
-// Incremental candidate views: each job's TaskViews live in a
-// spec.ViewSet that is kept alive across events instead of being rebuilt
-// on every launch attempt. Events dirty only the tasks they touch — a
-// copy launch, finish or preemption dirties that task; an estimator
-// update dirties every incomplete task, but only when the normalized
-// median actually moved (the only input a task's t_new depends on besides
-// its immutable work and bias) — and the refresh before the next launch
-// attempt re-derives exactly those views plus the time-dependent fields
-// of running tasks. A launch attempt on an n-task job therefore touches
-// O(running + dirtied) views instead of n.
+// Incremental candidate views: each job's phase keeps a spec.ViewSet
+// alive across events instead of rebuilding its TaskViews on every launch
+// attempt. The set stores one record per task holding only what neither
+// the clock nor the estimator moves — work, t_new factor, the best copy's
+// start, duration, end and t_rem bias, the first start and the copy count
+// — and evaluates views from it when a policy reads them, with the float
+// expressions a from-scratch rebuild uses. So only events dirty records:
+// a copy launch, finish or preemption dirties that task, and the refresh
+// before the next launch attempt re-derives exactly the dirtied records.
+// Time passing dirties nothing (running views are evaluated at the
+// attempt's clock, once per attempt, into the simulator's one running-view
+// buffer), and neither does an estimator update: t_new is median × work ×
+// factor on read, and a median move only rechecks the near-tied
+// neighbours of the set's (TNew, index) order (spec.ViewSet.SetMedian).
+//
+// The one per-attempt walk left is the estimator's: every attempt records
+// a pending t_rem sample for each speculable running task whose best copy
+// still has room for one. A job lists those best copies, and the walk
+// visits only the ones that may be speculable now; a copy whose progress
+// cannot reach the speculation threshold before a known time waits, in
+// order of that time, at the head of the list (progress never decreases
+// as the clock advances), and a copy leaves once its four samples are
+// taken. A launch attempt on an n-task job therefore re-derives O(dirtied)
+// records and visits only copies that take a sample, not O(running), let
+// alone n.
 //
 // The views equal a from-scratch rebuild of every incomplete task's view
 // exactly, not approximately, and the side effects — estimator bias
 // draws, oracle duration-factor draws, and pending-t_rem accuracy samples
 // — land at the points and in the order the goldens were recorded with,
 // when every attempt rescanned every incomplete task in ascending index
-// order. The differential tests in this package (TestDifferential*,
+// order: draws happen only while re-deriving a dirtied record, in
+// ascending index order, and a sample depends only on its own task's
+// view. The differential tests in this package (TestDifferential*,
 // FuzzIncrementalViews) hold the ViewSet to DeepEqual a rebuild and
 // PickIncremental to the reference Pick's decision at every launch
 // attempt.
 package sched
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/approx-analytics/grass/internal/spec"
@@ -34,21 +53,28 @@ type jobViews struct {
 	// attempt — lazy so the init's RNG draws land at the stream positions
 	// the goldens pin (a phase's first launch attempt).
 	phase *phaseRun
-	// estVer/median are the estimator state the TNew values were computed
-	// at: a version bump with an unchanged normalized median changes no
-	// estimate and therefore dirties nothing.
+	// estVer is the estimator version the set's median was read at: a
+	// version bump with an unchanged normalized median moves nothing.
 	estVer uint64
-	median float64
-	// lastNow is the simulation time the running views were refreshed at;
-	// within one dispatch round's timestamp they stay valid.
-	lastNow float64
 	// dirty lists task slots touched since the last refresh (deduped via
 	// the task block's dirty bits).
 	dirty []int
+	// sampling lists the best copies that may still take a pending t_rem
+	// sample, each at most once (copyRun.listed): first, latest time
+	// first, the copies that cannot be speculable before their time; then
+	// the due tail, in any order, of copies that may be speculable now,
+	// which every attempt visits. Entries of copies that died or lost
+	// their best-copy status are dropped when met.
+	sampling []sampleRef
+}
 
-	// onTNewRefresh, when set (tests), observes every estimator-driven
-	// TNew rewrite — the invalidation-exactness property tests hook it.
-	onTNewRefresh func(taskIndex int)
+// sampleRef names one incarnation of a pooled copy — its serial tells a
+// recycled copy from the one listed — and the time before which it cannot
+// be speculable (-Inf once due).
+type sampleRef struct {
+	c      *copyRun
+	serial uint64
+	at     float64
 }
 
 // live reports whether the view state tracks the job's current phase.
@@ -58,6 +84,7 @@ func (jv *jobViews) live(js *jobState) bool { return jv.phase == js.phase && jv.
 func (jv *jobViews) invalidate() {
 	jv.phase = nil
 	jv.dirty = jv.dirty[:0]
+	jv.sampling = jv.sampling[:0]
 }
 
 // dirtyTask marks task slot ti for re-derivation at the next refresh.
@@ -71,7 +98,7 @@ func (s *Simulator) dirtyTask(js *jobState, ti int) {
 }
 
 // noteLaunch updates the view state for a copy launch on task ti: the
-// first copy moves the task to the running list, and the task's view
+// first copy moves the task to the running list, and the task's record
 // (copy count, best copy, consumed oracle factor) is stale until refresh.
 func (s *Simulator) noteLaunch(js *jobState, ti int) {
 	if !js.jv.live(js) {
@@ -101,7 +128,8 @@ func (s *Simulator) noteComplete(js *jobState, ti int) {
 	}
 	js.jv.vs.Complete(ti)
 	// A stale dirty entry is skipped (and the flag cleared) by the next
-	// refresh walk; the membership and order lists no longer know i.
+	// refresh walk, and the sampling walk drops the dead copies' entries;
+	// the membership and order lists no longer know i.
 }
 
 // initViews builds the phase's ViewSet from scratch — the one O(n) walk
@@ -113,31 +141,36 @@ func (s *Simulator) noteComplete(js *jobState, ti int) {
 func (s *Simulator) initViews(js *jobState, now float64) {
 	jv := &js.jv
 	tb := &js.tasks
-	jv.vs.Reset(js.phase.n)
+	jv.vs.Reset(js.phase.n, spec.Eval{
+		GroundTruth:     s.oracle,
+		MinSpecProgress: s.cfg.MinSpecProgress,
+		Buf:             &s.runViews,
+	})
+	med := 1.0
 	if !s.oracle {
 		jv.estVer = s.est.Version()
-		jv.median = s.est.NormalizedMedian()
+		med = s.est.NormalizedMedian()
 	}
 	for i := 0; i < js.phase.n; i++ {
 		if tb.completed[i] {
 			continue
 		}
-		jv.vs.Init(s.taskView(js, i, now, true))
+		jv.vs.Init(i, s.taskRec(js, i))
 		tb.dirty[i] = false
 		s.viewTouches++
 	}
-	jv.vs.Seal()
+	jv.vs.Seal(now, med)
 	jv.dirty = jv.dirty[:0]
-	jv.lastNow = now
+	jv.sampling = jv.sampling[:0]
 	jv.phase = js.phase
 }
 
 // refreshViews brings the job's ViewSet up to date for a launch attempt
 // at the current simulation time and does the per-attempt estimator
-// bookkeeping (one pending t_rem sample per speculable running task). The
-// walk covers the union of the dirty list and the running set in
-// ascending index order — a full rescan's order restricted to the tasks
-// whose views can have changed.
+// bookkeeping (one pending t_rem sample per speculable running task whose
+// best copy has room). It re-derives the dirtied records in ascending
+// index order — a full rescan's order restricted to the records that can
+// have changed — and visits the sampling list.
 func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	jv := &js.jv
 	now := s.eng.Now()
@@ -145,157 +178,121 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 		s.initViews(js, now)
 		return &jv.vs
 	}
-	// Estimator invalidation: a version bump re-derives TNew for every
-	// incomplete task, but only when the normalized median moved — TNew_i
-	// = median × work_i × bias_i, so an unchanged median means every
-	// estimate is unchanged. The uniform rescale preserves the
-	// (TNew, index) order up to float rounding, which ResortByTNew checks
-	// and repairs.
-	//
-	// Why this O(incomplete) patch loop stays, and the sub-O(n) "lazy
-	// multiplicative epoch" does not land: an epoch scheme would keep the
-	// stored keys and fold the median movement into one multiplier
-	// (read TNew as stored × med₂/med₁), making the rescale O(1). That is
-	// provably NOT hash-identical to this loop. The loop computes
-	// fl(fl(fl(med₂·w)·b)) while the epoch reads back
-	// fl(fl(fl(med₁·w)·b)·fl(med₂/med₁)) — different rounding paths, and
-	// ~45% of random (med₁, med₂, w, b) quadruples differ in the last ulp
-	// (TestLazyTNewRescaleIsInexact pins witnesses). The same holds for
-	// re-associating to an immutable per-task base, fl(med·fl(w·b)): ~35%
-	// of quadruples differ from the left-to-right product, so even
-	// changing the canonical formula would move every golden. And the
-	// ordered structure cannot simply skip the resort either: rounding
-	// flips the relative order of near-tied keys under a median move
-	// (that is exactly why ResortByTNew exists), so a structure that is
-	// not revalidated after a rescale eventually violates the (TNew,
-	// index) invariant the ViewSet's keyed search panics on. The loop is
-	// also already off the critical asymptotics: it runs at most once per
-	// completion (not per attempt), only when the normalized median
-	// actually moved, and its body is a two-multiply array patch — the
-	// tnewRescales counter in BENCH_sim.json tracks exactly this cost.
-	tb := &js.tasks
+	jv.vs.Begin(now)
 	if !s.oracle {
 		if ver := s.est.Version(); ver != jv.estVer {
-			if med := s.est.NormalizedMedian(); med != jv.median {
-				for i := 0; i < js.phase.n; i++ {
-					if tb.completed[i] {
-						continue
-					}
-					jv.vs.SetTNewBulk(i, med*tb.work[i]*tb.tnewBias[i])
-					s.tnewRescales++
-					if jv.onTNewRefresh != nil {
-						jv.onTNewRefresh(i)
-					}
-				}
-				jv.vs.ResortByTNew()
-				jv.median = med
-			}
+			s.pairRechecks += uint64(jv.vs.SetMedian(s.est.NormalizedMedian()))
 			jv.estVer = ver
 		}
 	}
+	// Copies whose time has come join the due tail.
+	due := len(jv.sampling)
+	for due > 0 && jv.sampling[due-1].at <= now {
+		due--
+	}
+	tb := &js.tasks
 	sort.Ints(jv.dirty)
-	nowAdvanced := now != jv.lastNow
-	run := jv.vs.Running()
-	di, ri := 0, 0
-	for di < len(jv.dirty) || ri < len(run) {
-		var i int
-		switch {
-		case di >= len(jv.dirty):
-			i = run[ri]
-			ri++
-		case ri >= len(run):
-			i = jv.dirty[di]
-			di++
-		case jv.dirty[di] < run[ri]:
-			i = jv.dirty[di]
-			di++
-		case run[ri] < jv.dirty[di]:
-			i = run[ri]
-			ri++
-		default:
-			i = run[ri]
-			ri++
-			di++
-		}
+	for _, i := range jv.dirty {
+		tb.dirty[i] = false
 		if tb.completed[i] {
-			tb.dirty[i] = false
 			continue
 		}
-		if tb.dirty[i] || (nowAdvanced && len(tb.copies[i]) > 0) {
-			jv.vs.Update(s.taskView(js, i, now, true))
-			tb.dirty[i] = false
-		}
-		// Record one pending t_rem accuracy sample per speculable running
-		// task per attempt: the estimator's measured accuracy, and
-		// everything downstream of it, depends on this cadence. The stored
-		// view is current: a best-copy change dirties the task, and a time
-		// change refreshed it above.
-		if !s.oracle && len(tb.copies[i]) > 0 {
-			if v := jv.vs.At(i); v.Speculable {
-				if bc := tb.best[i]; bc.pendN < len(bc.pendTRem) {
-					bc.pendTRem[bc.pendN] = pend{est: v.TRem, at: now}
-					bc.pendN++
-				}
-			}
-		}
+		jv.vs.Update(i, s.taskRec(js, i))
 		s.viewTouches++
+		if !s.oracle && len(tb.copies[i]) > 0 {
+			due = s.listBestCopy(js, i, now, due)
+		}
 	}
 	jv.dirty = jv.dirty[:0]
-	jv.lastNow = now
+	if !s.oracle {
+		s.sampleTRem(js, now, due)
+	}
 	return &jv.vs
 }
 
-// taskView derives one task's current TaskView — the single source of
-// truth for the view float math, shared by the incremental init/refresh
-// and the differential check. With record set it may draw RNG (a task's
-// first t_new bias, an oracle redraw of a consumed duration factor) at
-// the points the goldens pin; record=false (check mode) derives the view
-// purely from existing state.
-func (s *Simulator) taskView(js *jobState, ti int, now float64, record bool) spec.TaskView {
-	tb := &js.tasks
-	v := spec.TaskView{Index: ti}
-	if len(tb.copies[ti]) > 0 {
-		v.Running = true
-		v.Copies = len(tb.copies[ti])
-		// The earliest-finishing copy is cached on launch/completion/
-		// preemption, so deriving a view does not rescan the copies.
-		bestCopy := tb.best[ti]
-		trueRem := tb.bestEnd[ti] - now
-		if trueRem < 0 {
-			trueRem = 0
-		}
-		v.Elapsed = now - tb.firstStart[ti]
-		if bestCopy.duration > 0 {
-			p := (now - bestCopy.start) / bestCopy.duration
-			if p > 0.999 {
-				p = 0.999
-			}
-			if p < 0 {
-				p = 0
-			}
-			v.Progress = p
-		}
-		if s.oracle {
-			v.Speculable = true
-			v.TRem = trueRem
-		} else {
-			v.Speculable = v.Progress >= s.cfg.MinSpecProgress
-			// Extrapolation error shrinks as progress accumulates: a
-			// nearly-done copy's remaining time is well known.
-			bias := 1 + (bestCopy.tremBias-1)*(1-v.Progress)
-			v.TRem = trueRem * bias
-		}
+// listBestCopy lists task i's best copy for pending t_rem samples, unless
+// it is listed already or full: in the due tail of the sampling list when
+// it may be speculable now, in the list's ordered head when it cannot be
+// before a known time, and nowhere when it never can be. It returns the
+// due tail's new start.
+func (s *Simulator) listBestCopy(js *jobState, i int, now float64, due int) int {
+	c := js.tasks.best[i]
+	if c.listed || c.pendN == len(c.pendTRem) {
+		return due
 	}
+	c.listed = true
+	ref := sampleRef{c: c, serial: c.serial, at: js.jv.vs.SpeculableFrom(i)}
+	switch l := js.jv.sampling; {
+	case !(ref.at > now):
+		ref.at = math.Inf(-1)
+		js.jv.sampling = append(l, ref)
+	case !math.IsInf(ref.at, 1):
+		js.jv.sampling = slices.Insert(l, sort.Search(due, func(k int) bool { return l[k].at < ref.at }), ref)
+		due++
+	}
+	return due
+}
+
+// sampleTRem records one pending t_rem accuracy sample per speculable
+// running task whose best copy has room, the per-attempt cadence the
+// estimator's measured accuracy (and everything downstream of it) depends
+// on. It visits the sampling list's due tail, from due on; a copy leaves
+// once full, dead or no longer its task's best (a new best copy dirties
+// the task, which lists it).
+func (s *Simulator) sampleTRem(js *jobState, now float64, due int) {
+	jv := &js.jv
+	tb := &js.tasks
+	keep := jv.sampling[:due]
+	for _, ref := range jv.sampling[due:] {
+		c := ref.c
+		if c.serial != ref.serial {
+			continue // the copy died and was recycled
+		}
+		i := int(c.task)
+		if c.js != js || tb.best[i] != c {
+			c.listed = false
+			continue
+		}
+		if v := jv.vs.At(i); v.Speculable {
+			c.pendTRem[c.pendN] = pend{est: v.TRem, at: now}
+			c.pendN++
+			if c.pendN == len(c.pendTRem) {
+				continue
+			}
+		} else {
+			s.viewTouches++ // a visit that took no sample
+		}
+		ref.at = math.Inf(-1)
+		keep = append(keep, ref)
+	}
+	jv.sampling = keep
+}
+
+// taskRec derives task ti's record — what its view depends on besides the
+// clock and the t_new median. It may draw RNG (a task's first t_new bias,
+// an oracle redraw of a consumed duration factor) at the points the
+// goldens pin.
+func (s *Simulator) taskRec(js *jobState, ti int) spec.TaskRec {
+	tb := &js.tasks
+	r := spec.TaskRec{Work: tb.work[ti]}
 	if s.oracle {
-		if record && tb.nextFactor[ti] <= 0 {
+		if tb.nextFactor[ti] <= 0 {
 			tb.nextFactor[ti] = s.drawFactor(js)
 		}
-		v.TNew = tb.work[ti] * tb.nextFactor[ti]
+		r.Factor = tb.nextFactor[ti]
 	} else {
-		if record && tb.tnewBias[ti] == 0 {
+		if tb.tnewBias[ti] == 0 {
 			tb.tnewBias[ti] = s.est.SampleTNewBias()
 		}
-		v.TNew = s.est.NormalizedMedian() * tb.work[ti] * tb.tnewBias[ti]
+		r.Factor = tb.tnewBias[ti]
 	}
-	return v
+	if n := len(tb.copies[ti]); n > 0 {
+		// The earliest-finishing copy is cached on launch/completion/
+		// preemption, so deriving a record does not rescan the copies.
+		bc := tb.best[ti]
+		r.Copies = int32(n)
+		r.Start, r.Duration, r.End, r.TRemBias = bc.start, bc.duration, bc.end(), bc.tremBias
+		r.FirstStart = tb.firstStart[ti]
+	}
+	return r
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/dist"
@@ -9,11 +10,12 @@ import (
 )
 
 // TestEstimatorBumpDirtiesExactly pins the estimator-version invalidation
-// property: an ObserveCompletion (version bump) must re-derive exactly
-// the views whose fresh-copy estimate changed — no more (an unchanged
-// normalized median rewrites nothing, because TNew = median × work × bias
-// and work/bias are immutable) and no fewer (a moved median rewrites
-// every incomplete task, completed tasks excluded).
+// property: an estimator update re-derives no task record. An unchanged
+// normalized median (a version bump that inserts the median itself)
+// rechecks nothing; a moved median leaves every record alone, every
+// incomplete task's TNew reads median × work × bias at the new median
+// bit for bit, and the (TNew, index) order holds. In both cases the
+// refresh's only touches are sampling-walk visits that take no sample.
 func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	s, err := New(smallConfig(5), spec.Stateless(spec.NewGS()))
 	if err != nil {
@@ -32,26 +34,43 @@ func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	if js.done || js.phase == nil {
 		t.Fatal("job finished prematurely")
 	}
-	// Bring the views current, then observe which tasks each controlled
-	// bump re-derives.
+	// Bring the records current, then measure what each controlled bump
+	// makes the next refresh do.
 	s.refreshViews(js)
-	var refreshed []int
-	js.jv.onTNewRefresh = func(i int) { refreshed = append(refreshed, i) }
-
-	incomplete := map[int]bool{}
+	vs := &js.jv.vs
+	refresh := func() (touches, rechecks uint64) {
+		t.Helper()
+		if len(js.jv.dirty) != 0 {
+			t.Fatalf("%d tasks dirty before the refresh", len(js.jv.dirty))
+		}
+		// The clock stands still, so the copies due for sampling are the
+		// list's due tail, and a visit takes no sample iff the view is not
+		// speculable.
+		idle := uint64(0)
+		for _, r := range js.jv.sampling {
+			if math.IsInf(r.at, -1) && !vs.At(int(r.c.task)).Speculable {
+				idle++
+			}
+		}
+		to, re, _ := s.TouchStats()
+		s.refreshViews(js)
+		to2, re2, _ := s.TouchStats()
+		if to2-to != idle {
+			t.Fatalf("refresh touched %d records, want only its %d sampling visits that take no sample", to2-to, idle)
+		}
+		return to2 - to, re2 - re
+	}
 	tnewBefore := map[int]float64{}
 	for i := 0; i < js.phase.n; i++ {
-		if js.tasks.completed[i] {
-			continue
+		if !js.tasks.completed[i] {
+			tnewBefore[i] = vs.TNew(i)
 		}
-		incomplete[i] = true
-		tnewBefore[i] = js.jv.vs.At(i).TNew
 	}
 
 	// Case 1: insert the current median back into the estimator window.
-	// The median is provably unchanged, so no estimate moved and the
-	// refresh must rewrite nothing — while still advancing the cached
-	// version so the check is not repeated.
+	// The median is provably unchanged, so no estimate moved: the refresh
+	// rechecks nothing, while still advancing the cached version so the
+	// check is not repeated.
 	medBefore := s.est.NormalizedMedian()
 	verBefore := s.est.Version()
 	s.est.ObserveCompletion(medBefore)
@@ -61,60 +80,55 @@ func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	if s.est.NormalizedMedian() != medBefore {
 		t.Fatal("precondition failed: inserting the median moved the median")
 	}
-	s.refreshViews(js)
-	if len(refreshed) != 0 {
-		t.Fatalf("unchanged median re-derived %d views, want 0: %v", len(refreshed), refreshed)
+	if _, re := refresh(); re != 0 {
+		t.Fatalf("unchanged median rechecked %d pairs, want 0", re)
 	}
 	if js.jv.estVer != s.est.Version() {
 		t.Fatal("cached estimator version not advanced on a no-op bump")
 	}
 	for i, want := range tnewBefore {
-		if got := js.jv.vs.At(i).TNew; got != want {
+		if got := vs.TNew(i); got != want {
 			t.Fatalf("task %d TNew moved on a no-op bump: %v -> %v", i, want, got)
 		}
 	}
 
 	// Case 2: insert far-tail values until the median moves (the
 	// duplicated middle from case 1 can absorb one insertion). Every
-	// incomplete task's estimate then changes (its bias and work are
-	// fixed, so TNew changes iff the median does), and the refresh must
-	// re-derive exactly the incomplete set.
+	// incomplete task's estimate changes, and none is re-derived.
 	for i := 0; i < 8 && s.est.NormalizedMedian() == medBefore; i++ {
 		s.est.ObserveCompletion(100 * medBefore)
 	}
-	if s.est.NormalizedMedian() == medBefore {
+	med := s.est.NormalizedMedian()
+	if med == medBefore {
 		t.Fatal("precondition failed: tail observations did not move the median")
 	}
-	refreshed = refreshed[:0]
-	s.refreshViews(js)
-	got := map[int]bool{}
-	for _, i := range refreshed {
-		if got[i] {
-			t.Fatalf("task %d re-derived twice in one refresh", i)
+	refresh()
+	for i, before := range tnewBefore {
+		got := vs.TNew(i)
+		if want := med * js.tasks.work[i] * js.tasks.tnewBias[i]; got != want {
+			t.Fatalf("task %d TNew %v after the move, want %v", i, got, want)
 		}
-		got[i] = true
-		if !incomplete[i] {
-			t.Fatalf("completed (or foreign) task %d re-derived", i)
-		}
-		if js.jv.vs.At(i).TNew == tnewBefore[i] {
-			t.Fatalf("task %d re-derived but its estimate did not change", i)
+		if got == before {
+			t.Fatalf("task %d TNew unchanged by the median move", i)
 		}
 	}
-	for i := range incomplete {
-		if !got[i] {
-			t.Fatalf("incomplete task %d (estimate changed) was not re-derived", i)
-		}
+	if err := vs.CheckOrder(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestLazyTNewRescaleIsInexact pins the reason the estimator-median patch
-// loop in refreshViews stays O(incomplete) instead of becoming a lazy
-// multiplicative epoch (the ROADMAP's "sub-O(n) exact TNew rescale if a
-// provably exact scheme exists"): neither candidate scheme reproduces the
-// patched values bit for bit, so neither can be hash-identical. The test
-// hunts a deterministic sample space for witnesses of all three failure
-// modes and requires each to appear — if float semantics somehow made
-// these schemes exact, this test failing would be the signal to revisit.
+// TestLazyTNewRescaleIsInexact pins why the ViewSet evaluates TNew as the
+// left-to-right product median × work × factor on every read, and why a
+// median move still rechecks near-tied neighbours. Neither cheaper scheme
+// reproduces that product bit for bit, so neither can be hash-identical:
+// a lazy epoch multiplier on stored keys (stored × med₂/med₁) and an
+// immutable per-task base with the median applied on read
+// (med × fl(work × factor)) both miss it in the last ulp. And rounding
+// flips the order of near-tied keys under a median move, so the order
+// cannot go unchecked. The test hunts a deterministic sample space for
+// witnesses of all three and requires each to appear — if float semantics
+// somehow made these schemes exact, this test failing would be the signal
+// to revisit spec.ViewSet.
 func TestLazyTNewRescaleIsInexact(t *testing.T) {
 	rng := dist.NewRNG(99)
 	epochMiss, reassocMiss, orderFlips := 0, 0, 0
@@ -124,16 +138,16 @@ func TestLazyTNewRescaleIsInexact(t *testing.T) {
 		m2 := m1 * (0.9 + rng.Float64()*0.2) // median after
 		w := 0.1 + rng.Float64()*10          // task work (immutable)
 		b := 0.5 + rng.Float64()             // tnew bias (immutable)
-		patched := m2 * w * b                // the patch loop's left-to-right product
+		patched := m2 * w * b                // the on-read left-to-right product
 		if (m1*w*b)*(m2/m1) != patched {
-			epochMiss++ // lazy epoch multiplier on the stored key
+			epochMiss++ // lazy epoch multiplier on a stored key
 		}
 		if m2*(w*b) != patched {
 			reassocMiss++ // immutable per-task base, median applied on read
 		}
-		// Near-tied neighbor keys: a uniform positive rescale is monotone
-		// per key but rounding can flip the ORDER of two keys, which is
-		// why ResortByTNew revalidates after every bulk rescale.
+		// Near-tied neighbor keys: a median move is monotone per key but
+		// rounding can flip the ORDER of two keys, which is why
+		// ViewSet.SetMedian rechecks near-tied neighbours.
 		w2 := w * (1 + (rng.Float64()-0.5)*1e-15)
 		b2 := b * (1 + (rng.Float64()-0.5)*1e-15)
 		a1, c1 := m1*w*b, m1*w2*b2
@@ -143,13 +157,13 @@ func TestLazyTNewRescaleIsInexact(t *testing.T) {
 		}
 	}
 	if epochMiss == 0 {
-		t.Error("epoch-multiplied keys matched the patch loop everywhere — lazy epoch may be exact after all; revisit views.go")
+		t.Error("epoch-multiplied keys matched the on-read product everywhere — lazy epoch may be exact after all; revisit spec.ViewSet")
 	}
 	if reassocMiss == 0 {
-		t.Error("re-associated keys matched the patch loop everywhere — factored base may be exact after all; revisit views.go")
+		t.Error("re-associated keys matched the on-read product everywhere — factored base may be exact after all; revisit spec.ViewSet")
 	}
 	if orderFlips == 0 {
-		t.Error("no order flips among near-tied keys — the ResortByTNew rationale may be stale")
+		t.Error("no order flips among near-tied keys — the near-tie recheck rationale may be stale")
 	}
 	t.Logf("witnesses in %d trials: epoch %d, reassociation %d, order flips %d",
 		trials, epochMiss, reassocMiss, orderFlips)

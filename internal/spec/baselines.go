@@ -168,16 +168,18 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if l.buf != nil {
 		cands, rates = l.buf.cands[:0], l.buf.rates[:0]
 	}
-	// vs.Running() ascends by task index — the same relative order the
+	// The running views ascend by task index — the same relative order the
 	// reference scan visits running views in, so the percentile inputs
-	// and every first-wins tie-break below match it exactly.
-	for _, i := range vs.Running() {
-		t := vs.At(i)
+	// and every first-wins tie-break below match it exactly. Candidates
+	// carry their position in rv.
+	rv := vs.RunningViews()
+	for k := range rv {
+		t := &rv[k]
 		if !t.Speculable || t.Copies >= 2 || t.Elapsed < l.MinElapsed || t.Elapsed <= 0 {
 			continue
 		}
 		r := t.Progress / t.Elapsed
-		cands = append(cands, lateCand{i, r})
+		cands = append(cands, lateCand{k, r})
 		rates = append(rates, r)
 	}
 	if l.buf != nil {
@@ -195,7 +197,7 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 		}
 		left := math.Inf(1)
 		if c.rate > 0 {
-			left = (1 - vs.At(c.i).Progress) / c.rate
+			left = (1 - rv[c.i].Progress) / c.rate
 		}
 		if best == -1 || left > bestLeft {
 			best, bestLeft = c.i, left
@@ -204,7 +206,7 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if best == -1 {
 		return Decision{}, false
 	}
-	return Decision{TaskIndex: best, Speculative: true}, true
+	return Decision{TaskIndex: rv[best].Index, Speculative: true}, true
 }
 
 // Mantri implements Mantri's duplicate rule: schedule a restart/duplicate
@@ -252,15 +254,16 @@ func (m Mantri) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 // PickIncremental implements IncrementalPolicy: the outlier scan covers
 // only the running set; the FIFO fallback is O(1).
 func (m Mantri) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
+	rv := vs.RunningViews()
 	best := -1
 	var bestRatio float64
-	for _, i := range vs.Running() {
-		t := vs.At(i)
+	for k := range rv {
+		t := &rv[k]
 		if !t.Speculable || t.Copies >= 2 || t.TNew <= 0 {
 			continue
 		}
 		if r := t.TRem / t.TNew; r > m.Threshold && (best == -1 || r > bestRatio) {
-			best, bestRatio = i, r
+			best, bestRatio = t.Index, r
 		}
 	}
 	if best != -1 {

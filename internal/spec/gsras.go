@@ -42,10 +42,11 @@ func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // bounded by the job's slot share); the unscheduled minimum is the order
 // head — if even it exceeds the deadline, no unscheduled task qualifies.
 func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	best := -1
+	rv := vs.RunningViews()
+	best, speculative := -1, false
 	var bestNew float64
-	for _, i := range vs.Running() {
-		t := vs.At(i)
+	for k := range rv {
+		t := &rv[k]
 		if t.TNew > ctx.RemainingTime {
 			continue
 		}
@@ -53,20 +54,20 @@ func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 			continue
 		}
 		if best == -1 || t.TNew < bestNew {
-			best, bestNew = i, t.TNew
+			best, bestNew, speculative = t.Index, t.TNew, true
 		}
 	}
 	if u, ok := vs.MinTNewUnsched(); ok {
-		if tn := vs.At(u).TNew; tn <= ctx.RemainingTime {
+		if tn := vs.TNew(u); tn <= ctx.RemainingTime {
 			if best == -1 || tn < bestNew || (tn == bestNew && u < best) {
-				best = u
+				best, speculative = u, false
 			}
 		}
 	}
 	if best == -1 {
 		return Decision{}, false
 	}
-	return Decision{TaskIndex: best, Speculative: vs.At(best).Running}, true
+	return Decision{TaskIndex: best, Speculative: speculative}, true
 }
 
 // gsErrorInc mirrors gsError: LJF over the earliest set, with running
@@ -74,26 +75,27 @@ func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // from the maintained order.
 func gsErrorInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	runIn, fresh := vs.EarliestCandidates(ctx.Remaining())
-	best := -1
+	rv := vs.RunningViews()
+	best, speculative := -1, false
 	var bestKey float64
-	for _, i := range runIn {
-		t := vs.At(i)
+	for _, k := range runIn {
+		t := &rv[k]
 		if !t.Speculable || t.Copies >= MaxCopies || t.TNew >= t.TRem {
 			continue
 		}
 		if best == -1 || t.TRem > bestKey {
-			best, bestKey = i, t.TRem
+			best, bestKey, speculative = t.Index, t.TRem, true
 		}
 	}
 	if fresh >= 0 {
-		if tn := vs.At(fresh).TNew; best == -1 || tn > bestKey || (tn == bestKey && fresh < best) {
-			best = fresh
+		if tn := vs.TNew(fresh); best == -1 || tn > bestKey || (tn == bestKey && fresh < best) {
+			best, speculative = fresh, false
 		}
 	}
 	if best == -1 {
 		return Decision{}, false
 	}
-	return Decision{TaskIndex: best, Speculative: vs.At(best).Running}, true
+	return Decision{TaskIndex: best, Speculative: speculative}, true
 }
 
 // gsDeadline: prune tasks that cannot finish by the deadline and speculative
@@ -193,21 +195,22 @@ func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // rasDeadlineInc mirrors rasDeadline: best positive saving among running
 // tasks within the deadline, else SJF over unscheduled tasks.
 func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
+	rv := vs.RunningViews()
 	spec := -1
 	var specSaving float64
-	for _, i := range vs.Running() {
-		t := vs.At(i)
+	for k := range rv {
+		t := &rv[k]
 		if t.TNew > ctx.RemainingTime || !t.Speculable || t.Copies >= MaxCopies {
 			continue
 		}
 		if s := t.Saving(); s > 0 && (spec == -1 || s > specSaving) {
-			spec, specSaving = i, s
+			spec, specSaving = t.Index, s
 		}
 	}
 	if spec >= 0 {
 		return Decision{TaskIndex: spec, Speculative: true}, true
 	}
-	if u, ok := vs.MinTNewUnsched(); ok && vs.At(u).TNew <= ctx.RemainingTime {
+	if u, ok := vs.MinTNewUnsched(); ok && vs.TNew(u) <= ctx.RemainingTime {
 		return Decision{TaskIndex: u}, true
 	}
 	return Decision{}, false
@@ -217,15 +220,16 @@ func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // set, else LJF over the set's unscheduled tasks.
 func rasErrorInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	runIn, fresh := vs.EarliestCandidates(ctx.Remaining())
+	rv := vs.RunningViews()
 	spec := -1
 	var specSaving float64
-	for _, i := range runIn {
-		t := vs.At(i)
+	for _, k := range runIn {
+		t := &rv[k]
 		if !t.Speculable || t.Copies >= MaxCopies {
 			continue
 		}
 		if s := t.Saving(); s > 0 && (spec == -1 || s > specSaving) {
-			spec, specSaving = i, s
+			spec, specSaving = t.Index, s
 		}
 	}
 	if spec >= 0 {

@@ -114,11 +114,12 @@ type Policy interface {
 
 // IncrementalPolicy is the delta-aware form of a Policy, and the form the
 // scheduler requires: admitting a job whose policy lacks it panics. The
-// scheduler keeps a ViewSet alive across events — dirtying only the tasks
-// an event touched (copy launch/finish/preemption, an estimator update
-// whose normalized median actually moved) and re-deriving only those views
-// before the next launch attempt — and the policy selects from the
-// maintained orderings instead of rescanning every task.
+// scheduler keeps a ViewSet alive across events — re-deriving, before the
+// next launch attempt, only the records of tasks an event touched (copy
+// launch/finish/preemption), while views are evaluated on read at the
+// attempt's clock and t_new median — and the policy selects from the
+// maintained orderings and the attempt's running views instead of
+// rescanning every task.
 //
 // The contract mirrors Pick exactly: given the same job state,
 // PickIncremental must return the identical Decision (including

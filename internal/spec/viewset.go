@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -11,8 +12,17 @@ import (
 // job's running set instead of rebuilding and rescanning every incomplete
 // task (O(tasks) per attempt).
 //
-// It holds one TaskView per task of the phase (dense, indexed by task
-// index) plus three lists the policies select from:
+// It stores, per task, only what neither the clock nor the estimator
+// moves: one TaskRec (the task's work and t_new factor, its best copy's
+// start, duration, end and t_rem bias, its first start and its copy
+// count). Views are evaluated from the records when a policy reads them,
+// with the set's clock and t_new median: TNew = median × Work × Factor,
+// and a running task's TRem, Progress, Elapsed and Speculable are the
+// scheduler's float expressions at the current time. So time passing and
+// the estimator's median moving dirty nothing; the scheduler re-derives a
+// record only when an event changed its task.
+//
+// Besides the records the set keeps three lists the policies select from:
 //
 //   - running: indices of tasks with at least one executing copy,
 //     ascending by index — the scan order the reference Pick sees, so
@@ -23,92 +33,294 @@ import (
 //     pick is its head, and the error-bound earliest set's unscheduled
 //     members are a prefix of it.
 //
-// Running tasks sit in no ordered list: their selection keys (remaining
-// time, effective duration) move with the clock, so every query over them
-// works from the running list. For r running and u unscheduled tasks the
-// deadline picks cost O(r) per attempt, and the error-bound earliest set
-// (EarliestCandidates) and the median TNew cost O(r) expected plus
-// O(log r · log u): a quickselect over the running keys whose probes
-// binary-search uorder.
+// Running views are evaluated at most once per launch attempt: the first
+// read after Begin evaluates every running task's view into a buffer in
+// running-list order (RunningViews), valid until the next Begin or
+// mutation. Policies read running views by position in that buffer. For r
+// running and u unscheduled tasks the deadline picks cost O(r) per
+// attempt, and the error-bound earliest set (EarliestCandidates) and the
+// median TNew cost O(r) expected plus O(log r · log u): a quickselect over
+// the running keys whose probes binary-search uorder.
 //
-// The (TNew, index) order is cheap to keep alive because a job's TNew
-// values only move together: in estimator mode TNew_i = median × work_i ×
-// bias_i, so an estimator update rescales every key by the same positive
-// factor and the order is (modulo float rounding, which ResortByTNew
-// repairs) invariant; in oracle mode a task's key changes only when its
-// predrawn duration factor is consumed by a launch, which already dirties
-// the task.
+// The (TNew, index) order survives a median move almost for free. A key
+// is fl(fl(m·w)·f), within a factor (1 ± u)² of the exact product m·w·f
+// (u = 2⁻⁵³) while every operand is tame (see tame). Two uorder
+// neighbours whose keys are more than nearULPs representable steps apart
+// under one tame median therefore have exact products more than
+// ((1+u)/(1−u))⁴ apart, and keep their order under every tame median; so
+// do neighbours with identical operands, whose keys stay equal. The set
+// marks each neighbour pair when it becomes adjacent and keeps the mark —
+// removing the task between two safe pairs leaves a safe pair, by
+// transitivity — and a median move rechecks only the near-tied pairs
+// (SetMedian). A ground-truth set's median is 1 and never moves: its keys
+// change only when a launch consumes a predrawn duration factor, which
+// already dirties the task.
 //
 // The scheduler owns maintenance: structural transitions (NoteLaunched /
 // NoteIdle / Complete) are applied eagerly when the event happens, and
-// view values are refreshed lazily — Update rewrites a dirtied task's view
+// records are refreshed lazily — Update rewrites a dirtied task's record
 // just before the next launch attempt. An unscheduled task is filed in
-// uorder under its stored TNew, so between refreshes the stored key, not
-// the task's current estimate, locates it. Query methods are only valid
-// after the refresh, when every stored view is current; PickIncremental
-// implementations must not mutate the set.
+// uorder under its stored record, so between refreshes the stored record,
+// not the task's current state, locates it. Query methods are only valid
+// after the refresh; PickIncremental implementations must not mutate the
+// set.
 type ViewSet struct {
-	views   []TaskView
+	recs    []TaskRec
 	running []int
 	unsched []int
 	uorder  []int
-	sealed  bool
+	// near lists the uorder tasks whose pair with their uorder successor is
+	// near-tied (TaskRec.near points back into it).
+	near   []int
+	sealed bool
 
-	// Reusable query scratch: runKeys holds the running tasks' selection
-	// keys (permuted by each selection), runIn backs EarliestCandidates'
-	// returned slice, valid until the next call.
+	// The evaluation inputs: the clock, the t_new median and the mode.
+	now, med    float64
+	groundTruth bool
+	minSpec     float64
+
+	// run holds the attempt's running views and query scratch, shared by
+	// the scheduler's sets.
+	run *RunBuf
+}
+
+// TaskRec is what a ViewSet stores for one task: the inputs of its view
+// that neither the clock nor the estimator moves. Callers fill the
+// exported fields; the set maintains the rest. The record is 64 bytes.
+type TaskRec struct {
+	// Work is the task's work and Factor its t_new factor — the
+	// estimator's persistent t_new bias, or in ground-truth mode the
+	// duration factor its next copy will draw. TNew = median × Work ×
+	// Factor.
+	Work, Factor float64
+	// Start, Duration, End and TRemBias describe the best (earliest-
+	// finishing) running copy: its launch time, ground-truth duration,
+	// finish time (Start + Duration, as the scheduler computed it) and
+	// persistent t_rem bias. Unused when Copies is 0.
+	Start, Duration, End, TRemBias float64
+	// FirstStart is when the oldest running copy launched.
+	FirstStart float64
+	// Copies is the number of running copies; 0 means unscheduled.
+	Copies int32
+	// near is one plus the task's position in ViewSet.near while the uorder
+	// pair it heads is near-tied, else 0.
+	near int32
+}
+
+// RunBuf holds what one launch attempt evaluates: a ViewSet's running
+// views, evaluated once per attempt, and the selection scratch its queries
+// reuse. ViewSets whose attempts never overlap — every job of one
+// simulator — share one, so its capacity is paid once.
+type RunBuf struct {
+	owner *ViewSet
+	views []TaskView
+	// runKeys holds the running tasks' selection keys in running order,
+	// selKeys the copy each selection permutes, and runIn backs
+	// EarliestCandidates' returned positions, valid until the next call.
 	runKeys []effIdx
+	selKeys []effIdx
 	runIn   []int
 }
 
+// Eval says how a ViewSet turns records into views.
+type Eval struct {
+	// GroundTruth selects the oracle's exact views: TRem is the true
+	// remaining time, every running task is speculable, and the t_new
+	// median is 1.
+	GroundTruth bool
+	// MinSpecProgress is the progress a best copy needs before an
+	// estimated view is speculable.
+	MinSpecProgress float64
+	// Buf is the running-view buffer to share; nil gives the set a fresh
+	// one.
+	Buf *RunBuf
+}
+
 // Reset clears the set for a fresh phase of n tasks, keeping capacity.
-func (vs *ViewSet) Reset(n int) {
-	if cap(vs.views) < n {
-		vs.views = make([]TaskView, n)
+func (vs *ViewSet) Reset(n int, e Eval) {
+	vs.dropRun()
+	if cap(vs.recs) < n {
+		vs.recs = make([]TaskRec, n)
 	}
-	vs.views = vs.views[:n]
-	for i := range vs.views {
-		vs.views[i] = TaskView{}
-	}
+	vs.recs = vs.recs[:n]
+	clear(vs.recs)
 	vs.running = vs.running[:0]
 	vs.unsched = vs.unsched[:0]
 	vs.uorder = vs.uorder[:0]
+	vs.near = vs.near[:0]
 	vs.sealed = false
+	vs.groundTruth, vs.minSpec, vs.run = e.GroundTruth, e.MinSpecProgress, e.Buf
+	if vs.run == nil {
+		vs.run = new(RunBuf)
+	}
 }
 
-// Init records one task's initial view during the build phase. Views must
-// be supplied in ascending task-index order (the membership lists inherit
-// it); call Seal once every incomplete task is in.
-func (vs *ViewSet) Init(v TaskView) {
+// Init records task i's initial state during the build phase. Tasks must
+// be supplied in ascending index order (the membership lists inherit it);
+// call Seal once every incomplete task is in.
+func (vs *ViewSet) Init(i int, r TaskRec) {
 	if vs.sealed {
 		panic("spec: ViewSet.Init after Seal")
 	}
-	vs.views[v.Index] = v
-	if v.Running {
-		vs.running = append(vs.running, v.Index)
+	r.near = 0
+	vs.recs[i] = r
+	if r.Copies > 0 {
+		vs.running = append(vs.running, i)
 	} else {
-		vs.unsched = append(vs.unsched, v.Index)
-		vs.uorder = append(vs.uorder, v.Index)
+		vs.unsched = append(vs.unsched, i)
+		vs.uorder = append(vs.uorder, i)
 	}
 }
 
-// Seal finishes the build: the (TNew, index) order is sorted once, after
-// which all maintenance is incremental.
-func (vs *ViewSet) Seal() {
+// Seal finishes the build at time now and t_new median med (1 in
+// ground-truth mode): the (TNew, index) order is sorted once, after which
+// all maintenance is incremental.
+func (vs *ViewSet) Seal(now, med float64) {
+	if vs.groundTruth {
+		med = 1
+	}
+	vs.now, vs.med = now, med
 	vs.sortUorder()
 	vs.sealed = true
+}
+
+// Begin starts a launch attempt at time now: running views are evaluated
+// afresh on the next read.
+func (vs *ViewSet) Begin(now float64) {
+	vs.now = now
+	vs.dropRun()
+}
+
+// SetMedian moves the t_new median to med and restores the (TNew, index)
+// order of the unscheduled tasks, returning how many neighbour pairs it
+// rechecked. Between tame medians only the near-tied pairs can swap, so
+// only they are rechecked, located by binary search under the old median;
+// a move to or from an untame median re-sorts and re-marks every pair. A
+// broken pair — which the proof allows only among near ties — is repaired
+// by one sort.
+func (vs *ViewSet) SetMedian(med float64) int {
+	if vs.groundTruth || med == vs.med {
+		return 0
+	}
+	vs.dropRun()
+	if !tame(vs.med) || !tame(med) {
+		vs.med = med
+		vs.sortUorder()
+		return max(len(vs.uorder)-1, 0)
+	}
+	broken := false
+	for _, a := range vs.near {
+		b := vs.uorder[vs.uorderPos(a)+1]
+		broken = broken || keyAt(med, &vs.recs[b], b).less(keyAt(med, &vs.recs[a], a))
+	}
+	n := len(vs.near)
+	vs.med = med
+	if broken {
+		vs.sortUorder()
+	}
+	return n
 }
 
 // Len returns the number of incomplete tasks in the set.
 func (vs *ViewSet) Len() int { return len(vs.running) + len(vs.unsched) }
 
-// At returns the current view of task i. Only meaningful for incomplete
-// tasks of the phase.
-func (vs *ViewSet) At(i int) TaskView { return vs.views[i] }
+// At evaluates the current view of task i. Only meaningful for incomplete
+// tasks of the phase; policies read running views through RunningViews,
+// which evaluates each once per attempt.
+func (vs *ViewSet) At(i int) TaskView {
+	var v TaskView
+	vs.eval(&v, i)
+	return v
+}
 
-// Running returns the indices of tasks with at least one executing copy,
-// ascending. Callers must not mutate or retain the slice across updates.
-func (vs *ViewSet) Running() []int { return vs.running }
+// eval writes task i's current view to v.
+func (vs *ViewSet) eval(v *TaskView, i int) {
+	r := &vs.recs[i]
+	*v = TaskView{Index: i, TNew: vs.med * r.Work * r.Factor}
+	if r.Copies == 0 {
+		return
+	}
+	now := vs.now
+	v.Running = true
+	v.Copies = int(r.Copies)
+	trueRem := r.End - now
+	if trueRem < 0 {
+		trueRem = 0
+	}
+	v.Elapsed = now - r.FirstStart
+	v.Progress = progress(now, r.Start, r.Duration)
+	if vs.groundTruth {
+		v.Speculable = true
+		v.TRem = trueRem
+	} else {
+		v.Speculable = v.Progress >= vs.minSpec
+		// Extrapolation error shrinks as progress accumulates: a
+		// nearly-done copy's remaining time is well known.
+		bias := 1 + (r.TRemBias-1)*(1-v.Progress)
+		v.TRem = trueRem * bias
+	}
+}
+
+// progress is a running view's Progress at time now: the best copy's
+// elapsed fraction of its duration, clamped to [0, 0.999], and 0 unless
+// the duration is positive. It never decreases as now grows: each step
+// rounds monotonically.
+func progress(now, start, duration float64) float64 {
+	if !(duration > 0) {
+		return 0
+	}
+	p := (now - start) / duration
+	if p > 0.999 {
+		p = 0.999
+	}
+	if p < 0 {
+		p = 0
+	}
+	return p
+}
+
+// SpeculableFrom returns a time before which running task i's estimated
+// view cannot be speculable, judged from its stored best copy: -Inf when
+// it may be speculable already, +Inf when it never will be. Progress never
+// decreases as the clock advances, so the bound holds until the record
+// changes. The bound is a slightly early guess at the threshold crossing,
+// verified against progress at the float just before it.
+func (vs *ViewSet) SpeculableFrom(i int) float64 {
+	r := &vs.recs[i]
+	if vs.groundTruth || !(vs.minSpec > 0) {
+		return math.Inf(-1)
+	}
+	if !(r.Duration > 0) || vs.minSpec > 0.999 {
+		return math.Inf(1)
+	}
+	at := r.Start + vs.minSpec*r.Duration*(1-0x1p-20)
+	if progress(math.Nextafter(at, math.Inf(-1)), r.Start, r.Duration) >= vs.minSpec {
+		return math.Inf(-1)
+	}
+	return at
+}
+
+// TNew returns task i's fresh-copy estimate, median × work × factor.
+func (vs *ViewSet) TNew(i int) float64 {
+	r := &vs.recs[i]
+	return vs.med * r.Work * r.Factor
+}
+
+// RunningViews returns the views of the tasks with at least one executing
+// copy, ascending by index, evaluated on the first call of the attempt.
+// The slice is valid until the next Begin or mutation of any set sharing
+// the buffer; callers must not mutate or retain it.
+func (vs *ViewSet) RunningViews() []TaskView {
+	b := vs.run
+	if b.owner != vs {
+		views := slices.Grow(b.views[:0], len(vs.running))[:len(vs.running)]
+		for k, i := range vs.running {
+			vs.eval(&views[k], i)
+		}
+		b.views, b.owner = views, vs
+	}
+	return b.views
+}
 
 // FirstUnsched returns the lowest-index unscheduled task — the FIFO
 // launch the approximation-oblivious baselines start from.
@@ -141,17 +353,18 @@ func (vs *ViewSet) MedianTNew() float64 {
 		return 0
 	}
 	h := n / 2
-	keys := vs.runKeys[:0]
+	b := vs.run
+	keys := b.selKeys[:0]
 	for _, i := range vs.running {
 		keys = append(keys, vs.tnewKey(i))
 	}
-	vs.runKeys = keys
+	b.selKeys = keys
 	j, maxIn, minOut := vs.selectRunning(keys, h)
 	// h-j unscheduled tasks are inside; uorder[h-j] is the smallest
 	// unscheduled one outside.
 	above := minOut.eff
 	if u := h - j; u < len(vs.uorder) {
-		if t := vs.views[vs.uorder[u]].TNew; j == len(keys) || t < above {
+		if t := vs.TNew(vs.uorder[u]); j == len(keys) || t < above {
 			above = t
 		}
 	}
@@ -160,35 +373,40 @@ func (vs *ViewSet) MedianTNew() float64 {
 	}
 	below := maxIn.eff
 	if u := h - j; u > 0 {
-		if t := vs.views[vs.uorder[u-1]].TNew; j == 0 || t > below {
+		if t := vs.TNew(vs.uorder[u-1]); j == 0 || t > below {
 			below = t
 		}
 	}
 	return (below + above) / 2
 }
 
-// Update rewrites task i's view after the scheduler refreshed it. If an
-// unscheduled task's TNew key moved (an oracle redraw), its uorder entry
-// is relocated. Structural membership is NOT touched here — NoteLaunched/
-// NoteIdle/Complete handle transitions when they happen, so v.Running
-// already says which list holds the task.
-func (vs *ViewSet) Update(v TaskView) {
-	if v.Running || vs.views[v.Index].TNew == v.TNew {
-		vs.views[v.Index] = v
+// Update rewrites task i's record after the scheduler re-derived it. If an
+// unscheduled task's key operands changed (an oracle redraw), its uorder
+// entry is relocated. Structural membership is NOT touched here —
+// NoteLaunched/NoteIdle/Complete handle transitions when they happen, so
+// r.Copies already says which list holds the task.
+func (vs *ViewSet) Update(i int, r TaskRec) {
+	vs.dropRun()
+	old := &vs.recs[i]
+	r.near = old.near
+	if r.Copies > 0 || (old.Work == r.Work && old.Factor == r.Factor) {
+		*old = r
 		return
 	}
-	// Remove under the old key before storing the new view: the search
-	// compares through the stored views, so the entry must still carry the
-	// key it is filed under while it is being located.
-	vs.uorderRemove(v.Index)
-	vs.views[v.Index] = v
-	vs.uorderInsert(v.Index)
+	// Remove under the old key before storing the new record: the search
+	// compares through the stored records, so the entry must still carry
+	// the key it is filed under while it is being located.
+	vs.uorderRemove(i)
+	r.near = 0
+	*old = r
+	vs.uorderInsert(i)
 }
 
 // NoteLaunched moves task i from the unscheduled lists to the running
-// list — call when its first copy launches. The stored view stays stale
+// list — call when its first copy launches. The stored record stays stale
 // until the next Update.
 func (vs *ViewSet) NoteLaunched(i int) {
+	vs.dropRun()
 	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
 	vs.uorderRemove(i)
 	vs.running = insertSortedInt(vs.running, i)
@@ -196,8 +414,9 @@ func (vs *ViewSet) NoteLaunched(i int) {
 
 // NoteIdle moves task i back to the unscheduled lists — call when
 // preemption kills its last copy. It is filed in uorder under its stored
-// TNew until the next Update relocates it.
+// record until the next Update relocates it.
 func (vs *ViewSet) NoteIdle(i int) {
+	vs.dropRun()
 	vs.running = removeSortedInt(vs.running, i, "running")
 	vs.unsched = insertSortedInt(vs.unsched, i)
 	vs.uorderInsert(i)
@@ -205,6 +424,7 @@ func (vs *ViewSet) NoteIdle(i int) {
 
 // Complete removes task i from the set entirely.
 func (vs *ViewSet) Complete(i int) {
+	vs.dropRun()
 	if p := sort.SearchInts(vs.running, i); p < len(vs.running) && vs.running[p] == i {
 		vs.running = append(vs.running[:p], vs.running[p+1:]...)
 		return
@@ -213,48 +433,45 @@ func (vs *ViewSet) Complete(i int) {
 	vs.uorderRemove(i)
 }
 
-// SetTNewBulk rewrites task i's TNew without repairing the order — the
-// estimator-update path, where every key rescales by the same factor and
-// the caller finishes with one ResortByTNew instead of n relocations.
-func (vs *ViewSet) SetTNewBulk(i int, tnew float64) {
-	vs.views[i].TNew = tnew
-}
-
-// ResortByTNew revalidates uorder after a bulk TNew rewrite. Uniform
-// rescaling preserves the order except for float-rounding flips, so this
-// is an O(u) sortedness check with an O(u log u) repair that in practice
-// never runs.
-func (vs *ViewSet) ResortByTNew() {
-	for k := 1; k < len(vs.uorder); k++ {
-		if vs.tnewKey(vs.uorder[k]).less(vs.tnewKey(vs.uorder[k-1])) {
-			vs.sortUorder()
-			return
-		}
-	}
-}
-
 // AppendCompact appends the views of every incomplete task in ascending
 // index order — the exact slice a from-scratch rebuild would produce,
-// which the differential tests compare against.
+// which the differential tests compare against. Running views come from
+// the attempt's buffer, so the comparison covers what the policies read.
 func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
+	rv := vs.RunningViews()
 	ri, ui := 0, 0
-	for ri < len(vs.running) || ui < len(vs.unsched) {
-		switch {
-		case ri >= len(vs.running):
-			dst = append(dst, vs.views[vs.unsched[ui]])
-			ui++
-		case ui >= len(vs.unsched):
-			dst = append(dst, vs.views[vs.running[ri]])
+	for ri < len(rv) || ui < len(vs.unsched) {
+		if ui == len(vs.unsched) || (ri < len(rv) && vs.running[ri] < vs.unsched[ui]) {
+			dst = append(dst, rv[ri])
 			ri++
-		case vs.running[ri] < vs.unsched[ui]:
-			dst = append(dst, vs.views[vs.running[ri]])
-			ri++
-		default:
-			dst = append(dst, vs.views[vs.unsched[ui]])
+		} else {
+			dst = append(dst, vs.At(vs.unsched[ui]))
 			ui++
 		}
 	}
 	return dst
+}
+
+// CheckOrder verifies the (TNew, index) order of the unscheduled tasks
+// under the current keys and the near-tie bookkeeping — the invariants
+// every keyed search relies on. The differential tests call it at every
+// launch attempt.
+func (vs *ViewSet) CheckOrder() error {
+	for k := 1; k < len(vs.uorder); k++ {
+		if a, b := vs.uorder[k-1], vs.uorder[k]; !vs.tnewKey(a).less(vs.tnewKey(b)) {
+			return fmt.Errorf("uorder[%d] task %d (tnew %v) does not sort before task %d (tnew %v) at median %v",
+				k-1, a, vs.TNew(a), b, vs.TNew(b), vs.med)
+		}
+	}
+	for k, a := range vs.near {
+		if int(vs.recs[a].near) != k+1 {
+			return fmt.Errorf("near[%d] task %d points back to %d", k, a, vs.recs[a].near-1)
+		}
+		if p := vs.uorderSearch(vs.tnewKey(a)); p+1 >= len(vs.uorder) || vs.uorder[p] != a {
+			return fmt.Errorf("near[%d] task %d heads no uorder pair", k, a)
+		}
+	}
+	return nil
 }
 
 // EarliestCandidates identifies, among the `need` incomplete tasks with
@@ -262,43 +479,49 @@ func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 // quickselect order — the running members and the unscheduled fresh-launch
 // candidate:
 //
-//   - runIn holds the running tasks inside the set, ascending by index
-//     (the reference selection's scan order);
+//   - runIn holds the running members' positions in RunningViews,
+//     ascending (the reference selection's scan order);
 //   - fresh is the unscheduled member with the largest TNew, ties broken
 //     to the smallest index (LJF's pick inside the set), or -1 when the
 //     set contains no unscheduled task.
 //
-// need >= Len() degenerates to the whole incomplete set, and runIn is then
-// the live running list itself; otherwise it aliases ViewSet scratch.
-// Either way it is valid until the next call or update. Cost is O(r)
-// expected plus O(log r · log u) for r running and u unscheduled tasks
-// (see selectRunning), where the reference quickselects every incomplete
-// task.
+// runIn aliases the attempt's scratch, valid until the next call or update.
+// Cost is O(r) expected plus O(log r · log u) for r running and u
+// unscheduled tasks (see selectRunning), where the reference quickselects
+// every incomplete task.
 func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
+	b := vs.run
+	runIn := b.runIn[:0]
 	if need <= 0 {
-		return vs.runIn[:0], -1
+		return runIn, -1
 	}
+	rv := vs.RunningViews()
 	if need >= vs.Len() {
-		return vs.running, vs.ljfUnsched(len(vs.uorder))
+		for k := range rv {
+			runIn = append(runIn, k)
+		}
+		b.runIn = runIn
+		return runIn, vs.ljfUnsched(len(vs.uorder))
 	}
 	// An unscheduled task's effDuration is its TNew, so uorder is already
 	// in selection-key order and only the running keys need selecting.
-	keys := vs.runKeys[:0]
-	for _, i := range vs.running {
-		keys = append(keys, effIdx{eff: effDuration(vs.views[i]), idx: i})
+	keys := b.runKeys[:0]
+	for k := range rv {
+		keys = append(keys, effIdx{eff: effDuration(rv[k]), idx: rv[k].Index})
 	}
-	vs.runKeys = keys
-	j, _, minOut := vs.selectRunning(keys, need)
-	// The members are the running keys below minOut; filtering the running
-	// list keeps runIn ascending by index whatever order the selection left
-	// the keys in.
-	runIn := vs.runIn[:0]
-	for _, i := range vs.running {
-		if j == len(keys) || (effIdx{eff: effDuration(vs.views[i]), idx: i}).less(minOut) {
-			runIn = append(runIn, i)
+	b.runKeys = keys
+	sel := append(b.selKeys[:0], keys...)
+	b.selKeys = sel
+	j, _, minOut := vs.selectRunning(sel, need)
+	// The members are the running keys below minOut; filtering the keys in
+	// running order keeps runIn ascending whatever order the selection
+	// left its copy in.
+	for k, key := range keys {
+		if j == len(keys) || key.less(minOut) {
+			runIn = append(runIn, k)
 		}
 	}
-	vs.runIn = runIn
+	b.runIn = runIn
 	return runIn, vs.ljfUnsched(need - j)
 }
 
@@ -366,12 +589,24 @@ func (vs *ViewSet) ljfUnsched(k int) int {
 	if k == 0 {
 		return -1
 	}
-	maxT := vs.views[vs.uorder[k-1]].TNew
+	maxT := vs.TNew(vs.uorder[k-1])
 	return vs.uorder[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
 }
 
+// dropRun invalidates the running-view buffer if this set filled it.
+func (vs *ViewSet) dropRun() {
+	if vs.run != nil && vs.run.owner == vs {
+		vs.run.owner = nil
+	}
+}
+
 // tnewKey is task i's (TNew, index) key, the order uorder keeps.
-func (vs *ViewSet) tnewKey(i int) effIdx { return effIdx{eff: vs.views[i].TNew, idx: i} }
+func (vs *ViewSet) tnewKey(i int) effIdx { return keyAt(vs.med, &vs.recs[i], i) }
+
+// keyAt is task i's (TNew, index) key at median med.
+func keyAt(med float64, r *TaskRec, i int) effIdx {
+	return effIdx{eff: med * r.Work * r.Factor, idx: i}
+}
 
 // uorderSearch returns the number of unscheduled tasks whose (TNew, index)
 // key sorts below k — the position k takes in uorder.
@@ -381,23 +616,43 @@ func (vs *ViewSet) uorderSearch(k effIdx) int {
 	})
 }
 
-// uorderRemove drops unscheduled task i from uorder, located by its stored
-// TNew. A miss means uorder diverged from the views — every later
-// selection would be silently wrong — so it panics like the estimator's
-// mirror.
-func (vs *ViewSet) uorderRemove(i int) {
+// uorderPos returns unscheduled task i's position in uorder, located by
+// its stored key. A miss means uorder diverged from the records — every
+// later selection would be silently wrong — so it panics like the
+// estimator's mirror.
+func (vs *ViewSet) uorderPos(i int) int {
 	p := vs.uorderSearch(vs.tnewKey(i))
 	if p >= len(vs.uorder) || vs.uorder[p] != i {
-		panic(fmt.Sprintf("spec: ViewSet order diverged: task %d (tnew %v) not at its key", i, vs.views[i].TNew))
+		panic(fmt.Sprintf("spec: ViewSet order diverged: task %d (tnew %v) not at its key", i, vs.TNew(i)))
 	}
+	return p
+}
+
+// uorderRemove drops unscheduled task i from uorder. Its predecessor's
+// pair mark stays when both pairs it joins were safe, and is recomputed
+// otherwise.
+func (vs *ViewSet) uorderRemove(i int) {
+	p := vs.uorderPos(i)
+	joined := p > 0 && p+1 < len(vs.uorder) && vs.recs[vs.uorder[p-1]].near == 0 && vs.recs[i].near == 0
+	vs.unmark(i)
 	vs.uorder = append(vs.uorder[:p], vs.uorder[p+1:]...)
+	if p > 0 && !joined {
+		vs.markPair(p - 1)
+	}
 }
 
-// uorderInsert files unscheduled task i in uorder under its stored TNew.
+// uorderInsert files unscheduled task i in uorder under its stored record
+// and marks the two pairs it forms.
 func (vs *ViewSet) uorderInsert(i int) {
-	vs.uorder = slices.Insert(vs.uorder, vs.uorderSearch(vs.tnewKey(i)), i)
+	p := vs.uorderSearch(vs.tnewKey(i))
+	vs.uorder = slices.Insert(vs.uorder, p, i)
+	if p > 0 {
+		vs.markPair(p - 1)
+	}
+	vs.markPair(p)
 }
 
+// sortUorder sorts uorder by (TNew, index) and marks every pair afresh.
 func (vs *ViewSet) sortUorder() {
 	slices.SortFunc(vs.uorder, func(a, b int) int {
 		if vs.tnewKey(a).less(vs.tnewKey(b)) {
@@ -405,6 +660,64 @@ func (vs *ViewSet) sortUorder() {
 		}
 		return 1
 	})
+	for _, a := range vs.near {
+		vs.recs[a].near = 0
+	}
+	vs.near = vs.near[:0]
+	for p := range vs.uorder {
+		vs.markPair(p)
+	}
+}
+
+// nearULPs is how many representable steps apart two keys must be for
+// their order to be fixed under every tame median: 16 steps exceed
+// 16·2⁻⁵³ of the smaller key, twice the 8u that four roundings can close.
+const nearULPs = 16
+
+// tame reports whether x lies in [2⁻²⁵⁶, 2²⁵⁶]. A product of three tame
+// values stays in the normal range, where each rounding lands within a
+// relative u = 2⁻⁵³ of the exact result — the premise of the pair marks.
+func tame(x float64) bool { return x >= 0x1p-256 && x <= 0x1p256 }
+
+// markPair records whether the pair uorder[p], uorder[p+1] can swap under
+// a median move; the last entry heads no pair.
+func (vs *ViewSet) markPair(p int) {
+	a := vs.uorder[p]
+	if p+1 == len(vs.uorder) || vs.pairSafe(a, vs.uorder[p+1]) {
+		vs.unmark(a)
+	} else if vs.recs[a].near == 0 {
+		vs.near = append(vs.near, a)
+		vs.recs[a].near = int32(len(vs.near))
+	}
+}
+
+// pairSafe reports whether neighbours a before b keep their order under
+// every tame median: their operands and the current median are tame, and
+// either the operands are identical (the keys stay equal, the index
+// decides) or the keys are more than nearULPs steps apart.
+func (vs *ViewSet) pairSafe(a, b int) bool {
+	ra, rb := &vs.recs[a], &vs.recs[b]
+	if !tame(vs.med) || !tame(ra.Work) || !tame(ra.Factor) || !tame(rb.Work) || !tame(rb.Factor) {
+		return false
+	}
+	if ra.Work == rb.Work && ra.Factor == rb.Factor {
+		return true
+	}
+	ka, kb := vs.med*ra.Work*ra.Factor, vs.med*rb.Work*rb.Factor
+	return kb > ka && math.Float64bits(kb)-math.Float64bits(ka) > nearULPs
+}
+
+// unmark drops task a from the near-tie list.
+func (vs *ViewSet) unmark(a int) {
+	k := vs.recs[a].near
+	if k == 0 {
+		return
+	}
+	last := vs.near[len(vs.near)-1]
+	vs.near[k-1] = last
+	vs.recs[last].near = k
+	vs.near = vs.near[:len(vs.near)-1]
+	vs.recs[a].near = 0
 }
 
 func insertSortedInt(xs []int, v int) []int {

@@ -5,25 +5,122 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/approx-analytics/grass/internal/task"
 )
 
 // These property tests hold PickIncremental to Pick over adversarial
-// synthetic candidate states: TNew/TRem values drawn from a tiny discrete
-// set so key ties — which a real simulation produces with probability
-// zero, but which the first-wins tie-break contract must still resolve
+// synthetic candidate states: records drawn from tiny discrete alphabets
+// so key ties — which a real simulation produces with probability zero,
+// but which the first-wins tie-break contract must still resolve
 // identically — occur constantly, and every running/unscheduled mix,
-// pruning depth and deadline slack gets sampled.
+// pruning depth and deadline slack gets sampled. The reference views come
+// from refView, the scheduler's view formula written out independently.
 
-// randViews builds a random consistent view slice (ascending indices,
-// possibly with completed gaps) and the equivalent sealed ViewSet. Most
+const (
+	testNow     = 8.0  // the clock the generated records are laid out around
+	testMinSpec = 0.15 // MinSpecProgress of the generated sets
+)
+
+// refView is the reference view of record r for task i at time now and
+// t_new median med — the float expressions the scheduler's from-scratch
+// rebuild uses, which ViewSet evaluation must reproduce bit for bit.
+func refView(r TaskRec, i int, now, med float64, groundTruth bool) TaskView {
+	v := TaskView{Index: i}
+	if r.Copies > 0 {
+		v.Running = true
+		v.Copies = int(r.Copies)
+		trueRem := r.End - now
+		if trueRem < 0 {
+			trueRem = 0
+		}
+		v.Elapsed = now - r.FirstStart
+		if r.Duration > 0 {
+			p := (now - r.Start) / r.Duration
+			if p > 0.999 {
+				p = 0.999
+			}
+			if p < 0 {
+				p = 0
+			}
+			v.Progress = p
+		}
+		if groundTruth {
+			v.Speculable = true
+			v.TRem = trueRem
+		} else {
+			v.Speculable = v.Progress >= testMinSpec
+			bias := 1 + (r.TRemBias-1)*(1-v.Progress)
+			v.TRem = trueRem * bias
+		}
+	}
+	if groundTruth {
+		v.TNew = r.Work * r.Factor
+	} else {
+		v.TNew = med * r.Work * r.Factor
+	}
+	return v
+}
+
+// model is a test's own account of a ViewSet: the incomplete tasks'
+// records and the evaluation inputs.
+type model struct {
+	recs        map[int]TaskRec
+	now, med    float64
+	groundTruth bool
+}
+
+// views returns the reference views of every incomplete task, ascending.
+func (m *model) views() []TaskView {
+	idx := make([]int, 0, len(m.recs))
+	for i := range m.recs {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	views := make([]TaskView, 0, len(idx))
+	for _, i := range idx {
+		views = append(views, refView(m.recs[i], i, m.now, m.med, m.groundTruth))
+	}
+	return views
+}
+
+// randRec draws a record from tie-dense alphabets. TNew = med × Work ×
+// Factor lands on a handful of values, and Factor 2 makes equal keys from
+// different operands (work 2 × 1 against work 1 × 2) — the near-tied pairs
+// a median move rechecks. A running record's TRem (true remaining time,
+// bias 1) shares those values, Progress is 0, 1/4 or 1/2 (0 and a zero
+// duration are not speculable), and Elapsed is 0 to 3 (0 disables LATE
+// candidacy).
+func randRec(rng *rand.Rand, running bool) TaskRec {
+	r := TaskRec{Work: float64(1 + rng.Intn(3)), Factor: float64(1 + rng.Intn(2))}
+	if !running {
+		return r
+	}
+	r.Copies = int32(1 + rng.Intn(4))
+	r.Duration = []float64{0, 4, 4, 4}[rng.Intn(4)]
+	r.Start = testNow - float64(rng.Intn(3))
+	r.End = testNow + float64(rng.Intn(4))
+	if rng.Intn(8) == 0 {
+		r.End = testNow - 1 // past its finish: the true remaining time clamps to 0
+	}
+	r.TRemBias = 1
+	if rng.Intn(6) == 0 {
+		r.TRemBias = 1.5
+	}
+	r.FirstStart = testNow - float64(rng.Intn(4))
+	return r
+}
+
+// randViews builds a random consistent state (ascending indices, possibly
+// with completed gaps), its sealed ViewSet and the reference views. Most
 // sets are small and tie-dense; one in eight is large with a small
 // running set, the shape where EarliestCandidates' binary searches of the
 // unscheduled order do the pruning; one in eight is wide, about half of
 // up to ~2,000 tasks running — a large phase holding hundreds of slots,
-// where the selection over the running keys runs many probes deep.
-func randViews(rng *rand.Rand) ([]TaskView, *ViewSet) {
+// where the selection over the running keys runs many probes deep. One in
+// four sets evaluates in ground-truth mode.
+func randViews(rng *rand.Rand) ([]TaskView, *ViewSet, *model) {
 	n := 1 + rng.Intn(12)
 	runDenom := 2 // half the tasks running
 	switch rng.Intn(8) {
@@ -34,36 +131,25 @@ func randViews(rng *rand.Rand) ([]TaskView, *ViewSet) {
 		n = 300 + rng.Intn(1700)
 	}
 	total := n + rng.Intn(4) // dense size incl. "completed" gaps
+	m := &model{recs: map[int]TaskRec{}, now: testNow, med: 1, groundTruth: rng.Intn(4) == 0}
+	if !m.groundTruth {
+		m.med = []float64{1, 0.5, 2}[rng.Intn(3)]
+	}
 	vs := &ViewSet{}
-	vs.Reset(total)
-	var views []TaskView
-	perm := rng.Perm(total)[:n]
+	vs.Reset(total, Eval{GroundTruth: m.groundTruth, MinSpecProgress: testMinSpec})
 	keep := map[int]bool{}
-	for _, i := range perm {
+	for _, i := range rng.Perm(total)[:n] {
 		keep[i] = true
 	}
-	tie := []float64{1, 2, 3} // tiny key alphabet: ties everywhere
 	for i := 0; i < total; i++ {
-		if !keep[i] {
-			continue
+		if keep[i] {
+			r := randRec(rng, rng.Intn(runDenom) == 0)
+			m.recs[i] = r
+			vs.Init(i, r)
 		}
-		v := TaskView{Index: i, TNew: tie[rng.Intn(len(tie))]}
-		if rng.Intn(runDenom) == 0 {
-			v.Running = true
-			v.Copies = 1 + rng.Intn(4)
-			v.Speculable = rng.Intn(3) > 0
-			v.TRem = tie[rng.Intn(len(tie))]
-			if rng.Intn(8) == 0 {
-				v.TRem = 0 // a copy at its exact finish time
-			}
-			v.Elapsed = float64(rng.Intn(4)) // 0 disables LATE candidacy
-			v.Progress = float64(rng.Intn(3)) * 0.25
-		}
-		views = append(views, v)
-		vs.Init(v)
 	}
-	vs.Seal()
-	return views, vs
+	vs.Seal(m.now, m.med)
+	return m.views(), vs, m
 }
 
 func randCtx(rng *rand.Rand, n int) Ctx {
@@ -91,7 +177,7 @@ func TestPickIncrementalMatchesPick(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 5000; iter++ {
-		views, vs := randViews(rng)
+		views, vs, _ := randViews(rng)
 		ctx := randCtx(rng, len(views))
 		for _, p := range policies {
 			want, wantOK := p.Pick(ctx, views)
@@ -105,9 +191,10 @@ func TestPickIncrementalMatchesPick(t *testing.T) {
 }
 
 // TestViewSetMaintenance drives a random sequence of launches, idles,
-// TNew changes and completions through a ViewSet and checks, after every
-// operation, that its compacted views and every policy decision match a
-// freshly built set — the incremental structures never drift from what a
+// factor redraws, completions, median moves and clock advances through a
+// ViewSet and checks, after every operation, that its evaluated views,
+// its median TNew, its order invariants and every policy decision match
+// the reference — the incremental structures never drift from what a
 // rebuild would produce.
 func TestViewSetMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -115,48 +202,46 @@ func TestViewSetMaintenance(t *testing.T) {
 		NewGS(), NewRAS(), NewLATE(), NewMantri(), NoSpec{},
 	}
 	for iter := 0; iter < 300; iter++ {
-		views, vs := randViews(rng)
-		byIndex := map[int]*TaskView{}
-		for i := range views {
-			byIndex[views[i].Index] = &views[i]
-		}
-		tie := []float64{1, 2, 3}
-		for op := 0; op < 30 && len(views) > 0; op++ {
+		views, vs, m := randViews(rng)
+		for op := 0; op < 30 && len(m.recs) > 0; op++ {
 			pick := views[rng.Intn(len(views))].Index
-			v := byIndex[pick]
-			switch rng.Intn(4) {
+			r := m.recs[pick]
+			switch rng.Intn(6) {
 			case 0: // launch or add a copy
-				if !v.Running {
+				if r.Copies == 0 {
 					vs.NoteLaunched(pick)
-					v.Running, v.Copies, v.TRem = true, 1, tie[rng.Intn(len(tie))]
-					v.Speculable = rng.Intn(2) == 1
-					v.Elapsed = float64(rng.Intn(3))
+					nr := randRec(rng, true)
+					nr.Work, nr.Factor = r.Work, r.Factor
+					r = nr
 				} else {
-					v.Copies++
+					r.Copies++
 				}
-				vs.Update(*v)
+				vs.Update(pick, r)
 			case 1: // preempt to idle
-				if v.Running {
+				if r.Copies > 0 {
 					vs.NoteIdle(pick)
-					*v = TaskView{Index: pick, TNew: v.TNew}
-					vs.Update(*v)
+					r = TaskRec{Work: r.Work, Factor: r.Factor}
+					vs.Update(pick, r)
 				}
-			case 2: // oracle-style TNew redraw
-				v.TNew = tie[rng.Intn(len(tie))]
-				vs.Update(*v)
+			case 2: // oracle-style factor redraw
+				r.Factor = []float64{1, 2, 0.5}[rng.Intn(3)]
+				vs.Update(pick, r)
 			case 3: // completion
 				vs.Complete(pick)
-				delete(byIndex, pick)
-				for i := range views {
-					if views[i].Index == pick {
-						views = append(views[:i], views[i+1:]...)
-						break
-					}
+				delete(m.recs, pick)
+			case 4: // estimator median move; 1e-300 is untame
+				if !m.groundTruth {
+					m.med = []float64{0.5, 1, 2, 3, 0.7, 1e-300}[rng.Intn(6)]
+					vs.SetMedian(m.med)
 				}
-				for i := range views {
-					byIndex[views[i].Index] = &views[i]
-				}
+			case 5: // the clock advances to the next attempt
+				m.now += []float64{0, 0.5, 1}[rng.Intn(3)]
+				vs.Begin(m.now)
 			}
+			if _, ok := m.recs[pick]; ok {
+				m.recs[pick] = r
+			}
+			views = m.views()
 			compact := vs.AppendCompact(nil)
 			if len(compact) != len(views) {
 				t.Fatalf("iter %d op %d: compact len %d want %d", iter, op, len(compact), len(views))
@@ -165,6 +250,9 @@ func TestViewSetMaintenance(t *testing.T) {
 				if compact[i] != views[i] {
 					t.Fatalf("iter %d op %d: view %d diverged: %+v != %+v", iter, op, i, compact[i], views[i])
 				}
+			}
+			if err := vs.CheckOrder(); err != nil {
+				t.Fatalf("iter %d op %d: %v", iter, op, err)
 			}
 			if got, want := vs.MedianTNew(), sortedMedianTNew(compact); got != want {
 				t.Fatalf("iter %d op %d: MedianTNew %v, sorted median %v", iter, op, got, want)
@@ -203,26 +291,33 @@ func sortedMedianTNew(views []TaskView) float64 {
 	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-// TestViewSetBulkRescale exercises the estimator-bump path: a uniform
-// rescale via SetTNewBulk + ResortByTNew must leave the set answering
-// queries identically to a from-scratch build with the new values.
+// TestViewSetBulkRescale exercises the estimator-bump path: moving the
+// median with SetMedian must leave the set answering queries identically
+// to a from-scratch build at the new median.
 func TestViewSetBulkRescale(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
-		views, vs := randViews(rng)
-		f := []float64{0.5, 1.0, 1.75}[rng.Intn(3)]
-		for i := range views {
-			views[i].TNew *= f
-			vs.SetTNewBulk(views[i].Index, views[i].TNew)
+		_, vs, m := randViews(rng)
+		if m.groundTruth {
+			continue
 		}
-		vs.ResortByTNew()
+		m.med *= []float64{0.5, 1.0, 1.75, 0.3}[rng.Intn(4)]
+		vs.SetMedian(m.med)
 		fresh := &ViewSet{}
-		fresh.Reset(len(vs.views))
-		for _, v := range views {
-			fresh.Init(v)
+		fresh.Reset(len(vs.recs), Eval{MinSpecProgress: testMinSpec})
+		idx := make([]int, 0, len(m.recs))
+		for i := range m.recs {
+			idx = append(idx, i)
 		}
-		fresh.Seal()
-		ctx := randCtx(rng, len(views))
+		sort.Ints(idx)
+		for _, i := range idx {
+			fresh.Init(i, m.recs[i])
+		}
+		fresh.Seal(m.now, m.med)
+		if err := vs.CheckOrder(); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		ctx := randCtx(rng, len(m.recs))
 		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
 			a, aok := p.PickIncremental(ctx, vs)
 			b, bok := p.PickIncremental(ctx, fresh)
@@ -236,6 +331,136 @@ func TestViewSetBulkRescale(t *testing.T) {
 	}
 }
 
+// TestViewSetEvalMatchesReference pins evaluation to the reference
+// formula on the edge cases: progress clamped at 0.999 past the best
+// copy's duration, a negative true remaining time, a zero duration, a
+// t_rem bias, and ground-truth mode (median 1, exact TRem, always
+// speculable). At, RunningViews and AppendCompact must all agree with it.
+func TestViewSetEvalMatchesReference(t *testing.T) {
+	recs := []TaskRec{
+		{Work: 2, Factor: 1.3}, // unscheduled
+		{Work: 1.5, Factor: 0.9, Copies: 1, Start: 1, Duration: 2, End: 3, TRemBias: 1.4, FirstStart: 1}, // p clamps at 0.999, true rem < 0
+		{Work: 0.7, Factor: 1.1, Copies: 2, Start: 9, Duration: 0, End: 9, TRemBias: 0.6, FirstStart: 4}, // zero duration, start in the future
+		{Work: 3, Factor: 1, Copies: 1, Start: 7, Duration: 10, End: 17, TRemBias: 1.25, FirstStart: 6},  // mid-flight, biased
+		{Work: 1, Factor: 2, Copies: 4, Start: 8, Duration: 5, End: 13, TRemBias: 1, FirstStart: 8},      // just launched: p 0
+		{Work: 0.1, Factor: 3},
+	}
+	for _, gt := range []bool{false, true} {
+		for _, med := range []float64{1, 0.37, 2.9} {
+			vs := &ViewSet{}
+			vs.Reset(len(recs)+1, Eval{GroundTruth: gt, MinSpecProgress: testMinSpec})
+			for i, r := range recs {
+				vs.Init(i+1, r) // index 0 stays a completed gap
+			}
+			vs.Seal(testNow, med)
+			if gt {
+				med = 1 // ground truth ignores the estimator
+			}
+			var want []TaskView
+			for i, r := range recs {
+				v := refView(r, i+1, testNow, med, gt)
+				want = append(want, v)
+				if got := vs.At(i + 1); got != v {
+					t.Fatalf("gt=%v med=%v task %d: At %+v, reference %+v", gt, med, i+1, got, v)
+				}
+				if got := vs.TNew(i + 1); got != v.TNew {
+					t.Fatalf("gt=%v med=%v task %d: TNew %v, reference %v", gt, med, i+1, got, v.TNew)
+				}
+			}
+			for k, v := range vs.RunningViews() {
+				if v != want[v.Index-1] || !v.Running || (k > 0 && v.Index <= vs.RunningViews()[k-1].Index) {
+					t.Fatalf("gt=%v med=%v: running view %d %+v, reference %+v", gt, med, k, v, want[v.Index-1])
+				}
+			}
+			got := vs.AppendCompact(nil)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("gt=%v med=%v: compact view %d %+v, reference %+v", gt, med, k, got[k], want[k])
+				}
+			}
+		}
+	}
+	// The clamp and speculability edges, spelled out.
+	vs := &ViewSet{}
+	vs.Reset(len(recs), Eval{MinSpecProgress: testMinSpec})
+	for i, r := range recs {
+		vs.Init(i, r)
+	}
+	vs.Seal(testNow, 1)
+	if v := vs.At(1); v.Progress != 0.999 || v.TRem != 0 || !v.Speculable {
+		t.Fatalf("overdue copy: %+v, want progress 0.999, TRem 0, speculable", v)
+	}
+	if v := vs.At(2); v.Progress != 0 || v.Speculable || v.Elapsed != 4 {
+		t.Fatalf("zero-duration copy: %+v, want progress 0, not speculable, elapsed 4", v)
+	}
+}
+
+// TestViewSetRepairsNearTies builds unscheduled neighbours whose keys are
+// ~1e-15 apart — the near-ties TestLazyTNewRescaleIsInexact (package
+// sched) finds — moves the median so rounding swaps them, and checks that
+// SetMedian rechecked the pair and repaired the order.
+func TestViewSetRepairsNearTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	swaps := 0
+	for trial := 0; trial < 200000 && swaps < 20; trial++ {
+		m1 := 0.5 + rng.Float64()*2
+		m2 := m1 * (0.9 + rng.Float64()*0.2)
+		w := 0.1 + rng.Float64()*10
+		b := 0.5 + rng.Float64()
+		w2 := w * (1 + (rng.Float64()-0.5)*1e-15)
+		b2 := b * (1 + (rng.Float64()-0.5)*1e-15)
+		a1, c1 := m1*w*b, m1*w2*b2
+		a2, c2 := m2*w*b, m2*w2*b2
+		if a1 == c1 || a2 == c2 || (a1 < c1) == (a2 < c2) {
+			continue
+		}
+		swaps++
+		// Task 1 and task 3 are the near-tied pair; tasks 0 and 2 sit far
+		// below and above them, and task 4 runs.
+		recs := []TaskRec{
+			{Work: w / 4, Factor: b},
+			{Work: w, Factor: b},
+			{Work: 4 * w, Factor: b},
+			{Work: w2, Factor: b2},
+			{Work: w, Factor: b, Copies: 1, Start: 7, Duration: 2, End: 9, TRemBias: 1, FirstStart: 7},
+		}
+		vs := &ViewSet{}
+		vs.Reset(len(recs), Eval{MinSpecProgress: testMinSpec})
+		for i, r := range recs {
+			vs.Init(i, r)
+		}
+		vs.Seal(testNow, m1)
+		if len(vs.near) != 1 {
+			t.Fatalf("trial %d: %d near-tied pairs marked, want 1", trial, len(vs.near))
+		}
+		if n := vs.SetMedian(m2); n != 1 {
+			t.Fatalf("trial %d: SetMedian rechecked %d pairs, want 1", trial, n)
+		}
+		if err := vs.CheckOrder(); err != nil {
+			t.Fatalf("trial %d: order not repaired: %v", trial, err)
+		}
+		first, second := 1, 3
+		if c2 < a2 {
+			first, second = 3, 1
+		}
+		if want := []int{0, first, second, 2}; fmt.Sprint(vs.uorder) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: uorder %v after the swap, want %v", trial, vs.uorder, want)
+		}
+	}
+	if swaps < 20 {
+		t.Fatalf("found only %d near-tie swaps", swaps)
+	}
+}
+
+// TestTaskRecSize pins the per-task record at 64 bytes or less: the
+// record replaced a stored 64-byte TaskView, and the heap ceiling of a
+// large replay assumes no growth.
+func TestTaskRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(TaskRec{}); n > 64 {
+		t.Fatalf("TaskRec is %d bytes, want at most 64", n)
+	}
+}
+
 var (
 	sinkRunIn []int
 	sinkFresh int
@@ -244,9 +469,10 @@ var (
 // BenchmarkEarliestCandidates times the error-bound earliest-set selection
 // on a sealed 2,000-task ViewSet as the running set widens toward a large
 // phase's share of the default 400-slot cluster, with need cutting shallow
-// (a tenth of the tasks) and deep (nine tenths). The selection works in
-// the set's reusable scratch, so once the warm-up call has grown it, a
-// call must not allocate: scripts/perfwall.sh walls allocs/op at 0.
+// (a tenth of the tasks) and deep (nine tenths). The running views are
+// evaluated once per attempt, so after the warm-up call each iteration is
+// the selection alone; it works in the set's reusable scratch and must not
+// allocate: scripts/perfwall.sh walls allocs/op at 0.
 func BenchmarkEarliestCandidates(b *testing.B) {
 	const n = 2000
 	cuts := []struct {
@@ -262,17 +488,19 @@ func BenchmarkEarliestCandidates(b *testing.B) {
 					isRunning[i] = true
 				}
 				vs := &ViewSet{}
-				vs.Reset(n)
+				vs.Reset(n, Eval{MinSpecProgress: testMinSpec})
 				for i := 0; i < n; i++ {
-					v := TaskView{Index: i, TNew: 0.5 + rng.Float64()}
+					r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 1}
 					if isRunning[i] {
-						v.Running, v.Copies = true, 1
-						v.Speculable = rng.Intn(4) > 0
-						v.TRem = 3 * rng.Float64() // some finish soon, some straggle
+						// Progress in [0, 1): most are speculable; some
+						// finish soon, some straggle.
+						start := testNow - rng.Float64()
+						r.Copies, r.Start, r.Duration, r.FirstStart = 1, start, 1, start
+						r.End, r.TRemBias = testNow+3*rng.Float64(), 1
 					}
-					vs.Init(v)
+					vs.Init(i, r)
 				}
-				vs.Seal()
+				vs.Seal(testNow, 1)
 				vs.EarliestCandidates(cut.need)
 				b.ReportAllocs()
 				b.ResetTimer()
