@@ -66,10 +66,9 @@ type Estimator struct {
 
 	// Ring buffer of normalized completed-task durations (eviction order)
 	// plus a sorted mirror for O(log n + n) median maintenance.
-	window  []float64
-	sorted  []float64
-	next    int
-	version uint64
+	window []float64
+	sorted []float64
+	next   int
 
 	tremAccSum float64
 	tremN      int
@@ -151,12 +150,7 @@ func (e *Estimator) ObserveCompletion(normalizedDuration float64) {
 		e.next = (e.next + 1) % cap(e.window)
 	}
 	e.sortedInsert(normalizedDuration)
-	e.version++
 }
-
-// Version increments whenever the t_new empirical base changes; callers may
-// cache values derived from NormalizedMedian until it moves.
-func (e *Estimator) Version() uint64 { return e.version }
 
 func (e *Estimator) sortedInsert(v float64) {
 	i := sort.SearchFloat64s(e.sorted, v)

@@ -113,25 +113,6 @@ func TestSortedRemoveMissingPanics(t *testing.T) {
 	e.sortedRemove(123.456)
 }
 
-// TestVersionTracksCompletions: the cache-invalidation counter moves exactly
-// when the t_new base changes.
-func TestVersionTracksCompletions(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 12)
-	if e.Version() != 0 {
-		t.Fatalf("fresh estimator version %d", e.Version())
-	}
-	e.ObserveCompletion(2)
-	e.ObserveCompletion(-1) // ignored: must not bump the version
-	e.ObserveCompletion(0)  // ignored
-	if e.Version() != 1 {
-		t.Fatalf("version %d after one real completion, want 1", e.Version())
-	}
-	e.ObserveCompletion(3)
-	if e.Version() != 2 {
-		t.Fatalf("version %d after two real completions, want 2", e.Version())
-	}
-}
-
 func TestNonPositiveCompletionsIgnored(t *testing.T) {
 	e := newTest(t, Config{Prior: 2}, 5)
 	e.ObserveCompletion(0)

@@ -135,7 +135,7 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 // which is still to come); the due tail holds live entries only.
 func checkSampling(t testing.TB, s *Simulator, js *jobState) {
 	t.Helper()
-	if s.oracle || js.jv.phase != js.phase {
+	if s.oracle || !js.jv.live {
 		return
 	}
 	tb := &js.tasks

@@ -4,9 +4,9 @@
 // file owns HOW it lands in the simulation — as AtLast simulator events
 // that revoke cluster capacity, kill running copies (Lost, distinct from
 // Preempted: the scheduler chose neither the victim nor the moment), and
-// perturb launch-time slowdowns. A lost copy leaves through endCopy, the
-// exit every copy takes, and its task respeculates through the same
-// dispatch path fair-share preemption already exercises.
+// perturb launch-time slowdowns. A lost copy leaves through removeCopies,
+// the exit every killed copy takes, and its task respeculates through the
+// same dispatch path fair-share preemption already exercises.
 //
 // Determinism and zero cost:
 //
@@ -235,44 +235,19 @@ func (f *faultInjector) onInterfereEnd(m int, n int32) {
 }
 
 // killCopiesOn kills every running copy on machine m across all active
-// jobs, recording each as Lost. Mirrors preemptYoungest's kill sequence —
-// cancel, endCopy (whose release parks the slot: the machine is down),
-// best-copy recompute, incremental-view notification — but attributes the
-// loss to the fault schedule, not the fair-share policy.
+// jobs through removeCopies (whose release parks the slot: the machine is
+// down), recording each as Lost: the fault schedule, not the fair-share
+// policy, chose it.
 func (s *Simulator) killCopiesOn(m int) {
+	onM := func(c *copyRun) bool { return c.machineID == m }
 	for _, js := range s.active {
 		if js.phase == nil {
 			continue
 		}
-		tb := &js.tasks
 		for i := 0; i < js.phase.n; i++ {
-			if len(tb.copies[i]) == 0 {
-				continue
-			}
-			kept := tb.copies[i][:0]
-			lostBest, lostAny := false, false
-			for _, c := range tb.copies[i] {
-				if c.machineID != m {
-					kept = append(kept, c)
-					continue
-				}
-				s.eng.Cancel(c.ev)
-				s.endCopy(c)
-				js.res.Lost++
-				s.flt.stats.LostCopies++
-				if tb.best[i] == c {
-					lostBest = true
-				}
-				s.freeCopy(c)
-				lostAny = true
-			}
-			tb.copies[i] = kept
-			if lostAny {
-				if lostBest {
-					tb.recomputeBest(i)
-				}
-				s.notePreempt(js, i)
-			}
+			n := s.removeCopies(js, i, onM)
+			js.res.Lost += n
+			s.flt.stats.LostCopies += uint64(n)
 		}
 	}
 }

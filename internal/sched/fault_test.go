@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/fault"
+	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -142,6 +143,56 @@ func TestCrashAccounting(t *testing.T) {
 		if sim.cl.Down(id) {
 			t.Fatalf("machine %d still down after the run", id)
 		}
+	}
+}
+
+// TestCopyAccounting: every launched copy leaves exactly once — its task's
+// winner through endCopy, every other copy killed, preempted or lost
+// through removeCopies — so for every job Launched = Killed + Preempted +
+// Lost + completed tasks, where the input phase completed
+// round(Accuracy × NumTasks) tasks and each intermediate phase all of its
+// tasks. It covers the benign cluster and every fault scenario, under all
+// seven policies, on input-only and three-phase traces; a kill path that
+// dropped its count would break the sum.
+func TestCopyAccounting(t *testing.T) {
+	var killed, preempted, lost int
+	for _, scenario := range append([]string{"none"}, fault.Scenarios()...) {
+		for _, p := range diffPolicies {
+			t.Run(scenario+"/"+p.name, func(t *testing.T) {
+				for _, dag := range []bool{false, true} {
+					jobs, err := trace.Generate(shardTestTrace(80, 29, dag))
+					if err != nil {
+						t.Fatal(err)
+					}
+					byID := map[int]*task.Job{}
+					for _, j := range jobs {
+						byID[j.ID] = j
+					}
+					s, err := New(faultTestConfig(t, 29, scenario), p.factory(t))
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats, err := s.Run(jobs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range stats.Results {
+						completed := int(math.Round(r.Accuracy * float64(r.NumTasks)))
+						for _, ph := range byID[r.JobID].Phases {
+							completed += ph.NumTasks
+						}
+						if exits := r.Killed + r.Preempted + r.Lost + completed; r.Launched != exits {
+							t.Errorf("dag=%v job %d: launched %d copies, %d left (killed %d, preempted %d, lost %d, completed %d)",
+								dag, r.JobID, r.Launched, exits, r.Killed, r.Preempted, r.Lost, completed)
+						}
+						killed, preempted, lost = killed+r.Killed, preempted+r.Preempted, lost+r.Lost
+					}
+				}
+			})
+		}
+	}
+	if killed == 0 || preempted == 0 || lost == 0 {
+		t.Fatalf("runs killed %d, preempted %d and lost %d copies; every exit must be exercised", killed, preempted, lost)
 	}
 }
 

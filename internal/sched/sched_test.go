@@ -282,13 +282,32 @@ func TestUnsortedJobsRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidJobRejected: Run fails a malformed job with an error before
+// simulating anything — non-finite work scales and arrivals included, which
+// once panicked in the event queue (NaN) or ran to an infinite makespan or
+// a NaN duration (+Inf).
 func TestInvalidJobRejected(t *testing.T) {
-	s, err := New(smallConfig(13), spec.Stateless(spec.GS{}))
-	if err != nil {
-		t.Fatal(err)
+	dag := func(scale float64) *task.Job {
+		j := uniformJob(0, 5, task.Exact(), 0)
+		j.Phases = []task.Phase{{NumTasks: 2, WorkScale: scale}}
+		return j
 	}
-	if _, err := s.Run([]*task.Job{{ID: 0}}); err == nil {
-		t.Fatal("invalid job accepted")
+	for _, c := range []struct {
+		name string
+		job  *task.Job
+	}{
+		{"no input tasks", &task.Job{ID: 0}},
+		{"NaN work scale", dag(math.NaN())},
+		{"+Inf work scale", dag(math.Inf(1))},
+		{"+Inf arrival", uniformJob(0, 5, task.Exact(), math.Inf(1))},
+	} {
+		s, err := New(smallConfig(13), spec.Stateless(spec.GS{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run([]*task.Job{c.job}); err == nil {
+			t.Errorf("%s: invalid job accepted", c.name)
+		}
 	}
 }
 

@@ -270,9 +270,10 @@ type Simulator struct {
 	runViews spec.RunBuf
 
 	// viewTouches counts task records derived (at a phase's init and for
-	// every dirtied task at a refresh) plus sampling-walk visits that took
-	// no sample; with launchAttempts it yields the touches-per-attempt
-	// figure BENCH_sim.json tracks (O(dirtied), not O(running)).
+	// every dirtied incomplete task at a refresh) plus sampling-walk visits
+	// that took no sample; with launchAttempts it yields the
+	// touches-per-attempt figure BENCH_sim.json tracks (O(dirtied), not
+	// O(running)).
 	// pairRechecks counts the (TNew, index) neighbour pairs rechecked
 	// after estimator-median moves — the near-tied ones only.
 	viewTouches    uint64
@@ -292,14 +293,14 @@ type Simulator struct {
 
 // TouchStats reports the simulator's view-maintenance work and how many
 // launch attempts ran. viewTouches counts task records re-derived (every
-// incomplete task at a phase's first attempt, then only the tasks an
-// event dirtied) plus visits of the t_rem sampling walk that took no
-// sample. Not counted: the samples themselves — one per speculable
-// running task with room per attempt, the estimator's cadence, which any
-// design records — and running views evaluated on read, once per attempt.
-// pairRechecks counts the neighbour pairs of the unscheduled (TNew, index)
-// order rechecked after estimator-median moves, which only near-tied
-// pairs need.
+// incomplete task at a phase's first attempt, then only the incomplete
+// tasks an event dirtied) plus visits of the t_rem sampling walk that took
+// no sample. Not counted: completed tasks leaving the set, which re-derive
+// nothing; the samples themselves — one per speculable running task with
+// room per attempt, the estimator's cadence, which any design records —
+// and running views evaluated on read, once per attempt. pairRechecks
+// counts the neighbour pairs of the unscheduled (TNew, index) order
+// rechecked after estimator-median moves, which only near-tied pairs need.
 func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
 	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }
@@ -826,15 +827,7 @@ func (s *Simulator) preemptYoungest(victim *jobState) bool {
 	}
 	s.noteUtil()
 	c := tb.copies[ti][ci]
-	s.eng.Cancel(c.ev)
-	s.endCopy(c)
-	victim.res.Preempted++
-	tb.copies[ti] = append(tb.copies[ti][:ci], tb.copies[ti][ci+1:]...)
-	if tb.best[ti] == c {
-		tb.recomputeBest(ti)
-	}
-	s.freeCopy(c)
-	s.notePreempt(victim, ti)
+	victim.res.Preempted += s.removeCopies(victim, ti, func(o *copyRun) bool { return o == c })
 	return true
 }
 
@@ -909,7 +902,7 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 		js.res.Speculative++
 	}
 	c.ev = s.eng.At(now+c.duration, c.fn)
-	s.noteLaunch(js, ti)
+	s.dirtyTask(js, ti)
 }
 
 // drawFactor samples a duration factor from the phase-appropriate tail.
@@ -968,22 +961,12 @@ func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 	}
 	tb.completed[ti] = true
 	tb.span[ti] = now - tb.firstStart[ti]
-	s.noteComplete(js, ti)
 	s.est.ObserveCompletion(c.duration / tb.work[ti])
-	// Kill the losing copies.
-	for _, o := range tb.copies[ti] {
-		if o == c {
-			continue
-		}
-		s.eng.Cancel(o.ev)
-		s.endCopy(o)
-		js.res.Killed++
-	}
-	for _, o := range tb.copies[ti] {
-		s.freeCopy(o)
-	}
-	tb.copies[ti] = tb.copies[ti][:0]
-	tb.best[ti] = nil
+	// Kill the losing copies; the winner, already ended, is the one left.
+	js.res.Killed += s.removeCopies(js, ti, func(o *copyRun) bool { return o != c })
+	tb.copies[ti], tb.best[ti] = tb.copies[ti][:0], nil
+	s.freeCopy(c)
+	s.dirtyTask(js, ti)
 	js.phase.completed++
 	s.repositionDemand(js)
 	if js.phaseIdx == 0 {
@@ -997,12 +980,41 @@ func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 	s.dispatch()
 }
 
-// endCopy is the one exit of every copy, whether it completed, lost to a
-// sibling, was cut off by its phase closing, was preempted or was lost to a
-// crash. It releases the copy's slot, lowers its job's running (and
-// speculative) counts and settles the copy's recorded estimates against
-// ground truth. Callers cancel a killed copy's event, count why it ended
-// (Killed, Preempted or Lost), unlink it and free it.
+// removeCopies is where killed copies leave: lost to a sibling, cut off by
+// their phase closing, preempted or lost to a crash. It cancels, ends,
+// unlinks and frees the copies of task ti that gone selects, in launch
+// order, recomputes the task's best copy if that copy went, and dirties the
+// task when any left. It returns how many left, which the caller counts as
+// Killed, Preempted or Lost.
+func (s *Simulator) removeCopies(js *jobState, ti int, gone func(*copyRun) bool) int {
+	tb := &js.tasks
+	kept := tb.copies[ti][:0]
+	n, lostBest := 0, false
+	for _, c := range tb.copies[ti] {
+		if !gone(c) {
+			kept = append(kept, c)
+			continue
+		}
+		s.eng.Cancel(c.ev)
+		s.endCopy(c)
+		lostBest = lostBest || tb.best[ti] == c
+		s.freeCopy(c)
+		n++
+	}
+	tb.copies[ti] = kept
+	if n > 0 {
+		if lostBest {
+			tb.recomputeBest(ti)
+		}
+		s.dirtyTask(js, ti)
+	}
+	return n
+}
+
+// endCopy is the one exit of every copy: the winner of a task completing
+// leaves through it directly, and every killed copy through removeCopies.
+// It releases the copy's slot, lowers its job's running (and speculative)
+// counts and settles the copy's recorded estimates against ground truth.
 func (s *Simulator) endCopy(c *copyRun) {
 	s.cl.Release(c.machineID)
 	c.js.running--
@@ -1045,16 +1057,9 @@ func (s *Simulator) finishPhase(js *jobState) {
 	// lazily at its first launch attempt.
 	js.jv.invalidate()
 	// Kill every copy still running in this phase (unneeded work).
-	tb := &js.tasks
+	all := func(*copyRun) bool { return true }
 	for i := 0; i < js.phase.n; i++ {
-		for _, c := range tb.copies[i] {
-			s.eng.Cancel(c.ev)
-			s.endCopy(c)
-			js.res.Killed++
-			s.freeCopy(c)
-		}
-		tb.copies[i] = tb.copies[i][:0]
-		tb.best[i] = nil
+		js.res.Killed += s.removeCopies(js, i, all)
 	}
 	if js.phaseIdx == 0 {
 		js.inputEnd = now

@@ -4,9 +4,11 @@
 // the clock nor the estimator moves — work, t_new factor, the best copy's
 // start, duration, end and t_rem bias, the first start and the copy count
 // — and evaluates views from it when a policy reads them, with the float
-// expressions a from-scratch rebuild uses. So only events dirty records:
-// a copy launch, finish or preemption dirties that task, and the refresh
-// before the next launch attempt re-derives exactly the dirtied records.
+// expressions a from-scratch rebuild uses. So only events dirty records,
+// and dirtying is all an event does to the set: a copy launch, a task
+// completing and a copy killed, preempted or lost mark that task, and the
+// refresh before the next launch attempt — the set's only writer — drops
+// the dirtied tasks that completed and re-derives and re-files the rest.
 // Time passing dirties nothing (running views are evaluated at the
 // attempt's clock, once per attempt, into the simulator's one running-view
 // buffer), and neither does an estimator update: t_new is median × work ×
@@ -48,14 +50,6 @@ import (
 // jobViews is the per-job incremental view state.
 type jobViews struct {
 	vs spec.ViewSet
-	// phase identifies which phaseRun vs is built for; a mismatch (new
-	// phase, or never built) triggers a full lazy init on the next launch
-	// attempt — lazy so the init's RNG draws land at the stream positions
-	// the goldens pin (a phase's first launch attempt).
-	phase *phaseRun
-	// estVer is the estimator version the set's median was read at: a
-	// version bump with an unchanged normalized median moves nothing.
-	estVer uint64
 	// dirty lists task slots touched since the last refresh (deduped via
 	// the task block's dirty bits).
 	dirty []int
@@ -66,6 +60,11 @@ type jobViews struct {
 	// which every attempt visits. Entries of copies that died or lost
 	// their best-copy status are dropped when met.
 	sampling []sampleRef
+	// live says vs is built for the job's current phase. A phase starts
+	// without it, and the phase's first launch attempt builds the set —
+	// lazily, so the build's RNG draws land at the stream positions the
+	// goldens pin.
+	live bool
 }
 
 // sampleRef names one incarnation of a pooled copy — its serial tells a
@@ -77,59 +76,22 @@ type sampleRef struct {
 	at     float64
 }
 
-// live reports whether the view state tracks the job's current phase.
-func (jv *jobViews) live(js *jobState) bool { return jv.phase == js.phase && jv.phase != nil }
-
 // invalidate drops the view state (phase ended).
 func (jv *jobViews) invalidate() {
-	jv.phase = nil
+	jv.live = false
 	jv.dirty = jv.dirty[:0]
 	jv.sampling = jv.sampling[:0]
 }
 
-// dirtyTask marks task slot ti for re-derivation at the next refresh.
+// dirtyTask marks task slot ti for re-derivation at the next refresh —
+// all a launch, a kill or a completion does to the job's views.
 func (s *Simulator) dirtyTask(js *jobState, ti int) {
 	jv := &js.jv
-	if !jv.live(js) || js.tasks.dirty[ti] {
+	if !jv.live || js.tasks.dirty[ti] {
 		return
 	}
 	js.tasks.dirty[ti] = true
 	jv.dirty = append(jv.dirty, ti)
-}
-
-// noteLaunch updates the view state for a copy launch on task ti: the
-// first copy moves the task to the running list, and the task's record
-// (copy count, best copy, consumed oracle factor) is stale until refresh.
-func (s *Simulator) noteLaunch(js *jobState, ti int) {
-	if !js.jv.live(js) {
-		return
-	}
-	if len(js.tasks.copies[ti]) == 1 {
-		js.jv.vs.NoteLaunched(ti)
-	}
-	s.dirtyTask(js, ti)
-}
-
-// notePreempt updates the view state after a copy of task ti was preempted.
-func (s *Simulator) notePreempt(js *jobState, ti int) {
-	if !js.jv.live(js) {
-		return
-	}
-	if len(js.tasks.copies[ti]) == 0 {
-		js.jv.vs.NoteIdle(ti)
-	}
-	s.dirtyTask(js, ti)
-}
-
-// noteComplete removes task ti from the view state when it completes.
-func (s *Simulator) noteComplete(js *jobState, ti int) {
-	if !js.jv.live(js) {
-		return
-	}
-	js.jv.vs.Complete(ti)
-	// A stale dirty entry is skipped (and the flag cleared) by the next
-	// refresh walk, and the sampling walk drops the dead copies' entries;
-	// the membership and order lists no longer know i.
 }
 
 // initViews builds the phase's ViewSet from scratch — the one O(n) walk
@@ -146,11 +108,6 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 		MinSpecProgress: s.cfg.MinSpecProgress,
 		Buf:             &s.runViews,
 	})
-	med := 1.0
-	if !s.oracle {
-		jv.estVer = s.est.Version()
-		med = s.est.NormalizedMedian()
-	}
 	for i := 0; i < js.phase.n; i++ {
 		if tb.completed[i] {
 			continue
@@ -159,32 +116,29 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 		tb.dirty[i] = false
 		s.viewTouches++
 	}
-	jv.vs.Seal(now, med)
+	jv.vs.Seal(now, s.est.NormalizedMedian())
 	jv.dirty = jv.dirty[:0]
 	jv.sampling = jv.sampling[:0]
-	jv.phase = js.phase
+	jv.live = true
 }
 
 // refreshViews brings the job's ViewSet up to date for a launch attempt
 // at the current simulation time and does the per-attempt estimator
 // bookkeeping (one pending t_rem sample per speculable running task whose
-// best copy has room). It re-derives the dirtied records in ascending
-// index order — a full rescan's order restricted to the records that can
-// have changed — and visits the sampling list.
+// best copy has room). It is the only writer of the set: it moves the
+// t_new median, drops the dirtied tasks that completed and re-derives and
+// files the other dirtied records in ascending index order — a full
+// rescan's order restricted to the records that can have changed — and
+// visits the sampling list.
 func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	jv := &js.jv
 	now := s.eng.Now()
-	if !jv.live(js) {
+	if !jv.live {
 		s.initViews(js, now)
 		return &jv.vs
 	}
 	jv.vs.Begin(now)
-	if !s.oracle {
-		if ver := s.est.Version(); ver != jv.estVer {
-			s.pairRechecks += uint64(jv.vs.SetMedian(s.est.NormalizedMedian()))
-			jv.estVer = ver
-		}
-	}
+	s.pairRechecks += uint64(jv.vs.SetMedian(s.est.NormalizedMedian()))
 	// Copies whose time has come join the due tail.
 	due := len(jv.sampling)
 	for due > 0 && jv.sampling[due-1].at <= now {
@@ -195,6 +149,7 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	for _, i := range jv.dirty {
 		tb.dirty[i] = false
 		if tb.completed[i] {
+			jv.vs.Remove(i)
 			continue
 		}
 		jv.vs.Update(i, s.taskRec(js, i))

@@ -56,14 +56,14 @@ import (
 // change only when a launch consumes a predrawn duration factor, which
 // already dirties the task.
 //
-// The scheduler owns maintenance: structural transitions (NoteLaunched /
-// NoteIdle / Complete) are applied eagerly when the event happens, and
-// records are refreshed lazily — Update rewrites a dirtied task's record
-// just before the next launch attempt. An unscheduled task is filed in
-// uorder under its stored record, so between refreshes the stored record,
-// not the task's current state, locates it. Query methods are only valid
-// after the refresh; PickIncremental implementations must not mutate the
-// set.
+// The scheduler owns maintenance, and the set has one write path: an event
+// only marks its task dirty, and the refresh before the next launch attempt
+// re-derives each dirtied record and files it through Update (or drops a
+// completed task through Remove). Each task sits in the lists its stored
+// record calls for, filed under that record's key, so between refreshes
+// the stored record, not the task's current state, locates it. Query
+// methods are only valid after the refresh; PickIncremental
+// implementations must not mutate the set.
 type ViewSet struct {
 	recs    []TaskRec
 	running []int
@@ -380,53 +380,44 @@ func (vs *ViewSet) MedianTNew() float64 {
 	return (below + above) / 2
 }
 
-// Update rewrites task i's record after the scheduler re-derived it. If an
-// unscheduled task's key operands changed (an oracle redraw), its uorder
-// entry is relocated. Structural membership is NOT touched here —
-// NoteLaunched/NoteIdle/Complete handle transitions when they happen, so
-// r.Copies already says which list holds the task.
+// Update files task i under its re-derived record r. A task whose copy
+// count crossed zero moves between the running and unscheduled lists, and
+// an unscheduled task whose key operands changed (an oracle redraw) moves
+// in uorder; either way it is first unfiled under the stored record, the
+// one it is filed under.
 func (vs *ViewSet) Update(i int, r TaskRec) {
 	vs.dropRun()
 	old := &vs.recs[i]
-	r.near = old.near
-	if r.Copies > 0 || (old.Work == r.Work && old.Factor == r.Factor) {
+	moved := (old.Copies > 0) != (r.Copies > 0) ||
+		(r.Copies == 0 && (old.Work != r.Work || old.Factor != r.Factor))
+	if !moved {
+		r.near = old.near
 		*old = r
 		return
 	}
-	// Remove under the old key before storing the new record: the search
-	// compares through the stored records, so the entry must still carry
-	// the key it is filed under while it is being located.
-	vs.uorderRemove(i)
+	vs.unfile(i)
 	r.near = 0
 	*old = r
-	vs.uorderInsert(i)
-}
-
-// NoteLaunched moves task i from the unscheduled lists to the running
-// list — call when its first copy launches. The stored record stays stale
-// until the next Update.
-func (vs *ViewSet) NoteLaunched(i int) {
-	vs.dropRun()
-	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
-	vs.uorderRemove(i)
-	vs.running = insertSortedInt(vs.running, i)
-}
-
-// NoteIdle moves task i back to the unscheduled lists — call when
-// preemption kills its last copy. It is filed in uorder under its stored
-// record until the next Update relocates it.
-func (vs *ViewSet) NoteIdle(i int) {
-	vs.dropRun()
-	vs.running = removeSortedInt(vs.running, i, "running")
+	if r.Copies > 0 {
+		vs.running = insertSortedInt(vs.running, i)
+		return
+	}
 	vs.unsched = insertSortedInt(vs.unsched, i)
 	vs.uorderInsert(i)
 }
 
-// Complete removes task i from the set entirely.
-func (vs *ViewSet) Complete(i int) {
+// Remove drops completed task i from the set.
+func (vs *ViewSet) Remove(i int) {
 	vs.dropRun()
-	if p := sort.SearchInts(vs.running, i); p < len(vs.running) && vs.running[p] == i {
-		vs.running = append(vs.running[:p], vs.running[p+1:]...)
+	vs.unfile(i)
+}
+
+// unfile drops task i from the lists its stored record filed it in. The
+// uorder search compares through the stored records, so the entry must
+// still carry the key it is filed under while it is being located.
+func (vs *ViewSet) unfile(i int) {
+	if vs.recs[i].Copies > 0 {
+		vs.running = removeSortedInt(vs.running, i, "running")
 		return
 	}
 	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")

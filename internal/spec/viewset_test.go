@@ -190,72 +190,98 @@ func TestPickIncrementalMatchesPick(t *testing.T) {
 	}
 }
 
-// TestViewSetMaintenance drives a random sequence of launches, idles,
-// factor redraws, completions, median moves and clock advances through a
-// ViewSet and checks, after every operation, that its evaluated views,
-// its median TNew, its order invariants and every policy decision match
-// the reference — the incremental structures never drift from what a
-// rebuild would produce.
+// TestViewSetMaintenance drives random batches of launches, idles, factor
+// redraws and completions through a ViewSet the way the scheduler does: a
+// batch's events only change the test's model and mark their tasks dirty,
+// and the refresh that follows advances the clock, moves the median —
+// sometimes to an untame one — and then drops the completed tasks through
+// Remove and files every other dirtied task through Update, in ascending
+// index order. A task may change several times between refreshes (launched
+// and idled, launched and completed), and the median moves while the
+// dirtied tasks are still filed under their stale records, so the set must
+// locate every task by its stored record. After each refresh the evaluated
+// views, the median TNew, the order invariants and every policy decision
+// must match the reference — the incremental structures never drift from
+// what a rebuild would produce.
 func TestViewSetMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	policies := []IncrementalPolicy{
 		NewGS(), NewRAS(), NewLATE(), NewMantri(), NoSpec{},
 	}
+	staleMoves := map[bool]int{} // median moves over stale filing, by tameness
 	for iter := 0; iter < 300; iter++ {
 		views, vs, m := randViews(rng)
-		for op := 0; op < 30 && len(m.recs) > 0; op++ {
-			pick := views[rng.Intn(len(views))].Index
-			r := m.recs[pick]
-			switch rng.Intn(6) {
-			case 0: // launch or add a copy
-				if r.Copies == 0 {
-					vs.NoteLaunched(pick)
-					nr := randRec(rng, true)
-					nr.Work, nr.Factor = r.Work, r.Factor
-					r = nr
-				} else {
-					r.Copies++
+		for batch := 0; batch < 10 && len(m.recs) > 0; batch++ {
+			dirty := map[int]bool{}
+			var touched []int
+			for op := rng.Intn(6); op >= 0 && len(m.recs) > 0; op-- {
+				pick := views[rng.Intn(len(views))].Index
+				if len(touched) > 0 && rng.Intn(2) == 0 {
+					pick = touched[rng.Intn(len(touched))]
 				}
-				vs.Update(pick, r)
-			case 1: // preempt to idle
-				if r.Copies > 0 {
-					vs.NoteIdle(pick)
+				r, ok := m.recs[pick]
+				if !ok {
+					continue // completed earlier in the batch
+				}
+				dirty[pick] = true
+				touched = append(touched, pick)
+				switch rng.Intn(4) {
+				case 0: // launch or add a copy
+					if r.Copies == 0 {
+						nr := randRec(rng, true)
+						nr.Work, nr.Factor = r.Work, r.Factor
+						r = nr
+					} else {
+						r.Copies++
+					}
+				case 1: // the last copy is preempted
 					r = TaskRec{Work: r.Work, Factor: r.Factor}
-					vs.Update(pick, r)
+				case 2: // oracle-style factor redraw
+					r.Factor = []float64{1, 2, 0.5}[rng.Intn(3)]
+				case 3: // completion
+					delete(m.recs, pick)
+					continue
 				}
-			case 2: // oracle-style factor redraw
-				r.Factor = []float64{1, 2, 0.5}[rng.Intn(3)]
-				vs.Update(pick, r)
-			case 3: // completion
-				vs.Complete(pick)
-				delete(m.recs, pick)
-			case 4: // estimator median move; 1e-300 is untame
-				if !m.groundTruth {
-					m.med = []float64{0.5, 1, 2, 3, 0.7, 1e-300}[rng.Intn(6)]
-					vs.SetMedian(m.med)
-				}
-			case 5: // the clock advances to the next attempt
-				m.now += []float64{0, 0.5, 1}[rng.Intn(3)]
-				vs.Begin(m.now)
-			}
-			if _, ok := m.recs[pick]; ok {
 				m.recs[pick] = r
+			}
+			// The refresh: clock, median, then the dirtied tasks in order.
+			m.now += []float64{0, 0.5, 1}[rng.Intn(3)]
+			vs.Begin(m.now)
+			if !m.groundTruth {
+				old := m.med
+				m.med = []float64{0.5, 1, 2, 3, 0.7, 1e-300}[rng.Intn(6)]
+				vs.SetMedian(m.med)
+				if len(dirty) > 0 && m.med != old {
+					staleMoves[tame(old) && tame(m.med)]++
+				}
+			}
+			order := make([]int, 0, len(dirty))
+			for i := range dirty {
+				order = append(order, i)
+			}
+			sort.Ints(order)
+			for _, i := range order {
+				if r, ok := m.recs[i]; ok {
+					vs.Update(i, r)
+				} else {
+					vs.Remove(i)
+				}
 			}
 			views = m.views()
 			compact := vs.AppendCompact(nil)
 			if len(compact) != len(views) {
-				t.Fatalf("iter %d op %d: compact len %d want %d", iter, op, len(compact), len(views))
+				t.Fatalf("iter %d batch %d: compact len %d want %d", iter, batch, len(compact), len(views))
 			}
 			for i := range compact {
 				if compact[i] != views[i] {
-					t.Fatalf("iter %d op %d: view %d diverged: %+v != %+v", iter, op, i, compact[i], views[i])
+					t.Fatalf("iter %d batch %d: view %d diverged: %+v != %+v", iter, batch, i, compact[i], views[i])
 				}
 			}
 			if err := vs.CheckOrder(); err != nil {
-				t.Fatalf("iter %d op %d: %v", iter, op, err)
+				t.Fatalf("iter %d batch %d: %v", iter, batch, err)
 			}
 			if got, want := vs.MedianTNew(), sortedMedianTNew(compact); got != want {
-				t.Fatalf("iter %d op %d: MedianTNew %v, sorted median %v", iter, op, got, want)
+				t.Fatalf("iter %d batch %d: MedianTNew %v, sorted median %v", iter, batch, got, want)
 			}
 			if len(views) == 0 {
 				break
@@ -265,11 +291,14 @@ func TestViewSetMaintenance(t *testing.T) {
 				want, wantOK := p.Pick(ctx, views)
 				got, gotOK := p.PickIncremental(ctx, vs)
 				if wantOK != gotOK || (wantOK && want != got) {
-					t.Fatalf("iter %d op %d policy %s: Pick (%+v,%v) != PickIncremental (%+v,%v)\nviews %+v",
-						iter, op, p.Name(), want, wantOK, got, gotOK, views)
+					t.Fatalf("iter %d batch %d policy %s: Pick (%+v,%v) != PickIncremental (%+v,%v)\nviews %+v",
+						iter, batch, p.Name(), want, wantOK, got, gotOK, views)
 				}
 			}
 		}
+	}
+	if staleMoves[true] == 0 || staleMoves[false] == 0 {
+		t.Fatalf("median moves over stale filing: %d tame, %d untame; want both", staleMoves[true], staleMoves[false])
 	}
 }
 

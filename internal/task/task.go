@@ -146,7 +146,8 @@ func (j *Job) TotalWork() float64 {
 	return s
 }
 
-// Validate checks the job description.
+// Validate checks the job description: work and work scales must be
+// finite and positive, the arrival finite and non-negative.
 func (j *Job) Validate() error {
 	if len(j.InputWork) == 0 {
 		return fmt.Errorf("task: job %d has no input tasks", j.ID)
@@ -160,11 +161,11 @@ func (j *Job) Validate() error {
 		if p.NumTasks <= 0 {
 			return fmt.Errorf("task: job %d phase %d has %d tasks", j.ID, i, p.NumTasks)
 		}
-		if p.WorkScale <= 0 {
+		if p.WorkScale <= 0 || math.IsNaN(p.WorkScale) || math.IsInf(p.WorkScale, 0) {
 			return fmt.Errorf("task: job %d phase %d has work scale %v", j.ID, i, p.WorkScale)
 		}
 	}
-	if j.Arrival < 0 || math.IsNaN(j.Arrival) {
+	if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
 		return fmt.Errorf("task: job %d has invalid arrival %v", j.ID, j.Arrival)
 	}
 	return j.Bound.Validate()

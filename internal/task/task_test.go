@@ -128,7 +128,10 @@ func TestJobValidateRejects(t *testing.T) {
 		func(j *Job) { j.InputWork = []float64{math.NaN()} },
 		func(j *Job) { j.Phases = []Phase{{NumTasks: 0, WorkScale: 1}} },
 		func(j *Job) { j.Phases = []Phase{{NumTasks: 1, WorkScale: 0}} },
+		func(j *Job) { j.Phases = []Phase{{NumTasks: 1, WorkScale: math.NaN()}} },
+		func(j *Job) { j.Phases = []Phase{{NumTasks: 1, WorkScale: math.Inf(1)}} },
 		func(j *Job) { j.Arrival = -1 },
+		func(j *Job) { j.Arrival = math.Inf(1) },
 		func(j *Job) { j.Bound = NewDeadline(-1) },
 	}
 	for i, mutate := range cases {

@@ -16,7 +16,8 @@
 #     admission reuses the pooled job state (task block and ViewSet
 #     arrays) that best fits the job, and a calendar-queue resize rehashes
 #     into the bucket storage it already holds, so the workload measures
-#     gs 0.732, ras 0.513, late 0.454, grass 0.900 and grass-sketch 0.971.
+#     gs 0.7112, ras 0.4917, late 0.4407, grass 0.8786 and grass-sketch
+#     0.9495.
 #     Every run admits through RunSource (Run replays its slice through
 #     it), so these walls cover the streaming admission path too. The
 #     headroom lets normal jitter pass while an accidental revert of the
@@ -119,15 +120,15 @@ check() { # check <sub-benchmark> <metric> <wall>
 		echo "perf wall: $sub $v $metric <= $wall ok"
 	fi
 }
-check gs allocs/event 0.78
-check ras allocs/event 0.54
-check late allocs/event 0.48
+check gs allocs/event 0.76
+check ras allocs/event 0.52
+check late allocs/event 0.47
 # The GRASS learning policy under both learner stores. Record/Aggregate
 # ride job lifecycle events, not the per-event hot path; the mergeable
 # sketch learner's extra ~0.07 allocs/event is the price of
 # partition-invariant learning.
-check grass allocs/event 0.95
-check grass-sketch allocs/event 1.03
+check grass allocs/event 0.93
+check grass-sketch allocs/event 1.01
 check gs touches/attempt 1.33
 check ras touches/attempt 1.15
 check late touches/attempt 1.02
