@@ -20,7 +20,8 @@ type Config struct {
 	// (§4.1); AllFactors() is the full design.
 	Factors FactorSet
 	// Strawman disables learning entirely and switches statically at the
-	// estimated final-two-waves point (§6.3.2's strawman).
+	// estimated final-two-waves point (§6.3.2's strawman). NewOracle runs
+	// it on ground-truth views.
 	Strawman bool
 	// Seed drives the perturbation coin flips.
 	Seed int64
@@ -51,6 +52,7 @@ func (c Config) Validate() error {
 // scheduler's long-lived state.
 type Factory struct {
 	cfg     Config
+	name    string
 	learner LearnerStore
 	rng     *dist.RNG
 	stats   Stats
@@ -88,6 +90,7 @@ func New(cfg Config) (*Factory, error) {
 	}
 	return &Factory{
 		cfg:     cfg,
+		name:    cfg.name(),
 		learner: learner,
 		rng:     dist.NewRNG(cfg.Seed),
 		gs:      spec.NewGS(),
@@ -95,22 +98,59 @@ func New(cfg Config) (*Factory, error) {
 	}, nil
 }
 
-// Name identifies the variant: the full design, the static strawman, or a
+// name identifies the variant: the full design, the static strawman, or a
 // factor ablation (Best-1 uses only the bound; Best-2 adds one factor).
-func (f *Factory) Name() string {
-	if f.cfg.Strawman {
+func (c Config) name() string {
+	if c.Strawman {
 		return "GRASS-Strawman"
 	}
 	switch {
-	case f.cfg.Factors.Utilization && f.cfg.Factors.Accuracy:
+	case c.Factors.Utilization && c.Factors.Accuracy:
 		return "GRASS"
-	case f.cfg.Factors.Utilization:
+	case c.Factors.Utilization:
 		return "GRASS-Best2(util)"
-	case f.cfg.Factors.Accuracy:
+	case c.Factors.Accuracy:
 		return "GRASS-Best2(acc)"
 	default:
 		return "GRASS-Best1"
 	}
+}
+
+// Name identifies the variant.
+func (f *Factory) Name() string { return f.name }
+
+// NewOracle returns the "optimal" baseline of §2.3 and §6.2.3: a scheduler
+// that "knows task durations and slot availabilities in advance". It is
+// the strawman (§6.3.2) on ground truth. The factory implements
+// spec.GroundTruth, so wherever it runs the scheduler feeds its policies
+// ground-truth views: the exact remaining time of every running copy and
+// the exact duration the next copy of each task would have. On that
+// perfect information the strawman's static rule is the theory's optimal
+// structure (Guidelines 1–3): resource-aware speculation (RAS) through the
+// early waves, then greedy speculation (GS) for the final two waves, with
+// the switch point exact since nothing is estimated. So the oracle is a
+// perfect-information RAS→GS switch, not an offline optimum. The strawman
+// draws no ξ coin, so the oracle consumes no randomness, and it shares no
+// learned state: Oracle does not implement spec.SharedLearner.
+func NewOracle() Oracle {
+	f, _ := New(Config{Strawman: true}) // a zero ξ always validates
+	f.name = "Oracle"
+	return Oracle{f}
+}
+
+// Oracle is the oracle's factory. It holds the strawman factory rather than
+// embedding it, so it exposes no learner.
+type Oracle struct{ f *Factory }
+
+// Name returns "Oracle".
+func (o Oracle) Name() string { return o.f.name }
+
+// GroundTruth implements spec.GroundTruth: the oracle sees exact durations.
+func (Oracle) GroundTruth() bool { return true }
+
+// NewPolicy returns a fresh per-job RAS→GS controller.
+func (o Oracle) NewPolicy(jobID, numTasks int) spec.Policy {
+	return o.f.NewPolicy(jobID, numTasks)
 }
 
 // Learner exposes the shared sample store (tests and diagnostics).
@@ -198,50 +238,23 @@ type policy struct {
 
 	gs  spec.GS
 	ras spec.RAS
-
-	// Candidate-state arguments of the in-flight Pick/PickIncremental
-	// call, stashed as fields so the shared switching logic can compute
-	// the median t_new from whichever representation is live without a
-	// per-call closure allocation. Exactly one is non-nil during a call.
-	vsArg    *spec.ViewSet
-	tasksArg []spec.TaskView
 }
 
-// clearArgs drops the stashed candidate state when a call returns: the
-// views belong to the caller (a per-phase ViewSet, a test's rebuilt
-// slice) and must not be retained across calls — a later out-of-call
-// read should hit nil, not a dead phase's views.
-func (g *policy) clearArgs() { g.tasksArg, g.vsArg = nil, nil }
-
-// medTNew returns the median fresh-copy estimate over the in-flight
-// call's candidate state.
-func (g *policy) medTNew() float64 {
-	if g.vsArg != nil {
-		return g.vsArg.MedianTNew()
-	}
-	return medianTNew(g.tasksArg)
+// candidates is the candidate state the switch reads: *spec.ViewSet, or
+// taskViews for the reference Pick.
+type candidates interface {
+	// MedianTNew returns the median fresh-copy estimate.
+	MedianTNew() float64
 }
 
 // Name implements spec.Policy.
-func (g *policy) Name() string { return g.f.Name() }
+func (g *policy) Name() string { return g.f.name }
 
 // Pick implements spec.Policy: sample jobs run their assigned pure policy;
 // adaptive jobs run RAS until the learned (or strawman) switch point, then
 // GS for the rest of the job.
 func (g *policy) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool) {
-	g.tasksArg, g.vsArg = tasks, nil
-	defer g.clearArgs()
-	if g.sampled {
-		if g.samplePol == sampleGS {
-			return g.gs.Pick(ctx, tasks)
-		}
-		return g.ras.Pick(ctx, tasks)
-	}
-	if !g.switched && g.shouldSwitch(ctx) {
-		g.switched = true
-		g.f.stats.Switched++
-	}
-	if g.switched {
+	if g.runGS(ctx, taskViews(tasks)) {
 		return g.gs.Pick(ctx, tasks)
 	}
 	return g.ras.Pick(ctx, tasks)
@@ -253,22 +266,23 @@ func (g *policy) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool)
 // learner are shared with Pick, so a job may interleave both paths (the
 // differential tests do) without divergence.
 func (g *policy) PickIncremental(ctx spec.Ctx, vs *spec.ViewSet) (spec.Decision, bool) {
-	g.tasksArg, g.vsArg = nil, vs
-	defer g.clearArgs()
-	if g.sampled {
-		if g.samplePol == sampleGS {
-			return g.gs.PickIncremental(ctx, vs)
-		}
-		return g.ras.PickIncremental(ctx, vs)
-	}
-	if !g.switched && g.shouldSwitch(ctx) {
-		g.switched = true
-		g.f.stats.Switched++
-	}
-	if g.switched {
+	if g.runGS(ctx, vs) {
 		return g.gs.PickIncremental(ctx, vs)
 	}
 	return g.ras.PickIncremental(ctx, vs)
+}
+
+// runGS reports whether this attempt runs GS rather than RAS, taking the
+// switch when an adaptive job reaches its switch point.
+func (g *policy) runGS(ctx spec.Ctx, c candidates) bool {
+	if g.sampled {
+		return g.samplePol == sampleGS
+	}
+	if !g.switched && g.shouldSwitch(ctx, c) {
+		g.switched = true
+		g.f.stats.Switched++
+	}
+	return g.switched
 }
 
 // shouldSwitch decides whether "the optimal switching point turns out to be
@@ -278,22 +292,14 @@ func (g *policy) PickIncremental(ctx spec.Ctx, vs *spec.ViewSet) (spec.Decision,
 // curves matched on job size, waves and estimation accuracy. When the
 // learner has no data (or in strawman mode) it falls back to the static
 // two-waves rule.
-func (g *policy) shouldSwitch(ctx spec.Ctx) bool {
+func (g *policy) shouldSwitch(ctx spec.Ctx, c candidates) bool {
 	if g.f.cfg.Strawman {
-		return g.staticRule(ctx)
+		return staticRule(ctx, c)
 	}
 	if ctx.Kind == task.DeadlineBound {
-		return g.switchDeadline(ctx)
+		return g.switchDeadline(ctx, c)
 	}
-	return g.switchError(ctx)
-}
-
-// switchWith evaluates the switching decision against an explicit view
-// slice — the entry point the unit tests drive shouldSwitch through.
-func (g *policy) switchWith(ctx spec.Ctx, tasks []spec.TaskView) bool {
-	g.tasksArg, g.vsArg = tasks, nil
-	defer g.clearArgs()
-	return g.shouldSwitch(ctx)
+	return g.switchError(ctx, c)
 }
 
 // waves approximates the job's wave count from its slot share.
@@ -327,7 +333,7 @@ func continueFrom(c *Curve, phi, t float64) float64 {
 // evaluates across the remaining work.
 const splits = 12
 
-func (g *policy) switchDeadline(ctx spec.Ctx) bool {
+func (g *policy) switchDeadline(ctx spec.Ctx, c candidates) bool {
 	rem := ctx.RemainingTime
 	if rem <= 0 {
 		return true // nothing left to conserve; be greedy
@@ -337,7 +343,7 @@ func (g *policy) switchDeadline(ctx spec.Ctx) bool {
 	gsC, ok2 := l.Aggregate(sampleGS, g.bin, waves, acc)
 	if !ok1 || !ok2 {
 		g.f.stats.StaticDecisions++
-		return g.staticRule(ctx) // insufficient samples yet
+		return staticRule(ctx, c) // insufficient samples yet
 	}
 	g.f.stats.LearnedDecisions++
 	phi := 0.0
@@ -359,7 +365,7 @@ func (g *policy) switchDeadline(ctx spec.Ctx) bool {
 	return bestIdx == 0
 }
 
-func (g *policy) switchError(ctx spec.Ctx) bool {
+func (g *policy) switchError(ctx spec.Ctx, c candidates) bool {
 	remTasks := ctx.Remaining()
 	if remTasks <= 0 {
 		return true
@@ -373,7 +379,7 @@ func (g *policy) switchError(ctx spec.Ctx) bool {
 	gsC, ok2 := l.Aggregate(sampleGS, g.bin, waves, acc)
 	if !ok1 || !ok2 {
 		g.f.stats.StaticDecisions++
-		return g.staticRule(ctx)
+		return staticRule(ctx, c)
 	}
 	g.f.stats.LearnedDecisions++
 	phi := float64(ctx.CompletedTasks) / float64(total)
@@ -403,19 +409,19 @@ func (g *policy) switchError(ctx spec.Ctx) bool {
 		}
 	}
 	if math.IsInf(bestDur, 1) {
-		return g.staticRule(ctx)
+		return staticRule(ctx, c)
 	}
 	return bestIdx == 0
 }
 
 // staticRule is the theory-guided two-waves heuristic (§4's strawman, also
-// GRASS's cold-start fallback): switch to GS once the remaining work fits
-// in at most two waves of tasks.
-func (g *policy) staticRule(ctx spec.Ctx) bool {
+// GRASS's cold-start fallback and, on ground truth, the oracle): switch to
+// GS once the remaining work fits in at most two waves of tasks.
+func staticRule(ctx spec.Ctx, c candidates) bool {
 	if ctx.Kind == task.DeadlineBound {
 		// Time to the deadline sufficient for at most two waves, with task
 		// duration taken as the median estimate of a fresh copy.
-		med := g.medTNew()
+		med := c.MedianTNew()
 		if med <= 0 {
 			return false
 		}
@@ -429,8 +435,11 @@ func (g *policy) staticRule(ctx spec.Ctx) bool {
 	return ctx.Remaining() <= 2*w
 }
 
-// medianTNew returns the median fresh-copy estimate across views.
-func medianTNew(tasks []spec.TaskView) float64 {
+// taskViews is the reference Pick's candidate state.
+type taskViews []spec.TaskView
+
+// MedianTNew returns the median fresh-copy estimate across the views.
+func (tasks taskViews) MedianTNew() float64 {
 	if len(tasks) == 0 {
 		return 0
 	}
@@ -446,10 +455,12 @@ func medianTNew(tasks []spec.TaskView) float64 {
 	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-// OnTaskComplete implements spec.ProgressObserver: it extends the job's
-// completion curve.
+// OnTaskComplete implements spec.ProgressObserver: a sample job extends its
+// completion curve. No other job's curve is ever read.
 func (g *policy) OnTaskComplete(completed int, t float64) {
-	g.curve.Add(t, float64(completed)/float64(g.numTasks))
+	if g.sampled {
+		g.curve.Add(t, float64(completed)/float64(g.numTasks))
+	}
 }
 
 // OnJobEnd implements spec.Observer: sample jobs contribute their completion

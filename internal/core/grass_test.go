@@ -121,11 +121,11 @@ func TestStrawmanStaticRuleDeadline(t *testing.T) {
 	p := newAdaptive(t, Config{Strawman: true}, 100)
 	tasks := []spec.TaskView{{Index: 0, TNew: 5}, {Index: 1, TNew: 5}, {Index: 2, TNew: 5}}
 	// Deadline far away: stays RAS.
-	if p.switchWith(deadlineCtx(100, 100, 10), tasks) {
+	if p.shouldSwitch(deadlineCtx(100, 100, 10), taskViews(tasks)) {
 		t.Fatal("strawman switched with a loose deadline")
 	}
 	// Two median task durations left: switch.
-	if !p.switchWith(deadlineCtx(10, 100, 10), tasks) {
+	if !p.shouldSwitch(deadlineCtx(10, 100, 10), taskViews(tasks)) {
 		t.Fatal("strawman did not switch near the deadline")
 	}
 }
@@ -133,11 +133,11 @@ func TestStrawmanStaticRuleDeadline(t *testing.T) {
 func TestStrawmanStaticRuleError(t *testing.T) {
 	p := newAdaptive(t, Config{Strawman: true}, 100)
 	// 50 tasks remaining, wave width 10: more than two waves → RAS.
-	if p.switchWith(errorCtx(50, 100, 10), nil) {
+	if p.shouldSwitch(errorCtx(50, 100, 10), taskViews(nil)) {
 		t.Fatal("strawman switched with many waves remaining")
 	}
 	// 15 remaining ≤ 2×10 → switch.
-	if !p.switchWith(errorCtx(15, 100, 10), nil) {
+	if !p.shouldSwitch(errorCtx(15, 100, 10), taskViews(nil)) {
 		t.Fatal("strawman did not switch in the last two waves")
 	}
 }
@@ -147,10 +147,10 @@ func TestColdStartFallsBackToStatic(t *testing.T) {
 	// strawman rather than guessing.
 	p := newAdaptive(t, Config{Xi: 0.15, Factors: AllFactors()}, 100)
 	tasks := []spec.TaskView{{Index: 0, TNew: 5}}
-	if p.switchWith(deadlineCtx(100, 100, 10), tasks) {
+	if p.shouldSwitch(deadlineCtx(100, 100, 10), taskViews(tasks)) {
 		t.Fatal("cold-start switched with a loose deadline")
 	}
-	if !p.switchWith(deadlineCtx(8, 100, 10), tasks) {
+	if !p.shouldSwitch(deadlineCtx(8, 100, 10), taskViews(tasks)) {
 		t.Fatal("cold-start did not fall back to the static rule")
 	}
 }
@@ -177,10 +177,10 @@ func TestLearnedSwitchDeadline(t *testing.T) {
 	p := f.NewPolicy(0, 100).(*policy)
 	p.sampled = false
 	tasks := []spec.TaskView{{Index: 0, TNew: 5}}
-	if p.switchWith(deadlineCtx(40, 100, 30), tasks) {
+	if p.shouldSwitch(deadlineCtx(40, 100, 30), taskViews(tasks)) {
 		t.Fatal("switched despite RAS being predicted better over a long horizon")
 	}
-	if !p.switchWith(deadlineCtx(6, 100, 30), tasks) {
+	if !p.shouldSwitch(deadlineCtx(6, 100, 30), taskViews(tasks)) {
 		t.Fatal("did not switch with a short horizon where GS dominates")
 	}
 }
@@ -204,10 +204,10 @@ func TestLearnedSwitchError(t *testing.T) {
 	}
 	p := f.NewPolicy(0, 100).(*policy)
 	p.sampled = false
-	if p.switchWith(errorCtx(80, 100, 30), nil) {
+	if p.shouldSwitch(errorCtx(80, 100, 30), taskViews(nil)) {
 		t.Fatal("switched with 80% of the work remaining")
 	}
-	if !p.switchWith(errorCtx(10, 100, 30), nil) {
+	if !p.shouldSwitch(errorCtx(10, 100, 30), taskViews(nil)) {
 		t.Fatal("did not switch with only 10% remaining")
 	}
 }
@@ -279,16 +279,29 @@ func TestOnJobEndRecordsOnlySamples(t *testing.T) {
 	}
 }
 
+// TestOnlySamplesRecordCurves: OnJobEnd reads the curve of a sample job
+// only, so adaptive GRASS and oracle jobs keep none.
+func TestOnlySamplesRecordCurves(t *testing.T) {
+	f, _ := New(Config{Xi: 0, Factors: AllFactors(), Seed: 1})
+	for _, p := range []spec.Policy{f.NewPolicy(0, 100), NewOracle().NewPolicy(1, 100)} {
+		g := p.(*policy)
+		g.OnTaskComplete(10, 5)
+		if !g.curve.Empty() {
+			t.Errorf("%s: a non-sample job recorded a curve", g.Name())
+		}
+	}
+}
+
 func TestMedianTNew(t *testing.T) {
-	if medianTNew(nil) != 0 {
+	if taskViews(nil).MedianTNew() != 0 {
 		t.Fatal("empty median should be 0")
 	}
 	views := []spec.TaskView{{TNew: 3}, {TNew: 1}, {TNew: 2}}
-	if got := medianTNew(views); got != 2 {
+	if got := taskViews(views).MedianTNew(); got != 2 {
 		t.Fatalf("median %v, want 2", got)
 	}
 	views = append(views, spec.TaskView{TNew: 10})
-	if got := medianTNew(views); got != 2.5 {
+	if got := taskViews(views).MedianTNew(); got != 2.5 {
 		t.Fatalf("median %v, want 2.5", got)
 	}
 }

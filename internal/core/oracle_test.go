@@ -1,4 +1,4 @@
-package oracle
+package core
 
 import (
 	"testing"
@@ -10,8 +10,8 @@ import (
 	"github.com/approx-analytics/grass/internal/task"
 )
 
-func TestFactoryBasics(t *testing.T) {
-	f := New()
+func TestOracleFactory(t *testing.T) {
+	var f spec.Factory = NewOracle()
 	if f.Name() != "Oracle" {
 		t.Fatal("name wrong")
 	}
@@ -22,36 +22,16 @@ func TestFactoryBasics(t *testing.T) {
 	if p1.Name() != "Oracle" {
 		t.Fatal("policy name wrong")
 	}
-}
-
-func TestSwitchesForFinalWaves(t *testing.T) {
-	p := New().NewPolicy(0, 100).(*policy)
-	ctx := spec.Ctx{Kind: task.ErrorBound, TargetTasks: 100, TotalTasks: 100, WaveWidth: 10}
-	views := []spec.TaskView{{Index: 0, TNew: 1}}
-	// 100 remaining, width 10 → 10 waves: stay RAS.
-	p.Pick(ctx, views)
-	if p.switched {
-		t.Fatal("switched too early")
+	if g := p1.(*policy); !g.f.cfg.Strawman || g.sampled {
+		t.Fatal("the oracle must run the strawman's static switch, never a ξ sample")
 	}
-	ctx.CompletedTasks = 85 // 15 left ≤ 2×10
-	p.Pick(ctx, views)
-	if !p.switched {
-		t.Fatal("did not switch in the final two waves")
+	if gt, ok := f.(spec.GroundTruth); !ok || !gt.GroundTruth() {
+		t.Fatal("the oracle must declare ground truth")
 	}
-}
-
-func TestDeadlineSwitch(t *testing.T) {
-	p := New().NewPolicy(0, 100).(*policy)
-	views := []spec.TaskView{{Index: 0, TNew: 4}, {Index: 1, TNew: 6}}
-	ctx := spec.Ctx{Kind: task.DeadlineBound, RemainingTime: 100, TargetTasks: 2, TotalTasks: 2}
-	p.Pick(ctx, views)
-	if p.switched {
-		t.Fatal("switched with a loose deadline")
-	}
-	ctx.RemainingTime = 9 // ≤ 2×median(5)
-	p.Pick(ctx, views)
-	if !p.switched {
-		t.Fatal("did not switch near the deadline")
+	// A seeded sharded run must not hand the oracle learned state, and a
+	// multi-epoch replay must refuse it.
+	if _, ok := f.(spec.SharedLearner); ok {
+		t.Fatal("the oracle must not share learned state")
 	}
 }
 
@@ -59,14 +39,12 @@ func TestDeadlineSwitch(t *testing.T) {
 // job at least as fast as blind LATE on the same seed, on average.
 func TestOracleBeatsLATE(t *testing.T) {
 	cfg := sched.Config{
-		Cluster:          cluster.Config{Machines: 10, SlotsPerMachine: 2},
-		Estimator:        estimate.Config{TRemNoise: 0.45, TNewNoise: 0.35, Prior: 1},
-		DurationBeta:     1.259,
-		DurationCap:      50,
-		TailFrac:         0.2,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
+		Cluster:      cluster.Config{Machines: 10, SlotsPerMachine: 2},
+		Estimator:    estimate.Config{TRemNoise: 0.45, TNewNoise: 0.35},
+		DurationBeta: 1.259,
+		DurationCap:  50,
+		TailFrac:     0.2,
+		TailStart:    1.5,
 	}
 	job := func() []*task.Job {
 		work := make([]float64, 150)
@@ -79,7 +57,7 @@ func TestOracleBeatsLATE(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		ocfg := cfg
 		ocfg.Seed = seed
-		s, err := sched.New(ocfg, New())
+		s, err := sched.New(ocfg, NewOracle())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,13 @@
 // Determinism is a design requirement, not an accident: every simulation
 // run derives all of its randomness from one NewRNG(seed) root, and Split
 // carves independent child streams out of a parent without any global
-// state. Identical seeds therefore replay identical traces and identical
-// straggler luck — which is what makes paired policy comparisons (§6.1)
-// and the parallel experiment harness (internal/exp) bit-reproducible
-// regardless of GOMAXPROCS or worker count.
+// state. Identical seeds therefore replay identical traces, and a rerun of
+// one policy replays identical straggler luck — which is what makes the
+// parallel experiment harness (internal/exp) bit-reproducible regardless
+// of GOMAXPROCS or worker count. Across policies a seed pairs the trace
+// and the machines, not the stragglers: the simulator draws duration
+// factors, estimator biases and placements in event order, and two
+// policies launch in different orders.
 package dist
 
 import (

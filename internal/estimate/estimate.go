@@ -31,11 +31,12 @@ type Config struct {
 	// TNewNoise is the additional relative error sigma applied on top of the
 	// empirical new-copy estimate. ≈0.35 reproduces ~76% accuracy.
 	TNewNoise float64
-	// Prior is the assumed normalized task duration before any task has
-	// completed (a cold-start prior, like Hadoop's default of assuming tasks
-	// take the job's configured average).
-	Prior float64
 }
+
+// prior is the assumed normalized task duration before any task has
+// completed (a cold-start prior, like Hadoop's default of assuming tasks
+// take the job's configured average).
+const prior = 1
 
 // window caps how many recent completions inform t_new.
 const window = 512
@@ -46,9 +47,6 @@ const window = 512
 func (c Config) Validate() error {
 	if !finiteNonNegative(c.TRemNoise) || !finiteNonNegative(c.TNewNoise) {
 		return fmt.Errorf("estimate: noise sigmas must be finite and non-negative (trem=%v, tnew=%v)", c.TRemNoise, c.TNewNoise)
-	}
-	if math.IsNaN(c.Prior) || math.IsInf(c.Prior, 0) || c.Prior <= 0 {
-		return fmt.Errorf("estimate: prior %v must be finite and positive", c.Prior)
 	}
 	return nil
 }
@@ -127,7 +125,7 @@ func (e *Estimator) biasFactor(sigma float64) float64 {
 func (e *Estimator) NormalizedMedian() float64 {
 	n := len(e.sorted)
 	if n == 0 {
-		return e.cfg.Prior
+		return prior
 	}
 	if n%2 == 1 {
 		return e.sorted[n/2]

@@ -19,23 +19,20 @@ func newTest(t *testing.T, cfg Config, seed int64) *Estimator {
 func TestConfigValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
-		{TRemNoise: -1, Prior: 1},
-		{TNewNoise: -1, Prior: 1},
-		{Prior: 0},
+		{TRemNoise: -1},
+		{TNewNoise: -1},
 		// NaN passes every ordered comparison, so each float field must
 		// reject it explicitly; ±Inf passes one-sided range checks.
-		{TRemNoise: nan, Prior: 1},
-		{TNewNoise: nan, Prior: 1},
-		{TRemNoise: inf, Prior: 1},
-		{Prior: nan},
-		{Prior: inf},
+		{TRemNoise: nan},
+		{TNewNoise: nan},
+		{TRemNoise: inf},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	good := []Config{{Prior: 1}, {TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1}}
+	good := []Config{{}, {TRemNoise: 0.4, TNewNoise: 0.15}}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("good case %d rejected: %v", i, err)
@@ -46,7 +43,7 @@ func TestConfigValidate(t *testing.T) {
 // TestPerfectEstimates: with zero noise both bias draws are exactly 1, so
 // a t_new estimate (median × work × bias) is the median scaled by work.
 func TestPerfectEstimates(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 1)
+	e := newTest(t, Config{}, 1)
 	if got := e.SampleTRemBias(); got != 1 {
 		t.Fatalf("zero-noise t_rem bias = %v, want 1", got)
 	}
@@ -60,14 +57,14 @@ func TestPerfectEstimates(t *testing.T) {
 }
 
 func TestPriorUsedBeforeCompletions(t *testing.T) {
-	e := newTest(t, Config{Prior: 4}, 2)
-	if got := e.NormalizedMedian(); got != 4 {
-		t.Fatalf("cold-start median = %v, want the prior 4", got)
+	e := newTest(t, Config{}, 2)
+	if got := e.NormalizedMedian(); got != prior {
+		t.Fatalf("cold-start median = %v, want the prior %v", got, prior)
 	}
 }
 
 func TestMedianTracksCompletions(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 3)
+	e := newTest(t, Config{}, 3)
 	for _, v := range []float64{1, 100, 3} {
 		e.ObserveCompletion(v)
 	}
@@ -81,7 +78,7 @@ func TestMedianTracksCompletions(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 4)
+	e := newTest(t, Config{}, 4)
 	// Fill with large values, then push enough small ones to evict them all.
 	for i := 0; i < window; i++ {
 		e.ObserveCompletion(100)
@@ -102,7 +99,7 @@ func TestWindowEviction(t *testing.T) {
 // drifted apart, and every later median would be silently wrong. The old
 // code no-oped here; it must panic.
 func TestSortedRemoveMissingPanics(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 11)
+	e := newTest(t, Config{}, 11)
 	e.ObserveCompletion(1)
 	e.ObserveCompletion(2)
 	defer func() {
@@ -114,13 +111,13 @@ func TestSortedRemoveMissingPanics(t *testing.T) {
 }
 
 func TestNonPositiveCompletionsIgnored(t *testing.T) {
-	e := newTest(t, Config{Prior: 2}, 5)
+	e := newTest(t, Config{}, 5)
 	e.ObserveCompletion(0)
 	e.ObserveCompletion(-3)
 	if e.Completions() != 0 {
 		t.Fatal("non-positive completions recorded")
 	}
-	if e.NormalizedMedian() != 2 {
+	if e.NormalizedMedian() != prior {
 		t.Fatal("prior lost after ignored completions")
 	}
 }
@@ -128,7 +125,7 @@ func TestNonPositiveCompletionsIgnored(t *testing.T) {
 // TestNoiseStaysPositive: absurd noise still floors every bias at 0.05,
 // and the floor is reached.
 func TestNoiseStaysPositive(t *testing.T) {
-	e := newTest(t, Config{Prior: 1, TRemNoise: 2.0, TNewNoise: 2.0}, 6)
+	e := newTest(t, Config{TRemNoise: 2.0, TNewNoise: 2.0}, 6)
 	floored := 0
 	for i := 0; i < 10000; i++ {
 		for _, v := range []float64{e.SampleTRemBias(), e.SampleTNewBias()} {
@@ -148,7 +145,7 @@ func TestNoiseStaysPositive(t *testing.T) {
 func TestNoiseMagnitude(t *testing.T) {
 	// With sigma=0.45 the measured accuracy should land near the paper's
 	// ~72%; this also exercises the Record/Accuracy loop end to end.
-	e := newTest(t, Config{Prior: 1, TRemNoise: 0.45}, 7)
+	e := newTest(t, Config{TRemNoise: 0.45}, 7)
 	for i := 0; i < 20000; i++ {
 		actual := 10.0
 		e.RecordTRem(actual*e.SampleTRemBias(), actual)
@@ -160,7 +157,7 @@ func TestNoiseMagnitude(t *testing.T) {
 }
 
 func TestAccuracyScoring(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 8)
+	e := newTest(t, Config{}, 8)
 	e.RecordTNew(10, 10) // perfect
 	if got := e.TNewAccuracy(); got != 1 {
 		t.Fatalf("perfect estimate scored %v", got)
@@ -176,14 +173,14 @@ func TestAccuracyScoring(t *testing.T) {
 }
 
 func TestDefaultAccuracyBeforeData(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 9)
+	e := newTest(t, Config{}, 9)
 	if e.TRemAccuracy() != 0.5 || e.TNewAccuracy() != 0.5 || e.Accuracy() != 0.5 {
 		t.Fatal("cold-start accuracy should be 0.5")
 	}
 }
 
 func TestCombinedAccuracy(t *testing.T) {
-	e := newTest(t, Config{Prior: 1}, 10)
+	e := newTest(t, Config{}, 10)
 	e.RecordTRem(10, 10) // 1.0
 	e.RecordTNew(15, 10) // 0.5
 	if got := e.Accuracy(); math.Abs(got-0.75) > 1e-12 {
@@ -195,8 +192,8 @@ func TestCombinedAccuracy(t *testing.T) {
 // and the work scale, so one task's estimate is linear in its scale and
 // completions never shift the bias draws.
 func TestTNewUsesScale(t *testing.T) {
-	cold := newTest(t, Config{Prior: 1, TNewNoise: 0.15}, 11)
-	e := newTest(t, Config{Prior: 1, TNewNoise: 0.15}, 11)
+	cold := newTest(t, Config{TNewNoise: 0.15}, 11)
+	e := newTest(t, Config{TNewNoise: 0.15}, 11)
 	e.ObserveCompletion(2)
 	for i := 0; i < 20; i++ {
 		bias := e.SampleTNewBias()
@@ -212,7 +209,7 @@ func TestTNewUsesScale(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() []float64 {
-		e, _ := New(Config{Prior: 1, TRemNoise: 0.3, TNewNoise: 0.15}, dist.NewRNG(42))
+		e, _ := New(Config{TRemNoise: 0.3, TNewNoise: 0.15}, dist.NewRNG(42))
 		out := make([]float64, 50)
 		for i := range out {
 			if i%3 == 0 {

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"github.com/approx-analytics/grass/internal/core"
-	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -121,7 +120,7 @@ func newFactory(name string, seed int64, learner core.LearnerKind) (spec.Factory
 	case "nospec":
 		return spec.Stateless(spec.NoSpec{}), nil
 	case "oracle":
-		return oracle.New(), nil
+		return core.NewOracle(), nil
 	default:
 		return nil, fmt.Errorf("exp: unknown policy %q", name)
 	}

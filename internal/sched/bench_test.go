@@ -20,15 +20,13 @@ import (
 // sensible benchmark iteration.
 func benchConfig(seed int64) Config {
 	return Config{
-		Cluster:          cluster.Config{Machines: 40, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
-		Estimator:        estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1},
-		DurationBeta:     1.259,
-		DurationCap:      30,
-		TailFrac:         0.25,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
-		Seed:             seed,
+		Cluster:      cluster.Config{Machines: 40, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
+		Estimator:    estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15},
+		DurationBeta: 1.259,
+		DurationCap:  30,
+		TailFrac:     0.25,
+		TailStart:    1.5,
+		Seed:         seed,
 	}
 }
 
@@ -123,6 +121,10 @@ func BenchmarkSimulatorQuick(b *testing.B) {
 	})
 	b.Run("grass-sketch", func(b *testing.B) {
 		runSimBench(b, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
+	})
+	// The oracle: the strawman's RAS→GS switch on ground-truth views.
+	b.Run("oracle", func(b *testing.B) {
+		runSimBench(b, func() spec.Factory { return core.NewOracle() })
 	})
 }
 

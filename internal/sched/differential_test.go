@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/core"
-	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
@@ -38,7 +37,7 @@ var diffPolicies = []struct {
 		}
 		return f
 	}},
-	{"oracle", func(testing.TB) spec.Factory { return oracle.New() }},
+	{"oracle", func(testing.TB) spec.Factory { return core.NewOracle() }},
 }
 
 // dagJob builds a job whose input tasks have per-index work variation and
@@ -210,7 +209,7 @@ func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView
 			v.Speculable = true
 			v.TRem = trueRem
 		} else {
-			v.Speculable = v.Progress >= s.cfg.MinSpecProgress
+			v.Speculable = v.Progress >= spec.MinSpecProgress
 			bias := 1 + (bestCopy.tremBias-1)*(1-v.Progress)
 			v.TRem = trueRem * bias
 		}

@@ -363,9 +363,6 @@ func TestConfigValidateNonFinite(t *testing.T) {
 		{"tail frac nan", func(c *Config) { c.TailFrac = nan }},
 		{"tail start nan", func(c *Config) { c.TailStart = nan }},
 		{"tail start inf", func(c *Config) { c.TailStart = inf }},
-		{"intermediate beta nan", func(c *Config) { c.IntermediateBeta = nan }},
-		{"intermediate beta inf", func(c *Config) { c.IntermediateBeta = inf }},
-		{"min spec progress nan", func(c *Config) { c.MinSpecProgress = nan }},
 		{"fault crash every nan", func(c *Config) { c.Faults = fault.Config{CrashEvery: nan, CrashDowntime: 1} }},
 	}
 	for _, m := range mutations {

@@ -44,16 +44,12 @@ type Config struct {
 	// TailStart is where the straggler tail begins, in multiples of the
 	// median copy duration (default 1.5).
 	TailStart float64
-	// IntermediateBeta is the (lighter) tail for intermediate-phase tasks,
-	// which the paper notes "have relatively fewer stragglers" (§5.2).
-	IntermediateBeta float64
-	// MinSpecProgress is the progress fraction a copy must report before the
-	// task becomes eligible for speculation (§5: progress reports every 5%
-	// of data; schedulers cannot estimate t_rem for a copy that has not
-	// reported). Default 0.15.
-	MinSpecProgress float64
-	// Seed drives all randomness; identical seeds with identical traces
-	// replay identical stragglers, so policy comparisons are paired.
+	// Seed drives all randomness. Runs with identical seeds get identical
+	// machines. Duration factors, estimator biases and copy placement are
+	// drawn in event order, so identical seeds and traces replay identical
+	// stragglers only for reruns of one policy: two policies launch in
+	// different orders, so the same task draws a different straggler under
+	// each.
 	Seed int64
 	// MaxEvents guards against runaway simulations (default 50M).
 	MaxEvents uint64
@@ -84,15 +80,12 @@ func DefaultConfig() Config {
 			// the paper's measured ~72%/76% accuracies.
 			TRemNoise: 0.4,
 			TNewNoise: 0.15,
-			Prior:     1,
 		},
-		DurationBeta:     1.259,
-		DurationCap:      30,
-		TailFrac:         0.25,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
-		Seed:             1,
+		DurationBeta: 1.259,
+		DurationCap:  30,
+		TailFrac:     0.25,
+		TailStart:    1.5,
+		Seed:         1,
 	}
 }
 
@@ -111,7 +104,7 @@ func (c Config) Validate() error {
 	// comparisons, so a range check alone waves it straight into the
 	// samplers (the bug class cluster.Config.Validate had with a NaN
 	// heterogeneity sigma).
-	if !finitePositive(c.DurationBeta) {
+	if math.IsNaN(c.DurationBeta) || math.IsInf(c.DurationBeta, 0) || c.DurationBeta <= 0 {
 		return fmt.Errorf("sched: duration beta %v", c.DurationBeta)
 	}
 	if math.IsNaN(c.DurationCap) || c.DurationCap <= 1 {
@@ -127,19 +120,7 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.TailStart) || math.IsInf(c.TailStart, 0) || c.TailStart <= 1 {
 		return fmt.Errorf("sched: tail start %v must exceed the median (1) and be finite", c.TailStart)
 	}
-	if !finitePositive(c.IntermediateBeta) {
-		return fmt.Errorf("sched: intermediate beta %v", c.IntermediateBeta)
-	}
-	if math.IsNaN(c.MinSpecProgress) || c.MinSpecProgress < 0 || c.MinSpecProgress >= 1 {
-		return fmt.Errorf("sched: min speculation progress %v out of [0, 1)", c.MinSpecProgress)
-	}
 	return nil
-}
-
-// finitePositive reports v ∈ (0, +Inf) excluding NaN — the shape every
-// Pareto-beta parameter must have.
-func finitePositive(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
 }
 
 // JobResult is the outcome of one job.

@@ -9,7 +9,6 @@ import (
 	"github.com/approx-analytics/grass/internal/cluster"
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/estimate"
-	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
@@ -17,15 +16,13 @@ import (
 // smallConfig is a fast cluster for unit tests.
 func smallConfig(seed int64) Config {
 	return Config{
-		Cluster:          cluster.Config{Machines: 10, SlotsPerMachine: 2},
-		Estimator:        estimate.Config{TRemNoise: 0.3, TNewNoise: 0.3, Prior: 1},
-		DurationBeta:     1.259,
-		DurationCap:      50,
-		TailFrac:         0.2,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
-		Seed:             seed,
+		Cluster:      cluster.Config{Machines: 10, SlotsPerMachine: 2},
+		Estimator:    estimate.Config{TRemNoise: 0.3, TNewNoise: 0.3},
+		DurationBeta: 1.259,
+		DurationCap:  50,
+		TailFrac:     0.2,
+		TailStart:    1.5,
+		Seed:         seed,
 	}
 }
 
@@ -60,11 +57,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.DurationCap = 1
 	if _, err := New(bad, spec.Stateless(spec.GS{})); err == nil {
 		t.Error("cap<=1 accepted")
-	}
-	bad = smallConfig(1)
-	bad.IntermediateBeta = -1
-	if _, err := New(bad, spec.Stateless(spec.GS{})); err == nil {
-		t.Error("negative intermediate beta accepted")
 	}
 	if _, err := New(smallConfig(1), nil); err == nil {
 		t.Error("nil factory accepted")
@@ -259,7 +251,7 @@ func TestDAGDeadlineDecomposition(t *testing.T) {
 // exact views, so its run never samples or scores the estimator.
 func TestOracleMode(t *testing.T) {
 	j := uniformJob(0, 50, task.Exact(), 0)
-	stats := runOne(t, smallConfig(11), oracle.New(), []*task.Job{j})
+	stats := runOne(t, smallConfig(11), core.NewOracle(), []*task.Job{j})
 	if stats.Results[0].Accuracy != 1 {
 		t.Error("oracle run did not complete the job")
 	}

@@ -55,15 +55,13 @@ func (nopTB) Fatalf(string, ...any) { panic("unexpected factory failure") }
 // 30 machines so 3 partitions split it evenly and 8 partitions unevenly.
 func shardTestConfig(seed int64) Config {
 	return Config{
-		Cluster:          cluster.Config{Machines: 30, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
-		Estimator:        estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1},
-		DurationBeta:     1.259,
-		DurationCap:      30,
-		TailFrac:         0.25,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
-		Seed:             seed,
+		Cluster:      cluster.Config{Machines: 30, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
+		Estimator:    estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15},
+		DurationBeta: 1.259,
+		DurationCap:  30,
+		TailFrac:     0.25,
+		TailStart:    1.5,
+		Seed:         seed,
 	}
 }
 

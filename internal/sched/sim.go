@@ -426,6 +426,10 @@ func (s *Simulator) repositionDemand(js *jobState) {
 	js.demandPos = i
 }
 
+// intermediateBeta is the (lighter) Pareto tail of intermediate-phase
+// tasks, which the paper notes "have relatively fewer stragglers" (§5.2).
+const intermediateBeta = 2.5
+
 // New builds a simulator for cfg driving the given policy family.
 func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
@@ -459,15 +463,16 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 		return nil, err
 	}
 	// Intermediate tasks straggle less (§5.2): halve the tail probability
-	// and lighten its shape. Clamp before halving — Validate bounds TailFrac
-	// to (0, 1], so the clamp only matters for callers that skipped it, but
-	// clamping after the division could never trigger at all.
+	// and lighten its shape to intermediateBeta. Clamp before halving —
+	// Validate bounds TailFrac to (0, 1], so the clamp only matters for
+	// callers that skipped it, but clamping after the division could never
+	// trigger at all.
 	interTail := cfg.TailFrac
 	if interTail > 1 {
 		interTail = 1
 	}
 	interTail /= 2
-	if s.interDist, err = newFactorDist(cfg.IntermediateBeta, cfg.DurationCap, interTail, cfg.TailStart); err != nil {
+	if s.interDist, err = newFactorDist(intermediateBeta, cfg.DurationCap, interTail, cfg.TailStart); err != nil {
 		return nil, err
 	}
 	// The injector derives its randomness from the simulation seed through

@@ -103,11 +103,7 @@ func (s *Simulator) dirtyTask(js *jobState, ti int) {
 func (s *Simulator) initViews(js *jobState, now float64) {
 	jv := &js.jv
 	tb := &js.tasks
-	jv.vs.Reset(js.phase.n, spec.Eval{
-		GroundTruth:     s.oracle,
-		MinSpecProgress: s.cfg.MinSpecProgress,
-		Buf:             &s.runViews,
-	})
+	jv.vs.Reset(js.phase.n, spec.Eval{GroundTruth: s.oracle, Buf: &s.runViews})
 	for i := 0; i < js.phase.n; i++ {
 		if tb.completed[i] {
 			continue

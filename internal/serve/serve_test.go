@@ -24,15 +24,13 @@ import (
 // partitions split evenly.
 func serveTestConfig(seed int64) sched.Config {
 	return sched.Config{
-		Cluster:          cluster.Config{Machines: 30, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
-		Estimator:        estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15, Prior: 1},
-		DurationBeta:     1.259,
-		DurationCap:      30,
-		TailFrac:         0.25,
-		TailStart:        1.5,
-		IntermediateBeta: 2.5,
-		MinSpecProgress:  0.15,
-		Seed:             seed,
+		Cluster:      cluster.Config{Machines: 30, SlotsPerMachine: 2, HeterogeneitySigma: 0.2},
+		Estimator:    estimate.Config{TRemNoise: 0.4, TNewNoise: 0.15},
+		DurationBeta: 1.259,
+		DurationCap:  30,
+		TailFrac:     0.25,
+		TailStart:    1.5,
+		Seed:         seed,
 	}
 }
 

@@ -226,3 +226,9 @@ func (f statelessFactory) NewPolicy(int, int) Policy { return f.p }
 // the final wave speculates aggressively, but beyond a few copies the
 // marginal gain of another i.i.d. draw is negligible.
 const MaxCopies = 4
+
+// MinSpecProgress is the progress fraction a copy must report before its
+// task becomes eligible for speculation (§5: progress reports every 5% of
+// data; schedulers cannot estimate t_rem for a copy that has not
+// reported).
+const MinSpecProgress = 0.15

@@ -77,7 +77,6 @@ type ViewSet struct {
 	// The evaluation inputs: the clock, the t_new median and the mode.
 	now, med    float64
 	groundTruth bool
-	minSpec     float64
 
 	// run holds the attempt's running views and query scratch, shared by
 	// the scheduler's sets.
@@ -128,9 +127,6 @@ type Eval struct {
 	// remaining time, every running task is speculable, and the t_new
 	// median is 1.
 	GroundTruth bool
-	// MinSpecProgress is the progress a best copy needs before an
-	// estimated view is speculable.
-	MinSpecProgress float64
 	// Buf is the running-view buffer to share; nil gives the set a fresh
 	// one.
 	Buf *RunBuf
@@ -149,7 +145,7 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.uorder = vs.uorder[:0]
 	vs.near = vs.near[:0]
 	vs.sealed = false
-	vs.groundTruth, vs.minSpec, vs.run = e.GroundTruth, e.MinSpecProgress, e.Buf
+	vs.groundTruth, vs.run = e.GroundTruth, e.Buf
 	if vs.run == nil {
 		vs.run = new(RunBuf)
 	}
@@ -253,7 +249,7 @@ func (vs *ViewSet) eval(v *TaskView, i int) {
 		v.Speculable = true
 		v.TRem = trueRem
 	} else {
-		v.Speculable = v.Progress >= vs.minSpec
+		v.Speculable = v.Progress >= MinSpecProgress
 		// Extrapolation error shrinks as progress accumulates: a
 		// nearly-done copy's remaining time is well known.
 		bias := 1 + (r.TRemBias-1)*(1-v.Progress)
@@ -287,14 +283,14 @@ func progress(now, start, duration float64) float64 {
 // verified against progress at the float just before it.
 func (vs *ViewSet) SpeculableFrom(i int) float64 {
 	r := &vs.recs[i]
-	if vs.groundTruth || !(vs.minSpec > 0) {
+	if vs.groundTruth {
 		return math.Inf(-1)
 	}
-	if !(r.Duration > 0) || vs.minSpec > 0.999 {
+	if !(r.Duration > 0) {
 		return math.Inf(1)
 	}
-	at := r.Start + vs.minSpec*r.Duration*(1-0x1p-20)
-	if progress(math.Nextafter(at, math.Inf(-1)), r.Start, r.Duration) >= vs.minSpec {
+	at := r.Start + MinSpecProgress*r.Duration*(1-0x1p-20)
+	if progress(math.Nextafter(at, math.Inf(-1)), r.Start, r.Duration) >= MinSpecProgress {
 		return math.Inf(-1)
 	}
 	return at

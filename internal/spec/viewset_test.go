@@ -18,10 +18,7 @@ import (
 // pruning depth and deadline slack gets sampled. The reference views come
 // from refView, the scheduler's view formula written out independently.
 
-const (
-	testNow     = 8.0  // the clock the generated records are laid out around
-	testMinSpec = 0.15 // MinSpecProgress of the generated sets
-)
+const testNow = 8.0 // the clock the generated records are laid out around
 
 // refView is the reference view of record r for task i at time now and
 // t_new median med — the float expressions the scheduler's from-scratch
@@ -50,7 +47,7 @@ func refView(r TaskRec, i int, now, med float64, groundTruth bool) TaskView {
 			v.Speculable = true
 			v.TRem = trueRem
 		} else {
-			v.Speculable = v.Progress >= testMinSpec
+			v.Speculable = v.Progress >= MinSpecProgress
 			bias := 1 + (r.TRemBias-1)*(1-v.Progress)
 			v.TRem = trueRem * bias
 		}
@@ -136,7 +133,7 @@ func randViews(rng *rand.Rand) ([]TaskView, *ViewSet, *model) {
 		m.med = []float64{1, 0.5, 2}[rng.Intn(3)]
 	}
 	vs := &ViewSet{}
-	vs.Reset(total, Eval{GroundTruth: m.groundTruth, MinSpecProgress: testMinSpec})
+	vs.Reset(total, Eval{GroundTruth: m.groundTruth})
 	keep := map[int]bool{}
 	for _, i := range rng.Perm(total)[:n] {
 		keep[i] = true
@@ -333,7 +330,7 @@ func TestViewSetBulkRescale(t *testing.T) {
 		m.med *= []float64{0.5, 1.0, 1.75, 0.3}[rng.Intn(4)]
 		vs.SetMedian(m.med)
 		fresh := &ViewSet{}
-		fresh.Reset(len(vs.recs), Eval{MinSpecProgress: testMinSpec})
+		fresh.Reset(len(vs.recs), Eval{})
 		idx := make([]int, 0, len(m.recs))
 		for i := range m.recs {
 			idx = append(idx, i)
@@ -377,7 +374,7 @@ func TestViewSetEvalMatchesReference(t *testing.T) {
 	for _, gt := range []bool{false, true} {
 		for _, med := range []float64{1, 0.37, 2.9} {
 			vs := &ViewSet{}
-			vs.Reset(len(recs)+1, Eval{GroundTruth: gt, MinSpecProgress: testMinSpec})
+			vs.Reset(len(recs)+1, Eval{GroundTruth: gt})
 			for i, r := range recs {
 				vs.Init(i+1, r) // index 0 stays a completed gap
 			}
@@ -411,7 +408,7 @@ func TestViewSetEvalMatchesReference(t *testing.T) {
 	}
 	// The clamp and speculability edges, spelled out.
 	vs := &ViewSet{}
-	vs.Reset(len(recs), Eval{MinSpecProgress: testMinSpec})
+	vs.Reset(len(recs), Eval{})
 	for i, r := range recs {
 		vs.Init(i, r)
 	}
@@ -454,7 +451,7 @@ func TestViewSetRepairsNearTies(t *testing.T) {
 			{Work: w, Factor: b, Copies: 1, Start: 7, Duration: 2, End: 9, TRemBias: 1, FirstStart: 7},
 		}
 		vs := &ViewSet{}
-		vs.Reset(len(recs), Eval{MinSpecProgress: testMinSpec})
+		vs.Reset(len(recs), Eval{})
 		for i, r := range recs {
 			vs.Init(i, r)
 		}
@@ -517,7 +514,7 @@ func BenchmarkEarliestCandidates(b *testing.B) {
 					isRunning[i] = true
 				}
 				vs := &ViewSet{}
-				vs.Reset(n, Eval{MinSpecProgress: testMinSpec})
+				vs.Reset(n, Eval{})
 				for i := 0; i < n; i++ {
 					r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 1}
 					if isRunning[i] {
