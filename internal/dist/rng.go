@@ -5,15 +5,17 @@
 // helpers.
 //
 // Determinism is a design requirement, not an accident: every simulation
-// run derives all of its randomness from one NewRNG(seed) root, and Split
-// carves independent child streams out of a parent without any global
-// state. Identical seeds therefore replay identical traces, and a rerun of
-// one policy replays identical straggler luck — which is what makes the
-// parallel experiment harness (internal/exp) bit-reproducible regardless
-// of GOMAXPROCS or worker count. Across policies a seed pairs the trace
-// and the machines, not the stragglers: the simulator draws duration
-// factors, estimator biases and placements in event order, and two
-// policies launch in different orders.
+// run derives all of its randomness from its seed — Split carves
+// independent child streams out of a NewRNG(seed) root without any global
+// state, and Keyed derives a stream from a key alone. Identical seeds
+// therefore replay identical traces, which is what makes the parallel
+// experiment harness (internal/exp) bit-reproducible regardless of
+// GOMAXPROCS or worker count. Across policies a seed also pairs the
+// stragglers: the simulator keys each copy's duration factor and estimator
+// biases by (job, phase, task, copy ordinal), so two policies that launch
+// in different orders still draw the same luck for the same copy. Copy
+// placement still follows event order, so the machine slowdown a copy
+// lands on is not paired.
 package dist
 
 import (
@@ -56,6 +58,24 @@ func NewRNG(seed int64) *RNG {
 // need a mix64 fixed point).
 func SubSeed(seed int64, i int) int64 {
 	return int64(mix64(mix64(uint64(seed)) + (uint64(i)+1)*goldenGamma))
+}
+
+// Keyed returns the stream keyed by (seed, key...): each key component is
+// folded into the pre-mixed seed by its own mix64 step, as SubSeed derives
+// a child, so equal keys replay equal streams and keys that differ in any
+// one component open with unrelated draws. Components are never
+// bit-packed, so no component's range can alias another's. This is
+// counter-based generation (Salmon et al., "Parallel random numbers: as
+// easy as 1, 2, 3", SC'11, https://doi.org/10.1145/2063384.2063405): a
+// draw is a function of its key, not of the draws before it. A caller that
+// re-keys one long-lived RNG and passes its address draws without
+// allocating.
+func Keyed(seed int64, key ...uint64) RNG {
+	z := mix64(uint64(seed))
+	for _, k := range key {
+		z = mix64(z + (k+1)*goldenGamma)
+	}
+	return RNG{state: z, gamma: goldenGamma}
 }
 
 // mix64 is SplitMix64's output hash (Stafford variant 13).

@@ -11,7 +11,9 @@
 // The paper measures moderate accuracies (72% for t_rem, 76% for t_new) and
 // feeds the measured accuracy into GRASS's switching decision; Estimator
 // reproduces that bookkeeping: every estimate can later be scored against
-// the actual outcome, and Accuracy() reports the running average.
+// the actual outcome, and Accuracy() reports the running average. It owns
+// no randomness: each bias is drawn from the stream its caller passes, so
+// the caller decides what a draw is keyed by.
 package estimate
 
 import (
@@ -60,7 +62,6 @@ func finiteNonNegative(v float64) bool {
 // tracks their measured accuracy. Not safe for concurrent use.
 type Estimator struct {
 	cfg Config
-	rng *dist.RNG
 
 	// Ring buffer of normalized completed-task durations (eviction order)
 	// plus a sorted mirror for O(log n + n) median maintenance.
@@ -74,44 +75,43 @@ type Estimator struct {
 	tnewN      int
 }
 
-// New constructs an Estimator. rng drives the noise; pass a Split of the
-// simulation RNG so estimator noise is reproducible.
-func New(cfg Config, rng *dist.RNG) (*Estimator, error) {
+// New constructs an Estimator.
+func New(cfg Config) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Estimator{
 		cfg:    cfg,
-		rng:    rng,
 		window: make([]float64, 0, window),
 		sorted: make([]float64, 0, window),
 	}, nil
 }
 
-// SampleTRemBias draws a persistent multiplicative error for one copy's
-// remaining-time estimates. Extrapolation error is systematic per copy —
-// the same skewed progress reports produce the same skew on every query —
-// so the scheduler attaches one bias to each copy rather than re-rolling
-// noise per estimate (re-rolled noise would let a policy "retry the dice"
-// every scheduling round and over-speculate on transient spikes).
-func (e *Estimator) SampleTRemBias() float64 {
-	return e.biasFactor(e.cfg.TRemNoise)
+// SampleTRemBias draws from r a persistent multiplicative error for one
+// copy's remaining-time estimates. Extrapolation error is systematic per
+// copy — the same skewed progress reports produce the same skew on every
+// query — so the scheduler attaches one bias to each copy rather than
+// re-rolling noise per estimate (re-rolled noise would let a policy "retry
+// the dice" every scheduling round and over-speculate on transient
+// spikes).
+func (e *Estimator) SampleTRemBias(r *dist.RNG) float64 {
+	return biasFactor(e.cfg.TRemNoise, r)
 }
 
-// SampleTNewBias draws a persistent multiplicative error for one task's
-// fresh-copy estimates (mis-sized inputs skew every t_new query for that
-// task the same way).
-func (e *Estimator) SampleTNewBias() float64 {
-	return e.biasFactor(e.cfg.TNewNoise)
+// SampleTNewBias draws from r a persistent multiplicative error for one
+// task's fresh-copy estimates (mis-sized inputs skew every t_new query for
+// that task the same way).
+func (e *Estimator) SampleTNewBias(r *dist.RNG) float64 {
+	return biasFactor(e.cfg.TNewNoise, r)
 }
 
-// biasFactor draws 1 + N(0, sigma), floored at 0.05 so estimates stay
-// positive.
-func (e *Estimator) biasFactor(sigma float64) float64 {
+// biasFactor draws 1 + N(0, sigma) from r, floored at 0.05 so estimates
+// stay positive. A zero sigma draws nothing.
+func biasFactor(sigma float64, r *dist.RNG) float64 {
 	if sigma == 0 {
 		return 1
 	}
-	f := 1 + sigma*e.rng.Norm()
+	f := 1 + sigma*r.Norm()
 	if f < 0.05 {
 		f = 0.05
 	}

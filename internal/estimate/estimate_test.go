@@ -7,9 +7,9 @@ import (
 	"github.com/approx-analytics/grass/internal/dist"
 )
 
-func newTest(t *testing.T, cfg Config, seed int64) *Estimator {
+func newTest(t *testing.T, cfg Config) *Estimator {
 	t.Helper()
-	e, err := New(cfg, dist.NewRNG(seed))
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,28 +43,31 @@ func TestConfigValidate(t *testing.T) {
 // TestPerfectEstimates: with zero noise both bias draws are exactly 1, so
 // a t_new estimate (median × work × bias) is the median scaled by work.
 func TestPerfectEstimates(t *testing.T) {
-	e := newTest(t, Config{}, 1)
-	if got := e.SampleTRemBias(); got != 1 {
+	e, r := newTest(t, Config{}), dist.NewRNG(1)
+	if got := e.SampleTRemBias(r); got != 1 {
 		t.Fatalf("zero-noise t_rem bias = %v, want 1", got)
 	}
-	if got := e.SampleTNewBias(); got != 1 {
+	if got := e.SampleTNewBias(r); got != 1 {
 		t.Fatalf("zero-noise t_new bias = %v, want 1", got)
 	}
+	if *r != *dist.NewRNG(1) {
+		t.Fatal("a zero-noise bias consumed the stream")
+	}
 	e.ObserveCompletion(2.0)
-	if got := e.NormalizedMedian() * 3 * e.SampleTNewBias(); math.Abs(got-6) > 1e-12 {
+	if got := e.NormalizedMedian() * 3 * e.SampleTNewBias(r); math.Abs(got-6) > 1e-12 {
 		t.Fatalf("t_new of work 3 with median 2 = %v, want 6", got)
 	}
 }
 
 func TestPriorUsedBeforeCompletions(t *testing.T) {
-	e := newTest(t, Config{}, 2)
+	e := newTest(t, Config{})
 	if got := e.NormalizedMedian(); got != prior {
 		t.Fatalf("cold-start median = %v, want the prior %v", got, prior)
 	}
 }
 
 func TestMedianTracksCompletions(t *testing.T) {
-	e := newTest(t, Config{}, 3)
+	e := newTest(t, Config{})
 	for _, v := range []float64{1, 100, 3} {
 		e.ObserveCompletion(v)
 	}
@@ -78,7 +81,7 @@ func TestMedianTracksCompletions(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	e := newTest(t, Config{}, 4)
+	e := newTest(t, Config{})
 	// Fill with large values, then push enough small ones to evict them all.
 	for i := 0; i < window; i++ {
 		e.ObserveCompletion(100)
@@ -99,7 +102,7 @@ func TestWindowEviction(t *testing.T) {
 // drifted apart, and every later median would be silently wrong. The old
 // code no-oped here; it must panic.
 func TestSortedRemoveMissingPanics(t *testing.T) {
-	e := newTest(t, Config{}, 11)
+	e := newTest(t, Config{})
 	e.ObserveCompletion(1)
 	e.ObserveCompletion(2)
 	defer func() {
@@ -111,7 +114,7 @@ func TestSortedRemoveMissingPanics(t *testing.T) {
 }
 
 func TestNonPositiveCompletionsIgnored(t *testing.T) {
-	e := newTest(t, Config{}, 5)
+	e := newTest(t, Config{})
 	e.ObserveCompletion(0)
 	e.ObserveCompletion(-3)
 	if e.Completions() != 0 {
@@ -125,10 +128,10 @@ func TestNonPositiveCompletionsIgnored(t *testing.T) {
 // TestNoiseStaysPositive: absurd noise still floors every bias at 0.05,
 // and the floor is reached.
 func TestNoiseStaysPositive(t *testing.T) {
-	e := newTest(t, Config{TRemNoise: 2.0, TNewNoise: 2.0}, 6)
+	e, r := newTest(t, Config{TRemNoise: 2.0, TNewNoise: 2.0}), dist.NewRNG(6)
 	floored := 0
 	for i := 0; i < 10000; i++ {
-		for _, v := range []float64{e.SampleTRemBias(), e.SampleTNewBias()} {
+		for _, v := range []float64{e.SampleTRemBias(r), e.SampleTNewBias(r)} {
 			if v < 0.05 {
 				t.Fatalf("bias %v below the 0.05 floor", v)
 			}
@@ -145,10 +148,10 @@ func TestNoiseStaysPositive(t *testing.T) {
 func TestNoiseMagnitude(t *testing.T) {
 	// With sigma=0.45 the measured accuracy should land near the paper's
 	// ~72%; this also exercises the Record/Accuracy loop end to end.
-	e := newTest(t, Config{TRemNoise: 0.45}, 7)
+	e, r := newTest(t, Config{TRemNoise: 0.45}), dist.NewRNG(7)
 	for i := 0; i < 20000; i++ {
 		actual := 10.0
-		e.RecordTRem(actual*e.SampleTRemBias(), actual)
+		e.RecordTRem(actual*e.SampleTRemBias(r), actual)
 	}
 	acc := e.TRemAccuracy()
 	if acc < 0.6 || acc > 0.8 {
@@ -157,7 +160,7 @@ func TestNoiseMagnitude(t *testing.T) {
 }
 
 func TestAccuracyScoring(t *testing.T) {
-	e := newTest(t, Config{}, 8)
+	e := newTest(t, Config{})
 	e.RecordTNew(10, 10) // perfect
 	if got := e.TNewAccuracy(); got != 1 {
 		t.Fatalf("perfect estimate scored %v", got)
@@ -173,14 +176,14 @@ func TestAccuracyScoring(t *testing.T) {
 }
 
 func TestDefaultAccuracyBeforeData(t *testing.T) {
-	e := newTest(t, Config{}, 9)
+	e := newTest(t, Config{})
 	if e.TRemAccuracy() != 0.5 || e.TNewAccuracy() != 0.5 || e.Accuracy() != 0.5 {
 		t.Fatal("cold-start accuracy should be 0.5")
 	}
 }
 
 func TestCombinedAccuracy(t *testing.T) {
-	e := newTest(t, Config{}, 10)
+	e := newTest(t, Config{})
 	e.RecordTRem(10, 10) // 1.0
 	e.RecordTNew(15, 10) // 0.5
 	if got := e.Accuracy(); math.Abs(got-0.75) > 1e-12 {
@@ -192,12 +195,12 @@ func TestCombinedAccuracy(t *testing.T) {
 // and the work scale, so one task's estimate is linear in its scale and
 // completions never shift the bias draws.
 func TestTNewUsesScale(t *testing.T) {
-	cold := newTest(t, Config{TNewNoise: 0.15}, 11)
-	e := newTest(t, Config{TNewNoise: 0.15}, 11)
+	cold, cr := newTest(t, Config{TNewNoise: 0.15}), dist.NewRNG(11)
+	e, r := newTest(t, Config{TNewNoise: 0.15}), dist.NewRNG(11)
 	e.ObserveCompletion(2)
 	for i := 0; i < 20; i++ {
-		bias := e.SampleTNewBias()
-		if want := cold.SampleTNewBias(); bias != want {
+		bias := e.SampleTNewBias(r)
+		if want := cold.SampleTNewBias(cr); bias != want {
 			t.Fatalf("draw %d: bias %v after a completion, %v without", i, bias, want)
 		}
 		a, b := e.NormalizedMedian()*1*bias, e.NormalizedMedian()*10*bias
@@ -207,15 +210,19 @@ func TestTNewUsesScale(t *testing.T) {
 	}
 }
 
+// TestDeterminism: a bias is a pure function of the stream it is drawn
+// from — the same keyed stream gives the same bias, whichever estimator
+// draws it and whatever it drew before.
 func TestDeterminism(t *testing.T) {
 	mk := func() []float64 {
-		e, _ := New(Config{TRemNoise: 0.3, TNewNoise: 0.15}, dist.NewRNG(42))
+		e := newTest(t, Config{TRemNoise: 0.3, TNewNoise: 0.15})
 		out := make([]float64, 50)
 		for i := range out {
+			r := dist.Keyed(42, uint64(i))
 			if i%3 == 0 {
-				out[i] = e.SampleTNewBias()
+				out[i] = e.SampleTNewBias(&r)
 			} else {
-				out[i] = e.SampleTRemBias()
+				out[i] = e.SampleTRemBias(&r)
 			}
 		}
 		return out

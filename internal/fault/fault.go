@@ -12,7 +12,7 @@
 // of channels cannot perturb any channel's draw sequence. The fault seed
 // itself derives from the simulation seed through a reserved SubSeed tag
 // unless pinned explicitly, keeping fault randomness disjoint from the
-// placement/duration/estimator streams by construction.
+// scheduler's placement stream and keyed straggler draws by construction.
 package fault
 
 import (
@@ -27,6 +27,12 @@ import (
 // the scheduler uses for partitions (part index) and learners, so fault
 // streams never collide with existing substreams.
 const seedTag = 1 << 30
+
+// DrawTag is the reserved dist.SubSeed tag that derives the key seed of the
+// scheduler's keyed straggler draws (copy duration factors and estimator
+// biases) from the simulation seed. It sits next to seedTag, above every
+// partition and learner tag, so the two derived seeds never collide.
+const DrawTag = seedTag + 1
 
 // Config describes one deterministic fault schedule. The zero value means
 // "no faults" and is free: Enabled reports false and the scheduler builds

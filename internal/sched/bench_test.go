@@ -354,8 +354,8 @@ func BenchmarkShardedReplay(b *testing.B) {
 // BenchmarkBuildViews measures the per-launch-attempt view cost for one
 // mid-flight 300-task job: the refresh re-derives nothing (nothing is
 // dirty between attempts at one timestamp — the steady state of a
-// dispatch round) and visits only the copies still sampling, and the
-// running views are evaluated once, as a policy's first read does.
+// dispatch round), and the running views are evaluated once, as a
+// policy's first read does.
 func BenchmarkBuildViews(b *testing.B) {
 	setup := func(b *testing.B) (*Simulator, *jobState) {
 		s, err := New(benchConfig(1), spec.Stateless(spec.NoSpec{}))

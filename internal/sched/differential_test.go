@@ -2,12 +2,13 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/core"
+	"github.com/approx-analytics/grass/internal/dist"
+	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
@@ -90,10 +91,9 @@ func diffWorkload() []*task.Job {
 
 // attachDifferentialCheck arms the simulator's per-attempt hook: the
 // incremental ViewSet and decision are compared against a from-scratch,
-// side-effect-free rebuild and the reference Pick, the set's unscheduled
-// order must be sorted under the current keys, and the job's sampling
-// list must hold every running task whose best copy has room for a
-// pending t_rem sample, once. Returns a counter of checked attempts.
+// side-effect-free rebuild and the reference Pick, and the set's
+// unscheduled order must be sorted under the current keys. Returns a
+// counter of checked attempts.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	t.Helper()
 	count := 0
@@ -111,7 +111,6 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 		if err := vs.CheckOrder(); err != nil {
 			t.Fatalf("job %d at t=%v: %v", js.job.ID, now, err)
 		}
-		checkSampling(t, s, js)
 		incBuf = vs.AppendCompact(incBuf[:0])
 		if !reflect.DeepEqual(refBuf, incBuf) {
 			t.Fatalf("job %d at t=%v: incremental views diverged from rebuild\nrebuild:     %s\nincremental: %s",
@@ -126,63 +125,10 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	return &count
 }
 
-// checkSampling asserts the sampling list's invariant after a refresh:
-// every running task whose best copy has room for a pending t_rem sample
-// and can ever be speculable has exactly one live entry, either in the
-// due tail (visited this attempt, so either sampled now or not
-// speculable) or in the ordered head (not speculable before its time,
-// which is still to come); the due tail holds live entries only.
-func checkSampling(t testing.TB, s *Simulator, js *jobState) {
-	t.Helper()
-	if s.oracle || !js.jv.live {
-		return
-	}
-	tb := &js.tasks
-	now := s.eng.Now()
-	live := func(r sampleRef) bool {
-		return r.c.serial == r.serial && r.c.js == js && tb.best[r.c.task] == r.c
-	}
-	l := js.jv.sampling
-	due := len(l)
-	for due > 0 && math.IsInf(l[due-1].at, -1) {
-		due--
-	}
-	entries := map[*copyRun]int{}
-	for k, r := range l[:due] {
-		if !(r.at > now) || (k > 0 && l[k-1].at < r.at) {
-			t.Fatalf("job %d: waiting entry %d at %v is due at t=%v or out of order", js.job.ID, k, r.at, now)
-		}
-		if live(r) {
-			if js.jv.vs.At(int(r.c.task)).Speculable {
-				t.Fatalf("job %d: task %d is speculable before its waiting time %v", js.job.ID, r.c.task, r.at)
-			}
-			entries[r.c]++
-		}
-	}
-	for _, r := range l[due:] {
-		if !live(r) || r.c.pendN == len(r.c.pendTRem) {
-			t.Fatalf("job %d: stale or full copy of task %d left in the due tail", js.job.ID, r.c.task)
-		}
-		entries[r.c]++
-	}
-	for i := 0; i < js.phase.n; i++ {
-		if tb.completed[i] || len(tb.copies[i]) == 0 {
-			continue
-		}
-		c := tb.best[i]
-		want := 0
-		if c.pendN < len(c.pendTRem) && !math.IsInf(js.jv.vs.SpeculableFrom(i), 1) {
-			want = 1
-		}
-		if entries[c] != want {
-			t.Fatalf("job %d: task %d's best copy has %d live sampling entries, want %d", js.job.ID, i, entries[c], want)
-		}
-	}
-}
-
 // rebuildView derives task ti's view from scratch at time now — the
 // reference formula the ViewSet's evaluated views must equal bit for bit.
-// It reads the scheduler's state only: no RNG draw, no side effect.
+// It reads the scheduler's state and derives its keyed draws from their
+// keys in its own streams, leaving the simulator untouched.
 func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView {
 	tb := &js.tasks
 	v := spec.TaskView{Index: ti}
@@ -214,10 +160,18 @@ func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView
 			v.TRem = trueRem * bias
 		}
 	}
+	key := func(ord int32, kind uint64) *dist.RNG {
+		r := dist.Keyed(dist.SubSeed(s.cfg.Seed, fault.DrawTag), uint64(js.job.ID), uint64(js.phaseIdx), uint64(ti), uint64(ord), kind)
+		return &r
+	}
 	if s.oracle {
-		v.TNew = tb.work[ti] * tb.nextFactor[ti]
+		factors := s.inputDist
+		if js.phaseIdx > 0 {
+			factors = s.interDist
+		}
+		v.TNew = tb.work[ti] * factors.Sample(key(tb.launched[ti], keyFactor))
 	} else {
-		v.TNew = s.est.NormalizedMedian() * tb.work[ti] * tb.tnewBias[ti]
+		v.TNew = s.est.NormalizedMedian() * tb.work[ti] * s.est.SampleTNewBias(key(0, keyTNew))
 	}
 	return v
 }

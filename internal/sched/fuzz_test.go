@@ -59,8 +59,8 @@ func FuzzIncrementalViews(f *testing.F) {
 					}
 				}
 			case 3:
-				// Extra dispatch at the same timestamp: refresh with nothing
-				// dirty, where pending-t_rem samples must still accrue.
+				// Extra dispatch at the same timestamp: a refresh with
+				// nothing dirty must leave the views as they were.
 				s.dispatch()
 			}
 		}

@@ -45,11 +45,13 @@ type Config struct {
 	// median copy duration (default 1.5).
 	TailStart float64
 	// Seed drives all randomness. Runs with identical seeds get identical
-	// machines. Duration factors, estimator biases and copy placement are
-	// drawn in event order, so identical seeds and traces replay identical
-	// stragglers only for reruns of one policy: two policies launch in
-	// different orders, so the same task draws a different straggler under
-	// each.
+	// machines, and a seed pairs straggler luck across policies: each
+	// copy's duration factor and t_rem bias are keyed by (job, phase, task,
+	// copy ordinal) and each task's t_new bias by (job, phase, task), so
+	// two policies that launch in different orders still draw the same
+	// straggler for the same copy. Copy placement is drawn in event order,
+	// so the machine slowdown a copy lands on is paired only across reruns
+	// of one policy.
 	Seed int64
 	// MaxEvents guards against runaway simulations (default 50M).
 	MaxEvents uint64

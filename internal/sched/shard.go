@@ -82,17 +82,6 @@ func ShardConfig(cfg Config, part, parts int) Config {
 
 // ShardedRun describes one partitioned simulation for RunSharded.
 type ShardedRun struct {
-	// Config is the unpartitioned simulator configuration; each partition
-	// runs under ShardConfig(Config, part, Parts).
-	Config Config
-	// Parts is the number of logical partitions — the model: how the
-	// cluster and trace are split. 1 reduces to the plain engine. It must
-	// not exceed the cluster's machine count.
-	Parts int
-	// Workers is the number of goroutines executing partitions. It never
-	// affects results; 0 means one goroutine per partition, and values
-	// above Parts are clamped. Tests set fewer to check that invariance.
-	Workers int
 	// NewFactory builds the policy factory for one partition. Policy
 	// state (GRASS's learner) must not be shared across partitions, so
 	// the factory is constructed per partition with the partition's seed.
@@ -112,10 +101,14 @@ type ShardedRun struct {
 	// the partition owning the merge frontier even starts, and the buffer
 	// grows to that partition's whole result set.
 	OnResult func(JobResult)
-	// Jobs is the total job count when OnResult is set: the merge layer
-	// interleaves the partition streams by the dense ID sequence
-	// 0..Jobs-1 (partition p must emit exactly the IDs ≡ p mod Parts).
-	Jobs int
+	// OnLearned, when set, receives the canonical ascending-partition
+	// merge of the per-partition factories' learned states after the run
+	// (MergeLearnedStates) — nil when no partition exported state (a
+	// non-learning policy, or a learner that is not mergeable). The
+	// merged state is exact: per-partition sketch stores fold bucket-wise,
+	// so the result is byte-identical for any worker count and equals the
+	// state a single factory fed every partition's samples would hold.
+	OnLearned func(spec.LearnedState)
 	// Learned, when non-nil, seeds every partition's factory with
 	// previously merged learned state (spec.SharedLearner.SeedLearned) —
 	// the "next epoch" half of partition-invariant learning: each
@@ -126,25 +119,32 @@ type ShardedRun struct {
 	// (the shared base is never folded P times). Factories that do not
 	// implement spec.SharedLearner ignore it.
 	Learned spec.LearnedState
-	// OnLearned, when set, receives the canonical ascending-partition
-	// merge of the per-partition factories' learned states after the run
-	// (MergeLearnedStates) — nil when no partition exported state (a
-	// non-learning policy, or a learner that is not mergeable). The
-	// merged state is exact: per-partition sketch stores fold bucket-wise,
-	// so the result is byte-identical for any worker count and equals the
-	// state a single factory fed every partition's samples would hold.
-	OnLearned func(spec.LearnedState)
-	// Walls, when non-nil with len ≥ Parts, receives each partition's
-	// wall-clock execution time (distinct indices, so concurrent workers
-	// never contend). Σ walls / max walls is the parallel-scaling bound
-	// the shard-scaling benchmarks report.
-	Walls []time.Duration
 	// Ctx, when non-nil, cancels the run: every partition's event loop
 	// checks it periodically (Simulator.SetContext) and workers stop
 	// claiming new partitions once it is done. RunSharded then returns
 	// ctx.Err(). An installed OnResult fold may have observed a prefix of
 	// the canonical result stream before the cancel surfaced.
 	Ctx context.Context
+	// Walls, when non-nil with len ≥ Parts, receives each partition's
+	// wall-clock execution time (distinct indices, so concurrent workers
+	// never contend). Σ walls / max walls is the parallel-scaling bound
+	// the shard-scaling benchmarks report.
+	Walls []time.Duration
+	// Config is the unpartitioned simulator configuration; each partition
+	// runs under ShardConfig(Config, part, Parts).
+	Config Config
+	// Parts is the number of logical partitions — the model: how the
+	// cluster and trace are split. 1 reduces to the plain engine. It must
+	// not exceed the cluster's machine count.
+	Parts int
+	// Workers is the number of goroutines executing partitions. It never
+	// affects results; 0 means one goroutine per partition, and values
+	// above Parts are clamped. Tests set fewer to check that invariance.
+	Workers int
+	// Jobs is the total job count when OnResult is set: the merge layer
+	// interleaves the partition streams by the dense ID sequence
+	// 0..Jobs-1 (partition p must emit exactly the IDs ≡ p mod Parts).
+	Jobs int
 }
 
 // RunSharded executes a partitioned simulation and merges the partition
@@ -339,10 +339,10 @@ func (r ShardedRun) runPart(p int, merge *shardMerge) (*RunStats, spec.LearnedSt
 // frontier reaches them. The buffer therefore holds the partitions'
 // completion skew; see ShardedRun.OnResult for the sizing contract.
 type shardMerge struct {
-	mu      sync.Mutex
-	cond    sync.Cond
 	pending map[int]JobResult
+	cond    sync.Cond
 	done    int // partitions whose result streams have ended
+	mu      sync.Mutex
 }
 
 func newShardMerge() *shardMerge {

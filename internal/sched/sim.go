@@ -10,54 +10,39 @@ import (
 	"github.com/approx-analytics/grass/internal/cluster"
 	"github.com/approx-analytics/grass/internal/dist"
 	"github.com/approx-analytics/grass/internal/estimate"
+	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
-
-// pend is an estimate handed to a policy, scored against ground truth when
-// the copy leaves the system (§5.1's accuracy bookkeeping).
-type pend struct {
-	est float64
-	at  float64
-}
 
 // copyRun is one executing copy of a task. Instances are recycled through
 // the simulator's free list: a copy dies (completes, is killed or is
 // preempted) strictly before its slot is reused, so the dispatch hot path
 // launches without allocating.
 type copyRun struct {
-	machineID int
-	start     float64
-	duration  float64 // ground-truth total runtime
-	ev        *simevent.Event
-	estTNew   float64 // t_new estimate at launch, 0 when not recorded
-	tremBias  float64 // persistent estimation error of this copy's t_rem
-
-	// pendTRem holds up to 4 outstanding t_rem estimates awaiting scoring;
-	// inline storage avoids a heap slice per copy. serial is the launch
-	// number that tells this incarnation of the pooled copy from earlier
-	// ones.
-	pendTRem [4]pend
-	pendN    int
-	serial   uint64
-
+	ev *simevent.Event
 	// js/task identify the copy's owner (task is the slot into js.tasks) so
 	// fn — the completion callback handed to the event engine — can be built
 	// once per pooled instance and reused across recycles instead of
 	// allocating a fresh closure per launch.
-	js          *jobState
-	fn          func(*simevent.Engine)
+	js        *jobState
+	fn        func(*simevent.Engine)
+	machineID int
+	start     float64
+	duration  float64 // ground-truth total runtime
+	estTNew   float64 // t_new estimate at launch, 0 when not recorded
+	tremBias  float64 // persistent estimation error of this copy's t_rem
+
 	task        int32
 	speculative bool
-	listed      bool // on its job's sampling list, under serial
 }
 
 // taskBlock is the hot per-task run state of a job's current phase, laid
 // out struct-of-arrays and indexed by task slot. The fields the dispatch
 // hot path touches every event — copy lists, completion flags, the cached
-// best copies, the estimator bias factors — each live in their own
-// contiguous array, so the view init and refresh walks (and a batch of
+// best copies, the launch counts — each live in their own contiguous
+// array, so the view init and refresh walks (and a batch of
 // same-time completions) stream through memory instead of chasing one
 // pointer per task. Only one phase is alive at a time, so one block
 // (recycled across phases and, via the simulator's jobState pool, across
@@ -66,8 +51,9 @@ type taskBlock struct {
 	work       []float64
 	span       []float64 // first launch to completion, for straggler stats
 	firstStart []float64
-	nextFactor []float64 // predrawn duration factor for the next copy (oracle lookahead)
-	tnewBias   []float64 // persistent estimation error of each task's t_new
+	// launched counts each task's copies launched so far: the ordinal that
+	// keys the next copy's draws.
+	launched []int32
 
 	// The best copy is cached on copy launch/completion/preemption instead
 	// of being recomputed whenever a task's view record is derived.
@@ -84,8 +70,7 @@ func (tb *taskBlock) reset(n int) {
 		tb.work = make([]float64, n)
 		tb.span = make([]float64, n)
 		tb.firstStart = make([]float64, n)
-		tb.nextFactor = make([]float64, n)
-		tb.tnewBias = make([]float64, n)
+		tb.launched = make([]int32, n)
 		tb.best = make([]*copyRun, n)
 		tb.copies = make([][]*copyRun, n)
 		tb.completed = make([]bool, n)
@@ -95,15 +80,14 @@ func (tb *taskBlock) reset(n int) {
 	tb.work = tb.work[:n]
 	tb.span = tb.span[:n]
 	tb.firstStart = tb.firstStart[:n]
-	tb.nextFactor = tb.nextFactor[:n]
-	tb.tnewBias = tb.tnewBias[:n]
+	tb.launched = tb.launched[:n]
 	tb.best = tb.best[:n]
 	tb.copies = tb.copies[:n]
 	tb.completed = tb.completed[:n]
 	tb.dirty = tb.dirty[:n]
 	for i := 0; i < n; i++ {
 		tb.work[i], tb.span[i], tb.firstStart[i] = 0, 0, 0
-		tb.nextFactor[i], tb.tnewBias[i] = 0, 0
+		tb.launched[i] = 0
 		tb.best[i] = nil
 		tb.copies[i] = tb.copies[i][:0]
 		tb.completed[i], tb.dirty[i] = false, false
@@ -135,12 +119,26 @@ func (p *phaseRun) satisfied() bool { return p.completed >= p.target }
 
 // jobState is the runtime state of one job.
 type jobState struct {
-	job    *task.Job
-	policy spec.IncrementalPolicy
-	// jv is the incrementally maintained candidate view state (views.go).
-	jv       jobViews
+	job        *task.Job
+	policy     spec.IncrementalPolicy
+	phase      *phaseRun
+	deadlineEv *simevent.Event
+
+	// Pooled per-job storage, kept across phases and — via the simulator's
+	// jobState free list — across jobs: the reusable deadline-event closure
+	// (built once per pooled instance, like copyRun.fn), the
+	// struct-of-arrays task block of the current phase, the incremental
+	// view state (views.go) and the phaseRun describing the phase. Only one
+	// phase is alive at a time, so one block serves the whole DAG; reset
+	// overwrites it when the phase advances (the old phase's copies were
+	// killed and its stats recorded by then).
+	deadlineFn func(*simevent.Engine)
+	tasks      taskBlock
+	jv         jobViews
+	phaseBuf   phaseRun
+
+	res      JobResult
 	phaseIdx int
-	phase    *phaseRun
 	running  int
 	specRun  int
 
@@ -151,20 +149,7 @@ type jobState struct {
 	demandPos int
 
 	inputDeadlineAbs float64 // deadline jobs: when the input phase freezes
-	deadlineEv       *simevent.Event
 	inputEnd         float64
-	res              JobResult
-
-	// Pooled per-job storage, kept across phases and — via the simulator's
-	// jobState free list — across jobs: the struct-of-arrays task block of
-	// the current phase, the phaseRun describing it, and the reusable
-	// deadline-event closure (built once per pooled instance, like
-	// copyRun.fn). Only one phase is alive at a time, so one block serves
-	// the whole DAG; reset overwrites it when the phase advances (the old
-	// phase's copies were killed and its stats recorded by then).
-	tasks      taskBlock
-	phaseBuf   phaseRun
-	deadlineFn func(*simevent.Engine)
 
 	done     bool
 	declined bool // within the current dispatch round
@@ -194,19 +179,53 @@ func demandLess(a, b *jobState) bool {
 
 // Simulator executes one trace under one speculation policy family.
 type Simulator struct {
-	cfg     Config
 	factory spec.Factory
 
 	eng *simevent.Engine
 	cl  *cluster.Cluster
 	est *estimate.Estimator
 
+	// rngPlace draws copy placement in event order. Every other straggler
+	// draw is keyed: draw is re-keyed from drawSeed for each one (keyed).
 	rngPlace *dist.RNG
-	rngDur   *dist.RNG
-	rngEst   *dist.RNG
 
 	inputDist dist.Sampler
 	interDist dist.Sampler
+
+	// interObs records intermediate-phase spans by DAG length, the basis of
+	// §5.2's deadline decomposition for multi-phase jobs, each length's
+	// spans kept sorted on insert so the median an admission needs is a
+	// read. Capped at maxInterObs samples per length so DAG replays stay
+	// bounded.
+	interObs map[int][]float64
+
+	// Admission state (RunSource): the source being drained, its optional
+	// recycler, the job whose arrival event is pending (nil exactly when no
+	// arrival is queued), the shared arrival closure, and prevArrival, the
+	// monotonicity watermark. srcErr records a mid-stream validation
+	// failure; admission stops and the error surfaces once jobs drain.
+	src        Source
+	rel        Releaser
+	pendingJob *task.Job
+	arrivalFn  func(*simevent.Engine)
+	srcErr     error
+
+	// flt is the fault injector, nil without a fault schedule — the nil
+	// check is the entire hot-path cost of the feature when disabled.
+	flt *faultInjector
+
+	// onResult, when set, receives each finished job's result instead of
+	// s.results accumulating them.
+	onResult func(JobResult)
+
+	// ctx, when set, cancels the run: the event loop checks it every
+	// ctxCheckEvery events and Run/RunSource return ctx.Err().
+	ctx context.Context
+
+	// checkViews, when set (differential tests), observes every launch
+	// attempt right after the policy decided, with the refreshed ViewSet
+	// still untouched by the launch itself.
+	checkViews func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool)
 
 	active  []*jobState
 	results []JobResult
@@ -221,43 +240,7 @@ type Simulator struct {
 	// the most underserved job from.
 	dheap []*jobState
 
-	// interObs records intermediate-phase spans by DAG length, the basis of
-	// §5.2's deadline decomposition for multi-phase jobs, each length's
-	// spans kept sorted on insert so the median an admission needs is a
-	// read. Capped at maxInterObs samples per length so DAG replays stay
-	// bounded.
-	interObs map[int][]float64
-
-	// Admission state (RunSource): the source being drained, its optional
-	// recycler, the job whose arrival event is pending (nil exactly when no
-	// arrival is queued), the shared arrival closure, and the monotonicity
-	// watermark. srcErr records a mid-stream validation failure; admission
-	// stops and the error surfaces once running jobs drain.
-	src         Source
-	rel         Releaser
-	pendingJob  *task.Job
-	arrivalFn   func(*simevent.Engine)
-	prevArrival float64
-	srcErr      error
-
-	// flt is the fault injector, nil without a fault schedule — the nil
-	// check is the entire hot-path cost of the feature when disabled.
-	flt *faultInjector
-
-	// onResult, when set, receives each finished job's result instead of
-	// s.results accumulating them.
-	onResult func(JobResult)
-
-	// ctx, when set, cancels the run: the event loop checks it every
-	// ctxCheckEvery events and Run/RunSource return ctx.Err().
-	ctx context.Context
-
-	utilIntegral float64
-	lastUtilT    float64
-
 	copyPool []*copyRun
-	// launches numbers copy launches: each copy's serial.
-	launches uint64
 	// jsPool recycles finished jobs' runtime state — the jobState itself,
 	// its incremental ViewSet arrays, dirty list and phase task blocks keep
 	// their capacity across jobs, so a long replay admits without
@@ -269,21 +252,22 @@ type Simulator struct {
 	// launch attempts never overlap, so one buffer serves them all.
 	runViews spec.RunBuf
 
+	cfg          Config
+	draw         dist.RNG
+	drawSeed     int64
+	prevArrival  float64
+	utilIntegral float64
+	lastUtilT    float64
+
 	// viewTouches counts task records derived (at a phase's init and for
-	// every dirtied incomplete task at a refresh) plus sampling-walk visits
-	// that took no sample; with launchAttempts it yields the
-	// touches-per-attempt figure BENCH_sim.json tracks (O(dirtied), not
-	// O(running)).
+	// every dirtied incomplete task at a refresh); with launchAttempts it
+	// yields the touches-per-attempt figure BENCH_sim.json tracks
+	// (O(dirtied), not O(running)).
 	// pairRechecks counts the (TNew, index) neighbour pairs rechecked
 	// after estimator-median moves — the near-tied ones only.
 	viewTouches    uint64
 	pairRechecks   uint64
 	launchAttempts uint64
-
-	// checkViews, when set (differential tests), observes every launch
-	// attempt right after the policy decided, with the refreshed ViewSet
-	// still untouched by the launch itself.
-	checkViews func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool)
 
 	// oracle is set when the factory implements spec.GroundTruth: policies
 	// then see exact durations, and the estimator is neither sampled nor
@@ -294,13 +278,11 @@ type Simulator struct {
 // TouchStats reports the simulator's view-maintenance work and how many
 // launch attempts ran. viewTouches counts task records re-derived (every
 // incomplete task at a phase's first attempt, then only the incomplete
-// tasks an event dirtied) plus visits of the t_rem sampling walk that took
-// no sample. Not counted: completed tasks leaving the set, which re-derive
-// nothing; the samples themselves — one per speculable running task with
-// room per attempt, the estimator's cadence, which any design records —
-// and running views evaluated on read, once per attempt. pairRechecks
-// counts the neighbour pairs of the unscheduled (TNew, index) order
-// rechecked after estimator-median moves, which only near-tied pairs need.
+// tasks an event dirtied). Not counted: completed tasks leaving the set,
+// which re-derive nothing, and running views evaluated on read, once per
+// attempt. pairRechecks counts the neighbour pairs of the unscheduled
+// (TNew, index) order rechecked after estimator-median moves, which only
+// near-tied pairs need.
 func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
 	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }
@@ -445,8 +427,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 		factory:  factory,
 		eng:      simevent.New(),
 		rngPlace: root.Split(),
-		rngDur:   root.Split(),
-		rngEst:   root.Split(),
+		drawSeed: dist.SubSeed(cfg.Seed, fault.DrawTag),
 		interObs: make(map[int][]float64),
 	}
 	if gt, ok := factory.(spec.GroundTruth); ok {
@@ -456,7 +437,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	if s.cl, err = cluster.New(cfg.Cluster, clRNG); err != nil {
 		return nil, err
 	}
-	if s.est, err = estimate.New(cfg.Estimator, s.rngEst); err != nil {
+	if s.est, err = estimate.New(cfg.Estimator); err != nil {
 		return nil, err
 	}
 	if s.inputDist, err = newFactorDist(cfg.DurationBeta, cfg.DurationCap, cfg.TailFrac, cfg.TailStart); err != nil {
@@ -477,7 +458,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	}
 	// The injector derives its randomness from the simulation seed through
 	// a reserved SubSeed tag (never root.Split()), so enabling faults does
-	// not perturb the placement/duration/estimator streams — and a zero
+	// not perturb the placement stream or the keyed draws — and a zero
 	// schedule builds nothing at all.
 	if cfg.Faults.Enabled() {
 		s.flt = newFaultInjector(s, cfg.Faults)
@@ -875,23 +856,18 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 		panic("sched: launch without a free slot")
 	}
 	tb := &js.tasks
-	factor := tb.nextFactor[ti]
-	if factor <= 0 {
-		factor = s.drawFactor(js)
-	}
-	tb.nextFactor[ti] = 0 // consumed
+	ord := tb.launched[ti]
+	tb.launched[ti]++
 	now := s.eng.Now()
 	c := s.newCopy(js, ti)
-	s.launches++
-	c.serial = s.launches
 	c.machineID = m.ID
 	c.start = now
-	c.duration = tb.work[ti] * factor * m.Slowdown
+	c.duration = tb.work[ti] * s.factor(js, ti, ord) * m.Slowdown
 	c.speculative = speculative
 	c.tremBias = 1
 	if !s.oracle {
 		c.estTNew = estTNew
-		c.tremBias = s.est.SampleTRemBias()
+		c.tremBias = s.est.SampleTRemBias(s.keyed(keyTRem, js, ti, ord))
 	}
 	if len(tb.copies[ti]) == 0 {
 		tb.firstStart[ti] = now
@@ -910,12 +886,30 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 	s.dirtyTask(js, ti)
 }
 
-// drawFactor samples a duration factor from the phase-appropriate tail.
-func (s *Simulator) drawFactor(js *jobState) float64 {
-	if js.phaseIdx == 0 {
-		return s.inputDist.Sample(s.rngDur)
+// The kinds of keyed draw, the last component of a draw's key.
+const (
+	keyFactor = iota // a copy's duration factor
+	keyTRem          // a copy's t_rem bias
+	keyTNew          // a task's t_new bias
+)
+
+// keyed re-keys the simulator's draw stream to (job, phase, task slot ti,
+// copy ordinal ord, kind) and returns it. Every straggler draw is a pure
+// function of its key, so two policies draw the same luck for the same
+// copy whatever order they launch in.
+func (s *Simulator) keyed(kind uint64, js *jobState, ti int, ord int32) *dist.RNG {
+	s.draw = dist.Keyed(s.drawSeed, uint64(js.job.ID), uint64(js.phaseIdx), uint64(ti), uint64(ord), kind)
+	return &s.draw
+}
+
+// factor is the duration factor of task slot ti's copy number ord, from
+// the phase-appropriate tail.
+func (s *Simulator) factor(js *jobState, ti int, ord int32) float64 {
+	d := s.inputDist
+	if js.phaseIdx > 0 {
+		d = s.interDist
 	}
-	return s.interDist.Sample(s.rngDur)
+	return d.Sample(s.keyed(keyFactor, js, ti, ord))
 }
 
 // buildCtx assembles the policy context for the job's current phase.
@@ -1019,7 +1013,7 @@ func (s *Simulator) removeCopies(js *jobState, ti int, gone func(*copyRun) bool)
 // endCopy is the one exit of every copy: the winner of a task completing
 // leaves through it directly, and every killed copy through removeCopies.
 // It releases the copy's slot, lowers its job's running (and speculative)
-// counts and settles the copy's recorded estimates against ground truth.
+// counts and scores the copy's estimates against ground truth.
 func (s *Simulator) endCopy(c *copyRun) {
 	s.cl.Release(c.machineID)
 	c.js.running--
@@ -1032,14 +1026,32 @@ func (s *Simulator) endCopy(c *copyRun) {
 	if c.estTNew > 0 {
 		s.est.RecordTNew(c.estTNew, c.duration)
 	}
-	for i := 0; i < c.pendN; i++ {
-		p := c.pendTRem[i]
-		actual := c.duration - (p.at - c.start)
-		if actual > 0 {
-			s.est.RecordTRem(p.est, actual)
+	s.scoreTRem(c, s.eng.Now())
+}
+
+// A copy reports progress every reportStep of its duration (§5: every 5%
+// of its data), and its first tremReports reports from
+// spec.MinSpecProgress on score a t_rem estimate.
+const (
+	reportStep  = 0.05
+	tremReports = 4
+)
+
+// scoreTRem scores, for a copy ending at now, the t_rem estimate of each
+// of its scored reports that it lived to send. At progress p the true
+// remaining time is rem = duration × (1 − p), and the estimate is the
+// view's spec.TRemEstimate(rem, bias, p); a non-positive rem scores
+// nothing.
+func (s *Simulator) scoreTRem(c *copyRun, now float64) {
+	for k := 0; k < tremReports; k++ {
+		p := spec.MinSpecProgress + float64(k)*reportStep
+		if now-c.start < p*c.duration {
+			return
+		}
+		if rem := c.duration * (1 - p); rem > 0 {
+			s.est.RecordTRem(spec.TRemEstimate(rem, c.tremBias, p), rem)
 		}
 	}
-	c.pendN = 0
 }
 
 // onInputDeadline freezes a deadline job's input phase: accuracy is locked

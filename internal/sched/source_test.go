@@ -196,7 +196,8 @@ func (f *fakeSource) Next() (*task.Job, bool) {
 // arrival had been queued before the first event. Run replays through
 // RunSource, so both must reproduce the golden; an arrival scheduled with
 // At would admit job 2 after the deadline freeze and move every job's
-// stats.
+// stats. The golden was re-recorded once on purpose, when straggler draws
+// became keyed by (job, phase, task, copy).
 func TestRunSourceMatchesRunOnTiedTimestamps(t *testing.T) {
 	mkJobs := func() []*task.Job {
 		return []*task.Job{
@@ -208,19 +209,19 @@ func TestRunSourceMatchesRunOnTiedTimestamps(t *testing.T) {
 	want := &RunStats{
 		Results: []JobResult{
 			{JobID: 0, NumTasks: 300, Bin: task.Medium, Kind: task.DeadlineBound, Deadline: 5, DAGLength: 1,
-				Accuracy: 0.67, Duration: 5, InputDuration: 5,
-				Launched: 353, Speculative: 142, Killed: 152, StragglerRatio: 2.5115166200929275},
+				Accuracy: 0.6833333333333333, Duration: 5, InputDuration: 5,
+				Launched: 389, Speculative: 179, Killed: 184, StragglerRatio: 3.679543838008461},
 			{JobID: 1, NumTasks: 30, Bin: task.Small, Kind: task.ErrorBound, DAGLength: 1,
-				Accuracy: 1, Duration: 4.379805315666781, InputDuration: 4.379805315666781,
-				Launched: 51, Speculative: 21, Killed: 21, StragglerRatio: 3.846981235535527},
+				Accuracy: 1, Duration: 19.882501051766695, InputDuration: 19.882501051766695,
+				Launched: 46, Speculative: 16, Killed: 16, StragglerRatio: 19.430790450958465},
 			{JobID: 2, NumTasks: 30, Bin: task.Small, Kind: task.ErrorBound, Epsilon: 0.1, DAGLength: 1,
-				Accuracy: 0.9, Duration: 1.405944912201969, InputDuration: 1.405944912201969,
-				Launched: 34, Speculative: 4, Killed: 7, StragglerRatio: 1.561079457064332},
+				Accuracy: 0.9, Duration: 1.6873706792861647, InputDuration: 1.6873706792861647,
+				Launched: 46, Speculative: 16, Killed: 19, StragglerRatio: 1.7259726631029015},
 		},
-		Makespan:          9.37980531566678,
-		MeanUtilization:   0.5958766515266292,
-		Events:            262,
-		EstimatorAccuracy: 0.7002883635402999,
+		Makespan:          24.882501051766695,
+		MeanUtilization:   0.23932470308792808,
+		Events:            266,
+		EstimatorAccuracy: 0.6961827623885621,
 	}
 	runs := map[string]func(*Simulator) (*RunStats, error){
 		"Run":       func(s *Simulator) (*RunStats, error) { return s.Run(mkJobs()) },

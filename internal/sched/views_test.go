@@ -1,10 +1,10 @@
 package sched
 
 import (
-	"math"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/dist"
+	"github.com/approx-analytics/grass/internal/estimate"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 )
@@ -15,7 +15,7 @@ import (
 // hands the median to the set; a moved median leaves every record alone,
 // every incomplete task's TNew reads median × work × bias at the new
 // median bit for bit, and the (TNew, index) order holds. In both cases the
-// refresh's only touches are sampling-walk visits that take no sample.
+// refresh touches nothing.
 func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	s, err := New(smallConfig(5), spec.Stateless(spec.NewGS()))
 	if err != nil {
@@ -43,20 +43,11 @@ func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 		if len(js.jv.dirty) != 0 {
 			t.Fatalf("%d tasks dirty before the refresh", len(js.jv.dirty))
 		}
-		// The clock stands still, so the copies due for sampling are the
-		// list's due tail, and a visit takes no sample iff the view is not
-		// speculable.
-		idle := uint64(0)
-		for _, r := range js.jv.sampling {
-			if math.IsInf(r.at, -1) && !vs.At(int(r.c.task)).Speculable {
-				idle++
-			}
-		}
 		to, re, _ := s.TouchStats()
 		s.refreshViews(js)
 		to2, re2, _ := s.TouchStats()
-		if to2-to != idle {
-			t.Fatalf("refresh touched %d records, want only its %d sampling visits that take no sample", to2-to, idle)
+		if to2 != to {
+			t.Fatalf("refresh with nothing dirty touched %d records, want 0", to2-to)
 		}
 		return to2 - to, re2 - re
 	}
@@ -97,7 +88,8 @@ func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	refresh()
 	for i, before := range tnewBefore {
 		got := vs.TNew(i)
-		if want := med * js.tasks.work[i] * js.tasks.tnewBias[i]; got != want {
+		bias := s.est.SampleTNewBias(s.keyed(keyTNew, js, i, 0))
+		if want := med * js.tasks.work[i] * bias; got != want {
 			t.Fatalf("task %d TNew %v after the move, want %v", i, got, want)
 		}
 		if got == before {
@@ -159,4 +151,121 @@ func TestLazyTNewRescaleIsInexact(t *testing.T) {
 	}
 	t.Logf("witnesses in %d trials: epoch %d, reassociation %d, order flips %d",
 		trials, epochMiss, reassocMiss, orderFlips)
+}
+
+// TestStragglersPairedAcrossPolicies: a copy's duration factor is keyed by
+// (job, phase, task, copy ordinal), not drawn in launch order, so every
+// policy draws the same straggler for the same copy. On a homogeneous
+// cluster every machine's slowdown is exactly 1, so a task's first copy
+// lasts work × factor under every policy. The hook records that duration
+// for each task seen running with its first copy as its only launch, and
+// every task seen under two policies must have bit-identical durations.
+func TestStragglersPairedAcrossPolicies(t *testing.T) {
+	type taskKey struct{ job, phase, task int }
+	seen := make([]map[taskKey]float64, len(diffPolicies))
+	for p, pol := range diffPolicies {
+		cfg := smallConfig(7)
+		cfg.Cluster.HeterogeneitySigma = 0
+		s, err := New(cfg, pol.factory(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := map[taskKey]float64{}
+		s.checkViews = func(js *jobState, _ spec.Ctx, _ *spec.ViewSet, _ spec.Decision, _ bool) {
+			tb := &js.tasks
+			for i := 0; i < js.phase.n; i++ {
+				if tb.launched[i] == 1 && len(tb.copies[i]) == 1 {
+					first[taskKey{js.job.ID, js.phaseIdx, i}] = tb.copies[i][0].duration
+				}
+			}
+		}
+		if _, err := s.Run(diffWorkload()); err != nil {
+			t.Fatal(err)
+		}
+		seen[p] = first
+	}
+	fewest := -1
+	for a := range diffPolicies {
+		for b := a + 1; b < len(diffPolicies); b++ {
+			both := 0
+			for k, da := range seen[a] {
+				db, ok := seen[b][k]
+				if !ok {
+					continue
+				}
+				both++
+				if da != db {
+					t.Fatalf("%s vs %s: job %d phase %d task %d's first copy lasts %v vs %v",
+						diffPolicies[a].name, diffPolicies[b].name, k.job, k.phase, k.task, da, db)
+				}
+			}
+			if both < 500 {
+				t.Fatalf("%s vs %s: only %d tasks seen under both policies", diffPolicies[a].name, diffPolicies[b].name, both)
+			}
+			if fewest < 0 || both < fewest {
+				fewest = both
+			}
+		}
+	}
+	t.Logf("every policy pair shares at least %d first copies", fewest)
+}
+
+// TestTRemScoredAtProgressReports: a copy scores the t_rem estimate of
+// each of its first four progress reports from spec.MinSpecProgress on
+// that it lived to send, in closed form at its end: at report p the true
+// remaining time is rem = duration × (1 − p) and the estimate is
+// spec.TRemEstimate(rem, bias, p). A reference estimator fed exactly those
+// scores must agree with the simulator's to the bit.
+func TestTRemScoredAtProgressReports(t *testing.T) {
+	cfg := smallConfig(3)
+	c := &copyRun{start: 2, duration: 8, tremBias: 1.6}
+	reports := []float64{0.15, 0.20, 0.25, 0.30}
+	for _, tc := range []struct {
+		name   string
+		lived  float64 // fraction of its duration the copy ran
+		scored int
+	}{
+		{"killed before the first report", 0.149, 0},
+		{"killed after two reports", 0.22, 2},
+		{"completed", 1, 4},
+	} {
+		s, err := New(cfg, spec.Stateless(spec.NewGS()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := estimate.New(cfg.Estimator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range reports[:tc.scored] {
+			rem := c.duration * (1 - p)
+			ref.RecordTRem(spec.TRemEstimate(rem, c.tremBias, p), rem)
+		}
+		s.scoreTRem(c, c.start+tc.lived*c.duration)
+		if got, want := s.est.TRemAccuracy(), ref.TRemAccuracy(); got != want {
+			t.Errorf("%s: t_rem accuracy %v, want %v from %d scores", tc.name, got, want, tc.scored)
+		}
+	}
+
+	// A completed copy is scored through endCopy: a one-task job's only
+	// copy leaves four t_rem scores.
+	s, err := New(cfg, spec.Stateless(spec.NoSpec{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.admit(uniformJob(0, 1, task.Exact(), 0))
+	only := *s.active[0].tasks.copies[0][0]
+	for s.eng.Step() {
+	}
+	ref, err := estimate.New(cfg.Estimator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range reports {
+		rem := only.duration * (1 - p)
+		ref.RecordTRem(spec.TRemEstimate(rem, only.tremBias, p), rem)
+	}
+	if got, want := s.est.TRemAccuracy(), ref.TRemAccuracy(); got != want {
+		t.Fatalf("completed copy: t_rem accuracy %v, want %v from four scores", got, want)
+	}
 }

@@ -19,10 +19,10 @@ import "math"
 // engine promises is exact for any width. A sweep that finds every window
 // empty falls back to a direct minimum search and jumps the cursor there.
 type calendarQueue struct {
-	width   float64
 	buckets [][]*Event
 	scratch []*Event // resize staging, reused
-	vb      int64    // cursor's virtual bucket; MaxInt64 when empty
+	width   float64
+	vb      int64 // cursor's virtual bucket; MaxInt64 when empty
 	mask    int64
 	n       int
 }

@@ -45,8 +45,8 @@ const bucketStaged = -3
 // Event is a scheduled callback. The callback receives the engine so it can
 // schedule follow-up events.
 type Event struct {
-	Time float64
 	Fn   func(*Engine)
+	Time float64
 
 	seq    uint64 // insertion order, breaks (timestamp, class) ties
 	index  int    // queue position (or batch position when staged), -1 fired, -2 cancelled
@@ -87,13 +87,13 @@ func eventBefore(a, b *Event) bool {
 // run-loop semantics (exact event limits, per-event checks) are unchanged
 // while the queue is only consulted once per batch.
 type Engine struct {
+	q          queue
+	batch      []*Event // staged same-(Time, class) events in seq order; nil = consumed
+	free       []*Event // recycled fired/cancelled events, see package doc
 	now        float64
 	batchTime  float64 // fire time of the staged batch (valid when batchLive > 0)
 	nextSq     uint64
 	fired      uint64
-	q          queue
-	batch      []*Event // staged same-(Time, class) events in seq order; nil = consumed
-	free       []*Event // recycled fired/cancelled events, see package doc
 	batchPos   int
 	batchLive  int   // staged events not yet fired or cancelled
 	batchClass uint8 // class of the staged batch (valid when batchLive > 0)

@@ -53,8 +53,8 @@ import (
 // removing the task between two safe pairs leaves a safe pair, by
 // transitivity — and a median move rechecks only the near-tied pairs
 // (SetMedian). A ground-truth set's median is 1 and never moves: its keys
-// change only when a launch consumes a predrawn duration factor, which
-// already dirties the task.
+// change only when a launch moves a task on to its next copy's duration
+// factor, which already dirties the task.
 //
 // The scheduler owns maintenance, and the set has one write path: an event
 // only marks its task dirty, and the refresh before the next launch attempt
@@ -250,11 +250,16 @@ func (vs *ViewSet) eval(v *TaskView, i int) {
 		v.TRem = trueRem
 	} else {
 		v.Speculable = v.Progress >= MinSpecProgress
-		// Extrapolation error shrinks as progress accumulates: a
-		// nearly-done copy's remaining time is well known.
-		bias := 1 + (r.TRemBias-1)*(1-v.Progress)
-		v.TRem = trueRem * bias
+		v.TRem = TRemEstimate(trueRem, r.TRemBias, v.Progress)
 	}
+}
+
+// TRemEstimate is the t_rem estimate of a copy whose true remaining time
+// is rem, whose persistent t_rem bias is bias and whose progress is p. The
+// bias's error shrinks as progress accumulates: a nearly-done copy's
+// remaining time is well known.
+func TRemEstimate(rem, bias, p float64) float64 {
+	return rem * (1 + (bias-1)*(1-p))
 }
 
 // progress is a running view's Progress at time now: the best copy's
@@ -273,27 +278,6 @@ func progress(now, start, duration float64) float64 {
 		p = 0
 	}
 	return p
-}
-
-// SpeculableFrom returns a time before which running task i's estimated
-// view cannot be speculable, judged from its stored best copy: -Inf when
-// it may be speculable already, +Inf when it never will be. Progress never
-// decreases as the clock advances, so the bound holds until the record
-// changes. The bound is a slightly early guess at the threshold crossing,
-// verified against progress at the float just before it.
-func (vs *ViewSet) SpeculableFrom(i int) float64 {
-	r := &vs.recs[i]
-	if vs.groundTruth {
-		return math.Inf(-1)
-	}
-	if !(r.Duration > 0) {
-		return math.Inf(1)
-	}
-	at := r.Start + MinSpecProgress*r.Duration*(1-0x1p-20)
-	if progress(math.Nextafter(at, math.Inf(-1)), r.Start, r.Duration) >= MinSpecProgress {
-		return math.Inf(-1)
-	}
-	return at
 }
 
 // TNew returns task i's fresh-copy estimate, median × work × factor.
