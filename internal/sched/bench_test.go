@@ -52,14 +52,15 @@ func benchJobs(n int) []*task.Job {
 }
 
 // runSimBench runs full simulations of the bench workload under one policy
-// and reports per-event wall clock, per-event heap allocations and
-// task-view touches per launch attempt — the numbers BENCH_sim.json tracks
+// and reports per-event wall clock, per-event heap allocations, and per
+// launch attempt the task records re-derived (touches) and the full
+// running-view evaluations (evals) — the numbers BENCH_sim.json tracks
 // across PRs. Run replays the slice through RunSource, the streaming
 // admission path every replay takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, attempts uint64
+	var events, allocs, touches, evals, attempts uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,6 +85,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		allocs += m1.Mallocs - m0.Mallocs
 		to, _, at := s.TouchStats()
 		touches += to
+		evals += s.runViews.Evals()
 		attempts += at
 	}
 	if events > 0 {
@@ -92,6 +94,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 	}
 	if attempts > 0 {
 		b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
+		b.ReportMetric(float64(evals)/float64(attempts), "evals/attempt")
 	}
 }
 
@@ -242,11 +245,12 @@ func BenchmarkDispatch(b *testing.B) {
 
 // BenchmarkLargeJobReplay is the large-job replay profile: a handful of
 // overlapping 2000-task jobs simulated end to end under GS. An attempt
-// re-derives only the records an event dirtied and evaluates the running
-// views once, not the whole job, so touches/attempt (which BENCH_sim.json
-// records) stays far below the 2000 views a from-scratch rebuild would
-// derive per attempt; rechecks/attempt counts the near-tied neighbour
-// pairs median moves recheck.
+// re-derives only the records an event dirtied, not the whole job, so
+// touches/attempt (which BENCH_sim.json records) stays far below the 2000
+// views a from-scratch rebuild would derive per attempt; evals/attempt
+// counts the full running-view evaluations, which attempts at one clock
+// tick share, and rechecks/attempt the near-tied neighbour pairs median
+// moves recheck.
 func BenchmarkLargeJobReplay(b *testing.B) {
 	jobs := func() []*task.Job {
 		return []*task.Job{
@@ -258,7 +262,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 	}
 	run := func(b *testing.B, factory func() spec.Factory) {
 		b.Helper()
-		var touches, rechecks, attempts, events uint64
+		var touches, evals, rechecks, attempts, events uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -275,6 +279,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 			}
 			to, re, at := s.TouchStats()
 			touches += to
+			evals += s.runViews.Evals()
 			rechecks += re
 			attempts += at
 			events += stats.Events
@@ -282,6 +287,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 		}
 		if attempts > 0 {
 			b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
+			b.ReportMetric(float64(evals)/float64(attempts), "evals/attempt")
 			b.ReportMetric(float64(rechecks)/float64(attempts), "rechecks/attempt")
 		}
 		if events > 0 {
@@ -351,11 +357,11 @@ func BenchmarkShardedReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildViews measures the per-launch-attempt view cost for one
-// mid-flight 300-task job: the refresh re-derives nothing (nothing is
-// dirty between attempts at one timestamp — the steady state of a
-// dispatch round), and the running views are evaluated once, as a
-// policy's first read does.
+// BenchmarkBuildViews measures the view cost of a repeated launch attempt
+// on one mid-flight 300-task job at one timestamp — the steady state of a
+// dispatch round offering a job several slots: the refresh re-derives
+// nothing (nothing is dirty), and the policy's read of the running views
+// returns the buffer the first attempt evaluated.
 func BenchmarkBuildViews(b *testing.B) {
 	setup := func(b *testing.B) (*Simulator, *jobState) {
 		s, err := New(benchConfig(1), spec.Stateless(spec.NoSpec{}))

@@ -57,14 +57,18 @@ type taskBlock struct {
 
 	// The best copy is cached on copy launch/completion/preemption instead
 	// of being recomputed whenever a task's view record is derived.
-	best      []*copyRun // earliest-finishing copy; first appended wins ties
+	best []*copyRun // earliest-finishing copy; first appended wins ties
+	// copies lists each task's running copies. Task i's list starts as the
+	// window copyBuf[i*spec.MaxCopies:][:0:spec.MaxCopies], so launches
+	// append without allocating up to the policies' copy cap.
 	copies    [][]*copyRun
+	copyBuf   []*copyRun
 	completed []bool
 	dirty     []bool // task is on its job's incremental-view dirty list
 }
 
 // reset sizes every array to n tasks and zeroes the slots, keeping pooled
-// capacity (including each task's copy-list backing array) when it fits.
+// capacity when it fits.
 func (tb *taskBlock) reset(n int) {
 	if cap(tb.work) < n {
 		tb.work = make([]float64, n)
@@ -73,24 +77,29 @@ func (tb *taskBlock) reset(n int) {
 		tb.launched = make([]int32, n)
 		tb.best = make([]*copyRun, n)
 		tb.copies = make([][]*copyRun, n)
+		tb.copyBuf = make([]*copyRun, n*spec.MaxCopies)
 		tb.completed = make([]bool, n)
 		tb.dirty = make([]bool, n)
-		return
+	} else {
+		tb.work = tb.work[:n]
+		tb.span = tb.span[:n]
+		tb.firstStart = tb.firstStart[:n]
+		tb.launched = tb.launched[:n]
+		tb.best = tb.best[:n]
+		tb.copies = tb.copies[:n]
+		tb.completed = tb.completed[:n]
+		tb.dirty = tb.dirty[:n]
+		clear(tb.work)
+		clear(tb.span)
+		clear(tb.firstStart)
+		clear(tb.launched)
+		clear(tb.best)
+		clear(tb.completed)
+		clear(tb.dirty)
 	}
-	tb.work = tb.work[:n]
-	tb.span = tb.span[:n]
-	tb.firstStart = tb.firstStart[:n]
-	tb.launched = tb.launched[:n]
-	tb.best = tb.best[:n]
-	tb.copies = tb.copies[:n]
-	tb.completed = tb.completed[:n]
-	tb.dirty = tb.dirty[:n]
-	for i := 0; i < n; i++ {
-		tb.work[i], tb.span[i], tb.firstStart[i] = 0, 0, 0
-		tb.launched[i] = 0
-		tb.best[i] = nil
-		tb.copies[i] = tb.copies[i][:0]
-		tb.completed[i], tb.dirty[i] = false, false
+	for i := range tb.copies {
+		lo := i * spec.MaxCopies
+		tb.copies[i] = tb.copyBuf[lo:lo:(lo + spec.MaxCopies)]
 	}
 }
 
@@ -249,7 +258,8 @@ type Simulator struct {
 	jsPool []*jobState
 
 	// runViews is the running-view buffer every job's ViewSet shares:
-	// launch attempts never overlap, so one buffer serves them all.
+	// launch attempts never overlap, so one buffer serves them all. It
+	// holds the last-read job's views until another job reads its own.
 	runViews spec.RunBuf
 
 	cfg          Config
@@ -279,10 +289,11 @@ type Simulator struct {
 // launch attempts ran. viewTouches counts task records re-derived (every
 // incomplete task at a phase's first attempt, then only the incomplete
 // tasks an event dirtied). Not counted: completed tasks leaving the set,
-// which re-derive nothing, and running views evaluated on read, once per
-// attempt. pairRechecks counts the neighbour pairs of the unscheduled
-// (TNew, index) order rechecked after estimator-median moves, which only
-// near-tied pairs need.
+// which re-derive nothing, and running views evaluated on read — in full
+// at most once per job and clock tick, counted by the running-view
+// buffer's Evals. pairRechecks counts the neighbour pairs of the
+// unscheduled (TNew, index) order rechecked after estimator-median moves,
+// which only near-tied pairs need.
 func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
 	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }

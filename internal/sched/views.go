@@ -10,12 +10,15 @@
 // refresh before the next launch attempt — the set's only writer — drops
 // the dirtied tasks that completed and re-derives and re-files the rest.
 // Time passing dirties nothing (running views are evaluated at the
-// attempt's clock, once per attempt, into the simulator's one running-view
-// buffer), and neither does an estimator update: t_new is median × work ×
-// factor on read, and a median move only rechecks the near-tied
-// neighbours of the set's (TNew, index) order (spec.ViewSet.SetMedian).
-// A launch attempt on an n-task job therefore re-derives O(dirtied)
-// records, not O(running), let alone n.
+// attempt's clock into the simulator's one running-view buffer, which
+// stays valid while the clock and the median stand still: the refresh's
+// updates patch the views they change, so the attempts a job makes at one
+// instant — one per slot it is offered — share one evaluation), and
+// neither does an estimator update: t_new is median × work × factor on
+// read, and a median move only rechecks the near-tied neighbours of the
+// set's (TNew, index) order (spec.ViewSet.SetMedian). A launch attempt on
+// an n-task job therefore re-derives O(dirtied) records, not O(running),
+// let alone n.
 //
 // Deriving a record reads the scheduler's state and keyed draws only (a
 // task's t_new bias, or under ground truth its next copy's duration
@@ -80,10 +83,12 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 
 // refreshViews brings the job's ViewSet up to date for a launch attempt
 // at the current simulation time. It is the only writer of the set: it
-// moves the t_new median, drops the dirtied tasks that completed and
-// re-derives and files the other dirtied records. Filing is order-free
-// and deriving a record draws only keyed randomness, so the dirty list is
-// walked in the order events dirtied it.
+// moves the clock and the t_new median, drops the dirtied tasks that
+// completed and re-derives and files the other dirtied records. Filing is
+// order-free and deriving a record draws only keyed randomness, so the
+// dirty list is walked in the order events dirtied it. Within one clock
+// tick and median the filing patches the buffered running views, so a
+// retry after a launch evaluates none of them afresh.
 func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	jv := &js.jv
 	now := s.eng.Now()

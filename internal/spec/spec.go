@@ -117,9 +117,10 @@ type Policy interface {
 // scheduler keeps a ViewSet alive across events — re-deriving, before the
 // next launch attempt, only the records of tasks an event touched (copy
 // launch/finish/preemption), while views are evaluated on read at the
-// attempt's clock and t_new median — and the policy selects from the
-// maintained orderings and the attempt's running views instead of
-// rescanning every task.
+// attempt's clock and t_new median, the running ones into a buffer that
+// attempts at one clock tick share — and the policy selects from the
+// maintained orderings and the buffered running views, with warm-started
+// selections, instead of rescanning every task.
 //
 // The contract mirrors Pick exactly: given the same job state,
 // PickIncremental must return the identical Decision (including

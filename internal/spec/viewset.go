@@ -33,14 +33,20 @@ import (
 //     pick is its head, and the error-bound earliest set's unscheduled
 //     members are a prefix of it.
 //
-// Running views are evaluated at most once per launch attempt: the first
-// read after Begin evaluates every running task's view into a buffer in
-// running-list order (RunningViews), valid until the next Begin or
-// mutation. Policies read running views by position in that buffer. For r
-// running and u unscheduled tasks the deadline picks cost O(r) per
-// attempt, and the error-bound earliest set (EarliestCandidates) and the
-// median TNew cost O(r) expected plus O(log r · log u): a quickselect over
-// the running keys whose probes binary-search uorder.
+// Running views are evaluated at most once per clock tick: the first read
+// evaluates every running task's view into a buffer in running-list order
+// (RunningViews), and the buffer stays valid until the clock or the median
+// moves or the phase resets. Update and Remove patch the one view they
+// change (re-evaluate, insert or delete it at its position in running), so
+// the launch attempts a job makes at one instant — one per slot it is
+// offered — evaluate its running views once between them. Policies read
+// running views by position in that buffer. For r running and u
+// unscheduled tasks the deadline picks cost O(r) per attempt, and the
+// error-bound earliest set (EarliestCandidates) and the median TNew cost
+// O(r) expected plus O(log r · log u): a quickselect over the running keys
+// whose probes binary-search uorder, warm-started from the previous
+// selection's boundary (selHint) so it usually settles after one counting
+// pass.
 //
 // The (TNew, index) order survives a median move almost for free. A key
 // is fl(fl(m·w)·f), within a factor (1 ± u)² of the exact product m·w·f
@@ -78,8 +84,13 @@ type ViewSet struct {
 	now, med    float64
 	groundTruth bool
 
-	// run holds the attempt's running views and query scratch, shared by
-	// the scheduler's sets.
+	// earliest and median are the boundaries of the previous
+	// EarliestCandidates and MedianTNew selections, which warm-start the
+	// next ones.
+	earliest, median selHint
+
+	// run holds the running views and query scratch, shared by the
+	// scheduler's sets.
 	run *RunBuf
 }
 
@@ -106,20 +117,27 @@ type TaskRec struct {
 	near int32
 }
 
-// RunBuf holds what one launch attempt evaluates: a ViewSet's running
-// views, evaluated once per attempt, and the selection scratch its queries
-// reuse. ViewSets whose attempts never overlap — every job of one
-// simulator — share one, so its capacity is paid once.
+// RunBuf holds one ViewSet's running views and the selection scratch its
+// queries reuse. The views are evaluated on the owner's first read and stay
+// valid, patched by its updates, until its clock or median moves or it
+// resets, or another set sharing the buffer reads its own. ViewSets whose
+// attempts never overlap — every job of one simulator — share one, so its
+// capacity is paid once.
 type RunBuf struct {
 	owner *ViewSet
 	views []TaskView
 	// runKeys holds the running tasks' selection keys in running order,
-	// selKeys the copy each selection permutes, and runIn backs
+	// selKeys the keys a selection still has to partition, and runIn backs
 	// EarliestCandidates' returned positions, valid until the next call.
 	runKeys []effIdx
 	selKeys []effIdx
 	runIn   []int
+	evals   uint64
 }
+
+// Evals returns how many times the buffer evaluated a set's running views
+// in full; patches by Update and Remove do not count.
+func (b *RunBuf) Evals() uint64 { return b.evals }
 
 // Eval says how a ViewSet turns records into views.
 type Eval struct {
@@ -145,6 +163,7 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.uorder = vs.uorder[:0]
 	vs.near = vs.near[:0]
 	vs.sealed = false
+	vs.earliest, vs.median = selHint{}, selHint{}
 	vs.groundTruth, vs.run = e.GroundTruth, e.Buf
 	if vs.run == nil {
 		vs.run = new(RunBuf)
@@ -180,11 +199,14 @@ func (vs *ViewSet) Seal(now, med float64) {
 	vs.sealed = true
 }
 
-// Begin starts a launch attempt at time now: running views are evaluated
-// afresh on the next read.
+// Begin starts a launch attempt at time now. Running views buffered at an
+// earlier time are evaluated afresh on the next read; at the same time the
+// buffer, patched by every update since, is still exact.
 func (vs *ViewSet) Begin(now float64) {
-	vs.now = now
-	vs.dropRun()
+	if now != vs.now {
+		vs.now = now
+		vs.dropRun()
+	}
 }
 
 // SetMedian moves the t_new median to med and restores the (TNew, index)
@@ -222,7 +244,7 @@ func (vs *ViewSet) Len() int { return len(vs.running) + len(vs.unsched) }
 
 // At evaluates the current view of task i. Only meaningful for incomplete
 // tasks of the phase; policies read running views through RunningViews,
-// which evaluates each once per attempt.
+// which buffers them.
 func (vs *ViewSet) At(i int) TaskView {
 	var v TaskView
 	vs.eval(&v, i)
@@ -287,9 +309,11 @@ func (vs *ViewSet) TNew(i int) float64 {
 }
 
 // RunningViews returns the views of the tasks with at least one executing
-// copy, ascending by index, evaluated on the first call of the attempt.
-// The slice is valid until the next Begin or mutation of any set sharing
-// the buffer; callers must not mutate or retain it.
+// copy, ascending by index. They are evaluated in full only when the
+// buffer does not hold this set's views at the current clock and median;
+// otherwise the buffer, which Update and Remove patch, is returned as is.
+// The slice is valid until the next Begin, SetMedian or mutation of any
+// set sharing the buffer; callers must not mutate or retain it.
 func (vs *ViewSet) RunningViews() []TaskView {
 	b := vs.run
 	if b.owner != vs {
@@ -298,6 +322,7 @@ func (vs *ViewSet) RunningViews() []TaskView {
 			vs.eval(&views[k], i)
 		}
 		b.views, b.owner = views, vs
+		b.evals++
 	}
 	return b.views
 }
@@ -334,12 +359,12 @@ func (vs *ViewSet) MedianTNew() float64 {
 	}
 	h := n / 2
 	b := vs.run
-	keys := b.selKeys[:0]
+	keys := b.runKeys[:0]
 	for _, i := range vs.running {
 		keys = append(keys, vs.tnewKey(i))
 	}
-	b.selKeys = keys
-	j, maxIn, minOut := vs.selectRunning(keys, h)
+	b.runKeys = keys
+	j, maxIn, minOut := vs.selectRunning(keys, h, &vs.median)
 	// h-j unscheduled tasks are inside; uorder[h-j] is the smallest
 	// unscheduled one outside.
 	above := minOut.eff
@@ -364,43 +389,56 @@ func (vs *ViewSet) MedianTNew() float64 {
 // count crossed zero moves between the running and unscheduled lists, and
 // an unscheduled task whose key operands changed (an oracle redraw) moves
 // in uorder; either way it is first unfiled under the stored record, the
-// one it is filed under.
+// one it is filed under. A running task's buffered view is re-evaluated,
+// inserted or deleted in place.
 func (vs *ViewSet) Update(i int, r TaskRec) {
-	vs.dropRun()
 	old := &vs.recs[i]
 	moved := (old.Copies > 0) != (r.Copies > 0) ||
 		(r.Copies == 0 && (old.Work != r.Work || old.Factor != r.Factor))
 	if !moved {
 		r.near = old.near
 		*old = r
+		if r.Copies > 0 && vs.buffered() {
+			vs.eval(&vs.run.views[sortedPos(vs.running, i, "running")], i)
+		}
 		return
 	}
 	vs.unfile(i)
 	r.near = 0
 	*old = r
 	if r.Copies > 0 {
-		vs.running = insertSortedInt(vs.running, i)
+		p := sort.SearchInts(vs.running, i)
+		vs.running = slices.Insert(vs.running, p, i)
+		if vs.buffered() {
+			b := vs.run
+			b.views = slices.Insert(b.views, p, TaskView{})
+			vs.eval(&b.views[p], i)
+		}
 		return
 	}
-	vs.unsched = insertSortedInt(vs.unsched, i)
+	p := sort.SearchInts(vs.unsched, i)
+	vs.unsched = slices.Insert(vs.unsched, p, i)
 	vs.uorderInsert(i)
 }
 
 // Remove drops completed task i from the set.
-func (vs *ViewSet) Remove(i int) {
-	vs.dropRun()
-	vs.unfile(i)
-}
+func (vs *ViewSet) Remove(i int) { vs.unfile(i) }
 
-// unfile drops task i from the lists its stored record filed it in. The
-// uorder search compares through the stored records, so the entry must
-// still carry the key it is filed under while it is being located.
+// unfile drops task i from the lists its stored record filed it in, and a
+// running task's view from the buffer. The uorder search compares through
+// the stored records, so the entry must still carry the key it is filed
+// under while it is being located.
 func (vs *ViewSet) unfile(i int) {
 	if vs.recs[i].Copies > 0 {
-		vs.running = removeSortedInt(vs.running, i, "running")
+		p := sortedPos(vs.running, i, "running")
+		vs.running = slices.Delete(vs.running, p, p+1)
+		if vs.buffered() {
+			vs.run.views = slices.Delete(vs.run.views, p, p+1)
+		}
 		return
 	}
-	vs.unsched = removeSortedInt(vs.unsched, i, "unsched")
+	p := sortedPos(vs.unsched, i, "unsched")
+	vs.unsched = slices.Delete(vs.unsched, p, p+1)
 	vs.uorderRemove(i)
 }
 
@@ -456,7 +494,7 @@ func (vs *ViewSet) CheckOrder() error {
 //     to the smallest index (LJF's pick inside the set), or -1 when the
 //     set contains no unscheduled task.
 //
-// runIn aliases the attempt's scratch, valid until the next call or update.
+// runIn aliases the buffer's scratch, valid until the next call or update.
 // Cost is O(r) expected plus O(log r · log u) for r running and u
 // unscheduled tasks (see selectRunning), where the reference quickselects
 // every incomplete task.
@@ -481,12 +519,9 @@ func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
 		keys = append(keys, effIdx{eff: effDuration(rv[k]), idx: rv[k].Index})
 	}
 	b.runKeys = keys
-	sel := append(b.selKeys[:0], keys...)
-	b.selKeys = sel
-	j, _, minOut := vs.selectRunning(sel, need)
+	j, _, minOut := vs.selectRunning(keys, need, &vs.earliest)
 	// The members are the running keys below minOut; filtering the keys in
-	// running order keeps runIn ascending whatever order the selection
-	// left its copy in.
+	// running order keeps runIn ascending.
 	for k, key := range keys {
 		if j == len(keys) || key.less(minOut) {
 			runIn = append(runIn, k)
@@ -501,29 +536,132 @@ func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
 // uorder, at its `need` smallest members. It returns how many of the
 // members are running keys (j), the largest running member (meaningful
 // when j > 0) and the smallest running non-member (meaningful when
-// j < len(keys)), leaving keys[:j] holding the running members.
+// j < len(keys)), and records the split in h for the next selection of the
+// same kind. keys is left as it is.
 //
 // The m-th smallest running key (0-based) is a member iff the unscheduled
 // keys below it plus the m running keys below it leave room:
 // unschedBelow + m < need. The left side grows strictly with m, so the
 // running members are a prefix of the running keys in key order, and a
 // quickselect finds the boundary: each partition of the still-undecided
-// range lands its pivot at its rank m, one binary search of uorder says
-// which side of the boundary the pivot is on, and the other side of the
-// range is decided. That is O(r) expected partitioning and O(log r)
-// expected probes.
-func (vs *ViewSet) selectRunning(keys []effIdx, need int) (j int, maxIn, minOut effIdx) {
+// keys lands its pivot at its rank m, one binary search of uorder says
+// which side of the boundary the pivot is on, and the other side is
+// decided. That is O(r) expected partitioning and O(log r) expected
+// probes.
+//
+// A hint first decides what it can: one counting pass places its two keys
+// among the running keys (count3) and one probe each decides a side of
+// them, so only the keys that crossed the previous boundary since are
+// copied out and quickselected. Every key set has one split under the
+// total (key, index) order, so any hint — exact, stale or absent — gives
+// the same result; it changes only the work.
+func (vs *ViewSet) selectRunning(keys []effIdx, need int, h *selHint) (j int, maxIn, minOut effIdx) {
+	// The undecided keys are those in [from, to): lo running keys sort
+	// below them and len(keys)−hi above.
 	lo, hi := 0, len(keys)
-	for lo < hi {
-		m := partitionPairs(keys, lo, hi)
-		k := keys[m]
-		if m < need && vs.uorderSearch(k)+m < need {
-			lo, maxIn = m+1, k
-		} else {
-			hi, minOut = m, k
+	from, to := lowestKey, highestKey
+	if h.set {
+		p, q, e := count3(keys, h.in, h.out)
+		if p == q {
+			// No key between the hint keys: the nearest keys beyond each
+			// lie in the outer blocks.
+			e.midMin, e.midMax = e.highMin, e.lowMax
+		}
+		// A hint key v with c running keys below it decides a side of
+		// itself: the largest running key below v has at most
+		// uorderSearch(v) + c − 1 keys below it, and the smallest running
+		// key from v on at least uorderSearch(v) + c.
+		for _, v := range [2]struct {
+			key          effIdx
+			c            int
+			below, above effIdx
+		}{{h.in, p, e.lowMax, e.midMin}, {h.out, q, e.midMax, e.highMin}} {
+			n := vs.uorderSearch(v.key) + v.c
+			if n <= need && v.c > lo {
+				lo, from, maxIn = v.c, v.key, v.below
+			}
+			if n >= need && v.c < hi {
+				hi, to, minOut = v.c, v.key, v.above
+			}
 		}
 	}
-	return lo, maxIn, minOut
+	sel := vs.run.selKeys[:0]
+	if lo < hi {
+		for _, k := range keys {
+			if !k.less(from) && k.less(to) {
+				sel = append(sel, k)
+			}
+		}
+	}
+	vs.run.selKeys = sel
+	l, r := 0, len(sel)
+	for l < r {
+		m := partitionPairs(sel, l, r)
+		k := sel[m]
+		if rank := lo + m; rank < need && vs.uorderSearch(k)+rank < need {
+			l, maxIn = m+1, k
+		} else {
+			r, minOut = m, k
+		}
+	}
+	j = lo + l
+	*h = selHint{in: lowestKey, out: highestKey, set: true}
+	if j > 0 {
+		h.in = effIdx{eff: maxIn.eff, idx: maxIn.idx + 1}
+	}
+	if j < len(keys) {
+		h.out = minOut
+	}
+	return j, maxIn, minOut
+}
+
+// selHint is a selection's previous split, from which the next one starts:
+// the running members were the keys below in (the largest member's
+// successor) and the non-members the keys from out on (the smallest
+// non-member), with the sentinel keys standing for an empty side.
+type selHint struct {
+	in, out effIdx
+	set     bool
+}
+
+// lowestKey and highestKey sort below and above every task's key.
+var (
+	lowestKey  = effIdx{eff: math.Inf(-1), idx: math.MinInt}
+	highestKey = effIdx{eff: math.Inf(1), idx: math.MaxInt}
+)
+
+// splitExt holds the extremes of count3's blocks; an empty block's stay at
+// the sentinels.
+type splitExt struct{ lowMax, midMin, midMax, highMin effIdx }
+
+// count3 places keys a ≤ b among xs — p keys sort below a and q below b —
+// and returns the extremes of the three blocks: below a, in [a, b) and
+// from b on.
+func count3(xs []effIdx, a, b effIdx) (p, q int, e splitExt) {
+	e = splitExt{lowMax: lowestKey, midMin: highestKey, midMax: lowestKey, highMin: highestKey}
+	mid := 0
+	for _, x := range xs {
+		switch {
+		case x.less(a):
+			p++
+			if e.lowMax.less(x) {
+				e.lowMax = x
+			}
+		case x.less(b):
+			mid++
+			if x.less(e.midMin) {
+				e.midMin = x
+			}
+			if e.midMax.less(x) {
+				e.midMax = x
+			}
+		default:
+			if x.less(e.highMin) {
+				e.highMin = x
+			}
+		}
+	}
+	return p, p + mid, e
 }
 
 // partitionPairs partitions xs[lo:hi] around a median-of-three pivot and
@@ -564,9 +702,12 @@ func (vs *ViewSet) ljfUnsched(k int) int {
 	return vs.uorder[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
 }
 
+// buffered reports whether the running-view buffer holds this set's views.
+func (vs *ViewSet) buffered() bool { return vs.run != nil && vs.run.owner == vs }
+
 // dropRun invalidates the running-view buffer if this set filled it.
 func (vs *ViewSet) dropRun() {
-	if vs.run != nil && vs.run.owner == vs {
+	if vs.buffered() {
 		vs.run.owner = nil
 	}
 }
@@ -691,18 +832,12 @@ func (vs *ViewSet) unmark(a int) {
 	vs.recs[a].near = 0
 }
 
-func insertSortedInt(xs []int, v int) []int {
-	p := sort.SearchInts(xs, v)
-	xs = append(xs, 0)
-	copy(xs[p+1:], xs[p:])
-	xs[p] = v
-	return xs
-}
-
-func removeSortedInt(xs []int, v int, what string) []int {
+// sortedPos returns v's position in the ascending list xs. A miss means
+// the list diverged from the records, so it panics like uorderPos.
+func sortedPos(xs []int, v int, what string) int {
 	p := sort.SearchInts(xs, v)
 	if p >= len(xs) || xs[p] != v {
 		panic(fmt.Sprintf("spec: ViewSet %s list diverged: task %d not present", what, v))
 	}
-	return append(xs[:p], xs[p+1:]...)
+	return p
 }

@@ -478,6 +478,208 @@ func TestViewSetRepairsNearTies(t *testing.T) {
 	}
 }
 
+// refEarliest is the reference error-bound earliest set of views at cut
+// need, split the way EarliestCandidates reports it: the running members'
+// task indices, ascending, and the unscheduled member with the largest
+// TNew (ties to the smallest index), or -1.
+func refEarliest(views []TaskView, need int) ([]int, int) {
+	var run []int
+	fresh := -1
+	var freshT float64
+	for _, k := range earliestSet(Ctx{TargetTasks: need}, views, nil) {
+		v := views[k]
+		if v.Running {
+			run = append(run, v.Index)
+		} else if fresh == -1 || v.TNew > freshT || (v.TNew == freshT && v.Index < fresh) {
+			fresh, freshT = v.Index, v.TNew
+		}
+	}
+	sort.Ints(run)
+	return run, fresh
+}
+
+// TestSelectionHints holds the warm-started selections to the reference:
+// EarliestCandidates and MedianTNew must return the reference earliest set
+// and median whatever hint they start from — none, the exact boundary, a
+// stale one taken from another state, two of the state's own keys, or
+// keys below or above every key — and must leave the same boundary behind.
+func TestSelectionHints(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	_, other, _ := randViews(rng)
+	// near draws a hint from two of the state's keys: the selection keys of
+	// its running tasks and the (TNew, index) keys of its unscheduled ones.
+	near := func(views []TaskView, key func(TaskView) effIdx) selHint {
+		a, b := key(views[rng.Intn(len(views))]), key(views[rng.Intn(len(views))])
+		if b.less(a) {
+			a, b = b, a
+		}
+		return selHint{in: a, out: b, set: true}
+	}
+	eKey := func(v TaskView) effIdx { return effIdx{eff: effDuration(v), idx: v.Index} }
+	mKey := func(v TaskView) effIdx { return effIdx{eff: v.TNew, idx: v.Index} }
+	warm := 0 // selections that started from a hint with both sides set
+	for iter := 0; iter < 3000; iter++ {
+		views, vs, _ := randViews(rng)
+		need := rng.Intn(len(views) + 2)
+		wantRun, wantFresh := refEarliest(views, need)
+		wantMed := sortedMedianTNew(views)
+		vs.EarliestCandidates(need)
+		vs.MedianTNew()
+		exactE, exactM := vs.earliest, vs.median
+		selects := need > 0 && need < vs.Len()
+		if !selects {
+			exactE = selHint{}
+		}
+		for _, h := range []struct {
+			name string
+			e, m selHint
+		}{
+			{"none", selHint{}, selHint{}},
+			{"exact", exactE, exactM},
+			{"stale", other.earliest, other.median},
+			{"near", near(views, eKey), near(views, mKey)},
+			{"near", near(views, eKey), near(views, mKey)},
+			{"below", selHint{in: lowestKey, out: lowestKey, set: true}, selHint{in: lowestKey, out: lowestKey, set: true}},
+			{"above", selHint{in: highestKey, out: highestKey, set: true}, selHint{in: highestKey, out: highestKey, set: true}},
+			{"around", selHint{in: lowestKey, out: highestKey, set: true}, selHint{in: lowestKey, out: highestKey, set: true}},
+		} {
+			if h.e.set && h.e.in != lowestKey && h.e.out != highestKey {
+				warm++
+			}
+			vs.earliest, vs.median = h.e, h.m
+			runIn, fresh := vs.EarliestCandidates(need)
+			rv := vs.RunningViews()
+			var gotRun []int
+			for _, k := range runIn {
+				gotRun = append(gotRun, rv[k].Index)
+			}
+			if fmt.Sprint(gotRun) != fmt.Sprint(wantRun) || fresh != wantFresh {
+				t.Fatalf("iter %d hint %s %+v need %d: running members %v fresh %d, reference %v fresh %d\nviews %+v",
+					iter, h.name, h.e, need, gotRun, fresh, wantRun, wantFresh, views)
+			}
+			if selects && vs.earliest != exactE {
+				t.Fatalf("iter %d hint %s: left earliest boundary %+v, want %+v", iter, h.name, vs.earliest, exactE)
+			}
+			if got := vs.MedianTNew(); got != wantMed {
+				t.Fatalf("iter %d hint %s %+v: MedianTNew %v, reference %v", iter, h.name, h.m, got, wantMed)
+			}
+			if vs.median != exactM {
+				t.Fatalf("iter %d hint %s: left median boundary %+v, want %+v", iter, h.name, vs.median, exactM)
+			}
+		}
+		other = vs
+	}
+	if warm < 1000 {
+		t.Fatalf("only %d selections started from a two-sided hint", warm)
+	}
+}
+
+// TestRunningViewsPatchedWithinClock drives one set through the updates a
+// refresh makes between launch attempts at one instant — a running task
+// gaining a copy, a launch, a preemption, t_new factor changes of a running
+// and an unscheduled task, completions of a running and an unscheduled
+// task — then a median move and a new clock. After each step the buffered
+// running views must equal a freshly sealed set's, and only the median
+// move and the new clock may evaluate them in full.
+func TestRunningViewsPatchedWithinClock(t *testing.T) {
+	running := func(work float64, start, dur, bias float64) TaskRec {
+		return TaskRec{Work: work, Factor: 1, Copies: 1, Start: start, Duration: dur, End: start + dur, TRemBias: bias, FirstStart: start}
+	}
+	for _, gt := range []bool{false, true} {
+		recs := map[int]TaskRec{
+			0: {Work: 1, Factor: 1},
+			1: running(2, 7, 4, 1.2),
+			2: {Work: 3, Factor: 1},
+			3: running(1.5, 6, 3, 0.9),
+			4: running(2.5, 7.5, 2, 1),
+			5: {Work: 0.5, Factor: 2},
+			7: running(1, 5, 6, 1.1),
+		}
+		now, med := testNow, 1.3
+		if gt {
+			med = 1
+		}
+		build := func() *ViewSet {
+			fresh := &ViewSet{}
+			fresh.Reset(8, Eval{GroundTruth: gt})
+			for i := 0; i < 8; i++ {
+				if r, ok := recs[i]; ok {
+					fresh.Init(i, r)
+				}
+			}
+			fresh.Seal(now, med)
+			return fresh
+		}
+		vs := build()
+		vs.RunningViews()
+		evals := vs.run.Evals()
+		steps := []struct {
+			name string
+			do   func()
+			eval bool // the step may evaluate the running views in full
+		}{
+			{"copy added", func() {
+				r := recs[1]
+				r.Copies, r.Start, r.Duration, r.End = 2, 8, 1, 9
+				recs[1] = r
+				vs.Update(1, r)
+			}, false},
+			{"launch", func() {
+				recs[0] = TaskRec{Work: 1, Factor: 1, Copies: 1, Start: now, Duration: 2, End: now + 2, TRemBias: 1.3, FirstStart: now}
+				vs.Update(0, recs[0])
+			}, false},
+			{"preemption", func() {
+				recs[3] = TaskRec{Work: 1.5, Factor: 1}
+				vs.Update(3, recs[3])
+			}, false},
+			{"running factor", func() {
+				r := recs[7]
+				r.Factor = 1.7
+				recs[7] = r
+				vs.Update(7, r)
+			}, false},
+			{"unscheduled factor", func() {
+				recs[2] = TaskRec{Work: 3, Factor: 0.4}
+				vs.Update(2, recs[2])
+			}, false},
+			{"running completes", func() {
+				delete(recs, 4)
+				vs.Remove(4)
+			}, false},
+			{"unscheduled completes", func() {
+				delete(recs, 5)
+				vs.Remove(5)
+			}, false},
+			{"median move", func() {
+				if !gt {
+					med = 0.8
+				}
+				vs.SetMedian(med)
+			}, !gt},
+			{"new clock", func() {
+				now++
+				vs.Begin(now)
+			}, true},
+		}
+		for _, st := range steps {
+			vs.Begin(now)
+			st.do()
+			got, want := vs.RunningViews(), build().RunningViews()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("gt=%v after %s: running views\n%+v\nfresh set\n%+v", gt, st.name, got, want)
+			}
+			if err := vs.CheckOrder(); err != nil {
+				t.Fatalf("gt=%v after %s: %v", gt, st.name, err)
+			}
+			n := vs.run.Evals() - evals
+			if st.eval != (n == 1) || n > 1 {
+				t.Fatalf("gt=%v after %s: %d full evaluations", gt, st.name, n)
+			}
+			evals += n
+		}
+	}
+}
+
 // TestTaskRecSize pins the per-task record at 64 bytes or less: the
 // record replaced a stored 64-byte TaskView, and the heap ceiling of a
 // large replay assumes no growth.
@@ -495,10 +697,13 @@ var (
 // BenchmarkEarliestCandidates times the error-bound earliest-set selection
 // on a sealed 2,000-task ViewSet as the running set widens toward a large
 // phase's share of the default 400-slot cluster, with need cutting shallow
-// (a tenth of the tasks) and deep (nine tenths). The running views are
-// evaluated once per attempt, so after the warm-up call each iteration is
-// the selection alone; it works in the set's reusable scratch and must not
-// allocate: scripts/perfwall.sh walls allocs/op at 0.
+// (a tenth of the tasks) and deep (nine tenths). The running views stay
+// buffered while the clock stands still, so after the warm-up call each
+// iteration is the selection alone: "warm" starts it from the previous
+// call's boundary, as repeated attempts on one job do, and "cold" clears
+// that hint first, pricing the full quickselect. It works in the set's
+// reusable scratch and must not allocate: scripts/perfwall.sh walls
+// allocs/op at 0.
 func BenchmarkEarliestCandidates(b *testing.B) {
 	const n = 2000
 	cuts := []struct {
@@ -527,11 +732,18 @@ func BenchmarkEarliestCandidates(b *testing.B) {
 					vs.Init(i, r)
 				}
 				vs.Seal(testNow, 1)
-				vs.EarliestCandidates(cut.need)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sinkRunIn, sinkFresh = vs.EarliestCandidates(cut.need)
+				for _, cold := range []bool{false, true} {
+					b.Run(map[bool]string{false: "warm", true: "cold"}[cold], func(b *testing.B) {
+						vs.EarliestCandidates(cut.need)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if cold {
+								vs.earliest = selHint{}
+							}
+							sinkRunIn, sinkFresh = vs.EarliestCandidates(cut.need)
+						}
+					})
 				}
 			})
 		}

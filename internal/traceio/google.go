@@ -38,47 +38,48 @@ const (
 // positioned DecodeError naming the column.
 func parseGoogleEvent(file string, line int, text string) (GoogleTaskEvent, error) {
 	ev := GoogleTaskEvent{Pos: Position{File: file, Line: line}}
-	fields, cols := splitFields(text, ",")
-	if len(fields) != googleFields {
+	var fields [googleFields]string
+	if n := splitFields(text, ',', fields[:]); n != googleFields {
 		return ev, decodeErrf(file, line, 0, nil,
-			"task_events record has %d fields, want %d (Google cluster-data v2 schema)", len(fields), googleFields)
+			"task_events record has %d fields, want %d (Google cluster-data v2 schema)", n, googleFields)
 	}
+	col := func(i int) int { return fieldCol(fields[:], i) }
 	ts, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
 	if err != nil {
-		return ev, decodeErrf(file, line, cols[0], err, "bad timestamp %q", fields[0])
+		return ev, decodeErrf(file, line, col(0), err, "bad timestamp %q", fields[0])
 	}
 	if math.IsNaN(ts) || math.IsInf(ts, 0) || ts < 0 {
-		return ev, decodeErrf(file, line, cols[0], nil, "timestamp %v out of range (want finite, >= 0)", ts)
+		return ev, decodeErrf(file, line, col(0), nil, "timestamp %v out of range (want finite, >= 0)", ts)
 	}
 	ev.Timestamp = ts
 	ev.JobID = strings.TrimSpace(fields[2])
 	if ev.JobID == "" {
-		return ev, decodeErrf(file, line, cols[2], nil, "empty job id")
+		return ev, decodeErrf(file, line, col(2), nil, "empty job id")
 	}
 	idx, err := strconv.ParseInt(strings.TrimSpace(fields[3]), 10, 64)
 	if err != nil {
-		return ev, decodeErrf(file, line, cols[3], err, "bad task index %q", fields[3])
+		return ev, decodeErrf(file, line, col(3), err, "bad task index %q", fields[3])
 	}
 	if idx < 0 {
-		return ev, decodeErrf(file, line, cols[3], nil, "negative task index %d", idx)
+		return ev, decodeErrf(file, line, col(3), nil, "negative task index %d", idx)
 	}
 	ev.TaskIndex = idx
 	et, err := strconv.Atoi(strings.TrimSpace(fields[5]))
 	if err != nil {
-		return ev, decodeErrf(file, line, cols[5], err, "bad event type %q", fields[5])
+		return ev, decodeErrf(file, line, col(5), err, "bad event type %q", fields[5])
 	}
 	if et < 0 || et > googleMaxEvt {
-		return ev, decodeErrf(file, line, cols[5], nil, "event type %d out of [0, %d]", et, googleMaxEvt)
+		return ev, decodeErrf(file, line, col(5), nil, "event type %d out of [0, %d]", et, googleMaxEvt)
 	}
 	ev.EventType = et
 	ev.CPU = -1
 	if c := strings.TrimSpace(fields[9]); c != "" {
 		cpu, err := strconv.ParseFloat(c, 64)
 		if err != nil {
-			return ev, decodeErrf(file, line, cols[9], err, "bad CPU request %q", fields[9])
+			return ev, decodeErrf(file, line, col(9), err, "bad CPU request %q", fields[9])
 		}
 		if math.IsNaN(cpu) || cpu < 0 || cpu > 1 {
-			return ev, decodeErrf(file, line, cols[9], nil, "CPU request %v out of [0, 1] (v2 requests are normalized)", cpu)
+			return ev, decodeErrf(file, line, col(9), nil, "CPU request %v out of [0, 1] (v2 requests are normalized)", cpu)
 		}
 		ev.CPU = cpu
 	}
@@ -169,7 +170,7 @@ func (d *googleDecoder) advance() bool {
 		d.open = map[string]*googleJob{}
 		return false
 	}
-	ev, err := parseGoogleEvent(d.sc.file, d.sc.line, d.sc.text())
+	ev, err := parseGoogleEvent(d.sc.file, d.sc.line, d.sc.text)
 	if err != nil {
 		d.e = err
 		d.eof = true

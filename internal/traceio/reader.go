@@ -72,7 +72,11 @@ func (g *gzipFile) Close() error {
 type lineScanner struct {
 	sc   *bufio.Scanner
 	file string
-	line int // line number of the text Text() returned
+	// text is the current line with a trailing \r (from \r\n records)
+	// stripped and surrounding whitespace intact otherwise — column offsets
+	// must stay aligned with the raw file — and line its number.
+	text string
+	line int
 	err  error
 }
 
@@ -90,7 +94,8 @@ func (s *lineScanner) next() bool {
 	}
 	for s.sc.Scan() {
 		s.line++
-		t := strings.TrimSpace(s.text())
+		s.text = strings.TrimSuffix(s.sc.Text(), "\r")
+		t := strings.TrimSpace(s.text)
 		if t == "" || strings.HasPrefix(t, "#") {
 			continue
 		}
@@ -105,11 +110,4 @@ func (s *lineScanner) next() bool {
 		}
 	}
 	return false
-}
-
-// text returns the current line with a trailing \r (from \r\n records)
-// stripped and surrounding whitespace intact otherwise — column offsets
-// must stay aligned with the raw file.
-func (s *lineScanner) text() string {
-	return strings.TrimSuffix(s.sc.Text(), "\r")
 }

@@ -29,22 +29,22 @@ const swimFields = 6
 // positioned DecodeError naming the field.
 func parseSWIMRecord(file string, line int, text string) (SWIMRecord, error) {
 	rec := SWIMRecord{Pos: Position{File: file, Line: line}}
-	fields, cols := splitFields(text, "\t")
-	if len(fields) != swimFields {
+	var fields [swimFields]string
+	if n := splitFields(text, '\t', fields[:]); n != swimFields {
 		return rec, decodeErrf(file, line, 0, nil,
-			"SWIM record has %d fields, want %d (job_id, submit_s, gap_s, map_bytes, shuffle_bytes, output_bytes)", len(fields), swimFields)
+			"SWIM record has %d fields, want %d (job_id, submit_s, gap_s, map_bytes, shuffle_bytes, output_bytes)", n, swimFields)
 	}
 	rec.JobID = strings.TrimSpace(fields[0])
 	if rec.JobID == "" {
-		return rec, decodeErrf(file, line, cols[0], nil, "empty job id")
+		return rec, decodeErrf(file, line, fieldCol(fields[:], 0), nil, "empty job id")
 	}
 	num := func(i int, name string, min float64) (float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(fields[i]), 64)
 		if err != nil {
-			return 0, decodeErrf(file, line, cols[i], err, "bad %s %q", name, fields[i])
+			return 0, decodeErrf(file, line, fieldCol(fields[:], i), err, "bad %s %q", name, fields[i])
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < min {
-			return 0, decodeErrf(file, line, cols[i], nil, "%s %v out of range (want finite, >= %v)", name, v, min)
+			return 0, decodeErrf(file, line, fieldCol(fields[:], i), nil, "%s %v out of range (want finite, >= %v)", name, v, min)
 		}
 		return v, nil
 	}
@@ -67,17 +67,37 @@ func parseSWIMRecord(file string, line int, text string) (SWIMRecord, error) {
 	return rec, nil
 }
 
-// splitFields splits text on sep and returns the fields plus each field's
-// 1-based starting column, so validation errors can point inside the line.
-func splitFields(text, sep string) ([]string, []int) {
-	fields := strings.Split(text, sep)
-	cols := make([]int, len(fields))
-	col := 1
-	for i, f := range fields {
-		cols[i] = col
-		col += len(f) + len(sep)
+// splitFields splits text on sep into fields and returns how many fields
+// text has; those past len(fields) are only counted. Every record format
+// has a fixed arity, so a caller sizes fields to it and rejects any other
+// count.
+func splitFields(text string, sep byte, fields []string) int {
+	n := 0
+	for {
+		i := strings.IndexByte(text, sep)
+		if n < len(fields) {
+			if i < 0 {
+				fields[n] = text
+			} else {
+				fields[n] = text[:i]
+			}
+		}
+		n++
+		if i < 0 {
+			return n
+		}
+		text = text[i+1:]
 	}
-	return fields, cols
+}
+
+// fieldCol returns the 1-based column at which field i of a line split by
+// splitFields starts, so validation errors can point inside the line.
+func fieldCol(fields []string, i int) int {
+	col := 1
+	for _, f := range fields[:i] {
+		col += len(f) + 1
+	}
+	return col
 }
 
 // swimDecoder streams a SWIM file into jobs: one record is one job, already
@@ -105,7 +125,7 @@ func (d *swimDecoder) next(j *task.Job) bool {
 		d.e = d.sc.err
 		return false
 	}
-	rec, err := parseSWIMRecord(d.sc.file, d.sc.line, d.sc.text())
+	rec, err := parseSWIMRecord(d.sc.file, d.sc.line, d.sc.text)
 	if err != nil {
 		d.e = err
 		return false
