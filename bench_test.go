@@ -10,9 +10,9 @@
 //
 // These are *result* benchmarks. The *performance* benchmarks of the
 // simulator's dispatch hot path (BenchmarkSimulatorQuick on small jobs,
-// BenchmarkLargeJobReplay on 2000-task jobs, BenchmarkDispatch, and
-// BenchmarkBuildViews for the per-attempt view refresh) live in
-// internal/sched; their per-event numbers are tracked in BENCH_sim.json, and
+// BenchmarkLargeJobReplay on 2000-task jobs and BenchmarkDispatch) live in
+// internal/sched, and BenchmarkPickFreshClock for one GS or RAS pick at a
+// new clock in internal/spec; their numbers are tracked in BENCH_sim.json, and
 // `grass-bench -profile <prefix>` writes pprof profiles for digging into
 // regressions.
 package grass_test

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,16 +220,35 @@ func (r *ReplayStats) Render(w io.Writer) {
 // memSample is the replay's heap sampling interval.
 const memSample = 20 * time.Millisecond
 
-// memWatch samples the heap until stopped, keeping the maxima. Sampling
-// only observes the run — simulation results do not depend on it.
+// heapClasses are the runtime/metrics heap classes memWatch reads. The
+// first is MemStats.HeapAlloc's quantity, the bytes of allocated heap
+// objects; all four sum to HeapSys's, the heap memory claimed from the OS
+// (in use, free and released).
+var heapClasses = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/free:bytes",
+	"/memory/classes/heap/released:bytes",
+}
+
+// memWatch samples the heap until stopped, keeping the maxima. It reads
+// runtime/metrics, unlike runtime.ReadMemStats, which stops the world and
+// flushes every P's allocation cache on each call. Sampling only observes
+// the run — simulation results do not depend on it.
 type memWatch struct {
 	heap, sys atomic.Uint64
-	stop      chan struct{}
-	done      sync.WaitGroup
+	// samples is read into by one goroutine at a time: the starter, the
+	// sampler, then finish once the sampler has exited.
+	samples []metrics.Sample
+	stop    chan struct{}
+	done    sync.WaitGroup
 }
 
 func startMemWatch(every time.Duration) *memWatch {
-	w := &memWatch{stop: make(chan struct{})}
+	w := &memWatch{stop: make(chan struct{}), samples: make([]metrics.Sample, len(heapClasses))}
+	for i, name := range heapClasses {
+		w.samples[i].Name = name
+	}
 	w.sample()
 	w.done.Add(1)
 	go func() {
@@ -249,13 +268,16 @@ func startMemWatch(every time.Duration) *memWatch {
 }
 
 func (w *memWatch) sample() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if m.HeapAlloc > w.heap.Load() {
-		w.heap.Store(m.HeapAlloc)
+	metrics.Read(w.samples)
+	heap, sys := w.samples[0].Value.Uint64(), uint64(0)
+	for _, s := range w.samples {
+		sys += s.Value.Uint64()
 	}
-	if m.HeapSys > w.sys.Load() {
-		w.sys.Store(m.HeapSys)
+	if heap > w.heap.Load() {
+		w.heap.Store(heap)
+	}
+	if sys > w.sys.Load() {
+		w.sys.Store(sys)
 	}
 }
 

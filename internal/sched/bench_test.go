@@ -52,15 +52,14 @@ func benchJobs(n int) []*task.Job {
 }
 
 // runSimBench runs full simulations of the bench workload under one policy
-// and reports per-event wall clock, per-event heap allocations, and per
-// launch attempt the task records re-derived (touches) and the full
-// running-view evaluations (evals) — the numbers BENCH_sim.json tracks
-// across PRs. Run replays the slice through RunSource, the streaming
-// admission path every replay takes.
+// and reports per-event wall clock, per-event heap allocations, and the
+// task records re-derived per launch attempt (touches) — the numbers
+// BENCH_sim.json tracks across PRs. Run replays the slice through
+// RunSource, the streaming admission path every replay takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, evals, attempts uint64
+	var events, allocs, touches, attempts uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,7 +84,6 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		allocs += m1.Mallocs - m0.Mallocs
 		to, _, at := s.TouchStats()
 		touches += to
-		evals += s.runViews.Evals()
 		attempts += at
 	}
 	if events > 0 {
@@ -94,7 +92,6 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 	}
 	if attempts > 0 {
 		b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
-		b.ReportMetric(float64(evals)/float64(attempts), "evals/attempt")
 	}
 }
 
@@ -216,8 +213,9 @@ func benchGrassFactory(k core.LearnerKind) spec.Factory {
 // is saturated by evenly matched jobs, so dispatch computes the fair-share
 // table and scans for an underserved job but launches nothing — isolating
 // the round bookkeeping that has been incremental and allocation-free
-// since PR 2. (Launch-attempt view costs are covered by BenchmarkBuildViews
-// and BenchmarkLargeJobReplay, which time the incremental refresh: a
+// since PR 2. (Launch-attempt costs are covered by spec's
+// BenchmarkPickFreshClock, which prices one pick at a new clock, and
+// BenchmarkLargeJobReplay, which times the incremental refresh: a
 // saturated round never reaches tryLaunch.)
 func BenchmarkDispatch(b *testing.B) {
 	for _, njobs := range []int{4, 16, 64} {
@@ -247,10 +245,8 @@ func BenchmarkDispatch(b *testing.B) {
 // overlapping 2000-task jobs simulated end to end under GS. An attempt
 // re-derives only the records an event dirtied, not the whole job, so
 // touches/attempt (which BENCH_sim.json records) stays far below the 2000
-// views a from-scratch rebuild would derive per attempt; evals/attempt
-// counts the full running-view evaluations, which attempts at one clock
-// tick share, and rechecks/attempt the near-tied neighbour pairs median
-// moves recheck.
+// views a from-scratch rebuild would derive per attempt; rechecks/attempt
+// counts the near-tied neighbour pairs median moves recheck.
 func BenchmarkLargeJobReplay(b *testing.B) {
 	jobs := func() []*task.Job {
 		return []*task.Job{
@@ -262,7 +258,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 	}
 	run := func(b *testing.B, factory func() spec.Factory) {
 		b.Helper()
-		var touches, evals, rechecks, attempts, events uint64
+		var touches, rechecks, attempts, events uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -279,7 +275,6 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 			}
 			to, re, at := s.TouchStats()
 			touches += to
-			evals += s.runViews.Evals()
 			rechecks += re
 			attempts += at
 			events += stats.Events
@@ -287,7 +282,6 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 		}
 		if attempts > 0 {
 			b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
-			b.ReportMetric(float64(evals)/float64(attempts), "evals/attempt")
 			b.ReportMetric(float64(rechecks)/float64(attempts), "rechecks/attempt")
 		}
 		if events > 0 {
@@ -355,29 +349,4 @@ func BenchmarkShardedReplay(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBuildViews measures the view cost of a repeated launch attempt
-// on one mid-flight 300-task job at one timestamp — the steady state of a
-// dispatch round offering a job several slots: the refresh re-derives
-// nothing (nothing is dirty), and the policy's read of the running views
-// returns the buffer the first attempt evaluated.
-func BenchmarkBuildViews(b *testing.B) {
-	setup := func(b *testing.B) (*Simulator, *jobState) {
-		s, err := New(benchConfig(1), spec.Stateless(spec.NoSpec{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.admit(uniformJob(0, 300, task.Exact(), 0))
-		return s, s.active[0]
-	}
-	b.Run("incremental", func(b *testing.B) {
-		s, js := setup(b)
-		s.refreshViews(js).RunningViews() // build once; iterations measure the steady state
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.refreshViews(js).RunningViews()
-		}
-	})
 }

@@ -327,3 +327,75 @@ func TestPreemptedTaskRestartable(t *testing.T) {
 		}
 	}
 }
+
+// fullScanYoungest is the victim search youngestCopy replaced: every task
+// slot of the phase in ascending order and each slot's copies in list
+// order, the first copy with the latest start winning.
+func fullScanYoungest(js *jobState) (ti, ci int) {
+	ti, ci = -1, -1
+	if js.phase == nil {
+		return ti, ci
+	}
+	tb := &js.tasks
+	for i := 0; i < js.phase.n; i++ {
+		for k, c := range tb.copies[i] {
+			if ci == -1 || c.start > tb.copies[ti][ci].start {
+				ti, ci = i, k
+			}
+		}
+	}
+	return ti, ci
+}
+
+// TestYoungestCopyMatchesFullScan holds the preemption victim to the full
+// scan: at every launch attempt of a preemption-heavy run — deadline jobs
+// arriving into a saturated cluster, under every policy family — every
+// active job's youngest copy, searched among its running and dirtied tasks
+// while its views are live, must be the copy a scan of every task slot
+// picks. Copies launched at one instant tie on start, so the tie-breaks
+// are exercised too.
+func TestYoungestCopyMatchesFullScan(t *testing.T) {
+	jobs := func() []*task.Job {
+		jobs := make([]*task.Job, 0, 12)
+		for i := 0; i < 12; i++ {
+			n := 30
+			if i%3 == 0 {
+				n = 150
+			}
+			jobs = append(jobs, uniformJob(i, n, task.NewDeadline(20), float64(i)))
+		}
+		return jobs
+	}
+	for _, p := range diffPolicies {
+		t.Run(p.name, func(t *testing.T) {
+			s, err := New(smallConfig(35), p.factory(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending := 0 // checks of a live job with dirtied tasks waiting
+			s.checkViews = func(*jobState, spec.Ctx, *spec.ViewSet, spec.Decision, bool) {
+				for _, js := range s.active {
+					ti, ci := youngestCopy(js)
+					if wti, wci := fullScanYoungest(js); ti != wti || ci != wci {
+						t.Fatalf("job %d at t=%v: youngest copy (%d, %d), full scan (%d, %d)", js.job.ID, s.eng.Now(), ti, ci, wti, wci)
+					}
+					if js.jv.live && len(js.jv.dirty) > 0 {
+						pending++
+					}
+				}
+			}
+			stats, err := s.Run(jobs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			preempted := 0
+			for _, r := range stats.Results {
+				preempted += r.Preempted
+			}
+			t.Logf("%d copies preempted, %d checks with dirtied tasks pending", preempted, pending)
+			if preempted < 20 || pending < 100 {
+				t.Fatalf("%d copies preempted, %d checks with dirtied tasks pending: load too light", preempted, pending)
+			}
+		})
+	}
+}

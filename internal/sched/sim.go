@@ -51,6 +51,9 @@ type taskBlock struct {
 	work       []float64
 	span       []float64 // first launch to completion, for straggler stats
 	firstStart []float64
+	// tnewBias keeps each task's keyed t_new bias once drawn; 0 means not
+	// drawn yet (a bias is floored at 0.05).
+	tnewBias []float64
 	// launched counts each task's copies launched so far: the ordinal that
 	// keys the next copy's draws.
 	launched []int32
@@ -74,6 +77,7 @@ func (tb *taskBlock) reset(n int) {
 		tb.work = make([]float64, n)
 		tb.span = make([]float64, n)
 		tb.firstStart = make([]float64, n)
+		tb.tnewBias = make([]float64, n)
 		tb.launched = make([]int32, n)
 		tb.best = make([]*copyRun, n)
 		tb.copies = make([][]*copyRun, n)
@@ -84,6 +88,7 @@ func (tb *taskBlock) reset(n int) {
 		tb.work = tb.work[:n]
 		tb.span = tb.span[:n]
 		tb.firstStart = tb.firstStart[:n]
+		tb.tnewBias = tb.tnewBias[:n]
 		tb.launched = tb.launched[:n]
 		tb.best = tb.best[:n]
 		tb.copies = tb.copies[:n]
@@ -92,6 +97,7 @@ func (tb *taskBlock) reset(n int) {
 		clear(tb.work)
 		clear(tb.span)
 		clear(tb.firstStart)
+		clear(tb.tnewBias)
 		clear(tb.launched)
 		clear(tb.best)
 		clear(tb.completed)
@@ -257,10 +263,9 @@ type Simulator struct {
 	// cost ~0.3 allocs/event in per-job slices).
 	jsPool []*jobState
 
-	// runViews is the running-view buffer every job's ViewSet shares:
-	// launch attempts never overlap, so one buffer serves them all. It
-	// holds the last-read job's views until another job reads its own.
-	runViews spec.RunBuf
+	// runBuf is the query scratch every job's ViewSet shares: launch
+	// attempts never overlap, so one serves them all.
+	runBuf spec.RunBuf
 
 	cfg          Config
 	draw         dist.RNG
@@ -289,11 +294,10 @@ type Simulator struct {
 // launch attempts ran. viewTouches counts task records re-derived (every
 // incomplete task at a phase's first attempt, then only the incomplete
 // tasks an event dirtied). Not counted: completed tasks leaving the set,
-// which re-derive nothing, and running views evaluated on read — in full
-// at most once per job and clock tick, counted by the running-view
-// buffer's Evals. pairRechecks counts the neighbour pairs of the
-// unscheduled (TNew, index) order rechecked after estimator-median moves,
-// which only near-tied pairs need.
+// which re-derive nothing, and the running records a policy evaluates on
+// read at each attempt, which write nothing back. pairRechecks counts the
+// neighbour pairs of the unscheduled (TNew, index) order rechecked after
+// estimator-median moves, which only near-tied pairs need.
 func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
 	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }
@@ -807,25 +811,49 @@ func (s *Simulator) preemptForFairness() {
 // preemptYoungest kills the victim's most recently launched copy, returning
 // the task to the unscheduled pool if that was its only copy.
 func (s *Simulator) preemptYoungest(victim *jobState) bool {
-	if victim.phase == nil {
-		return false
-	}
-	tb := &victim.tasks
-	ti, ci := -1, -1
-	for i := 0; i < victim.phase.n; i++ {
-		for k, c := range tb.copies[i] {
-			if ci == -1 || c.start > tb.copies[ti][ci].start {
-				ti, ci = i, k
-			}
-		}
-	}
+	ti, ci := youngestCopy(victim)
 	if ci == -1 {
 		return false
 	}
 	s.noteUtil()
-	c := tb.copies[ti][ci]
+	c := victim.tasks.copies[ti][ci]
 	victim.res.Preempted += s.removeCopies(victim, ti, func(o *copyRun) bool { return o == c })
 	return true
+}
+
+// youngestCopy locates the job's most recently launched copy: its task
+// slot and its position in the task's copy list, or -1, -1 when no copy
+// runs. Ties go to the lowest task slot, then to the earliest position.
+// While the job's views are live, every task with a copy is filed as
+// running or waits on the dirty list (a launch dirties its task), so only
+// those are scanned; otherwise every slot of the phase is.
+func youngestCopy(js *jobState) (ti, ci int) {
+	ti, ci = -1, -1
+	if js.phase == nil {
+		return ti, ci
+	}
+	tb := &js.tasks
+	var start float64
+	visit := func(i int) {
+		for k, c := range tb.copies[i] {
+			if ci == -1 || c.start > start || (c.start == start && (i < ti || (i == ti && k < ci))) {
+				ti, ci, start = i, k, c.start
+			}
+		}
+	}
+	if !js.jv.live {
+		for i := 0; i < js.phase.n; i++ {
+			visit(i)
+		}
+		return ti, ci
+	}
+	for _, i := range js.jv.vs.Running() {
+		visit(i)
+	}
+	for _, i := range js.jv.dirty {
+		visit(i)
+	}
+	return ti, ci
 }
 
 // tryLaunch asks the job's policy for a launch from the maintained
@@ -855,7 +883,7 @@ func (s *Simulator) tryLaunch(js *jobState) bool {
 		panic(fmt.Sprintf("sched: policy %s picked completed task %d", js.policy.Name(), d.TaskIndex))
 	}
 	// The estimate the policy saw, for accuracy scoring.
-	s.launch(js, d.TaskIndex, d.Speculative, vs.At(d.TaskIndex).TNew)
+	s.launch(js, d.TaskIndex, d.Speculative, vs.TNew(d.TaskIndex))
 	return true
 }
 

@@ -3,32 +3,30 @@
 // attempt. The set stores one record per task holding only what neither
 // the clock nor the estimator moves — work, t_new factor, the best copy's
 // start, duration, end and t_rem bias, the first start and the copy count
-// — and evaluates views from it when a policy reads them, with the float
-// expressions a from-scratch rebuild uses. So only events dirty records,
-// and dirtying is all an event does to the set: a copy launch, a task
-// completing and a copy killed, preempted or lost mark that task, and the
-// refresh before the next launch attempt — the set's only writer — drops
-// the dirtied tasks that completed and re-derives and re-files the rest.
-// Time passing dirties nothing (running views are evaluated at the
-// attempt's clock into the simulator's one running-view buffer, which
-// stays valid while the clock and the median stand still: the refresh's
-// updates patch the views they change, so the attempts a job makes at one
-// instant — one per slot it is offered — share one evaluation), and
-// neither does an estimator update: t_new is median × work × factor on
-// read, and a median move only rechecks the near-tied neighbours of the
-// set's (TNew, index) order (spec.ViewSet.SetMedian). A launch attempt on
-// an n-task job therefore re-derives O(dirtied) records, not O(running),
-// let alone n.
+// — and a policy evaluates what it decides on from the records when it
+// reads them, with the float expressions a from-scratch rebuild uses. So
+// only events dirty records, and dirtying is all an event does to the set:
+// a copy launch, a task completing and a copy killed, preempted or lost
+// mark that task, and the refresh before the next launch attempt — the
+// set's only writer — drops the dirtied tasks that completed and
+// re-derives and re-files the rest. Time passing dirties nothing (GS and
+// RAS walk the running records once per attempt at its clock, keeping no
+// evaluated state between attempts), and neither does an estimator
+// update: t_new is median × work × factor on read, and a median move only
+// rechecks the near-tied neighbours of the set's (TNew, index) order
+// (spec.ViewSet.SetMedian). A launch attempt on an n-task job therefore
+// re-derives O(dirtied) records, not O(running), let alone n.
 //
 // Deriving a record reads the scheduler's state and keyed draws only (a
-// task's t_new bias, or under ground truth its next copy's duration
-// factor, each a pure function of its key), so a refresh has no side
-// effect beyond the set itself, and neither has a launch attempt that
-// launches nothing. The views equal a from-scratch rebuild of every
-// incomplete task's view exactly, not approximately: the differential
-// tests in this package (TestDifferential*, FuzzIncrementalViews) hold the
-// ViewSet to DeepEqual a rebuild and PickIncremental to the reference
-// Pick's decision at every launch attempt.
+// task's t_new bias, drawn once per phase and kept in the task block, or
+// under ground truth its next copy's duration factor, each a pure function
+// of its key), so a refresh has no side effect beyond the set itself and
+// the bias it keeps, and neither has a launch attempt that launches
+// nothing. The views equal a from-scratch rebuild of every incomplete
+// task's view exactly, not approximately: the differential tests in this
+// package (TestDifferential*, FuzzIncrementalViews) hold the ViewSet to
+// DeepEqual a rebuild and PickIncremental to the reference Pick's decision
+// at every launch attempt.
 package sched
 
 import "github.com/approx-analytics/grass/internal/spec"
@@ -67,7 +65,7 @@ func (s *Simulator) dirtyTask(js *jobState, ti int) {
 func (s *Simulator) initViews(js *jobState, now float64) {
 	jv := &js.jv
 	tb := &js.tasks
-	jv.vs.Reset(js.phase.n, spec.Eval{GroundTruth: s.oracle, Buf: &s.runViews})
+	jv.vs.Reset(js.phase.n, spec.Eval{GroundTruth: s.oracle, Buf: &s.runBuf})
 	for i := 0; i < js.phase.n; i++ {
 		if tb.completed[i] {
 			continue
@@ -86,9 +84,7 @@ func (s *Simulator) initViews(js *jobState, now float64) {
 // moves the clock and the t_new median, drops the dirtied tasks that
 // completed and re-derives and files the other dirtied records. Filing is
 // order-free and deriving a record draws only keyed randomness, so the
-// dirty list is walked in the order events dirtied it. Within one clock
-// tick and median the filing patches the buffered running views, so a
-// retry after a launch evaluates none of them afresh.
+// dirty list is walked in the order events dirtied it.
 func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 	jv := &js.jv
 	now := s.eng.Now()
@@ -114,15 +110,19 @@ func (s *Simulator) refreshViews(js *jobState) *spec.ViewSet {
 
 // taskRec derives task ti's record — what its view depends on besides the
 // clock and the t_new median. Its factor is a keyed draw: the task's t_new
-// bias, or under ground truth the duration factor its next copy will
-// draw.
+// bias, a function of (job, phase, task) drawn at the phase's first
+// derivation and kept in the task block, or under ground truth the
+// duration factor its next copy will draw, which moves with every launch.
 func (s *Simulator) taskRec(js *jobState, ti int) spec.TaskRec {
 	tb := &js.tasks
 	r := spec.TaskRec{Work: tb.work[ti]}
 	if s.oracle {
 		r.Factor = s.factor(js, ti, tb.launched[ti])
 	} else {
-		r.Factor = s.est.SampleTNewBias(s.keyed(keyTNew, js, ti, 0))
+		if tb.tnewBias[ti] == 0 {
+			tb.tnewBias[ti] = s.est.SampleTNewBias(s.keyed(keyTNew, js, ti, 0))
+		}
+		r.Factor = tb.tnewBias[ti]
 	}
 	if n := len(tb.copies[ti]); n > 0 {
 		// The earliest-finishing copy is cached on launch/completion/

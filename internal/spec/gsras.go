@@ -28,7 +28,7 @@ func (g GS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 }
 
 // PickIncremental implements IncrementalPolicy: the same selections as
-// Pick, answered from the maintained lists in O(running) plus logarithmic
+// Pick, decided in one pass over the running records plus logarithmic
 // terms (see ViewSet).
 func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
@@ -38,23 +38,23 @@ func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 }
 
 // gsDeadlineInc mirrors gsDeadline: minimum (TNew, index) over eligible
-// candidates. Eligible running tasks are scanned directly (the set is
-// bounded by the job's slot share); the unscheduled minimum is the order
-// head — if even it exceeds the deadline, no unscheduled task qualifies.
+// candidates. The running records are scanned directly (the set is
+// bounded by the job's slot share), and a record's progress is divided out
+// only once the task is under the copy cap and its TNew meets the deadline
+// and beats the best so far; the unscheduled minimum is the order head —
+// if even it exceeds the deadline, no unscheduled task qualifies.
 func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	rv := vs.RunningViews()
 	best, speculative := -1, false
 	var bestNew float64
-	for k := range rv {
-		t := &rv[k]
-		if t.TNew > ctx.RemainingTime {
+	now, med, gt := vs.now, vs.med, vs.groundTruth
+	for _, i := range vs.running {
+		r := &vs.recs[i]
+		tn := r.tnewAt(med)
+		if tn > ctx.RemainingTime || r.Copies >= MaxCopies || (best != -1 && !(tn < bestNew)) {
 			continue
 		}
-		if !t.Speculable || t.Copies >= MaxCopies || t.TNew >= t.TRem {
-			continue
-		}
-		if best == -1 || t.TNew < bestNew {
-			best, bestNew, speculative = t.Index, t.TNew, true
+		if trem, ok := r.tremAt(now, gt); ok && !(tn >= trem) {
+			best, bestNew, speculative = i, tn, true
 		}
 	}
 	if u, ok := vs.MinTNewUnsched(); ok {
@@ -70,23 +70,12 @@ func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	return Decision{TaskIndex: best, Speculative: speculative}, true
 }
 
-// gsErrorInc mirrors gsError: LJF over the earliest set, with running
-// candidates keyed by TRem and the unscheduled fresh candidate coming
-// from the maintained order.
+// gsErrorInc mirrors gsError: LJF over the earliest set, the running
+// candidates keyed by TRem (pickEarliest) against the unscheduled member
+// with the largest TNew.
 func gsErrorInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	runIn, fresh := vs.EarliestCandidates(ctx.Remaining())
-	rv := vs.RunningViews()
-	best, speculative := -1, false
-	var bestKey float64
-	for _, k := range runIn {
-		t := &rv[k]
-		if !t.Speculable || t.Copies >= MaxCopies || t.TNew >= t.TRem {
-			continue
-		}
-		if best == -1 || t.TRem > bestKey {
-			best, bestKey, speculative = t.Index, t.TRem, true
-		}
-	}
+	best, bestKey, fresh := vs.pickEarliest(ctx.Remaining(), false)
+	speculative := best >= 0
 	if fresh >= 0 {
 		if tn := vs.TNew(fresh); best == -1 || tn > bestKey || (tn == bestKey && fresh < best) {
 			best, speculative = fresh, false
@@ -183,8 +172,8 @@ func (r RAS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 	return rasError(ctx, tasks, r.buf)
 }
 
-// PickIncremental implements IncrementalPolicy: Pick's selections from the
-// maintained lists in O(running) plus logarithmic terms (see ViewSet).
+// PickIncremental implements IncrementalPolicy: Pick's selections in one
+// pass over the running records plus logarithmic terms (see ViewSet).
 func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return rasDeadlineInc(ctx, vs)
@@ -193,18 +182,25 @@ func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 }
 
 // rasDeadlineInc mirrors rasDeadline: best positive saving among running
-// tasks within the deadline, else SJF over unscheduled tasks.
+// tasks within the deadline, else SJF over unscheduled tasks. A record's
+// progress is divided out only once the task is under the copy cap and its
+// TNew meets the deadline.
 func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	rv := vs.RunningViews()
 	spec := -1
 	var specSaving float64
-	for k := range rv {
-		t := &rv[k]
-		if t.TNew > ctx.RemainingTime || !t.Speculable || t.Copies >= MaxCopies {
+	now, med, gt := vs.now, vs.med, vs.groundTruth
+	for _, i := range vs.running {
+		r := &vs.recs[i]
+		tn := r.tnewAt(med)
+		if tn > ctx.RemainingTime || r.Copies >= MaxCopies {
 			continue
 		}
-		if s := t.Saving(); s > 0 && (spec == -1 || s > specSaving) {
-			spec, specSaving = t.Index, s
+		trem, ok := r.tremAt(now, gt)
+		if !ok {
+			continue
+		}
+		if s := savingOf(float64(r.Copies), trem, tn); s > 0 && (spec == -1 || s > specSaving) {
+			spec, specSaving = i, s
 		}
 	}
 	if spec >= 0 {
@@ -217,21 +213,9 @@ func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 }
 
 // rasErrorInc mirrors rasError: best positive saving inside the earliest
-// set, else LJF over the set's unscheduled tasks.
+// set (pickEarliest), else LJF over the set's unscheduled tasks.
 func rasErrorInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	runIn, fresh := vs.EarliestCandidates(ctx.Remaining())
-	rv := vs.RunningViews()
-	spec := -1
-	var specSaving float64
-	for _, k := range runIn {
-		t := &rv[k]
-		if !t.Speculable || t.Copies >= MaxCopies {
-			continue
-		}
-		if s := t.Saving(); s > 0 && (spec == -1 || s > specSaving) {
-			spec, specSaving = t.Index, s
-		}
-	}
+	spec, _, fresh := vs.pickEarliest(ctx.Remaining(), true)
 	if spec >= 0 {
 		return Decision{TaskIndex: spec, Speculative: true}, true
 	}
@@ -338,7 +322,7 @@ type scratch struct {
 // threshold are broken by task index for determinism. The returned
 // indices are in the quickselect's arbitrary partition order — consumers
 // must use order-independent (key, lowest-index) tie-breaks, the contract
-// the incremental path (EarliestCandidates) reproduces without a scan.
+// the incremental path (pickEarliest) reproduces without a scan.
 // buf, when non-nil, supplies reusable buffers so the hot path allocates
 // nothing.
 func earliestSet(ctx Ctx, tasks []TaskView, buf *scratch) []int {

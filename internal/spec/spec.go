@@ -45,7 +45,13 @@ type TaskView struct {
 // task with c copies: c×t_rem − (c+1)×t_new. Positive means a speculative
 // copy is expected to save both time and resources.
 func (v TaskView) Saving() float64 {
-	return float64(v.Copies)*v.TRem - float64(v.Copies+1)*v.TNew
+	return savingOf(float64(v.Copies), v.TRem, v.TNew)
+}
+
+// savingOf is the saving c×t_rem − (c+1)×t_new of a task with c running
+// copies, shared by the views and the one-pass picks.
+func savingOf(c, trem, tnew float64) float64 {
+	return c*trem - (c+1)*tnew
 }
 
 // Ctx carries job- and cluster-level state into a scheduling decision.
@@ -117,10 +123,11 @@ type Policy interface {
 // scheduler keeps a ViewSet alive across events — re-deriving, before the
 // next launch attempt, only the records of tasks an event touched (copy
 // launch/finish/preemption), while views are evaluated on read at the
-// attempt's clock and t_new median, the running ones into a buffer that
-// attempts at one clock tick share — and the policy selects from the
-// maintained orderings and the buffered running views, with warm-started
-// selections, instead of rescanning every task.
+// attempt's clock and t_new median — and the policy selects from the
+// maintained orderings and the running tasks' records, with warm-started
+// selections, instead of rescanning every task. GS and RAS decide in one
+// pass over the running records; LATE and Mantri read whole views through
+// RunningViews. Nothing evaluated outlives the attempt.
 //
 // The contract mirrors Pick exactly: given the same job state,
 // PickIncremental must return the identical Decision (including

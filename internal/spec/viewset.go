@@ -33,20 +33,20 @@ import (
 //     pick is its head, and the error-bound earliest set's unscheduled
 //     members are a prefix of it.
 //
-// Running views are evaluated at most once per clock tick: the first read
-// evaluates every running task's view into a buffer in running-list order
-// (RunningViews), and the buffer stays valid until the clock or the median
-// moves or the phase resets. Update and Remove patch the one view they
-// change (re-evaluate, insert or delete it at its position in running), so
-// the launch attempts a job makes at one instant — one per slot it is
-// offered — evaluate its running views once between them. Policies read
-// running views by position in that buffer. For r running and u
-// unscheduled tasks the deadline picks cost O(r) per attempt, and the
-// error-bound earliest set (EarliestCandidates) and the median TNew cost
-// O(r) expected plus O(log r · log u): a quickselect over the running keys
-// whose probes binary-search uorder, warm-started from the previous
-// selection's boundary (selHint) so it usually settles after one counting
-// pass.
+// Nothing evaluated is kept between reads. GS's and RAS's picks walk the
+// running records once per launch attempt and evaluate what each decision
+// needs straight from them: a deadline pick tests a task's t_new against
+// the remaining time, the copy cap and the best so far before it divides
+// for progress, and an error-bound pick forms each running task's
+// selection key, places it against the previous selection's boundary
+// (selHint) and keeps only the keys near that boundary and the rare
+// speculation candidates. For r running and u unscheduled tasks the
+// deadline picks cost O(r) per attempt, and the error-bound earliest set
+// and the median TNew cost O(r) expected plus O(log r · log u): a
+// quickselect over the running keys whose probes binary-search uorder,
+// warm-started from the previous boundary so it usually touches few keys
+// after the pass. LATE, Mantri and the differential tests read whole
+// views through RunningViews, which evaluates them afresh on every call.
 //
 // The (TNew, index) order survives a median move almost for free. A key
 // is fl(fl(m·w)·f), within a factor (1 ± u)² of the exact product m·w·f
@@ -84,13 +84,12 @@ type ViewSet struct {
 	now, med    float64
 	groundTruth bool
 
-	// earliest and median are the boundaries of the previous
-	// EarliestCandidates and MedianTNew selections, which warm-start the
-	// next ones.
+	// earliest and median are the boundaries of the previous error-bound
+	// earliest-set and MedianTNew selections, which warm-start the next
+	// ones.
 	earliest, median selHint
 
-	// run holds the running views and query scratch, shared by the
-	// scheduler's sets.
+	// run holds the query scratch, shared by the scheduler's sets.
 	run *RunBuf
 }
 
@@ -117,27 +116,20 @@ type TaskRec struct {
 	near int32
 }
 
-// RunBuf holds one ViewSet's running views and the selection scratch its
-// queries reuse. The views are evaluated on the owner's first read and stay
-// valid, patched by its updates, until its clock or median moves or it
-// resets, or another set sharing the buffer reads its own. ViewSets whose
-// attempts never overlap — every job of one simulator — share one, so its
-// capacity is paid once.
+// RunBuf is the scratch a ViewSet's queries work in. Nothing in it
+// outlives the query that filled it: every query overwrites it, so
+// ViewSets whose queries never overlap — every job of one simulator —
+// share one, and its capacity is paid once.
 type RunBuf struct {
-	owner *ViewSet
+	// views holds RunningViews' result, re-evaluated on every call.
 	views []TaskView
 	// runKeys holds the running tasks' selection keys in running order,
-	// selKeys the keys a selection still has to partition, and runIn backs
-	// EarliestCandidates' returned positions, valid until the next call.
+	// selKeys the keys a selection still has to partition, and cands the
+	// speculation candidates an error-bound pick found.
 	runKeys []effIdx
 	selKeys []effIdx
-	runIn   []int
-	evals   uint64
+	cands   []errCand
 }
-
-// Evals returns how many times the buffer evaluated a set's running views
-// in full; patches by Update and Remove do not count.
-func (b *RunBuf) Evals() uint64 { return b.evals }
 
 // Eval says how a ViewSet turns records into views.
 type Eval struct {
@@ -145,14 +137,12 @@ type Eval struct {
 	// remaining time, every running task is speculable, and the t_new
 	// median is 1.
 	GroundTruth bool
-	// Buf is the running-view buffer to share; nil gives the set a fresh
-	// one.
+	// Buf is the query scratch to share; nil gives the set a fresh one.
 	Buf *RunBuf
 }
 
 // Reset clears the set for a fresh phase of n tasks, keeping capacity.
 func (vs *ViewSet) Reset(n int, e Eval) {
-	vs.dropRun()
 	if cap(vs.recs) < n {
 		vs.recs = make([]TaskRec, n)
 	}
@@ -199,15 +189,9 @@ func (vs *ViewSet) Seal(now, med float64) {
 	vs.sealed = true
 }
 
-// Begin starts a launch attempt at time now. Running views buffered at an
-// earlier time are evaluated afresh on the next read; at the same time the
-// buffer, patched by every update since, is still exact.
-func (vs *ViewSet) Begin(now float64) {
-	if now != vs.now {
-		vs.now = now
-		vs.dropRun()
-	}
-}
+// Begin starts a launch attempt at time now: every view read afterwards is
+// evaluated at now.
+func (vs *ViewSet) Begin(now float64) { vs.now = now }
 
 // SetMedian moves the t_new median to med and restores the (TNew, index)
 // order of the unscheduled tasks, returning how many neighbour pairs it
@@ -220,7 +204,6 @@ func (vs *ViewSet) SetMedian(med float64) int {
 	if vs.groundTruth || med == vs.med {
 		return 0
 	}
-	vs.dropRun()
 	if !tame(vs.med) || !tame(med) {
 		vs.med = med
 		vs.sortUorder()
@@ -243,8 +226,7 @@ func (vs *ViewSet) SetMedian(med float64) int {
 func (vs *ViewSet) Len() int { return len(vs.running) + len(vs.unsched) }
 
 // At evaluates the current view of task i. Only meaningful for incomplete
-// tasks of the phase; policies read running views through RunningViews,
-// which buffers them.
+// tasks of the phase.
 func (vs *ViewSet) At(i int) TaskView {
 	var v TaskView
 	vs.eval(&v, i)
@@ -254,26 +236,28 @@ func (vs *ViewSet) At(i int) TaskView {
 // eval writes task i's current view to v.
 func (vs *ViewSet) eval(v *TaskView, i int) {
 	r := &vs.recs[i]
-	*v = TaskView{Index: i, TNew: vs.med * r.Work * r.Factor}
+	*v = TaskView{Index: i, TNew: vs.TNew(i)}
 	if r.Copies == 0 {
 		return
 	}
-	now := vs.now
 	v.Running = true
 	v.Copies = int(r.Copies)
-	trueRem := r.End - now
-	if trueRem < 0 {
-		trueRem = 0
+	v.Elapsed = vs.now - r.FirstStart
+	v.Progress = progress(vs.now, r.Start, r.Duration)
+	v.TRem, v.Speculable = r.tremAt(vs.now, vs.groundTruth)
+}
+
+// tremAt returns running record r's TRem and Speculable at time now — the
+// view's expressions, evaluated without the rest of the view. Ground truth
+// knows the exact remaining time and needs no progress. It stays within
+// the compiler's inlining budget: the picks call it once per running task.
+func (r *TaskRec) tremAt(now float64, groundTruth bool) (trem float64, speculable bool) {
+	trem = max(r.End-now, 0) // the true remaining time, never negative
+	if groundTruth {
+		return trem, true
 	}
-	v.Elapsed = now - r.FirstStart
-	v.Progress = progress(now, r.Start, r.Duration)
-	if vs.groundTruth {
-		v.Speculable = true
-		v.TRem = trueRem
-	} else {
-		v.Speculable = v.Progress >= MinSpecProgress
-		v.TRem = TRemEstimate(trueRem, r.TRemBias, v.Progress)
-	}
+	p := progress(now, r.Start, r.Duration)
+	return TRemEstimate(trem, r.TRemBias, p), p >= MinSpecProgress
 }
 
 // TRemEstimate is the t_rem estimate of a copy whose true remaining time
@@ -303,29 +287,30 @@ func progress(now, start, duration float64) float64 {
 }
 
 // TNew returns task i's fresh-copy estimate, median × work × factor.
-func (vs *ViewSet) TNew(i int) float64 {
-	r := &vs.recs[i]
-	return vs.med * r.Work * r.Factor
-}
+func (vs *ViewSet) TNew(i int) float64 { return vs.recs[i].tnewAt(vs.med) }
 
-// RunningViews returns the views of the tasks with at least one executing
-// copy, ascending by index. They are evaluated in full only when the
-// buffer does not hold this set's views at the current clock and median;
-// otherwise the buffer, which Update and Remove patch, is returned as is.
-// The slice is valid until the next Begin, SetMedian or mutation of any
-// set sharing the buffer; callers must not mutate or retain it.
+// tnewAt is the record's TNew at t_new median med, multiplied left to
+// right as every key and view computes it.
+func (r *TaskRec) tnewAt(med float64) float64 { return med * r.Work * r.Factor }
+
+// RunningViews evaluates the views of the tasks with at least one
+// executing copy, ascending by index, at the set's clock and median. Every
+// call evaluates them afresh into the shared scratch, so the slice is
+// valid until the next query on any set sharing it; callers must not
+// mutate or retain it.
 func (vs *ViewSet) RunningViews() []TaskView {
 	b := vs.run
-	if b.owner != vs {
-		views := slices.Grow(b.views[:0], len(vs.running))[:len(vs.running)]
-		for k, i := range vs.running {
-			vs.eval(&views[k], i)
-		}
-		b.views, b.owner = views, vs
-		b.evals++
+	b.views = slices.Grow(b.views[:0], len(vs.running))[:len(vs.running)]
+	for k, i := range vs.running {
+		vs.eval(&b.views[k], i)
 	}
 	return b.views
 }
+
+// Running returns the tasks the stored records file as running, ascending
+// by index. The slice is the set's own; callers must not mutate or retain
+// it.
+func (vs *ViewSet) Running() []int { return vs.running }
 
 // FirstUnsched returns the lowest-index unscheduled task — the FIFO
 // launch the approximation-oblivious baselines start from.
@@ -389,8 +374,7 @@ func (vs *ViewSet) MedianTNew() float64 {
 // count crossed zero moves between the running and unscheduled lists, and
 // an unscheduled task whose key operands changed (an oracle redraw) moves
 // in uorder; either way it is first unfiled under the stored record, the
-// one it is filed under. A running task's buffered view is re-evaluated,
-// inserted or deleted in place.
+// one it is filed under.
 func (vs *ViewSet) Update(i int, r TaskRec) {
 	old := &vs.recs[i]
 	moved := (old.Copies > 0) != (r.Copies > 0) ||
@@ -398,22 +382,13 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 	if !moved {
 		r.near = old.near
 		*old = r
-		if r.Copies > 0 && vs.buffered() {
-			vs.eval(&vs.run.views[sortedPos(vs.running, i, "running")], i)
-		}
 		return
 	}
 	vs.unfile(i)
 	r.near = 0
 	*old = r
 	if r.Copies > 0 {
-		p := sort.SearchInts(vs.running, i)
-		vs.running = slices.Insert(vs.running, p, i)
-		if vs.buffered() {
-			b := vs.run
-			b.views = slices.Insert(b.views, p, TaskView{})
-			vs.eval(&b.views[p], i)
-		}
+		vs.running = slices.Insert(vs.running, sort.SearchInts(vs.running, i), i)
 		return
 	}
 	p := sort.SearchInts(vs.unsched, i)
@@ -424,17 +399,13 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 // Remove drops completed task i from the set.
 func (vs *ViewSet) Remove(i int) { vs.unfile(i) }
 
-// unfile drops task i from the lists its stored record filed it in, and a
-// running task's view from the buffer. The uorder search compares through
-// the stored records, so the entry must still carry the key it is filed
-// under while it is being located.
+// unfile drops task i from the lists its stored record filed it in. The
+// uorder search compares through the stored records, so the entry must
+// still carry the key it is filed under while it is being located.
 func (vs *ViewSet) unfile(i int) {
 	if vs.recs[i].Copies > 0 {
 		p := sortedPos(vs.running, i, "running")
 		vs.running = slices.Delete(vs.running, p, p+1)
-		if vs.buffered() {
-			vs.run.views = slices.Delete(vs.run.views, p, p+1)
-		}
 		return
 	}
 	p := sortedPos(vs.unsched, i, "unsched")
@@ -445,7 +416,7 @@ func (vs *ViewSet) unfile(i int) {
 // AppendCompact appends the views of every incomplete task in ascending
 // index order — the exact slice a from-scratch rebuild would produce,
 // which the differential tests compare against. Running views come from
-// the attempt's buffer, so the comparison covers what the policies read.
+// RunningViews, the evaluation LATE and Mantri read.
 func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 	rv := vs.RunningViews()
 	ri, ui := 0, 0
@@ -483,52 +454,114 @@ func (vs *ViewSet) CheckOrder() error {
 	return nil
 }
 
-// EarliestCandidates identifies, among the `need` incomplete tasks with
-// the smallest (effDuration, index) — exactly the reference earliestSet's
-// quickselect order — the running members and the unscheduled fresh-launch
-// candidate:
+// errCand is a running member candidate of an error-bound pick: its
+// selection key and its score.
+type errCand struct {
+	key   effIdx
+	score float64
+}
+
+// pickEarliest is GS's and RAS's error-bound pick in one pass over the
+// running records. Among the `need` incomplete tasks with the smallest
+// (effDuration, index) keys — exactly the reference earliestSet — it
+// finds:
 //
-//   - runIn holds the running members' positions in RunningViews,
-//     ascending (the reference selection's scan order);
-//   - fresh is the unscheduled member with the largest TNew, ties broken
-//     to the smallest index (LJF's pick inside the set), or -1 when the
-//     set contains no unscheduled task.
+//   - best, the running member that is a speculation candidate with the
+//     largest score, the lowest index among equal scores, or -1. GS's
+//     candidates are the tasks a fresh copy would finish sooner (TNew <
+//     TRem), scored by TRem; with saving set, RAS's are the tasks whose
+//     copy saves resources (Saving > 0), scored by the saving. Both need a
+//     speculable task under the copy cap.
+//   - fresh, the unscheduled member with the largest TNew, ties broken to
+//     the smallest index (LJF's pick inside the set), or -1 when the set
+//     contains no unscheduled task.
 //
-// runIn aliases the buffer's scratch, valid until the next call or update.
-// Cost is O(r) expected plus O(log r · log u) for r running and u
-// unscheduled tasks (see selectRunning), where the reference quickselects
-// every incomplete task.
-func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
-	b := vs.run
-	runIn := b.runIn[:0]
+// The pass evaluates each running record with the view's expressions,
+// forms its key, keeps it in the scratch and places it against the
+// previous split (vs.earliest): it counts the keys below the hint, keeps
+// the extremes of the outer blocks and collects only the keys between the
+// hint keys and the candidates. settle then decides the split, passing
+// over the kept keys again only when the hint's probes do not confirm it.
+// When need covers every task, no selection runs.
+func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64, fresh int) {
 	if need <= 0 {
-		return runIn, -1
+		return -1, 0, -1
 	}
-	rv := vs.RunningViews()
-	if need >= vs.Len() {
-		for k := range rv {
-			runIn = append(runIn, k)
+	all := need >= vs.Len()
+	h := &vs.earliest
+	in, out := lowestKey, highestKey
+	if h.set {
+		in, out = h.in, h.out
+	}
+	b := vs.run
+	keys := slices.Grow(b.runKeys[:0], len(vs.running))[:len(vs.running)]
+	sel, cands := b.selKeys[:0], b.cands[:0]
+	p := 0
+	e := splitExt{lowMax: lowestKey, highMin: highestKey}
+	now, med, gt := vs.now, vs.med, vs.groundTruth
+	for k, i := range vs.running {
+		r := &vs.recs[i]
+		tnew := r.tnewAt(med)
+		trem, speculable := r.tremAt(now, gt)
+		// effDuration: a task a copy could still rescue finishes at the
+		// earlier of waiting and re-running.
+		key := effIdx{eff: trem, idx: i}
+		if speculable && r.Copies < MaxCopies {
+			if !(trem < tnew) {
+				key.eff = tnew
+			}
+			if saving {
+				if s := savingOf(float64(r.Copies), trem, tnew); s > 0 {
+					cands = append(cands, errCand{key: key, score: s})
+				}
+			} else if !(tnew >= trem) {
+				cands = append(cands, errCand{key: key, score: trem})
+			}
 		}
-		b.runIn = runIn
-		return runIn, vs.ljfUnsched(len(vs.uorder))
-	}
-	// An unscheduled task's effDuration is its TNew, so uorder is already
-	// in selection-key order and only the running keys need selecting.
-	keys := b.runKeys[:0]
-	for k := range rv {
-		keys = append(keys, effIdx{eff: effDuration(rv[k]), idx: rv[k].Index})
-	}
-	b.runKeys = keys
-	j, _, minOut := vs.selectRunning(keys, need, &vs.earliest)
-	// The members are the running keys below minOut; filtering the keys in
-	// running order keeps runIn ascending.
-	for k, key := range keys {
-		if j == len(keys) || key.less(minOut) {
-			runIn = append(runIn, k)
+		if all {
+			continue
+		}
+		keys[k] = key
+		switch {
+		case key.less(in):
+			p++
+			if e.lowMax.less(key) {
+				e.lowMax = key
+			}
+		case key.less(out):
+			sel = append(sel, key)
+		case key.less(e.highMin):
+			e.highMin = key
 		}
 	}
-	b.runIn = runIn
-	return runIn, vs.ljfUnsched(need - j)
+	b.runKeys, b.selKeys, b.cands = keys, sel, cands
+	j, minOut := len(keys), highestKey
+	if all {
+		fresh = vs.ljfUnsched(len(vs.uorder))
+	} else {
+		// The middle block's extremes; with no key between the hint keys
+		// the nearest keys beyond each lie in the outer blocks.
+		e.midMin, e.midMax = e.highMin, e.lowMax
+		for _, k := range sel {
+			if k.less(e.midMin) {
+				e.midMin = k
+			}
+			if e.midMax.less(k) {
+				e.midMax = k
+			}
+		}
+		j, _, minOut = vs.settle(keys, need, h, p, p+len(sel), e, true)
+		fresh = vs.ljfUnsched(need - j)
+	}
+	// The running members are the keys below minOut; the candidates are in
+	// index order, so the first of equal scores has the lowest index.
+	best = -1
+	for _, c := range cands {
+		if (j == len(keys) || c.key.less(minOut)) && (best == -1 || c.score > score) {
+			best, score = c.key.idx, c.score
+		}
+	}
+	return best, score, fresh
 }
 
 // selectRunning splits the union of keys — the running tasks' selection
@@ -550,23 +583,38 @@ func (vs *ViewSet) EarliestCandidates(need int) ([]int, int) {
 // probes.
 //
 // A hint first decides what it can: one counting pass places its two keys
-// among the running keys (count3) and one probe each decides a side of
-// them, so only the keys that crossed the previous boundary since are
+// among the running keys (count3) and settle's probes decide a side of
+// each, so only the keys that crossed the previous boundary since are
 // copied out and quickselected. Every key set has one split under the
 // total (key, index) order, so any hint — exact, stale or absent — gives
 // the same result; it changes only the work.
 func (vs *ViewSet) selectRunning(keys []effIdx, need int, h *selHint) (j int, maxIn, minOut effIdx) {
-	// The undecided keys are those in [from, to): lo running keys sort
-	// below them and len(keys)−hi above.
-	lo, hi := 0, len(keys)
-	from, to := lowestKey, highestKey
+	var p, q int
+	var e splitExt
 	if h.set {
-		p, q, e := count3(keys, h.in, h.out)
+		p, q, e = count3(keys, h.in, h.out)
 		if p == q {
 			// No key between the hint keys: the nearest keys beyond each
 			// lie in the outer blocks.
 			e.midMin, e.midMax = e.highMin, e.lowMax
 		}
+	}
+	return vs.settle(keys, need, h, p, q, e, false)
+}
+
+// settle finishes a selection from a pass over keys that placed the hint
+// keys among them: p keys sort below h.in and q below h.out, and e holds
+// the extremes of the three blocks. collected says the pass already left
+// the q−p keys between the hint keys in the scratch's selKeys; otherwise,
+// or when the probes decide a different range, settle collects the
+// undecided keys itself. It returns what selectRunning returns and records
+// the split in h.
+func (vs *ViewSet) settle(keys []effIdx, need int, h *selHint, p, q int, e splitExt, collected bool) (j int, maxIn, minOut effIdx) {
+	// The undecided keys are those in [from, to): lo running keys sort
+	// below them and len(keys)−hi above.
+	lo, hi := 0, len(keys)
+	from, to := lowestKey, highestKey
+	if h.set {
 		// A hint key v with c running keys below it decides a side of
 		// itself: the largest running key below v has at most
 		// uorderSearch(v) + c − 1 keys below it, and the smallest running
@@ -585,15 +633,19 @@ func (vs *ViewSet) selectRunning(keys []effIdx, need int, h *selHint) (j int, ma
 			}
 		}
 	}
-	sel := vs.run.selKeys[:0]
-	if lo < hi {
-		for _, k := range keys {
-			if !k.less(from) && k.less(to) {
-				sel = append(sel, k)
+	sel := vs.run.selKeys
+	// The collected keys are the ranks [p, q); the undecided ones [lo, hi).
+	if !collected || lo != p || hi != q {
+		sel = sel[:0]
+		if lo < hi {
+			for _, k := range keys {
+				if !k.less(from) && k.less(to) {
+					sel = append(sel, k)
+				}
 			}
 		}
+		vs.run.selKeys = sel
 	}
-	vs.run.selKeys = sel
 	l, r := 0, len(sel)
 	for l < r {
 		m := partitionPairs(sel, l, r)
@@ -630,8 +682,9 @@ var (
 	highestKey = effIdx{eff: math.Inf(1), idx: math.MaxInt}
 )
 
-// splitExt holds the extremes of count3's blocks; an empty block's stay at
-// the sentinels.
+// splitExt holds the extremes of the three blocks a placement pass (count3
+// or pickEarliest's) splits the running keys into; an empty outer block's
+// stay at the sentinels.
 type splitExt struct{ lowMax, midMin, midMax, highMin effIdx }
 
 // count3 places keys a ≤ b among xs — p keys sort below a and q below b —
@@ -702,22 +755,12 @@ func (vs *ViewSet) ljfUnsched(k int) int {
 	return vs.uorder[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
 }
 
-// buffered reports whether the running-view buffer holds this set's views.
-func (vs *ViewSet) buffered() bool { return vs.run != nil && vs.run.owner == vs }
-
-// dropRun invalidates the running-view buffer if this set filled it.
-func (vs *ViewSet) dropRun() {
-	if vs.buffered() {
-		vs.run.owner = nil
-	}
-}
-
 // tnewKey is task i's (TNew, index) key, the order uorder keeps.
 func (vs *ViewSet) tnewKey(i int) effIdx { return keyAt(vs.med, &vs.recs[i], i) }
 
 // keyAt is task i's (TNew, index) key at median med.
 func keyAt(med float64, r *TaskRec, i int) effIdx {
-	return effIdx{eff: med * r.Work * r.Factor, idx: i}
+	return effIdx{eff: r.tnewAt(med), idx: i}
 }
 
 // uorderSearch returns the number of unscheduled tasks whose (TNew, index)
@@ -815,7 +858,7 @@ func (vs *ViewSet) pairSafe(a, b int) bool {
 	if ra.Work == rb.Work && ra.Factor == rb.Factor {
 		return true
 	}
-	ka, kb := vs.med*ra.Work*ra.Factor, vs.med*rb.Work*rb.Factor
+	ka, kb := ra.tnewAt(vs.med), rb.tnewAt(vs.med)
 	return kb > ka && math.Float64bits(kb)-math.Float64bits(ka) > nearULPs
 }
 

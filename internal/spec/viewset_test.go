@@ -112,12 +112,17 @@ func randRec(rng *rand.Rand, running bool) TaskRec {
 // randViews builds a random consistent state (ascending indices, possibly
 // with completed gaps), its sealed ViewSet and the reference views. Most
 // sets are small and tie-dense; one in eight is large with a small
-// running set, the shape where EarliestCandidates' binary searches of the
-// unscheduled order do the pruning; one in eight is wide, about half of
+// running set, the shape where the error-bound picks' binary searches of
+// the unscheduled order do the pruning; one in eight is wide, about half of
 // up to ~2,000 tasks running — a large phase holding hundreds of slots,
 // where the selection over the running keys runs many probes deep. One in
 // four sets evaluates in ground-truth mode.
 func randViews(rng *rand.Rand) ([]TaskView, *ViewSet, *model) {
+	return randViewsWith(rng, randRec)
+}
+
+// randViewsWith is randViews with records drawn by gen.
+func randViewsWith(rng *rand.Rand, gen func(*rand.Rand, bool) TaskRec) ([]TaskView, *ViewSet, *model) {
 	n := 1 + rng.Intn(12)
 	runDenom := 2 // half the tasks running
 	switch rng.Intn(8) {
@@ -140,7 +145,7 @@ func randViews(rng *rand.Rand) ([]TaskView, *ViewSet, *model) {
 	}
 	for i := 0; i < total; i++ {
 		if keep[i] {
-			r := randRec(rng, rng.Intn(runDenom) == 0)
+			r := gen(rng, rng.Intn(runDenom) == 0)
 			m.recs[i] = r
 			vs.Init(i, r)
 		}
@@ -479,9 +484,9 @@ func TestViewSetRepairsNearTies(t *testing.T) {
 }
 
 // refEarliest is the reference error-bound earliest set of views at cut
-// need, split the way EarliestCandidates reports it: the running members'
-// task indices, ascending, and the unscheduled member with the largest
-// TNew (ties to the smallest index), or -1.
+// need, split into the running members' task indices, ascending, and the
+// unscheduled member with the largest TNew (ties to the smallest index),
+// or -1.
 func refEarliest(views []TaskView, need int) ([]int, int) {
 	var run []int
 	fresh := -1
@@ -498,11 +503,70 @@ func refEarliest(views []TaskView, need int) ([]int, int) {
 	return run, fresh
 }
 
+// refBest is the reference speculation candidate among the running members
+// run (ascending task indices) of views: GS's largest TRem among tasks a
+// fresh copy would finish sooner, or with saving set RAS's largest positive
+// saving, the lowest index among equals; -1 when no member qualifies.
+func refBest(views []TaskView, run []int, saving bool) int {
+	byIndex := map[int]TaskView{}
+	for _, v := range views {
+		byIndex[v.Index] = v
+	}
+	best := -1
+	var bestScore float64
+	for _, i := range run {
+		v := byIndex[i]
+		if !v.Speculable || v.Copies >= MaxCopies {
+			continue
+		}
+		score := v.TRem
+		if saving {
+			if score = v.Saving(); score <= 0 {
+				continue
+			}
+		} else if v.TNew >= v.TRem {
+			continue
+		}
+		if best == -1 || score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
+// refBoundary is the boundary an error-bound selection at cut need leaves
+// behind, from the reference earliest set: the successor of the largest
+// running member's key and the smallest running non-member's key, the
+// sentinels standing for an empty side.
+func refBoundary(views []TaskView, need int) selHint {
+	run, _ := refEarliest(views, need)
+	member := map[int]bool{}
+	for _, i := range run {
+		member[i] = true
+	}
+	h := selHint{in: lowestKey, out: highestKey, set: true}
+	for _, v := range views {
+		if !v.Running {
+			continue
+		}
+		key := effIdx{eff: effDuration(v), idx: v.Index}
+		if succ := (effIdx{eff: key.eff, idx: key.idx + 1}); member[v.Index] && h.in.less(succ) {
+			h.in = succ
+		} else if !member[v.Index] && key.less(h.out) {
+			h.out = key
+		}
+	}
+	return h
+}
+
 // TestSelectionHints holds the warm-started selections to the reference:
-// EarliestCandidates and MedianTNew must return the reference earliest set
-// and median whatever hint they start from — none, the exact boundary, a
-// stale one taken from another state, two of the state's own keys, or
-// keys below or above every key — and must leave the same boundary behind.
+// the one-pass error-bound pick (pickEarliest, for GS's and RAS's
+// candidates) and MedianTNew must return the reference candidates, fresh
+// task and median whatever hint they start from — none, the exact
+// boundary, a stale one taken from another state, two of the state's own
+// keys, or keys below or above every key — and must leave the reference
+// boundary behind. A pick whose need covers every task selects nothing and
+// leaves its hint alone.
 func TestSelectionHints(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	_, other, _ := randViews(rng)
@@ -523,13 +587,13 @@ func TestSelectionHints(t *testing.T) {
 		need := rng.Intn(len(views) + 2)
 		wantRun, wantFresh := refEarliest(views, need)
 		wantMed := sortedMedianTNew(views)
-		vs.EarliestCandidates(need)
-		vs.MedianTNew()
-		exactE, exactM := vs.earliest, vs.median
 		selects := need > 0 && need < vs.Len()
-		if !selects {
-			exactE = selHint{}
+		exactE := selHint{}
+		if selects {
+			exactE = refBoundary(views, need)
 		}
+		vs.MedianTNew()
+		exactM := vs.median
 		for _, h := range []struct {
 			name string
 			e, m selHint
@@ -546,20 +610,19 @@ func TestSelectionHints(t *testing.T) {
 			if h.e.set && h.e.in != lowestKey && h.e.out != highestKey {
 				warm++
 			}
-			vs.earliest, vs.median = h.e, h.m
-			runIn, fresh := vs.EarliestCandidates(need)
-			rv := vs.RunningViews()
-			var gotRun []int
-			for _, k := range runIn {
-				gotRun = append(gotRun, rv[k].Index)
+			for _, saving := range []bool{false, true} {
+				vs.earliest = h.e
+				best, _, fresh := vs.pickEarliest(need, saving)
+				want := refBest(views, wantRun, saving)
+				if best != want || fresh != wantFresh {
+					t.Fatalf("iter %d hint %s %+v need %d saving %v: candidate %d fresh %d, reference %d fresh %d (members %v)\nviews %+v",
+						iter, h.name, h.e, need, saving, best, fresh, want, wantFresh, wantRun, views)
+				}
+				if left := vs.earliest; (selects && left != exactE) || (!selects && left != h.e) {
+					t.Fatalf("iter %d hint %s need %d: left earliest boundary %+v, want %+v", iter, h.name, need, left, exactE)
+				}
 			}
-			if fmt.Sprint(gotRun) != fmt.Sprint(wantRun) || fresh != wantFresh {
-				t.Fatalf("iter %d hint %s %+v need %d: running members %v fresh %d, reference %v fresh %d\nviews %+v",
-					iter, h.name, h.e, need, gotRun, fresh, wantRun, wantFresh, views)
-			}
-			if selects && vs.earliest != exactE {
-				t.Fatalf("iter %d hint %s: left earliest boundary %+v, want %+v", iter, h.name, vs.earliest, exactE)
-			}
+			vs.median = h.m
 			if got := vs.MedianTNew(); got != wantMed {
 				t.Fatalf("iter %d hint %s %+v: MedianTNew %v, reference %v", iter, h.name, h.m, got, wantMed)
 			}
@@ -574,14 +637,102 @@ func TestSelectionHints(t *testing.T) {
 	}
 }
 
-// TestRunningViewsPatchedWithinClock drives one set through the updates a
-// refresh makes between launch attempts at one instant — a running task
-// gaining a copy, a launch, a preemption, t_new factor changes of a running
-// and an unscheduled task, completions of a running and an unscheduled
-// task — then a median move and a new clock. After each step the buffered
-// running views must equal a freshly sealed set's, and only the median
-// move and the new clock may evaluate them in full.
-func TestRunningViewsPatchedWithinClock(t *testing.T) {
+// edgeRec is randRec with the edges of the pick conditions mixed in: one
+// running record in five has progress exactly MinSpecProgress (0.75 of a
+// 5-unit duration, both exact, so the quotient rounds to the constant's
+// own double), and randRec already draws copy counts at the cap, copies
+// past their finish (the true remaining time clamps to 0), zero durations
+// and tie-dense TNew, TRem and saving values.
+func edgeRec(rng *rand.Rand, running bool) TaskRec {
+	r := randRec(rng, running)
+	if running && rng.Intn(5) == 0 {
+		r.Start, r.Duration = testNow-0.75, 5
+		r.End = r.Start + []float64{5, 1, 0.75}[rng.Intn(3)]
+	}
+	return r
+}
+
+// pickCtxs lists the contexts checkPicks decides under for a set of n
+// incomplete tasks whose views are views: error bounds at need 0, 1, n−1,
+// n and n+1, and deadlines with no time left, with exactly some task's
+// TNew left, and with a little and plenty of slack.
+func pickCtxs(views []TaskView) []Ctx {
+	n := len(views)
+	var ctxs []Ctx
+	for _, need := range []int{0, 1, n - 1, n, n + 1} {
+		ctxs = append(ctxs, Ctx{Kind: task.ErrorBound, TargetTasks: need, TotalTasks: n})
+	}
+	slack := []float64{0, 1.5, 100}
+	if n > 0 {
+		slack = append(slack, views[n/2].TNew)
+	}
+	for _, rem := range slack {
+		ctxs = append(ctxs, Ctx{Kind: task.DeadlineBound, RemainingTime: rem, TargetTasks: n, TotalTasks: n})
+	}
+	return ctxs
+}
+
+// checkPicks holds GS's and RAS's one-pass PickIncremental to the
+// reference Pick on the set's AppendCompact views under every context of
+// pickCtxs, each error-bound pick started from an absent hint, the stale
+// hint a pick on another state left behind, and the exact hint a first
+// pick on vs leaves. It returns the hint a pick at half the tasks leaves,
+// the next state's stale hint.
+func checkPicks(t *testing.T, name string, vs *ViewSet, stale selHint) selHint {
+	t.Helper()
+	views := vs.AppendCompact(nil)
+	for _, ctx := range pickCtxs(views) {
+		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
+			want, wantOK := p.Pick(ctx, views)
+			for _, hint := range []string{"absent", "stale", "exact"} {
+				switch hint {
+				case "absent":
+					vs.earliest = selHint{}
+				case "stale":
+					vs.earliest = stale
+				case "exact":
+					p.PickIncremental(ctx, vs)
+				}
+				if got, gotOK := p.PickIncremental(ctx, vs); gotOK != wantOK || (wantOK && got != want) {
+					t.Fatalf("%s policy %s ctx %+v hint %s: PickIncremental (%+v, %v), Pick (%+v, %v)\nviews %+v",
+						name, p.Name(), ctx, hint, got, gotOK, want, wantOK, views)
+				}
+			}
+		}
+	}
+	vs.earliest = selHint{}
+	vs.pickEarliest(vs.Len()/2, false)
+	return vs.earliest
+}
+
+// TestOnePassPicks holds GS's and RAS's one-pass picks, error and deadline
+// bounds, with ground truth on and off, to the reference Pick: first on
+// random tie-dense states with the edge records of edgeRec, then along a
+// same-clock sequence of the refresh's updates between launch attempts at
+// one instant — a running task gaining a copy, a launch, a preemption,
+// t_new factor changes of a running and an unscheduled task, completions
+// of a running and an unscheduled task — followed by a median move and a
+// new clock. Along the sequence the maintained set's views must also equal
+// a freshly sealed set's.
+func TestOnePassPicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var stale selHint
+	atMin, gts := 0, map[bool]int{}
+	for iter := 0; iter < 2000; iter++ {
+		_, vs, m := randViewsWith(rng, edgeRec)
+		for _, r := range m.recs {
+			if r.Copies > 0 && progress(m.now, r.Start, r.Duration) == MinSpecProgress {
+				atMin++
+			}
+		}
+		gts[m.groundTruth]++
+		stale = checkPicks(t, fmt.Sprintf("iter %d", iter), vs, stale)
+	}
+	if atMin < 100 || gts[true] == 0 || gts[false] == 0 {
+		t.Fatalf("%d running records at MinSpecProgress, %d ground-truth and %d estimated states; want each exercised",
+			atMin, gts[true], gts[false])
+	}
+
 	running := func(work float64, start, dur, bias float64) TaskRec {
 		return TaskRec{Work: work, Factor: 1, Copies: 1, Start: start, Duration: dur, End: start + dur, TRemBias: bias, FirstStart: start}
 	}
@@ -611,71 +762,64 @@ func TestRunningViewsPatchedWithinClock(t *testing.T) {
 			return fresh
 		}
 		vs := build()
-		vs.RunningViews()
-		evals := vs.run.Evals()
+		stale := checkPicks(t, fmt.Sprintf("gt=%v sealed", gt), vs, selHint{})
 		steps := []struct {
 			name string
 			do   func()
-			eval bool // the step may evaluate the running views in full
 		}{
 			{"copy added", func() {
 				r := recs[1]
 				r.Copies, r.Start, r.Duration, r.End = 2, 8, 1, 9
 				recs[1] = r
 				vs.Update(1, r)
-			}, false},
+			}},
 			{"launch", func() {
 				recs[0] = TaskRec{Work: 1, Factor: 1, Copies: 1, Start: now, Duration: 2, End: now + 2, TRemBias: 1.3, FirstStart: now}
 				vs.Update(0, recs[0])
-			}, false},
+			}},
 			{"preemption", func() {
 				recs[3] = TaskRec{Work: 1.5, Factor: 1}
 				vs.Update(3, recs[3])
-			}, false},
+			}},
 			{"running factor", func() {
 				r := recs[7]
 				r.Factor = 1.7
 				recs[7] = r
 				vs.Update(7, r)
-			}, false},
+			}},
 			{"unscheduled factor", func() {
 				recs[2] = TaskRec{Work: 3, Factor: 0.4}
 				vs.Update(2, recs[2])
-			}, false},
+			}},
 			{"running completes", func() {
 				delete(recs, 4)
 				vs.Remove(4)
-			}, false},
+			}},
 			{"unscheduled completes", func() {
 				delete(recs, 5)
 				vs.Remove(5)
-			}, false},
+			}},
 			{"median move", func() {
 				if !gt {
 					med = 0.8
 				}
 				vs.SetMedian(med)
-			}, !gt},
+			}},
 			{"new clock", func() {
 				now++
 				vs.Begin(now)
-			}, true},
+			}},
 		}
 		for _, st := range steps {
 			vs.Begin(now)
 			st.do()
-			got, want := vs.RunningViews(), build().RunningViews()
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("gt=%v after %s: running views\n%+v\nfresh set\n%+v", gt, st.name, got, want)
+			if got, want := vs.AppendCompact(nil), build().AppendCompact(nil); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("gt=%v after %s: views\n%+v\nfresh set\n%+v", gt, st.name, got, want)
 			}
 			if err := vs.CheckOrder(); err != nil {
 				t.Fatalf("gt=%v after %s: %v", gt, st.name, err)
 			}
-			n := vs.run.Evals() - evals
-			if st.eval != (n == 1) || n > 1 {
-				t.Fatalf("gt=%v after %s: %d full evaluations", gt, st.name, n)
-			}
-			evals += n
+			stale = checkPicks(t, fmt.Sprintf("gt=%v after %s", gt, st.name), vs, stale)
 		}
 	}
 }
@@ -690,62 +834,61 @@ func TestTaskRecSize(t *testing.T) {
 }
 
 var (
-	sinkRunIn []int
-	sinkFresh int
+	sinkDecision Decision
+	sinkOK       bool
 )
 
-// BenchmarkEarliestCandidates times the error-bound earliest-set selection
-// on a sealed 2,000-task ViewSet as the running set widens toward a large
-// phase's share of the default 400-slot cluster, with need cutting shallow
-// (a tenth of the tasks) and deep (nine tenths). The running views stay
-// buffered while the clock stands still, so after the warm-up call each
-// iteration is the selection alone: "warm" starts it from the previous
-// call's boundary, as repeated attempts on one job do, and "cold" clears
-// that hint first, pricing the full quickselect. It works in the set's
-// reusable scratch and must not allocate: scripts/perfwall.sh walls
-// allocs/op at 0.
-func BenchmarkEarliestCandidates(b *testing.B) {
-	const n = 2000
-	cuts := []struct {
-		name string
-		need int
-	}{{"shallow", n / 10}, {"deep", n * 9 / 10}}
+// BenchmarkPickFreshClock prices one GS or RAS pick, error and deadline
+// bound, at a new clock: every iteration moves the set's clock, as the
+// first launch attempt at each simulated instant does, so the pick
+// evaluates its running records afresh. The phase has 4,000 tasks with the
+// running ones scattered over the index range, and the running set widens
+// toward a large phase's share of the default 400-slot cluster. The
+// error-bound cut is a tenth of the tasks, and its selection starts from
+// the previous iteration's boundary, as repeated attempts on one job do;
+// the deadline leaves every fresh copy in time. The clock cycles through a
+// window of 1/8 time unit so the state stays the same shape however many
+// iterations run. A pick works in the set's reusable scratch and must not
+// allocate: scripts/perfwall.sh walls allocs/op at 0.
+func BenchmarkPickFreshClock(b *testing.B) {
+	const n = 4000
+	policies := []IncrementalPolicy{NewGS(), NewRAS()}
 	for _, running := range []int{16, 128, 400} {
-		for _, cut := range cuts {
-			b.Run(fmt.Sprintf("running=%d/need=%s", running, cut.name), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(int64(running)))
-				isRunning := make([]bool, n)
-				for _, i := range rng.Perm(n)[:running] {
-					isRunning[i] = true
-				}
-				vs := &ViewSet{}
-				vs.Reset(n, Eval{})
-				for i := 0; i < n; i++ {
-					r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 1}
-					if isRunning[i] {
-						// Progress in [0, 1): most are speculable; some
-						// finish soon, some straggle.
-						start := testNow - rng.Float64()
-						r.Copies, r.Start, r.Duration, r.FirstStart = 1, start, 1, start
-						r.End, r.TRemBias = testNow+3*rng.Float64(), 1
+		rng := rand.New(rand.NewSource(int64(running)))
+		isRunning := make([]bool, n)
+		for _, i := range rng.Perm(n)[:running] {
+			isRunning[i] = true
+		}
+		vs := &ViewSet{}
+		vs.Reset(n, Eval{})
+		for i := 0; i < n; i++ {
+			r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 0.8 + 0.4*rng.Float64()}
+			if isRunning[i] {
+				// Progress spread over [0, 1): most copies are speculable,
+				// some finish soon, some straggle.
+				dur := 1 + 3*rng.Float64()
+				start := testNow - dur*rng.Float64()
+				r.Copies, r.Start, r.Duration, r.FirstStart = 1, start, dur, start
+				r.End, r.TRemBias = start+dur, 0.7+0.6*rng.Float64()
+			}
+			vs.Init(i, r)
+		}
+		vs.Seal(testNow, 1)
+		for _, p := range policies {
+			for _, kind := range []task.BoundKind{task.ErrorBound, task.DeadlineBound} {
+				name := map[task.BoundKind]string{task.ErrorBound: "error", task.DeadlineBound: "deadline"}[kind]
+				b.Run(fmt.Sprintf("%s/%s/running=%d", p.Name(), name, running), func(b *testing.B) {
+					ctx := Ctx{Kind: kind, TargetTasks: n / 10, TotalTasks: n, RemainingTime: 2}
+					vs.Begin(testNow)
+					p.PickIncremental(ctx, vs) // grow the scratch
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						vs.Begin(testNow + float64(i%1024+1)/8192)
+						sinkDecision, sinkOK = p.PickIncremental(ctx, vs)
 					}
-					vs.Init(i, r)
-				}
-				vs.Seal(testNow, 1)
-				for _, cold := range []bool{false, true} {
-					b.Run(map[bool]string{false: "warm", true: "cold"}[cold], func(b *testing.B) {
-						vs.EarliestCandidates(cut.need)
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if cold {
-								vs.earliest = selHint{}
-							}
-							sinkRunIn, sinkFresh = vs.EarliestCandidates(cut.need)
-						}
-					})
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -6,11 +6,11 @@
 #
 #   - BenchmarkDispatch must stay at 0 allocs/op: the dispatch round has
 #     been allocation-free since PR 2.
-#   - BenchmarkEarliestCandidates (internal/spec) must stay at 0 allocs/op,
-#     in both its warm (hinted) and cold variants: GS's and RAS's
-#     error-bound selection runs on every launch attempt of an error-bound
-#     job and works in the ViewSet's reusable scratch, so any allocation
-#     there is a per-attempt regression.
+#   - BenchmarkPickFreshClock (internal/spec) must stay at 0 allocs/op in
+#     every sub-benchmark: GS's and RAS's picks, error and deadline bound,
+#     at a new clock on running sets of 16 to 400 tasks. A pick runs on
+#     every launch attempt and works in the ViewSet's reusable scratch, so
+#     any allocation there is a per-attempt regression.
 #   - BenchmarkSimulatorQuick's allocs/event must stay below the latest
 #     BENCH_sim.json figures plus ~6% headroom. Every phase, whatever its
 #     size, keeps its candidate views in a maintained spec.ViewSet, and an
@@ -20,9 +20,11 @@
 #     into the bucket storage it already holds, and only GRASS's sample
 #     jobs record a completion curve. Straggler draws are keyed, so every
 #     policy runs the same stragglers, and the workload measures gs
-#     0.1864, ras 0.1777, late 0.1907, grass 0.2882, grass-sketch 0.3861
-#     and oracle 0.2160. Launches no longer grow copy lists; what is left
-#     is the event queue, the pooled job state and GRASS's learner.
+#     0.1877, ras 0.1784, late 0.1935, grass 0.2889, grass-sketch 0.3867
+#     and oracle 0.2163 (the task block's kept t_new biases added up to
+#     0.003; the walls did not move). Launches no longer grow copy lists;
+#     what is left is the event queue, the pooled job state and GRASS's
+#     learner.
 #     Every run admits through RunSource (Run replays its slice through
 #     it), so these walls cover the streaming admission path too. The
 #     headroom lets normal jitter pass while an accidental revert of the
@@ -38,15 +40,9 @@
 #     grass-sketch 1.203 and oracle 0.8621. Touches are records re-derived
 #     — a deterministic count, like allocations — and a launch attempt
 #     re-derives only the records an event dirtied (views are evaluated on
-#     read), so each ceiling sits within 0.01 of its figure. A return to re-deriving every running
-#     task's view per attempt (~27-35 touches/attempt) fails.
-#   - BenchmarkSimulatorQuick's evals/attempt must stay at the latest
-#     BENCH_sim.json figures: gs 0.6316, ras 0.7024, late 0.1837, grass
-#     0.6752, grass-sketch 0.6809 and oracle 0.7412. An eval is one full
-#     evaluation of a job's running views; the launch attempts a job makes
-#     at one clock tick share it (updates patch the buffered views), so
-#     each ceiling sits within 0.01 of its figure and a return to one
-#     evaluation per attempt (1.0 for GS) fails.
+#     read), so each ceiling sits within 0.01 of its figure. A return to
+#     re-deriving every running task's view per attempt (~27-35
+#     touches/attempt) fails.
 #   - BenchmarkShardedReplay's "balance" metric (Σ partition walls / max
 #     partition wall at 4 partitions) must stay ≥ 2.5: it is the
 #     machine-independent ceiling on what 4 partitions can gain, so a
@@ -104,16 +100,15 @@ zero_allocs() {
 # Dispatch rounds must not allocate at all.
 zero_allocs BenchmarkDispatch "$out"
 
-# Nor may the error-bound earliest-set selection: the benchmark makes one
-# warm-up call before timing, so the scratch is grown and allocs/op is an
-# exact count.
+# Nor may a GS or RAS pick: the benchmark makes one warm-up pick before
+# timing, so the scratch is grown and allocs/op is an exact count.
 spec_out=$(go test ./internal/spec -run '^$' \
-	-bench 'BenchmarkEarliestCandidates' -benchtime 200x -benchmem)
+	-bench 'BenchmarkPickFreshClock' -benchtime 200x -benchmem)
 echo "$spec_out"
-zero_allocs BenchmarkEarliestCandidates "$spec_out"
+zero_allocs BenchmarkPickFreshClock "$spec_out"
 
-# Full-simulation allocations per event, and touches and running-view
-# evaluations per launch attempt, gated per policy.
+# Full-simulation allocations per event and touches per launch attempt,
+# gated per policy.
 check() { # check <sub-benchmark> <metric> <wall>
 	local sub=$1 metric=$2 wall=$3 v
 	# The -N GOMAXPROCS suffix is absent on single-core runners; match the
@@ -149,12 +144,6 @@ check late touches/attempt 1.13
 check grass touches/attempt 1.24
 check grass-sketch touches/attempt 1.21
 check oracle touches/attempt 0.87
-check gs evals/attempt 0.64
-check ras evals/attempt 0.71
-check late evals/attempt 0.19
-check grass evals/attempt 0.68
-check grass-sketch evals/attempt 0.69
-check oracle evals/attempt 0.75
 
 # Sharded execution: partition balance at 4 partitions. All three
 # workers= variants compute the identical model, so their balance samples
