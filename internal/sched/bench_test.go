@@ -52,14 +52,16 @@ func benchJobs(n int) []*task.Job {
 }
 
 // runSimBench runs full simulations of the bench workload under one policy
-// and reports per-event wall clock, per-event heap allocations, and the
-// task records re-derived per launch attempt (touches) — the numbers
-// BENCH_sim.json tracks across PRs. Run replays the slice through
-// RunSource, the streaming admission path every replay takes.
+// and reports per-event wall clock, per-event heap allocations, the task
+// records re-derived per launch attempt (touches) and the GS or RAS picks
+// per attempt that walked every running record (passes: the others were
+// same-instant retries the pick memo served) — the numbers BENCH_sim.json
+// tracks across PRs. Run replays the slice through RunSource, the
+// streaming admission path every replay takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, attempts uint64
+	var events, allocs, touches, passes, attempts uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,6 +86,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		allocs += m1.Mallocs - m0.Mallocs
 		to, _, at := s.TouchStats()
 		touches += to
+		passes += s.runBuf.Passes()
 		attempts += at
 	}
 	if events > 0 {
@@ -92,6 +95,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 	}
 	if attempts > 0 {
 		b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
+		b.ReportMetric(float64(passes)/float64(attempts), "passes/attempt")
 	}
 }
 
@@ -246,7 +250,8 @@ func BenchmarkDispatch(b *testing.B) {
 // re-derives only the records an event dirtied, not the whole job, so
 // touches/attempt (which BENCH_sim.json records) stays far below the 2000
 // views a from-scratch rebuild would derive per attempt; rechecks/attempt
-// counts the near-tied neighbour pairs median moves recheck.
+// counts the near-tied neighbour pairs median moves recheck, and
+// passes/attempt the picks that walked every running record.
 func BenchmarkLargeJobReplay(b *testing.B) {
 	jobs := func() []*task.Job {
 		return []*task.Job{
@@ -258,7 +263,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 	}
 	run := func(b *testing.B, factory func() spec.Factory) {
 		b.Helper()
-		var touches, rechecks, attempts, events uint64
+		var touches, rechecks, passes, attempts, events uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -276,6 +281,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 			to, re, at := s.TouchStats()
 			touches += to
 			rechecks += re
+			passes += s.runBuf.Passes()
 			attempts += at
 			events += stats.Events
 			b.StartTimer()
@@ -283,6 +289,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 		if attempts > 0 {
 			b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
 			b.ReportMetric(float64(rechecks)/float64(attempts), "rechecks/attempt")
+			b.ReportMetric(float64(passes)/float64(attempts), "passes/attempt")
 		}
 		if events > 0 {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")

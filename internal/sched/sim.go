@@ -263,8 +263,9 @@ type Simulator struct {
 	// cost ~0.3 allocs/event in per-job slices).
 	jsPool []*jobState
 
-	// runBuf is the query scratch every job's ViewSet shares: launch
-	// attempts never overlap, so one serves them all.
+	// runBuf is the query scratch every job's ViewSet shares, and the
+	// memo of the last GS or RAS pick: launch attempts never overlap, so
+	// one serves them all.
 	runBuf spec.RunBuf
 
 	cfg          Config

@@ -10,12 +10,16 @@
 // mark that task, and the refresh before the next launch attempt — the
 // set's only writer — drops the dirtied tasks that completed and
 // re-derives and re-files the rest. Time passing dirties nothing (GS and
-// RAS walk the running records once per attempt at its clock, keeping no
-// evaluated state between attempts), and neither does an estimator
-// update: t_new is median × work × factor on read, and a median move only
-// rechecks the near-tied neighbours of the set's (TNew, index) order
-// (spec.ViewSet.SetMedian). A launch attempt on an n-task job therefore
-// re-derives O(dirtied) records, not O(running), let alone n.
+// RAS walk the running records at the attempt's clock), and neither does
+// an estimator update: t_new is median × work × factor on read, and a
+// median move only rechecks the near-tied neighbours of the set's
+// (TNew, index) order (spec.ViewSet.SetMedian). A launch attempt on an
+// n-task job therefore re-derives O(dirtied) records, not O(running), let
+// alone n. What a pick evaluated is kept only for the job's next attempt
+// at the same instant: the simulator's one spec.RunBuf keeps the last GS
+// or RAS pick, and when the refresh between two attempts re-files just the
+// task the first one launched, the retry re-evaluates that record alone
+// (spec.RunBuf.Passes counts the picks that walked every running record).
 //
 // Deriving a record reads the scheduler's state and keyed draws only (a
 // task's t_new bias, drawn once per phase and kept in the task block, or

@@ -7,9 +7,12 @@ import "math"
 // time buckets by virtual bucket index floor(Time/width); a cursor walks
 // the buckets in virtual-time order and drainMin lifts the whole minimal
 // (Time, class) group out of one bucket in a single scan. Push, remove and
-// drain are O(1) amortized when the width tracks the observed event
-// spacing; the structure resizes and re-widths itself as the pending count
-// crosses powers of two.
+// drain are O(1) amortized when the width tracks the spacing of the events
+// about to drain; the structure resizes and re-widths itself as the
+// pending count crosses powers of two. The width follows the queue's
+// front, not its whole spread: heavy-tailed completions and far deadlines
+// would otherwise stretch the mean gap and pile the near events into a few
+// buckets that every drain rescans.
 //
 // Correctness does not depend on the width being well tuned — only
 // throughput does. The cursor acceptance test compares virtual bucket
@@ -20,7 +23,8 @@ import "math"
 // empty falls back to a direct minimum search and jumps the cursor there.
 type calendarQueue struct {
 	buckets [][]*Event
-	scratch []*Event // resize staging, reused
+	scratch []*Event  // resize staging, reused
+	times   []float64 // resize's front-time selection, reused
 	width   float64
 	vb      int64 // cursor's virtual bucket; MaxInt64 when empty
 	mask    int64
@@ -39,6 +43,9 @@ const (
 	// was far too wide, would otherwise pin that capacity for the rest of
 	// the run in every bucket it ever visited.
 	calKeepCap = 64
+	// calFront is how many of the earliest pending times resize sizes the
+	// width from: 32 gaps, enough to average out a same-time burst.
+	calFront = 33
 )
 
 func newCalendarQueue() *calendarQueue {
@@ -164,10 +171,14 @@ func (cq *calendarQueue) take(best *Event, dst []*Event) []*Event {
 }
 
 // resize rehashes every event into nb buckets and recomputes the bucket
-// width from the observed time spread — 3x the mean inter-event gap,
-// floored so the virtual index space stays far from the clamp. Width
-// changes remap every event, so the cursor is re-derived from the true
-// minimum; order is unaffected (see the type comment).
+// width: 3x the mean gap among the calFront earliest finite pending times,
+// so the events about to drain spread about three to a bucket whatever lies
+// beyond them. When those times are all equal (a same-time burst at the
+// front) it falls back to 3x the mean gap over the whole spread. Either
+// width is floored so the virtual index space stays far from the clamp.
+// The front is found by an O(n) selection over a reused scratch, not a
+// sort. Width changes remap every event, so the cursor is re-derived from
+// the true minimum; order is unaffected (see the type comment).
 //
 // The bucket storage is kept: every bucket is emptied in place and the
 // bucket array only grows, so buckets dropped by a shrink come back with
@@ -180,7 +191,7 @@ func (cq *calendarQueue) resize(nb int) {
 	if nb < calInitBuckets {
 		nb = calInitBuckets
 	}
-	evs := cq.scratch[:0]
+	evs, times := cq.scratch[:0], cq.times[:0]
 	tmin, tmax := math.Inf(1), math.Inf(-1)
 	for _, b := range cq.buckets {
 		for _, ev := range b {
@@ -188,13 +199,22 @@ func (cq *calendarQueue) resize(nb int) {
 			if ev.Time < tmin {
 				tmin = ev.Time
 			}
-			if ev.Time > tmax && !math.IsInf(ev.Time, 1) {
-				tmax = ev.Time
+			if !math.IsInf(ev.Time, 1) {
+				times = append(times, ev.Time)
+				if ev.Time > tmax {
+					tmax = ev.Time
+				}
 			}
 		}
 	}
 	if len(evs) > 0 && tmax > tmin {
-		w := 3 * (tmax - tmin) / float64(len(evs))
+		// tmax > tmin leaves at least two finite times, and tmin is the
+		// smallest of them.
+		k := min(calFront, len(times))
+		w := 3 * (kthSmallest(times, k-1) - tmin) / float64(k-1)
+		if w == 0 {
+			w = 3 * (tmax - tmin) / float64(len(evs))
+		}
 		if floor := tmax / float64(int64(1)<<40); w < floor {
 			w = floor
 		}
@@ -223,5 +243,39 @@ func (cq *calendarQueue) resize(nb int) {
 	if len(evs) > 0 {
 		cq.vb = cq.vbFor(tmin)
 	}
-	cq.scratch = evs[:0]
+	cq.scratch, cq.times = evs[:0], times[:0]
+}
+
+// kthSmallest returns the k-th smallest (0-based) of xs, reordering xs: a
+// quickselect with a three-way partition, so a run of equal times — a
+// same-time burst — settles in one step instead of degrading it.
+func kthSmallest(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)
+	for {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package simevent
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -425,5 +426,88 @@ func TestAtLastFiresAfterSameTimeEvents(t *testing.T) {
 	e.Run(0)
 	if len(got) != 2 || got[0] != "at" || got[1] != "last" {
 		t.Fatalf("cancel/recycle across AtLast fired %v", got)
+	}
+}
+
+// TestCalendarWidthFollowsFront pins the bucket-width rule: a resize sizes
+// the width from the earliest calFront pending times, not the whole
+// spread. A front-heavy pending set — 40 events one time unit apart ahead
+// of 600 exponentially spread completions and deadlines — puts the front
+// three to a bucket (the whole-spread rule would put all 40 in one) and
+// no bucket holds many, and the queue still drains in order. When the
+// front times are all equal the width falls back to the whole spread.
+func TestCalendarWidthFollowsFront(t *testing.T) {
+	fill := func(times []float64) *calendarQueue {
+		cq := newCalendarQueue()
+		for i, tm := range times {
+			cq.push(&Event{Time: tm, seq: uint64(i), class: 1})
+		}
+		cq.resize(len(cq.buckets))
+		return cq
+	}
+	var times []float64
+	for i := 0; i < 40; i++ {
+		times = append(times, 100+float64(i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 600; i++ {
+		times = append(times, 1e3+rng.ExpFloat64()*1e5)
+	}
+	cq := fill(times)
+	if cq.width != 3 {
+		t.Fatalf("width %v, want 3x the front's mean gap of 1", cq.width)
+	}
+	for i, b := range cq.buckets {
+		front := 0
+		for _, ev := range b {
+			if ev.Time < 140 {
+				front++
+			}
+		}
+		if front > 3 || len(b) > 10 {
+			t.Fatalf("bucket %d holds %d events, %d of the front; want at most 10 and 3", i, len(b), front)
+		}
+	}
+	var got []*Event
+	for cq.len() > 0 {
+		got = cq.drainMin(got)
+	}
+	if !sort.SliceIsSorted(got, func(a, b int) bool { return eventBefore(got[a], got[b]) }) || len(got) != len(times) {
+		t.Fatalf("drained %d of %d events, sorted %v", len(got), len(times),
+			sort.SliceIsSorted(got, func(a, b int) bool { return eventBefore(got[a], got[b]) }))
+	}
+
+	// A same-time burst at the front: the earliest 33 times are equal, so
+	// the width comes from the whole spread, 3 x (1000 - 5) / 140.
+	times = times[:0]
+	for i := 0; i < 40; i++ {
+		times = append(times, 5)
+	}
+	for i := 0; i < 100; i++ {
+		times = append(times, 10+float64(i)*990/99)
+	}
+	if cq := fill(times); cq.width != 3*(1000.0-5)/140 {
+		t.Fatalf("burst front: width %v, want the whole-spread rule's %v", cq.width, 3*(1000.0-5)/140)
+	}
+}
+
+// TestKthSmallest holds the width rule's selection to a sort on inputs
+// full of repeats, the same-time bursts it must not degrade on.
+func TestKthSmallest(t *testing.T) {
+	f := func(raw []uint8, k uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			xs[i] = float64(r % 8)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		kk := int(k) % len(xs)
+		return kthSmallest(xs, kk) == sorted[kk]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,22 +41,28 @@ func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // candidates. The running records are scanned directly (the set is
 // bounded by the job's slot share), and a record's progress is divided out
 // only once the task is under the copy cap and its TNew meets the deadline
-// and beats the best so far; the unscheduled minimum is the order head —
-// if even it exceeds the deadline, no unscheduled task qualifies.
+// and beats the best so far; a same-instant retry evaluates only the task
+// changed since (ViewSet.retryDeadline). The unscheduled minimum is the
+// order head — if even it exceeds the deadline, no unscheduled task
+// qualifies.
 func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	best, speculative := -1, false
-	var bestNew float64
-	now, med, gt := vs.now, vs.med, vs.groundTruth
-	for _, i := range vs.running {
-		r := &vs.recs[i]
-		tn := r.tnewAt(med)
-		if tn > ctx.RemainingTime || r.Copies >= MaxCopies || (best != -1 && !(tn < bestNew)) {
-			continue
+	best, bestNew, ok := vs.retryDeadline(pickGSDeadline, ctx.RemainingTime)
+	if !ok {
+		best = -1
+		now, med, gt := vs.now, vs.med, vs.groundTruth
+		for _, i := range vs.running {
+			r := &vs.recs[i]
+			tn := r.tnewAt(med)
+			if tn > ctx.RemainingTime || r.Copies >= MaxCopies || (best != -1 && !(tn < bestNew)) {
+				continue
+			}
+			if trem, ok := r.tremAt(now, gt); ok && !(tn >= trem) {
+				best, bestNew = i, tn
+			}
 		}
-		if trem, ok := r.tremAt(now, gt); ok && !(tn >= trem) {
-			best, bestNew, speculative = i, tn, true
-		}
+		vs.keepDeadline(pickGSDeadline, ctx.RemainingTime, best, bestNew)
 	}
+	speculative := best != -1
 	if u, ok := vs.MinTNewUnsched(); ok {
 		if tn := vs.TNew(u); tn <= ctx.RemainingTime {
 			if best == -1 || tn < bestNew || (tn == bestNew && u < best) {
@@ -184,24 +190,28 @@ func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // rasDeadlineInc mirrors rasDeadline: best positive saving among running
 // tasks within the deadline, else SJF over unscheduled tasks. A record's
 // progress is divided out only once the task is under the copy cap and its
-// TNew meets the deadline.
+// TNew meets the deadline; a same-instant retry evaluates only the task
+// changed since (ViewSet.retryDeadline).
 func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	spec := -1
-	var specSaving float64
-	now, med, gt := vs.now, vs.med, vs.groundTruth
-	for _, i := range vs.running {
-		r := &vs.recs[i]
-		tn := r.tnewAt(med)
-		if tn > ctx.RemainingTime || r.Copies >= MaxCopies {
-			continue
+	spec, specSaving, ok := vs.retryDeadline(pickRASDeadline, ctx.RemainingTime)
+	if !ok {
+		spec = -1
+		now, med, gt := vs.now, vs.med, vs.groundTruth
+		for _, i := range vs.running {
+			r := &vs.recs[i]
+			tn := r.tnewAt(med)
+			if tn > ctx.RemainingTime || r.Copies >= MaxCopies {
+				continue
+			}
+			trem, ok := r.tremAt(now, gt)
+			if !ok {
+				continue
+			}
+			if s := savingOf(float64(r.Copies), trem, tn); s > 0 && (spec == -1 || s > specSaving) {
+				spec, specSaving = i, s
+			}
 		}
-		trem, ok := r.tremAt(now, gt)
-		if !ok {
-			continue
-		}
-		if s := savingOf(float64(r.Copies), trem, tn); s > 0 && (spec == -1 || s > specSaving) {
-			spec, specSaving = i, s
-		}
+		vs.keepDeadline(pickRASDeadline, ctx.RemainingTime, spec, specSaving)
 	}
 	if spec >= 0 {
 		return Decision{TaskIndex: spec, Speculative: true}, true

@@ -126,8 +126,9 @@ type Policy interface {
 // attempt's clock and t_new median — and the policy selects from the
 // maintained orderings and the running tasks' records, with warm-started
 // selections, instead of rescanning every task. GS and RAS decide in one
-// pass over the running records; LATE and Mantri read whole views through
-// RunningViews. Nothing evaluated outlives the attempt.
+// pass over the running records, and a retry at the same instant reuses
+// the last pick, re-evaluating only the task launched since; LATE and
+// Mantri read whole views through RunningViews.
 //
 // The contract mirrors Pick exactly: given the same job state,
 // PickIncremental must return the identical Decision (including

@@ -33,20 +33,35 @@ import (
 //     pick is its head, and the error-bound earliest set's unscheduled
 //     members are a prefix of it.
 //
-// Nothing evaluated is kept between reads. GS's and RAS's picks walk the
-// running records once per launch attempt and evaluate what each decision
-// needs straight from them: a deadline pick tests a task's t_new against
-// the remaining time, the copy cap and the best so far before it divides
-// for progress, and an error-bound pick forms each running task's
-// selection key, places it against the previous selection's boundary
-// (selHint) and keeps only the keys near that boundary and the rare
-// speculation candidates. For r running and u unscheduled tasks the
-// deadline picks cost O(r) per attempt, and the error-bound earliest set
-// and the median TNew cost O(r) expected plus O(log r · log u): a
-// quickselect over the running keys whose probes binary-search uorder,
-// warm-started from the previous boundary so it usually touches few keys
-// after the pass. LATE, Mantri and the differential tests read whole
-// views through RunningViews, which evaluates them afresh on every call.
+// Both unscheduled lists are windows (see window): a removal or an
+// insertion shifts the shorter side of its position, so launching from
+// the head is O(1).
+//
+// GS's and RAS's picks walk the running records once per launch attempt
+// and evaluate what each decision needs straight from them: a deadline
+// pick tests a task's t_new against the remaining time, the copy cap and
+// the best so far before it divides for progress, and an error-bound pick
+// forms each running task's selection key, places it against the previous
+// selection's boundary (selHint) and keeps only the keys near that
+// boundary and the rare speculation candidates. For r running and u
+// unscheduled tasks the deadline picks cost O(r) per attempt, and the
+// error-bound earliest set and the median TNew cost O(r) expected plus
+// O(log r · log u): a quickselect over the running keys whose probes
+// binary-search uorder, warm-started from the previous boundary so it
+// usually touches few keys after the pass.
+//
+// One pick's result outlives its attempt: the shared RunBuf keeps the last
+// pass's running keys, candidates, split or best candidate (pickMemo),
+// stamped with the set, clock, median and pick. The fair scheduler offers
+// a job far below its share several slots at one instant, and between
+// those attempts only the task just launched changes; Update notes it, and
+// the retry evaluates that one record instead of every running one. Any
+// other change — a second task, a completion, a running task back to
+// unscheduled, a new clock or median, a deadline pick's kept best getting
+// worse — sends the next pick back to the full pass. MedianTNew keeps its value until a completion, a work or
+// factor change or a median move. LATE, Mantri and the differential tests
+// read whole views through RunningViews, which evaluates them afresh on
+// every call.
 //
 // The (TNew, index) order survives a median move almost for free. A key
 // is fl(fl(m·w)·f), within a factor (1 ± u)² of the exact product m·w·f
@@ -73,8 +88,8 @@ import (
 type ViewSet struct {
 	recs    []TaskRec
 	running []int
-	unsched []int
-	uorder  []int
+	unsched window
+	uorder  window
 	// near lists the uorder tasks whose pair with their uorder successor is
 	// near-tied (TaskRec.near points back into it).
 	near   []int
@@ -88,6 +103,11 @@ type ViewSet struct {
 	// earliest-set and MedianTNew selections, which warm-start the next
 	// ones.
 	earliest, median selHint
+
+	// medTNew is MedianTNew's value while medKnown holds: no completion,
+	// work or factor change or median move since it was computed.
+	medTNew  float64
+	medKnown bool
 
 	// run holds the query scratch, shared by the scheduler's sets.
 	run *RunBuf
@@ -116,19 +136,110 @@ type TaskRec struct {
 	near int32
 }
 
-// RunBuf is the scratch a ViewSet's queries work in. Nothing in it
-// outlives the query that filled it: every query overwrites it, so
-// ViewSets whose queries never overlap — every job of one simulator —
-// share one, and its capacity is paid once.
+// RunBuf is the scratch a ViewSet's queries work in, and the memo of the
+// last GS or RAS pick. ViewSets whose queries never overlap — every job of
+// one simulator — share one, so its capacity is paid once. A query
+// overwrites the scratch; the memo, stamped with the set it was made on,
+// serves only that set's next pick of the same kind at the same clock and
+// median, and any other pick replaces it.
 type RunBuf struct {
 	// views holds RunningViews' result, re-evaluated on every call.
 	views []TaskView
-	// runKeys holds the running tasks' selection keys in running order,
-	// selKeys the keys a selection still has to partition, and cands the
-	// speculation candidates an error-bound pick found.
+	// runKeys holds the last error-bound pick's running selection keys in
+	// running order and cands its speculation candidates, both kept for
+	// the memo; selKeys holds the keys a selection still has to partition
+	// and medKeys MedianTNew's running keys.
 	runKeys []effIdx
 	selKeys []effIdx
 	cands   []errCand
+	medKeys []effIdx
+	memo    pickMemo
+	// passes counts full pick passes: picks the memo could not serve.
+	passes uint64
+}
+
+// Passes returns how many GS or RAS picks walked every running record:
+// the picks the memo could not serve.
+func (b *RunBuf) Passes() uint64 { return b.passes }
+
+// pickKind names the pick a memo answers.
+type pickKind uint8
+
+const (
+	pickGSError pickKind = 1 + iota
+	pickRASError
+	pickGSDeadline
+	pickRASDeadline
+)
+
+// pickMemo is the last GS or RAS pick a RunBuf served, kept so that a
+// retry at the same instant re-evaluates only the task that changed since.
+type pickMemo struct {
+	// vs is the set the pick ran on; nil when nothing is kept.
+	vs *ViewSet
+	// The stamp: the clock, the median and the pick's argument (the error
+	// bound's need, the deadline's remaining time).
+	now, med, arg float64
+	// changed is the one task Update re-filed on vs since the pick, or -1;
+	// wasRunning says it was running at the pick.
+	changed int
+	// Error bound: the split the pick left in vs.earliest, how many
+	// running keys it has below (j) and its block extremes — the largest
+	// member and the smallest non-member, sentinels for an empty side, or
+	// a key that bounds its block as tightly (see retryEarliest). The keys
+	// and candidates stay in runKeys and cands.
+	j               int
+	split           selHint
+	lowMax, highMin effIdx
+	// Deadline bound: the best running candidate, or -1, and its score —
+	// GS's TNew, RAS's saving.
+	best       int
+	score      float64
+	kind       pickKind
+	wasRunning bool
+}
+
+// fits reports whether the memo answers a pick of kind with argument arg
+// on vs at its current clock and median.
+func (m *pickMemo) fits(vs *ViewSet, kind pickKind, arg float64) bool {
+	return m.vs == vs && m.kind == kind && m.now == vs.now && m.med == vs.med && m.arg == arg
+}
+
+// stamp starts a memo for a full pass of kind on vs, and counts the pass.
+func (m *pickMemo) stamp(vs *ViewSet, kind pickKind, arg float64) {
+	m.vs, m.kind, m.now, m.med, m.arg, m.changed = vs, kind, vs.now, vs.med, arg, -1
+	vs.run.passes++
+}
+
+// keepSplit records the split a selection over n running keys left in h:
+// j members, the largest maxIn, and the smallest non-member minOut.
+func (m *pickMemo) keepSplit(h selHint, j, n int, maxIn, minOut effIdx) {
+	m.j, m.split, m.lowMax, m.highMin = j, h, lowestKey, highestKey
+	if j > 0 {
+		m.lowMax = maxIn
+	}
+	if j < n {
+		m.highMin = minOut
+	}
+}
+
+// note records that Update re-filed task i, running before if was and
+// after if is. The memo serves one change of a task that stays filed where
+// it was or starts running; a second change, or a running task going back
+// to unscheduled, drops it.
+func (m *pickMemo) note(i int, was, is bool) {
+	if m.changed >= 0 || (was && !is) {
+		m.vs = nil
+		return
+	}
+	m.changed, m.wasRunning = i, was
+}
+
+// dropMemo forgets the memo if it was made on vs.
+func (vs *ViewSet) dropMemo() {
+	if vs.run.memo.vs == vs {
+		vs.run.memo.vs = nil
+	}
 }
 
 // Eval says how a ViewSet turns records into views.
@@ -149,15 +260,17 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.recs = vs.recs[:n]
 	clear(vs.recs)
 	vs.running = vs.running[:0]
-	vs.unsched = vs.unsched[:0]
-	vs.uorder = vs.uorder[:0]
+	vs.unsched.reset()
+	vs.uorder.reset()
 	vs.near = vs.near[:0]
 	vs.sealed = false
 	vs.earliest, vs.median = selHint{}, selHint{}
+	vs.medKnown = false
 	vs.groundTruth, vs.run = e.GroundTruth, e.Buf
 	if vs.run == nil {
 		vs.run = new(RunBuf)
 	}
+	vs.dropMemo()
 }
 
 // Init records task i's initial state during the build phase. Tasks must
@@ -172,8 +285,8 @@ func (vs *ViewSet) Init(i int, r TaskRec) {
 	if r.Copies > 0 {
 		vs.running = append(vs.running, i)
 	} else {
-		vs.unsched = append(vs.unsched, i)
-		vs.uorder = append(vs.uorder, i)
+		vs.unsched.push(i)
+		vs.uorder.push(i)
 	}
 }
 
@@ -204,14 +317,16 @@ func (vs *ViewSet) SetMedian(med float64) int {
 	if vs.groundTruth || med == vs.med {
 		return 0
 	}
+	vs.medKnown = false
 	if !tame(vs.med) || !tame(med) {
 		vs.med = med
 		vs.sortUorder()
-		return max(len(vs.uorder)-1, 0)
+		return max(vs.uorder.len()-1, 0)
 	}
 	broken := false
+	u := vs.uorder.list()
 	for _, a := range vs.near {
-		b := vs.uorder[vs.uorderPos(a)+1]
+		b := u[vs.uorderPos(a)+1]
 		broken = broken || keyAt(med, &vs.recs[b], b).less(keyAt(med, &vs.recs[a], a))
 	}
 	n := len(vs.near)
@@ -223,7 +338,7 @@ func (vs *ViewSet) SetMedian(med float64) int {
 }
 
 // Len returns the number of incomplete tasks in the set.
-func (vs *ViewSet) Len() int { return len(vs.running) + len(vs.unsched) }
+func (vs *ViewSet) Len() int { return len(vs.running) + vs.unsched.len() }
 
 // At evaluates the current view of task i. Only meaningful for incomplete
 // tasks of the phase.
@@ -315,19 +430,19 @@ func (vs *ViewSet) Running() []int { return vs.running }
 // FirstUnsched returns the lowest-index unscheduled task — the FIFO
 // launch the approximation-oblivious baselines start from.
 func (vs *ViewSet) FirstUnsched() (int, bool) {
-	if len(vs.unsched) == 0 {
+	if vs.unsched.len() == 0 {
 		return 0, false
 	}
-	return vs.unsched[0], true
+	return vs.unsched.list()[0], true
 }
 
 // MinTNewUnsched returns the unscheduled task with the smallest
 // (TNew, index) — SJF's pick, the head of uorder.
 func (vs *ViewSet) MinTNewUnsched() (int, bool) {
-	if len(vs.uorder) == 0 {
+	if vs.uorder.len() == 0 {
 		return 0, false
 	}
-	return vs.uorder[0], true
+	return vs.uorder.list()[0], true
 }
 
 // MedianTNew returns the median TNew across every incomplete task, with
@@ -336,25 +451,36 @@ func (vs *ViewSet) MinTNewUnsched() (int, bool) {
 // test need. Zero when the set is empty. It runs the earliest-set
 // selection on TNew keys: the h = n/2 smallest keys split off, the median
 // is the smallest key outside them, averaged for even n with the largest
-// key inside.
+// key inside. A launch leaves every TNew as it was, so the value is kept
+// until a task completes, a record's work or factor changes or the median
+// moves.
 func (vs *ViewSet) MedianTNew() float64 {
+	if !vs.medKnown {
+		vs.medTNew, vs.medKnown = vs.medianTNew(), true
+	}
+	return vs.medTNew
+}
+
+// medianTNew computes MedianTNew's value.
+func (vs *ViewSet) medianTNew() float64 {
 	n := vs.Len()
 	if n == 0 {
 		return 0
 	}
 	h := n / 2
 	b := vs.run
-	keys := b.runKeys[:0]
+	keys := b.medKeys[:0]
 	for _, i := range vs.running {
 		keys = append(keys, vs.tnewKey(i))
 	}
-	b.runKeys = keys
+	b.medKeys = keys
 	j, maxIn, minOut := vs.selectRunning(keys, h, &vs.median)
 	// h-j unscheduled tasks are inside; uorder[h-j] is the smallest
 	// unscheduled one outside.
+	u := vs.uorder.list()
 	above := minOut.eff
-	if u := h - j; u < len(vs.uorder) {
-		if t := vs.TNew(vs.uorder[u]); j == len(keys) || t < above {
+	if k := h - j; k < len(u) {
+		if t := vs.TNew(u[k]); j == len(keys) || t < above {
 			above = t
 		}
 	}
@@ -362,8 +488,8 @@ func (vs *ViewSet) MedianTNew() float64 {
 		return above
 	}
 	below := maxIn.eff
-	if u := h - j; u > 0 {
-		if t := vs.TNew(vs.uorder[u-1]); j == 0 || t > below {
+	if k := h - j; k > 0 {
+		if t := vs.TNew(u[k-1]); j == 0 || t > below {
 			below = t
 		}
 	}
@@ -374,11 +500,17 @@ func (vs *ViewSet) MedianTNew() float64 {
 // count crossed zero moves between the running and unscheduled lists, and
 // an unscheduled task whose key operands changed (an oracle redraw) moves
 // in uorder; either way it is first unfiled under the stored record, the
-// one it is filed under.
+// one it is filed under. The pick memo of this set notes the change.
 func (vs *ViewSet) Update(i int, r TaskRec) {
 	old := &vs.recs[i]
-	moved := (old.Copies > 0) != (r.Copies > 0) ||
-		(r.Copies == 0 && (old.Work != r.Work || old.Factor != r.Factor))
+	if vs.run.memo.vs == vs {
+		vs.run.memo.note(i, old.Copies > 0, r.Copies > 0)
+	}
+	rekeyed := old.Work != r.Work || old.Factor != r.Factor
+	if rekeyed {
+		vs.medKnown = false
+	}
+	moved := (old.Copies > 0) != (r.Copies > 0) || (r.Copies == 0 && rekeyed)
 	if !moved {
 		r.near = old.near
 		*old = r
@@ -391,13 +523,16 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 		vs.running = slices.Insert(vs.running, sort.SearchInts(vs.running, i), i)
 		return
 	}
-	p := sort.SearchInts(vs.unsched, i)
-	vs.unsched = slices.Insert(vs.unsched, p, i)
+	vs.unsched.insert(sort.SearchInts(vs.unsched.list(), i), i)
 	vs.uorderInsert(i)
 }
 
 // Remove drops completed task i from the set.
-func (vs *ViewSet) Remove(i int) { vs.unfile(i) }
+func (vs *ViewSet) Remove(i int) {
+	vs.dropMemo()
+	vs.medKnown = false
+	vs.unfile(i)
+}
 
 // unfile drops task i from the lists its stored record filed it in. The
 // uorder search compares through the stored records, so the entry must
@@ -408,8 +543,7 @@ func (vs *ViewSet) unfile(i int) {
 		vs.running = slices.Delete(vs.running, p, p+1)
 		return
 	}
-	p := sortedPos(vs.unsched, i, "unsched")
-	vs.unsched = slices.Delete(vs.unsched, p, p+1)
+	vs.unsched.remove(sortedPos(vs.unsched.list(), i, "unsched"))
 	vs.uorderRemove(i)
 }
 
@@ -419,13 +553,14 @@ func (vs *ViewSet) unfile(i int) {
 // RunningViews, the evaluation LATE and Mantri read.
 func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 	rv := vs.RunningViews()
+	un := vs.unsched.list()
 	ri, ui := 0, 0
-	for ri < len(rv) || ui < len(vs.unsched) {
-		if ui == len(vs.unsched) || (ri < len(rv) && vs.running[ri] < vs.unsched[ui]) {
+	for ri < len(rv) || ui < len(un) {
+		if ui == len(un) || (ri < len(rv) && vs.running[ri] < un[ui]) {
 			dst = append(dst, rv[ri])
 			ri++
 		} else {
-			dst = append(dst, vs.At(vs.unsched[ui]))
+			dst = append(dst, vs.At(un[ui]))
 			ui++
 		}
 	}
@@ -437,8 +572,9 @@ func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 // every keyed search relies on. The differential tests call it at every
 // launch attempt.
 func (vs *ViewSet) CheckOrder() error {
-	for k := 1; k < len(vs.uorder); k++ {
-		if a, b := vs.uorder[k-1], vs.uorder[k]; !vs.tnewKey(a).less(vs.tnewKey(b)) {
+	u := vs.uorder.list()
+	for k := 1; k < len(u); k++ {
+		if a, b := u[k-1], u[k]; !vs.tnewKey(a).less(vs.tnewKey(b)) {
 			return fmt.Errorf("uorder[%d] task %d (tnew %v) does not sort before task %d (tnew %v) at median %v",
 				k-1, a, vs.TNew(a), b, vs.TNew(b), vs.med)
 		}
@@ -447,7 +583,7 @@ func (vs *ViewSet) CheckOrder() error {
 		if int(vs.recs[a].near) != k+1 {
 			return fmt.Errorf("near[%d] task %d points back to %d", k, a, vs.recs[a].near-1)
 		}
-		if p := vs.uorderSearch(vs.tnewKey(a)); p+1 >= len(vs.uorder) || vs.uorder[p] != a {
+		if p := vs.uorderSearch(vs.tnewKey(a)); p+1 >= len(u) || u[p] != a {
 			return fmt.Errorf("near[%d] task %d heads no uorder pair", k, a)
 		}
 	}
@@ -476,18 +612,48 @@ type errCand struct {
 //     the smallest index (LJF's pick inside the set), or -1 when the set
 //     contains no unscheduled task.
 //
-// The pass evaluates each running record with the view's expressions,
-// forms its key, keeps it in the scratch and places it against the
-// previous split (vs.earliest): it counts the keys below the hint, keeps
-// the extremes of the outer blocks and collects only the keys between the
-// hint keys and the candidates. settle then decides the split, passing
-// over the kept keys again only when the hint's probes do not confirm it.
-// When need covers every task, no selection runs.
+// A retry that the memo serves (retryEarliest) re-evaluates only the task
+// changed since the last pick; any other pick makes the full pass
+// (passEarliest).
 func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64, fresh int) {
 	if need <= 0 {
 		return -1, 0, -1
 	}
+	kind := pickGSError
+	if saving {
+		kind = pickRASError
+	}
 	all := need >= vs.Len()
+	j, minOut, ok := vs.retryEarliest(kind, need, all)
+	if !ok {
+		j, minOut = vs.passEarliest(kind, need, all)
+	}
+	n := len(vs.running)
+	if all {
+		fresh = vs.ljfUnsched(vs.uorder.len())
+	} else {
+		fresh = vs.ljfUnsched(need - j)
+	}
+	// The running members are the keys below minOut.
+	best = -1
+	for _, c := range vs.run.cands {
+		if (j == n || c.key.less(minOut)) && (best == -1 || c.score > score || (c.score == score && c.key.idx < best)) {
+			best, score = c.key.idx, c.score
+		}
+	}
+	return best, score, fresh
+}
+
+// passEarliest is pickEarliest's full pass: it evaluates each running
+// record with the view's expressions, forms its key, keeps it in runKeys
+// and places it against the previous split (vs.earliest) — it counts the
+// keys below the hint, keeps the extremes of the outer blocks and collects
+// only the keys between the hint keys — and it collects the speculation
+// candidates. settle then decides the split, passing over the kept keys
+// again only when the hint's probes do not confirm it. When need covers
+// every task (all), no selection runs. It returns the number of running
+// members j and the smallest running non-member, and stamps the memo.
+func (vs *ViewSet) passEarliest(kind pickKind, need int, all bool) (j int, minOut effIdx) {
 	h := &vs.earliest
 	in, out := lowestKey, highestKey
 	if h.set {
@@ -498,13 +664,15 @@ func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64,
 	sel, cands := b.selKeys[:0], b.cands[:0]
 	p := 0
 	e := splitExt{lowMax: lowestKey, highMin: highestKey}
+	saving := kind == pickRASError
 	now, med, gt := vs.now, vs.med, vs.groundTruth
 	for k, i := range vs.running {
+		// errKey's evaluation, written out: the loop runs for every
+		// running record, and a call per record made the fresh-clock
+		// pick about a third slower.
 		r := &vs.recs[i]
 		tnew := r.tnewAt(med)
 		trem, speculable := r.tremAt(now, gt)
-		// effDuration: a task a copy could still rescue finishes at the
-		// earlier of waiting and re-running.
 		key := effIdx{eff: trem, idx: i}
 		if speculable && r.Copies < MaxCopies {
 			if !(trem < tnew) {
@@ -535,33 +703,211 @@ func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64,
 		}
 	}
 	b.runKeys, b.selKeys, b.cands = keys, sel, cands
-	j, minOut := len(keys), highestKey
+	m := &b.memo
+	m.stamp(vs, kind, float64(need))
 	if all {
-		fresh = vs.ljfUnsched(len(vs.uorder))
-	} else {
-		// The middle block's extremes; with no key between the hint keys
-		// the nearest keys beyond each lie in the outer blocks.
-		e.midMin, e.midMax = e.highMin, e.lowMax
-		for _, k := range sel {
-			if k.less(e.midMin) {
-				e.midMin = k
-			}
-			if e.midMax.less(k) {
-				e.midMax = k
-			}
-		}
-		j, _, minOut = vs.settle(keys, need, h, p, p+len(sel), e, true)
-		fresh = vs.ljfUnsched(need - j)
+		return len(keys), highestKey
 	}
-	// The running members are the keys below minOut; the candidates are in
-	// index order, so the first of equal scores has the lowest index.
-	best = -1
-	for _, c := range cands {
-		if (j == len(keys) || c.key.less(minOut)) && (best == -1 || c.score > score) {
-			best, score = c.key.idx, c.score
+	// The middle block's extremes; with no key between the hint keys the
+	// nearest keys beyond each lie in the outer blocks.
+	e.midMin, e.midMax = e.highMin, e.lowMax
+	for _, k := range sel {
+		if k.less(e.midMin) {
+			e.midMin = k
+		}
+		if e.midMax.less(k) {
+			e.midMax = k
 		}
 	}
-	return best, score, fresh
+	j, maxIn, minOut := vs.settle(keys, need, h, p, p+len(sel), e, true)
+	m.keepSplit(*h, j, len(keys), maxIn, minOut)
+	return j, minOut
+}
+
+// retryEarliest serves pickEarliest from the memo of the previous pick of
+// the same kind and need on vs at the same clock and median. The kept keys
+// are the running keys but the changed task's, and the kept split is the
+// hint itself: exactly j keys below h.in, none in [h.in, h.out). So the
+// retry re-evaluates the changed task alone, swaps its key and candidate
+// entry, classifies its new key against the split and lets settle's probes
+// decide whether the split moved. It reports false, having decided
+// nothing, when the memo does not fit.
+//
+// The kept block extremes may be the changed task's old key. settle reads
+// an extreme only as the boundary key it returns when a probe decides the
+// split at a hint key, and the old key still separates the blocks there:
+// the largest member's is at least every member and below h.in, the
+// smallest non-member's at h.out and at most every non-member. So the
+// split, the hint it leaves and the candidates below minOut stay exact.
+func (vs *ViewSet) retryEarliest(kind pickKind, need int, all bool) (j int, minOut effIdx, ok bool) {
+	b := vs.run
+	m := &b.memo
+	h := &vs.earliest
+	if !m.fits(vs, kind, float64(need)) || (!all && *h != m.split) {
+		return 0, effIdx{}, false
+	}
+	keys := b.runKeys
+	c, pos := m.changed, 0
+	running := c >= 0 && vs.recs[c].Copies > 0
+	if running {
+		pos = sortedPos(vs.running, c, "running")
+	}
+	var key effIdx
+	if c >= 0 {
+		cands := b.cands
+		if m.wasRunning {
+			for k := range cands {
+				if cands[k].key.idx == c {
+					cands[k] = cands[len(cands)-1]
+					cands = cands[:len(cands)-1]
+					break
+				}
+			}
+		}
+		if running {
+			var score float64
+			var cand bool
+			if key, score, cand = vs.errKey(c, kind == pickRASError); cand {
+				cands = append(cands, errCand{key: key, score: score})
+			}
+		}
+		b.cands = cands
+	}
+	m.changed = -1
+	if all {
+		return len(vs.running), highestKey, true
+	}
+	p, q := m.j, m.j
+	e := splitExt{lowMax: m.lowMax, highMin: m.highMin}
+	sel := b.selKeys[:0]
+	if running {
+		if !m.wasRunning {
+			keys = slices.Insert(keys, pos, key)
+			b.runKeys = keys
+		} else {
+			if keys[pos].less(h.in) {
+				p, q = p-1, q-1
+			}
+			keys[pos] = key
+		}
+		switch {
+		case key.less(h.in):
+			p, q = p+1, q+1
+			if e.lowMax.less(key) {
+				e.lowMax = key
+			}
+		case key.less(h.out):
+			q++
+			sel = append(sel, key)
+		case key.less(e.highMin):
+			e.highMin = key
+		}
+	}
+	b.selKeys = sel
+	e.midMin, e.midMax = e.highMin, e.lowMax
+	if len(sel) > 0 {
+		e.midMin, e.midMax = key, key
+	}
+	j, maxIn, minOut := vs.settle(keys, need, h, p, q, e, true)
+	m.keepSplit(*h, j, len(keys), maxIn, minOut)
+	return j, minOut, true
+}
+
+// errKey evaluates running task i for an error-bound pick with the view's
+// expressions: its effDuration selection key — a task a copy could still
+// rescue finishes at the earlier of waiting and re-running — and whether
+// it is a speculation candidate, with its score: GS's TRem when a fresh
+// copy would finish sooner, with saving set RAS's positive saving.
+func (vs *ViewSet) errKey(i int, saving bool) (key effIdx, score float64, cand bool) {
+	r := &vs.recs[i]
+	tnew := r.tnewAt(vs.med)
+	trem, speculable := r.tremAt(vs.now, vs.groundTruth)
+	key = effIdx{eff: trem, idx: i}
+	if !speculable || r.Copies >= MaxCopies {
+		return key, 0, false
+	}
+	if !(trem < tnew) {
+		key.eff = tnew
+	}
+	if saving {
+		score = savingOf(float64(r.Copies), trem, tnew)
+		return key, score, score > 0
+	}
+	return key, trem, !(tnew >= trem)
+}
+
+// retryDeadline serves a deadline pick of kind with remaining time rem
+// from the memo of the previous one on vs at the same clock and median:
+// the kept best running candidate stays best over every unchanged task,
+// so only the changed task is evaluated against it. The kept best itself
+// changing keeps its place while its score is no worse — a speculative
+// copy leaves GS's TNew as it was and raises RAS's saving while the best
+// copy stays the same — and otherwise a task only a full pass finds may
+// have passed it, so the retry reports false.
+func (vs *ViewSet) retryDeadline(kind pickKind, rem float64) (best int, score float64, ok bool) {
+	m := &vs.run.memo
+	if !m.fits(vs, kind, rem) {
+		return 0, 0, false
+	}
+	if c := m.changed; c >= 0 {
+		s, cand := vs.deadlineScore(c, kind, rem)
+		switch {
+		case c == m.best:
+			if !cand || kind.better(m.score, c, s, c) {
+				return 0, 0, false
+			}
+			m.score = s
+		case cand && (m.best == -1 || kind.better(s, c, m.score, m.best)):
+			m.best, m.score = c, s
+		}
+		m.changed = -1
+	}
+	return m.best, m.score, true
+}
+
+// deadlineScore evaluates task i for a deadline pick of kind with
+// remaining time rem: whether it is a speculation candidate — running,
+// speculable, under the copy cap, its TNew within the deadline, and for
+// GS finishing sooner on a fresh copy, for RAS saving resources — and its
+// score, GS's TNew or RAS's saving. The full passes in gsDeadlineInc and
+// rasDeadlineInc write these tests out inline, in an order that skips the
+// progress division where it can, as passEarliest does errKey's.
+func (vs *ViewSet) deadlineScore(i int, kind pickKind, rem float64) (score float64, cand bool) {
+	r := &vs.recs[i]
+	if r.Copies == 0 || r.Copies >= MaxCopies {
+		return 0, false
+	}
+	tn := r.tnewAt(vs.med)
+	if tn > rem {
+		return 0, false
+	}
+	trem, ok := r.tremAt(vs.now, vs.groundTruth)
+	if !ok {
+		return 0, false
+	}
+	if kind == pickGSDeadline {
+		return tn, !(tn >= trem)
+	}
+	s := savingOf(float64(r.Copies), trem, tn)
+	return s, s > 0
+}
+
+// better reports whether a deadline candidate with score s1 and index i1
+// beats one with s2 and i2: GS's lower TNew, RAS's higher saving, the
+// lower index among equals.
+func (k pickKind) better(s1 float64, i1 int, s2 float64, i2 int) bool {
+	if s1 != s2 {
+		return (k == pickGSDeadline) == (s1 < s2)
+	}
+	return i1 < i2
+}
+
+// keepDeadline stamps the memo with a full deadline pass of kind: its best
+// running candidate and that candidate's score.
+func (vs *ViewSet) keepDeadline(kind pickKind, rem float64, best int, score float64) {
+	m := &vs.run.memo
+	m.stamp(vs, kind, rem)
+	m.best, m.score = best, score
 }
 
 // selectRunning splits the union of keys — the running tasks' selection
@@ -751,8 +1097,9 @@ func (vs *ViewSet) ljfUnsched(k int) int {
 	if k == 0 {
 		return -1
 	}
-	maxT := vs.TNew(vs.uorder[k-1])
-	return vs.uorder[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
+	u := vs.uorder.list()
+	maxT := vs.TNew(u[k-1])
+	return u[vs.uorderSearch(effIdx{eff: maxT, idx: -1})]
 }
 
 // tnewKey is task i's (TNew, index) key, the order uorder keeps.
@@ -766,18 +1113,23 @@ func keyAt(med float64, r *TaskRec, i int) effIdx {
 // uorderSearch returns the number of unscheduled tasks whose (TNew, index)
 // key sorts below k — the position k takes in uorder.
 func (vs *ViewSet) uorderSearch(k effIdx) int {
-	return sort.Search(len(vs.uorder), func(p int) bool {
-		return !vs.tnewKey(vs.uorder[p]).less(k)
+	u := vs.uorder.list()
+	return sort.Search(len(u), func(p int) bool {
+		return !vs.tnewKey(u[p]).less(k)
 	})
 }
 
 // uorderPos returns unscheduled task i's position in uorder, located by
-// its stored key. A miss means uorder diverged from the records — every
-// later selection would be silently wrong — so it panics like the
-// estimator's mirror.
+// its stored key; SJF's launches take the head, which is tested first. A
+// miss means uorder diverged from the records — every later selection
+// would be silently wrong — so it panics like the estimator's mirror.
 func (vs *ViewSet) uorderPos(i int) int {
+	u := vs.uorder.list()
+	if len(u) > 0 && u[0] == i {
+		return 0
+	}
 	p := vs.uorderSearch(vs.tnewKey(i))
-	if p >= len(vs.uorder) || vs.uorder[p] != i {
+	if p >= len(u) || u[p] != i {
 		panic(fmt.Sprintf("spec: ViewSet order diverged: task %d (tnew %v) not at its key", i, vs.TNew(i)))
 	}
 	return p
@@ -788,9 +1140,10 @@ func (vs *ViewSet) uorderPos(i int) int {
 // otherwise.
 func (vs *ViewSet) uorderRemove(i int) {
 	p := vs.uorderPos(i)
-	joined := p > 0 && p+1 < len(vs.uorder) && vs.recs[vs.uorder[p-1]].near == 0 && vs.recs[i].near == 0
+	u := vs.uorder.list()
+	joined := p > 0 && p+1 < len(u) && vs.recs[u[p-1]].near == 0 && vs.recs[i].near == 0
 	vs.unmark(i)
-	vs.uorder = append(vs.uorder[:p], vs.uorder[p+1:]...)
+	vs.uorder.remove(p)
 	if p > 0 && !joined {
 		vs.markPair(p - 1)
 	}
@@ -800,7 +1153,7 @@ func (vs *ViewSet) uorderRemove(i int) {
 // and marks the two pairs it forms.
 func (vs *ViewSet) uorderInsert(i int) {
 	p := vs.uorderSearch(vs.tnewKey(i))
-	vs.uorder = slices.Insert(vs.uorder, p, i)
+	vs.uorder.insert(p, i)
 	if p > 0 {
 		vs.markPair(p - 1)
 	}
@@ -809,7 +1162,8 @@ func (vs *ViewSet) uorderInsert(i int) {
 
 // sortUorder sorts uorder by (TNew, index) and marks every pair afresh.
 func (vs *ViewSet) sortUorder() {
-	slices.SortFunc(vs.uorder, func(a, b int) int {
+	u := vs.uorder.list()
+	slices.SortFunc(u, func(a, b int) int {
 		if vs.tnewKey(a).less(vs.tnewKey(b)) {
 			return -1
 		}
@@ -819,7 +1173,7 @@ func (vs *ViewSet) sortUorder() {
 		vs.recs[a].near = 0
 	}
 	vs.near = vs.near[:0]
-	for p := range vs.uorder {
+	for p := range u {
 		vs.markPair(p)
 	}
 }
@@ -837,8 +1191,9 @@ func tame(x float64) bool { return x >= 0x1p-256 && x <= 0x1p256 }
 // markPair records whether the pair uorder[p], uorder[p+1] can swap under
 // a median move; the last entry heads no pair.
 func (vs *ViewSet) markPair(p int) {
-	a := vs.uorder[p]
-	if p+1 == len(vs.uorder) || vs.pairSafe(a, vs.uorder[p+1]) {
+	u := vs.uorder.list()
+	a := u[p]
+	if p+1 == len(u) || vs.pairSafe(a, u[p+1]) {
 		vs.unmark(a)
 	} else if vs.recs[a].near == 0 {
 		vs.near = append(vs.near, a)
@@ -883,4 +1238,59 @@ func sortedPos(xs []int, v int, what string) int {
 		panic(fmt.Sprintf("spec: ViewSet %s list diverged: task %d not present", what, v))
 	}
 	return p
+}
+
+// window is a list of task indices kept as the window s[head:] of a
+// reusable backing slice. A removal or an insertion shifts whichever side
+// of its position is shorter — an insertion in the front half uses the
+// slack earlier head removals left — so taking the head, the launch SJF
+// and the FIFO baselines make, is O(1). Reading the list is list().
+type window struct {
+	s    []int
+	head int
+}
+
+// list returns the list; it is valid until the window next changes.
+func (w *window) list() []int { return w.s[w.head:] }
+
+func (w *window) len() int { return len(w.s) - w.head }
+
+// reset empties the window, keeping its capacity.
+func (w *window) reset() { w.s, w.head = w.s[:0], 0 }
+
+// push appends v at the back.
+func (w *window) push(v int) { w.s = append(w.s, v) }
+
+// remove drops the entry at position p.
+func (w *window) remove(p int) {
+	l := w.s[w.head:]
+	switch {
+	case len(l) == 1:
+		w.reset()
+	case p < len(l)/2:
+		copy(l[1:p+1], l[:p])
+		w.head++
+	default:
+		copy(l[p:], l[p+1:])
+		w.s = w.s[:len(w.s)-1]
+	}
+}
+
+// insert puts v at position p. With no slack at the front, or past the
+// middle, the back shifts; a full backing slice first slides the list
+// down when at least a quarter of it is slack, and grows otherwise.
+func (w *window) insert(p, v int) {
+	n := w.len()
+	if w.head > 0 && p < n/2 {
+		w.head--
+		l := w.s[w.head:]
+		copy(l[:p], l[1:p+1])
+		l[p] = v
+		return
+	}
+	if len(w.s) == cap(w.s) && 4*w.head >= n {
+		copy(w.s, w.s[w.head:])
+		w.s, w.head = w.s[:n], 0
+	}
+	w.s = slices.Insert(w.s, w.head+p, v)
 }

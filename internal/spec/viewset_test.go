@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -474,8 +475,8 @@ func TestViewSetRepairsNearTies(t *testing.T) {
 		if c2 < a2 {
 			first, second = 3, 1
 		}
-		if want := []int{0, first, second, 2}; fmt.Sprint(vs.uorder) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: uorder %v after the swap, want %v", trial, vs.uorder, want)
+		if want := []int{0, first, second, 2}; fmt.Sprint(vs.uorder.list()) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: uorder %v after the swap, want %v", trial, vs.uorder.list(), want)
 		}
 	}
 	if swaps < 20 {
@@ -622,7 +623,8 @@ func TestSelectionHints(t *testing.T) {
 					t.Fatalf("iter %d hint %s need %d: left earliest boundary %+v, want %+v", iter, h.name, need, left, exactE)
 				}
 			}
-			vs.median = h.m
+			// Clear the kept value so the selection runs from the hint.
+			vs.median, vs.medKnown = h.m, false
 			if got := vs.MedianTNew(); got != wantMed {
 				t.Fatalf("iter %d hint %s %+v: MedianTNew %v, reference %v", iter, h.name, h.m, got, wantMed)
 			}
@@ -824,6 +826,201 @@ func TestOnePassPicks(t *testing.T) {
 	}
 }
 
+// build returns a freshly sealed set of the model's records over dense
+// size n, with its own RunBuf: no hint and no memo.
+func (m *model) build(n int) *ViewSet {
+	vs := &ViewSet{}
+	vs.Reset(n, Eval{GroundTruth: m.groundTruth})
+	for i := 0; i < n; i++ {
+		if r, ok := m.recs[i]; ok {
+			vs.Init(i, r)
+		}
+	}
+	vs.Seal(m.now, m.med)
+	return vs
+}
+
+// launchRec is record r after a launch at time now: a fresh task's first
+// copy, or a speculative copy that becomes the best copy when it finishes
+// first. Under ground truth the factor moves on to the next copy's.
+func launchRec(rng *rand.Rand, r TaskRec, now float64, groundTruth bool) TaskRec {
+	dur := []float64{0, 1, 2, 4}[rng.Intn(4)]
+	bias := []float64{1, 1.5}[rng.Intn(2)]
+	if r.Copies == 0 {
+		r.Start, r.Duration, r.End, r.TRemBias, r.FirstStart = now, dur, now+dur, bias, now
+	} else if now+dur < r.End {
+		r.Start, r.Duration, r.End, r.TRemBias = now, dur, now+dur, bias
+	}
+	r.Copies++
+	if groundTruth {
+		r.Factor = []float64{1, 2, 0.5}[rng.Intn(3)]
+	}
+	return r
+}
+
+// TestPickMemo drives same-instant launch bursts through GS's and RAS's
+// picks, error and deadline bounds, with ground truth on and off, on the
+// random tie-dense states of TestOnePassPicks, the error bound's need at 0,
+// 1, Len−1, Len and past it. Between picks the picked task is mostly
+// launched through Update — a fresh or a speculative copy — and otherwise
+// one copy of a running task is killed, a running task loses every copy, a
+// task completes, the median moves or the clock advances, sometimes two
+// changes at once. After every pick the decision must equal the same pick
+// on a freshly built set, which has no memo, and the reference Pick on the
+// set's AppendCompact views, and MedianTNew must equal the sorted median.
+// Every policy, bound and mode must have had retries served from the memo
+// with a changed task patched in.
+func TestPickMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	patched := map[string]int{}
+	for iter := 0; iter < 1000; iter++ {
+		_, vs, m := randViewsWith(rng, edgeRec)
+		n := len(vs.recs)
+		p := []IncrementalPolicy{NewGS(), NewRAS()}[rng.Intn(2)]
+		ctx := Ctx{Kind: task.ErrorBound, TotalTasks: len(m.recs)}
+		if rng.Intn(2) == 0 {
+			l := len(m.recs)
+			ctx.TargetTasks = []int{0, 1, l - 1, l, l + 2}[rng.Intn(5)]
+		} else {
+			ctx.Kind, ctx.TargetTasks = task.DeadlineBound, len(m.recs)
+			ctx.RemainingTime = []float64{0, 1.5, 3, 100}[rng.Intn(4)]
+		}
+		name := fmt.Sprintf("%s/%v/gt=%v", p.Name(), ctx.Kind, m.groundTruth)
+		for step := 0; step < 16 && len(m.recs) > 0; step++ {
+			memo := vs.run.memo
+			passes := vs.run.Passes()
+			got, gotOK := p.PickIncremental(ctx, vs)
+			if vs.run.Passes() == passes && memo.vs == vs && memo.changed >= 0 {
+				patched[name]++
+			}
+			want, wantOK := p.PickIncremental(ctx, m.build(n))
+			views := vs.AppendCompact(nil)
+			ref, refOK := p.Pick(ctx, views)
+			if gotOK != wantOK || gotOK != refOK || (gotOK && (got != want || got != ref)) {
+				t.Fatalf("iter %d step %d %s ctx %+v: memo pick (%+v, %v), fresh set (%+v, %v), Pick (%+v, %v)\nviews %+v",
+					iter, step, name, ctx, got, gotOK, want, wantOK, ref, refOK, views)
+			}
+			if got, want := vs.MedianTNew(), sortedMedianTNew(views); got != want {
+				t.Fatalf("iter %d step %d: MedianTNew %v, sorted median %v", iter, step, got, want)
+			}
+			for ops := 1 + rng.Intn(4)/3; ops > 0 && len(m.recs) > 0; ops-- {
+				idx := make([]int, 0, len(m.recs))
+				for i := range m.recs {
+					idx = append(idx, i)
+				}
+				sort.Ints(idx)
+				i := idx[rng.Intn(len(idx))]
+				r := m.recs[i]
+				_, pickedLeft := m.recs[got.TaskIndex]
+				switch op := rng.Intn(12); {
+				case op < 7 && gotOK && pickedLeft:
+					i = got.TaskIndex
+					r = launchRec(rng, m.recs[i], m.now, m.groundTruth)
+				case op < 8 && r.Copies > 1: // one copy killed
+					r.Copies--
+					r.End = m.now + float64(rng.Intn(3))
+				case op < 9 && r.Copies > 0: // every copy lost
+					r = TaskRec{Work: r.Work, Factor: r.Factor}
+				case op < 10:
+					delete(m.recs, i)
+					vs.Remove(i)
+					continue
+				case op < 11 && !m.groundTruth:
+					m.med = []float64{0.5, 1, 1.3, 2}[rng.Intn(4)]
+					vs.SetMedian(m.med)
+					continue
+				default:
+					m.now += []float64{0.25, 0.5}[rng.Intn(2)]
+					vs.Begin(m.now)
+					continue
+				}
+				m.recs[i] = r
+				vs.Update(i, r)
+			}
+		}
+	}
+	for _, p := range []string{"GS", "RAS"} {
+		for _, k := range []task.BoundKind{task.ErrorBound, task.DeadlineBound} {
+			for _, gt := range []bool{false, true} {
+				if name := fmt.Sprintf("%s/%v/gt=%v", p, k, gt); patched[name] < 50 {
+					t.Errorf("%s: %d retries served with a patched task, want at least 50", name, patched[name])
+				}
+			}
+		}
+	}
+}
+
+// TestWindow holds the unscheduled lists' window to a plain slice over
+// removals and insertions at the head, the middle and the tail, checks
+// that a head removal shifts nothing and a front insertion reuses the
+// slack it left, and that Reset keeps the capacity: rebuilding a set of
+// the same size allocates nothing.
+func TestWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var w window
+	var ref []int
+	for op := 0; op < 20000; op++ {
+		n := len(ref)
+		p := []int{0, n / 2, n}[rng.Intn(3)]
+		if n > 0 && rng.Intn(5) == 0 {
+			p = rng.Intn(n + 1)
+		}
+		if n > 0 && rng.Intn(2) == 0 {
+			p = min(p, n-1)
+			w.remove(p)
+			ref = slices.Delete(ref, p, p+1)
+		} else {
+			w.insert(p, op)
+			ref = slices.Insert(ref, p, op)
+		}
+		if fmt.Sprint(w.list()) != fmt.Sprint(ref) {
+			t.Fatalf("op %d: window %v, want %v", op, w.list(), ref)
+		}
+	}
+
+	w.reset()
+	for i := 0; i < 10; i++ {
+		w.push(i)
+	}
+	back := &w.s[9]
+	w.remove(0)
+	if w.head != 1 || &w.s[9] != back || w.s[9] != 9 {
+		t.Fatalf("head removal: head %d, back entry moved or changed", w.head)
+	}
+	w.insert(1, 100) // front half: shifts the head entry into the slack
+	if w.head != 0 || fmt.Sprint(w.list()) != "[1 100 2 3 4 5 6 7 8 9]" {
+		t.Fatalf("front insertion: head %d, list %v", w.head, w.list())
+	}
+	w.remove(8) // back half: the tail shifts
+	if w.head != 0 || fmt.Sprint(w.list()) != "[1 100 2 3 4 5 6 7 9]" {
+		t.Fatalf("tail removal: head %d, list %v", w.head, w.list())
+	}
+
+	const n = 500
+	vs := &ViewSet{}
+	build := func() {
+		vs.Reset(n, Eval{Buf: vs.run})
+		for i := 0; i < n; i++ {
+			vs.Init(i, TaskRec{Work: float64(1 + i%7), Factor: 1})
+		}
+	}
+	build()
+	vs.Seal(testNow, 1)
+	for k := 0; k < n/2; k++ {
+		u, _ := vs.MinTNewUnsched()
+		vs.Update(u, TaskRec{Work: vs.recs[u].Work, Factor: 1, Copies: 1, Duration: 1, End: testNow + 1})
+	}
+	if err := vs.CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, build); a != 0 {
+		t.Fatalf("rebuilding a set of the same size allocated %v times, want 0", a)
+	}
+	if vs.unsched.head != 0 || vs.uorder.head != 0 || vs.uorder.len() != n {
+		t.Fatalf("after Reset: heads %d and %d, uorder length %d", vs.unsched.head, vs.uorder.head, vs.uorder.len())
+	}
+}
+
 // TestTaskRecSize pins the per-task record at 64 bytes or less: the
 // record replaced a stored 64-byte TaskView, and the heap ceiling of a
 // large replay assumes no growth.
@@ -838,57 +1035,119 @@ var (
 	sinkOK       bool
 )
 
-// BenchmarkPickFreshClock prices one GS or RAS pick, error and deadline
-// bound, at a new clock: every iteration moves the set's clock, as the
-// first launch attempt at each simulated instant does, so the pick
-// evaluates its running records afresh. The phase has 4,000 tasks with the
-// running ones scattered over the index range, and the running set widens
-// toward a large phase's share of the default 400-slot cluster. The
-// error-bound cut is a tenth of the tasks, and its selection starts from
-// the previous iteration's boundary, as repeated attempts on one job do;
-// the deadline leaves every fresh copy in time. The clock cycles through a
-// window of 1/8 time unit so the state stays the same shape however many
-// iterations run. A pick works in the set's reusable scratch and must not
-// allocate: scripts/perfwall.sh walls allocs/op at 0.
-func BenchmarkPickFreshClock(b *testing.B) {
+// pickBenchSet builds the benchmark phase: n tasks, running of them
+// running and scattered over the index range, sealed at testNow with
+// median 1.
+func pickBenchSet(n, running int) *ViewSet {
+	rng := rand.New(rand.NewSource(int64(running)))
+	isRunning := make([]bool, n)
+	for _, i := range rng.Perm(n)[:running] {
+		isRunning[i] = true
+	}
+	vs := &ViewSet{}
+	vs.Reset(n, Eval{})
+	for i := 0; i < n; i++ {
+		r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 0.8 + 0.4*rng.Float64()}
+		if isRunning[i] {
+			// Progress spread over [0, 1): most copies are speculable,
+			// some finish soon, some straggle.
+			dur := 1 + 3*rng.Float64()
+			start := testNow - dur*rng.Float64()
+			r.Copies, r.Start, r.Duration, r.FirstStart = 1, start, dur, start
+			r.End, r.TRemBias = start+dur, 0.7+0.6*rng.Float64()
+		}
+		vs.Init(i, r)
+	}
+	vs.Seal(testNow, 1)
+	return vs
+}
+
+// pickBenchRuns runs bench for GS and RAS, error and deadline bound, on
+// pickBenchSet phases of 4,000 tasks with 16, 128 and 400 running — the
+// running set widening toward a large phase's share of the default
+// 400-slot cluster. The error-bound cut is a tenth of the tasks; the
+// deadline leaves every fresh copy in time.
+func pickBenchRuns(b *testing.B, bench func(b *testing.B, p IncrementalPolicy, ctx Ctx, vs *ViewSet)) {
 	const n = 4000
-	policies := []IncrementalPolicy{NewGS(), NewRAS()}
 	for _, running := range []int{16, 128, 400} {
-		rng := rand.New(rand.NewSource(int64(running)))
-		isRunning := make([]bool, n)
-		for _, i := range rng.Perm(n)[:running] {
-			isRunning[i] = true
-		}
-		vs := &ViewSet{}
-		vs.Reset(n, Eval{})
-		for i := 0; i < n; i++ {
-			r := TaskRec{Work: 0.5 + rng.Float64(), Factor: 0.8 + 0.4*rng.Float64()}
-			if isRunning[i] {
-				// Progress spread over [0, 1): most copies are speculable,
-				// some finish soon, some straggle.
-				dur := 1 + 3*rng.Float64()
-				start := testNow - dur*rng.Float64()
-				r.Copies, r.Start, r.Duration, r.FirstStart = 1, start, dur, start
-				r.End, r.TRemBias = start+dur, 0.7+0.6*rng.Float64()
-			}
-			vs.Init(i, r)
-		}
-		vs.Seal(testNow, 1)
-		for _, p := range policies {
+		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
 			for _, kind := range []task.BoundKind{task.ErrorBound, task.DeadlineBound} {
 				name := map[task.BoundKind]string{task.ErrorBound: "error", task.DeadlineBound: "deadline"}[kind]
 				b.Run(fmt.Sprintf("%s/%s/running=%d", p.Name(), name, running), func(b *testing.B) {
 					ctx := Ctx{Kind: kind, TargetTasks: n / 10, TotalTasks: n, RemainingTime: 2}
-					vs.Begin(testNow)
-					p.PickIncremental(ctx, vs) // grow the scratch
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						vs.Begin(testNow + float64(i%1024+1)/8192)
-						sinkDecision, sinkOK = p.PickIncremental(ctx, vs)
-					}
+					bench(b, p, ctx, pickBenchSet(n, running))
 				})
 			}
 		}
 	}
+}
+
+// BenchmarkPickFreshClock prices one GS or RAS pick, error and deadline
+// bound, at a new clock: every iteration moves the set's clock, as the
+// first launch attempt at each simulated instant does, so the pick
+// evaluates its running records afresh. The error-bound selection starts
+// from the previous iteration's boundary, as repeated attempts on one job
+// do. The clock cycles through a window of 1/8 time unit so the state
+// stays the same shape however many iterations run. A pick works in the
+// set's reusable scratch and must not allocate: scripts/perfwall.sh walls
+// allocs/op at 0.
+func BenchmarkPickFreshClock(b *testing.B) {
+	pickBenchRuns(b, func(b *testing.B, p IncrementalPolicy, ctx Ctx, vs *ViewSet) {
+		vs.Begin(testNow)
+		p.PickIncremental(ctx, vs) // grow the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vs.Begin(testNow + float64(i%1024+1)/8192)
+			sinkDecision, sinkOK = p.PickIncremental(ctx, vs)
+		}
+	})
+}
+
+// BenchmarkPickBurst prices the launch attempts of a same-instant burst —
+// the fair scheduler offering a job far below its share several slots at
+// one instant: each pick is followed by the launch of the picked task, a
+// fresh or a speculative copy, filed through Update, so every pick but a
+// burst's first is a retry the pick memo serves. A burst makes 8 launches;
+// then the launched tasks are filed back as they were and the clock moves
+// (within 1/8 time unit), so the state keeps its shape however many
+// iterations run. One op is one pick and its launch, with the burst's full
+// pass and its restore amortized over it. Like the fresh-clock pick it
+// must not allocate: scripts/perfwall.sh walls allocs/op at 0.
+func BenchmarkPickBurst(b *testing.B) {
+	const burst = 8
+	pickBenchRuns(b, func(b *testing.B, p IncrementalPolicy, ctx Ctx, vs *ViewSet) {
+		var launched [burst]int
+		var saved [burst]TaskRec
+		k, now := 0, testNow
+		step := func(i int) {
+			if k == burst {
+				for k--; k >= 0; k-- {
+					vs.Update(launched[k], saved[k])
+				}
+				k, now = 0, testNow+float64(i%1024+1)/8192
+				vs.Begin(now)
+			}
+			d, ok := p.PickIncremental(ctx, vs)
+			if !ok {
+				panic("spec: benchmark pick declined")
+			}
+			r := vs.recs[d.TaskIndex]
+			launched[k], saved[k] = d.TaskIndex, r
+			k++
+			if r.Copies == 0 {
+				r.Start, r.Duration, r.End, r.TRemBias, r.FirstStart = now, 2, now+2, 1, now
+			}
+			r.Copies++
+			vs.Update(d.TaskIndex, r)
+		}
+		for i := 0; i < 2*burst; i++ {
+			step(i) // grow the scratch
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+	})
 }
