@@ -457,7 +457,9 @@ func ImportTrace(fsys fs.FS, path string, format TraceFormat, o ImportOptions) (
 
 // ScanTrace validates every record of a trace file in bounded memory
 // without simulating, returning summary statistics. The first malformed
-// record fails with a TraceDecodeError carrying its file:line:column.
+// record fails with a TraceDecodeError carrying its file:line:column. A
+// SWIM file is decoded on every core (GOMAXPROCS workers), with the same
+// result and the same first error as a one-job-at-a-time pass.
 func ScanTrace(fsys fs.FS, path string, format TraceFormat, o ImportOptions) (*ImportStats, error) {
 	return traceio.Scan(fsys, path, format, o)
 }

@@ -1,6 +1,10 @@
 package simevent
 
-import "math"
+import (
+	"math"
+
+	"github.com/approx-analytics/grass/internal/dist"
+)
 
 // calendarQueue is a calendar queue (Brown 1988) specialized for the
 // simulator's quantized-timestamp regime. Events hash into power-of-two
@@ -211,7 +215,7 @@ func (cq *calendarQueue) resize(nb int) {
 		// tmax > tmin leaves at least two finite times, and tmin is the
 		// smallest of them.
 		k := min(calFront, len(times))
-		w := 3 * (kthSmallest(times, k-1) - tmin) / float64(k-1)
+		w := 3 * (dist.KthSmallest(times, k-1) - tmin) / float64(k-1)
 		if w == 0 {
 			w = 3 * (tmax - tmin) / float64(len(evs))
 		}
@@ -244,38 +248,4 @@ func (cq *calendarQueue) resize(nb int) {
 		cq.vb = cq.vbFor(tmin)
 	}
 	cq.scratch, cq.times = evs[:0], times[:0]
-}
-
-// kthSmallest returns the k-th smallest (0-based) of xs, reordering xs: a
-// quickselect with a three-way partition, so a run of equal times — a
-// same-time burst — settles in one step instead of degrading it.
-func kthSmallest(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)
-	for {
-		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
-		pivot := max(min(a, b), min(max(a, b), c)) // median of three
-		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch x := xs[i]; {
-			case x < pivot:
-				xs[lt], xs[i] = x, xs[lt]
-				lt++
-				i++
-			case x > pivot:
-				gt--
-				xs[gt], xs[i] = x, xs[gt]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return pivot
-		}
-	}
 }

@@ -490,24 +490,3 @@ func TestCalendarWidthFollowsFront(t *testing.T) {
 		t.Fatalf("burst front: width %v, want the whole-spread rule's %v", cq.width, 3*(1000.0-5)/140)
 	}
 }
-
-// TestKthSmallest holds the width rule's selection to a sort on inputs
-// full of repeats, the same-time bursts it must not degrade on.
-func TestKthSmallest(t *testing.T) {
-	f := func(raw []uint8, k uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r % 8)
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		kk := int(k) % len(xs)
-		return kthSmallest(xs, kk) == sorted[kk]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -185,7 +185,7 @@ func (s *Stream) fill(j *task.Job) {
 	} else {
 		j.Phases = nil
 	}
-	assignBound(cfg, j, s.boundRNG)
+	assignBound(&cfg, cfg.Bound, j, s.boundRNG)
 	s.next++
 	// Poisson arrivals: mean spacing makes the trace's real work
 	// (ideal × straggler inflation) consume cfg.Load of the cluster.

@@ -295,27 +295,29 @@ func sampleSize(cfg Config, rng *dist.RNG) int {
 // (45% deadline / 45% error / 10% exact), error bounds are uniform in
 // cfg.ErrorRange, and deadlines sit a uniform cfg.DeadlineFactorRange factor
 // over the job's calibrated ideal duration on a cfg.Slots-slot cluster.
-// Only Bound, ErrorRange, DeadlineFactorRange and Slots are consulted.
-func AssignBound(cfg Config, j *task.Job, rng *dist.RNG) {
-	assignBound(cfg, j, rng)
+// Only Bound, ErrorRange, DeadlineFactorRange and Slots are consulted, and
+// cfg is only read.
+func AssignBound(cfg *Config, j *task.Job, rng *dist.RNG) {
+	assignBound(cfg, cfg.Bound, j, rng)
 }
 
-// assignBound sets the job's approximation bound per §6.1.
-func assignBound(cfg Config, j *task.Job, rng *dist.RNG) {
-	switch cfg.Bound {
+// assignBound sets the job's approximation bound per §6.1 under mode, which
+// stands for cfg.Bound: a mixed draw recurses with the drawn class, leaving
+// cfg as it is.
+func assignBound(cfg *Config, mode BoundMode, j *task.Job, rng *dist.RNG) {
+	switch mode {
 	case MixedBound:
 		// One extra draw picks the job's class; the class then consumes
 		// exactly the draws it would in its dedicated mode.
-		sub := cfg
 		switch u := rng.Float64(); {
 		case u < 0.45:
-			sub.Bound = DeadlineBound
+			mode = DeadlineBound
 		case u < 0.90:
-			sub.Bound = ErrorBound
+			mode = ErrorBound
 		default:
-			sub.Bound = ExactBound
+			mode = ExactBound
 		}
-		assignBound(sub, j, rng)
+		assignBound(cfg, mode, j, rng)
 	case ErrorBound:
 		eps := cfg.ErrorRange[0] + rng.Float64()*(cfg.ErrorRange[1]-cfg.ErrorRange[0])
 		j.Bound = task.NewError(eps)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // FuzzTraceioDecode fuzzes both decoders with arbitrary bytes. The first
@@ -17,7 +18,9 @@ import (
 //   - a stream that ends in an error reports a *DecodeError carrying a
 //     1-based line (and the fuzz file name), never a bare error;
 //   - memory stays bounded: the decoder is line-oriented, so the 1 MiB
-//     line cap converts pathological inputs into positioned errors.
+//     line cap converts pathological inputs into positioned errors;
+//   - a SWIM file's Scan equals the one-job-at-a-time fold over a Source
+//     (scanSource): the same stats bit for bit, or the same error.
 func FuzzTraceioDecode(f *testing.F) {
 	f.Add([]byte("\x00job0\t0\t1\t1000000\t0\t0\n"))
 	f.Add([]byte("\x00a\t0\t1\t300000000\t64000000\t0\r\njob\t1\t1\t0\t0\t0\n"))
@@ -67,6 +70,12 @@ func FuzzTraceioDecode(f *testing.F) {
 			if !strings.Contains(err.Error(), "fuzz:") {
 				t.Fatalf("decode error %q does not render its position", err)
 			}
+		}
+		if format == SWIM {
+			fsys := fstest.MapFS{"fuzz": &fstest.MapFile{Data: data[1:]}}
+			got, gotErr := Scan(fsys, "fuzz", SWIM, o)
+			want, wantErr := scanSource(fsys, "fuzz", SWIM, o)
+			sameScan(t, "fuzz input", got, gotErr, want, wantErr)
 		}
 	})
 }

@@ -102,8 +102,12 @@ func parseGoogleEvent(file string, line int, text string) (GoogleTaskEvent, erro
 type googleDecoder struct {
 	sc     *lineScanner
 	o      Options
+	bound  trace.Config
 	tscale float64
 	prevTS float64
+	// skip receives the jobs next(nil) passes over: grouping is stateful,
+	// so another shard's job is filled in full.
+	skip task.Job
 
 	open  map[string]*googleJob // jobs that may still gain tasks
 	ready googleHeap            // closed jobs awaiting safe emission
@@ -127,16 +131,20 @@ func newGoogleDecoder(sc *lineScanner, o Options) *googleDecoder {
 	return &googleDecoder{
 		sc:     sc,
 		o:      o,
+		bound:  o.boundConfig(),
 		tscale: o.timeScale(GoogleTaskEvents),
 		prevTS: math.Inf(-1),
 		open:   make(map[string]*googleJob),
 	}
 }
 
-// next decodes the next job into j. It consumes records until one becomes
-// safely emittable (or the file ends), returning false at end of stream or
-// on error.
+// next decodes the next job into j; a nil j decodes it into a scratch job
+// and drops it. It consumes records until one becomes safely emittable (or
+// the file ends), returning false at end of stream or on error.
 func (d *googleDecoder) next(j *task.Job) bool {
+	if j == nil {
+		j = &d.skip
+	}
 	for d.e == nil {
 		if g := d.pop(); g != nil {
 			if err := d.fill(g, j); err != nil {
@@ -170,7 +178,7 @@ func (d *googleDecoder) advance() bool {
 		d.open = map[string]*googleJob{}
 		return false
 	}
-	ev, err := parseGoogleEvent(d.sc.file, d.sc.line, d.sc.text)
+	ev, err := parseGoogleEvent(d.sc.file, d.sc.line, string(d.sc.b))
 	if err != nil {
 		d.e = err
 		d.eof = true
@@ -270,7 +278,7 @@ func (d *googleDecoder) fill(g *googleJob, j *task.Job) error {
 	j.Bound = task.Bound{}
 	j.DeadlineFactor = 0
 	j.IdealDuration = 0
-	trace.AssignBound(o.boundConfig(), j, dist.NewRNG(dist.SubSeed(o.Seed, d.n)))
+	trace.AssignBound(&d.bound, j, dist.NewRNG(dist.SubSeed(o.Seed, d.n)))
 	d.n++
 	return nil
 }

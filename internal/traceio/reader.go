@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -28,6 +29,18 @@ func (osFS) Open(name string) (fs.File, error) { return os.Open(name) }
 // OSFS returns an fs.FS over the host filesystem accepting the path forms a
 // command line produces (absolute, relative, dot-relative).
 func OSFS() fs.FS { return osFS{} }
+
+// openTrace validates the mapping rules and opens path inside fsys, nil
+// meaning the host filesystem.
+func openTrace(fsys fs.FS, path string, o Options) (io.ReadCloser, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	if fsys == nil {
+		fsys = OSFS()
+	}
+	return openFile(fsys, path)
+}
 
 // openFile opens path inside fsys, transparently decompressing ".gz" files.
 // The returned closer closes both layers.
@@ -72,10 +85,11 @@ func (g *gzipFile) Close() error {
 type lineScanner struct {
 	sc   *bufio.Scanner
 	file string
-	// text is the current line with a trailing \r (from \r\n records)
+	// b is the current line with a trailing \r (from \r\n records)
 	// stripped and surrounding whitespace intact otherwise — column offsets
-	// must stay aligned with the raw file — and line its number.
-	text string
+	// must stay aligned with the raw file — and line its number. b aliases
+	// the scanner's buffer, so it is valid until the next call to next.
+	b    []byte
 	line int
 	err  error
 }
@@ -94,9 +108,9 @@ func (s *lineScanner) next() bool {
 	}
 	for s.sc.Scan() {
 		s.line++
-		s.text = strings.TrimSuffix(s.sc.Text(), "\r")
-		t := strings.TrimSpace(s.text)
-		if t == "" || strings.HasPrefix(t, "#") {
+		s.b = bytes.TrimSuffix(s.sc.Bytes(), []byte("\r"))
+		t := bytes.TrimSpace(s.b)
+		if len(t) == 0 || t[0] == '#' {
 			continue
 		}
 		return true

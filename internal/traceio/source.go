@@ -9,7 +9,9 @@ import (
 )
 
 // decoder is the per-format streaming contract: decode the next job into a
-// (possibly recycled) job value, or stop at end of stream / first error.
+// (possibly recycled) job value, or stop at end of stream / first error. A
+// nil job passes over the next job: another shard's, which must still be
+// decoded to keep job IDs dense and to fail where the full stream fails.
 type decoder interface {
 	next(j *task.Job) bool
 	err() error
@@ -33,7 +35,6 @@ type Source struct {
 	pool          []*task.Job
 	emit          int // jobs handed out (dense ID space, all shards)
 	shard, shards int
-	scratch       *task.Job
 }
 
 // NewSource opens path inside fsys (".gz" transparently decompressed) and
@@ -48,23 +49,19 @@ func NewSource(fsys fs.FS, path string, format Format, o Options) (*Source, erro
 // jobs whose dense ID ≡ shard (mod shards), in arrival order — the same
 // deterministic partitioner trace.NewShardStream applies to synthetic
 // traces, so sched.RunSharded replays imported traces unchanged. Every
-// shard reader decodes the full file (jobs are cheap next to simulating
-// them); skipped jobs land in a reused scratch value, so the dense ID
-// assignment is identical across shards and memory stays bounded.
+// shard reader reads the full file, so the dense ID assignment is
+// identical across shards and every shard fails at the first malformed
+// record whoever owns it. A SWIM reader only parses, order-checks and
+// task-count-checks the other shards' records, without mapping them;
+// Google's grouping is stateful, so its reader decodes every job.
 func NewShardSource(fsys fs.FS, path string, format Format, o Options, shard, shards int) (*Source, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	if shards < 1 {
 		return nil, fmt.Errorf("traceio: %d shards", shards)
 	}
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("traceio: shard %d out of [0, %d)", shard, shards)
 	}
-	if fsys == nil {
-		fsys = OSFS()
-	}
-	rc, err := openFile(fsys, path)
+	rc, err := openTrace(fsys, path, o)
 	if err != nil {
 		return nil, err
 	}
@@ -103,31 +100,19 @@ func NewShardReaderSource(r io.Reader, name string, format Format, o Options, sh
 // Next returns the next job in arrival order, or (nil, false) at end of
 // stream — including a stream cut short by a decode error (check Err).
 func (s *Source) Next() (*task.Job, bool) {
-	for {
-		var j *task.Job
-		if s.shards > 1 && s.emit%s.shards != s.shard {
-			// Not this shard's job: decode into scratch to keep the dense
-			// ID sequence (and bound-assignment streams) in lockstep with
-			// the unsharded reader.
-			if s.scratch == nil {
-				s.scratch = &task.Job{}
-			}
-			j = s.scratch
-		} else {
-			j = s.take()
-		}
-		if !s.dec.next(j) {
-			if j != s.scratch {
-				s.Release(j)
-			}
+	for s.shards > 1 && s.emit%s.shards != s.shard {
+		if !s.dec.next(nil) {
 			return nil, false
 		}
-		owned := j != s.scratch
 		s.emit++
-		if owned {
-			return j, true
-		}
 	}
+	j := s.take()
+	if !s.dec.next(j) {
+		s.Release(j)
+		return nil, false
+	}
+	s.emit++
+	return j, true
 }
 
 // Release returns a job to the pool for reuse by a later Next. Releasing
@@ -164,58 +149,4 @@ func (s *Source) take() *task.Job {
 		return j
 	}
 	return &task.Job{}
-}
-
-// ScanStats summarizes a validation pass over an imported trace. Everything
-// is O(1) in the trace length.
-type ScanStats struct {
-	Format    Format
-	Jobs      int
-	Tasks     int
-	Phases    int // jobs with a downstream (reduce) phase
-	Bins      [3]int
-	Span      float64 // last arrival, simulation time units
-	TotalWork float64
-	MeanTasks float64
-}
-
-// Scan decodes the whole file in bounded memory without simulating,
-// validating every record and every mapped job: the up-front pass the
-// replay entry points run so a malformed record fails with its position
-// before any simulation starts, and so the sharded merge knows the total
-// job count. fsys nil means the host filesystem.
-func Scan(fsys fs.FS, path string, format Format, o Options) (*ScanStats, error) {
-	src, err := NewSource(fsys, path, format, o)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	st := &ScanStats{Format: format}
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("traceio: %s: job %d invalid after mapping: %w", path, j.ID, err)
-		}
-		st.Jobs++
-		st.Tasks += j.NumTasks()
-		if len(j.Phases) > 0 {
-			st.Phases++
-		}
-		st.Bins[int(j.Bin())]++
-		if j.Arrival > st.Span {
-			st.Span = j.Arrival
-		}
-		st.TotalWork += j.TotalWork()
-		src.Release(j)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	if st.Jobs > 0 {
-		st.MeanTasks = float64(st.Tasks) / float64(st.Jobs)
-	}
-	return st, nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -243,5 +245,83 @@ func TestTasksForOverflowGuard(t *testing.T) {
 	}
 	if n, ok := tasksFor(129, 128, 10); !ok || n != 2 {
 		t.Errorf("tasksFor(129, 128) = %d,%v; want ceil = 2", n, ok)
+	}
+}
+
+// sameParse fails unless parseDecimal(s) is strconv.ParseFloat(s, 64): the
+// same value bits, or the same error text.
+func sameParse(t *testing.T, s string) {
+	t.Helper()
+	got, gotErr := parseDecimal([]byte(s))
+	want, wantErr := strconv.ParseFloat(s, 64)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("parseDecimal(%q) error %v, strconv %v", s, gotErr, wantErr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("parseDecimal(%q) = %v (%#x), strconv %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestParseDecimalEdges pins the fast path's limits: 15 significant digits
+// and 22 fraction digits are exact, one more of either is not, and the
+// degenerate decimals parse or fail as strconv's do.
+func TestParseDecimalEdges(t *testing.T) {
+	for _, s := range []string{
+		"", ".", "..", "1.", ".5", "0", "00", "0.", ".0", "0.000", "1.2.3",
+		"007", "007.50", "0000000000000000000001.5", "0.0000000000000000000001",
+		"123456789012345", "1234567890123456", "12345678901234567",
+		"999999999999999", "9999999999999999", "99999999999999999",
+		"99999999999999.9", "999999999999999.9", "9999999999999999.9",
+		"0.9999999999999999", "0.12345678901234567", "4503599627370497.5",
+		"0.0000000000000000000001", "0.00000000000000000000001",
+		"0.0000000000000000000003", "0.00000000000000000000003",
+		"1.0000000000000000000003", "0.0000000123456789012345",
+		"0.00000000123456789012345", "8.0000000000000000000001",
+		"32212254720", "1108281.393", "0.001",
+	} {
+		sameParse(t, s)
+	}
+}
+
+// TestParseDecimalMatchesStrconv: seeded random strings of length 0 to 30
+// over the characters a float literal can hold (and some it cannot) parse
+// exactly as strconv.ParseFloat does.
+func TestParseDecimalMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	tokens := []string{".", "e", "+", "-", "_", "x", "p", "inf", "nan", " "}
+	for i := 0; i < 100_000; i++ {
+		n := rng.Intn(31)
+		var sb strings.Builder
+		for sb.Len() < n {
+			if rng.Intn(4) == 0 {
+				sb.WriteString(tokens[rng.Intn(len(tokens))])
+			} else {
+				sb.WriteByte(byte('0' + rng.Intn(10)))
+			}
+		}
+		sameParse(t, sb.String()[:n])
+	}
+	// Plain decimals around the fast path's limits: up to 20 digits with
+	// up to 25 after the dot, often led by zeros.
+	for i := 0; i < 100_000; i++ {
+		var sb strings.Builder
+		for z := rng.Intn(4); z > 0; z-- {
+			sb.WriteByte('0')
+		}
+		intDigits, fracDigits := rng.Intn(12), rng.Intn(26)
+		for d := 0; d < intDigits; d++ {
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+		if fracDigits > 0 || rng.Intn(2) == 0 {
+			sb.WriteByte('.')
+		}
+		for z := rng.Intn(fracDigits + 1); z > 0; z-- {
+			sb.WriteByte('0')
+			fracDigits--
+		}
+		for d := 0; d < fracDigits; d++ {
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+		sameParse(t, sb.String())
 	}
 }

@@ -18,7 +18,18 @@
 //     an io/fs.FS opener (plain or gzip), jobs are emitted one at a time in
 //     arrival order, and finished jobs recycle through a pool — a multi-GB
 //     log replays in the same bounded memory as the synthetic streams
-//     (trace.Stream) the simulator was built around;
+//     (trace.Stream) the simulator was built around. A SWIM record decodes
+//     without allocating: its fields are parsed from the line's bytes,
+//     plain decimals take an exact fast path, and a job's reduce-phase
+//     backing is reused;
+//   - Scan, the validation pass every imported replay runs first, decodes a
+//     SWIM file on every core: a reader goroutine packs record lines into
+//     blocks, GOMAXPROCS workers decode and validate the blocks with the
+//     stream's own per-record step, and the caller folds the block
+//     summaries in file order. The result, and the first error in file
+//     order, are the stream's at any GOMAXPROCS, and at most 2 × workers
+//     blocks are in flight. Google task_events are scanned on one core:
+//     their jobs span lines and their grouping is stateful;
 //   - the record→job mapping rules (task count, per-task work, bound
 //     assignment) are explicit Options with documented defaults, unit-tested
 //     per format.

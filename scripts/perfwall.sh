@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression wall: fails when the simulator's per-event allocation
-# budget regresses, and sanity-checks the sharded execution path.
-# Allocation counts are deterministic (unlike ns/op, which depends on the
-# machine), so CI can gate on them exactly:
+# budget or the trace importer's per-record one regresses, and
+# sanity-checks the sharded execution path. Allocation counts are
+# deterministic (unlike ns/op, which depends on the machine), so CI can
+# gate on them exactly:
 #
 #   - BenchmarkDispatch must stay at 0 allocs/op: the dispatch round has
 #     been allocation-free since PR 2.
@@ -55,6 +56,16 @@
 #     deterministic, so each ceiling sits within 0.01 of its figure: a
 #     memo that stops engaging reads 1.0. LATE makes no GS or RAS pick and
 #     has no wall.
+#   - BenchmarkScanSWIM and BenchmarkSourceSWIM (internal/traceio) must
+#     stay at or below 0.01 allocs/record over their 100K-record SWIM file:
+#     a record decodes without allocating (its fields are parsed from the
+#     line's bytes, and the job, its task array and its reduce-phase
+#     backing are reused), so what is left is each pass's set-up: the
+#     opener, the line buffer and Scan's blocks, ~25 allocations per
+#     worker (both run at -cpu 2: Scan 0.0007, Source 0.0002 allocs/record).
+#     Before the allocation-free decoder both read 1.69: a string
+#     per line alone reads >= 1, and a per-job make >= 0.24, so either
+#     coming back fails.
 #   - BenchmarkShardedReplay's "balance" metric (Σ partition walls / max
 #     partition wall at 4 partitions) must stay ≥ 2.5: it is the
 #     machine-independent ceiling on what 4 partitions can gain, so a
@@ -120,26 +131,29 @@ echo "$spec_out"
 zero_allocs BenchmarkPickFreshClock "$spec_out"
 zero_allocs BenchmarkPickBurst "$spec_out"
 
-# Full-simulation allocations per event, and touches and full pick passes
-# per launch attempt, gated per policy.
-check() { # check <sub-benchmark> <metric> <wall>
-	local sub=$1 metric=$2 wall=$3 v
-	# The -N GOMAXPROCS suffix is absent on single-core runners; match the
-	# sub-benchmark exactly either way (so "grass" never matches
-	# "grass-sketch").
-	v=$(echo "$out" | awk -v re="^BenchmarkSimulatorQuick/$sub(-[0-9]+)?\$" -v m="$metric" '
+# wall <output> <benchmark> <metric> <wall>: <benchmark>'s <metric> in
+# <output> must not exceed <wall>. The -N GOMAXPROCS suffix is absent on
+# single-core runners; match the benchmark exactly either way (so "grass"
+# never matches "grass-sketch").
+wall() {
+	local bout=$1 bench=$2 metric=$3 limit=$4 v
+	v=$(echo "$bout" | awk -v re="^$bench(-[0-9]+)?\$" -v m="$metric" '
 		$1 ~ re {
 			for (i = 1; i <= NF; i++) if ($i == m) print $(i-1) }' | head -1)
 	if [ -z "$v" ]; then
-		echo "PERF WALL: no $metric metric for $sub" >&2
+		echo "PERF WALL: no $metric metric for $bench" >&2
 		fail=1
-	elif awk -v v="$v" -v w="$wall" 'BEGIN { exit !(v > w) }'; then
-		echo "PERF WALL: $sub at $v $metric exceeds the wall of $wall" >&2
+	elif awk -v v="$v" -v w="$limit" 'BEGIN { exit !(v > w) }'; then
+		echo "PERF WALL: $bench at $v $metric exceeds the wall of $limit" >&2
 		fail=1
 	else
-		echo "perf wall: $sub $v $metric <= $wall ok"
+		echo "perf wall: $bench $v $metric <= $limit ok"
 	fi
 }
+
+# Full-simulation allocations per event, and touches and full pick passes
+# per launch attempt, gated per policy.
+check() { wall "$out" "BenchmarkSimulatorQuick/$1" "$2" "$3"; }
 check gs allocs/event 0.178
 check ras allocs/event 0.178
 check late allocs/event 0.190
@@ -162,6 +176,16 @@ check ras passes/attempt 0.72
 check grass passes/attempt 0.695
 check grass-sketch passes/attempt 0.70
 check oracle passes/attempt 0.755
+
+# Trace import: a SWIM record decodes without allocating, in Scan's
+# block-parallel pass and in a Source's stream. Scan's set-up allocates per
+# worker, so -cpu 2 keeps the wall a per-record gate on runners of any
+# size.
+io_out=$(go test ./internal/traceio -run '^$' \
+	-bench 'BenchmarkScanSWIM|BenchmarkSourceSWIM' -benchtime 3x -benchmem -cpu 2)
+echo "$io_out"
+wall "$io_out" BenchmarkScanSWIM allocs/record 0.01
+wall "$io_out" BenchmarkSourceSWIM allocs/record 0.01
 
 # Sharded execution: partition balance at 4 partitions. All three
 # workers= variants compute the identical model, so their balance samples
