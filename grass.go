@@ -206,12 +206,12 @@ func WithPartitions(p int) SimOption { return func(o *simOptions) { o.partitions
 func WithFold(fn func(JobResult)) SimOption { return func(o *simOptions) { o.fold = fn } }
 
 // WithContext makes the simulation cancellable: once ctx is done the run
-// stops promptly — the event loop checks between event batches, sharded
-// workers stop claiming partitions — and the entry point returns ctx.Err().
-// A cancelled run's partial work is discarded (an installed WithFold fn may
-// have observed a prefix of the results); the engine's pooled state is
-// abandoned consistently, so building a fresh simulation afterwards is
-// always safe. A nil ctx (the default) disables checking.
+// stops promptly — the event loop checks the context every 4,096 events,
+// sharded workers stop claiming partitions — and the entry point returns
+// ctx.Err(). A cancelled run's partial work is discarded (an installed
+// WithFold fn may have observed a prefix of the results); the engine's
+// pooled state is abandoned consistently, so building a fresh simulation
+// afterwards is always safe. A nil ctx (the default) disables checking.
 func WithContext(ctx context.Context) SimOption { return func(o *simOptions) { o.ctx = ctx } }
 
 // WithFactory runs the simulation under a custom policy factory instead of

@@ -56,12 +56,6 @@ type Factory struct {
 	learner LearnerStore
 	rng     *dist.RNG
 	stats   Stats
-
-	// gs/ras are templates whose selection buffers every per-job policy
-	// shares: a factory serves one scheduler goroutine, and the buffers live
-	// only within a single Pick call.
-	gs  spec.GS
-	ras spec.RAS
 }
 
 // Stats counts policy decisions across a factory's jobs (diagnostics).
@@ -93,8 +87,6 @@ func New(cfg Config) (*Factory, error) {
 		name:    cfg.name(),
 		learner: learner,
 		rng:     dist.NewRNG(cfg.Seed),
-		gs:      spec.NewGS(),
-		ras:     spec.NewRAS(),
 	}, nil
 }
 
@@ -205,8 +197,6 @@ func (f *Factory) NewPolicy(jobID, numTasks int) spec.Policy {
 		f:        f,
 		numTasks: numTasks,
 		bin:      task.BinOf(numTasks),
-		gs:       f.gs,
-		ras:      f.ras,
 	}
 	if !f.cfg.Strawman && f.rng.Float64() < f.cfg.Xi {
 		p.sampled = true
@@ -235,9 +225,6 @@ type policy struct {
 
 	switched bool // RAS → GS switch already taken
 	curve    Curve
-
-	gs  spec.GS
-	ras spec.RAS
 }
 
 // candidates is the candidate state the switch reads: *spec.ViewSet, or
@@ -255,9 +242,9 @@ func (g *policy) Name() string { return g.f.name }
 // GS for the rest of the job.
 func (g *policy) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool) {
 	if g.runGS(ctx, taskViews(tasks)) {
-		return g.gs.Pick(ctx, tasks)
+		return spec.GS{}.Pick(ctx, tasks)
 	}
-	return g.ras.Pick(ctx, tasks)
+	return spec.RAS{}.Pick(ctx, tasks)
 }
 
 // PickIncremental implements spec.IncrementalPolicy: the same control flow
@@ -267,9 +254,9 @@ func (g *policy) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool)
 // differential tests do) without divergence.
 func (g *policy) PickIncremental(ctx spec.Ctx, vs *spec.ViewSet) (spec.Decision, bool) {
 	if g.runGS(ctx, vs) {
-		return g.gs.PickIncremental(ctx, vs)
+		return spec.GS{}.PickIncremental(ctx, vs)
 	}
-	return g.ras.PickIncremental(ctx, vs)
+	return spec.RAS{}.PickIncremental(ctx, vs)
 }
 
 // runGS reports whether this attempt runs GS rather than RAS, taking the

@@ -110,13 +110,13 @@ func newFactory(name string, seed int64, learner core.LearnerKind) (spec.Factory
 		c.Factors = core.FactorSet{Accuracy: true}
 		return mk(c)
 	case "gs":
-		return spec.Stateless(spec.NewGS()), nil
+		return spec.Stateless(spec.GS{}), nil
 	case "ras":
-		return spec.Stateless(spec.NewRAS()), nil
+		return spec.Stateless(spec.RAS{}), nil
 	case "late":
 		return spec.Stateless(spec.NewLATE()), nil
 	case "mantri":
-		return spec.Stateless(spec.NewMantri()), nil
+		return spec.Stateless(spec.Mantri{}), nil
 	case "nospec":
 		return spec.Stateless(spec.NoSpec{}), nil
 	case "oracle":

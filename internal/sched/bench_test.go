@@ -107,10 +107,10 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 // views (BenchmarkLargeJobReplay is the large-job end).
 func BenchmarkSimulatorQuick(b *testing.B) {
 	b.Run("gs", func(b *testing.B) {
-		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.GS{}) })
 	})
 	b.Run("ras", func(b *testing.B) {
-		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
+		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.RAS{}) })
 	})
 	b.Run("late", func(b *testing.B) {
 		runSimBench(b, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
@@ -296,7 +296,7 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 		}
 	}
 	b.Run("incremental", func(b *testing.B) {
-		run(b, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		run(b, func() spec.Factory { return spec.Stateless(spec.GS{}) })
 	})
 }
 
@@ -330,7 +330,7 @@ func BenchmarkShardedReplay(b *testing.B) {
 					Parts:   parts,
 					Workers: workers,
 					NewFactory: func(int64) (spec.Factory, error) {
-						return spec.Stateless(spec.NewGS()), nil
+						return spec.Stateless(spec.GS{}), nil
 					},
 					NewSource: func(p int) (Source, error) { return trace.NewShardStream(tc, p, parts) },
 					Walls:     walls,

@@ -22,7 +22,7 @@ func TestSetContextCancelStopsRun(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+	sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSetContextCancelStopsRun(t *testing.T) {
 	// post-drain re-check) must observe it deterministically.
 	ctx, cancelMid := context.WithCancel(context.Background())
 	defer cancelMid()
-	sim2, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+	sim2, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSetContextCancelStopsRun(t *testing.T) {
 func TestCancelLeavesFreshRunsIntact(t *testing.T) {
 	tc := sourceTestTrace(1)
 	want := func() *RunStats {
-		sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+		sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestCancelLeavesFreshRunsIntact(t *testing.T) {
 	// Cancel a streamed run partway through, reusing the stream type (its
 	// pool must stay valid after abandonment).
 	ctx, cancel := context.WithCancel(context.Background())
-	sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+	sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCancelLeavesFreshRunsIntact(t *testing.T) {
 	}
 
 	got := func() *RunStats {
-		sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+		sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestRunShardedCancel(t *testing.T) {
 				Workers: 2,
 				Ctx:     ctx,
 				NewFactory: func(seed int64) (spec.Factory, error) {
-					return spec.Stateless(spec.NewGS()), nil
+					return spec.Stateless(spec.GS{}), nil
 				},
 				NewSource: func(p int) (Source, error) { return trace.NewShardStream(tc, p, parts) },
 			}

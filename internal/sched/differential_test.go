@@ -26,10 +26,10 @@ var diffPolicies = []struct {
 	name    string
 	factory func(t testing.TB) spec.Factory
 }{
-	{"gs", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewGS()) }},
-	{"ras", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewRAS()) }},
+	{"gs", func(testing.TB) spec.Factory { return spec.Stateless(spec.GS{}) }},
+	{"ras", func(testing.TB) spec.Factory { return spec.Stateless(spec.RAS{}) }},
 	{"late", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewLATE()) }},
-	{"mantri", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewMantri()) }},
+	{"mantri", func(testing.TB) spec.Factory { return spec.Stateless(spec.Mantri{}) }},
 	{"nospec", func(testing.TB) spec.Factory { return spec.Stateless(spec.NoSpec{}) }},
 	{"grass", func(t testing.TB) spec.Factory {
 		f, err := core.New(core.DefaultConfig())

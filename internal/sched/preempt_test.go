@@ -158,7 +158,9 @@ func TestPreemptionConservesSlots(t *testing.T) {
 func TestFirstStartResetAfterPreemption(t *testing.T) {
 	s, js, minEnd := saturatedSim(t, 51, 40)
 	probe := minEnd / 2
+	probed := false
 	s.eng.At(probe, func(*simevent.Engine) {
+		probed = true
 		tb := &js.tasks
 		hadCopy := make([]bool, js.phase.n)
 		for i := 0; i < js.phase.n; i++ {
@@ -193,7 +195,11 @@ func TestFirstStartResetAfterPreemption(t *testing.T) {
 			t.Fatal("best-copy cache not rebuilt on relaunch")
 		}
 	})
-	s.eng.RunUntil(probe)
+	for !probed && s.eng.Step() {
+	}
+	if !probed {
+		t.Fatal("the probe never fired")
+	}
 }
 
 // TestUtilizationIntegralAcrossPreemption pins the utilization integral
@@ -225,14 +231,20 @@ func TestUtilizationIntegralAcrossPreemption(t *testing.T) {
 			t.Fatalf("dispatch left %d slots free", s.cl.FreeSlots())
 		}
 	})
+	probed := false
 	s.eng.At(p3, func(*simevent.Engine) {
+		probed = true
 		s.noteUtil()
 		want := p1 + (p2-p1)*(slots-1)/slots + (p3 - p2)
 		if got := s.utilIntegral; math.Abs(got-want) > eps {
 			t.Fatalf("integral %v after relaunch, want %v", got, want)
 		}
 	})
-	s.eng.RunUntil(p3)
+	for !probed && s.eng.Step() {
+	}
+	if !probed {
+		t.Fatal("the last probe never fired")
+	}
 }
 
 // TestPreemptForFairnessTerminates drives preemptForFairness directly

@@ -91,7 +91,7 @@ func TestTailConfigValidation(t *testing.T) {
 	// the halved intermediate tail (0.5) must build a working mixture.
 	ok := smallConfig(1)
 	ok.TailFrac = 1
-	if _, err := New(ok, spec.Stateless(spec.NewGS())); err != nil {
+	if _, err := New(ok, spec.Stateless(spec.GS{})); err != nil {
 		t.Errorf("TailFrac=1 with default TailStart rejected: %v", err)
 	}
 }
@@ -375,7 +375,7 @@ func TestResultsSortedByJobID(t *testing.T) {
 }
 
 func TestLATEAndMantriRunEndToEnd(t *testing.T) {
-	for _, f := range []spec.Factory{spec.Stateless(spec.NewLATE()), spec.Stateless(spec.NewMantri())} {
+	for _, f := range []spec.Factory{spec.Stateless(spec.NewLATE()), spec.Stateless(spec.Mantri{})} {
 		jobs := []*task.Job{
 			uniformJob(0, 100, task.NewDeadline(30), 0),
 			uniformJob(1, 100, task.NewError(0.1), 2),
@@ -476,7 +476,7 @@ func TestGRASSIntegration(t *testing.T) {
 // this guards the recycling itself so the PR-5 allocation win cannot
 // silently regress to per-job allocation.
 func TestJobStateRecycling(t *testing.T) {
-	s, err := New(smallConfig(21), spec.Stateless(spec.NewGS()))
+	s, err := New(smallConfig(21), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestJobStateRecycling(t *testing.T) {
 // job does not hold a large job's task block and ViewSet arrays — and,
 // when none fits, the largest one, which has the least to grow.
 func TestJobStatePoolBestFit(t *testing.T) {
-	s, err := New(smallConfig(1), spec.Stateless(spec.NewGS()))
+	s, err := New(smallConfig(1), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func (w pickOnly) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool
 // PickIncremental, so admitting a job whose policy has only Pick panics,
 // and the message names the policy.
 func TestAdmitRequiresIncrementalPolicy(t *testing.T) {
-	s, err := New(smallConfig(1), spec.Stateless(pickOnly{spec.NewRAS()}))
+	s, err := New(smallConfig(1), spec.Stateless(pickOnly{spec.RAS{}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -534,9 +534,10 @@ func (s *Simulator) finishRun() (*RunStats, error) {
 	if _, err := s.eng.RunEvery(limit, ctxCheckEvery, check); err != nil {
 		return nil, err
 	}
-	// A cancel that lands in the final partial batch (or after the queue
-	// drained) still surfaces: once ctx is done the run NEVER reports
-	// success, so callers can rely on cancel ⇒ ctx.Err().
+	// A cancel that lands after the last check (in the final stretch of
+	// fewer than ctxCheckEvery events, or after the queue drained) still
+	// surfaces: once ctx is done the run NEVER reports success, so callers
+	// can rely on cancel ⇒ ctx.Err().
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
@@ -827,10 +828,12 @@ func (s *Simulator) preemptYoungest(victim *jobState) bool {
 // runs. Ties go to the lowest task slot, then to the earliest position.
 // While the job's views are live, every task with a copy is filed as
 // running or waits on the dirty list (a launch dirties its task), so only
-// those are scanned; otherwise every slot of the phase is.
+// those are scanned. While they are not, no copy runs: a launch happens
+// only after refreshViews made them live, and finishPhase drops them
+// before it kills the phase's copies.
 func youngestCopy(js *jobState) (ti, ci int) {
 	ti, ci = -1, -1
-	if js.phase == nil {
+	if js.phase == nil || !js.jv.live {
 		return ti, ci
 	}
 	tb := &js.tasks
@@ -841,12 +844,6 @@ func youngestCopy(js *jobState) (ti, ci int) {
 				ti, ci, start = i, k, c.start
 			}
 		}
-	}
-	if !js.jv.live {
-		for i := 0; i < js.phase.n; i++ {
-			visit(i)
-		}
-		return ti, ci
 	}
 	for _, i := range js.jv.vs.Running() {
 		visit(i)

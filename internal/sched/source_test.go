@@ -34,13 +34,13 @@ func policyUnderTest(t *testing.T, name string) spec.Factory {
 	t.Helper()
 	switch name {
 	case "gs":
-		return spec.Stateless(spec.NewGS())
+		return spec.Stateless(spec.GS{})
 	case "ras":
-		return spec.Stateless(spec.NewRAS())
+		return spec.Stateless(spec.RAS{})
 	case "late":
 		return spec.Stateless(spec.NewLATE())
 	case "mantri":
-		return spec.Stateless(spec.NewMantri())
+		return spec.Stateless(spec.Mantri{})
 	case "nospec":
 		return spec.Stateless(spec.NoSpec{})
 	default:
@@ -109,7 +109,7 @@ func TestRunSourceReleasesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &countingStream{Stream: stream}
-	sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+	sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestOnResultStreamsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simA, err := New(sourceTestConfig(), spec.Stateless(spec.NewRAS()))
+	simA, err := New(sourceTestConfig(), spec.Stateless(spec.RAS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestOnResultStreamsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simB, err := New(sourceTestConfig(), spec.Stateless(spec.NewRAS()))
+	simB, err := New(sourceTestConfig(), spec.Stateless(spec.RAS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRunSourceMatchesRunOnTiedTimestamps(t *testing.T) {
 		"RunSource": func(s *Simulator) (*RunStats, error) { return s.RunSource(&fakeSource{jobs: mkJobs()}) },
 	}
 	for name, run := range runs {
-		sim, err := New(sourceTestConfig(), spec.Stateless(spec.NewGS()))
+		sim, err := New(sourceTestConfig(), spec.Stateless(spec.GS{}))
 		if err != nil {
 			t.Fatal(err)
 		}

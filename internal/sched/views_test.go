@@ -17,7 +17,7 @@ import (
 // median bit for bit, and the (TNew, index) order holds. In both cases the
 // refresh touches nothing.
 func TestEstimatorBumpDirtiesExactly(t *testing.T) {
-	s, err := New(smallConfig(5), spec.Stateless(spec.NewGS()))
+	s, err := New(smallConfig(5), spec.Stateless(spec.GS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTRemScoredAtProgressReports(t *testing.T) {
 		{"killed after two reports", 0.22, 2},
 		{"completed", 1, 4},
 	} {
-		s, err := New(cfg, spec.Stateless(spec.NewGS()))
+		s, err := New(cfg, spec.Stateless(spec.GS{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // is one fire + one schedule at fixed queue depth. The heap pays O(log n)
 // per operation and the calendar queue O(1) amortized — the gap between
 // the two variants at the same n is exactly the queue implementation
-// (callbacks, recycling and the staging layer are shared).
+// (callbacks, recycling and Step are shared).
 func BenchmarkEngineChurn(b *testing.B) {
 	for _, q := range queueKinds {
 		for _, n := range []int{64, 1024, 16384} {

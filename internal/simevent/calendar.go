@@ -9,14 +9,13 @@ import (
 // calendarQueue is a calendar queue (Brown 1988) specialized for the
 // simulator's quantized-timestamp regime. Events hash into power-of-two
 // time buckets by virtual bucket index floor(Time/width); a cursor walks
-// the buckets in virtual-time order and drainMin lifts the whole minimal
-// (Time, class) group out of one bucket in a single scan. Push, remove and
-// drain are O(1) amortized when the width tracks the spacing of the events
-// about to drain; the structure resizes and re-widths itself as the
-// pending count crosses powers of two. The width follows the queue's
-// front, not its whole spread: heavy-tailed completions and far deadlines
-// would otherwise stretch the mean gap and pile the near events into a few
-// buckets that every drain rescans.
+// the buckets in virtual-time order and popMin takes the minimal event of
+// the first non-empty window. Push, remove and pop are O(1) amortized when
+// the width tracks the spacing of the events about to fire; the structure
+// resizes and re-widths itself as the pending count crosses powers of two.
+// The width follows the queue's front, not its whole spread: heavy-tailed
+// completions and far deadlines would otherwise stretch the mean gap and
+// pile the near events into a few buckets that every pop rescans.
 //
 // Correctness does not depend on the width being well tuned — only
 // throughput does. The cursor acceptance test compares virtual bucket
@@ -27,7 +26,7 @@ import (
 // empty falls back to a direct minimum search and jumps the cursor there.
 type calendarQueue struct {
 	buckets [][]*Event
-	scratch []*Event  // resize staging, reused
+	scratch []*Event  // resize's event list, reused
 	times   []float64 // resize's front-time selection, reused
 	width   float64
 	vb      int64 // cursor's virtual bucket; MaxInt64 when empty
@@ -80,9 +79,10 @@ func (cq *calendarQueue) push(ev *Event) {
 	}
 	cq.n++
 	if v := cq.vbFor(ev.Time); v < cq.vb {
-		// The cursor may never sit past the earliest pending event; a push
-		// behind it (a bound probe unstaging, or a drained-empty restart)
-		// pulls it back.
+		// The cursor may never sit past the earliest pending event. It can
+		// sit past a new one (parked on an empty queue, or re-derived by a
+		// resize from a pending minimum later than the clock), so a push
+		// behind it pulls it back.
 		cq.vb = v
 	}
 	cq.place(ev)
@@ -108,75 +108,45 @@ func (cq *calendarQueue) remove(ev *Event) {
 	}
 }
 
-// drainMin removes the minimal (Time, class) group and appends it to dst in
-// seq order. Same-Time events always share a bucket (vbFor is a function of
-// Time alone), so one bucket scan collects the whole group.
-func (cq *calendarQueue) drainMin(dst []*Event) []*Event {
+// popMin removes and returns the minimal pending event. The cursor's
+// window holds it, and the scan compares the full (Time, class, seq) order,
+// so the event it finds is the unique minimum.
+func (cq *calendarQueue) popMin() *Event {
+	var best *Event
 	for tries := 0; tries < len(cq.buckets); tries++ {
-		var best *Event
 		for _, ev := range cq.buckets[int(cq.vb&cq.mask)] {
 			if cq.vbFor(ev.Time) <= cq.vb && (best == nil || eventBefore(ev, best)) {
 				best = ev
 			}
 		}
 		if best != nil {
-			return cq.take(best, dst)
+			break
 		}
 		cq.vb++
 	}
-	// A whole sweep of empty windows: find the minimum directly and jump
-	// the cursor to it. This is what bounds a sparse region — and what
-	// serves the far bucket, whose window no cursor walk reaches.
-	var best *Event
-	for _, b := range cq.buckets {
-		for _, ev := range b {
-			if best == nil || eventBefore(ev, best) {
-				best = ev
+	if best == nil {
+		// A whole sweep of empty windows: find the minimum directly and
+		// jump the cursor to it. This is what bounds a sparse region — and
+		// what serves the far bucket, whose window no cursor walk reaches.
+		for _, b := range cq.buckets {
+			for _, ev := range b {
+				if best == nil || eventBefore(ev, best) {
+					best = ev
+				}
 			}
 		}
+		cq.vb = cq.vbFor(best.Time)
 	}
-	cq.vb = cq.vbFor(best.Time)
-	return cq.take(best, dst)
-}
-
-// take removes best's whole (Time, class) group from its bucket, appending
-// it to dst in seq order.
-func (cq *calendarQueue) take(best *Event, dst []*Event) []*Event {
-	b := cq.buckets[best.bucket]
-	start := len(dst)
-	w := b[:0]
-	for _, ev := range b {
-		if ev.Time == best.Time && ev.class == best.class {
-			dst = append(dst, ev)
-		} else {
-			ev.index = len(w)
-			w = append(w, ev)
-		}
-	}
-	for i := len(w); i < len(b); i++ {
-		b[i] = nil
-	}
-	cq.buckets[best.bucket] = w
-	cq.n -= len(dst) - start
-	// FIFO within the group: insertion sort by seq — same-(Time, class)
-	// groups are drawn from one bucket and are almost always tiny.
-	grp := dst[start:]
-	for i := 1; i < len(grp); i++ {
-		for j := i; j > 0 && grp[j].seq < grp[j-1].seq; j-- {
-			grp[j], grp[j-1] = grp[j-1], grp[j]
-		}
-	}
+	cq.remove(best)
 	if cq.n == 0 {
 		cq.vb = math.MaxInt64
-	} else if cq.n < len(cq.buckets)/2 && len(cq.buckets) > calInitBuckets {
-		cq.resize(len(cq.buckets) / 2)
 	}
-	return dst
+	return best
 }
 
 // resize rehashes every event into nb buckets and recomputes the bucket
 // width: 3x the mean gap among the calFront earliest finite pending times,
-// so the events about to drain spread about three to a bucket whatever lies
+// so the events about to fire spread about three to a bucket whatever lies
 // beyond them. When those times are all equal (a same-time burst at the
 // front) it falls back to 3x the mean gap over the whole spread. Either
 // width is floored so the virtual index space stays far from the clamp.

@@ -7,21 +7,33 @@ import (
 )
 
 // The heap-vs-calendar differential harness: the same operation stream —
-// At/AtFirst/AtLast/After/Cancel/RunUntil/Step, with recycling always on —
-// drives one engine per queue implementation, and every observable (fire
-// order, clock, fired count, pending count, cancellation behavior) must
-// match exactly. The heap is the reference; the calendar queue has no
-// correctness budget of its own.
+// At/AtFirst/AtLast/After/Cancel/Step and clock jumps, with recycling
+// always on — drives one engine per queue implementation, and every
+// observable (fire order, clock, fired count, pending count, cancellation
+// behavior) must match exactly. The heap is the reference; the calendar
+// queue has no correctness budget of its own.
 
 // qdriver runs one engine through the shared op script, logging every
-// observation. Callbacks exercise the staged-batch paths deliberately:
-// some events schedule a same-time follow-up from inside their callback
-// (the tied-arrival chain), some cancel a same-time sibling (the
-// sibling-kill at a tied timestamp — a staged-member cancel).
+// observation. Callbacks exercise same-time ordering deliberately: some
+// events schedule a same-time follow-up from inside their callback (the
+// tied-arrival chain), some cancel a same-time sibling that has not fired
+// yet (the sibling-kill at a tied timestamp). popMin's order must place
+// both exactly where the heap does.
 type qdriver struct {
 	eng  *Engine
 	pend map[int]*Event
 	log  []string
+}
+
+// runUntil is the harnesses' clock jump: it schedules an AtLast sentinel at
+// t and steps until the sentinel fires, so every event ordered before it
+// fires and the clock ends at exactly t.
+func runUntil(e *Engine, t float64) {
+	reached := false
+	e.AtLast(t, func(*Engine) { reached = true })
+	for !reached {
+		e.Step()
+	}
 }
 
 func newQdriver(eng *Engine) *qdriver {
@@ -44,8 +56,8 @@ func (d *qdriver) schedule(id int, t float64, class int) {
 			return
 		}
 		if id%5 == 0 {
-			// Same-time follow-up from inside the callback: joins the
-			// in-flight batch at the tail.
+			// Same-time follow-up from inside the callback: its seq is the
+			// largest, so it fires after the pending same-time At events.
 			d.schedule(id+childBase, eng.Now(), 1)
 		}
 		if id%7 == 0 {
@@ -53,12 +65,13 @@ func (d *qdriver) schedule(id int, t float64, class int) {
 		}
 		if id%11 == 0 {
 			// Same-time AtLast from inside a callback — the fault-injection
-			// shape: outranked by the batch in flight, fires at its tail.
+			// shape: it fires after every same-time AtFirst and At event,
+			// including ones scheduled after it.
 			d.schedule(id+3*childBase, eng.Now(), 2)
 		}
 		if id%3 == 0 {
 			// Sibling kill: cancel the next id if it is still pending —
-			// often a same-time staged member.
+			// often a same-time sibling that has not fired yet.
 			if ev, ok := d.pend[id+1]; ok {
 				d.cancel(id+1, ev)
 			}
@@ -137,7 +150,7 @@ func (d *qdriver) applyOps(ops []byte) {
 			fired := d.eng.Step()
 			d.note("step %v now=%.6g fired=%d len=%d", fired, d.eng.Now(), d.eng.Fired(), d.eng.Len())
 		case 5:
-			d.eng.RunUntil(d.eng.Now() + delta)
+			runUntil(d.eng, d.eng.Now()+delta)
 			d.note("until now=%.6g fired=%d len=%d", d.eng.Now(), d.eng.Fired(), d.eng.Len())
 		}
 	}
@@ -175,15 +188,17 @@ func tail(log []string) []string {
 }
 
 // FuzzQueueDifferential is the harness CI runs with a short budget; the
-// corpus seeds cover the staged-batch edge cases by construction.
+// corpus seeds cover same-time follow-ups, class ties and sibling cancels
+// by construction.
 func FuzzQueueDifferential(f *testing.F) {
 	// Tie-heavy mixed script: same-time At/AtFirst with steps interleaved.
 	f.Add([]byte{0, 0x10, 1, 0x10, 0, 0x10, 4, 0, 0, 0x00, 1, 0x00, 4, 0, 4, 0})
-	// RunUntil staging a batch it never drains, then an earlier schedule.
+	// A clock jump short of a pending same-time pair, then a schedule that
+	// outranks the pair.
 	f.Add([]byte{0, 0x80, 0, 0x80, 5, 0x20, 0, 0x30, 4, 0, 4, 0, 4, 0})
-	// Cancel-heavy: staged-member cancels via the id%3 sibling kill.
+	// Cancel-heavy: same-time sibling cancels via the id%3 sibling kill.
 	f.Add([]byte{0, 0x20, 0, 0x20, 0, 0x20, 0, 0x20, 3, 0, 4, 0, 3, 0, 4, 0})
-	// After + immediate cancel + drains.
+	// After + immediate cancel + a clock jump.
 	f.Add([]byte{2, 0x11, 2, 0x22, 0, 0x00, 5, 0x40, 1, 0x00, 4, 0})
 	// AtLast tied with At/AtFirst at one timestamp, then steps.
 	f.Add([]byte{6, 0x10, 0, 0x10, 1, 0x10, 6, 0x10, 4, 0, 4, 0, 4, 0})

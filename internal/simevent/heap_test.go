@@ -18,16 +18,7 @@ func (q *heapQueue) remove(ev *Event) { heap.Remove(&q.h, ev.index) }
 
 func (q *heapQueue) len() int { return len(q.h) }
 
-// drainMin pops the heap while the top shares the minimum (Time, class);
-// heap pops among equal keys come out in seq order, so the batch is FIFO.
-func (q *heapQueue) drainMin(dst []*Event) []*Event {
-	top := q.h[0]
-	t, c := top.Time, top.class
-	for len(q.h) > 0 && q.h[0].Time == t && q.h[0].class == c {
-		dst = append(dst, heap.Pop(&q.h).(*Event))
-	}
-	return dst
-}
+func (q *heapQueue) popMin() *Event { return heap.Pop(&q.h).(*Event) }
 
 // eventHeap orders by (Time, class, seq).
 type eventHeap []*Event

@@ -14,7 +14,7 @@ import (
 // aliasing a live handle, and that a live handle never reads as cancelled.
 
 // lifetimeHarness drives one engine with a random schedule/cancel/step/
-// run-until mix while checking the shadow set after every operation.
+// clock-jump mix while checking the shadow set after every operation.
 func lifetimeHarness(t *testing.T, kind string, eng *Engine, seed int64, nOps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -65,7 +65,7 @@ func lifetimeHarness(t *testing.T, kind string, eng *Engine, seed int64, nOps in
 	for i := 0; i < nOps; i++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
-			// Quantized times force shared buckets and staged batches.
+			// Quantized times force shared buckets and same-time ties.
 			schedule(eng.Now()+float64(rng.Intn(8))*0.5, rng.Intn(4) == 0)
 			check("schedule")
 		case op < 6:
@@ -81,8 +81,8 @@ func lifetimeHarness(t *testing.T, kind string, eng *Engine, seed int64, nOps in
 			eng.Step()
 			check("step")
 		default:
-			eng.RunUntil(eng.Now() + float64(rng.Intn(4)))
-			check("rununtil")
+			runUntil(eng, eng.Now()+float64(rng.Intn(4)))
+			check("clock-jump")
 		}
 	}
 	for eng.Step() {

@@ -12,12 +12,10 @@
 //
 // A calendar queue (Brown 1988) implements that order: events hash into
 // time-width buckets, a cursor walks the buckets in virtual-time order, and
-// every event sharing the earliest (Time, class) key is drained in one
-// bucket scan — O(1) amortized per event against a heap's O(log n), and a
-// single scan where quantized trace timestamps make same-time batches
-// common. A binary heap lives in the tests as the reference implementation;
-// the differential fuzz harness drives both over random interleavings and
-// demands identical behavior.
+// each Step pops the one minimal event under the full order — O(1)
+// amortized per event against a heap's O(log n). A binary heap lives in
+// the tests as the reference implementation; the differential fuzz harness
+// drives both over random interleavings and demands identical behavior.
 //
 // # Event recycling
 //
@@ -35,13 +33,6 @@ import (
 	"fmt"
 )
 
-// Event state sentinels carried in index/bucket. A pending event in the
-// heap has index >= 0 and bucket == -1; in the calendar queue index >= 0
-// and bucket >= 0 (its bucket's position). Once popped into the engine's
-// staged batch, bucket == bucketStaged and index is the batch position, so
-// Cancel keeps working on same-time siblings that were staged together.
-const bucketStaged = -3
-
 // Event is a scheduled callback. The callback receives the engine so it can
 // schedule follow-up events.
 type Event struct {
@@ -49,8 +40,8 @@ type Event struct {
 	Time float64
 
 	seq    uint64 // insertion order, breaks (timestamp, class) ties
-	index  int    // queue position (or batch position when staged), -1 fired, -2 cancelled
-	bucket int32  // calendar bucket, -1 outside the calendar, bucketStaged in the batch
+	index  int    // queue position while pending, -1 fired, -2 cancelled
+	bucket int32  // calendar bucket while pending in the calendar queue
 	class  uint8  // tie rank: AtFirst (0) before At (1) before AtLast (2)
 }
 
@@ -58,13 +49,13 @@ type Event struct {
 func (e *Event) Cancelled() bool { return e.index == -2 }
 
 // queue is the pending-event store behind Engine: the calendar queue, or
-// the reference heap the tests substitute. Implementations must
-// realize the (Time, class, seq) total order exactly: drainMin removes
-// every pending event sharing the earliest (Time, class) key and appends
-// them to dst in seq (FIFO) order.
+// the reference heap the tests substitute. Implementations must realize
+// the (Time, class, seq) total order exactly: popMin removes and returns
+// the unique minimal pending event, and is only called on a non-empty
+// queue.
 type queue interface {
 	push(ev *Event)
-	drainMin(dst []*Event) []*Event
+	popMin() *Event
 	remove(ev *Event)
 	len() int
 }
@@ -80,23 +71,14 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Engine owns the event queue and the simulation clock.
-//
-// The engine drains the queue in same-(Time, class) batches: one drainMin
-// stages the whole group, and Step serves staged events one at a time, so
-// run-loop semantics (exact event limits, per-event checks) are unchanged
-// while the queue is only consulted once per batch.
+// Engine owns the event queue and the simulation clock. Each Step pops the
+// queue's minimal event and fires it.
 type Engine struct {
-	q          queue
-	batch      []*Event // staged same-(Time, class) events in seq order; nil = consumed
-	free       []*Event // recycled fired/cancelled events, see package doc
-	now        float64
-	batchTime  float64 // fire time of the staged batch (valid when batchLive > 0)
-	nextSq     uint64
-	fired      uint64
-	batchPos   int
-	batchLive  int   // staged events not yet fired or cancelled
-	batchClass uint8 // class of the staged batch (valid when batchLive > 0)
+	q      queue
+	free   []*Event // recycled fired/cancelled events, see package doc
+	now    float64
+	nextSq uint64
+	fired  uint64
 }
 
 // New returns an engine with the clock at 0.
@@ -111,8 +93,8 @@ func (e *Engine) Now() float64 { return e.now }
 // loop guards in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Len returns the number of pending events (queued plus staged-unfired).
-func (e *Engine) Len() int { return e.q.len() + e.batchLive }
+// Len returns the number of pending events.
+func (e *Engine) Len() int { return e.q.len() }
 
 // At schedules fn at absolute time t and returns the event handle. It panics
 // if t is before the current time — that would reorder history. The handle
@@ -157,67 +139,8 @@ func (e *Engine) schedule(t float64, class uint8, fn func(*Engine)) *Event {
 		ev = &Event{Time: t, Fn: fn, class: class, seq: e.nextSq}
 	}
 	e.nextSq++
-	if e.batchLive > 0 {
-		if t == e.batchTime && class == e.batchClass {
-			// Joins the staged batch directly: its seq is larger than every
-			// staged member's, so FIFO order puts it at the tail. Arrival
-			// chains at tied trace timestamps take this path.
-			ev.bucket = bucketStaged
-			ev.index = len(e.batch)
-			e.batch = append(e.batch, ev)
-			e.batchLive++
-			return ev
-		}
-		if t < e.batchTime || (t == e.batchTime && class < e.batchClass) {
-			// The new event outranks the staged batch (a bound probe can
-			// stage a batch the caller never drained): return the batch to
-			// the queue so the order stays exact.
-			e.unstage()
-		}
-	}
-	ev.bucket = -1
 	e.q.push(ev)
 	return ev
-}
-
-// unstage pushes unfired staged events back into the queue. Their original
-// seq values go with them, so re-draining reproduces the exact order.
-func (e *Engine) unstage() {
-	for _, ev := range e.batch[e.batchPos:] {
-		if ev != nil {
-			ev.bucket = -1
-			e.q.push(ev)
-		}
-	}
-	e.batch = e.batch[:0]
-	e.batchPos, e.batchLive = 0, 0
-}
-
-// ensureStaged returns the next unfired staged event, draining the next
-// same-(Time, class) group from the queue when the stage is empty. It does
-// not consume the event; nil means no events are pending.
-func (e *Engine) ensureStaged() *Event {
-	for {
-		for e.batchPos < len(e.batch) {
-			if ev := e.batch[e.batchPos]; ev != nil {
-				return ev
-			}
-			e.batchPos++
-		}
-		e.batch = e.batch[:0]
-		e.batchPos, e.batchLive = 0, 0
-		if e.q.len() == 0 {
-			return nil
-		}
-		e.batch = e.q.drainMin(e.batch)
-		for i, ev := range e.batch {
-			ev.bucket = bucketStaged
-			ev.index = i
-		}
-		e.batchLive = len(e.batch)
-		e.batchTime = e.batch[0].Time
-		e.batchClass = e.batch[0].class
-	}
 }
 
 // recycle returns a dead event to the free list. The callback reference is
@@ -236,39 +159,25 @@ func (e *Engine) After(delta float64, fn func(*Engine)) *Event {
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op. Staged events — same-time siblings
-// already drained from the queue but not yet fired — cancel exactly like
-// queued ones, which is what a sibling-kill at a tied timestamp needs.
+// already-cancelled event is a no-op. A callback may cancel a same-time
+// sibling that has not fired yet: it is still pending in the queue.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil {
-		return
-	}
-	if ev.bucket == bucketStaged {
-		e.batch[ev.index] = nil
-		e.batchLive--
-		ev.index, ev.bucket = -2, -1
-		e.recycle(ev)
-		return
-	}
-	if ev.index < 0 {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	e.q.remove(ev)
-	ev.index, ev.bucket = -2, -1
+	ev.index = -2
 	e.recycle(ev)
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	ev := e.ensureStaged()
-	if ev == nil {
+	if e.q.len() == 0 {
 		return false
 	}
-	e.batch[e.batchPos] = nil
-	e.batchPos++
-	e.batchLive--
-	ev.index, ev.bucket = -1, -1
+	ev := e.q.popMin()
+	ev.index = -1
 	e.now = ev.Time
 	e.fired++
 	ev.Fn(e)
@@ -290,8 +199,8 @@ func (e *Engine) Run(limit uint64) (uint64, error) {
 // (and once before the first) check is called, and a non-nil error stops
 // the loop immediately and is returned with the queue intact. every <= 0 or
 // a nil check is plain Run. The simulator uses this for context
-// cancellation — the check keys the cost off the hot path (one call per
-// batch, not per event), and stopping between events never observes a
+// cancellation, checking every 4,096 events: the check stays off the
+// per-event path, and stopping between events never observes a
 // half-applied callback, so the abandoned state is internally consistent.
 func (e *Engine) RunEvery(limit, every uint64, check func() error) (uint64, error) {
 	var n uint64
@@ -315,15 +224,4 @@ func (e *Engine) RunEvery(limit, every uint64, check func() error) (uint64, erro
 		}
 	}
 	return n, nil
-}
-
-// RunUntil fires events with time <= t, then advances the clock to exactly t
-// if it has not passed it. Events scheduled after t remain queued.
-func (e *Engine) RunUntil(t float64) {
-	for ev := e.ensureStaged(); ev != nil && ev.Time <= t; ev = e.ensureStaged() {
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
 }

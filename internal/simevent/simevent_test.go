@@ -102,6 +102,30 @@ func TestCancel(t *testing.T) {
 	// Double cancel and nil cancel are no-ops.
 	e.Cancel(ev)
 	e.Cancel(nil)
+
+	// A callback may cancel a same-time sibling that has not fired yet.
+	var got []string
+	var sibling *Event
+	e.At(2, func(en *Engine) {
+		got = append(got, "killer")
+		en.Cancel(sibling)
+	})
+	sibling = e.At(2, func(*Engine) { got = append(got, "sibling") })
+	e.At(2, func(*Engine) { got = append(got, "after") })
+	e.Run(0)
+	if len(got) != 2 || got[0] != "killer" || got[1] != "after" {
+		t.Fatalf("same-time sibling cancel fired %v, want [killer after]", got)
+	}
+	if !sibling.Cancelled() || e.Len() != 0 || e.Fired() != 2 {
+		t.Fatalf("sibling cancelled %v, %d pending, %d fired; want true, 0, 2", sibling.Cancelled(), e.Len(), e.Fired())
+	}
+	// Cancelling an event that already fired is a no-op as well.
+	done := e.At(3, func(*Engine) {})
+	e.Run(0)
+	e.Cancel(done)
+	if done.Cancelled() || e.Len() != 0 {
+		t.Fatalf("cancel after firing: Cancelled %v, %d pending; want false, 0", done.Cancelled(), e.Len())
+	}
 }
 
 func TestCancelMiddleOfQueue(t *testing.T) {
@@ -140,30 +164,6 @@ func TestRunLimit(t *testing.T) {
 	}
 	if n != 100 {
 		t.Fatalf("fired %d, want 100", n)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var got []float64
-	for _, tm := range []float64{1, 2, 3, 4, 5} {
-		tm := tm
-		e.At(tm, func(*Engine) { got = append(got, tm) })
-	}
-	e.RunUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("fired %d events by t=3, want 3", len(got))
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now() = %v, want 3", e.Now())
-	}
-	if e.Len() != 2 {
-		t.Fatalf("pending %d, want 2", e.Len())
-	}
-	// RunUntil past the queue end advances the clock anyway.
-	e.RunUntil(10)
-	if e.Now() != 10 || e.Len() != 0 {
-		t.Fatalf("Now=%v Len=%d after RunUntil(10)", e.Now(), e.Len())
 	}
 }
 
@@ -264,18 +264,20 @@ func TestResizeKeepsBucketStorage(t *testing.T) {
 		t.Fatalf("schedule-then-drain cycle allocated %v objects after warm-up, want 0", allocs)
 	}
 
-	// A same-time burst fills one bucket far past calKeepCap; the shrink
-	// that follows its drain gives that storage back instead of keeping it.
+	// A same-time burst fills one bucket far past calKeepCap; the shrinks
+	// that follow as it fires give that storage back instead of keeping it.
 	now := e.Now()
 	for i := 0; i < 1000; i++ {
 		e.At(now+1, fn)
 	}
 	e.At(now+2, fn)
-	e.Step()
+	for e.Len() > 1 {
+		e.Step()
+	}
 	cq := e.q.(*calendarQueue)
 	for i, b := range cq.buckets[:cap(cq.buckets)] {
 		if cap(b) > calKeepCap {
-			t.Fatalf("bucket %d keeps capacity %d after the burst drained, want <= %d", i, cap(b), calKeepCap)
+			t.Fatalf("bucket %d keeps capacity %d after the burst fired, want <= %d", i, cap(b), calKeepCap)
 		}
 	}
 }
@@ -404,8 +406,8 @@ func TestAtLastFiresAfterSameTimeEvents(t *testing.T) {
 		}
 	}
 	// An AtLast handler scheduling more same-time work: the new events fire
-	// at the same timestamp (classes 0/1 were already drained, but the
-	// engine must not deadlock or skip them).
+	// at the same timestamp (every class 0/1 event of the instant has
+	// already fired, but the engine must not deadlock or skip them).
 	got = got[:0]
 	e.AtLast(3, func(en *Engine) {
 		got = append(got, "fault")
@@ -415,7 +417,7 @@ func TestAtLastFiresAfterSameTimeEvents(t *testing.T) {
 	if len(got) != 2 || got[0] != "fault" || got[1] != "respawn" {
 		t.Fatalf("AtLast rescheduling same-time work fired %v", got)
 	}
-	// Cancel applies to staged AtLast events like any other class, and
+	// Cancel applies to pending AtLast events like any other class, and
 	// recycling must not leak the class: a pooled ex-AtLast event scheduled
 	// via At fires in its new class rank.
 	got = got[:0]
@@ -434,7 +436,7 @@ func TestAtLastFiresAfterSameTimeEvents(t *testing.T) {
 // spread. A front-heavy pending set — 40 events one time unit apart ahead
 // of 600 exponentially spread completions and deadlines — puts the front
 // three to a bucket (the whole-spread rule would put all 40 in one) and
-// no bucket holds many, and the queue still drains in order. When the
+// no bucket holds many, and the queue still pops in order. When the
 // front times are all equal the width falls back to the whole spread.
 func TestCalendarWidthFollowsFront(t *testing.T) {
 	fill := func(times []float64) *calendarQueue {
@@ -470,10 +472,10 @@ func TestCalendarWidthFollowsFront(t *testing.T) {
 	}
 	var got []*Event
 	for cq.len() > 0 {
-		got = cq.drainMin(got)
+		got = append(got, cq.popMin())
 	}
 	if !sort.SliceIsSorted(got, func(a, b int) bool { return eventBefore(got[a], got[b]) }) || len(got) != len(times) {
-		t.Fatalf("drained %d of %d events, sorted %v", len(got), len(times),
+		t.Fatalf("popped %d of %d events, sorted %v", len(got), len(times),
 			sort.SliceIsSorted(got, func(a, b int) bool { return eventBefore(got[a], got[b]) }))
 	}
 

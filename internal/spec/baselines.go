@@ -41,27 +41,25 @@ func (NoSpec) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
 //   - new (unscheduled) tasks always take priority, in FIFO order;
 //   - when none remain, speculate the running task with the Longest
 //     Approximate Time to End, but only among tasks whose progress rate is
-//     below the SlowTaskThreshold percentile of running tasks;
+//     below the 25th percentile of running tasks (lateSlowTaskThreshold);
 //   - never run more than two copies of a task;
-//   - cap concurrently running speculative copies at SpeculativeCap × the
-//     job's slot share.
+//   - cap concurrently running speculative copies at 10% of the job's slot
+//     share (lateSpeculativeCap).
 type LATE struct {
-	// SlowTaskThreshold is the progress-rate percentile below which a task
-	// is considered slow (LATE's default: 25th percentile).
-	SlowTaskThreshold float64
-	// SpeculativeCap bounds speculative copies as a fraction of the job's
-	// current wave width (LATE's default: 10%).
-	SpeculativeCap float64
-	// MinElapsed avoids speculating tasks that just started (progress rates
-	// are meaningless at first); LATE uses a 1-minute floor on big clusters,
-	// scaled here in simulation time units.
-	MinElapsed float64
-
 	// buf holds reusable candidate buffers; nil (zero-value LATE) falls back
 	// to per-call allocation. One scheduler goroutine owns a LATE instance,
 	// so the shared buffers are safe.
 	buf *lateScratch
 }
+
+const (
+	// lateSlowTaskThreshold is the progress-rate percentile below which a
+	// task is considered slow (LATE's default: 25th percentile).
+	lateSlowTaskThreshold = 0.25
+	// lateSpeculativeCap bounds speculative copies as a fraction of the
+	// job's current wave width (LATE's default: 10%).
+	lateSpeculativeCap = 0.10
+)
 
 type lateScratch struct {
 	cands []lateCand
@@ -73,10 +71,8 @@ type lateCand struct {
 	rate float64
 }
 
-// NewLATE returns LATE with its published default parameters.
-func NewLATE() LATE {
-	return LATE{SlowTaskThreshold: 0.25, SpeculativeCap: 0.10, MinElapsed: 0, buf: &lateScratch{}}
-}
+// NewLATE returns LATE with reusable candidate buffers.
+func NewLATE() LATE { return LATE{buf: &lateScratch{}} }
 
 // Name returns "LATE".
 func (LATE) Name() string { return "LATE" }
@@ -89,9 +85,9 @@ func (l LATE) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 			return Decision{TaskIndex: t.Index}, true
 		}
 	}
-	// Speculation cap: at most SpeculativeCap × wave-width speculative
+	// Speculation cap: at most lateSpeculativeCap × wave-width speculative
 	// copies at once (minimum 1 so small jobs can still speculate).
-	cap := int(l.SpeculativeCap * float64(ctx.WaveWidth))
+	cap := int(lateSpeculativeCap * float64(ctx.WaveWidth))
 	if cap < 1 {
 		cap = 1
 	}
@@ -105,7 +101,7 @@ func (l LATE) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 		cands, rates = l.buf.cands[:0], l.buf.rates[:0]
 	}
 	for i, t := range tasks {
-		if !t.Running || !t.Speculable || t.Copies >= 2 || t.Elapsed < l.MinElapsed || t.Elapsed <= 0 {
+		if !t.Running || !t.Speculable || t.Copies >= 2 || t.Elapsed <= 0 {
 			continue
 		}
 		r := t.Progress / t.Elapsed
@@ -118,7 +114,7 @@ func (l LATE) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 	if len(cands) == 0 {
 		return Decision{}, false
 	}
-	thr := percentile(rates, l.SlowTaskThreshold)
+	thr := percentile(rates, lateSlowTaskThreshold)
 	// A task is slow when its progress rate falls *strictly below* the
 	// threshold percentile; a stalled task (zero rate) is always slow. The
 	// strictness matters: when a wave launches together and every candidate
@@ -156,7 +152,7 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if u, ok := vs.FirstUnsched(); ok {
 		return Decision{TaskIndex: u}, true
 	}
-	cap := int(l.SpeculativeCap * float64(ctx.WaveWidth))
+	cap := int(lateSpeculativeCap * float64(ctx.WaveWidth))
 	if cap < 1 {
 		cap = 1
 	}
@@ -175,7 +171,7 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	rv := vs.RunningViews()
 	for k := range rv {
 		t := &rv[k]
-		if !t.Speculable || t.Copies >= 2 || t.Elapsed < l.MinElapsed || t.Elapsed <= 0 {
+		if !t.Speculable || t.Copies >= 2 || t.Elapsed <= 0 {
 			continue
 		}
 		r := t.Progress / t.Elapsed
@@ -188,7 +184,7 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if len(cands) == 0 {
 		return Decision{}, false
 	}
-	thr := percentile(rates, l.SlowTaskThreshold)
+	thr := percentile(rates, lateSlowTaskThreshold)
 	best := -1
 	var bestLeft float64
 	for _, c := range cands {
@@ -216,19 +212,16 @@ func (l LATE) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 // has no notion of an approximation bound — but unlike LATE, Mantri acts on
 // outliers even while unscheduled tasks remain, because its criterion
 // guarantees a net resource saving.
-type Mantri struct {
-	// Threshold is the t_rem/t_new ratio required to duplicate (paper: 2).
-	Threshold float64
-}
+type Mantri struct{}
 
-// NewMantri returns Mantri with its published threshold.
-func NewMantri() Mantri { return Mantri{Threshold: 2} }
+// mantriThreshold is the t_rem/t_new ratio required to duplicate (paper: 2).
+const mantriThreshold = 2
 
 // Name returns "Mantri".
 func (Mantri) Name() string { return "Mantri" }
 
 // Pick implements Policy.
-func (m Mantri) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
+func (Mantri) Pick(_ Ctx, tasks []TaskView) (Decision, bool) {
 	// Outlier duplication first: worst ratio wins.
 	best := -1
 	var bestRatio float64
@@ -236,7 +229,7 @@ func (m Mantri) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 		if !t.Running || !t.Speculable || t.Copies >= 2 || t.TNew <= 0 {
 			continue
 		}
-		if r := t.TRem / t.TNew; r > m.Threshold && (best == -1 || r > bestRatio) {
+		if r := t.TRem / t.TNew; r > mantriThreshold && (best == -1 || r > bestRatio) {
 			best, bestRatio = i, r
 		}
 	}
@@ -253,7 +246,7 @@ func (m Mantri) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 
 // PickIncremental implements IncrementalPolicy: the outlier scan covers
 // only the running set; the FIFO fallback is O(1).
-func (m Mantri) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
+func (Mantri) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
 	rv := vs.RunningViews()
 	best := -1
 	var bestRatio float64
@@ -262,7 +255,7 @@ func (m Mantri) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
 		if !t.Speculable || t.Copies >= 2 || t.TNew <= 0 {
 			continue
 		}
-		if r := t.TRem / t.TNew; r > m.Threshold && (best == -1 || r > bestRatio) {
+		if r := t.TRem / t.TNew; r > mantriThreshold && (best == -1 || r > bestRatio) {
 			best, bestRatio = t.Index, r
 		}
 	}
@@ -276,9 +269,9 @@ func (m Mantri) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
 }
 
 // percentile returns the p-quantile of xs by linear interpolation, sorting
-// xs in place (the caller passes a scratch slice it no longer needs).
-// Duplicated from internal/dist to keep spec dependency-light for policies
-// that run in the scheduler's hot loop.
+// xs in place (the caller passes a scratch slice it no longer needs). It
+// serves LATE's slow-task threshold, whose candidate sets (the running
+// tasks of one job) are small enough for an insertion sort.
 func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0

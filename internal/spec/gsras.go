@@ -7,30 +7,23 @@ import "github.com/approx-analytics/grass/internal/task"
 // deadline-bound jobs that is Shortest Job First over fresh copies and
 // beneficial speculative copies; for error-bound jobs it is Longest Job
 // First over the tasks needed to reach the bound.
-//
-// The zero value works but allocates selection buffers on every Pick; use
-// NewGS for the allocation-free hot path.
-type GS struct{ buf *scratch }
-
-// NewGS returns a GS policy with reusable selection buffers. One scheduler
-// goroutine owns the instance (copies share the buffers).
-func NewGS() GS { return GS{buf: &scratch{}} }
+type GS struct{}
 
 // Name returns "GS".
 func (GS) Name() string { return "GS" }
 
 // Pick implements Policy.
-func (g GS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
+func (GS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return gsDeadline(ctx, tasks)
 	}
-	return gsError(ctx, tasks, g.buf)
+	return gsError(ctx, tasks)
 }
 
 // PickIncremental implements IncrementalPolicy: the same selections as
 // Pick, decided in one pass over the running records plus logarithmic
 // terms (see ViewSet).
-func (g GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
+func (GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return gsDeadlineInc(ctx, vs)
 	}
@@ -126,8 +119,8 @@ func gsDeadline(ctx Ctx, tasks []TaskView) (Decision, bool) {
 // bound (the `need` unfinished tasks with smallest effective duration
 // min(t_rem, t_new)), then select the one with the largest remaining work —
 // LJF, speculating the worst straggler first.
-func gsError(ctx Ctx, tasks []TaskView, buf *scratch) (Decision, bool) {
-	cand := earliestSet(ctx, tasks, buf)
+func gsError(ctx Ctx, tasks []TaskView) (Decision, bool) {
+	cand := earliestSet(ctx, tasks)
 	best := -1
 	var bestKey float64
 	for _, i := range cand {
@@ -159,28 +152,22 @@ func gsError(ctx Ctx, tasks []TaskView, buf *scratch) (Decision, bool) {
 // candidates the largest saving wins. When no speculation saves resources,
 // RAS falls back to the bound's natural ordering of unscheduled tasks (SJF
 // for deadlines, LJF for error bounds).
-// The zero value works but allocates selection buffers on every Pick; use
-// NewRAS for the allocation-free hot path.
-type RAS struct{ buf *scratch }
-
-// NewRAS returns a RAS policy with reusable selection buffers. One scheduler
-// goroutine owns the instance (copies share the buffers).
-func NewRAS() RAS { return RAS{buf: &scratch{}} }
+type RAS struct{}
 
 // Name returns "RAS".
 func (RAS) Name() string { return "RAS" }
 
 // Pick implements Policy.
-func (r RAS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
+func (RAS) Pick(ctx Ctx, tasks []TaskView) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return rasDeadline(ctx, tasks)
 	}
-	return rasError(ctx, tasks, r.buf)
+	return rasError(ctx, tasks)
 }
 
 // PickIncremental implements IncrementalPolicy: Pick's selections in one
 // pass over the running records plus logarithmic terms (see ViewSet).
-func (r RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
+func (RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	if ctx.Kind == task.DeadlineBound {
 		return rasDeadlineInc(ctx, vs)
 	}
@@ -266,8 +253,8 @@ func rasDeadline(ctx Ctx, tasks []TaskView) (Decision, bool) {
 	return Decision{}, false
 }
 
-func rasError(ctx Ctx, tasks []TaskView, buf *scratch) (Decision, bool) {
-	cand := earliestSet(ctx, tasks, buf)
+func rasError(ctx Ctx, tasks []TaskView) (Decision, bool) {
+	cand := earliestSet(ctx, tasks)
 	spec := -1
 	var specSaving float64
 	fresh := -1
@@ -314,53 +301,37 @@ func effDuration(t TaskView) float64 {
 	return t.TRem
 }
 
-// scratch holds the reusable earliestSet buffers of one policy instance. The
-// returned index slice aliases scratch memory: it is valid until the next
-// Pick on the same instance, which is exactly the lifetime the policy
-// implementations need.
-type scratch struct {
-	pairs []effIdx
-	idx   []int
-}
-
 // earliestSet returns the indices (into tasks) of the `need` unfinished
 // tasks with the smallest effective duration — the tasks that contribute
 // earliest to the error bound (Pseudocode 2's pruning stage). need =
 // TargetTasks − CompletedTasks; if more tasks remain than needed, the
 // slowest ones are pruned from consideration entirely. Selection uses an
-// O(n) quickselect (this runs once per launch decision); ties at the
-// threshold are broken by task index for determinism. The returned
+// O(n) quickselect; ties at the threshold are broken by task index for
+// determinism. The returned
 // indices are in the quickselect's arbitrary partition order — consumers
 // must use order-independent (key, lowest-index) tie-breaks, the contract
 // the incremental path (pickEarliest) reproduces without a scan.
-// buf, when non-nil, supplies reusable buffers so the hot path allocates
-// nothing.
-func earliestSet(ctx Ctx, tasks []TaskView, buf *scratch) []int {
+func earliestSet(ctx Ctx, tasks []TaskView) []int {
 	need := ctx.Remaining()
 	if need <= 0 {
 		return nil
 	}
-	if buf == nil {
-		buf = &scratch{}
-	}
-	idx := buf.idx[:0]
 	if need >= len(tasks) {
-		for i := range tasks {
-			idx = append(idx, i)
+		idx := make([]int, len(tasks))
+		for i := range idx {
+			idx[i] = i
 		}
-		buf.idx = idx
 		return idx
 	}
-	pairs := buf.pairs[:0]
+	pairs := make([]effIdx, len(tasks))
 	for i, t := range tasks {
-		pairs = append(pairs, effIdx{eff: effDuration(t), idx: i})
+		pairs[i] = effIdx{eff: effDuration(t), idx: i}
 	}
-	buf.pairs = pairs
 	quickselectPairs(pairs, need-1)
-	for i := 0; i < need; i++ {
-		idx = append(idx, pairs[i].idx)
+	idx := make([]int, need)
+	for i := range idx {
+		idx[i] = pairs[i].idx
 	}
-	buf.idx = idx
 	return idx
 }
 

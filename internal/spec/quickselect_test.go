@@ -36,7 +36,7 @@ func TestEarliestSetSelectsSmallest(t *testing.T) {
 		{Index: 4, TNew: 7},
 	}
 	ctx := Ctx{Kind: task.ErrorBound, TargetTasks: 3, TotalTasks: 5}
-	got := earliestSet(ctx, tasks, nil)
+	got := earliestSet(ctx, tasks)
 	if len(got) != 3 {
 		t.Fatalf("set size %d", len(got))
 	}
@@ -51,7 +51,7 @@ func TestEarliestSetSelectsSmallest(t *testing.T) {
 func TestEarliestSetAllWhenNeedCoversEverything(t *testing.T) {
 	tasks := []TaskView{{Index: 0, TNew: 1}, {Index: 1, TNew: 2}}
 	ctx := Ctx{Kind: task.ErrorBound, TargetTasks: 5, TotalTasks: 5}
-	if got := earliestSet(ctx, tasks, nil); len(got) != 2 {
+	if got := earliestSet(ctx, tasks); len(got) != 2 {
 		t.Fatalf("set size %d, want all", len(got))
 	}
 }
@@ -80,7 +80,7 @@ func TestEarliestSetProperty(t *testing.T) {
 		}
 		need := 1 + rng.Intn(n)
 		ctx := Ctx{Kind: task.ErrorBound, TargetTasks: need, TotalTasks: n}
-		got := earliestSet(ctx, tasks, nil)
+		got := earliestSet(ctx, tasks)
 		if len(got) != need {
 			return false
 		}
@@ -137,8 +137,8 @@ func TestEarliestSetDeterministicWithTies(t *testing.T) {
 		tasks[i] = TaskView{Index: i, TNew: 2} // all tied
 	}
 	ctx := Ctx{Kind: task.ErrorBound, TargetTasks: 4, TotalTasks: 10}
-	a := earliestSet(ctx, tasks, nil)
-	b := earliestSet(ctx, tasks, nil)
+	a := earliestSet(ctx, tasks)
+	b := earliestSet(ctx, tasks)
 	if len(a) != 4 || len(b) != 4 {
 		t.Fatal("wrong size")
 	}

@@ -357,7 +357,7 @@ func TestMantriDuplicatesOutlierEvenWithPendingTasks(t *testing.T) {
 		{Index: 0, Running: true, Speculable: true, Copies: 1, TRem: 25, TNew: 10}, // ratio 2.5 > 2
 		{Index: 1, TNew: 10},
 	}
-	d, ok := NewMantri().Pick(deadlineCtx(1000, 2), tasks)
+	d, ok := Mantri{}.Pick(deadlineCtx(1000, 2), tasks)
 	if !ok || d.TaskIndex != 0 || !d.Speculative {
 		t.Fatalf("got %+v, want duplicate of task 0", d)
 	}
@@ -368,7 +368,7 @@ func TestMantriThreshold(t *testing.T) {
 		{Index: 0, Running: true, Speculable: true, Copies: 1, TRem: 15, TNew: 10}, // ratio 1.5 < 2
 		{Index: 1, TNew: 10},
 	}
-	d, ok := NewMantri().Pick(deadlineCtx(1000, 2), tasks)
+	d, ok := Mantri{}.Pick(deadlineCtx(1000, 2), tasks)
 	if !ok || d.TaskIndex != 1 || d.Speculative {
 		t.Fatalf("got %+v, want fresh task 1", d)
 	}
@@ -379,7 +379,7 @@ func TestMantriWorstRatioFirst(t *testing.T) {
 		{Index: 0, Running: true, Speculable: true, Copies: 1, TRem: 25, TNew: 10},
 		{Index: 1, Running: true, Speculable: true, Copies: 1, TRem: 90, TNew: 10},
 	}
-	d, ok := NewMantri().Pick(deadlineCtx(1000, 2), tasks)
+	d, ok := Mantri{}.Pick(deadlineCtx(1000, 2), tasks)
 	if !ok || d.TaskIndex != 1 {
 		t.Fatalf("got %+v, want task 1 (worst outlier)", d)
 	}
@@ -401,7 +401,7 @@ func TestStatelessFactory(t *testing.T) {
 // decisions must target running tasks, fresh launches must target idle ones,
 // and the copy cap must be respected.
 func TestDecisionValidityProperty(t *testing.T) {
-	policies := []Policy{GS{}, RAS{}, NewLATE(), NewMantri(), NoSpec{}}
+	policies := []Policy{GS{}, RAS{}, NewLATE(), Mantri{}, NoSpec{}}
 	check := func(seed int64, deadline bool) bool {
 		rng := dist.NewRNG(seed)
 		n := 1 + rng.Intn(20)

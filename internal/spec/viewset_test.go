@@ -176,7 +176,7 @@ func randCtx(rng *rand.Rand, n int) Ctx {
 // against its reference Pick on thousands of tie-riddled random states.
 func TestPickIncrementalMatchesPick(t *testing.T) {
 	policies := []IncrementalPolicy{
-		NewGS(), NewRAS(), NewLATE(), NewMantri(), NoSpec{},
+		GS{}, RAS{}, NewLATE(), Mantri{}, NoSpec{},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 5000; iter++ {
@@ -209,7 +209,7 @@ func TestPickIncrementalMatchesPick(t *testing.T) {
 func TestViewSetMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	policies := []IncrementalPolicy{
-		NewGS(), NewRAS(), NewLATE(), NewMantri(), NoSpec{},
+		GS{}, RAS{}, NewLATE(), Mantri{}, NoSpec{},
 	}
 	staleMoves := map[bool]int{} // median moves over stale filing, by tameness
 	for iter := 0; iter < 300; iter++ {
@@ -350,7 +350,7 @@ func TestViewSetBulkRescale(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		ctx := randCtx(rng, len(m.recs))
-		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
+		for _, p := range []IncrementalPolicy{GS{}, RAS{}} {
 			a, aok := p.PickIncremental(ctx, vs)
 			b, bok := p.PickIncremental(ctx, fresh)
 			if aok != bok || (aok && a != b) {
@@ -492,7 +492,7 @@ func refEarliest(views []TaskView, need int) ([]int, int) {
 	var run []int
 	fresh := -1
 	var freshT float64
-	for _, k := range earliestSet(Ctx{TargetTasks: need}, views, nil) {
+	for _, k := range earliestSet(Ctx{TargetTasks: need}, views) {
 		v := views[k]
 		if v.Running {
 			run = append(run, v.Index)
@@ -684,7 +684,7 @@ func checkPicks(t *testing.T, name string, vs *ViewSet, stale selHint) selHint {
 	t.Helper()
 	views := vs.AppendCompact(nil)
 	for _, ctx := range pickCtxs(views) {
-		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
+		for _, p := range []IncrementalPolicy{GS{}, RAS{}} {
 			want, wantOK := p.Pick(ctx, views)
 			for _, hint := range []string{"absent", "stale", "exact"} {
 				switch hint {
@@ -876,7 +876,7 @@ func TestPickMemo(t *testing.T) {
 	for iter := 0; iter < 1000; iter++ {
 		_, vs, m := randViewsWith(rng, edgeRec)
 		n := len(vs.recs)
-		p := []IncrementalPolicy{NewGS(), NewRAS()}[rng.Intn(2)]
+		p := []IncrementalPolicy{GS{}, RAS{}}[rng.Intn(2)]
 		ctx := Ctx{Kind: task.ErrorBound, TotalTasks: len(m.recs)}
 		if rng.Intn(2) == 0 {
 			l := len(m.recs)
@@ -1070,7 +1070,7 @@ func pickBenchSet(n, running int) *ViewSet {
 func pickBenchRuns(b *testing.B, bench func(b *testing.B, p IncrementalPolicy, ctx Ctx, vs *ViewSet)) {
 	const n = 4000
 	for _, running := range []int{16, 128, 400} {
-		for _, p := range []IncrementalPolicy{NewGS(), NewRAS()} {
+		for _, p := range []IncrementalPolicy{GS{}, RAS{}} {
 			for _, kind := range []task.BoundKind{task.ErrorBound, task.DeadlineBound} {
 				name := map[task.BoundKind]string{task.ErrorBound: "error", task.DeadlineBound: "deadline"}[kind]
 				b.Run(fmt.Sprintf("%s/%s/running=%d", p.Name(), name, running), func(b *testing.B) {

@@ -24,12 +24,14 @@
 #     into the bucket storage it already holds, and only GRASS's sample
 #     jobs record a completion curve. Straggler draws are keyed, so every
 #     policy runs the same stragglers, and the workload measures gs
-#     0.1674, ras 0.1680, late 0.1792, grass 0.2758, grass-sketch 0.3730
-#     and oracle 0.1783 (down from 0.1877, 0.1784, 0.1935, 0.2889, 0.3867
-#     and 0.2163 once the event queue sized its buckets from its front;
-#     the walls were re-set to the new figures plus ~6%). Launches no
-#     longer grow copy lists; what is left is the event queue, the pooled
-#     job state and GRASS's learner.
+#     0.1672, ras 0.1679, late 0.1791, grass 0.2756, grass-sketch 0.3728
+#     and oracle 0.1781. The walls are the figures of the last re-set
+#     (gs 0.1674, ras 0.1680, late 0.1792, grass 0.2758, grass-sketch
+#     0.3730 and oracle 0.1783, once the event queue sized its buckets
+#     from its front) plus ~6%; the engine has since stopped growing a
+#     batch slice, as it pops one event per step. Launches no longer grow
+#     copy lists; what is left is the event queue, the pooled job state
+#     and GRASS's learner.
 #     Every run admits through RunSource (Run replays its slice through
 #     it), so these walls cover the streaming admission path too. The
 #     headroom lets normal jitter pass while an accidental revert of the
