@@ -259,6 +259,22 @@ func (g *policy) PickIncremental(ctx spec.Ctx, vs *spec.ViewSet) (spec.Decision,
 	return spec.RAS{}.PickIncremental(ctx, vs)
 }
 
+// CertifyDecline implements spec.DeclineCertifier for settled jobs only.
+// A sampled job runs pure GS or RAS and a switched one GS, so its picks are
+// theirs and leave no trace. An adaptive job that has not switched yet has
+// a side effect on every attempt — runGS may take the switch, and
+// shouldSwitch counts each learned or static decision — so it gets no
+// certificate, and the scheduler keeps offering it slots.
+func (g *policy) CertifyDecline(ctx spec.Ctx, vs *spec.ViewSet) (spec.DeclineCert, bool) {
+	switch {
+	case g.sampled && g.samplePol == sampleRAS:
+		return spec.RAS{}.CertifyDecline(ctx, vs)
+	case g.sampled || g.switched:
+		return spec.GS{}.CertifyDecline(ctx, vs)
+	}
+	return spec.DeclineCert{}, false
+}
+
 // runGS reports whether this attempt runs GS rather than RAS, taking the
 // switch when an adaptive job reaches its switch point.
 func (g *policy) runGS(ctx spec.Ctx, c candidates) bool {

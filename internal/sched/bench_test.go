@@ -53,15 +53,17 @@ func benchJobs(n int) []*task.Job {
 
 // runSimBench runs full simulations of the bench workload under one policy
 // and reports per-event wall clock, per-event heap allocations, the task
-// records re-derived per launch attempt (touches) and the GS or RAS picks
-// per attempt that walked every running record (passes: the others were
-// same-instant retries the pick memo served) — the numbers BENCH_sim.json
-// tracks across PRs. Run replays the slice through RunSource, the
-// streaming admission path every replay takes.
+// records re-derived per launch attempt (touches), the GS or RAS picks per
+// attempt that walked every running record (passes: the others were
+// same-instant retries the pick memo served or offers a decline
+// certificate answered) and the attempts a decline certificate answered
+// (skips) — the numbers BENCH_sim.json tracks across PRs. Run replays the
+// slice through RunSource, the streaming admission path every replay
+// takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, passes, attempts uint64
+	var events, allocs, touches, passes, skips, attempts uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,6 +89,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		to, _, at := s.TouchStats()
 		touches += to
 		passes += s.runBuf.Passes()
+		skips += s.CertifiedOffers()
 		attempts += at
 	}
 	if events > 0 {
@@ -96,6 +99,7 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 	if attempts > 0 {
 		b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
 		b.ReportMetric(float64(passes)/float64(attempts), "passes/attempt")
+		b.ReportMetric(float64(skips)/float64(attempts), "skips/attempt")
 	}
 }
 

@@ -89,25 +89,20 @@ func diffWorkload() []*task.Job {
 	return jobs
 }
 
-// attachDifferentialCheck arms the simulator's per-attempt hook: the
+// attachDifferentialCheck arms the simulator's per-attempt hooks: the
 // incremental ViewSet and decision are compared against a from-scratch,
 // side-effect-free rebuild and the reference Pick, and the set's
-// unscheduled order must be sorted under the current keys. Returns a
-// counter of checked attempts.
+// unscheduled order must be sorted under the current keys; an attempt a
+// decline certificate answered is checked as attachSkipCheck checks it.
+// Returns a counter of checked attempts, answered ones included.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	t.Helper()
-	count := 0
+	count := attachSkipCheck(t, s)
 	var refBuf, incBuf []spec.TaskView
 	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
-		count++
+		*count++
 		now := s.eng.Now()
-		refBuf = refBuf[:0]
-		for i := 0; i < js.phase.n; i++ {
-			if js.tasks.completed[i] {
-				continue
-			}
-			refBuf = append(refBuf, s.rebuildView(js, i, now))
-		}
+		refBuf = s.rebuildViews(refBuf[:0], js, now)
 		if err := vs.CheckOrder(); err != nil {
 			t.Fatalf("job %d at t=%v: %v", js.job.ID, now, err)
 		}
@@ -122,7 +117,47 @@ func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 				js.job.ID, now, js.policy.Name(), rd, rok, d, ok)
 		}
 	}
+	return count
+}
+
+// attachSkipCheck arms the simulator's hook for attempts a decline
+// certificate answered: the reference Pick on a from-scratch rebuild of the
+// job's views must decline, and a GRASS job must be settled — its reference
+// pick must not evaluate the switch, which counts a decision in the
+// factory's stats. Returns a counter of checked attempts.
+func attachSkipCheck(t testing.TB, s *Simulator) *int {
+	t.Helper()
+	count := 0
+	var refBuf []spec.TaskView
+	s.checkSkip = func(js *jobState, ctx spec.Ctx) {
+		count++
+		now := s.eng.Now()
+		refBuf = s.rebuildViews(refBuf[:0], js, now)
+		grass, isGrass := s.factory.(*core.Factory)
+		var before core.Stats
+		if isGrass {
+			before = grass.Stats()
+		}
+		if d, ok := js.policy.Pick(ctx, refBuf); ok {
+			t.Fatalf("job %d at t=%v: a decline certificate (%+v) answered an offer the reference %s launches %+v on",
+				js.job.ID, now, js.cert, js.policy.Name(), d)
+		}
+		if isGrass && grass.Stats() != before {
+			t.Fatalf("job %d at t=%v: a decline certificate answered an offer to an unsettled GRASS job", js.job.ID, now)
+		}
+	}
 	return &count
+}
+
+// rebuildViews appends to dst the from-scratch views of every incomplete
+// task of js's phase at time now, ascending by index.
+func (s *Simulator) rebuildViews(dst []spec.TaskView, js *jobState, now float64) []spec.TaskView {
+	for i := 0; i < js.phase.n; i++ {
+		if !js.tasks.completed[i] {
+			dst = append(dst, s.rebuildView(js, i, now))
+		}
+	}
+	return dst
 }
 
 // rebuildView derives task ti's view from scratch at time now — the

@@ -153,9 +153,12 @@ func TestCrashAccounting(t *testing.T) {
 // round(Accuracy × NumTasks) tasks and each intermediate phase all of its
 // tasks. It covers the benign cluster and every fault scenario, under all
 // seven policies, on input-only and three-phase traces; a kill path that
-// dropped its count would break the sum.
+// dropped its count would break the sum. The certified-offer check rides
+// along, so every attempt a decline certificate answers is held to the
+// reference pick while preemptions, crashes and restores wake sleeping
+// jobs.
 func TestCopyAccounting(t *testing.T) {
-	var killed, preempted, lost int
+	var killed, preempted, lost, certified int
 	for _, scenario := range append([]string{"none"}, fault.Scenarios()...) {
 		for _, p := range diffPolicies {
 			t.Run(scenario+"/"+p.name, func(t *testing.T) {
@@ -172,10 +175,12 @@ func TestCopyAccounting(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					skips := attachSkipCheck(t, s)
 					stats, err := s.Run(jobs)
 					if err != nil {
 						t.Fatal(err)
 					}
+					certified += *skips
 					for _, r := range stats.Results {
 						completed := int(math.Round(r.Accuracy * float64(r.NumTasks)))
 						for _, ph := range byID[r.JobID].Phases {
@@ -193,6 +198,9 @@ func TestCopyAccounting(t *testing.T) {
 	}
 	if killed == 0 || preempted == 0 || lost == 0 {
 		t.Fatalf("runs killed %d, preempted %d and lost %d copies; every exit must be exercised", killed, preempted, lost)
+	}
+	if certified == 0 {
+		t.Fatal("no decline certificate answered an offer; the certified-offer check checked nothing")
 	}
 }
 

@@ -138,6 +138,8 @@ type jobState struct {
 	policy     spec.IncrementalPolicy
 	phase      *phaseRun
 	deadlineEv *simevent.Event
+	// certifier is the policy's decline certifier, nil when it has none.
+	certifier spec.DeclineCertifier
 
 	// Pooled per-job storage, kept across phases and — via the simulator's
 	// jobState free list — across jobs: the reusable deadline-event closure
@@ -166,8 +168,16 @@ type jobState struct {
 	inputDeadlineAbs float64 // deadline jobs: when the input phase freezes
 	inputEnd         float64
 
+	// cert is the certificate a sleeping job sleeps under (sleep.go), and
+	// wakePos and floorPos its positions in the simulator's sleeper heaps;
+	// sleptIn is the dispatch round it fell asleep in.
+	cert              spec.DeclineCert
+	wakePos, floorPos int
+	sleptIn           uint64
+
 	done     bool
 	declined bool // within the current dispatch round
+	asleep   bool // a decline certificate answers the job's offers
 }
 
 // demand approximates the job's slot demand by the incomplete task count of
@@ -239,8 +249,10 @@ type Simulator struct {
 
 	// checkViews, when set (differential tests), observes every launch
 	// attempt right after the policy decided, with the refreshed ViewSet
-	// still untouched by the launch itself.
+	// still untouched by the launch itself; checkSkip observes every
+	// attempt a decline certificate answered instead.
 	checkViews func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool)
+	checkSkip  func(js *jobState, ctx spec.Ctx)
 
 	active  []*jobState
 	results []JobResult
@@ -252,7 +264,7 @@ type Simulator struct {
 	// O(jobs·log jobs) with fresh allocations.
 	byDemand []*jobState
 	// dheap is the reusable deficit-ordered max-heap the dispatch round pops
-	// the most underserved job from.
+	// the most underserved awake job from.
 	dheap []*jobState
 
 	copyPool []*copyRun
@@ -262,6 +274,9 @@ type Simulator struct {
 	// reallocating per-job state (the PR-4 follow-up: the incremental path
 	// cost ~0.3 allocs/event in per-job slices).
 	jsPool []*jobState
+	// byWake and byFloor order the sleeping jobs by their certificates'
+	// wake times and median floors (sleep.go).
+	byWake, byFloor sleepHeap
 
 	// runBuf is the query scratch every job's ViewSet shares, and the
 	// memo of the last GS or RAS pick: launch attempts never overlap, so
@@ -274,6 +289,10 @@ type Simulator struct {
 	prevArrival  float64
 	utilIntegral float64
 	lastUtilT    float64
+	// sleeping counts the sleeping jobs, and round numbers the dispatch
+	// rounds.
+	sleeping int
+	round    uint64
 
 	// viewTouches counts task records derived (at a phase's init and for
 	// every dirtied incomplete task at a refresh); with launchAttempts it
@@ -281,9 +300,12 @@ type Simulator struct {
 	// (O(dirtied), not O(running)).
 	// pairRechecks counts the (TNew, index) neighbour pairs rechecked
 	// after estimator-median moves — the near-tied ones only.
+	// certOffers counts the launch attempts a decline certificate
+	// answered without running the pick.
 	viewTouches    uint64
 	pairRechecks   uint64
 	launchAttempts uint64
+	certOffers     uint64
 
 	// oracle is set when the factory implements spec.GroundTruth: policies
 	// then see exact durations, and the estimator is neither sampled nor
@@ -298,10 +320,17 @@ type Simulator struct {
 // which re-derive nothing, and the running records a policy evaluates on
 // read at each attempt, which write nothing back. pairRechecks counts the
 // neighbour pairs of the unscheduled (TNew, index) order rechecked after
-// estimator-median moves, which only near-tied pairs need.
+// estimator-median moves, which only near-tied pairs need. launchAttempts
+// counts every slot offer to a job with a live phase, the offers a decline
+// certificate answered (CertifiedOffers) included.
 func (s *Simulator) TouchStats() (viewTouches, pairRechecks, launchAttempts uint64) {
 	return s.viewTouches, s.pairRechecks, s.launchAttempts
 }
+
+// CertifiedOffers reports how many of the launch attempts TouchStats
+// counts a decline certificate answered: offers to sleeping jobs, whose
+// picks did not run.
+func (s *Simulator) CertifiedOffers() uint64 { return s.certOffers }
 
 // end is the copy's finish time.
 func (c *copyRun) end() float64 { return c.start + c.duration }
@@ -445,6 +474,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 		rngPlace: root.Split(),
 		drawSeed: dist.SubSeed(cfg.Seed, fault.DrawTag),
 		interObs: make(map[int][]float64),
+		byFloor:  sleepHeap{floor: true},
 	}
 	if gt, ok := factory.(spec.GroundTruth); ok {
 		s.oracle = gt.GroundTruth()
@@ -595,6 +625,7 @@ func (s *Simulator) admit(j *task.Job) {
 		panic(fmt.Sprintf("sched: policy %s does not implement spec.IncrementalPolicy", p.Name()))
 	}
 	js.policy = inc
+	js.certifier, _ = inc.(spec.DeclineCertifier)
 	js.res = JobResult{
 		JobID:          j.ID,
 		NumTasks:       j.NumTasks(),
@@ -675,25 +706,44 @@ func (s *Simulator) fairShare(extra int) int {
 // maintained demand index, and the most-underserved job comes from a
 // reusable deficit-ordered heap — only the popped or launched-into top entry
 // ever moves, so each slot costs O(log jobs) instead of a full rescan.
+//
+// The heap holds only the awake jobs. A sleeping job (sleep.go) would
+// decline every offer without a side effect, and its key does not move
+// within the round, so the offers to awake jobs come in the order a heap of
+// every job would make them. Its declined flag is set as that heap would
+// have set it, since preemptForFairness reads it to pick a claimant: every
+// sleeper is declined when the awake heap empties with slots free (and the
+// round ends without preemption, as before), and otherwise exactly the
+// sleepers whose key ranks above the pre-offer key of the last awake job
+// offered a slot. The flags are set before preemptForFairness runs, whose
+// preemptions move a victim's key.
 func (s *Simulator) dispatch() {
+	s.wakeDue()
+	s.round++
 	s.refreshShares()
 	h := s.dheap[:0]
 	for _, js := range s.byDemand {
-		js.declined = false
-		h = append(h, js)
+		if !js.asleep {
+			js.declined = false
+			h = append(h, js)
+		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDownDeficit(h, i)
 	}
+	sleepers := s.sleeping
+	last := topKey
 	for s.cl.FreeSlots() > 0 {
 		if len(h) == 0 {
 			// Every job declined; the remaining free slots stay free.
 			s.dheap = h
+			s.declineSleepers(sleepers, true, last)
 			return
 		}
 		// Most underserved job first (largest share deficit); jobs beyond
 		// their share may still use leftover slots (work conservation).
 		best := h[0]
+		last = best.key()
 		if s.tryLaunch(best) {
 			// best.running grew, shrinking its deficit: restore heap order.
 			siftDownDeficit(h, 0)
@@ -706,6 +756,7 @@ func (s *Simulator) dispatch() {
 		}
 	}
 	s.dheap = h
+	s.declineSleepers(sleepers, false, last)
 	s.preemptForFairness()
 }
 
@@ -728,19 +779,33 @@ func (s *Simulator) refreshShares() {
 	}
 }
 
-// deficitBetter reports whether a should be offered a slot before b: larger
+// deficitKey is a job's rank in a dispatch round: its share deficit, its
+// running copies and its ID.
+type deficitKey struct{ def, running, id int }
+
+// topKey ranks above every job's key.
+var topKey = deficitKey{def: math.MaxInt}
+
+// key is js's current deficit key.
+func (js *jobState) key() deficitKey {
+	return deficitKey{def: js.share - js.running, running: js.running, id: js.job.ID}
+}
+
+// before reports whether key a is offered a slot before key b: larger
 // share deficit first, then fewer running copies, then lower job ID — a
 // total order, so the dispatch sequence is deterministic.
-func deficitBetter(a, b *jobState) bool {
-	da, db := a.share-a.running, b.share-b.running
-	if da != db {
-		return da > db
+func (a deficitKey) before(b deficitKey) bool {
+	if a.def != b.def {
+		return a.def > b.def
 	}
 	if a.running != b.running {
 		return a.running < b.running
 	}
-	return a.job.ID < b.job.ID
+	return a.id < b.id
 }
+
+// deficitBetter reports whether a should be offered a slot before b.
+func deficitBetter(a, b *jobState) bool { return a.key().before(b.key()) }
 
 // siftDownDeficit restores the max-heap property of h from index i.
 func siftDownDeficit(h []*jobState, i int) {
@@ -828,9 +893,11 @@ func (s *Simulator) preemptYoungest(victim *jobState) bool {
 // runs. Ties go to the lowest task slot, then to the earliest position.
 // While the job's views are live, every task with a copy is filed as
 // running or waits on the dirty list (a launch dirties its task), so only
-// those are scanned. While they are not, no copy runs: a launch happens
-// only after refreshViews made them live, and finishPhase drops them
-// before it kills the phase's copies.
+// those are scanned; a sleeping job's running list may still hold tasks
+// that completed since its last refresh, which have no copies left. While
+// the views are not live, no copy runs: a launch happens only after
+// refreshViews made them live, and finishPhase drops them before it kills
+// the phase's copies.
 func youngestCopy(js *jobState) (ti, ci int) {
 	ti, ci = -1, -1
 	if js.phase == nil || !js.jv.live {
@@ -855,10 +922,16 @@ func youngestCopy(js *jobState) (ti, ci int) {
 }
 
 // tryLaunch asks the job's policy for a launch from the maintained
-// ViewSet (refreshed in O(running + dirtied)) and executes it.
+// ViewSet (refreshed in O(running + dirtied)) and executes it. A sleeping
+// job's certificate declines for it; a job whose pick declines with a
+// certificate falls asleep.
 func (s *Simulator) tryLaunch(js *jobState) bool {
 	phase := js.phase
 	if phase == nil || phase.satisfied() {
+		return false
+	}
+	if js.asleep {
+		s.skipOffer(js)
 		return false
 	}
 	ctx := s.buildCtx(js)
@@ -872,6 +945,11 @@ func (s *Simulator) tryLaunch(js *jobState) bool {
 		s.checkViews(js, ctx, vs, d, ok)
 	}
 	if !ok {
+		if js.certifier != nil {
+			if c, ok := js.certifier.CertifyDecline(ctx, vs); ok {
+				s.sleep(js, c)
+			}
+		}
 		return false
 	}
 	if d.TaskIndex < 0 || d.TaskIndex >= phase.n {
@@ -1107,6 +1185,7 @@ func (s *Simulator) onInputDeadline(js *jobState) {
 func (s *Simulator) finishPhase(js *jobState) {
 	s.noteUtil()
 	now := s.eng.Now()
+	s.wake(js)
 	// The phase's candidate views die with it; the next phase's are built
 	// lazily at its first launch attempt.
 	js.jv.invalidate()

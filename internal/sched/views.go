@@ -26,11 +26,19 @@
 // under ground truth its next copy's duration factor, each a pure function
 // of its key), so a refresh has no side effect beyond the set itself and
 // the bias it keeps, and neither has a launch attempt that launches
-// nothing. The views equal a from-scratch rebuild of every incomplete
+// nothing — except a GRASS job's while it has not settled, whose every
+// attempt evaluates the switch. That is what lets a declining pick's
+// certificate put its job to sleep (sleep.go): a sleeping job is offered
+// no slot and its refresh is deferred, not lost, to its first pick after it
+// wakes. Its completed tasks wait on the dirty list (a dirty that does not
+// complete a task wakes the job); filing is order-free, SetMedian handles
+// any median jump, and a stale pick memo or selection hint changes only
+// the work. The views equal a from-scratch rebuild of every incomplete
 // task's view exactly, not approximately: the differential tests in this
 // package (TestDifferential*, FuzzIncrementalViews) hold the ViewSet to
 // DeepEqual a rebuild and PickIncremental to the reference Pick's decision
-// at every launch attempt.
+// at every launch attempt that runs a pick, and the reference Pick to
+// decline at every attempt a certificate answers.
 package sched
 
 import "github.com/approx-analytics/grass/internal/spec"
@@ -53,8 +61,14 @@ func (jv *jobViews) invalidate() {
 }
 
 // dirtyTask marks task slot ti for re-derivation at the next refresh —
-// all a launch, a kill or a completion does to the job's views.
+// all a launch, a kill or a completion does to the job's views. A dirty
+// that does not complete its task wakes a sleeping job: its certificate
+// covers completions only. A completion's own dirty and its siblings'
+// kills come after completed[ti] is set.
 func (s *Simulator) dirtyTask(js *jobState, ti int) {
+	if js.asleep && !js.tasks.completed[ti] {
+		s.wake(js)
+	}
 	jv := &js.jv
 	if !jv.live || js.tasks.dirty[ti] {
 		return

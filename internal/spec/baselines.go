@@ -36,6 +36,17 @@ func (NoSpec) PickIncremental(_ Ctx, vs *ViewSet) (Decision, bool) {
 	return Decision{}, false
 }
 
+// CertifyDecline implements DeclineCertifier. NoSpec declines only when no
+// task is unscheduled, and only a preempted or lost copy, an event that
+// touches the job, makes one unscheduled again: the certificate has
+// neither a wake time nor a floor.
+func (NoSpec) CertifyDecline(_ Ctx, vs *ViewSet) (DeclineCert, bool) {
+	if vs.unsched.len() > 0 {
+		return DeclineCert{}, false
+	}
+	return DeclineCert{Wake: math.Inf(1)}, true
+}
+
 // LATE implements the LATE scheduler's speculation rules:
 //
 //   - new (unscheduled) tasks always take priority, in FIFO order;

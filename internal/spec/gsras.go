@@ -1,6 +1,10 @@
 package spec
 
-import "github.com/approx-analytics/grass/internal/task"
+import (
+	"math"
+
+	"github.com/approx-analytics/grass/internal/task"
+)
 
 // GS is Greedy Speculative scheduling (Pseudocode 1 & 2 with OC = 0): pick
 // the launch that most improves the approximation goal right now. For
@@ -29,6 +33,9 @@ func (GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	}
 	return gsErrorInc(ctx, vs)
 }
+
+// CertifyDecline implements DeclineCertifier (see certifyDecline).
+func (GS) CertifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) { return certifyDecline(ctx, vs) }
 
 // gsDeadlineInc mirrors gsDeadline: minimum (TNew, index) over eligible
 // candidates. The running records are scanned directly (the set is
@@ -174,6 +181,10 @@ func (RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 	return rasErrorInc(ctx, vs)
 }
 
+// CertifyDecline implements DeclineCertifier: RAS's certificate is GS's
+// (see certifyDecline).
+func (RAS) CertifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) { return certifyDecline(ctx, vs) }
+
 // rasDeadlineInc mirrors rasDeadline: best positive saving among running
 // tasks within the deadline, else SJF over unscheduled tasks. A record's
 // progress is divided out only once the task is under the copy cap and its
@@ -220,6 +231,169 @@ func rasErrorInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 		return Decision{TaskIndex: fresh}, true
 	}
 	return Decision{}, false
+}
+
+// certEps is the relative margin every bound of a decline certificate
+// keeps, far above the few roundings between a bound and the float
+// expressions the picks evaluate.
+const certEps = 1e-9
+
+// certifyDecline is GS's and RAS's decline certificate for a pick that
+// just declined on vs under ctx. Both picks launch only an unscheduled
+// task or a speculation candidate: a running task that is speculable,
+// under the copy cap, within the deadline and that a fresh copy would beat
+// (RAS's positive saving c×t_rem − (c+1)×t_new implies t_rem > t_new as
+// well). The certificate argues that none can launch:
+//
+//   - Record bounds. tremBound bounds the t_rem a running record can show
+//     from a progress on. While that bound times (1+certEps) stays below
+//     t_new = median × Work × Factor — from the floor term
+//     bound(1+certEps)/(Work·Factor) on — the record is never a candidate.
+//     A record at MaxCopies, or whose best copy never reports progress, is
+//     never one either.
+//   - Wake. A young record (progress below MinSpecProgress) that could
+//     become a candidate is not one until its copy turns speculable
+//     (specFrom), which is when the certificate wakes.
+//   - Deadline. RemainingTime only falls, so a task whose t_new exceeds it
+//     keeps exceeding it: the unscheduled head, or a record, adds the
+//     floor term rem(1+certEps)/(Work·Factor). A speculable record that may
+//     still become a candidate leaves no certificate.
+//   - Error bound. The launchers are the unscheduled tasks and the
+//     speculable records that may become candidates, and a launcher's
+//     earliest-set key is its t_new. If at least need running records have
+//     t_rem bounds (from now on, which bound their keys) no larger than B,
+//     then from the floor term B(1+certEps)/(min Work·Factor) on every
+//     launcher's key sorts after those need keys and none is in the
+//     earliest set. A completion removes one key and lowers need by one,
+//     so the argument survives it.
+//
+// Ground-truth sets are not certified, nor are sets with an untame median
+// or t_new operand, whose products may round without a relative bound.
+func certifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) {
+	c := DeclineCert{Wake: math.Inf(1)}
+	if vs.groundTruth || !tame(vs.med) || vs.untame > 0 {
+		return c, false
+	}
+	var ok bool
+	if ctx.Kind == task.DeadlineBound {
+		ok = vs.certifyDeadline(ctx.RemainingTime, &c)
+	} else {
+		ok = vs.certifyError(ctx.Remaining(), &c)
+	}
+	return c, ok && c.Holds(vs.now, vs.med)
+}
+
+// certifyDeadline builds a deadline pick's certificate in c: the
+// unscheduled head and every running record must stay out for good or,
+// for a young record, until it turns speculable.
+func (vs *ViewSet) certifyDeadline(rem float64, c *DeclineCert) bool {
+	if u, ok := vs.MinTNewUnsched(); ok {
+		t := vs.recs[u].floorTerm(rem)
+		if !(t <= vs.med) {
+			return false
+		}
+		c.Floor = max(c.Floor, t)
+	}
+	for _, i := range vs.running {
+		if _, ok := vs.certRunning(&vs.recs[i], rem, c); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// certifyError builds an error-bound pick's certificate in c for a set
+// that needs need more completions: records that can launch are kept out
+// of the earliest set by need running records with smaller bounds.
+func (vs *ViewSet) certifyError(need int, c *DeclineCert) bool {
+	if need <= 0 {
+		return true
+	}
+	minWF := math.Inf(1) // the launchers' smallest Work·Factor
+	if u, ok := vs.MinTNewUnsched(); ok {
+		minWF = vs.recs[u].Work * vs.recs[u].Factor
+	}
+	if len(vs.running) < need && !math.IsInf(minWF, 1) {
+		return false
+	}
+	keys := vs.run.certKeys[:0]
+	for _, i := range vs.running {
+		r := &vs.recs[i]
+		bound, ok := vs.certRunning(r, math.Inf(1), c)
+		if !ok {
+			if !r.tameKey() {
+				return false
+			}
+			minWF = min(minWF, r.Work*r.Factor)
+		}
+		keys = append(keys, effIdx{eff: bound, idx: i})
+	}
+	vs.run.certKeys = keys
+	if math.IsInf(minWF, 1) {
+		return true // nothing can launch
+	}
+	if len(vs.running) < need {
+		return false
+	}
+	quickselectPairs(keys, need-1)
+	t := floorTerm(keys[need-1].eff, minWF)
+	if !(t <= vs.med) {
+		return false
+	}
+	c.Floor = max(c.Floor, t)
+	return true
+}
+
+// certRunning places running record r in certificate c, with rem the
+// deadline's remaining time (+Inf for an error bound), and returns the
+// record's t_rem bound from now on, which bounds its earliest-set key. A
+// record that can never speculate needs nothing; one that can never
+// become a candidate from a median at most the set's on raises the floor
+// by the smaller of its terms (its t_rem bound from when it may be
+// speculated, or rem; floorTerm is monotone); a young one that could
+// wakes the certificate when it turns speculable. ok is false for a
+// speculable record that may still become a candidate.
+func (vs *ViewSet) certRunning(r *TaskRec, rem float64, c *DeclineCert) (bound float64, ok bool) {
+	p := progress(vs.now, r.Start, r.Duration)
+	bound = r.tremBound(vs.now, p)
+	if r.Copies >= MaxCopies || !(r.Duration > 0 && r.Duration < math.Inf(1)) {
+		return bound, true
+	}
+	young := p < MinSpecProgress
+	x := bound
+	if young {
+		x = r.tremBound(vs.now, MinSpecProgress)
+	}
+	if t := r.floorTerm(min(x, rem)); t <= vs.med {
+		c.Floor = max(c.Floor, t)
+		return bound, true
+	}
+	if !young || math.IsInf(r.Start, 0) {
+		return bound, false
+	}
+	c.Wake = min(c.Wake, r.specFrom())
+	return bound, true
+}
+
+// floorTerm is the smallest median at which t_new = median × wf exceeds x
+// with the certificate's margin, x(1+certEps)/wf, and at least minTame so
+// that every covered median is positive (x may be 0). A NaN gives +Inf: no
+// median is covered.
+func floorTerm(x, wf float64) float64 {
+	t := x * (1 + certEps) / wf
+	if !(t >= 0) {
+		return math.Inf(1)
+	}
+	return max(t, minTame)
+}
+
+// floorTerm is the record's floor term for x, +Inf when its t_new
+// operands are untame.
+func (r *TaskRec) floorTerm(x float64) float64 {
+	if !r.tameKey() {
+		return math.Inf(1)
+	}
+	return floorTerm(x, r.Work*r.Factor)
 }
 
 func rasDeadline(ctx Ctx, tasks []TaskView) (Decision, bool) {

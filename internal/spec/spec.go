@@ -145,6 +145,41 @@ type IncrementalPolicy interface {
 	PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool)
 }
 
+// DeclineCert certifies that a job's picks keep declining. Every later
+// pick on the job declines while three things hold: the clock is before
+// Wake, the t_new median is at least Floor, and no event has touched the
+// job's tasks except task completions. A completion removes its task from
+// the set and adds one to Ctx.CompletedTasks; RemainingTime falls with the
+// clock; the Ctx fields GS and RAS do not read may move freely.
+type DeclineCert struct {
+	// Wake is the first instant the certificate does not cover, +Inf when
+	// the clock never voids it.
+	Wake float64
+	// Floor is the smallest t_new median the certificate covers, 0 when it
+	// covers every median.
+	Floor float64
+}
+
+// Holds reports whether the certificate covers a pick at clock now and
+// t_new median med.
+func (c DeclineCert) Holds(now, med float64) bool { return now < c.Wake && med >= c.Floor }
+
+// DeclineCertifier is the optional interface of an IncrementalPolicy whose
+// declines can be certified. The scheduler calls CertifyDecline right
+// after PickIncremental declined, with the same ctx and the set untouched,
+// and keeps a certified job asleep while the certificate holds: it offers
+// the job no slot, counting each offer the job would have had as a
+// declined attempt, and defers the refresh of its views until it wakes. So
+// a certificate must be sound for every pick it covers, under a scheduler
+// whose RemainingTime never rises as the clock advances and whose medians
+// are positive. GS, RAS and NoSpec certify; GRASS certifies only a job
+// whose picks are GS's or RAS's without side effects (a sampled or
+// switched job); LATE and Mantri do not. ok is false when the pick cannot
+// be certified.
+type DeclineCertifier interface {
+	CertifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool)
+}
+
 // Observer is an optional interface for policies that learn from job
 // outcomes (GRASS's sample collection). The scheduler calls OnJobEnd exactly
 // once per job.

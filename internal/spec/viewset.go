@@ -92,7 +92,10 @@ type ViewSet struct {
 	uorder  window
 	// near lists the uorder tasks whose pair with their uorder successor is
 	// near-tied (TaskRec.near points back into it).
-	near   []int
+	near []int
+	// untame counts the unscheduled tasks whose t_new operands are untame
+	// (see tame), which decline certificates cannot bound.
+	untame int
 	sealed bool
 
 	// The evaluation inputs: the clock, the t_new median and the mode.
@@ -153,7 +156,9 @@ type RunBuf struct {
 	selKeys []effIdx
 	cands   []errCand
 	medKeys []effIdx
-	memo    pickMemo
+	// certKeys holds a decline certificate's running t_rem bounds.
+	certKeys []effIdx
+	memo     pickMemo
 	// passes counts full pick passes: picks the memo could not serve.
 	passes uint64
 }
@@ -263,6 +268,7 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.unsched.reset()
 	vs.uorder.reset()
 	vs.near = vs.near[:0]
+	vs.untame = 0
 	vs.sealed = false
 	vs.earliest, vs.median = selHint{}, selHint{}
 	vs.medKnown = false
@@ -287,6 +293,7 @@ func (vs *ViewSet) Init(i int, r TaskRec) {
 	} else {
 		vs.unsched.push(i)
 		vs.uorder.push(i)
+		vs.countUntame(&r, 1)
 	}
 }
 
@@ -373,6 +380,66 @@ func (r *TaskRec) tremAt(now float64, groundTruth bool) (trem float64, speculabl
 	}
 	p := progress(now, r.Start, r.Duration)
 	return TRemEstimate(trem, r.TRemBias, p), p >= MinSpecProgress
+}
+
+// tremBound bounds the t_rem that running record r shows at any time from
+// now on at which its progress is at least p (p at least the progress
+// now): what a decline certificate compares against t_new. It returns +Inf
+// for a copy that has not started and for values that are not numbers.
+//
+// With x the true remaining time and D the duration, t_rem is
+// x(1 + (b−1)x/D) in reals (b the TRemBias). Over a remaining fraction
+// x/D ≤ 1 − p that parabola peaks at x/D = 1/(2(1−b)) when b < 1, a peak
+// that lies ahead for b < 0.5 (for b ≥ 0.5 t_rem never rises as the clock
+// advances); progress clamped at 0.999 only shrinks x further. The float
+// expressions differ from the reals by the rounding of the clock
+// arithmetic: x = End − now against D(1 − progress), off by a few ulps of
+// End, plus any gap between End and Start + Duration. The bound adds that
+// slack, times the largest factor t_rem applies to x; relative rounding is
+// left to the callers' certEps.
+func (r *TaskRec) tremBound(now, p float64) float64 {
+	d, b := r.Duration, r.TRemBias
+	if !(d > 0) || math.IsInf(d, 1) {
+		// The progress stays 0, so t_rem = x·b moves with x towards 0.
+		return notNaN(max(TRemEstimate(max(r.End-now, 0), b, 0), 0))
+	}
+	if now < r.Start {
+		return math.Inf(1)
+	}
+	x := 1 - p
+	if b < 1 {
+		x = min(x, 0.5/(1-b))
+	}
+	gap := math.Abs(r.End - (r.Start + d))
+	slack := (gap + 0x1p-46*(d+math.Abs(r.End))) * (2 + math.Abs(b))
+	return notNaN(d*x*(1+(b-1)*x) + slack)
+}
+
+// notNaN maps NaN to +Inf, the bound that certifies nothing.
+func notNaN(x float64) float64 {
+	if math.IsNaN(x) {
+		return math.Inf(1)
+	}
+	return x
+}
+
+// specFrom returns the instant running record r turns speculable: the
+// first float64 t at which its progress reaches MinSpecProgress. The search
+// steps through neighbouring float64s from the product's estimate and
+// tests progress itself, which never decreases as the clock advances, so
+// the instant is exact. The duration must be positive and finite.
+func (r *TaskRec) specFrom() float64 {
+	t := r.Start + MinSpecProgress*r.Duration
+	for progress(t, r.Start, r.Duration) < MinSpecProgress {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	for {
+		prev := math.Nextafter(t, math.Inf(-1))
+		if progress(prev, r.Start, r.Duration) < MinSpecProgress {
+			return t
+		}
+		t = prev
+	}
 }
 
 // TRemEstimate is the t_rem estimate of a copy whose true remaining time
@@ -525,6 +592,7 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 	}
 	vs.unsched.insert(sort.SearchInts(vs.unsched.list(), i), i)
 	vs.uorderInsert(i)
+	vs.countUntame(old, 1)
 }
 
 // Remove drops completed task i from the set.
@@ -545,6 +613,15 @@ func (vs *ViewSet) unfile(i int) {
 	}
 	vs.unsched.remove(sortedPos(vs.unsched.list(), i, "unsched"))
 	vs.uorderRemove(i)
+	vs.countUntame(&vs.recs[i], -1)
+}
+
+// countUntame adds d to the untame count when unscheduled record r has an
+// untame t_new operand.
+func (vs *ViewSet) countUntame(r *TaskRec, d int) {
+	if !r.tameKey() {
+		vs.untame += d
+	}
 }
 
 // AppendCompact appends the views of every incomplete task in ascending
@@ -1186,7 +1263,14 @@ const nearULPs = 16
 // tame reports whether x lies in [2⁻²⁵⁶, 2²⁵⁶]. A product of three tame
 // values stays in the normal range, where each rounding lands within a
 // relative u = 2⁻⁵³ of the exact result — the premise of the pair marks.
-func tame(x float64) bool { return x >= 0x1p-256 && x <= 0x1p256 }
+func tame(x float64) bool { return x >= minTame && x <= 0x1p256 }
+
+// minTame is the smallest tame value.
+const minTame = 0x1p-256
+
+// tameKey reports whether the record's t_new operands, Work and Factor,
+// are tame.
+func (r *TaskRec) tameKey() bool { return tame(r.Work) && tame(r.Factor) }
 
 // markPair records whether the pair uorder[p], uorder[p+1] can swap under
 // a median move; the last entry heads no pair.

@@ -1,11 +1,11 @@
 package traceio
 
 import (
+	"bytes"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"github.com/approx-analytics/grass/internal/dist"
 	"github.com/approx-analytics/grass/internal/task"
@@ -19,7 +19,9 @@ import (
 type GoogleTaskEvent struct {
 	Pos       Position
 	Timestamp float64 // column 1: event time, microseconds from trace start
-	JobID     string  // column 3: job identifier
+	// JobID is column 3, the job identifier. It aliases the line it was
+	// decoded from, so it is valid only as long as the line is.
+	JobID     []byte
 	TaskIndex int64   // column 4: task index within the job
 	EventType int     // column 6: 0=SUBMIT .. 8=UPDATE_RUNNING
 	CPU       float64 // column 10: normalized CPU request in [0, 1]; -1 if absent
@@ -34,56 +36,80 @@ const (
 	googleMaxEvt = 8
 )
 
-// parseGoogleEvent decodes one task_events line. Every failure is a
-// positioned DecodeError naming the column.
-func parseGoogleEvent(file string, line int, text string) (GoogleTaskEvent, error) {
-	ev := GoogleTaskEvent{Pos: Position{File: file, Line: line}}
-	var fields [googleFields]string
+// parseGoogleEvent decodes one task_events line into ev without
+// allocating. Every failure is a positioned DecodeError naming the column.
+func parseGoogleEvent(ev *GoogleTaskEvent, file string, line int, text []byte) error {
+	*ev = GoogleTaskEvent{Pos: Position{File: file, Line: line}}
+	var fields [googleFields][]byte
 	if n := splitFields(text, ',', fields[:]); n != googleFields {
-		return ev, decodeErrf(file, line, 0, nil,
+		return decodeErrf(file, line, 0, nil,
 			"task_events record has %d fields, want %d (Google cluster-data v2 schema)", n, googleFields)
 	}
 	col := func(i int) int { return fieldCol(fields[:], i) }
-	ts, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+	ts, err := parseDecimal(bytes.TrimSpace(fields[0]))
 	if err != nil {
-		return ev, decodeErrf(file, line, col(0), err, "bad timestamp %q", fields[0])
+		return decodeErrf(file, line, col(0), err, "bad timestamp %q", fields[0])
 	}
 	if math.IsNaN(ts) || math.IsInf(ts, 0) || ts < 0 {
-		return ev, decodeErrf(file, line, col(0), nil, "timestamp %v out of range (want finite, >= 0)", ts)
+		return decodeErrf(file, line, col(0), nil, "timestamp %v out of range (want finite, >= 0)", ts)
 	}
 	ev.Timestamp = ts
-	ev.JobID = strings.TrimSpace(fields[2])
-	if ev.JobID == "" {
-		return ev, decodeErrf(file, line, col(2), nil, "empty job id")
+	ev.JobID = bytes.TrimSpace(fields[2])
+	if len(ev.JobID) == 0 {
+		return decodeErrf(file, line, col(2), nil, "empty job id")
 	}
-	idx, err := strconv.ParseInt(strings.TrimSpace(fields[3]), 10, 64)
+	idx, err := parseInt(bytes.TrimSpace(fields[3]))
 	if err != nil {
-		return ev, decodeErrf(file, line, col(3), err, "bad task index %q", fields[3])
+		return decodeErrf(file, line, col(3), err, "bad task index %q", fields[3])
 	}
 	if idx < 0 {
-		return ev, decodeErrf(file, line, col(3), nil, "negative task index %d", idx)
+		return decodeErrf(file, line, col(3), nil, "negative task index %d", idx)
 	}
 	ev.TaskIndex = idx
-	et, err := strconv.Atoi(strings.TrimSpace(fields[5]))
+	et, err := parseInt(bytes.TrimSpace(fields[5]))
 	if err != nil {
-		return ev, decodeErrf(file, line, col(5), err, "bad event type %q", fields[5])
+		// Report strconv.Atoi's error, as this column always has.
+		_, err = strconv.Atoi(string(bytes.TrimSpace(fields[5])))
+		return decodeErrf(file, line, col(5), err, "bad event type %q", fields[5])
 	}
 	if et < 0 || et > googleMaxEvt {
-		return ev, decodeErrf(file, line, col(5), nil, "event type %d out of [0, %d]", et, googleMaxEvt)
+		return decodeErrf(file, line, col(5), nil, "event type %d out of [0, %d]", et, googleMaxEvt)
 	}
-	ev.EventType = et
+	ev.EventType = int(et)
 	ev.CPU = -1
-	if c := strings.TrimSpace(fields[9]); c != "" {
-		cpu, err := strconv.ParseFloat(c, 64)
+	if c := bytes.TrimSpace(fields[9]); len(c) > 0 {
+		cpu, err := parseDecimal(c)
 		if err != nil {
-			return ev, decodeErrf(file, line, col(9), err, "bad CPU request %q", fields[9])
+			return decodeErrf(file, line, col(9), err, "bad CPU request %q", fields[9])
 		}
 		if math.IsNaN(cpu) || cpu < 0 || cpu > 1 {
-			return ev, decodeErrf(file, line, col(9), nil, "CPU request %v out of [0, 1] (v2 requests are normalized)", cpu)
+			return decodeErrf(file, line, col(9), nil, "CPU request %v out of [0, 1] (v2 requests are normalized)", cpu)
 		}
 		ev.CPU = cpu
 	}
-	return ev, nil
+	return nil
+}
+
+// maxExactInt is how many digits parseInt's fast path takes: 18 decimal
+// digits stay below 2^63.
+const maxExactInt = 18
+
+// parseInt returns strconv.ParseInt(string(b), 10, 64), value for value
+// and error for error. Up to 18 plain digits are summed without
+// allocating; a sign, an underscore, a longer number or anything malformed
+// goes to strconv.
+func parseInt(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > maxExactInt {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, nil
 }
 
 // googleDecoder groups a task_events stream into jobs with bounded memory.
@@ -111,10 +137,15 @@ type googleDecoder struct {
 
 	open  map[string]*googleJob // jobs that may still gain tasks
 	ready googleHeap            // closed jobs awaiting safe emission
-	seq   int                   // first-seen counter (deterministic tie-break)
-	n     int                   // jobs emitted so far = next dense job ID
-	eof   bool
-	e     error
+	// cur is the open job the previous submit went to: consecutive submits
+	// of one job, the common case, find it without a map lookup.
+	cur  *googleJob
+	ev   GoogleTaskEvent
+	idxs []int64 // fill's scratch: a job's task indices, sorted
+	seq  int     // first-seen counter (deterministic tie-break)
+	n    int     // jobs emitted so far = next dense job ID
+	eof  bool
+	e    error
 }
 
 // googleJob accumulates one job's submitted tasks.
@@ -176,10 +207,11 @@ func (d *googleDecoder) advance() bool {
 			heap.Push(&d.ready, g)
 		}
 		d.open = map[string]*googleJob{}
+		d.cur = nil
 		return false
 	}
-	ev, err := parseGoogleEvent(d.sc.file, d.sc.line, string(d.sc.b))
-	if err != nil {
+	ev := &d.ev
+	if err := parseGoogleEvent(ev, d.sc.file, d.sc.line, d.sc.b); err != nil {
 		d.e = err
 		d.eof = true
 		return false
@@ -192,18 +224,23 @@ func (d *googleDecoder) advance() bool {
 	}
 	d.prevTS = ev.Timestamp
 	if ev.EventType == googleSubmit {
-		g := d.open[ev.JobID]
+		g := d.cur
+		if g == nil || g.id != string(ev.JobID) {
+			g = d.open[string(ev.JobID)]
+		}
 		if g == nil {
+			id := string(ev.JobID)
 			g = &googleJob{
-				id:        ev.JobID,
+				id:        id,
 				firstTS:   ev.Timestamp,
 				seq:       d.seq,
 				firstLine: ev.Pos.Line,
 				tasks:     make(map[int64]float64),
 			}
 			d.seq++
-			d.open[ev.JobID] = g
+			d.open[id] = g
 		}
+		d.cur = g
 		g.lastTS = ev.Timestamp
 		if _, dup := g.tasks[ev.TaskIndex]; !dup {
 			// Resubmissions of a task index (retries after failure or
@@ -222,6 +259,9 @@ func (d *googleDecoder) advance() bool {
 		if ev.Timestamp-g.lastTS > closeGapUS {
 			heap.Push(&d.ready, g)
 			delete(d.open, id)
+			if g == d.cur {
+				d.cur = nil
+			}
 		}
 	}
 	return true
@@ -261,11 +301,12 @@ func (d *googleDecoder) fill(g *googleJob, j *task.Job) error {
 	} else {
 		j.InputWork = make([]float64, n)
 	}
-	idxs := make([]int64, 0, n)
+	idxs := d.idxs[:0]
 	for idx := range g.tasks {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+	slices.Sort(idxs)
+	d.idxs = idxs
 	floor := o.WorkScale * minWorkFrac
 	for i, idx := range idxs {
 		w := o.WorkScale * g.tasks[idx]

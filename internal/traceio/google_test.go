@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -143,6 +145,18 @@ func TestGoogleDecodeErrors(t *testing.T) {
 			wantSub:  "negative task index",
 		},
 		{
+			name:     "malformed task index",
+			text:     strings.Replace(row(1e6, "a", 0, 0, "0.5"), ",a,0,", ",a,+x,", 1) + "\n",
+			wantLine: 1,
+			wantSub:  `bad task index "+x": strconv.ParseInt: parsing "+x": invalid syntax`,
+		},
+		{
+			name:     "malformed event type",
+			text:     strings.Replace(row(1e6, "a", 0, 0, "0.5"), ",,0,user", ",,zero,user", 1) + "\n",
+			wantLine: 1,
+			wantSub:  `bad event type "zero": strconv.Atoi: parsing "zero": invalid syntax`,
+		},
+		{
 			name:     "event type out of range",
 			text:     row(1e6, "a", 0, 11, "0.5") + "\n",
 			wantLine: 1,
@@ -213,5 +227,61 @@ func TestGoogleHugeTaskCount(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "over 3 submitted tasks") {
 		t.Errorf("error %q does not name the limit", err)
+	}
+}
+
+// sameParseInt fails t unless parseInt(s) returns strconv.ParseInt's value
+// and error text.
+func sameParseInt(t *testing.T, s string) {
+	t.Helper()
+	got, gotErr := parseInt([]byte(s))
+	want, wantErr := strconv.ParseInt(s, 10, 64)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("parseInt(%q) error %v, strconv %v", s, gotErr, wantErr)
+	}
+	if got != want {
+		t.Fatalf("parseInt(%q) = %d, strconv %d", s, got, want)
+	}
+}
+
+// TestParseIntMatchesStrconv: parseInt's fast path (at most 18 plain
+// digits) and its fallback agree with strconv.ParseInt on the edges of
+// that path, signs, underscores and empty input, and on seeded random
+// strings of digits mixed with characters an integer cannot hold.
+func TestParseIntMatchesStrconv(t *testing.T) {
+	for _, s := range []string{
+		"", "0", "00", "007", "-0", "+0", "-5", "+5", "-", "+", "--5", "+-5",
+		"1_000", "_1", "1_", "0x10", "1e3", "1.0", " 5", "5 ", "٣",
+		"123456789012345678", "999999999999999999", "000000000000000001",
+		"1234567890123456789", "0000000000000000001", "-999999999999999999",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "99999999999999999999", "00000000000000000000000",
+	} {
+		sameParseInt(t, s)
+	}
+	rng := rand.New(rand.NewSource(31))
+	tokens := []string{"+", "-", "_", " ", "x", ".", "e"}
+	for i := 0; i < 100_000; i++ {
+		n := rng.Intn(23)
+		var sb strings.Builder
+		for sb.Len() < n {
+			if rng.Intn(6) == 0 {
+				sb.WriteString(tokens[rng.Intn(len(tokens))])
+			} else {
+				sb.WriteByte(byte('0' + rng.Intn(10)))
+			}
+		}
+		sameParseInt(t, sb.String()[:n])
+	}
+	// Plain digits from 1 to 21 long, often led by zeros.
+	for i := 0; i < 100_000; i++ {
+		var sb strings.Builder
+		for z := rng.Intn(4); z > 0; z-- {
+			sb.WriteByte('0')
+		}
+		for d := 1 + rng.Intn(21); d > 0; d-- {
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+		sameParseInt(t, sb.String())
 	}
 }

@@ -320,3 +320,31 @@ func BenchmarkSourceSWIM(b *testing.B) {
 		src.Close()
 	})
 }
+
+// BenchmarkScanGoogle times Scan over the vendored Google task_events
+// sample (10,931 records of 400 jobs, gzipped): the validation pass of a
+// Google import, which groups records into jobs on one core. A record
+// decodes without allocating; what is left is per job (its grouping state,
+// its ID and its task map) and the pass's set-up.
+func BenchmarkScanGoogle(b *testing.B) {
+	const path = "testdata/samples/google_task_events_sample.csv.gz"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if _, err := plain.ReadFrom(zr); err != nil {
+		b.Fatal(err)
+	}
+	records := bytes.Count(plain.Bytes(), []byte("\n"))
+	reportPerRecord(b, records, plain.Len(), func() {
+		st, err := Scan(nil, path, GoogleTaskEvents, DefaultOptions())
+		if err != nil || st.Jobs != 400 {
+			b.Fatalf("scan: %v", err)
+		}
+	})
+}
