@@ -225,6 +225,37 @@ type policy struct {
 
 	switched bool // RAS → GS switch already taken
 	curve    Curve
+	// sw is what the last deadline switch evaluation read and decided,
+	// which the next one reuses where its inputs are unchanged.
+	sw switchMemo
+}
+
+// switchMemo is a deadline switch evaluation: the learner's RAS and GS
+// curves for a wave-count and an accuracy bucket at a learner version (nil
+// when the learner had too few samples), and the learned decision for a
+// remaining time and completed fraction. The fair scheduler offers a job
+// several slots at one instant, and those attempts ask the same question;
+// the curves change only with the learner or a factor's bucket, the only
+// form in which the learners read the factors.
+type switchMemo struct {
+	rasC, gsC        *Curve
+	rem              float64
+	version          uint64
+	completed, total int
+	waves, acc       uint8
+	set, decided     bool
+	now              bool
+}
+
+// curvesFit reports whether the memo's curves answer a query in buckets
+// waves and acc with the learner at version v.
+func (m *switchMemo) curvesFit(waves, acc uint8, v uint64) bool {
+	return m.set && m.version == v && m.waves == waves && m.acc == acc
+}
+
+// fits reports whether the memo's decision also answers ctx.
+func (m *switchMemo) fits(ctx spec.Ctx) bool {
+	return m.decided && m.rem == ctx.RemainingTime && m.completed == ctx.CompletedTasks && m.total == ctx.TotalTasks
 }
 
 // candidates is the candidate state the switch reads: *spec.ViewSet, or
@@ -321,7 +352,12 @@ func (g *policy) waves(ctx spec.Ctx) float64 {
 // curves would double-count the easy early completions and bias the search
 // toward never switching).
 func continueFrom(c *Curve, phi, t float64) float64 {
-	t0 := c.TimeToFrac(phi)
+	return continueAt(c, c.TimeToFrac(phi), phi, t)
+}
+
+// continueAt is continueFrom with the time t0 at which c reaches phi
+// already read.
+func continueAt(c *Curve, t0, phi, t float64) float64 {
 	if math.IsInf(t0, 1) {
 		return 0
 	}
@@ -336,36 +372,70 @@ func continueFrom(c *Curve, phi, t float64) float64 {
 // evaluates across the remaining work.
 const splits = 12
 
+// switchDeadline evaluates the splits of the remaining time rem: the
+// predicted accuracy of RAS for s and then GS for rem − s. Split 0 means
+// "spend no more time in RAS": switch now, when no later split predicts
+// more. A later evaluation re-asks the same question with less remaining
+// time, which is the paper's periodic re-checking. The learner's curves
+// are read again only when the learner or a factor's bucket changed, and a
+// retry whose inputs are all unchanged reuses the last learned decision
+// (switchMemo); every call counts a learned or static decision as before.
 func (g *policy) switchDeadline(ctx spec.Ctx, c candidates) bool {
 	rem := ctx.RemainingTime
 	if rem <= 0 {
 		return true // nothing left to conserve; be greedy
 	}
-	l, waves, acc := g.f.learner, g.waves(ctx), ctx.EstimationAccuracy
-	rasC, ok1 := l.Aggregate(sampleRAS, g.bin, waves, acc)
-	gsC, ok2 := l.Aggregate(sampleGS, g.bin, waves, acc)
-	if !ok1 || !ok2 {
+	l, m := g.f.learner, &g.sw
+	waves, acc := g.waves(ctx), ctx.EstimationAccuracy
+	wb, ab, v := wavesBucket(waves), accBucket(acc), l.version()
+	if !m.curvesFit(wb, ab, v) {
+		rasC, ok1 := l.Aggregate(sampleRAS, g.bin, waves, acc)
+		gsC, ok2 := l.Aggregate(sampleGS, g.bin, waves, acc)
+		if !ok1 || !ok2 {
+			rasC, gsC = nil, nil
+		}
+		*m = switchMemo{rasC: rasC, gsC: gsC, version: v, waves: wb, acc: ab, set: true}
+	}
+	if m.rasC == nil {
 		g.f.stats.StaticDecisions++
 		return staticRule(ctx, c) // insufficient samples yet
 	}
 	g.f.stats.LearnedDecisions++
-	phi := 0.0
-	if ctx.TotalTasks > 0 {
-		phi = float64(ctx.CompletedTasks) / float64(ctx.TotalTasks)
+	if !m.fits(ctx) {
+		phi := 0.0
+		if ctx.TotalTasks > 0 {
+			phi = float64(ctx.CompletedTasks) / float64(ctx.TotalTasks)
+		}
+		m.now = switchNow(m.rasC, m.gsC, phi, rem)
+		m.rem, m.completed, m.total, m.decided = rem, ctx.CompletedTasks, ctx.TotalTasks, true
 	}
-	bestIdx, bestAcc := -1, -1.0
+	return m.now
+}
+
+// switchNow reports whether split 0 is the best of the splits+1 splits of
+// rem: the first with the highest predicted accuracy, where a split s
+// predicts phi plus what RAS adds in s plus what GS adds from there in
+// rem − s. A later split wins only by predicting strictly more than split
+// 0, so the search stops at the first that does. RAS's curve is entered at
+// phi by every split, so the time it reaches phi is read once.
+func switchNow(rasC, gsC *Curve, phi, rem float64) bool {
+	t0 := rasC.TimeToFrac(phi)
+	var a0 float64
 	for i := 0; i <= splits; i++ {
 		s := rem * float64(i) / float64(splits)
-		mid := phi + continueFrom(rasC, phi, s)
+		mid := phi + continueAt(rasC, t0, phi, s)
 		a := mid + continueFrom(gsC, mid, rem-s)
-		if a > bestAcc {
-			bestIdx, bestAcc = i, a
+		switch {
+		case i == 0:
+			if !(a > -1) {
+				return false // no accuracy beats the search's start: split 0 never leads
+			}
+			a0 = a
+		case a > a0:
+			return false
 		}
 	}
-	// Split index 0 means "spend no more time in RAS": switch now. A later
-	// evaluation re-asks the same question with less remaining time, which
-	// is the paper's periodic re-checking.
-	return bestIdx == 0
+	return true
 }
 
 func (g *policy) switchError(ctx spec.Ctx, c candidates) bool {

@@ -83,6 +83,9 @@ type LearnerStore interface {
 	// Samples reports how many sample jobs are stored for a size bin and
 	// policy.
 	Samples(bin task.SizeBin, p samplePolicy) int
+	// version changes whenever an Aggregate answer may have: on every
+	// Record, and for the sketch learner on Merge and SetBase too.
+	version() uint64
 }
 
 // sample is one recorded pure-GS or pure-RAS job execution.
@@ -109,7 +112,7 @@ type Learner struct {
 	buckets    map[binKey][]sample // ring buffer per key
 	next       map[binKey]int
 
-	version  uint64 // bumped on Record, invalidates aggregate cache
+	records  uint64 // bumped on Record, invalidates aggregate cache
 	aggCache map[aggKey]aggEntry
 }
 
@@ -146,7 +149,7 @@ func (l *Learner) Record(p samplePolicy, bin task.SizeBin, waves, estAcc float64
 	}
 	k := binKey{bin: bin, policy: p}
 	s := sample{waves: wavesBucket(waves), acc: accBucket(estAcc), curve: c.Downsample(64)}
-	l.version++
+	l.records++
 	ring := l.buckets[k]
 	if len(ring) < l.maxPerKey {
 		l.buckets[k] = append(ring, s)
@@ -155,6 +158,8 @@ func (l *Learner) Record(p samplePolicy, bin task.SizeBin, waves, estAcc float64
 	ring[l.next[k]] = s
 	l.next[k] = (l.next[k] + 1) % l.maxPerKey
 }
+
+func (l *Learner) version() uint64 { return l.records }
 
 // Samples reports how many samples are stored for a size bin and policy.
 func (l *Learner) Samples(bin task.SizeBin, p samplePolicy) int {
@@ -205,7 +210,7 @@ func (l *Learner) match(bin task.SizeBin, p samplePolicy, waves, estAcc float64)
 // result is cached until the next Record. ok is false with no samples.
 func (l *Learner) Aggregate(p samplePolicy, bin task.SizeBin, waves, estAcc float64) (*Curve, bool) {
 	key := aggKey{bin: bin, policy: p, waves: wavesBucket(waves), acc: accBucket(estAcc)}
-	if e, hit := l.aggCache[key]; hit && e.version == l.version {
+	if e, hit := l.aggCache[key]; hit && e.version == l.records {
 		return e.curve, e.curve != nil
 	}
 	ms := l.match(bin, p, waves, estAcc)
@@ -230,6 +235,6 @@ func (l *Learner) Aggregate(p samplePolicy, bin task.SizeBin, waves, estAcc floa
 			}
 		}
 	}
-	l.aggCache[key] = aggEntry{version: l.version, curve: c}
+	l.aggCache[key] = aggEntry{version: l.records, curve: c}
 	return c, c != nil
 }

@@ -105,6 +105,8 @@ type SketchLearner struct {
 	records  uint64
 	aggCache map[aggKey]aggEntry
 	scratch  *dist.Hist // reusable merge buffer for multi-key queries
+	// bases counts SetBase calls; with records it versions the answers.
+	bases uint64
 }
 
 // NewSketchLearner builds an empty mergeable learner conditioning on the
@@ -162,8 +164,13 @@ func (l *SketchLearner) Record(p samplePolicy, bin task.SizeBin, waves, estAcc f
 // aggregates; the base must not be mutated afterwards.
 func (l *SketchLearner) SetBase(b *SketchLearner) {
 	l.base = b
+	l.bases++
 	clear(l.aggCache)
 }
+
+// version implements LearnerStore: records and SetBase calls only grow, so
+// their sum changes whenever an answer may have.
+func (l *SketchLearner) version() uint64 { return l.records + l.bases }
 
 // Samples implements LearnerStore: total sample jobs recorded for the
 // size bin and policy, across every factor bucket — seeded base history

@@ -142,12 +142,12 @@ func (e *Estimator) ObserveCompletion(normalizedDuration float64) {
 	}
 	if len(e.window) < cap(e.window) {
 		e.window = append(e.window, normalizedDuration)
-	} else {
-		e.sortedRemove(e.window[e.next])
-		e.window[e.next] = normalizedDuration
-		e.next = (e.next + 1) % cap(e.window)
+		e.sortedInsert(normalizedDuration)
+		return
 	}
-	e.sortedInsert(normalizedDuration)
+	e.sortedReplace(e.window[e.next], normalizedDuration)
+	e.window[e.next] = normalizedDuration
+	e.next = (e.next + 1) % cap(e.window)
 }
 
 func (e *Estimator) sortedInsert(v float64) {
@@ -157,15 +157,28 @@ func (e *Estimator) sortedInsert(v float64) {
 	e.sorted[i] = v
 }
 
-// sortedRemove deletes one instance of v from the sorted mirror. A missing
-// value means the mirror has diverged from the ring buffer — every later
+// sortedReplace replaces one instance of old in the sorted mirror by v in
+// one shift: only the values between old's position and v's move, by one
+// place towards old's. Equal values are indistinguishable, so the mirror
+// is exactly the one removing old and inserting v would leave. A missing
+// old means the mirror has diverged from the ring buffer — every later
 // median would be silently wrong — so it panics instead of no-oping.
-func (e *Estimator) sortedRemove(v float64) {
-	i := sort.SearchFloat64s(e.sorted, v)
-	if i >= len(e.sorted) || e.sorted[i] != v {
-		panic(fmt.Sprintf("estimate: sorted mirror diverged from window: %v not found among %d values", v, len(e.sorted)))
+func (e *Estimator) sortedReplace(old, v float64) {
+	s := e.sorted
+	i := sort.SearchFloat64s(s, old)
+	if i >= len(s) || s[i] != old {
+		panic(fmt.Sprintf("estimate: sorted mirror diverged from window: %v not found among %d values", old, len(s)))
 	}
-	e.sorted = append(e.sorted[:i], e.sorted[i+1:]...)
+	// j is v's insertion point with old still in place: past i when v is
+	// larger, so the values in (i, j) move down, and otherwise at most i,
+	// so the values in [j, i) move up.
+	if j := sort.SearchFloat64s(s, v); j > i {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
+	} else {
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
+	}
 }
 
 // Completions returns how many samples currently inform t_new.

@@ -2,6 +2,9 @@ package estimate
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/dist"
@@ -97,7 +100,7 @@ func TestWindowEviction(t *testing.T) {
 	}
 }
 
-// TestSortedRemoveMissingPanics pins the divergence guard: removing a value
+// TestSortedRemoveMissingPanics pins the divergence guard: evicting a value
 // the sorted mirror does not hold means the mirror and the ring buffer have
 // drifted apart, and every later median would be silently wrong. The old
 // code no-oped here; it must panic.
@@ -107,10 +110,47 @@ func TestSortedRemoveMissingPanics(t *testing.T) {
 	e.ObserveCompletion(2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("sortedRemove of a missing value did not panic")
+			t.Fatal("replacing a missing value did not panic")
 		}
 	}()
-	e.sortedRemove(123.456)
+	e.sortedReplace(123.456, 1)
+}
+
+// TestSortedReplaceMatchesTwoSteps holds the one-shift eviction to removing
+// the evicted value and inserting the new one, on random streams drawn from
+// small alphabets so that duplicates, replacing a value by an equal one and
+// evictions at both ends are frequent, and on continuous values.
+func TestSortedReplaceMatchesTwoSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		e := newTest(t, Config{})
+		var ref []float64 // the mirror by remove-then-insert
+		alphabet := 1 + rng.Intn(12)
+		draw := func() float64 {
+			if trial%4 == 0 {
+				return 0.01 + rng.ExpFloat64()
+			}
+			return float64(1 + rng.Intn(alphabet))
+		}
+		for k := 0; k < 3*window; k++ {
+			v := draw()
+			if len(ref) == window {
+				old := e.window[e.next]
+				i := sort.SearchFloat64s(ref, old)
+				ref = append(ref[:i], ref[i+1:]...)
+			}
+			i := sort.SearchFloat64s(ref, v)
+			ref = append(ref, 0)
+			copy(ref[i+1:], ref[i:])
+			ref[i] = v
+			e.ObserveCompletion(v)
+			if k%37 == 0 || k >= window {
+				if !slices.Equal(e.sorted, ref) {
+					t.Fatalf("trial %d step %d: mirror %v, two-step %v", trial, k, e.sorted, ref)
+				}
+			}
+		}
+	}
 }
 
 func TestNonPositiveCompletionsIgnored(t *testing.T) {

@@ -56,14 +56,15 @@ func benchJobs(n int) []*task.Job {
 // records re-derived per launch attempt (touches), the GS or RAS picks per
 // attempt that walked every running record (passes: the others were
 // same-instant retries the pick memo served or offers a decline
-// certificate answered) and the attempts a decline certificate answered
-// (skips) — the numbers BENCH_sim.json tracks across PRs. Run replays the
-// slice through RunSource, the streaming admission path every replay
-// takes.
+// certificate answered), the attempts a decline certificate answered
+// (skips) and the share of the running records the full deadline passes
+// read (scanned/pass: the hot records, spec.RunBuf.DeadlineScan) — the
+// numbers BENCH_sim.json tracks across PRs. Run replays the slice through
+// RunSource, the streaming admission path every replay takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, passes, skips, attempts uint64
+	var events, allocs, touches, passes, skips, attempts, scanned, scanRunning uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,6 +92,8 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		passes += s.runBuf.Passes()
 		skips += s.CertifiedOffers()
 		attempts += at
+		sc, sr := s.runBuf.DeadlineScan()
+		scanned, scanRunning = scanned+sc, scanRunning+sr
 	}
 	if events > 0 {
 		b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
@@ -100,6 +103,9 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		b.ReportMetric(float64(touches)/float64(attempts), "touches/attempt")
 		b.ReportMetric(float64(passes)/float64(attempts), "passes/attempt")
 		b.ReportMetric(float64(skips)/float64(attempts), "skips/attempt")
+	}
+	if scanRunning > 0 {
+		b.ReportMetric(float64(scanned)/float64(scanRunning), "scanned/pass")
 	}
 }
 

@@ -92,14 +92,19 @@ func diffWorkload() []*task.Job {
 // attachDifferentialCheck arms the simulator's per-attempt hooks: the
 // incremental ViewSet and decision are compared against a from-scratch,
 // side-effect-free rebuild and the reference Pick, and the set's
-// unscheduled order must be sorted under the current keys; an attempt a
-// decline certificate answered is checked as attachSkipCheck checks it.
-// Returns a counter of checked attempts, answered ones included.
+// unscheduled order must be sorted under the current keys; the records a
+// deadline pick left out of its scan are checked as attachQuietCheck
+// checks them, and an attempt a decline certificate answered as
+// attachSkipCheck checks it. Returns a counter of checked attempts,
+// answered ones included.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	t.Helper()
 	count := attachSkipCheck(t, s)
+	attachQuietCheck(t, s)
+	quiet := s.checkViews
 	var refBuf, incBuf []spec.TaskView
 	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
+		quiet(js, ctx, vs, d, ok)
 		*count++
 		now := s.eng.Now()
 		refBuf = s.rebuildViews(refBuf[:0], js, now)
@@ -144,6 +149,42 @@ func attachSkipCheck(t testing.TB, s *Simulator) *int {
 		}
 		if isGrass && grass.Stats() != before {
 			t.Fatalf("job %d at t=%v: a decline certificate answered an offer to an unsettled GRASS job", js.job.ID, now)
+		}
+	}
+	return &count
+}
+
+// attachQuietCheck arms the simulator's per-attempt hook for the records a
+// deadline pick left out of its scan (spec.ViewSet.AppendQuiet): after
+// every deadline attempt that ran a pick, each must be no speculation
+// candidate of GS or RAS under its from-scratch view — not running,
+// speculable, under the copy cap and within the deadline with a fresh copy
+// beating it or saving resources. Returns a counter of quiet records
+// checked.
+func attachQuietCheck(t testing.TB, s *Simulator) *int {
+	t.Helper()
+	count := 0
+	var quiet []int
+	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, _ spec.Decision, _ bool) {
+		quiet = vs.AppendQuiet(quiet[:0])
+		if ctx.Kind != task.DeadlineBound {
+			if len(quiet) > 0 {
+				t.Fatalf("job %d: %d records left out of the scan of a %v phase", js.job.ID, len(quiet), ctx.Kind)
+			}
+			return
+		}
+		now := s.eng.Now()
+		for _, i := range quiet {
+			count++
+			if js.tasks.completed[i] {
+				t.Fatalf("job %d at t=%v: completed task %d left out of the scan", js.job.ID, now, i)
+			}
+			v := s.rebuildView(js, i, now)
+			if v.Running && v.Speculable && v.Copies < spec.MaxCopies && v.TNew <= ctx.RemainingTime &&
+				(v.TNew < v.TRem || v.Saving() > 0) {
+				t.Fatalf("job %d at t=%v: task %d left out of the scan is a candidate under rem %v: %+v",
+					js.job.ID, now, i, ctx.RemainingTime, v)
+			}
 		}
 	}
 	return &count
@@ -211,6 +252,20 @@ func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView
 	return v
 }
 
+// countQuiet wraps the simulator's per-attempt hook to count the records
+// deadline picks left out of their scans.
+func countQuiet(s *Simulator) *int {
+	n := 0
+	check := s.checkViews
+	var quiet []int
+	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
+		check(js, ctx, vs, d, ok)
+		quiet = vs.AppendQuiet(quiet[:0])
+		n += len(quiet)
+	}
+	return &n
+}
+
 // diffViews formats the first differing view for a failure message.
 func diffViews(a, b []spec.TaskView) string {
 	if len(a) != len(b) {
@@ -236,11 +291,15 @@ func TestDifferentialViews(t *testing.T) {
 				t.Fatal(err)
 			}
 			checked := attachDifferentialCheck(t, s)
+			quiet := countQuiet(s)
 			if _, err := s.Run(diffWorkload()); err != nil {
 				t.Fatal(err)
 			}
 			if *checked < 1000 {
 				t.Fatalf("only %d launch attempts checked; workload too small to exercise the incremental path", *checked)
+			}
+			if certifies := p.name == "gs" || p.name == "ras" || p.name == "grass"; certifies != (*quiet > 0) {
+				t.Fatalf("%d records left out of deadline scans; want some exactly for GS, RAS and GRASS", *quiet)
 			}
 		})
 	}

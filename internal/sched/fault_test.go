@@ -156,9 +156,10 @@ func TestCrashAccounting(t *testing.T) {
 // dropped its count would break the sum. The certified-offer check rides
 // along, so every attempt a decline certificate answers is held to the
 // reference pick while preemptions, crashes and restores wake sleeping
-// jobs.
+// jobs, and so does the quiet-record check: every record a deadline pick
+// leaves out of its scan is held to its from-scratch view.
 func TestCopyAccounting(t *testing.T) {
-	var killed, preempted, lost, certified int
+	var killed, preempted, lost, certified, quieted int
 	for _, scenario := range append([]string{"none"}, fault.Scenarios()...) {
 		for _, p := range diffPolicies {
 			t.Run(scenario+"/"+p.name, func(t *testing.T) {
@@ -176,11 +177,13 @@ func TestCopyAccounting(t *testing.T) {
 						t.Fatal(err)
 					}
 					skips := attachSkipCheck(t, s)
+					quiet := attachQuietCheck(t, s)
 					stats, err := s.Run(jobs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					certified += *skips
+					quieted += *quiet
 					for _, r := range stats.Results {
 						completed := int(math.Round(r.Accuracy * float64(r.NumTasks)))
 						for _, ph := range byID[r.JobID].Phases {
@@ -201,6 +204,9 @@ func TestCopyAccounting(t *testing.T) {
 	}
 	if certified == 0 {
 		t.Fatal("no decline certificate answered an offer; the certified-offer check checked nothing")
+	}
+	if quieted == 0 {
+		t.Fatal("no deadline pick left a record out of its scan; the quiet-record check checked nothing")
 	}
 }
 

@@ -10,8 +10,12 @@
 // mark that task, and the refresh before the next launch attempt — the
 // set's only writer — drops the dirtied tasks that completed and
 // re-derives and re-files the rest. Time passing dirties nothing (GS and
-// RAS walk the running records at the attempt's clock), and neither does
-// an estimator update: t_new is median × work × factor on read, and a
+// RAS evaluate the running records at the attempt's clock; a deadline pick
+// reads only the records its set's hot set holds, and a record it finds no
+// speculation candidate leaves the scan under its own certificate until a
+// re-filing, its wake or a median below its floor brings it back), and
+// neither does an estimator update: t_new is median × work × factor on
+// read, and a
 // median move only rechecks the near-tied neighbours of the set's
 // (TNew, index) order (spec.ViewSet.SetMedian). A launch attempt on an
 // n-task job therefore re-derives O(dirtied) records, not O(running), let
@@ -19,7 +23,8 @@
 // at the same instant: the simulator's one spec.RunBuf keeps the last GS
 // or RAS pick, and when the refresh between two attempts re-files just the
 // task the first one launched, the retry re-evaluates that record alone
-// (spec.RunBuf.Passes counts the picks that walked every running record).
+// (spec.RunBuf.Passes counts the full passes, and spec.RunBuf.DeadlineScan
+// the records the deadline passes read).
 //
 // Deriving a record reads the scheduler's state and keyed draws only (a
 // task's t_new bias, drawn once per phase and kept in the task block, or

@@ -38,33 +38,44 @@ func (GS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 func (GS) CertifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) { return certifyDecline(ctx, vs) }
 
 // gsDeadlineInc mirrors gsDeadline: minimum (TNew, index) over eligible
-// candidates. The running records are scanned directly (the set is
-// bounded by the job's slot share), and a record's progress is divided out
-// only once the task is under the copy cap and its TNew meets the deadline
-// and beats the best so far; a same-instant retry evaluates only the task
-// changed since (ViewSet.retryDeadline). The unscheduled minimum is the
-// order head — if even it exceeds the deadline, no unscheduled task
-// qualifies.
+// candidates. The full pass reads only the hot records (hot.go), in no
+// order, so equal TNews go to the lowest index explicitly. A record's
+// progress is divided out only once the task is under the copy cap and its
+// TNew meets the deadline and beats the best so far, and a record found no
+// candidate leaves the hot set when certRunning certifies it; a record no
+// better than the best so far stays hot unevaluated. A same-instant retry
+// evaluates only the task changed since (ViewSet.retryDeadline). The
+// unscheduled minimum is the order head — if even it exceeds the
+// deadline, no unscheduled task qualifies.
 func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	best, bestNew, ok := vs.retryDeadline(pickGSDeadline, ctx.RemainingTime)
+	rem := ctx.RemainingTime
+	best, bestNew, ok := vs.retryDeadline(pickGSDeadline, rem)
 	if !ok {
 		best = -1
-		now, med, gt := vs.now, vs.med, vs.groundTruth
-		for _, i := range vs.running {
+		vs.startDeadline(rem)
+		now, med, gt, certify := vs.now, vs.med, vs.groundTruth, vs.certifies()
+		for k := vs.quiet; k < len(vs.hot); k++ {
+			i := vs.hot[k].task
 			r := &vs.recs[i]
 			tn := r.tnewAt(med)
-			if tn > ctx.RemainingTime || r.Copies >= MaxCopies || (best != -1 && !(tn < bestNew)) {
-				continue
+			if !(tn > rem) && r.Copies < MaxCopies {
+				if best != -1 && !(tn < bestNew || (tn == bestNew && i < best)) {
+					continue
+				}
+				if trem, ok := r.tremAt(now, gt); ok && !(tn >= trem) {
+					best, bestNew = i, tn
+					continue
+				}
 			}
-			if trem, ok := r.tremAt(now, gt); ok && !(tn >= trem) {
-				best, bestNew = i, tn
+			if certify {
+				vs.quietOut(k, rem)
 			}
 		}
-		vs.keepDeadline(pickGSDeadline, ctx.RemainingTime, best, bestNew)
+		vs.keepDeadline(pickGSDeadline, rem, best, bestNew)
 	}
 	speculative := best != -1
 	if u, ok := vs.MinTNewUnsched(); ok {
-		if tn := vs.TNew(u); tn <= ctx.RemainingTime {
+		if tn := vs.TNew(u); tn <= rem {
 			if best == -1 || tn < bestNew || (tn == bestNew && u < best) {
 				best, speculative = u, false
 			}
@@ -186,35 +197,49 @@ func (RAS) PickIncremental(ctx Ctx, vs *ViewSet) (Decision, bool) {
 func (RAS) CertifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) { return certifyDecline(ctx, vs) }
 
 // rasDeadlineInc mirrors rasDeadline: best positive saving among running
-// tasks within the deadline, else SJF over unscheduled tasks. A record's
-// progress is divided out only once the task is under the copy cap and its
-// TNew meets the deadline; a same-instant retry evaluates only the task
-// changed since (ViewSet.retryDeadline).
+// tasks within the deadline, else SJF over unscheduled tasks. The full
+// pass reads only the hot records, in no order, so equal savings go to the
+// lowest index explicitly, and a record found no candidate leaves the hot
+// set when certRunning certifies it. A record's progress is divided out
+// only once the task is under the copy cap and its TNew meets the
+// deadline; a same-instant retry evaluates only the task changed since
+// (ViewSet.retryDeadline).
 func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
-	spec, specSaving, ok := vs.retryDeadline(pickRASDeadline, ctx.RemainingTime)
+	rem := ctx.RemainingTime
+	spec, specSaving, ok := vs.retryDeadline(pickRASDeadline, rem)
 	if !ok {
 		spec = -1
-		now, med, gt := vs.now, vs.med, vs.groundTruth
-		for _, i := range vs.running {
+		vs.startDeadline(rem)
+		now, med, gt, certify := vs.now, vs.med, vs.groundTruth, vs.certifies()
+		for k := vs.quiet; k < len(vs.hot); k++ {
+			i := vs.hot[k].task
 			r := &vs.recs[i]
 			tn := r.tnewAt(med)
-			if tn > ctx.RemainingTime || r.Copies >= MaxCopies {
-				continue
+			if !(tn > rem) && r.Copies < MaxCopies {
+				if trem, ok := r.tremAt(now, gt); ok {
+					if s := savingOf(float64(r.Copies), trem, tn); s > 0 {
+						if spec == -1 || s > specSaving || (s == specSaving && i < spec) {
+							spec, specSaving = i, s
+						}
+						continue
+					}
+					if !(trem < tn) {
+						// Its t_rem bound from now on is at least t_rem, so
+						// certRunning cannot keep it out: it stays hot.
+						continue
+					}
+				}
 			}
-			trem, ok := r.tremAt(now, gt)
-			if !ok {
-				continue
-			}
-			if s := savingOf(float64(r.Copies), trem, tn); s > 0 && (spec == -1 || s > specSaving) {
-				spec, specSaving = i, s
+			if certify {
+				vs.quietOut(k, rem)
 			}
 		}
-		vs.keepDeadline(pickRASDeadline, ctx.RemainingTime, spec, specSaving)
+		vs.keepDeadline(pickRASDeadline, rem, spec, specSaving)
 	}
 	if spec >= 0 {
 		return Decision{TaskIndex: spec, Speculative: true}, true
 	}
-	if u, ok := vs.MinTNewUnsched(); ok && vs.TNew(u) <= ctx.RemainingTime {
+	if u, ok := vs.MinTNewUnsched(); ok && vs.TNew(u) <= rem {
 		return Decision{TaskIndex: u}, true
 	}
 	return Decision{}, false
@@ -285,7 +310,9 @@ func certifyDecline(ctx Ctx, vs *ViewSet) (DeclineCert, bool) {
 
 // certifyDeadline builds a deadline pick's certificate in c: the
 // unscheduled head and every running record must stay out for good or,
-// for a young record, until it turns speculable.
+// for a young record, until it turns speculable. The hot records are
+// certified here; a quiet record already is, and brings its stored wake
+// and floor: the quiet heap's top wake and the largest floor.
 func (vs *ViewSet) certifyDeadline(rem float64, c *DeclineCert) bool {
 	if u, ok := vs.MinTNewUnsched(); ok {
 		t := vs.recs[u].floorTerm(rem)
@@ -294,10 +321,15 @@ func (vs *ViewSet) certifyDeadline(rem float64, c *DeclineCert) bool {
 		}
 		c.Floor = max(c.Floor, t)
 	}
-	for _, i := range vs.running {
-		if _, ok := vs.certRunning(&vs.recs[i], rem, c); !ok {
+	vs.hotFor(rem)
+	for _, h := range vs.hot[vs.quiet:] {
+		if _, ok := vs.certRunning(&vs.recs[h.task], rem, c); !ok {
 			return false
 		}
+	}
+	if vs.quiet > 0 {
+		c.Wake = min(c.Wake, vs.hot[0].wake)
+		c.Floor = max(c.Floor, vs.quietFloor())
 	}
 	return true
 }
@@ -316,7 +348,7 @@ func (vs *ViewSet) certifyError(need int, c *DeclineCert) bool {
 	if len(vs.running) < need && !math.IsInf(minWF, 1) {
 		return false
 	}
-	keys := vs.run.certKeys[:0]
+	keys := vs.run.tmpKeys[:0]
 	for _, i := range vs.running {
 		r := &vs.recs[i]
 		bound, ok := vs.certRunning(r, math.Inf(1), c)
@@ -328,7 +360,7 @@ func (vs *ViewSet) certifyError(need int, c *DeclineCert) bool {
 		}
 		keys = append(keys, effIdx{eff: bound, idx: i})
 	}
-	vs.run.certKeys = keys
+	vs.run.tmpKeys = keys
 	if math.IsInf(minWF, 1) {
 		return true // nothing can launch
 	}

@@ -25,8 +25,8 @@ import (
 // Besides the records the set keeps three lists the policies select from:
 //
 //   - running: indices of tasks with at least one executing copy,
-//     ascending by index — the scan order the reference Pick sees, so
-//     first-wins tie-breaks match exactly;
+//     ascending by index — the scan order the reference Pick sees, so the
+//     error-bound picks' first-wins tie-breaks match exactly;
 //   - unsched: indices of incomplete tasks with no copy, ascending by
 //     index — FIFO launch order for the approximation-oblivious baselines;
 //   - uorder: the same unscheduled tasks sorted by (TNew, index) — SJF's
@@ -37,18 +37,26 @@ import (
 // insertion shifts the shorter side of its position, so launching from
 // the head is O(1).
 //
-// GS's and RAS's picks walk the running records once per launch attempt
-// and evaluate what each decision needs straight from them: a deadline
-// pick tests a task's t_new against the remaining time, the copy cap and
-// the best so far before it divides for progress, and an error-bound pick
-// forms each running task's selection key, places it against the previous
-// selection's boundary (selHint) and keeps only the keys near that
-// boundary and the rare speculation candidates. For r running and u
-// unscheduled tasks the deadline picks cost O(r) per attempt, and the
-// error-bound earliest set and the median TNew cost O(r) expected plus
-// O(log r · log u): a quickselect over the running keys whose probes
-// binary-search uorder, warm-started from the previous boundary so it
-// usually touches few keys after the pass.
+// GS's and RAS's picks evaluate what each decision needs straight from
+// the running records. An error-bound pick walks them all once per launch
+// attempt: it forms each running task's selection key, places it against
+// the previous selection's boundary (selHint) and keeps only the keys near
+// that boundary and the rare speculation candidates. A deadline pick reads
+// only the hot set (hot.go): the running records that may be speculation
+// candidates, in no order, so its ties go to the lowest index explicitly.
+// It tests a task's t_new against the remaining time, the copy cap and the
+// best so far before it divides for progress, and a record it finds no
+// candidate leaves the scan under its own certificate — a wake time and a
+// median floor — until its task is re-filed or removed, its wake passes,
+// the median falls below its floor, or the clock goes backwards or a pick
+// brings a larger remaining time or no deadline. For r running, h hot and
+// u unscheduled tasks a deadline pick costs O(h) plus O(log r) per record
+// that returns by its wake, and a sweep of the quiet records when the
+// median falls below their largest floor; the error-bound earliest set and
+// the median TNew cost
+// O(r) expected plus O(log r · log u): a quickselect over the running keys
+// whose probes binary-search uorder, warm-started from the previous
+// boundary so it usually touches few keys after the pass.
 //
 // One pick's result outlives its attempt: the shared RunBuf keeps the last
 // pass's running keys, candidates, split or best candidate (pickMemo),
@@ -84,7 +92,8 @@ import (
 // record calls for, filed under that record's key, so between refreshes
 // the stored record, not the task's current state, locates it. Query
 // methods are only valid after the refresh; PickIncremental
-// implementations must not mutate the set.
+// implementations must not mutate the set beyond its scratch, hints, pick
+// memo and hot set, none of which changes what a query returns.
 type ViewSet struct {
 	recs    []TaskRec
 	running []int
@@ -97,6 +106,17 @@ type ViewSet struct {
 	// (see tame), which decline certificates cannot bound.
 	untame int
 	sealed bool
+
+	// The hot set (hot.go): while hotOn, hot holds every running task —
+	// first the quiet records' certificates, a min-heap by wake time of
+	// length quiet, then in no order the hot records a deadline pick reads.
+	// Every quiet certificate holds from clock qNow on and under remaining
+	// times up to qRem; maxFloor bounds their floors, exactly unless
+	// floorStale. A phase's first deadline pick builds the set.
+	hot                  []hotRec
+	quiet                int
+	qNow, qRem, maxFloor float64
+	floorStale, hotOn    bool
 
 	// The evaluation inputs: the clock, the t_new median and the mode.
 	now, med    float64
@@ -118,7 +138,9 @@ type ViewSet struct {
 
 // TaskRec is what a ViewSet stores for one task: the inputs of its view
 // that neither the clock nor the estimator moves. Callers fill the
-// exported fields; the set maintains the rest. The record is 64 bytes.
+// exported fields; the set maintains the rest, near, which places the task
+// in the set's near-tie list while it is unscheduled and in its hot set
+// while it runs. The record is 64 bytes.
 type TaskRec struct {
 	// Work is the task's work and Factor its t_new factor — the
 	// estimator's persistent t_new bias, or in ground-truth mode the
@@ -134,8 +156,10 @@ type TaskRec struct {
 	FirstStart float64
 	// Copies is the number of running copies; 0 means unscheduled.
 	Copies int32
-	// near is one plus the task's position in ViewSet.near while the uorder
-	// pair it heads is near-tied, else 0.
+	// near is, for an unscheduled task, one plus its position in
+	// ViewSet.near while the uorder pair it heads is near-tied, else 0; for
+	// a running task, one plus its position in ViewSet.hot, quiet below
+	// ViewSet.quiet, and 0 while the hot set is off.
 	near int32
 }
 
@@ -156,16 +180,24 @@ type RunBuf struct {
 	selKeys []effIdx
 	cands   []errCand
 	medKeys []effIdx
-	// certKeys holds a decline certificate's running t_rem bounds.
-	certKeys []effIdx
-	memo     pickMemo
+	// tmpKeys holds a decline certificate's running t_rem bounds, or the
+	// (TNew, index) keys sortUorder sorts.
+	tmpKeys []effIdx
+	memo    pickMemo
 	// passes counts full pick passes: picks the memo could not serve.
 	passes uint64
+	// scanned counts the records the full deadline passes read, the hot
+	// ones, and scanRunning the running records they had.
+	scanned, scanRunning uint64
 }
 
-// Passes returns how many GS or RAS picks walked every running record:
-// the picks the memo could not serve.
+// Passes returns how many GS or RAS picks made a full pass: the picks the
+// memo could not serve.
 func (b *RunBuf) Passes() uint64 { return b.passes }
+
+// DeadlineScan returns how many records the full deadline passes read —
+// the hot records — and how many running records those passes had.
+func (b *RunBuf) DeadlineScan() (scanned, running uint64) { return b.scanned, b.scanRunning }
 
 // pickKind names the pick a memo answers.
 type pickKind uint8
@@ -270,6 +302,8 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.near = vs.near[:0]
 	vs.untame = 0
 	vs.sealed = false
+	vs.hot, vs.quiet = vs.hot[:0], 0
+	vs.maxFloor, vs.floorStale, vs.hotOn = 0, false, false
 	vs.earliest, vs.median = selHint{}, selHint{}
 	vs.medKnown = false
 	vs.groundTruth, vs.run = e.GroundTruth, e.Buf
@@ -581,6 +615,9 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 	if !moved {
 		r.near = old.near
 		*old = r
+		if r.Copies > 0 {
+			vs.rehot(i)
+		}
 		return
 	}
 	vs.unfile(i)
@@ -588,6 +625,9 @@ func (vs *ViewSet) Update(i int, r TaskRec) {
 	*old = r
 	if r.Copies > 0 {
 		vs.running = slices.Insert(vs.running, sort.SearchInts(vs.running, i), i)
+		if vs.hotOn {
+			vs.addHot(i)
+		}
 		return
 	}
 	vs.unsched.insert(sort.SearchInts(vs.unsched.list(), i), i)
@@ -607,6 +647,7 @@ func (vs *ViewSet) Remove(i int) {
 // still carry the key it is filed under while it is being located.
 func (vs *ViewSet) unfile(i int) {
 	if vs.recs[i].Copies > 0 {
+		vs.dropHot(i)
 		p := sortedPos(vs.running, i, "running")
 		vs.running = slices.Delete(vs.running, p, p+1)
 		return
@@ -664,6 +705,38 @@ func (vs *ViewSet) CheckOrder() error {
 			return fmt.Errorf("near[%d] task %d heads no uorder pair", k, a)
 		}
 	}
+	return vs.checkHot()
+}
+
+// checkHot verifies that the hot set holds every running task while it is
+// on, each pointing back through its record, the quiet ones in heap order
+// by wake with floors within the kept bound, and that no running record
+// claims a place while it is off.
+func (vs *ViewSet) checkHot() error {
+	if vs.hotOn && len(vs.hot) != len(vs.running) {
+		return fmt.Errorf("hot set holds %d tasks, for %d running", len(vs.hot), len(vs.running))
+	}
+	for k, h := range vs.hot {
+		if r := &vs.recs[h.task]; r.Copies == 0 || int(r.near) != k+1 {
+			return fmt.Errorf("hot[%d] task %d (copies %d) points back to %d", k, h.task, r.Copies, r.near)
+		}
+		if k >= vs.quiet {
+			continue
+		}
+		if p := (k - 1) / 2; k > 0 && h.wake < vs.hot[p].wake {
+			return fmt.Errorf("quiet record %d wakes at %v, before its heap parent at %v", k, h.wake, vs.hot[p].wake)
+		}
+		if h.floor > vs.maxFloor {
+			return fmt.Errorf("quiet record %d has floor %v above the kept bound %v", k, h.floor, vs.maxFloor)
+		}
+	}
+	if !vs.hotOn {
+		for _, i := range vs.running {
+			if vs.recs[i].near != 0 {
+				return fmt.Errorf("running task %d claims place %d with the hot set off", i, vs.recs[i].near)
+			}
+		}
+	}
 	return nil
 }
 
@@ -693,6 +766,7 @@ type errCand struct {
 // changed since the last pick; any other pick makes the full pass
 // (passEarliest).
 func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64, fresh int) {
+	vs.wakeAll() // certified under a deadline, which this pick lacks
 	if need <= 0 {
 		return -1, 0, -1
 	}
@@ -1238,14 +1312,36 @@ func (vs *ViewSet) uorderInsert(i int) {
 }
 
 // sortUorder sorts uorder by (TNew, index) and marks every pair afresh.
+// Up to keptKeys tasks, each key is formed once, in the scratch, and the
+// sorted indices are written back: the permutation is the one sorting the
+// indices with the same comparison gives, which a larger phase still does
+// in place, forming both keys at every comparison. Its keys would be one
+// large allocation per sort, which the heap samples count at once.
 func (vs *ViewSet) sortUorder() {
 	u := vs.uorder.list()
-	slices.SortFunc(u, func(a, b int) int {
-		if vs.tnewKey(a).less(vs.tnewKey(b)) {
-			return -1
+	if len(u) > keptKeys {
+		slices.SortFunc(u, func(a, b int) int {
+			if vs.tnewKey(a).less(vs.tnewKey(b)) {
+				return -1
+			}
+			return 1
+		})
+	} else {
+		keys := slices.Grow(vs.run.tmpKeys[:0], len(u))
+		for _, i := range u {
+			keys = append(keys, vs.tnewKey(i))
 		}
-		return 1
-	})
+		slices.SortFunc(keys, func(a, b effIdx) int {
+			if a.less(b) {
+				return -1
+			}
+			return 1
+		})
+		for p, k := range keys {
+			u[p] = k.idx
+		}
+		vs.run.tmpKeys = keys
+	}
 	for _, a := range vs.near {
 		vs.recs[a].near = 0
 	}
@@ -1254,6 +1350,9 @@ func (vs *ViewSet) sortUorder() {
 		vs.markPair(p)
 	}
 }
+
+// keptKeys is the largest uorder sortUorder sorts by keys in the scratch.
+const keptKeys = 1024
 
 // nearULPs is how many representable steps apart two keys must be for
 // their order to be fixed under every tame median: 16 steps exceed
