@@ -99,12 +99,15 @@ type SketchLearner struct {
 	// count the seeded history P times.
 	base *SketchLearner
 
-	// records counts every sample folded in — Merge adds the source's
-	// count, so a merged learner's records equals the single-learner
-	// equivalent's. Doubles as the aggregate-cache version.
-	records  uint64
-	aggCache map[aggKey]aggEntry
-	scratch  *dist.Hist // reusable merge buffer for multi-key queries
+	// records counts every sample folded in and pairRecords the samples
+	// under each (size bin, policy) — Merge adds the source's counts, so a
+	// merged learner's equal the single-learner equivalent's. An aggregate
+	// reads only the keys under its pair, so the pair's count versions its
+	// cached answers; SetBase clears the cache.
+	records     uint64
+	pairRecords map[binKey]uint64
+	aggCache    map[aggKey]aggEntry
+	scratch     *dist.Hist // reusable merge buffer for multi-key queries
 	// bases counts SetBase calls; with records it versions the answers.
 	bases uint64
 }
@@ -113,10 +116,11 @@ type SketchLearner struct {
 // given factors.
 func NewSketchLearner(factors FactorSet) *SketchLearner {
 	return &SketchLearner{
-		factors:    factors,
-		minSamples: 3,
-		keys:       make(map[aggKey]*keyHists),
-		aggCache:   make(map[aggKey]aggEntry),
+		factors:     factors,
+		minSamples:  3,
+		keys:        make(map[aggKey]*keyHists),
+		pairRecords: make(map[binKey]uint64),
+		aggCache:    make(map[aggKey]aggEntry),
 	}
 }
 
@@ -149,6 +153,7 @@ func (l *SketchLearner) Record(p samplePolicy, bin task.SizeBin, waves, estAcc f
 	}
 	kh.n++
 	l.records++
+	l.pairRecords[binKey{bin: bin, policy: p}]++
 	for g := 0; g < sketchGridN; g++ {
 		f := float64(g+1) / sketchGridN
 		if t := c.TimeToFrac(f); !math.IsInf(t, 1) {
@@ -251,11 +256,13 @@ func (l *SketchLearner) match(bin task.SizeBin, p samplePolicy, waves, estAcc fl
 // Aggregate implements LearnerStore: the matched histograms merge level by
 // level (exact bucket addition into a reusable scratch histogram) and the
 // aggregate curve takes each level's median time-to-fraction. The result
-// is cached until the next Record. ok is false when no matched level holds
-// a finite observation.
+// is cached until a Record or Merge adds a sample under the same size bin
+// and policy, or SetBase. ok is false when no matched level holds a finite
+// observation.
 func (l *SketchLearner) Aggregate(p samplePolicy, bin task.SizeBin, waves, estAcc float64) (*Curve, bool) {
 	key := aggKey{bin: bin, policy: p, waves: wavesBucket(waves), acc: accBucket(estAcc)}
-	if e, hit := l.aggCache[key]; hit && e.version == l.records {
+	version := l.pairRecords[binKey{bin: bin, policy: p}]
+	if e, hit := l.aggCache[key]; hit && e.version == version {
 		return e.curve, e.curve != nil
 	}
 	ms := l.match(bin, p, waves, estAcc)
@@ -284,7 +291,7 @@ func (l *SketchLearner) Aggregate(p samplePolicy, bin task.SizeBin, waves, estAc
 		}
 		c.Add(h.Quantile(0.5), float64(g+1)/sketchGridN)
 	}
-	l.aggCache[key] = aggEntry{version: l.records, curve: c}
+	l.aggCache[key] = aggEntry{version: version, curve: c}
 	return c, c != nil
 }
 
@@ -313,6 +320,7 @@ func (l *SketchLearner) Merge(o *SketchLearner) {
 		for g := range kh.grid {
 			kh.grid[g].Merge(okh.grid[g])
 		}
+		l.pairRecords[binKey{bin: key.bin, policy: key.policy}] += okh.n
 	}
 	l.records += o.records
 }
@@ -326,6 +334,9 @@ func (l *SketchLearner) Clone() *SketchLearner {
 	c := NewSketchLearner(l.factors)
 	c.minSamples = l.minSamples
 	c.records = l.records
+	for pair, n := range l.pairRecords {
+		c.pairRecords[pair] = n
+	}
 	for key, kh := range l.keys {
 		nk := &keyHists{n: kh.n, grid: make([]*dist.Hist, len(kh.grid))}
 		for g := range kh.grid {

@@ -326,3 +326,53 @@ func TestSketchLearnerMergeOrderInvariant(t *testing.T) {
 		t.Fatal("merge order changed sketch learner state")
 	}
 }
+
+// TestSketchLearnerCachePerPair holds Aggregate's cache to its version, the
+// sample count under the query's (size bin, policy): a sample recorded or
+// merged under another bin or policy keeps the cached curve, one under the
+// same pair refreshes it, and every answer equals a freshly built
+// learner's fed the same samples.
+func TestSketchLearnerCachePerPair(t *testing.T) {
+	l := NewSketchLearner(AllFactors())
+	var fed []*SketchLearner // each sample batch, as a learner to merge
+	add := func(p samplePolicy, bin task.SizeBin, dur float64, merge bool) {
+		o := NewSketchLearner(AllFactors())
+		o.Record(p, bin, 2, 0.7, mkCurve(dur, 1))
+		fed = append(fed, o)
+		if merge {
+			l.Merge(o)
+		} else {
+			l.Record(p, bin, 2, 0.7, mkCurve(dur, 1))
+		}
+	}
+	aggregate := func(name string) *Curve {
+		t.Helper()
+		fresh := NewSketchLearner(AllFactors())
+		for _, o := range fed {
+			fresh.Merge(o)
+		}
+		got, ok := l.Aggregate(sampleGS, task.Small, 2, 0.7)
+		want, wantOK := fresh.Aggregate(sampleGS, task.Small, 2, 0.7)
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Aggregate (%v, %v), a fresh learner's (%v, %v)", name, got, ok, want, wantOK)
+		}
+		return got
+	}
+	for i := 0; i < 3; i++ {
+		add(sampleGS, task.Small, 10, false)
+	}
+	cached := aggregate("three samples")
+	for _, merge := range []bool{false, true} {
+		add(sampleGS, task.Medium, 50, merge)
+		add(sampleRAS, task.Small, 50, merge)
+		if c := aggregate("another bin and policy"); c != cached {
+			t.Fatalf("merge %v: a sample under another bin or policy refreshed the cached curve", merge)
+		}
+		add(sampleGS, task.Small, 100, merge)
+		if c := aggregate("the same bin and policy"); c == cached {
+			t.Fatalf("merge %v: a sample under the same bin and policy kept the cached curve", merge)
+		} else {
+			cached = c
+		}
+	}
+}

@@ -57,14 +57,16 @@ func benchJobs(n int) []*task.Job {
 // attempt that walked every running record (passes: the others were
 // same-instant retries the pick memo served or offers a decline
 // certificate answered), the attempts a decline certificate answered
-// (skips) and the share of the running records the full deadline passes
-// read (scanned/pass: the hot records, spec.RunBuf.DeadlineScan) — the
+// (skips), the share of the running records the full deadline passes
+// read (scanned/pass: the hot records, spec.RunBuf.DeadlineScan) and the
+// share the full error-bound passes read (errscanned/pass: the hot records
+// and those a failed boundary check returned, spec.RunBuf.ErrorScan) — the
 // numbers BENCH_sim.json tracks across PRs. Run replays the slice through
 // RunSource, the streaming admission path every replay takes.
 func runSimBench(b *testing.B, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
-	var events, allocs, touches, passes, skips, attempts, scanned, scanRunning uint64
+	var events, allocs, touches, passes, skips, attempts, scanned, scanRunning, errScanned, errRunning uint64
 	var nanos int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,6 +96,8 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 		attempts += at
 		sc, sr := s.runBuf.DeadlineScan()
 		scanned, scanRunning = scanned+sc, scanRunning+sr
+		sc, sr = s.runBuf.ErrorScan()
+		errScanned, errRunning = errScanned+sc, errRunning+sr
 	}
 	if events > 0 {
 		b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
@@ -106,6 +110,9 @@ func runSimBench(b *testing.B, factory func() spec.Factory) {
 	}
 	if scanRunning > 0 {
 		b.ReportMetric(float64(scanned)/float64(scanRunning), "scanned/pass")
+	}
+	if errRunning > 0 {
+		b.ReportMetric(float64(errScanned)/float64(errRunning), "errscanned/pass")
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -93,10 +94,9 @@ func diffWorkload() []*task.Job {
 // incremental ViewSet and decision are compared against a from-scratch,
 // side-effect-free rebuild and the reference Pick, and the set's
 // unscheduled order must be sorted under the current keys; the records a
-// deadline pick left out of its scan are checked as attachQuietCheck
-// checks them, and an attempt a decline certificate answered as
-// attachSkipCheck checks it. Returns a counter of checked attempts,
-// answered ones included.
+// pick left out of its scan are checked as attachQuietCheck checks them,
+// and an attempt a decline certificate answered as attachSkipCheck checks
+// it. Returns a counter of checked attempts, answered ones included.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
 	t.Helper()
 	count := attachSkipCheck(t, s)
@@ -154,40 +154,147 @@ func attachSkipCheck(t testing.TB, s *Simulator) *int {
 	return &count
 }
 
+// quietCount counts quiet records by what their certificates hold.
+type quietCount struct{ deadline, members, outside int }
+
+func (c *quietCount) add(k spec.QuietKind) {
+	switch k {
+	case spec.QuietDeadline:
+		c.deadline++
+	case spec.QuietMember:
+		c.members++
+	case spec.QuietOutside:
+		c.outside++
+	}
+}
+
+func (c *quietCount) total() int { return c.deadline + c.members + c.outside }
+
 // attachQuietCheck arms the simulator's per-attempt hook for the records a
-// deadline pick left out of its scan (spec.ViewSet.AppendQuiet): after
-// every deadline attempt that ran a pick, each must be no speculation
-// candidate of GS or RAS under its from-scratch view — not running,
-// speculable, under the copy cap and within the deadline with a fresh copy
-// beating it or saving resources. Returns a counter of quiet records
-// checked.
-func attachQuietCheck(t testing.TB, s *Simulator) *int {
+// pick left out of its scan (spec.ViewSet.AppendQuiet): after every
+// attempt that ran a pick, each is held to the from-scratch views. After
+// a deadline pick each must be no speculation candidate of GS or RAS — not
+// running, speculable, under the copy cap and within the deadline with a
+// fresh copy beating it or saving resources. After an error-bound pick a
+// quiet member must be in the reference earliest set and no candidate of
+// GS or RAS at any deadline, and a quiet non-member outside the set. Every
+// quiet record must hold the certificate of the attempt's bound kind. The
+// error-bound classes are held to the set's evaluated views and the
+// reference keys formed from them (refRanks): rebuilding every task's view
+// at every attempt made TestCopyAccounting's fault matrix 20 times
+// slower. Returns the counts of quiet records checked.
+func attachQuietCheck(t testing.TB, s *Simulator) *quietCount {
 	t.Helper()
-	count := 0
+	var n quietCount
 	var quiet []int
 	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, _ spec.Decision, _ bool) {
 		quiet = vs.AppendQuiet(quiet[:0])
-		if ctx.Kind != task.DeadlineBound {
-			if len(quiet) > 0 {
-				t.Fatalf("job %d: %d records left out of the scan of a %v phase", js.job.ID, len(quiet), ctx.Kind)
-			}
+		if len(quiet) == 0 {
 			return
 		}
 		now := s.eng.Now()
+		deadline, need := ctx.Kind == task.DeadlineBound, ctx.Remaining()
 		for _, i := range quiet {
-			count++
+			kind := vs.Quiet(i)
+			n.add(kind)
 			if js.tasks.completed[i] {
 				t.Fatalf("job %d at t=%v: completed task %d left out of the scan", js.job.ID, now, i)
 			}
-			v := s.rebuildView(js, i, now)
-			if v.Running && v.Speculable && v.Copies < spec.MaxCopies && v.TNew <= ctx.RemainingTime &&
-				(v.TNew < v.TRem || v.Saving() > 0) {
+			if deadline != (kind == spec.QuietDeadline) {
+				t.Fatalf("job %d at t=%v: task %d left out of the scan of a %v pick holds a %v certificate",
+					js.job.ID, now, i, ctx.Kind, kind)
+			}
+			if !deadline {
+				continue
+			}
+			if v := s.rebuildView(js, i, now); candidate(v) && v.TNew <= ctx.RemainingTime {
 				t.Fatalf("job %d at t=%v: task %d left out of the scan is a candidate under rem %v: %+v",
 					js.job.ID, now, i, ctx.RemainingTime, v)
 			}
 		}
+		if deadline {
+			return
+		}
+		// The quiet members are in the earliest set iff the largest of
+		// their keys has fewer than need keys below it, and the quiet
+		// non-members outside it iff the smallest of theirs has need or
+		// more: two ranks, counted in one pass over the reference keys.
+		maxIn, minOut := refKey{math.Inf(-1), -1}, refKey{math.Inf(1), math.MaxInt}
+		running := vs.RunningViews()
+		for _, v := range running {
+			switch k := refKeyOf(v); vs.Quiet(v.Index) {
+			case spec.QuietMember:
+				if candidate(v) {
+					t.Fatalf("job %d at t=%v: quiet member %d is a candidate: %+v", js.job.ID, now, v.Index, v)
+				}
+				if maxIn.less(k) {
+					maxIn = k
+				}
+			case spec.QuietOutside:
+				if k.less(minOut) {
+					minOut = k
+				}
+			}
+		}
+		if in, out := refRanks(js, vs, running, maxIn, minOut); in >= need || out < need {
+			t.Fatalf("job %d at t=%v: the largest quiet member %+v has %d keys below it and the smallest quiet non-member %+v %d; the earliest set has %d",
+				js.job.ID, now, maxIn, in, minOut, out, need)
+		}
 	}
-	return &count
+	return &n
+}
+
+// refKey is a task's reference earliest-set key, written out
+// independently of the spec package: a running task a copy could still
+// rescue (speculable, under the copy cap) counts the smaller of t_rem and
+// t_new, any other running task t_rem, and an unscheduled task t_new; ties
+// go to the lower index.
+type refKey struct {
+	eff float64
+	idx int
+}
+
+func (a refKey) less(b refKey) bool { return a.eff < b.eff || a.eff == b.eff && a.idx < b.idx }
+
+// refKeyOf is view v's reference key.
+func refKeyOf(v spec.TaskView) refKey {
+	if v.Running && !(v.Speculable && v.Copies < spec.MaxCopies && !(v.TRem < v.TNew)) {
+		return refKey{v.TRem, v.Index}
+	}
+	return refKey{v.TNew, v.Index}
+}
+
+// candidate reports whether view v is a speculation candidate of GS or
+// RAS at some deadline: running, speculable, under the copy cap, and a
+// fresh copy would beat it or save resources.
+func candidate(v spec.TaskView) bool {
+	return v.Running && v.Speculable && v.Copies < spec.MaxCopies && (v.TNew < v.TRem || v.Saving() > 0)
+}
+
+// refRanks counts the reference keys of js's incomplete tasks below a and
+// below b, at the set's clock and median. The running views are the set's
+// evaluated ones (RunningViews, which attachDifferentialCheck holds to the
+// rebuild at every attempt), and an unscheduled task's key is its t_new:
+// a rebuild or a sort of every task at every attempt made
+// TestCopyAccounting's fault matrix more than ten times slower.
+func refRanks(js *jobState, vs *spec.ViewSet, running []spec.TaskView, a, b refKey) (ra, rb int) {
+	count := func(k refKey) {
+		if k.less(a) {
+			ra++
+		}
+		if k.less(b) {
+			rb++
+		}
+	}
+	for _, v := range running {
+		count(refKeyOf(v))
+	}
+	for i := 0; i < js.phase.n; i++ {
+		if !js.tasks.completed[i] && len(js.tasks.copies[i]) == 0 {
+			count(refKey{vs.TNew(i), i})
+		}
+	}
+	return ra, rb
 }
 
 // rebuildViews appends to dst the from-scratch views of every incomplete
@@ -253,15 +360,17 @@ func (s *Simulator) rebuildView(js *jobState, ti int, now float64) spec.TaskView
 }
 
 // countQuiet wraps the simulator's per-attempt hook to count the records
-// deadline picks left out of their scans.
-func countQuiet(s *Simulator) *int {
-	n := 0
+// picks left out of their scans, by what their certificates hold.
+func countQuiet(s *Simulator) *quietCount {
+	var n quietCount
 	check := s.checkViews
 	var quiet []int
 	s.checkViews = func(js *jobState, ctx spec.Ctx, vs *spec.ViewSet, d spec.Decision, ok bool) {
 		check(js, ctx, vs, d, ok)
 		quiet = vs.AppendQuiet(quiet[:0])
-		n += len(quiet)
+		for _, i := range quiet {
+			n.add(vs.Quiet(i))
+		}
 	}
 	return &n
 }
@@ -298,8 +407,10 @@ func TestDifferentialViews(t *testing.T) {
 			if *checked < 1000 {
 				t.Fatalf("only %d launch attempts checked; workload too small to exercise the incremental path", *checked)
 			}
-			if certifies := p.name == "gs" || p.name == "ras" || p.name == "grass"; certifies != (*quiet > 0) {
-				t.Fatalf("%d records left out of deadline scans; want some exactly for GS, RAS and GRASS", *quiet)
+			q := *quiet
+			if certifies := p.name == "gs" || p.name == "ras" || p.name == "grass"; certifies != (q.total() > 0) ||
+				certifies && (q.deadline == 0 || q.members == 0 || q.outside == 0) {
+				t.Fatalf("records left out of scans %+v; want some of each kind exactly for GS, RAS and GRASS", q)
 			}
 		})
 	}

@@ -156,10 +156,12 @@ func TestCrashAccounting(t *testing.T) {
 // dropped its count would break the sum. The certified-offer check rides
 // along, so every attempt a decline certificate answers is held to the
 // reference pick while preemptions, crashes and restores wake sleeping
-// jobs, and so does the quiet-record check: every record a deadline pick
-// leaves out of its scan is held to its from-scratch view.
+// jobs, and so does the quiet-record check: every record a pick leaves
+// out of its scan is held to its from-scratch view, and an error-bound
+// pick's quiet members and non-members to the reference earliest set.
 func TestCopyAccounting(t *testing.T) {
-	var killed, preempted, lost, certified, quieted int
+	var killed, preempted, lost, certified int
+	var quieted quietCount
 	for _, scenario := range append([]string{"none"}, fault.Scenarios()...) {
 		for _, p := range diffPolicies {
 			t.Run(scenario+"/"+p.name, func(t *testing.T) {
@@ -183,7 +185,9 @@ func TestCopyAccounting(t *testing.T) {
 						t.Fatal(err)
 					}
 					certified += *skips
-					quieted += *quiet
+					quieted.deadline += quiet.deadline
+					quieted.members += quiet.members
+					quieted.outside += quiet.outside
 					for _, r := range stats.Results {
 						completed := int(math.Round(r.Accuracy * float64(r.NumTasks)))
 						for _, ph := range byID[r.JobID].Phases {
@@ -205,8 +209,8 @@ func TestCopyAccounting(t *testing.T) {
 	if certified == 0 {
 		t.Fatal("no decline certificate answered an offer; the certified-offer check checked nothing")
 	}
-	if quieted == 0 {
-		t.Fatal("no deadline pick left a record out of its scan; the quiet-record check checked nothing")
+	if quieted.deadline == 0 || quieted.members == 0 || quieted.outside == 0 {
+		t.Fatalf("picks left records out of their scans %+v; the quiet-record check must check each kind", quieted)
 	}
 }
 

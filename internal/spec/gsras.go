@@ -55,7 +55,7 @@ func gsDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 		vs.startDeadline(rem)
 		now, med, gt, certify := vs.now, vs.med, vs.groundTruth, vs.certifies()
 		for k := vs.quiet; k < len(vs.hot); k++ {
-			i := vs.hot[k].task
+			i := int(vs.hot[k].task)
 			r := &vs.recs[i]
 			tn := r.tnewAt(med)
 			if !(tn > rem) && r.Copies < MaxCopies {
@@ -212,7 +212,7 @@ func rasDeadlineInc(ctx Ctx, vs *ViewSet) (Decision, bool) {
 		vs.startDeadline(rem)
 		now, med, gt, certify := vs.now, vs.med, vs.groundTruth, vs.certifies()
 		for k := vs.quiet; k < len(vs.hot); k++ {
-			i := vs.hot[k].task
+			i := int(vs.hot[k].task)
 			r := &vs.recs[i]
 			tn := r.tnewAt(med)
 			if !(tn > rem) && r.Copies < MaxCopies {
@@ -321,7 +321,7 @@ func (vs *ViewSet) certifyDeadline(rem float64, c *DeclineCert) bool {
 		}
 		c.Floor = max(c.Floor, t)
 	}
-	vs.hotFor(rem)
+	vs.hotFor(rem, false)
 	for _, h := range vs.hot[vs.quiet:] {
 		if _, ok := vs.certRunning(&vs.recs[h.task], rem, c); !ok {
 			return false
@@ -336,7 +336,10 @@ func (vs *ViewSet) certifyDeadline(rem float64, c *DeclineCert) bool {
 
 // certifyError builds an error-bound pick's certificate in c for a set
 // that needs need more completions: records that can launch are kept out
-// of the earliest set by need running records with smaller bounds.
+// of the earliest set by need running records with smaller bounds. A quiet
+// member of the pick (hot.go) brings its stored t_rem bound, wake and
+// floor, made from an earlier clock and valid from there on; every other
+// running record, a quiet non-member included, is certified here.
 func (vs *ViewSet) certifyError(need int, c *DeclineCert) bool {
 	if need <= 0 {
 		return true
@@ -349,7 +352,19 @@ func (vs *ViewSet) certifyError(need int, c *DeclineCert) bool {
 		return false
 	}
 	keys := vs.run.tmpKeys[:0]
-	for _, i := range vs.running {
+	for k := range vs.running {
+		var i int
+		if vs.hotOn {
+			h := &vs.hot[k]
+			i = int(h.task)
+			if k < vs.quiet && h.member {
+				keys = append(keys, effIdx{eff: h.bound, idx: i})
+				c.Wake, c.Floor = min(c.Wake, h.wake), max(c.Floor, h.floor)
+				continue
+			}
+		} else {
+			i = vs.running[k]
+		}
 		r := &vs.recs[i]
 		bound, ok := vs.certRunning(r, math.Inf(1), c)
 		if !ok {

@@ -38,25 +38,28 @@ import (
 // the head is O(1).
 //
 // GS's and RAS's picks evaluate what each decision needs straight from
-// the running records. An error-bound pick walks them all once per launch
-// attempt: it forms each running task's selection key, places it against
-// the previous selection's boundary (selHint) and keeps only the keys near
-// that boundary and the rare speculation candidates. A deadline pick reads
-// only the hot set (hot.go): the running records that may be speculation
-// candidates, in no order, so its ties go to the lowest index explicitly.
-// It tests a task's t_new against the remaining time, the copy cap and the
-// best so far before it divides for progress, and a record it finds no
-// candidate leaves the scan under its own certificate — a wake time and a
-// median floor — until its task is re-filed or removed, its wake passes,
-// the median falls below its floor, or the clock goes backwards or a pick
-// brings a larger remaining time or no deadline. For r running, h hot and
-// u unscheduled tasks a deadline pick costs O(h) plus O(log r) per record
+// the running records, and read only the hot set (hot.go): a record a pass
+// finds unable to change the pick leaves the later passes under its own
+// certificate until its task is re-filed or removed, its wake passes, the
+// median falls below its floor, or the clock goes backwards or a pick of
+// the other kind comes. The hot records are in no order, so ties go to the
+// lowest index explicitly. A deadline pick tests a task's t_new against
+// the remaining time, the copy cap and the best so far before it divides
+// for progress, and certifies the records it finds no candidate. An
+// error-bound pick forms each hot record's selection key, places it
+// against the previous selection's boundary (selHint), keeps only the keys
+// near that boundary and the rare speculation candidates, and certifies
+// the records far inside the earliest set as quiet members and those far
+// outside it as quiet non-members; one comparison against the selection's
+// boundary proves every quiet record still on its side. For r running, h
+// hot and u unscheduled tasks a pick costs O(h) plus O(log r) per record
 // that returns by its wake, and a sweep of the quiet records when the
-// median falls below their largest floor; the error-bound earliest set and
-// the median TNew cost
-// O(r) expected plus O(log r · log u): a quickselect over the running keys
-// whose probes binary-search uorder, warm-started from the previous
-// boundary so it usually touches few keys after the pass.
+// median falls below their largest floor or an error-bound pick's
+// boundary check fails; the earliest set's selection costs O(h) expected
+// plus O(log h · log u), and the median TNew O(r) expected plus
+// O(log r · log u): a quickselect over the running keys whose probes
+// binary-search uorder, warm-started from the previous boundary so it
+// usually touches few keys after the pass.
 //
 // One pick's result outlives its attempt: the shared RunBuf keeps the last
 // pass's running keys, candidates, split or best candidate (pickMemo),
@@ -109,14 +112,17 @@ type ViewSet struct {
 
 	// The hot set (hot.go): while hotOn, hot holds every running task —
 	// first the quiet records' certificates, a min-heap by wake time of
-	// length quiet, then in no order the hot records a deadline pick reads.
-	// Every quiet certificate holds from clock qNow on and under remaining
-	// times up to qRem; maxFloor bounds their floors, exactly unless
-	// floorStale. A phase's first deadline pick builds the set.
-	hot                  []hotRec
-	quiet                int
-	qNow, qRem, maxFloor float64
-	floorStale, hotOn    bool
+	// length quiet, then in no order the hot records a pick reads. Every
+	// quiet certificate holds from clock qNow on and under remaining times
+	// up to qRem, made by an error-bound pick if qErr; maxFloor bounds
+	// their floors, exactly unless floorStale. Under an error-bound pick
+	// qIn of them are members, maxU bounds the members' t_rem bounds and
+	// minTheta the non-members' key floors from below. A phase's first pick
+	// builds the set.
+	hot                                  []hotRec
+	quiet, qIn                           int
+	qNow, qRem, maxFloor, maxU, minTheta float64
+	floorStale, hotOn, qErr              bool
 
 	// The evaluation inputs: the clock, the t_new median and the mode.
 	now, med    float64
@@ -172,10 +178,11 @@ type TaskRec struct {
 type RunBuf struct {
 	// views holds RunningViews' result, re-evaluated on every call.
 	views []TaskView
-	// runKeys holds the last error-bound pick's running selection keys in
-	// running order and cands its speculation candidates, both kept for
-	// the memo; selKeys holds the keys a selection still has to partition
-	// and medKeys MedianTNew's running keys.
+	// runKeys holds the last error-bound pick's hot selection keys at the
+	// records' places in the hot set and cands its hot speculation
+	// candidates, both kept for the memo; selKeys holds the keys a
+	// selection still has to partition and medKeys MedianTNew's running
+	// keys.
 	runKeys []effIdx
 	selKeys []effIdx
 	cands   []errCand
@@ -187,8 +194,10 @@ type RunBuf struct {
 	// passes counts full pick passes: picks the memo could not serve.
 	passes uint64
 	// scanned counts the records the full deadline passes read, the hot
-	// ones, and scanRunning the running records they had.
-	scanned, scanRunning uint64
+	// ones, and scanRunning the running records they had; errScanned and
+	// errRunning count the same for full error-bound passes, the records
+	// a failed boundary check returned included.
+	scanned, scanRunning, errScanned, errRunning uint64
 }
 
 // Passes returns how many GS or RAS picks made a full pass: the picks the
@@ -198,6 +207,11 @@ func (b *RunBuf) Passes() uint64 { return b.passes }
 // DeadlineScan returns how many records the full deadline passes read —
 // the hot records — and how many running records those passes had.
 func (b *RunBuf) DeadlineScan() (scanned, running uint64) { return b.scanned, b.scanRunning }
+
+// ErrorScan returns how many records the full error-bound passes read —
+// the hot records and those a failed boundary check returned — and how
+// many running records those passes had.
+func (b *RunBuf) ErrorScan() (scanned, running uint64) { return b.errScanned, b.errRunning }
 
 // pickKind names the pick a memo answers.
 type pickKind uint8
@@ -220,11 +234,13 @@ type pickMemo struct {
 	// changed is the one task Update re-filed on vs since the pick, or -1;
 	// wasRunning says it was running at the pick.
 	changed int
-	// Error bound: the split the pick left in vs.earliest, how many
-	// running keys it has below (j) and its block extremes — the largest
-	// member and the smallest non-member, sentinels for an empty side, or
-	// a key that bounds its block as tightly (see retryEarliest). The keys
-	// and candidates stay in runKeys and cands.
+	// quiet is vs's count of quiet records the pick left.
+	quiet int
+	// Error bound: the split the pick left in vs.earliest, how many hot
+	// keys it has below (j) and its block extremes — the largest member
+	// and the smallest non-member, sentinels for an empty side, or for the
+	// largest member a key that bounds its block as tightly (see
+	// retryEarliest). The keys and candidates stay in runKeys and cands.
 	j               int
 	split           selHint
 	lowMax, highMin effIdx
@@ -302,8 +318,8 @@ func (vs *ViewSet) Reset(n int, e Eval) {
 	vs.near = vs.near[:0]
 	vs.untame = 0
 	vs.sealed = false
-	vs.hot, vs.quiet = vs.hot[:0], 0
-	vs.maxFloor, vs.floorStale, vs.hotOn = 0, false, false
+	vs.hot, vs.hotOn = vs.hot[:0], false
+	vs.wakeAll()
 	vs.earliest, vs.median = selHint{}, selHint{}
 	vs.medKnown = false
 	vs.groundTruth, vs.run = e.GroundTruth, e.Buf
@@ -710,11 +726,26 @@ func (vs *ViewSet) CheckOrder() error {
 
 // checkHot verifies that the hot set holds every running task while it is
 // on, each pointing back through its record, the quiet ones in heap order
-// by wake with floors within the kept bound, and that no running record
-// claims a place while it is off.
+// by wake with floors and bounds within the kept bounds and members
+// counted, only under an error-bound pick's certificates, and that no
+// running record claims a place while it is off.
 func (vs *ViewSet) checkHot() error {
 	if vs.hotOn && len(vs.hot) != len(vs.running) {
 		return fmt.Errorf("hot set holds %d tasks, for %d running", len(vs.hot), len(vs.running))
+	}
+	members := 0
+	for k, h := range vs.hot[:vs.quiet] {
+		switch {
+		case h.member && (!vs.qErr || h.bound > vs.maxU):
+			return fmt.Errorf("quiet member %d has bound %v, kept bound %v, error bound %v", k, h.bound, vs.maxU, vs.qErr)
+		case !h.member && vs.qErr && h.bound < vs.minTheta:
+			return fmt.Errorf("quiet non-member %d has bound %v below the kept bound %v", k, h.bound, vs.minTheta)
+		case h.member:
+			members++
+		}
+	}
+	if members != vs.qIn {
+		return fmt.Errorf("%d quiet members counted, %d found", vs.qIn, members)
 	}
 	for k, h := range vs.hot {
 		if r := &vs.recs[h.task]; r.Copies == 0 || int(r.near) != k+1 {
@@ -748,7 +779,7 @@ type errCand struct {
 }
 
 // pickEarliest is GS's and RAS's error-bound pick in one pass over the
-// running records. Among the `need` incomplete tasks with the smallest
+// hot records. Among the `need` incomplete tasks with the smallest
 // (effDuration, index) keys — exactly the reference earliestSet — it
 // finds:
 //
@@ -762,14 +793,17 @@ type errCand struct {
 //     the smallest index (LJF's pick inside the set), or -1 when the set
 //     contains no unscheduled task.
 //
-// A retry that the memo serves (retryEarliest) re-evaluates only the task
-// changed since the last pick; any other pick makes the full pass
-// (passEarliest).
+// The quiet members are members and no candidates, and the quiet
+// non-members are no members (hot.go), so the hot records and the
+// unscheduled tasks decide both. A retry that the memo serves
+// (retryEarliest) re-evaluates only the task changed since the last pick;
+// any other pick makes the full pass (passEarliest).
 func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64, fresh int) {
-	vs.wakeAll() // certified under a deadline, which this pick lacks
 	if need <= 0 {
+		vs.wakeAll() // no task is a member
 		return -1, 0, -1
 	}
+	vs.hotFor(math.Inf(1), true)
 	kind := pickGSError
 	if saving {
 		kind = pickRASError
@@ -779,13 +813,14 @@ func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64,
 	if !ok {
 		j, minOut = vs.passEarliest(kind, need, all)
 	}
-	n := len(vs.running)
 	if all {
 		fresh = vs.ljfUnsched(vs.uorder.len())
 	} else {
-		fresh = vs.ljfUnsched(need - j)
+		fresh = vs.ljfUnsched(need - vs.qIn - j)
 	}
-	// The running members are the keys below minOut.
+	// The hot members are the keys below minOut, all of them when no hot
+	// key is left out.
+	n := len(vs.hot) - vs.quiet
 	best = -1
 	for _, c := range vs.run.cands {
 		if (j == n || c.key.less(minOut)) && (best == -1 || c.score > score || (c.score == score && c.key.idx < best)) {
@@ -795,32 +830,43 @@ func (vs *ViewSet) pickEarliest(need int, saving bool) (best int, score float64,
 	return best, score, fresh
 }
 
-// passEarliest is pickEarliest's full pass: it evaluates each running
-// record with the view's expressions, forms its key, keeps it in runKeys
-// and places it against the previous split (vs.earliest) — it counts the
-// keys below the hint, keeps the extremes of the outer blocks and collects
-// only the keys between the hint keys — and it collects the speculation
-// candidates. settle then decides the split, passing over the kept keys
-// again only when the hint's probes do not confirm it. When need covers
-// every task (all), no selection runs. It returns the number of running
-// members j and the smallest running non-member, and stamps the memo.
+// passEarliest is pickEarliest's full pass: it evaluates each hot record
+// with the view's expressions, forms its key, keeps it in runKeys at the
+// record's place and places it against the previous split (vs.earliest) —
+// it counts the keys below the hint, keeps the extremes of the outer
+// blocks and collects only the keys between the hint keys — and it
+// collects the speculation candidates. settleEarliest then decides the
+// split and holds the quiet records to it, and certifyEarliest lets the
+// records far from it go quiet. When need covers every task (all), no
+// selection runs, and the quiet non-members return first; when fewer tasks
+// are needed than there are quiet members, those do. It returns the
+// number of hot members j and the smallest hot non-member, and stamps the
+// memo.
 func (vs *ViewSet) passEarliest(kind pickKind, need int, all bool) (j int, minOut effIdx) {
+	switch {
+	case vs.quiet == 0:
+	case all && vs.quiet > vs.qIn:
+		vs.sweepQuiet(func(h *hotRec) bool { return h.member })
+	case need < vs.qIn:
+		vs.sweepQuiet(func(h *hotRec) bool { return !h.member })
+	}
 	h := &vs.earliest
 	in, out := lowestKey, highestKey
 	if h.set {
 		in, out = h.in, h.out
 	}
 	b := vs.run
-	keys := slices.Grow(b.runKeys[:0], len(vs.running))[:len(vs.running)]
+	keys := slices.Grow(b.runKeys[:0], len(vs.hot))[:len(vs.hot)]
 	sel, cands := b.selKeys[:0], b.cands[:0]
 	p := 0
 	e := splitExt{lowMax: lowestKey, highMin: highestKey}
 	saving := kind == pickRASError
 	now, med, gt := vs.now, vs.med, vs.groundTruth
-	for k, i := range vs.running {
-		// errKey's evaluation, written out: the loop runs for every
-		// running record, and a call per record made the fresh-clock
-		// pick about a third slower.
+	for k := vs.quiet; k < len(vs.hot); k++ {
+		// errKey's evaluation, written out: the loop runs for every hot
+		// record, and a call per record made the fresh-clock pick about a
+		// third slower.
+		i := int(vs.hot[k].task)
 		r := &vs.recs[i]
 		tnew := r.tnewAt(med)
 		trem, speculable := r.tremAt(now, gt)
@@ -837,10 +883,10 @@ func (vs *ViewSet) passEarliest(kind pickKind, need int, all bool) (j int, minOu
 				cands = append(cands, errCand{key: key, score: trem})
 			}
 		}
+		keys[k] = key
 		if all {
 			continue
 		}
-		keys[k] = key
 		switch {
 		case key.less(in):
 			p++
@@ -854,10 +900,14 @@ func (vs *ViewSet) passEarliest(kind pickKind, need int, all bool) (j int, minOu
 		}
 	}
 	b.runKeys, b.selKeys, b.cands = keys, sel, cands
+	b.errScanned += uint64(len(vs.hot) - vs.quiet)
+	b.errRunning += uint64(len(vs.running))
 	m := &b.memo
 	m.stamp(vs, kind, float64(need))
 	if all {
-		return len(keys), highestKey
+		vs.certifyEarliest(keys, highestKey, highestKey)
+		m.quiet = vs.quiet
+		return len(vs.hot) - vs.quiet, highestKey
 	}
 	// The middle block's extremes; with no key between the hint keys the
 	// nearest keys beyond each lie in the outer blocks.
@@ -870,26 +920,118 @@ func (vs *ViewSet) passEarliest(kind pickKind, need int, all bool) (j int, minOu
 			e.midMax = k
 		}
 	}
-	j, maxIn, minOut := vs.settle(keys, need, h, p, p+len(sel), e, true)
-	m.keepSplit(*h, j, len(keys), maxIn, minOut)
+	j, maxIn, minOut, bound, back := vs.settleEarliest(keys, need, p, p+len(sel), e, saving)
+	b.errScanned += uint64(back)
+	members, minOut := vs.certifyEarliest(keys, bound, minOut)
+	j -= members
+	m.keepSplit(*h, j, len(vs.hot)-vs.quiet, maxIn, minOut)
+	m.quiet = vs.quiet
 	return j, minOut
+}
+
+// settleEarliest finishes an error-bound selection from a placement of
+// the hot records' keys (keys at their places in the hot set) against the
+// hint vs.earliest: p keys below h.in, q below h.out, e the blocks'
+// extremes and the keys between the hint keys collected in selKeys. It
+// selects the need − q_in smallest keys of the hot and unscheduled tasks
+// (settle) and holds the quiet records to that selection's smallest
+// non-member b (boundaryHolds). While the check fails, the suspect quiet
+// records return (returnSuspects), their keys are formed at their places
+// and their candidates collected, and the selection runs again from the
+// split it left: exactly j keys below h.in and none in [h.in, h.out). It
+// returns settle's results, b and how many records returned.
+func (vs *ViewSet) settleEarliest(keys []effIdx, need, p, q int, e splitExt, saving bool) (j int, maxIn, minOut, b effIdx, back int) {
+	h := &vs.earliest
+	for {
+		n := len(vs.hot) - vs.quiet
+		j, maxIn, minOut = vs.settle(keys[vs.quiet:len(vs.hot)], need-vs.qIn, h, p, q, e, true)
+		b = vs.boundary(need-vs.qIn, j, n, minOut)
+		q0 := vs.quiet
+		if q0 == 0 || vs.boundaryHolds(b.eff) {
+			return j, maxIn, minOut, b, back
+		}
+		if vs.returnSuspects(b.eff); vs.quiet == q0 {
+			return j, maxIn, minOut, b, back // the kept bounds were loose
+		}
+		back += q0 - vs.quiet
+		p, q = j, j
+		e = splitExt{lowMax: lowestKey, highMin: highestKey}
+		if j > 0 {
+			e.lowMax = maxIn
+		}
+		if j < n {
+			e.highMin = minOut
+		}
+		sel, cands := vs.run.selKeys[:0], vs.run.cands
+		for k := vs.quiet; k < q0; k++ {
+			key, score, cand := vs.errKey(int(vs.hot[k].task), saving)
+			if cand {
+				cands = append(cands, errCand{key: key, score: score})
+			}
+			keys[k] = key
+			switch {
+			case key.less(h.in):
+				p, q = p+1, q+1
+				if e.lowMax.less(key) {
+					e.lowMax = key
+				}
+			case key.less(h.out):
+				q++
+				sel = append(sel, key)
+			case key.less(e.highMin):
+				e.highMin = key
+			}
+		}
+		vs.run.selKeys, vs.run.cands = sel, cands
+		e.midMin, e.midMax = e.highMin, e.lowMax
+		for _, k := range sel {
+			if k.less(e.midMin) {
+				e.midMin = k
+			}
+			if e.midMax.less(k) {
+				e.midMax = k
+			}
+		}
+	}
+}
+
+// boundary returns the smallest key a selection of need keys leaves out
+// when j of them are among n hot keys whose smallest non-member is minOut:
+// the smaller of minOut and the first unscheduled key left out, highestKey
+// when every key is a member.
+func (vs *ViewSet) boundary(need, j, n int, minOut effIdx) effIdx {
+	b := highestKey
+	if j < n {
+		b = minOut
+	}
+	if u := vs.uorder.list(); need-j < len(u) {
+		if k := vs.tnewKey(u[need-j]); k.less(b) {
+			b = k
+		}
+	}
+	return b
 }
 
 // retryEarliest serves pickEarliest from the memo of the previous pick of
 // the same kind and need on vs at the same clock and median. The kept keys
-// are the running keys but the changed task's, and the kept split is the
-// hint itself: exactly j keys below h.in, none in [h.in, h.out). So the
-// retry re-evaluates the changed task alone, swaps its key and candidate
-// entry, classifies its new key against the split and lets settle's probes
-// decide whether the split moved. It reports false, having decided
-// nothing, when the memo does not fit.
+// are the hot keys but the changed task's, each at its record's place: a
+// task that started running since sits last in the hot set, and one Update
+// returned from the quiet records first among the hot ones, where no key
+// was kept. The kept split is the hint itself: exactly j keys below h.in,
+// none in [h.in, h.out). So the retry re-evaluates the changed task alone,
+// swaps its key and candidate entry, classifies its new key against the
+// split and lets settleEarliest decide whether the split moved and hold
+// the quiet records to it. It reports false, having decided nothing, when
+// the memo does not fit.
 //
-// The kept block extremes may be the changed task's old key. settle reads
-// an extreme only as the boundary key it returns when a probe decides the
-// split at a hint key, and the old key still separates the blocks there:
-// the largest member's is at least every member and below h.in, the
-// smallest non-member's at h.out and at most every non-member. So the
-// split, the hint it leaves and the candidates below minOut stay exact.
+// The kept largest member may be the changed task's old key. settle reads
+// it only as the boundary key it returns when a probe decides the split at
+// h.in, and the old key still separates the blocks there: it is at least
+// every member and below h.in. So the split, the hint it leaves and the
+// candidates below minOut stay exact. The kept smallest non-member must be
+// exact, since the boundary check reads it: when it was the changed task's
+// old key and the new key does not replace it, the hot keys are searched
+// for the next one.
 func (vs *ViewSet) retryEarliest(kind pickKind, need int, all bool) (j int, minOut effIdx, ok bool) {
 	b := vs.run
 	m := &b.memo
@@ -897,16 +1039,23 @@ func (vs *ViewSet) retryEarliest(kind pickKind, need int, all bool) (j int, minO
 	if !m.fits(vs, kind, float64(need)) || (!all && *h != m.split) {
 		return 0, effIdx{}, false
 	}
-	keys := b.runKeys
-	c, pos := m.changed, 0
+	c := m.changed
 	running := c >= 0 && vs.recs[c].Copies > 0
+	pos := -1
 	if running {
-		pos = sortedPos(vs.running, c, "running")
+		pos = int(vs.recs[c].near) - 1
+	}
+	back := vs.quiet != m.quiet
+	switch {
+	case back && !(m.wasRunning && vs.quiet == m.quiet-1 && pos == vs.quiet):
+		return 0, effIdx{}, false
+	case running && !m.wasRunning && pos != len(b.runKeys):
+		return 0, effIdx{}, false
 	}
 	var key effIdx
 	if c >= 0 {
 		cands := b.cands
-		if m.wasRunning {
+		if m.wasRunning && !back {
 			for k := range cands {
 				if cands[k].key.idx == c {
 					cands[k] = cands[len(cands)-1]
@@ -925,22 +1074,27 @@ func (vs *ViewSet) retryEarliest(kind pickKind, need int, all bool) (j int, minO
 		b.cands = cands
 	}
 	m.changed = -1
+	keys, old, hadKey := b.runKeys, highestKey, running && m.wasRunning && !back
+	if running {
+		if hadKey {
+			old = keys[pos]
+		} else if !m.wasRunning {
+			keys = append(keys, key)
+			b.runKeys = keys
+		}
+		keys[pos] = key
+	}
+	m.quiet = vs.quiet
 	if all {
-		return len(vs.running), highestKey, true
+		return len(vs.hot) - vs.quiet, highestKey, true
 	}
 	p, q := m.j, m.j
+	if old.less(h.in) {
+		p, q = p-1, q-1
+	}
 	e := splitExt{lowMax: m.lowMax, highMin: m.highMin}
 	sel := b.selKeys[:0]
 	if running {
-		if !m.wasRunning {
-			keys = slices.Insert(keys, pos, key)
-			b.runKeys = keys
-		} else {
-			if keys[pos].less(h.in) {
-				p, q = p-1, q-1
-			}
-			keys[pos] = key
-		}
 		switch {
 		case key.less(h.in):
 			p, q = p+1, q+1
@@ -953,14 +1107,23 @@ func (vs *ViewSet) retryEarliest(kind pickKind, need int, all bool) (j int, minO
 		case key.less(e.highMin):
 			e.highMin = key
 		}
+		if hadKey && e.highMin == old {
+			e.highMin = highestKey
+			for _, k := range keys[vs.quiet:len(vs.hot)] {
+				if !k.less(h.out) && k.less(e.highMin) {
+					e.highMin = k
+				}
+			}
+		}
 	}
 	b.selKeys = sel
 	e.midMin, e.midMax = e.highMin, e.lowMax
 	if len(sel) > 0 {
 		e.midMin, e.midMax = key, key
 	}
-	j, maxIn, minOut := vs.settle(keys, need, h, p, q, e, true)
-	m.keepSplit(*h, j, len(keys), maxIn, minOut)
+	j, maxIn, minOut, _, _ := vs.settleEarliest(keys, need, p, q, e, kind == pickRASError)
+	m.keepSplit(*h, j, len(vs.hot)-vs.quiet, maxIn, minOut)
+	m.quiet = vs.quiet
 	return j, minOut, true
 }
 

@@ -52,13 +52,13 @@
 #     re-deriving every running task's view per attempt (~27-35
 #     touches/attempt) fails.
 #   - BenchmarkSimulatorQuick's passes/attempt must stay at the latest
-#     BENCH_sim.json figures: gs 0.5227, ras 0.5206, grass 0.5240,
-#     grass-sketch 0.5205 and oracle 0.7468. A pass is a GS or RAS pick
-#     that walked every running record; the other attempts were
-#     same-instant retries the pick memo served or offers to sleeping jobs
-#     a decline certificate answered (skips/attempt: gs 0.1304, ras
-#     0.1887, grass 0.1637, grass-sketch 0.1721; the oracle's ground-truth
-#     views are never certified). Like touches the count is deterministic,
+#     BENCH_sim.json figures: gs 0.5231, ras 0.5214, grass 0.5248,
+#     grass-sketch 0.5210 and oracle 0.7468. A pass is a GS or RAS pick
+#     that was not a memo's retry; the other attempts were same-instant
+#     retries the pick memo served or offers to sleeping jobs a decline
+#     certificate answered (skips/attempt: gs 0.1300, ras 0.1879, grass
+#     0.1630, grass-sketch 0.1715; the oracle's ground-truth views are
+#     never certified). Like touches the count is deterministic,
 #     so each ceiling sits within 0.01 of its figure: a memo that stops
 #     engaging reads 1.0, and certificates that stop engaging read the
 #     figures before them (gs 0.6560, ras 0.7103, grass 0.6890,
@@ -72,6 +72,16 @@
 #     passes the count is deterministic, so each ceiling sits within 0.01
 #     of its figure; a hot set that stops shrinking reads 1.0, as the
 #     oracle's ground-truth views do (they are never certified, no wall).
+#   - BenchmarkSimulatorQuick's errscanned/pass must stay at the latest
+#     BENCH_sim.json figures: gs 0.1511, ras 0.1588, grass 0.1548 and
+#     grass-sketch 0.1562. It is the same share for the full error-bound
+#     passes, counting the records a failed boundary check returned: a
+#     record a pass finds far inside the earliest set (and no candidate)
+#     or far outside it leaves the later passes as a quiet member or
+#     non-member, and one comparison against each selection's boundary
+#     proves it still on its side. Each ceiling sits within 0.01 of its
+#     figure; error-bound passes that read every running record read 1.0,
+#     as the oracle's do (no wall).
 #   - BenchmarkScanSWIM and BenchmarkSourceSWIM (internal/traceio) must
 #     stay at or below 0.01 allocs/record over their 100K-record SWIM file:
 #     a record decodes without allocating (its fields are parsed from the
@@ -174,8 +184,8 @@ wall() {
 }
 
 # Full-simulation allocations per event, touches and full pick passes per
-# launch attempt and the share of running records deadline passes read,
-# gated per policy.
+# launch attempt and the shares of running records deadline and error-bound
+# passes read, gated per policy.
 check() { wall "$out" "BenchmarkSimulatorQuick/$1" "$2" "$3"; }
 check gs allocs/event 0.178
 check ras allocs/event 0.178
@@ -203,6 +213,10 @@ check gs scanned/pass 0.174
 check ras scanned/pass 0.138
 check grass scanned/pass 0.169
 check grass-sketch scanned/pass 0.174
+check gs errscanned/pass 0.162
+check ras errscanned/pass 0.169
+check grass errscanned/pass 0.165
+check grass-sketch errscanned/pass 0.167
 
 # Trace import: a SWIM record decodes without allocating, in Scan's
 # block-parallel pass and in a Source's stream, and so does a Google
