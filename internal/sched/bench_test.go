@@ -54,8 +54,8 @@ func benchJobs(n int) []*task.Job {
 // runSimBench runs full simulations of the bench workload under one policy
 // and reports per-event wall clock, per-event heap allocations, the task
 // records re-derived per launch attempt (touches), the GS or RAS picks per
-// attempt that walked every running record (passes: the others were
-// same-instant retries the pick memo served or offers a decline
+// attempt that made a full pass over the hot records (passes: the others
+// were same-instant retries the pick memo served or offers a decline
 // certificate answered), the attempts a decline certificate answered
 // (skips), the share of the running records the full deadline passes
 // read (scanned/pass: the hot records, spec.RunBuf.DeadlineScan) and the
@@ -268,7 +268,7 @@ func BenchmarkDispatch(b *testing.B) {
 // touches/attempt (which BENCH_sim.json records) stays far below the 2000
 // views a from-scratch rebuild would derive per attempt; rechecks/attempt
 // counts the near-tied neighbour pairs median moves recheck, and
-// passes/attempt the picks that walked every running record.
+// passes/attempt the picks that made a full pass over the hot records.
 func BenchmarkLargeJobReplay(b *testing.B) {
 	jobs := func() []*task.Job {
 		return []*task.Job{
