@@ -62,7 +62,7 @@ import (
 // usually touches few keys after the pass.
 //
 // One pick's result outlives its attempt: the shared RunBuf keeps the last
-// pass's running keys, candidates, split or best candidate (pickMemo),
+// pass's hot keys, candidates, split or best candidate (pickMemo),
 // stamped with the set, clock, median and pick. The fair scheduler offers
 // a job far below its share several slots at one instant, and between
 // those attempts only the task just launched changes; Update notes it, and
@@ -264,7 +264,7 @@ func (m *pickMemo) stamp(vs *ViewSet, kind pickKind, arg float64) {
 	vs.run.passes++
 }
 
-// keepSplit records the split a selection over n running keys left in h:
+// keepSplit records the split a selection over n hot keys left in h:
 // j members, the largest maxIn, and the smallest non-member minOut.
 func (m *pickMemo) keepSplit(h selHint, j, n int, maxIn, minOut effIdx) {
 	m.j, m.split, m.lowMax, m.highMin = j, h, lowestKey, highestKey
